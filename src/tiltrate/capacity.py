@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .solvers import invert_monotone
-from .tilting import PROB_TOL, FiniteDistribution, log_mgf, tilt
+from .tilting import PROB_TOL, _force_at_mean, _tilted_moments
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -77,16 +76,16 @@ def mutual_information(channel: Channel) -> float:
     return float((q[:, None] * w * terms)[mask].sum())
 
 
-def capacity_point(channel: Channel, tol: float = 1e-12) -> CapacityPoint:
+def capacity_point(channel: Channel) -> CapacityPoint:
     """Mutual information recovered as a Legendre rate.
 
     Builds the rate-distortion instance with source = output marginal,
     coding law = input law, d = -ln W; the distortion budget is
-    H(X | Xhat).  Zero transition entries are excluded from each output
-    letter's distortion support (an infinite distortion never carries tilted
-    mass at negative force) and their missing mass enters the rate exactly
-    as a log correction.  The returned force lands at -1 whenever the
-    channel is nondegenerate.
+    H(X | Xhat).  Zero transition entries get -inf log-weights, so they
+    never carry tilted mass (an infinite distortion at negative force), and
+    their missing mass enters the rate through each output letter's
+    log-partition.  The force is solved by a bracketed Newton iteration run
+    to machine width; it lands at -1 whenever the channel is nondegenerate.
     """
     w = channel.transition
     q = channel.input_probs
@@ -103,26 +102,21 @@ def capacity_point(channel: Channel, tol: float = 1e-12) -> CapacityPoint:
     np.log(w, out=logs, where=mask)
     delta = float(-(q[:, None] * w * logs)[mask].sum())
 
-    dists: list[FiniteDistribution] = []
-    log_mass = np.zeros(p_out.size)
-    for x in range(p_out.size):
-        support = mask[:, x]
-        mass = float(q[support].sum())
-        dists.append(FiniteDistribution(-logs[support, x], q[support] / mass))
-        log_mass[x] = math.log(mass)
+    # one row per output letter x, one column per input letter xhat
+    support = mask.T
+    dist = -logs.T
+    log_w = np.full(support.shape, -math.inf)
+    np.log(np.broadcast_to(q, support.shape), out=log_w, where=support)
 
-    def mean_distortion(s: float) -> float:
-        return float(np.dot(p_out, np.array([tilt(d, s).mean for d in dists])))
-
-    d_zero = mean_distortion(0.0)
-    span = d_zero - float(np.dot(p_out, np.array([d.min_value for d in dists])))
+    d_zero = float(np.dot(p_out, _tilted_moments(log_w, dist, 0.0)[1]))
+    span = d_zero - float(np.dot(p_out, dist.min(axis=1, where=support, initial=math.inf)))
     if span <= 0.0 or delta >= d_zero - 1e-15 * max(1.0, d_zero):
         # deterministic or budget-saturating channel: rate is the pure mass cost
-        rate = float(-np.dot(p_out, log_mass))
+        rate = float(-np.dot(p_out, np.log(support @ q)))
         return CapacityPoint(rate=max(rate, 0.0), s_star=0.0, delta=delta)
 
-    # f_tol = 0 runs the bracket to machine width so the force itself is pinned
-    s = invert_monotone(mean_distortion, delta, f_tol=0.0, lo=-2.0, hi=0.0, hi_limit=0.0)
-    phis = np.array([log_mgf(d, s) for d in dists])
-    rate = s * delta - float(np.dot(p_out, phis + log_mass))
+    # f_tol = 0 runs the iteration to machine width so the force itself is pinned
+    s = _force_at_mean(log_w, dist, p_out, delta, 0.0, nonpositive=True)
+    log_z, _, _ = _tilted_moments(log_w, dist, s)
+    rate = s * delta - float(np.dot(p_out, log_z))
     return CapacityPoint(rate=max(rate, 0.0), s_star=float(s), delta=delta)

@@ -27,8 +27,15 @@ from .errors import (
     ValidationError,
 )
 from .ratedistortion import RdProblem
-from .solvers import adaptive_simpson, invert_monotone
-from .tilting import PROB_TOL, VALUE_MERGE_TOL, FiniteDistribution, log_mgf, tilt
+from .solvers import adaptive_simpson
+from .tilting import (
+    PROB_TOL,
+    VALUE_MERGE_TOL,
+    FiniteDistribution,
+    _force_at_mean,
+    _tilted_moments,
+    log_mgf,
+)
 
 __all__ = [
     "ElementArray",
@@ -96,57 +103,66 @@ class ChainSystem:
         return 1.0 / (self.boltzmann_k * self.beta)
 
 
-def _array_moments(arr: ElementArray, beta: float, lam: float):
-    """(log partition, mean length, length variance) of one array at force lam."""
-    expo = -beta * (arr.state_energies - lam * arr.state_lengths)
-    shift = float(expo.max())
-    w = np.exp(expo - shift)
-    z = float(w.sum())
-    p = w / z
-    mean = float(np.dot(p, arr.state_lengths))
-    centered = arr.state_lengths - mean
-    return shift + math.log(z), mean, float(np.dot(p, centered * centered))
+def _table(system: ChainSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fractions, log-weights -beta * energies, lengths), one row per array.
+
+    Arrays with fewer states are padded with -inf log-weights, which carry
+    no Boltzmann mass, and zero lengths.  Built once per public call, not
+    kept on the system: 512 arrays of 512 states take 4 MB.
+    """
+    width = max(a.state_lengths.size for a in system.arrays)
+    log_w = np.full((len(system.arrays), width), -math.inf)
+    lengths = np.zeros((len(system.arrays), width))
+    for x, arr in enumerate(system.arrays):
+        log_w[x, : arr.state_energies.size] = -system.beta * arr.state_energies
+        lengths[x, : arr.state_lengths.size] = arr.state_lengths
+    return np.array([a.fraction for a in system.arrays]), log_w, lengths
+
+
+def _moments(system: ChainSystem):
+    """lam -> (fractions, per-array log partition, mean length, length variance)."""
+    fractions, log_w, lengths = _table(system)
+    beta = system.beta
+    return lambda lam: (fractions, *_tilted_moments(log_w, lengths, beta * lam))
 
 
 def gibbs_free_energy(system: ChainSystem, lam: float) -> float:
     """Per-element Gibbs free energy -(1/beta) sum_x p_x ln Z_x(lam)."""
-    total = 0.0
-    for arr in system.arrays:
-        log_z, _, _ = _array_moments(arr, system.beta, lam)
-        total += arr.fraction * log_z
-    return -total / system.beta
+    fractions, log_z, _, _ = _moments(system)(lam)
+    return -float(np.dot(fractions, log_z)) / system.beta
 
 
 def array_lengths(system: ChainSystem, lam: float) -> np.ndarray:
     """Boltzmann mean length of each array at force lam."""
-    return np.array([_array_moments(a, system.beta, lam)[1] for a in system.arrays])
+    return _moments(system)(lam)[2]
 
 
 def expected_length(system: ChainSystem, lam: float) -> float:
-    fractions = np.array([a.fraction for a in system.arrays])
-    return float(np.dot(fractions, array_lengths(system, lam)))
+    fractions, _, means, _ = _moments(system)(lam)
+    return float(np.dot(fractions, means))
 
 
 def length_variance(system: ChainSystem, lam: float) -> float:
     """Population-averaged per-element length variance; beta times this is dY/dlam."""
-    total = 0.0
-    for arr in system.arrays:
-        _, _, var = _array_moments(arr, system.beta, lam)
-        total += arr.fraction * var
-    return total
+    fractions, _, _, variances = _moments(system)(lam)
+    return float(np.dot(fractions, variances))
 
 
 def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e-10) -> float:
-    """Force at which the chain's mean per-element length equals the target."""
+    """Force at which the chain's mean per-element length equals the target.
+
+    Solved for s = beta * lam by a bracketed Newton iteration on the slope
+    dY/ds = Var(length), in the lengths' own force scale.
+    """
     lo = sum(a.fraction * float(a.state_lengths.min()) for a in system.arrays)
     hi = sum(a.fraction * float(a.state_lengths.max()) for a in system.arrays)
     if not lo < target_length < hi:
         raise LengthInfeasibleError(
             f"length {target_length!r} is not strictly inside the achievable range ({lo!r}, {hi!r})"
         )
-    return invert_monotone(
-        lambda lam: expected_length(system, lam), target_length, f_tol=tol * (hi - lo)
-    )
+    fractions, log_w, lengths = _table(system)
+    s = _force_at_mean(log_w, lengths, fractions, target_length, tol * (hi - lo))
+    return s / system.beta
 
 
 def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -> float:
@@ -158,9 +174,13 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     if lam_final == 0.0:
         return 0.0
     beta = system.beta
-    return adaptive_simpson(
-        lambda lam: lam * beta * length_variance(system, lam), 0.0, lam_final, tol
-    )
+    moments = _moments(system)
+
+    def power(lam: float) -> float:
+        fractions, _, _, variances = moments(lam)
+        return lam * beta * float(np.dot(fractions, variances))
+
+    return adaptive_simpson(power, 0.0, lam_final, tol)
 
 
 def _check_schedule(schedule) -> np.ndarray:
@@ -185,7 +205,13 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     pts = _check_schedule(schedule)
     if pts.size == 1:
         return (0.0, 0.0)
-    lengths = np.array([expected_length(system, float(l)) for l in pts])
+    moments = _moments(system)
+
+    def length(lam: float) -> float:
+        fractions, _, means, _ = moments(lam)
+        return float(np.dot(fractions, means))
+
+    lengths = np.array([length(float(l)) for l in pts])
     dy = np.diff(lengths)
     return (float(np.dot(pts[:-1], dy)), float(np.dot(pts[1:], dy)))
 
@@ -229,7 +255,7 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     """
     vmin, vmax = energy_dist.min_value, energy_dist.max_value
     span = vmax - vmin
-    band = VALUE_MERGE_TOL * max(1.0, span)
+    band = VALUE_MERGE_TOL * span
     if energy < vmin - band or energy > vmax + band:
         raise EnergyInfeasibleError(
             f"energy {energy!r} outside the spectrum [{vmin!r}, {vmax!r}]"
@@ -239,13 +265,13 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
         return log_count + math.log(float(energy_dist.probs[0]))
     if energy >= energy_dist.mean:
         return log_count + log_mgf(energy_dist, 0.0)
-    s = invert_monotone(
-        lambda u: tilt(energy_dist, u).mean,
+    s = _force_at_mean(
+        np.log(energy_dist.probs)[None, :],
+        energy_dist.values[None, :],
+        np.ones(1),
         energy,
-        f_tol=tol * span,
-        lo=-1.0,
-        hi=0.0,
-        hi_limit=0.0,
+        tol * span,
+        nonpositive=True,
     )
     beta_star = -s
     return beta_star * energy + log_count + log_mgf(energy_dist, s)

@@ -22,7 +22,6 @@ from . import oracles
 from . import ratedistortion as rd
 from .config import ProblemConfig, load_config
 from .errors import ConfigError, NumericalError, TiltrateError, ValidationError
-from .solvers import BracketError
 
 __all__ = ["main"]
 
@@ -30,6 +29,8 @@ DEFAULT_TOL = 1e-10
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -43,7 +44,7 @@ def _fmt(value) -> str:
 
 
 def _json_value(value):
-    if isinstance(value, bool):
+    if isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
@@ -202,7 +203,7 @@ def _cmd_rd_point(args) -> tuple:
 def _cmd_capacity(args) -> tuple:
     cfg = load_config(args.config)
     channel = cfg.channel()
-    point = cap.capacity_point(channel, tol=args.tol)
+    point = cap.capacity_point(channel)
     info = cap.mutual_information(channel)
     return (
         "pairs",
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     capacity_parser = top.add_parser("capacity", help="channel rate via the distortion route")
     _add_common(capacity_parser)
-    capacity_parser.set_defaults(handler=_cmd_capacity, tol=1e-12)
+    capacity_parser.set_defaults(handler=_cmd_capacity)
 
     rd2 = top.add_parser("rd2", help="two simultaneous distortion budgets")
     _add_common(rd2)
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"tiltrate: error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, BracketError) as exc:
+    except NumericalError as exc:
         print(f"tiltrate: numerical failure: {exc}", file=sys.stderr)
         return 2
     except TiltrateError as exc:

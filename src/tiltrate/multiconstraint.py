@@ -120,7 +120,7 @@ def rate_two_distortions(
         # objective value itself, so the iterate sits on the flat plateau
         # around the maximizer and further ascent is numerically meaningless.
         if pg_norm <= tol or pg_norm * pg_norm <= 8.0 * eps * (1.0 + abs(value)):
-            return max(value, 0.0), float(s[0]), float(s[1])
+            return float(max(value, 0.0)), float(s[0]), float(s[1])
         if value > ceiling:
             raise InfeasiblePairError(
                 f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
@@ -180,6 +180,6 @@ def rate_two_distortions(
             # has proven the plateau directly; accept if the optimality
             # residual is small on the value's own scale.
             if pg_norm <= max(tol, 1e-9) or pg_norm * pg_norm <= 64.0 * eps * (1.0 + abs(value)):
-                return max(value, 0.0), float(s[0]), float(s[1])
+                return float(max(value, 0.0)), float(s[0]), float(s[1])
             raise NumericalError("two-force ascent stalled before reaching tolerance")
     raise NumericalError(f"two-force ascent did not converge in {_MAX_ITER} iterations")

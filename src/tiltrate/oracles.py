@@ -139,7 +139,7 @@ def legendre_grid_max(
     """Dense-grid maximization of s*delta - averaged log-MGF over [s_min, 0].
 
     A coarse scan followed by local refinement passes around the argmax;
-    agrees with the bisection route to ~1e-6 for budgets whose maximizer
+    agrees with the root-solve route to ~1e-6 for budgets whose maximizer
     lies inside the scanned range.
     """
     if points < 3:

@@ -19,9 +19,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DistortionTooLowError, ValidationError
-from .solvers import adaptive_simpson, invert_monotone
-from .tilting import PROB_TOL, FiniteDistribution, log_mgf, tilt
-from .tilting import VALUE_MERGE_TOL  # noqa: F401  (re-exported scale shared by callers)
+from .solvers import adaptive_simpson
+from .tilting import (
+    PROB_TOL,
+    VALUE_MERGE_TOL,
+    FiniteDistribution,
+    _force_at_mean,
+    _tilted_moments,
+    tilt,
+)
 
 __all__ = [
     "RdProblem",
@@ -137,14 +143,17 @@ def build_delta_dists(problem: RdProblem) -> tuple[FiniteDistribution, ...]:
     return problem.delta_dists
 
 
+def _row_moments(problem: RdProblem, s: float):
+    """Per-source-letter (log-partition, mean, variance) of the distortion at force s."""
+    return _tilted_moments(np.log(problem.coding_probs)[None, :], problem.distortion, s)
+
+
 def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
     """Evaluate the curve parametrically at force s (s <= 0 on the useful branch)."""
-    reports = [tilt(d, s) for d in problem.delta_dists]
-    means = np.array([r.mean for r in reports])
-    variances = np.array([r.variance for r in reports])
+    log_z, means, variances = _row_moments(problem, s)
     p = problem.source_probs
     delta = float(np.dot(p, means))
-    phi = float(np.dot(p, np.array([r.log_mgf for r in reports])))
+    phi = float(np.dot(p, log_z))
     return RdPoint(
         s=float(s),
         distortion=delta,
@@ -156,20 +165,21 @@ def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
 
 
 def _minimum_distortion(problem: RdProblem) -> float:
-    return float(
-        np.dot(problem.source_probs, np.array([d.min_value for d in problem.delta_dists]))
-    )
+    return float(np.dot(problem.source_probs, problem.distortion.min(axis=1)))
 
 
 def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) -> RdPoint:
     """Solve for the nonpositive force whose mean distortion hits ``delta``.
 
-    Bisection guarantees |distortion(s) - delta| <= tol * (D0 - Dmin) for
-    interior targets.  delta == D0 returns the zero-force point exactly;
-    delta > D0 returns it flagged "above_zero_force" (the event is typical,
-    rate 0).  delta at the minimum achievable distortion returns the
-    infinite-force endpoint whose rate is the log cost of every source
-    letter drawing its cheapest reproduction; below that it raises.
+    A bracketed Newton iteration on the slope dD/ds = mmse(s), safeguarded
+    by bisection, guarantees |distortion(s) - delta| <= tol * (D0 - Dmin)
+    for interior targets; it works in the table's own force scale, so the
+    number of steps does not depend on the scale of the table.  delta == D0
+    returns the zero-force point exactly; delta > D0 returns it flagged
+    "above_zero_force" (the event is typical, rate 0).  delta at the
+    minimum achievable distortion returns the infinite-force endpoint whose
+    rate is the log cost of every source letter drawing its cheapest
+    reproduction; below that it raises.
     """
     zero_point = distortion_at_force(problem, 0.0)
     if delta >= zero_point.distortion:
@@ -178,7 +188,7 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
         return zero_point
     dmin = _minimum_distortion(problem)
     span = zero_point.distortion - dmin
-    band = VALUE_MERGE_TOL * max(1.0, span)
+    band = VALUE_MERGE_TOL * span
     if delta < dmin - band:
         raise DistortionTooLowError(
             f"distortion {delta!r} is below the minimum achievable {dmin!r}"
@@ -198,14 +208,13 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
             boundary="min_distortion",
         )
 
-    dists = problem.delta_dists
-    p = problem.source_probs
-
-    def mean_distortion(u: float) -> float:
-        return float(np.dot(p, np.array([tilt(d, u).mean for d in dists])))
-
-    s = invert_monotone(
-        mean_distortion, delta, f_tol=tol * span, lo=-1.0, hi=0.0, hi_limit=0.0
+    s = _force_at_mean(
+        np.log(problem.coding_probs)[None, :],
+        problem.distortion,
+        problem.source_probs,
+        delta,
+        tol * span,
+        nonpositive=True,
     )
     return distortion_at_force(problem, s)
 
@@ -226,9 +235,8 @@ def equal_force_allocation(problem: RdProblem, delta: float, tol: float = 1e-10)
     allocation = Allocation(per_symbol_distortion=point.per_symbol_mean)
     if point.boundary == "min_distortion":
         return allocation, point.rate
-    p = problem.source_probs
-    phis = np.array([log_mgf(d, point.s) for d in problem.delta_dists])
-    rate = float(np.dot(p, point.s * point.per_symbol_mean - phis))
+    log_z, _, _ = _row_moments(problem, point.s)
+    rate = float(np.dot(problem.source_probs, point.s * point.per_symbol_mean - log_z))
     return allocation, max(rate, 0.0)
 
 

@@ -1,18 +1,29 @@
-"""Shared scalar numerics: bracketed bisection and adaptive Simpson quadrature.
+"""Shared scalar numerics: a safeguarded Newton root solve and adaptive Simpson quadrature.
 
-Both routines are deliberately plain.  Bisection cannot be thrown off by a
-vanishing derivative, and the Simpson subdivision order is fixed, so repeated
-runs give bit-identical answers.
+The root solve keeps a bracket around the target and takes Newton steps on
+the slope the caller computes alongside each value; a step that would leave
+the bracket, or a slope that is not positive, falls back to bisection, so a
+vanishing derivative cannot throw it off.  The Simpson subdivision order is
+fixed, so repeated runs give bit-identical answers.
 """
 
 from __future__ import annotations
 
 import math
 
+from .errors import NumericalError
+
 __all__ = ["BracketError", "invert_monotone", "adaptive_simpson"]
 
+# Relative width (of the bracket, or of a Newton step) at which a root is pinned.
+_X_REL_TOL = 1e-13
+# Below this relative size a Newton step converges quadratically unless the
+# values are down to their rounding noise: one that fails to halve the step
+# before it, or to lower the residual, ends the iteration at the best point.
+_NOISE_STEP = 1e-8
 
-class BracketError(RuntimeError):
+
+class BracketError(NumericalError):
     """Bracket expansion never enclosed the target value."""
 
 
@@ -26,56 +37,97 @@ def invert_monotone(
     lo_limit: float = -math.inf,
     hi_limit: float = math.inf,
     max_expand: int = 60,
-    max_bisect: int = 240,
+    max_iter: int = 240,
 ) -> float:
-    """Solve f(s) = target for a nondecreasing scalar map f.
+    """Solve value(s) = target for a nondecreasing scalar map.
 
-    The starting bracket [lo, hi] is grown geometrically (doubling the reach
-    on the failing side, clipped to the domain limits) until it encloses the
-    target, then bisected.  Iteration stops early once
-    ``|f(mid) - target| <= f_tol``; with ``f_tol = 0`` it runs the bracket
-    down to machine width, which pins the abscissa itself to ~1e-13 relative.
+    ``f(s)`` returns ``(value, slope)``.  The starting bracket [lo, hi] is
+    grown geometrically (doubling the reach on the failing side, clipped to
+    the domain limits) until it encloses the target.  Inside it each step is
+    a Newton step from the latest point; a step that leaves the bracket, or
+    a slope <= 0, is replaced by bisection.  Iteration stops once
+    ``|value - target| <= f_tol`` (returning that point moved by one last
+    Newton step when the step stays inside the bracket), or once the bracket
+    or the Newton step is down to 1e-13 of the abscissa, so ``f_tol = 0``
+    pins the root itself to that relative width at any scale.  A Newton step
+    below 1e-8 of the abscissa that stalls (fails to halve the step before
+    it, or to lower the residual) means the values are down to their
+    rounding noise, and the point with the least residual is returned.
     """
     lo = max(lo, lo_limit)
     hi = min(hi, hi_limit)
     if not lo < hi:
         mid = min(max(0.0, lo_limit), hi_limit)
         lo = hi = mid
-    flo = f(lo)
-    fhi = f(hi)
+    flo, dlo = f(lo)
+    fhi, dhi = f(hi)
 
-    step = max(hi - lo, 1.0)
+    # An end passed over by the expansion still bounds the root from the other side.
+    step = hi - lo if hi > lo else 1.0
     for _ in range(max_expand):
         if flo <= target or lo <= lo_limit:
             break
         step *= 2.0
+        hi, fhi, dhi = lo, flo, dlo
         lo = max(lo - step, lo_limit)
-        flo = f(lo)
-    step = max(hi - lo, 1.0)
+        flo, dlo = f(lo)
+    step = hi - lo if hi > lo else 1.0
     for _ in range(max_expand):
         if fhi >= target or hi >= hi_limit:
             break
         step *= 2.0
+        lo, flo, dlo = hi, fhi, dhi
         hi = min(hi + step, hi_limit)
-        fhi = f(hi)
+        fhi, dhi = f(hi)
     if flo > target + f_tol or fhi < target - f_tol:
         raise BracketError(
             f"could not bracket target {target!r} within [{lo!r}, {hi!r}]"
         )
 
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if f_tol > 0.0 and abs(fm - target) <= f_tol:
-            return mid
-        if fm < target:
-            lo = mid
+    # Start from the end nearer the target, whose value and slope are in
+    # hand; the first Newton step may cross the whole bracket.
+    if target - flo <= fhi - target:
+        x, fx, dfx = lo, flo, dlo
+    else:
+        x, fx, dfx = hi, fhi, dhi
+    best_x, best_resid = x, abs(fx - target)
+    dx = 2.0 * (hi - lo)
+    for _ in range(max_iter):
+        resid = fx - target
+        newton_x = x - resid / dfx if dfx > 0.0 else math.nan
+        inside = lo < newton_x < hi
+        if abs(resid) <= f_tol:
+            # the Newton step from a point this close costs nothing and
+            # squares the remaining error, so it is taken without checking
+            return newton_x if inside else x
+        # rtsafe: bisect when Newton would leave the bracket or would not
+        # at least halve the step before last
+        dx_old = dx
+        newton = inside and abs(2.0 * resid) <= abs(dx_old * dfx)
+        if inside and not newton and abs(x - newton_x) <= _NOISE_STEP * abs(x):
+            return best_x  # too small a step to stall unless rounding stalls it
+        if newton:
+            dx = x - newton_x
+            x = newton_x
         else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
+            dx = 0.5 * (hi - lo)
+            x = lo + dx
+            if x in (lo, hi):
+                return x
+        if abs(dx) <= _X_REL_TOL * abs(x):
+            return x
+        fx, dfx = f(x)
+        if newton and abs(dx) <= _NOISE_STEP * abs(x) and abs(fx - target) >= best_resid:
+            return best_x  # likewise, a step this small that does not lower the residual
+        if abs(fx - target) < best_resid:
+            best_x, best_resid = x, abs(fx - target)
+        if fx < target:
+            lo = x
+        else:
+            hi = x
+        if hi - lo <= _X_REL_TOL * abs(x):
             break
-    return 0.5 * (lo + hi)
+    return x
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_000_000) -> float:

@@ -25,7 +25,7 @@ from .errors import (
     SupportMismatchError,
     ValidationError,
 )
-from .solvers import adaptive_simpson, invert_monotone
+from .solvers import BracketError, adaptive_simpson, invert_monotone
 
 __all__ = [
     "PROB_TOL",
@@ -140,6 +140,95 @@ class RateResult:
     rate: float
 
 
+# Rows per block of the row kernel keep each of its temporaries near this many entries.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s: float):
+    """Per-row (log-partition, mean, variance) of ``values`` tilted by e^{s * value}.
+
+    Row x carries the weights e^{log_weights[x] + s * values[x]};
+    ``log_weights`` has one row per row of ``values``, or a single row
+    shared by all.  A ragged table is padded with -inf log-weights (and any
+    finite value), which carry no mass.  Sums are max-shifted per row, so
+    tilts with |s * value| up to ~700 stay finite.  Large tables are taken
+    a block of rows at a time, so the temporaries stay small.
+    """
+    block = max(1, _BLOCK_ENTRIES // values.shape[1])
+    if values.shape[0] > block:
+        shared = log_weights.shape[0] == 1
+        parts = [
+            _tilted_moments(log_weights if shared else log_weights[i : i + block], values[i : i + block], s)
+            for i in range(0, values.shape[0], block)
+        ]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    w = values * s
+    w += log_weights
+    shift = w.max(axis=1, keepdims=True)
+    w -= shift
+    np.exp(w, out=w)
+    z = w.sum(axis=1)
+    mean = np.einsum("ij,ij->i", w, values) / z
+    centered = values - mean[:, None]
+    var = np.einsum("ij,ij,ij->i", w, centered, centered) / z
+    return shift[:, 0] + np.log(z), mean, var
+
+
+def _force_at_mean(
+    log_weights: np.ndarray,
+    values: np.ndarray,
+    row_weights: np.ndarray,
+    target: float,
+    f_tol: float,
+    *,
+    nonpositive: bool = False,
+) -> float:
+    """Force s at which the row-weighted tilted mean D(s) of ``values`` hits ``target``.
+
+    D runs from its floor Dmin (s -> -inf, every row at its least value)
+    to its ceiling Dmax (s -> +inf).  Newton runs on the logit
+    log((D - Dmin) / (Dmax - D)), whose slope is mmse * (1 / (D - Dmin) +
+    1 / (Dmax - D)): it is exactly linear in s for one row of two values
+    and close to linear far out in either tail, where D itself flattens
+    out exponentially.  The logit tolerance is set so that it implies
+    ``|D(s) - target| <= f_tol``; ``nonpositive`` keeps s <= 0.
+    """
+    live = np.broadcast_to(np.isfinite(log_weights), values.shape)
+    vmin = values.min(axis=1, where=live, initial=math.inf)
+    ranges = values.max(axis=1, where=live, initial=-math.inf) - vmin
+    floor = float(np.dot(row_weights, vmin))
+    gap_lo = target - floor
+    gap_hi = floor + float(np.dot(row_weights, ranges)) - target
+    if not (gap_lo > 0.0 and gap_hi > 0.0):
+        raise BracketError(f"target {target!r} is not strictly inside the range of the tilted mean")
+
+    def logit_and_slope(u: float):
+        _, means, variances = _tilted_moments(log_weights, values, u)
+        above = means - vmin
+        a = float(np.dot(row_weights, above))
+        b = float(np.dot(row_weights, ranges - above))
+        if a <= 0.0 or b <= 0.0:  # rounding far out in a tail
+            return (-math.inf if a <= 0.0 else math.inf), 0.0
+        return math.log(a / b), float(np.dot(row_weights, variances)) * (1.0 / a + 1.0 / b)
+
+    # Bracket from 0 to twice the Newton step from 0, whose value and slope
+    # are computed once and reused: that step is exact for one row of two
+    # values and sets the problem's own force scale otherwise.
+    at_zero = logit_and_slope(0.0)
+    if not at_zero[1] > 0.0:
+        raise BracketError("the tilted mean does not move at zero force")
+    goal = math.log(gap_lo / gap_hi)
+    reach = 2.0 * (goal - at_zero[0]) / at_zero[1]
+    return invert_monotone(
+        lambda u: at_zero if u == 0.0 else logit_and_slope(u),
+        goal,
+        f_tol=math.log1p(f_tol / gap_lo) + math.log1p(f_tol / gap_hi),
+        lo=min(reach, 0.0),
+        hi=max(reach, 0.0),
+        hi_limit=0.0 if nonpositive else math.inf,
+    )
+
+
 def log_mgf(dist: FiniteDistribution, s: float) -> float:
     """ln E[e^{s*y}], max-shifted so large |s| never overflows."""
     expo = s * dist.values
@@ -176,8 +265,9 @@ def rate_at_force(dist: FiniteDistribution, s: float) -> RateResult:
 def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -> RateResult:
     """Invert the mean map: find the force whose tilted mean hits ``level``.
 
-    Interior levels are solved by bracketed bisection to
-    ``|mean - level| <= tol * (max - min)``.  A level on an endpoint of the
+    Interior levels are solved by a bracketed, safeguarded Newton iteration
+    on the tilted variance (the slope of the mean; see ``_force_at_mean``)
+    to ``|mean - level| <= tol * (max - min)``.  A level on an endpoint of the
     support returns the signed-infinite force sentinel with rate equal to
     -ln(prob of that endpoint); levels outside the support raise.
     """
@@ -189,7 +279,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
         raise LevelInfeasibleError(
             f"level {level!r} unreachable: distribution is a point mass at {vmin!r}"
         )
-    band = VALUE_MERGE_TOL * max(1.0, span)
+    band = VALUE_MERGE_TOL * span
     if level < vmin - band or level > vmax + band:
         raise LevelInfeasibleError(
             f"level {level!r} outside the achievable range [{vmin!r}, {vmax!r}]"
@@ -198,7 +288,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
         return RateResult(level=vmin, force=-math.inf, rate=-math.log(float(dist.probs[0])))
     if level >= vmax - band:
         return RateResult(level=vmax, force=math.inf, rate=-math.log(float(dist.probs[-1])))
-    s = invert_monotone(lambda u: tilt(dist, u).mean, level, f_tol=tol * span)
+    s = _force_at_mean(np.log(dist.probs)[None, :], dist.values[None, :], np.ones(1), level, tol * span)
     return RateResult(level=float(level), force=float(s), rate=max(s * level - log_mgf(dist, s), 0.0))
 
 

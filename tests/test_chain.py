@@ -86,6 +86,27 @@ class TestEquilibrium:
         fd = (expected_length(system, lam + h) - expected_length(system, lam - h)) / (2 * h)
         assert fd == pytest.approx(1.6 * length_variance(system, lam), abs=1e-7)
 
+    def test_ragged_arrays(self):
+        # arrays with 2 and 3 states share one padded table; each must still
+        # see only its own states
+        short = ElementArray([0.0, 1.0], [0.0, 0.4], 0.4)
+        long = ElementArray([0.0, 0.5, 2.0], [0.1, 0.3, 0.0], 0.6)
+        system = ChainSystem(arrays=(short, long), beta=1.5)
+        lam = -0.7
+        log_z, means, variances = [], [], []
+        for arr in (short, long):
+            w = np.exp(-1.5 * (arr.state_energies - lam * arr.state_lengths))
+            m = float(w @ arr.state_lengths / w.sum())
+            log_z.append(math.log(w.sum()))
+            means.append(m)
+            variances.append(float(w @ (arr.state_lengths - m) ** 2 / w.sum()))
+        fractions = np.array([0.4, 0.6])
+        np.testing.assert_allclose(array_lengths(system, lam), means, rtol=1e-14)
+        assert expected_length(system, lam) == pytest.approx(fractions @ means, rel=1e-14)
+        assert length_variance(system, lam) == pytest.approx(fractions @ variances, rel=1e-14)
+        assert gibbs_free_energy(system, lam) == pytest.approx(-(fractions @ log_z) / 1.5, rel=1e-14)
+        assert equilibrium_force(system, float(fractions @ means)) == pytest.approx(lam, rel=1e-9)
+
     def test_array_lengths_per_type(self, asym):
         system = from_rd_problem(asym)
         lengths = array_lengths(system, 0.0)

@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from tiltrate import cli
+from tiltrate import ratedistortion as rd
+from tiltrate.solvers import BracketError
+
 BSS = """
 source_probs = 0.5, 0.5
 coding_probs = 0.5, 0.5
@@ -27,6 +31,13 @@ def run_cli(*args):
         text=True,
         timeout=120,
     )
+
+
+def main_of(capsys, *args):
+    """Exit status and captured (stdout, stderr) of one in-process cli.main call."""
+    code = cli.main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def pairs_of(stdout):
@@ -253,3 +264,33 @@ class TestFailureModes:
     def test_missing_config_file(self):
         res = run_cli("rd", "point", "--config", "/nonexistent.cfg", "--delta", "0.25")
         assert res.returncode == 1
+
+
+class TestBoundaryRows:
+    @pytest.mark.parametrize("delta, boundary, s", [("0", "min_distortion", "-inf"), ("0.9", "above_zero_force", "0")])
+    def test_csv(self, bss_cfg, capsys, delta, boundary, s):
+        code, out, _ = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", delta)
+        assert code == 0
+        vals = pairs_of(out)
+        assert vals["boundary"] == boundary
+        assert vals["s"] == s
+
+    @pytest.mark.parametrize("delta, boundary, s", [("0", "min_distortion", "-inf"), ("0.9", "above_zero_force", 0.0)])
+    def test_json(self, bss_cfg, capsys, delta, boundary, s):
+        code, out, _ = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", delta, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["boundary"] == boundary
+        assert doc["s"] == s
+
+
+class TestNumericalFailure:
+    def test_bracket_failure_exits_2(self, bss_cfg, capsys, monkeypatch):
+        def no_bracket(*args, **kwargs):
+            raise BracketError("could not bracket target")
+
+        monkeypatch.setattr(rd, "force_at_distortion", no_bracket)
+        code, out, err = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25")
+        assert code == 2
+        assert out == ""
+        assert "numerical failure" in err

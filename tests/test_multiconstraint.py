@@ -69,6 +69,10 @@ class TestRateTwoDistortions:
         assert rate == 0.0
         assert s1 == 0.0 and s2 == 0.0
 
+    def test_returns_builtin_floats(self):
+        for pair in ((0.25, 0.25), (0.25, 0.4), (0.6, 0.7)):
+            assert all(type(x) is float for x in rate_two_distortions(bss2(), *pair))
+
     def test_scaled_table_reduces_to_single(self):
         # with d2 = 2*d1 the tighter of the two budgets governs
         p = bss2([[0.0, 2.0], [2.0, 0.0]])

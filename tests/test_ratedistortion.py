@@ -20,8 +20,10 @@ from tiltrate import (
     sandwich_bounds,
     tilted_conditional,
 )
+from tiltrate import tilting
 from tiltrate.errors import DistortionTooLowError
 from tiltrate.ratedistortion import distortion_mmse_integral
+from tiltrate.solvers import invert_monotone
 
 from conftest import LN2, h2, feasible_delta, random_problem
 
@@ -110,6 +112,37 @@ class TestForceAtDistortion:
             pt = force_at_distortion(problem, delta, tol=1e-12)
             back = distortion_at_force(problem, pt.s)
             assert back.distortion == pytest.approx(delta, abs=1e-9)
+
+
+class TestSolveCost:
+    @pytest.mark.parametrize("k, draws", [(2, 40), (64, 4), (512, 1)])
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_at_most_ten_evaluations_per_target(self, monkeypatch, k, draws, scale):
+        counts = []
+
+        def counting(f, *args, **kwargs):
+            calls = [0]
+
+            def counted(u):
+                calls[0] += 1
+                return f(u)
+
+            try:
+                return invert_monotone(counted, *args, **kwargs)
+            finally:
+                counts.append(calls[0])
+
+        monkeypatch.setattr(tilting, "invert_monotone", counting)
+        rng = np.random.default_rng(k)
+        for _ in range(draws):
+            table = rng.random((k, k)) * scale
+            problem = RdProblem(rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k)), table)
+            # forces over the benchmark's strata, in the table's own scale
+            s = rng.uniform(-2.5, -0.2) / scale
+            pt = force_at_distortion(problem, distortion_at_force(problem, s).distortion)
+            assert pt.s == pytest.approx(s, rel=1e-6)
+        assert len(counts) == draws
+        assert max(counts) <= 10
 
 
 class TestDistortionAtForce:

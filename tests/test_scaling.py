@@ -1,0 +1,64 @@
+"""Scaling a table and its budget by c leaves every rate unchanged and divides every force by c."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tiltrate import (
+    ChainSystem,
+    ElementArray,
+    RdProblem,
+    equal_force_allocation,
+    equilibrium_force,
+    from_rd_problem,
+    rate_legendre,
+)
+
+REL = 1e-9
+
+
+def draw_problem(seed: int) -> RdProblem:
+    rng = np.random.default_rng(seed)
+    k, j = (int(n) for n in rng.integers(2, 6, size=2))
+    return RdProblem(rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(j)), rng.random((k, j)))
+
+
+def scaled(problem: RdProblem, c: float) -> RdProblem:
+    return RdProblem(problem.source_probs, problem.coding_probs, problem.distortion * c)
+
+
+def interior_budget(problem: RdProblem, u: float) -> float:
+    floor = float(problem.source_probs @ problem.distortion.min(axis=1))
+    top = float(problem.source_probs @ (problem.distortion @ problem.coding_probs))
+    return floor + u * (top - floor)
+
+
+seeds = st.integers(0, 2**32 - 1)
+factors = st.floats(-12.0, 12.0).map(lambda e: 10.0**e)
+
+
+@given(seeds, factors, st.floats(0.05, 0.95))
+@settings(max_examples=60, deadline=None)
+def test_rates_invariant_under_scaling(seed, c, u):
+    problem = draw_problem(seed)
+    delta = interior_budget(problem, u)
+    big = scaled(problem, c)
+    assert rate_legendre(big, c * delta) == pytest.approx(rate_legendre(problem, delta), rel=REL)
+    _, rate = equal_force_allocation(problem, delta)
+    _, big_rate = equal_force_allocation(big, c * delta)
+    assert big_rate == pytest.approx(rate, rel=REL)
+
+
+@given(seeds, factors, st.floats(0.05, 0.95), st.floats(0.5, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_equilibrium_force_scales_inversely(seed, c, u, beta):
+    system = from_rd_problem(draw_problem(seed), beta=beta)
+    lo = sum(a.fraction * float(a.state_lengths.min()) for a in system.arrays)
+    hi = sum(a.fraction * float(a.state_lengths.max()) for a in system.arrays)
+    target = lo + u * (hi - lo)
+    stretched = ChainSystem(
+        arrays=tuple(ElementArray(a.state_lengths * c, a.state_energies, a.fraction) for a in system.arrays),
+        beta=beta,
+    )
+    lam = equilibrium_force(system, target)
+    assert equilibrium_force(stretched, c * target) * c == pytest.approx(lam, rel=REL)
