@@ -46,7 +46,6 @@ from .oracles import (
 )
 from .ratedistortion import (
     Allocation,
-    build_delta_dists,
     distortion_at_force,
     equal_force_allocation,
     force_at_distortion,
@@ -95,7 +94,6 @@ __all__ = [
     "ValidationError",
     "blahut_arimoto",
     "brute_allocation_min",
-    "build_delta_dists",
     "capacity_point",
     "distortion_at_force",
     "entropy_at_energy",

@@ -33,6 +33,8 @@ from .tilting import (
     VALUE_MERGE_TOL,
     FiniteDistribution,
     _force_at_mean,
+    _one_row,
+    _riemann_sums,
     _tilted_moments,
     log_mgf,
 )
@@ -202,18 +204,13 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     letting the chain re-equilibrate; the pre-jump sum is its mirror.  The
     quasistatic work lies between them for every monotone schedule.
     """
-    pts = _check_schedule(schedule)
-    if pts.size == 1:
-        return (0.0, 0.0)
     moments = _moments(system)
 
     def length(lam: float) -> float:
         fractions, _, means, _ = moments(lam)
         return float(np.dot(fractions, means))
 
-    lengths = np.array([length(float(l)) for l in pts])
-    dy = np.diff(lengths)
-    return (float(np.dot(pts[:-1], dy)), float(np.dot(pts[1:], dy)))
+    return _riemann_sums(_check_schedule(schedule), length)
 
 
 def protocol_work(system: ChainSystem, schedule) -> float:
@@ -265,13 +262,6 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
         return log_count + math.log(float(energy_dist.probs[0]))
     if energy >= energy_dist.mean:
         return log_count + log_mgf(energy_dist, 0.0)
-    s = _force_at_mean(
-        np.log(energy_dist.probs)[None, :],
-        energy_dist.values[None, :],
-        np.ones(1),
-        energy,
-        tol * span,
-        nonpositive=True,
-    )
+    s = _force_at_mean(*_one_row(energy_dist), np.ones(1), energy, tol * span, nonpositive=True)
     beta_star = -s
     return beta_star * energy + log_count + log_mgf(energy_dist, s)

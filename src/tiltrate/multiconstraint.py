@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_probs
+from .tilting import _tilted_law
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -62,13 +63,9 @@ class RdProblem2:
 def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
     """Objective value, gradient, and tilted covariance at force pair s."""
     d1, d2 = problem.distortion_1, problem.distortion_2
-    p, q = problem.source_probs, problem.coding_probs
-    expo = s[0] * d1 + s[1] * d2 + np.log(q)[None, :]
-    shift = expo.max(axis=1, keepdims=True)
-    w = np.exp(expo - shift)
-    z = w.sum(axis=1, keepdims=True)
-    cond = w / z
-    phi = (shift + np.log(z)).ravel()
+    p = problem.source_probs
+    # the pair of tables tilted by (s1, s2) is the one table s1*d1 + s2*d2 at unit force
+    cond, phi = _tilted_law(np.log(problem.coding_probs)[None, :], s[0] * d1 + s[1] * d2, 1.0)
     m1 = (cond * d1).sum(axis=1)
     m2 = (cond * d2).sum(axis=1)
     c1 = d1 - m1[:, None]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     AlphabetTooLargeError,
@@ -20,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .ratedistortion import RdProblem, _clean_probs
-from .tilting import force_at_level, tilt
+from .tilting import force_at_level
 
 __all__ = [
     "exact_ld_probability",
@@ -169,6 +168,16 @@ def legendre_grid_max(
     return max(best, 0.0)
 
 
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """ln sum e^a along ``axis`` (kept) for finite ``a``, with the largest terms taken
+    out of the sum as scipy.special.logsumexp does: log1p(rest / ties) + ln(ties) + max."""
+    top = a.max(axis=axis, keepdims=True)
+    ties = a == top
+    count = ties.sum(axis=axis, keepdims=True, dtype=float)
+    rest = np.exp(np.where(ties, -math.inf, a) - top).sum(axis=axis, keepdims=True)
+    return np.log1p(rest / count) + np.log(count) + top
+
+
 @dataclass(frozen=True, eq=False)
 class BaResult:
     """Outcome of the alternating minimization at a fixed slope."""
@@ -218,9 +227,9 @@ def blahut_arimoto(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         log_cond = log_q[None, :] + sd
-        log_cond = log_cond - logsumexp(log_cond, axis=1, keepdims=True)
+        log_cond = log_cond - _logsumexp(log_cond, axis=1)
         cond = np.exp(log_cond)
-        log_q_next = logsumexp(log_p[:, None] + log_cond, axis=0)
+        log_q_next = _logsumexp(log_p[:, None] + log_cond, axis=0)[0]
         new_rate = float(np.dot(p, (cond * (log_cond - log_q_next[None, :])).sum(axis=1)))
         dist_out = float(np.dot(p, (cond * d).sum(axis=1)))
         objectives.append(new_rate - s * dist_out)

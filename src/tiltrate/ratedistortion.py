@@ -24,7 +24,10 @@ from .tilting import (
     PROB_TOL,
     VALUE_MERGE_TOL,
     FiniteDistribution,
+    _check_partition,
     _force_at_mean,
+    _riemann_sums,
+    _tilted_law,
     _tilted_moments,
     tilt,
 )
@@ -33,7 +36,6 @@ __all__ = [
     "RdProblem",
     "RdPoint",
     "Allocation",
-    "build_delta_dists",
     "distortion_at_force",
     "force_at_distortion",
     "rate_legendre",
@@ -95,6 +97,7 @@ class RdProblem:
 
     @cached_property
     def delta_dists(self) -> tuple[FiniteDistribution, ...]:
+        """Per source letter, the distribution of its distortion under the coding law."""
         return tuple(
             FiniteDistribution(self.distortion[i], self.coding_probs)
             for i in range(self.source_probs.size)
@@ -132,15 +135,6 @@ class Allocation:
 
     def total(self, problem: RdProblem) -> float:
         return float(np.dot(problem.source_probs, self.per_symbol_distortion))
-
-
-def build_delta_dists(problem: RdProblem) -> tuple[FiniteDistribution, ...]:
-    """Distribution of the distortion value seen by each source letter.
-
-    Reproduction letters that land on the same distortion (within 1e-12) are
-    merged into one outcome with their coding probabilities summed.
-    """
-    return problem.delta_dists
 
 
 def _row_moments(problem: RdProblem, s: float):
@@ -267,29 +261,12 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
     """Riemann sums over a force grid that bracket the rate at its endpoint."""
-    from .errors import PartitionInvalidError
-
-    pts = np.asarray(partition, dtype=float).ravel()
-    if pts.size == 0:
-        raise PartitionInvalidError("partition must be nonempty")
-    if not np.all(np.isfinite(pts)) or pts[0] != 0.0:
-        raise PartitionInvalidError("partition must be finite and start at 0")
-    if pts.size == 1:
-        return (0.0, 0.0)
-    steps = np.diff(pts)
-    if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-        raise PartitionInvalidError("partition must be strictly monotone")
-    deltas = np.array([distortion_at_force(problem, float(s)).distortion for s in pts])
-    dd = np.diff(deltas)
-    return (float(np.dot(pts[:-1], dd)), float(np.dot(pts[1:], dd)))
+    return _riemann_sums(_check_partition(partition), lambda s: distortion_at_force(problem, s).distortion)
 
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
     """Matrix of tilted reproduction laws Q_s(xhat | x) proportional to Q(xhat) e^{s d}."""
-    expo = s * problem.distortion + np.log(problem.coding_probs)[None, :]
-    expo = expo - expo.max(axis=1, keepdims=True)
-    w = np.exp(expo)
-    return w / w.sum(axis=1, keepdims=True)
+    return _tilted_law(np.log(problem.coding_probs)[None, :], problem.distortion, s)[0]
 
 
 def _check_observable(problem: RdProblem, observable) -> np.ndarray:

@@ -134,8 +134,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_00
     """Integrate f over [a, b] to the absolute tolerance tol.
 
     Recursive Simpson with the standard 15x Richardson acceptance test; the
-    per-interval tolerance halves on each split.  The evaluation budget only
-    guards against runaway subdivision; smooth integrands stay far below it.
+    per-interval tolerance halves on each split.  Running out of the
+    evaluation budget, or of 60 levels of subdivision, before every piece
+    passes raises NumericalError; smooth integrands stay far below both.
     """
     if a == b:
         return 0.0
@@ -163,8 +164,11 @@ def _refine(feval, a, fa, m, fm, b, fb, whole, tol, budget, depth):
     lm, flm, left = _simpson_slice(feval, a, fa, m, fm)
     rm, frm, right = _simpson_slice(feval, m, fm, b, fb)
     delta = left + right - whole
-    if depth <= 0 or budget[0] <= 0 or abs(delta) <= 15.0 * tol:
+    if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
+    if depth <= 0 or budget[0] <= 0:
+        spent = "60 subdivisions deep" if depth <= 0 else "out of evaluations"
+        raise NumericalError(f"adaptive Simpson short of tolerance near {m!r}: {spent}")
     half = 0.5 * tol
     return _refine(feval, a, fa, lm, flm, m, fm, left, half, budget, depth - 1) + _refine(
         feval, m, fm, rm, frm, b, fb, right, half, budget, depth - 1

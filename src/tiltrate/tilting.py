@@ -15,7 +15,8 @@ in nats.  All sums of exponentials are max-shifted, so tilts with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,17 +45,18 @@ __all__ = [
 ]
 
 PROB_TOL = 1e-12  # probability vectors must sum to 1 within this
-VALUE_MERGE_TOL = 1e-12  # outcome values closer than this are one outcome
+VALUE_MERGE_TOL = 1e-12  # outcome values closer than this times the value span are one outcome
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A finite-support distribution over real outcome values.
 
-    Construction sorts the support, drops zero-probability outcomes, merges
-    values that coincide within 1e-12, and stores read-only arrays.  The
-    probabilities must arrive summing to 1 within 1e-12 and are renormalized
-    exactly after cleanup.
+    Construction sorts the support, drops zero-probability outcomes, and
+    stores read-only arrays.  A run of values each within 1e-12 of the value
+    span from the next is merged into one outcome, at the run's least value.
+    The probabilities must arrive summing to 1 within 1e-12 and are
+    renormalized exactly after cleanup.
     """
 
     values: np.ndarray
@@ -78,16 +80,10 @@ class FiniteDistribution:
         values, probs = values[keep], probs[keep]
         order = np.argsort(values, kind="stable")
         values, probs = values[order], probs[order]
-        merged_v: list[float] = []
-        merged_p: list[float] = []
-        for v, p in zip(values, probs):
-            if merged_v and v - merged_v[-1] <= VALUE_MERGE_TOL:
-                merged_p[-1] += p
-            else:
-                merged_v.append(float(v))
-                merged_p.append(float(p))
-        values = np.array(merged_v)
-        probs = np.array(merged_p)
+        tol = VALUE_MERGE_TOL * (values[-1] - values[0])
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
+        values = values[starts]
+        probs = np.add.reduceat(probs, starts)
         probs = probs / probs.sum()
         values.setflags(write=False)
         probs.setflags(write=False)
@@ -118,13 +114,17 @@ class FiniteDistribution:
 
 @dataclass(frozen=True, eq=False)
 class TiltReport:
-    """Snapshot of the exponential family at one tilt value."""
+    """Snapshot of the exponential family of ``dist`` at one tilt value; ``tilted`` is built on read."""
 
     s: float
     log_mgf: float
     mean: float
     variance: float
-    tilted: FiniteDistribution
+    dist: FiniteDistribution = field(repr=False)
+
+    @cached_property
+    def tilted(self) -> FiniteDistribution:
+        return FiniteDistribution(self.dist.values, _tilted_law(*_one_row(self.dist), self.s)[0][0])
 
 
 @dataclass(frozen=True)
@@ -162,16 +162,37 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s: float):
             for i in range(0, values.shape[0], block)
         ]
         return tuple(np.concatenate(column) for column in zip(*parts))
-    w = values * s
-    w += log_weights
-    shift = w.max(axis=1, keepdims=True)
-    w -= shift
-    np.exp(w, out=w)
+    # dividing the sums by z, not the weights by z, is the cheaper order
+    w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=1)
     mean = np.einsum("ij,ij->i", w, values) / z
     centered = values - mean[:, None]
     var = np.einsum("ij,ij,ij->i", w, centered, centered) / z
-    return shift[:, 0] + np.log(z), mean, var
+    return shift + np.log(z), mean, var
+
+
+def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s: float):
+    """Per-row weights e^{log_weights + s * values - shift} and the shifts, each row's
+    largest exponent: the one exponential behind every tilted quantity."""
+    w = values * s
+    w += log_weights
+    shift = w.max(axis=1)
+    w -= shift[:, None]
+    np.exp(w, out=w)
+    return w, shift
+
+
+def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s: float):
+    """Per-row tilted law (each row summing to 1) and log-partition, as in ``_tilted_moments``."""
+    w, shift = _tilted_weights(log_weights, values, s)
+    z = w.sum(axis=1)
+    w /= z[:, None]
+    return w, shift + np.log(z)
+
+
+def _one_row(dist: FiniteDistribution):
+    """(log-weights, values) of a distribution as a one-row table for the kernel."""
+    return np.log(dist.probs)[None, :], dist.values[None, :]
 
 
 def _force_at_mean(
@@ -231,28 +252,16 @@ def _force_at_mean(
 
 def log_mgf(dist: FiniteDistribution, s: float) -> float:
     """ln E[e^{s*y}], max-shifted so large |s| never overflows."""
-    expo = s * dist.values
-    shift = float(expo.max())
-    return shift + math.log(float(np.dot(dist.probs, np.exp(expo - shift))))
+    return float(_tilted_law(*_one_row(dist), s)[1][0])
 
 
 def tilt(dist: FiniteDistribution, s: float) -> TiltReport:
     """Reweight the distribution by e^{s*y} and report its exact moments."""
-    expo = s * dist.values + np.log(dist.probs)
-    shift = float(expo.max())
-    w = np.exp(expo - shift)
-    z = float(w.sum())
-    p = w / z
-    mean = float(np.dot(p, dist.values))
+    law, log_z = _tilted_law(*_one_row(dist), s)
+    mean = float(np.dot(law[0], dist.values))
     centered = dist.values - mean
-    variance = float(np.dot(p, centered * centered))
-    return TiltReport(
-        s=float(s),
-        log_mgf=shift + math.log(z),
-        mean=mean,
-        variance=variance,
-        tilted=FiniteDistribution(dist.values, p),
-    )
+    variance = float(np.dot(law[0], centered * centered))
+    return TiltReport(s=float(s), log_mgf=float(log_z[0]), mean=mean, variance=variance, dist=dist)
 
 
 def rate_at_force(dist: FiniteDistribution, s: float) -> RateResult:
@@ -288,7 +297,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
         return RateResult(level=vmin, force=-math.inf, rate=-math.log(float(dist.probs[0])))
     if level >= vmax - band:
         return RateResult(level=vmax, force=math.inf, rate=-math.log(float(dist.probs[-1])))
-    s = _force_at_mean(np.log(dist.probs)[None, :], dist.values[None, :], np.ones(1), level, tol * span)
+    s = _force_at_mean(*_one_row(dist), np.ones(1), level, tol * span)
     return RateResult(level=float(level), force=float(s), rate=max(s * level - log_mgf(dist, s), 0.0))
 
 
@@ -313,19 +322,28 @@ def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]
     last entry is the endpoint.  The true rate at that endpoint lies between
     the two returned sums, and the gap shrinks linearly under refinement.
     """
+    return _riemann_sums(_check_partition(partition), lambda s: tilt(dist, s).mean)
+
+
+def _check_partition(partition) -> np.ndarray:
+    """The partition as a float array: nonempty, finite, from 0, strictly monotone."""
     pts = np.asarray(partition, dtype=float).ravel()
     if pts.size == 0:
         raise PartitionInvalidError("partition must be nonempty")
     if not np.all(np.isfinite(pts)) or pts[0] != 0.0:
         raise PartitionInvalidError("partition must be finite and start at 0")
-    if pts.size == 1:
-        return (0.0, 0.0)
     steps = np.diff(pts)
     if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
         raise PartitionInvalidError("partition must be strictly monotone")
-    means = np.array([tilt(dist, float(s)).mean for s in pts])
-    dm = np.diff(means)
-    return (float(np.dot(pts[:-1], dm)), float(np.dot(pts[1:], dm)))
+    return pts
+
+
+def _riemann_sums(forces: np.ndarray, mean_at) -> tuple[float, float]:
+    """Left- and right-labelled Riemann sums of the integral of s dm(s), m = mean_at(s)."""
+    if forces.size == 1:
+        return (0.0, 0.0)
+    dm = np.diff([mean_at(float(s)) for s in forces])
+    return (float(np.dot(forces[:-1], dm)), float(np.dot(forces[1:], dm)))
 
 
 def kl_free_energy_gap(q: FiniteDistribution, p: FiniteDistribution) -> float:

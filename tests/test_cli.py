@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -25,6 +26,7 @@ BSS_JSON = json.dumps(
 
 
 def run_cli(*args):
+    """One ``python -m tiltrate`` run in a fresh interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "tiltrate", *args],
         capture_output=True,
@@ -33,11 +35,17 @@ def run_cli(*args):
     )
 
 
-def main_of(capsys, *args):
-    """Exit status and captured (stdout, stderr) of one in-process cli.main call."""
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def main_of(capsys, *args) -> Run:
+    """Exit status and captured output of one in-process cli.main call."""
     code = cli.main(list(args))
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    return Run(code, captured.out, captured.err)
 
 
 def pairs_of(stdout):
@@ -72,15 +80,15 @@ class TestRdPoint:
         assert float(vals["rate_nats"]) == pytest.approx(0.13081203594113698, abs=1e-8)
         assert float(vals["s"]) == pytest.approx(math.log(1 / 3), abs=1e-8)
 
-    def test_by_force(self, bss_cfg):
-        res = run_cli("rd", "point", "--config", bss_cfg, "--force=-1.0986122886681098")
+    def test_by_force(self, capsys, bss_cfg):
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--force=-1.0986122886681098")
         assert res.returncode == 0
         vals = pairs_of(res.stdout)
         assert float(vals["distortion"]) == pytest.approx(0.25, abs=1e-12)
 
-    def test_extras(self, bss_cfg):
-        res = run_cli(
-            "rd", "point", "--config", bss_cfg, "--delta", "0.25",
+    def test_extras(self, capsys, bss_cfg):
+        res = main_of(
+            capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25",
             "--allocation", "--integral-route", "--bounds", "200",
         )
         vals = pairs_of(res.stdout)
@@ -89,36 +97,36 @@ class TestRdPoint:
         assert float(vals["sandwich_sum_left"]) <= float(vals["rate_nats"])
         assert float(vals["rate_nats"]) <= float(vals["sandwich_sum_right"])
 
-    def test_json_output(self, bss_cfg):
-        res = run_cli("rd", "point", "--config", bss_cfg, "--delta", "0.25", "--json")
+    def test_json_output(self, capsys, bss_cfg):
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25", "--json")
         doc = json.loads(res.stdout)
         assert doc["rate_nats"] == pytest.approx(0.13081203594113698, abs=1e-8)
 
-    def test_requires_exactly_one_target(self, bss_cfg):
-        assert run_cli("rd", "point", "--config", bss_cfg).returncode == 1
-        res = run_cli("rd", "point", "--config", bss_cfg, "--delta", "0.2", "--force=-1")
+    def test_requires_exactly_one_target(self, capsys, bss_cfg):
+        assert main_of(capsys, "rd", "point", "--config", bss_cfg).returncode == 1
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.2", "--force=-1")
         assert res.returncode == 1
 
-    def test_config_forms_agree_byte_for_byte(self, bss_cfg, bss_json):
-        a = run_cli("rd", "point", "--config", bss_cfg, "--delta", "0.25")
-        b = run_cli("rd", "point", "--config", bss_json, "--delta", "0.25")
+    def test_config_forms_agree_byte_for_byte(self, capsys, bss_cfg, bss_json):
+        a = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25")
+        b = main_of(capsys, "rd", "point", "--config", bss_json, "--delta", "0.25")
         assert a.stdout == b.stdout
 
-    def test_deterministic(self, bss_cfg):
-        runs = {run_cli("rd", "point", "--config", bss_cfg, "--delta", "0.3").stdout for _ in range(3)}
+    def test_deterministic(self, capsys, bss_cfg):
+        runs = {main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.3").stdout for _ in range(3)}
         assert len(runs) == 1
 
-    def test_output_file(self, bss_cfg, tmp_path):
+    def test_output_file(self, capsys, bss_cfg, tmp_path):
         target = tmp_path / "out.csv"
-        res = run_cli("rd", "point", "--config", bss_cfg, "--delta", "0.25", "--output", str(target))
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25", "--output", str(target))
         assert res.returncode == 0
         assert res.stdout == ""
         assert "rate_nats" in target.read_text()
 
 
 class TestRdCurve:
-    def test_table_shape(self, bss_cfg):
-        res = run_cli("rd", "curve", "--config", bss_cfg, "--grid=-2:-0.5:4")
+    def test_table_shape(self, capsys, bss_cfg):
+        res = main_of(capsys, "rd", "curve", "--config", bss_cfg, "--grid=-2:-0.5:4")
         assert res.returncode == 0
         lines = res.stdout.strip().splitlines()
         assert lines[0].startswith("s,distortion,rate_nats,mmse")
@@ -126,23 +134,23 @@ class TestRdCurve:
         first = [float(t) for t in lines[1].split(",")]
         assert first[0] == -0.5  # forces reported weakest first
 
-    def test_comma_list_grid(self, bss_cfg):
-        res = run_cli("rd", "curve", "--config", bss_cfg, "--grid=-1.0986122886681098")
+    def test_comma_list_grid(self, capsys, bss_cfg):
+        res = main_of(capsys, "rd", "curve", "--config", bss_cfg, "--grid=-1.0986122886681098")
         line = res.stdout.strip().splitlines()[1].split(",")
         assert float(line[1]) == pytest.approx(0.25, abs=1e-12)
 
-    def test_positive_force_rejected(self, bss_cfg):
-        assert run_cli("rd", "curve", "--config", bss_cfg, "--grid=0.5:1:2").returncode == 1
+    def test_positive_force_rejected(self, capsys, bss_cfg):
+        assert main_of(capsys, "rd", "curve", "--config", bss_cfg, "--grid=0.5:1:2").returncode == 1
 
 
 class TestOptimizedCodingLaw:
-    def test_point_needs_force_without_coding_probs(self, tmp_path):
+    def test_point_needs_force_without_coding_probs(self, capsys, tmp_path):
         f = tmp_path / "noq.cfg"
         f.write_text("source_probs = 0.5, 0.5\ndistortion = 0, 1; 1, 0\n")
-        res = run_cli("rd", "point", "--config", str(f), "--delta", "0.25")
+        res = main_of(capsys, "rd", "point", "--config", str(f), "--delta", "0.25")
         assert res.returncode == 1
         assert "coding_probs" in res.stderr
-        res = run_cli("rd", "point", "--config", str(f), "--force=-1.0986122886681098")
+        res = main_of(capsys, "rd", "point", "--config", str(f), "--force=-1.0986122886681098")
         assert res.returncode == 0
         vals = pairs_of(res.stdout)
         # optimizing the coding law for the uniform bit returns the uniform law
@@ -150,11 +158,11 @@ class TestOptimizedCodingLaw:
 
 
 class TestCapacity:
-    def test_bsc(self, tmp_path):
+    def test_bsc(self, capsys, tmp_path):
         f = tmp_path / "bsc.json"
         f.write_text(json.dumps({"channel": {"transition": [[0.9, 0.1], [0.1, 0.9]],
                                              "input_probs": [0.5, 0.5]}}))
-        res = run_cli("capacity", "--config", str(f))
+        res = main_of(capsys, "capacity", "--config", str(f))
         assert res.returncode == 0
         vals = pairs_of(res.stdout)
         assert float(vals["rate_nats"]) == pytest.approx(0.36806420716849706, abs=1e-9)
@@ -163,7 +171,7 @@ class TestCapacity:
 
 
 class TestRd2:
-    def test_slack_budget_reported_inactive(self, tmp_path):
+    def test_slack_budget_reported_inactive(self, capsys, tmp_path):
         f = tmp_path / "two.json"
         f.write_text(json.dumps({
             "source_probs": [0.5, 0.5],
@@ -171,13 +179,13 @@ class TestRd2:
             "distortion": [[0.0, 1.0], [1.0, 0.0]],
             "distortion_2": [[0.0, 2.0], [2.0, 0.0]],
         }))
-        res = run_cli("rd2", "--config", str(f), "--delta1", "0.25", "--delta2", "0.6")
+        res = main_of(capsys, "rd2", "--config", str(f), "--delta1", "0.25", "--delta2", "0.6")
         vals = pairs_of(res.stdout)
         assert vals["constraint1_active"] == "true"
         assert vals["constraint2_active"] == "false"
         assert float(vals["rate_nats"]) == pytest.approx(0.13081203594113698, abs=1e-8)
 
-    def test_infeasible_pair_exits_1(self, tmp_path):
+    def test_infeasible_pair_exits_1(self, capsys, tmp_path):
         f = tmp_path / "two.json"
         f.write_text(json.dumps({
             "source_probs": [0.5, 0.5],
@@ -185,37 +193,37 @@ class TestRd2:
             "distortion": [[0.0, 1.0], [1.0, 0.0]],
             "distortion_2": [[1.0, 0.0], [0.0, 1.0]],
         }))
-        res = run_cli("rd2", "--config", str(f), "--delta1", "0.1", "--delta2", "0.1")
+        res = main_of(capsys, "rd2", "--config", str(f), "--delta1", "0.1", "--delta2", "0.1")
         assert res.returncode == 1
 
-    def test_missing_second_table(self, bss_cfg):
-        res = run_cli("rd2", "--config", bss_cfg, "--delta1", "0.25", "--delta2", "0.25")
+    def test_missing_second_table(self, capsys, bss_cfg):
+        res = main_of(capsys, "rd2", "--config", bss_cfg, "--delta1", "0.25", "--delta2", "0.25")
         assert res.returncode == 1
         assert "distortion_2" in res.stderr
 
 
 class TestChain:
-    def test_work_matches_rate(self, bss_cfg):
-        res = run_cli("chain", "work", "--config", bss_cfg, "--lambda-final=-1.0986122886681098")
+    def test_work_matches_rate(self, capsys, bss_cfg):
+        res = main_of(capsys, "chain", "work", "--config", bss_cfg, "--lambda-final=-1.0986122886681098")
         vals = pairs_of(res.stdout)
         assert float(vals["abs_difference"]) < 1e-8
 
-    def test_equilibrium(self, bss_cfg):
-        res = run_cli("chain", "equilibrium", "--config", bss_cfg, "--length", "0.25")
+    def test_equilibrium(self, capsys, bss_cfg):
+        res = main_of(capsys, "chain", "equilibrium", "--config", bss_cfg, "--length", "0.25")
         vals = pairs_of(res.stdout)
         assert float(vals["lambda"]) == pytest.approx(math.log(1 / 3), abs=1e-7)
 
-    def test_protocol_brackets(self, bss_cfg):
-        res = run_cli("chain", "protocol", "--config", bss_cfg, "--schedule=0:-1:11")
+    def test_protocol_brackets(self, capsys, bss_cfg):
+        res = main_of(capsys, "chain", "protocol", "--config", bss_cfg, "--schedule=0:-1:11")
         vals = pairs_of(res.stdout)
         quasi = float(vals["quasistatic_work"])
         assert float(vals["protocol_work_left_sum"]) <= quasi <= float(vals["protocol_work"])
         assert float(vals["excess_over_quasistatic"]) >= 0.0
 
-    def test_beta_scaling(self, tmp_path):
+    def test_beta_scaling(self, capsys, tmp_path):
         f = tmp_path / "warm.cfg"
         f.write_text(BSS + "beta = 2.0\n")
-        res = run_cli("chain", "work", "--config", str(f), "--lambda-final=-0.54930614433405489")
+        res = main_of(capsys, "chain", "work", "--config", str(f), "--lambda-final=-0.54930614433405489")
         vals = pairs_of(res.stdout)
         # s = beta * lambda = ln(1/3); work = rate / beta
         assert float(vals["s"]) == pytest.approx(math.log(1 / 3), abs=1e-9)
@@ -223,46 +231,63 @@ class TestChain:
 
 
 class TestOracleCommands:
-    def test_exact(self, bss_cfg):
-        res = run_cli("oracle", "exact", "--config", bss_cfg, "--n", "8", "--delta", "0.25")
+    def test_exact(self, capsys, bss_cfg):
+        res = main_of(capsys, "oracle", "exact", "--config", bss_cfg, "--n", "8", "--delta", "0.25")
         vals = pairs_of(res.stdout)
         assert float(vals["probability"]) == pytest.approx(37 / 256, abs=1e-15)
         assert float(vals["exponent_minus_rate"]) > 0.0
 
-    def test_ba(self, bss_cfg):
-        res = run_cli("oracle", "ba", "--config", bss_cfg, "--force=-1.0")
+    def test_ba(self, capsys, bss_cfg):
+        res = main_of(capsys, "oracle", "ba", "--config", bss_cfg, "--force=-1.0")
         vals = pairs_of(res.stdout)
         assert vals["converged"] == "true"
         assert float(vals["recheck_rate_abs_diff"]) < 1e-9
 
-    def test_alloc(self, bss_cfg):
-        res = run_cli("oracle", "alloc", "--config", bss_cfg, "--delta", "0.25", "--grid-points", "200")
+    def test_alloc(self, capsys, bss_cfg):
+        res = main_of(capsys, "oracle", "alloc", "--config", bss_cfg, "--delta", "0.25", "--grid-points", "200")
         vals = pairs_of(res.stdout)
         assert float(vals["difference"]) >= -1e-10
 
-    def test_grid(self, bss_cfg):
-        res = run_cli("oracle", "grid", "--config", bss_cfg, "--delta", "0.25")
+    def test_grid(self, capsys, bss_cfg):
+        res = main_of(capsys, "oracle", "grid", "--config", bss_cfg, "--delta", "0.25")
         vals = pairs_of(res.stdout)
         assert float(vals["abs_difference"]) < 1e-6
 
 
 class TestFailureModes:
-    def test_malformed_probs(self, tmp_path):
+    def test_malformed_probs(self, capsys, tmp_path):
         f = tmp_path / "bad.cfg"
         f.write_text("source_probs = 0.5, 0.6\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1; 1, 0\n")
-        res = run_cli("rd", "point", "--config", str(f), "--delta", "0.25")
+        res = main_of(capsys, "rd", "point", "--config", str(f), "--delta", "0.25")
         assert res.returncode == 1
         assert "source_probs" in res.stderr
 
-    def test_budget_below_floor(self, bss_cfg):
-        res = run_cli("rd", "point", "--config", bss_cfg, "--delta=-0.5")
+    def test_budget_below_floor(self, capsys, bss_cfg):
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta=-0.5")
         assert res.returncode == 1
 
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 1
 
-    def test_missing_config_file(self):
-        res = run_cli("rd", "point", "--config", "/nonexistent.cfg", "--delta", "0.25")
+    def test_numerical_failure_exits_2(self, tmp_path):
+        # The two-force ascent stalls on tables scaled by 1e12 (its stopping
+        # tests are absolute); choose another numerical failure once it does not.
+        f = tmp_path / "huge.cfg"
+        f.write_text(
+            "source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\n"
+            "distortion = 0, 1e12; 1e12, 0\ndistortion_2 = 0, 2e12; 1e12, 0\n"
+        )
+        res = run_cli("rd2", "--config", str(f), "--delta1", "0.3e12", "--delta2", "0.45e12")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "numerical failure" in res.stderr
+
+    def test_import_leaves_scipy_out(self):
+        code = "import sys, tiltrate.cli; assert 'scipy' not in sys.modules"
+        assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+    def test_missing_config_file(self, capsys):
+        res = main_of(capsys, "rd", "point", "--config", "/nonexistent.cfg", "--delta", "0.25")
         assert res.returncode == 1
 
 

@@ -6,7 +6,6 @@ import pytest
 from tiltrate import (
     RdProblem,
     ValidationError,
-    build_delta_dists,
     distortion_at_force,
     equal_force_allocation,
     force_at_distortion,
@@ -66,10 +65,6 @@ class TestRdProblem:
         with pytest.raises(ValidationError, match="coding_probs"):
             RdProblem([0.5, 0.5], [0.6, 0.6], [[0.0, 1.0], [1.0, 0.0]])
 
-    def test_build_delta_dists_helper(self, bss):
-        dists = build_delta_dists(bss)
-        assert dists == bss.delta_dists
-
 
 class TestForceAtDistortion:
     def test_bss_quarter(self, bss):
@@ -104,6 +99,13 @@ class TestForceAtDistortion:
     def test_asym_floor_rate(self, asym):
         pt = force_at_distortion(asym, 0.0)
         assert pt.rate == pytest.approx(LN2, abs=1e-12)
+
+    def test_floor_rate_on_a_tiny_table(self):
+        # distortions of 1e-12 are still two distinct values
+        problem = RdProblem([0.5, 0.5], [0.3, 0.7], np.array([[0.0, 1.0], [1.0, 0.0]]) * 1e-12)
+        pt = force_at_distortion(problem, 0.0)
+        assert pt.boundary == "min_distortion"
+        assert pt.rate == pytest.approx(-0.5 * (math.log(0.3) + math.log(0.7)), rel=1e-12)
 
     def test_roundtrip_with_distortion_at_force(self, bss, rng):
         for _ in range(10):

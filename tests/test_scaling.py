@@ -1,4 +1,4 @@
-"""Scaling a table and its budget by c leaves every rate unchanged and divides every force by c."""
+"""Scaling a table and its budget by c leaves every rate and entropy unchanged and divides every force by c."""
 
 import numpy as np
 import pytest
@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from tiltrate import (
     ChainSystem,
     ElementArray,
+    FiniteDistribution,
     RdProblem,
+    entropy_at_energy,
     equal_force_allocation,
     equilibrium_force,
+    force_at_distortion,
     from_rd_problem,
     rate_legendre,
 )
@@ -62,3 +65,25 @@ def test_equilibrium_force_scales_inversely(seed, c, u, beta):
     )
     lam = equilibrium_force(system, target)
     assert equilibrium_force(stretched, c * target) * c == pytest.approx(lam, rel=REL)
+
+
+@given(seeds, factors, st.floats(0.05, 0.95))
+@settings(max_examples=60, deadline=None)
+def test_entropy_invariant_under_scaling(seed, c, u):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    levels, weights = rng.random(k), rng.dirichlet(np.ones(k))
+    spectrum = FiniteDistribution(levels, weights)
+    energy = spectrum.min_value + u * (spectrum.mean - spectrum.min_value)
+    entropy = entropy_at_energy(spectrum, energy)
+    assert entropy_at_energy(FiniteDistribution(levels * c, weights), c * energy) == pytest.approx(entropy, rel=REL)
+
+
+@given(seeds, factors)
+@settings(max_examples=60, deadline=None)
+def test_min_distortion_rate_invariant_under_scaling(seed, c):
+    problem = draw_problem(seed)
+    floor = float(problem.source_probs @ problem.distortion.min(axis=1))
+    point = force_at_distortion(scaled(problem, c), c * floor)
+    assert point.boundary == "min_distortion"
+    assert point.rate == pytest.approx(force_at_distortion(problem, floor).rate, rel=REL)

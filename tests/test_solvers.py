@@ -137,7 +137,13 @@ class TestAdaptiveSimpson:
             count[0] += 1
             return abs(x - 1 / 3) ** 0.1
 
-        adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=2000)
+        with pytest.raises(NumericalError):
+            adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=2000)
         # unwinding siblings each spend two evaluations before seeing the
         # exhausted budget, so allow that much slop over the cap
         assert count[0] <= 2000 + 2 * 61 + 2
+
+    def test_unresolved_integrand_raises(self):
+        # sin(1/x) oscillates without end near 0; no budget resolves it
+        with pytest.raises(NumericalError):
+            adaptive_simpson(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0, 1e-9, max_evals=1000)

@@ -41,6 +41,15 @@ class TestFiniteDistribution:
         assert d.size == 2
         assert d.probs[0] == pytest.approx(0.5)
 
+    def test_merging_is_relative_to_the_span(self):
+        d = FiniteDistribution([0.0, 1e-12, 3e-12], [0.25, 0.25, 0.5])
+        assert d.size == 3
+
+    def test_a_run_of_close_values_merges_at_its_least(self):
+        d = FiniteDistribution([1.2e-12, 0.0, 1.0, 0.6e-12], [0.25, 0.25, 0.25, 0.25])
+        assert list(d.values) == [0.0, 1.0]
+        np.testing.assert_allclose(d.probs, [0.75, 0.25])
+
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValidationError):
             FiniteDistribution([0.0, 1.0], [0.7, 0.7])
@@ -93,6 +102,11 @@ class TestTilt:
         rep = tilt(d, 0.0)
         assert rep.mean == pytest.approx(d.mean, abs=1e-13)
         np.testing.assert_allclose(rep.tilted.probs, d.probs, atol=1e-14)
+
+    def test_tilted_is_built_on_read(self):
+        rep = tilt(coin(), math.log(1.0 / 3.0))
+        assert "tilted" not in vars(rep)
+        np.testing.assert_allclose(rep.tilted.probs, [0.75, 0.25], atol=1e-15)
 
     def test_mean_decreases_with_force(self, rng):
         d = random_dist(rng)
