@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _force_at_mean, _tilted_moments
+from .tilting import PROB_TOL, _legendre, _tilted_moments
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -85,7 +85,8 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     never carry tilted mass (an infinite distortion at negative force), and
     their missing mass enters the rate through each output letter's
     log-partition.  The force is solved by a bracketed Newton iteration run
-    to machine width; it lands at -1 whenever the channel is nondegenerate.
+    to machine width; it lands at -1 whenever the channel is nondegenerate,
+    and is reported as 0 when the budget sits at an end (a degenerate channel).
     """
     w = channel.transition
     q = channel.input_probs
@@ -108,15 +109,11 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     log_w = np.full(support.shape, -math.inf)
     np.log(np.broadcast_to(q, support.shape), out=log_w, where=support)
 
-    d_zero = float(np.dot(p_out, _tilted_moments(log_w, dist, 0.0)[1]))
-    span = d_zero - float(np.dot(p_out, dist.min(axis=1, where=support, initial=math.inf)))
-    if span <= 0.0 or delta >= d_zero - 1e-15 * max(1.0, d_zero):
-        # deterministic or budget-saturating channel: rate is the pure mass cost
-        rate = float(-np.dot(p_out, np.log(support @ q)))
-        return CapacityPoint(rate=max(rate, 0.0), s_star=0.0, delta=delta)
-
-    # f_tol = 0 runs the iteration to machine width so the force itself is pinned
-    s = _force_at_mean(log_w, dist, p_out, delta, 0.0, nonpositive=True)
+    # tol = 0 runs the iteration to machine width so the force itself is pinned
+    s, end_cost = _legendre(log_w, dist, p_out, delta, 0.0, nonpositive=True)
+    if math.isinf(s):
+        # each output row is constant on its support: the rate is the pure mass cost
+        return CapacityPoint(rate=max(end_cost, 0.0), s_star=0.0, delta=delta)
     log_z, _, _ = _tilted_moments(log_w, dist, s)
     rate = s * delta - float(np.dot(p_out, log_z))
     return CapacityPoint(rate=max(rate, 0.0), s_star=float(s), delta=delta)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     EnergyInfeasibleError,
     LengthInfeasibleError,
+    LevelInfeasibleError,
     ScheduleInvalidError,
     ValidationError,
 )
@@ -33,8 +34,10 @@ from .tilting import (
     VALUE_MERGE_TOL,
     FiniteDistribution,
     _force_at_mean,
+    _legendre,
     _one_row,
     _riemann_sums,
+    _row_ends,
     _tilted_moments,
     log_mgf,
 )
@@ -163,7 +166,7 @@ def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e
             f"length {target_length!r} is not strictly inside the achievable range ({lo!r}, {hi!r})"
         )
     fractions, log_w, lengths = _table(system)
-    s = _force_at_mean(log_w, lengths, fractions, target_length, tol * (hi - lo))
+    s = _force_at_mean(log_w, lengths, fractions, _row_ends(log_w, lengths), target_length, tol * (hi - lo))
     return s / system.beta
 
 
@@ -248,20 +251,18 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     which sets the absolute state count.  The entropy is the minimum over
     beta >= 0 of beta * E + ln(sum of weighted e^{-beta * eps}); energies at
     the ground level return its log multiplicity (the beta -> infinity
-    limit), and energies above the flat-weight mean sit at beta = 0.
+    limit), and energies above the flat-weight mean sit at beta = 0; the
+    ends are decided as in ``tilting._legendre``.
     """
     vmin, vmax = energy_dist.min_value, energy_dist.max_value
-    span = vmax - vmin
-    band = VALUE_MERGE_TOL * span
-    if energy < vmin - band or energy > vmax + band:
-        raise EnergyInfeasibleError(
-            f"energy {energy!r} outside the spectrum [{vmin!r}, {vmax!r}]"
-        )
+    message = f"energy {energy!r} outside the spectrum [{vmin!r}, {vmax!r}]"
+    if energy > vmax + VALUE_MERGE_TOL * (vmax - vmin):
+        raise EnergyInfeasibleError(message)
+    try:
+        s, end_cost = _legendre(*_one_row(energy_dist), np.ones(1), energy, tol, nonpositive=True)
+    except LevelInfeasibleError:
+        raise EnergyInfeasibleError(message) from None
     log_count = -math.log(float(energy_dist.probs.min()))
-    if span == 0.0 or energy <= vmin + band:
-        return log_count + math.log(float(energy_dist.probs[0]))
-    if energy >= energy_dist.mean:
-        return log_count + log_mgf(energy_dist, 0.0)
-    s = _force_at_mean(*_one_row(energy_dist), np.ones(1), energy, tol * span, nonpositive=True)
-    beta_star = -s
-    return beta_star * energy + log_count + log_mgf(energy_dist, s)
+    if s == -math.inf:
+        return log_count - end_cost
+    return -s * energy + log_count + log_mgf(energy_dist, s)  # beta* = -s

@@ -227,8 +227,8 @@ def _cmd_rd2(args) -> tuple:
             ("rate_nats", rate),
             ("s1", s1),
             ("s2", s2),
-            ("constraint1_active", s1 < -1e-12),
-            ("constraint2_active", s2 < -1e-12),
+            ("constraint1_active", s1 < 0.0),
+            ("constraint2_active", s2 < 0.0),
         ],
     )
 
@@ -366,7 +366,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub) -> None:
     sub.add_argument("--config", required=True, help="problem definition (JSON or key = value)")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance")
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance, finite and > 0")
     sub.add_argument("--output", default=None, help="write to this file instead of stdout")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
 
@@ -455,6 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        parser.error(f"argument --tol: must be finite and > 0 (got {args.tol!r})")
     try:
         payload = args.handler(args)
         _emit(args, payload)

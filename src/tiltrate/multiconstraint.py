@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import InfeasiblePairError, NumericalError, ValidationError
-from .ratedistortion import _clean_probs
+from .errors import InfeasiblePairError, NumericalError
+from .ratedistortion import _clean_tables
 from .tilting import _tilted_law
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
@@ -36,28 +37,7 @@ class RdProblem2:
     distortion_2: np.ndarray
 
     def __post_init__(self):
-        p = _clean_probs(self.source_probs, "source_probs")
-        q = _clean_probs(self.coding_probs, "coding_probs")
-        mats = []
-        for name in ("distortion_1", "distortion_2"):
-            d = np.asarray(getattr(self, name), dtype=float)
-            if d.ndim != 2 or d.shape != (p.size, q.size):
-                raise ValidationError(
-                    f"{name} must be a {p.size}x{q.size} matrix (got shape {d.shape})"
-                )
-            if not np.all(np.isfinite(d)):
-                raise ValidationError(f"{name} entries must all be finite")
-            mats.append(d)
-        rows = p > 0.0
-        cols = q > 0.0
-        p, q = p[rows], q[cols]
-        mats = [np.array(d[np.ix_(rows, cols)]) for d in mats]
-        for arr in (p, q, *mats):
-            arr.setflags(write=False)
-        object.__setattr__(self, "source_probs", p)
-        object.__setattr__(self, "coding_probs", q)
-        object.__setattr__(self, "distortion_1", mats[0])
-        object.__setattr__(self, "distortion_2", mats[1])
+        _clean_tables(self, "distortion_1", "distortion_2")
 
 
 def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
@@ -66,13 +46,13 @@ def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
     p = problem.source_probs
     # the pair of tables tilted by (s1, s2) is the one table s1*d1 + s2*d2 at unit force
     cond, phi = _tilted_law(np.log(problem.coding_probs)[None, :], s[0] * d1 + s[1] * d2, 1.0)
-    m1 = (cond * d1).sum(axis=1)
-    m2 = (cond * d2).sum(axis=1)
+    m1 = np.einsum("ij,ij->i", cond, d1)
+    m2 = np.einsum("ij,ij->i", cond, d2)
     c1 = d1 - m1[:, None]
     c2 = d2 - m2[:, None]
-    cov11 = float(np.dot(p, (cond * c1 * c1).sum(axis=1)))
-    cov22 = float(np.dot(p, (cond * c2 * c2).sum(axis=1)))
-    cov12 = float(np.dot(p, (cond * c1 * c2).sum(axis=1)))
+    cov11 = float(np.dot(p, np.einsum("ij,ij,ij->i", cond, c1, c1)))
+    cov22 = float(np.dot(p, np.einsum("ij,ij,ij->i", cond, c2, c2)))
+    cov12 = float(np.dot(p, np.einsum("ij,ij,ij->i", cond, c1, c2)))
     value = s[0] * delta1 + s[1] * delta2 - float(np.dot(p, phi))
     grad = np.array([delta1 - float(np.dot(p, m1)), delta2 - float(np.dot(p, m2))])
     cov = np.array([[cov11, cov12], [cov12, cov22]])
@@ -88,25 +68,36 @@ def rate_two_distortions(
     constraint is slack at the optimum.  Pairs below the per-table floors,
     or jointly unsatisfiable ones (detected when the concave objective
     climbs past the log cost any satisfiable event can have), raise
-    InfeasiblePairError.
+    InfeasiblePairError.  ``tol`` bounds the projected gradient in units of
+    each table's P-weighted range, so the answer does not depend on the
+    tables' scale.
     """
     p, q = problem.source_probs, problem.coding_probs
+    # The ascent's stopping tests are absolute, so it runs on each table with
+    # its rows shifted to start at 0 and divided by its P-weighted range: the
+    # rate is unchanged, and each force comes back divided by that range.
+    tables, budgets, scales = [], [], []
     for name, d, target in (
         ("delta1", problem.distortion_1, delta1),
         ("delta2", problem.distortion_2, delta2),
     ):
-        floor = float(np.dot(p, d.min(axis=1)))
+        low = d.min(axis=1)
+        floor = float(np.dot(p, low))
         if not math.isfinite(target) or target <= floor:
             raise InfeasiblePairError(
                 f"{name} = {target!r} does not exceed the minimum achievable {floor!r}"
             )
-
+        scales.append(float(np.dot(p, d.max(axis=1) - low)) or 1.0)
+        tables.append((d - low[:, None]) / scales[-1])
+        budgets.append((target - floor) / scales[-1])
+    # _stats reads only these four arrays; an RdProblem2 would copy both tables
+    scaled = SimpleNamespace(source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])
     # Any satisfiable pair has rate at most the cost of forcing the single
     # cheapest reproduction letter everywhere.
     ceiling = -math.log(float(q.min())) + 0.5
 
     s = np.zeros(2)
-    value, grad, cov = _stats(problem, s, delta1, delta2)
+    value, grad, cov = _stats(scaled, s, *budgets)
     eps = float(np.finfo(float).eps)
     for _ in range(_MAX_ITER):
         pinned = (s >= 0.0) & (grad > 0.0)
@@ -117,7 +108,7 @@ def rate_two_distortions(
         # objective value itself, so the iterate sits on the flat plateau
         # around the maximizer and further ascent is numerically meaningless.
         if pg_norm <= tol or pg_norm * pg_norm <= 8.0 * eps * (1.0 + abs(value)):
-            return float(max(value, 0.0)), float(s[0]), float(s[1])
+            return float(max(value, 0.0)), float(s[0] / scales[0]), float(s[1] / scales[1])
         if value > ceiling:
             raise InfeasiblePairError(
                 f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
@@ -164,7 +155,7 @@ def rate_two_distortions(
                 trial = np.minimum(s + alpha * step, 0.0)
                 if np.array_equal(trial, s):
                     break
-                t_value, t_grad, t_cov = _stats(problem, trial, delta1, delta2)
+                t_value, t_grad, t_cov = _stats(scaled, trial, *budgets)
                 if t_value >= value + _ARMIJO * float(np.dot(grad, trial - s)):
                     s, value, grad, cov = trial, t_value, t_grad, t_cov
                     accepted = True
@@ -177,6 +168,6 @@ def rate_two_distortions(
             # has proven the plateau directly; accept if the optimality
             # residual is small on the value's own scale.
             if pg_norm <= max(tol, 1e-9) or pg_norm * pg_norm <= 64.0 * eps * (1.0 + abs(value)):
-                return float(max(value, 0.0)), float(s[0]), float(s[1])
+                return float(max(value, 0.0)), float(s[0] / scales[0]), float(s[1] / scales[1])
             raise NumericalError("two-force ascent stalled before reaching tolerance")
     raise NumericalError(f"two-force ascent did not converge in {_MAX_ITER} iterations")

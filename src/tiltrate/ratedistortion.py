@@ -18,14 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DistortionTooLowError, ValidationError
+from .errors import DistortionTooLowError, LevelInfeasibleError, ValidationError
 from .solvers import adaptive_simpson
 from .tilting import (
     PROB_TOL,
-    VALUE_MERGE_TOL,
     FiniteDistribution,
     _check_partition,
-    _force_at_mean,
+    _legendre,
     _riemann_sums,
     _tilted_law,
     _tilted_moments,
@@ -63,6 +62,26 @@ def _clean_probs(vec, name: str) -> np.ndarray:
     return v
 
 
+def _clean_tables(problem, *names: str) -> None:
+    """Check a problem's two laws and its named tables, drop zero-probability
+    source letters (rows) and reproduction letters (columns), and store them
+    read-only on the (frozen) problem."""
+    p = _clean_probs(problem.source_probs, "source_probs")
+    q = _clean_probs(problem.coding_probs, "coding_probs")
+    rows, cols = p > 0.0, q > 0.0
+    kept = {"source_probs": p[rows], "coding_probs": q[cols]}
+    for name in names:
+        d = np.asarray(getattr(problem, name), dtype=float)
+        if d.ndim != 2 or d.shape != (p.size, q.size):
+            raise ValidationError(f"{name} must be a {p.size}x{q.size} matrix (got shape {d.shape})")
+        if not np.all(np.isfinite(d)):
+            raise ValidationError(f"{name} entries must all be finite")
+        kept[name] = d[np.ix_(rows, cols)]
+    for name, arr in kept.items():
+        arr.setflags(write=False)
+        object.__setattr__(problem, name, arr)
+
+
 @dataclass(frozen=True, eq=False)
 class RdProblem:
     """Source law, coding law, and a finite distortion table.
@@ -76,24 +95,7 @@ class RdProblem:
     distortion: np.ndarray
 
     def __post_init__(self):
-        p = _clean_probs(self.source_probs, "source_probs")
-        q = _clean_probs(self.coding_probs, "coding_probs")
-        d = np.asarray(self.distortion, dtype=float)
-        if d.ndim != 2 or d.shape != (p.size, q.size):
-            raise ValidationError(
-                f"distortion must be a {p.size}x{q.size} matrix (got shape {d.shape})"
-            )
-        if not np.all(np.isfinite(d)):
-            raise ValidationError("distortion entries must all be finite")
-        rows = p > 0.0
-        cols = q > 0.0
-        p, q, d = p[rows], q[cols], d[np.ix_(rows, cols)]
-        d = np.array(d)
-        for arr in (p, q, d):
-            arr.setflags(write=False)
-        object.__setattr__(self, "source_probs", p)
-        object.__setattr__(self, "coding_probs", q)
-        object.__setattr__(self, "distortion", d)
+        _clean_tables(self, "distortion")
 
     @cached_property
     def delta_dists(self) -> tuple[FiniteDistribution, ...]:
@@ -158,10 +160,6 @@ def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
     )
 
 
-def _minimum_distortion(problem: RdProblem) -> float:
-    return float(np.dot(problem.source_probs, problem.distortion.min(axis=1)))
-
-
 def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) -> RdPoint:
     """Solve for the nonpositive force whose mean distortion hits ``delta``.
 
@@ -173,44 +171,25 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
     "above_zero_force" (the event is typical, rate 0).  delta at the
     minimum achievable distortion returns the infinite-force endpoint whose
     rate is the log cost of every source letter drawing its cheapest
-    reproduction; below that it raises.
+    reproduction; below that it raises.  The ends are decided as in
+    ``tilting._legendre``.
     """
-    zero_point = distortion_at_force(problem, 0.0)
-    if delta >= zero_point.distortion:
-        if delta > zero_point.distortion:
-            return replace(zero_point, boundary="above_zero_force")
-        return zero_point
-    dmin = _minimum_distortion(problem)
-    span = zero_point.distortion - dmin
-    band = VALUE_MERGE_TOL * span
-    if delta < dmin - band:
-        raise DistortionTooLowError(
-            f"distortion {delta!r} is below the minimum achievable {dmin!r}"
-        )
-    if delta <= dmin + band:
-        dists = problem.delta_dists
-        means = np.array([d.min_value for d in dists])
-        mass = np.array([float(d.probs[0]) for d in dists])
-        rate = float(-np.dot(problem.source_probs, np.log(mass)))
+    p, d = problem.source_probs, problem.distortion
+    try:
+        s, end_cost = _legendre(np.log(problem.coding_probs)[None, :], d, p, delta, tol, nonpositive=True)
+    except LevelInfeasibleError:
+        dmin = float(np.dot(p, d.min(axis=1)))
+        raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {dmin!r}") from None
+    if s == -math.inf:
+        means = d.min(axis=1)
         return RdPoint(
-            s=-math.inf,
-            distortion=dmin,
-            rate=rate,
-            per_symbol_mean=means,
-            per_symbol_var=np.zeros_like(means),
-            mmse=0.0,
-            boundary="min_distortion",
+            s=s, distortion=float(np.dot(p, means)), rate=end_cost, per_symbol_mean=means,
+            per_symbol_var=np.zeros_like(means), mmse=0.0, boundary="min_distortion",
         )
-
-    s = _force_at_mean(
-        np.log(problem.coding_probs)[None, :],
-        problem.distortion,
-        problem.source_probs,
-        delta,
-        tol * span,
-        nonpositive=True,
-    )
-    return distortion_at_force(problem, s)
+    point = distortion_at_force(problem, s)
+    if s == 0.0 and delta > point.distortion:
+        return replace(point, boundary="above_zero_force")
+    return point
 
 
 def rate_legendre(problem: RdProblem, delta: float, tol: float = 1e-10) -> float:

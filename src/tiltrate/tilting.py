@@ -195,28 +195,64 @@ def _one_row(dist: FiniteDistribution):
     return np.log(dist.probs)[None, :], dist.values[None, :]
 
 
-def _force_at_mean(
-    log_weights: np.ndarray,
-    values: np.ndarray,
-    row_weights: np.ndarray,
-    target: float,
-    f_tol: float,
-    *,
-    nonpositive: bool = False,
-) -> float:
+def _row_ends(log_weights: np.ndarray, values: np.ndarray):
+    """Per-row least and greatest value among the entries that carry mass."""
+    live = np.broadcast_to(np.isfinite(log_weights), values.shape)
+    return values.min(axis=1, where=live, initial=math.inf), values.max(axis=1, where=live, initial=-math.inf)
+
+
+# An end also claims targets within this fraction of its own size, a few
+# units in its last place: a point mass, or a useless channel, has no span.
+_END_REL = 4.0 * float(np.finfo(float).eps)
+
+
+def _legendre(log_weights, values, row_weights, target: float, tol: float, *, nonpositive=False):
+    """(s, end_cost): the force at which the row-weighted tilted mean D(s) of
+    ``values`` hits ``target``, and the rate an end of its range costs.
+
+    D runs from its floor (s -> -inf) to its ceiling (s -> +inf), or with
+    ``nonpositive`` to D(0), and a target at or above D(0) gets s = 0.  A
+    target within ``VALUE_MERGE_TOL`` of the span (plus ``_END_REL`` of the
+    end's size) of an end gets s = -inf or +inf and end_cost = -sum_x w_x
+    ln(mass of row x at that end), read from the raw table; beyond an end
+    it raises ``LevelInfeasibleError``.  Otherwise s solves
+    ``|D(s) - target| <= tol * span`` and end_cost is nan.
+    """
+    vmin, vmax = _row_ends(log_weights, values)
+    floor, ceiling = float(np.dot(row_weights, vmin)), float(np.dot(row_weights, vmax))
+    top = ceiling
+    if nonpositive:
+        top = min(float(np.dot(row_weights, _tilted_moments(log_weights, values, 0.0)[1])), ceiling)
+        if target >= top:
+            return 0.0, math.nan
+    span = top - floor
+    for end, row_end, sign in [(floor, vmin, -1.0)] + ([] if nonpositive else [(ceiling, vmax, 1.0)]):
+        band = VALUE_MERGE_TOL * span + _END_REL * abs(end)
+        if sign * (target - end) > band:
+            raise LevelInfeasibleError(f"level {target!r} outside the achievable range [{floor!r}, {ceiling!r}]")
+        if sign * (target - end) >= -band:
+            at_end = sign * (values - row_end[:, None]) >= -VALUE_MERGE_TOL * (vmax - vmin)[:, None]
+            log_mass = _tilted_law(np.where(at_end, log_weights, -math.inf), values, 0.0)[1]
+            # 0.0 - x: an end that holds all the mass costs 0.0, not -0.0
+            return sign * math.inf, 0.0 - float(np.dot(row_weights, log_mass))
+    return _force_at_mean(log_weights, values, row_weights, (vmin, vmax), target, tol * span,
+                          nonpositive=nonpositive), math.nan
+
+
+def _force_at_mean(log_weights, values, row_weights, ends, target: float, f_tol: float, *, nonpositive=False):
     """Force s at which the row-weighted tilted mean D(s) of ``values`` hits ``target``.
 
-    D runs from its floor Dmin (s -> -inf, every row at its least value)
-    to its ceiling Dmax (s -> +inf).  Newton runs on the logit
+    D runs from its floor Dmin (s -> -inf, every row at its least value of
+    ``ends``, from ``_row_ends``) to its ceiling Dmax (s -> +inf), and the
+    target must lie strictly between.  Newton runs on the logit
     log((D - Dmin) / (Dmax - D)), whose slope is mmse * (1 / (D - Dmin) +
     1 / (Dmax - D)): it is exactly linear in s for one row of two values
     and close to linear far out in either tail, where D itself flattens
     out exponentially.  The logit tolerance is set so that it implies
     ``|D(s) - target| <= f_tol``; ``nonpositive`` keeps s <= 0.
     """
-    live = np.broadcast_to(np.isfinite(log_weights), values.shape)
-    vmin = values.min(axis=1, where=live, initial=math.inf)
-    ranges = values.max(axis=1, where=live, initial=-math.inf) - vmin
+    vmin, vmax = ends
+    ranges = vmax - vmin
     floor = float(np.dot(row_weights, vmin))
     gap_lo = target - floor
     gap_hi = floor + float(np.dot(row_weights, ranges)) - target
@@ -280,24 +316,16 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
     support returns the signed-infinite force sentinel with rate equal to
     -ln(prob of that endpoint); levels outside the support raise.
     """
-    vmin, vmax = dist.min_value, dist.max_value
-    span = vmax - vmin
-    if span == 0.0:
-        if abs(level - vmin) <= VALUE_MERGE_TOL * max(1.0, abs(vmin)):
-            return RateResult(level=vmin, force=0.0, rate=0.0)
+    try:
+        s, end_cost = _legendre(*_one_row(dist), np.ones(1), level, tol)
+    except LevelInfeasibleError:
+        if dist.size > 1:
+            raise
         raise LevelInfeasibleError(
-            f"level {level!r} unreachable: distribution is a point mass at {vmin!r}"
-        )
-    band = VALUE_MERGE_TOL * span
-    if level < vmin - band or level > vmax + band:
-        raise LevelInfeasibleError(
-            f"level {level!r} outside the achievable range [{vmin!r}, {vmax!r}]"
-        )
-    if level <= vmin + band:
-        return RateResult(level=vmin, force=-math.inf, rate=-math.log(float(dist.probs[0])))
-    if level >= vmax - band:
-        return RateResult(level=vmax, force=math.inf, rate=-math.log(float(dist.probs[-1])))
-    s = _force_at_mean(*_one_row(dist), np.ones(1), level, tol * span)
+            f"level {level!r} unreachable: distribution is a point mass at {dist.min_value!r}"
+        ) from None
+    if math.isinf(s):
+        return RateResult(level=dist.min_value if s < 0.0 else dist.max_value, force=s, rate=end_cost)
     return RateResult(level=float(level), force=float(s), rate=max(s * level - log_mgf(dist, s), 0.0))
 
 
@@ -347,21 +375,19 @@ def _riemann_sums(forces: np.ndarray, mean_at) -> tuple[float, float]:
 
 
 def kl_free_energy_gap(q: FiniteDistribution, p: FiniteDistribution) -> float:
-    """D(q || p) in nats, matching supports by value within 1e-12.
+    """D(q || p) in nats, matching each value of q to the nearest value of p
+    within 1e-12 of the span of both supports.
 
     This is the free-energy excess of running weights q against the
     equilibrium weights p; it prices q's deviation per sample.
     """
-    idx = np.searchsorted(p.values, q.values)
-    total = 0.0
-    for k, (v, qp) in enumerate(zip(q.values, q.probs)):
-        best_j, best_gap = -1, math.inf
-        for j in (idx[k] - 1, idx[k]):
-            if 0 <= j < p.values.size:
-                gap = abs(p.values[j] - v)
-                if gap < best_gap:
-                    best_j, best_gap = j, gap
-        if best_j < 0 or best_gap > VALUE_MERGE_TOL * max(1.0, abs(v)):
-            raise SupportMismatchError(f"value {v!r} carried by q has no matching outcome in p")
-        total += qp * math.log(qp / float(p.probs[best_j]))
-    return total
+    right = np.minimum(np.searchsorted(p.values, q.values), p.size - 1)
+    left = np.maximum(right - 1, 0)
+    nearer = np.abs(p.values[left] - q.values) <= np.abs(p.values[right] - q.values)
+    match = np.where(nearer, left, right)
+    span = max(p.max_value, q.max_value) - min(p.min_value, q.min_value)
+    unmatched = np.abs(p.values[match] - q.values) > VALUE_MERGE_TOL * span
+    if unmatched.any():
+        v = q.values[np.argmax(unmatched)]
+        raise SupportMismatchError(f"value {v!r} carried by q has no matching outcome in p")
+    return float(np.dot(q.probs, np.log(q.probs / p.probs[match])))

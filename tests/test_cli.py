@@ -201,6 +201,20 @@ class TestRd2:
         assert res.returncode == 1
         assert "distortion_2" in res.stderr
 
+    def test_tiny_active_force_at_scale(self, capsys, tmp_path):
+        # on tables scaled by 1e12 the first force is about -1e-12, and still active
+        f = tmp_path / "huge.cfg"
+        f.write_text(
+            "source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\n"
+            "distortion = 0, 1e12; 1e12, 0\ndistortion_2 = 0, 2e12; 1e12, 0\n"
+        )
+        res = main_of(capsys, "rd2", "--config", str(f), "--delta1", "0.3e12", "--delta2", "0.45e12")
+        assert res.returncode == 0
+        vals = pairs_of(res.stdout)
+        assert -1e-11 < float(vals["s1"]) < 0.0 and float(vals["s2"]) == 0.0
+        assert vals["constraint1_active"] == "true"
+        assert vals["constraint2_active"] == "false"
+
 
 class TestChain:
     def test_work_matches_rate(self, capsys, bss_cfg):
@@ -270,17 +284,21 @@ class TestFailureModes:
         assert run_cli("frobnicate").returncode == 1
 
     def test_numerical_failure_exits_2(self, tmp_path):
-        # The two-force ascent stalls on tables scaled by 1e12 (its stopping
-        # tests are absolute); choose another numerical failure once it does not.
-        f = tmp_path / "huge.cfg"
-        f.write_text(
-            "source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\n"
-            "distortion = 0, 1e12; 1e12, 0\ndistortion_2 = 0, 2e12; 1e12, 0\n"
-        )
-        res = run_cli("rd2", "--config", str(f), "--delta1", "0.3e12", "--delta2", "0.45e12")
+        # on a table scaled by 1e-200 the tilted variance underflows to 0, so
+        # the root solve cannot move off zero force
+        f = tmp_path / "tiny.cfg"
+        f.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1e-200; 1e-200, 0\n")
+        res = run_cli("rd", "point", "--config", str(f), "--delta", "0.25e-200")
         assert res.returncode == 2
         assert res.stdout == ""
         assert "numerical failure" in res.stderr
+
+    @pytest.mark.parametrize("extra", [["--force=-1", "--integral-route", "--tol=-1"], ["--delta", "0.25", "--tol", "0"]])
+    def test_tolerance_must_be_positive(self, capsys, bss_cfg, extra):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["rd", "point", "--config", bss_cfg, *extra])
+        assert exit_.value.code == 1
+        assert "--tol: must be finite and > 0" in capsys.readouterr().err
 
     def test_import_leaves_scipy_out(self):
         code = "import sys, tiltrate.cli; assert 'scipy' not in sys.modules"

@@ -23,18 +23,12 @@ def bss1():
 def grid_oracle(problem, delta1, delta2, reach=12.0, points=201):
     """Dense 2-D scan of the concave objective: a lower bound on the true max."""
     axis = -np.linspace(0.0, math.sqrt(reach), points) ** 2
-    best = 0.0
-    q = problem.coding_probs
-    p = problem.source_probs
-    d1, d2 = problem.distortion_1, problem.distortion_2
-    logq = np.log(q)[None, :]
-    for a in axis:
-        for b in axis:
-            expo = a * d1 + b * d2 + logq
-            mx = expo.max(axis=1, keepdims=True)
-            phi = (mx + np.log(np.exp(expo - mx).sum(axis=1, keepdims=True))).ravel()
-            best = max(best, a * delta1 + b * delta2 - float(np.dot(p, phi)))
-    return best
+    a, b = axis[:, None, None, None], axis[None, :, None, None]
+    expo = a * problem.distortion_1 + b * problem.distortion_2 + np.log(problem.coding_probs)
+    mx = expo.max(axis=-1, keepdims=True)
+    phi = mx[..., 0] + np.log(np.exp(expo - mx).sum(axis=-1))
+    objective = axis[:, None] * delta1 + axis[None, :] * delta2 - phi @ problem.source_probs
+    return max(0.0, float(objective.max()))
 
 
 class TestRdProblem2:

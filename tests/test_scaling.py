@@ -9,12 +9,14 @@ from tiltrate import (
     ElementArray,
     FiniteDistribution,
     RdProblem,
+    RdProblem2,
     entropy_at_energy,
     equal_force_allocation,
     equilibrium_force,
     force_at_distortion,
     from_rd_problem,
     rate_legendre,
+    rate_two_distortions,
 )
 
 REL = 1e-9
@@ -87,3 +89,20 @@ def test_min_distortion_rate_invariant_under_scaling(seed, c):
     point = force_at_distortion(scaled(problem, c), c * floor)
     assert point.boundary == "min_distortion"
     assert point.rate == pytest.approx(force_at_distortion(problem, floor).rate, rel=REL)
+
+
+@given(seeds, factors, st.floats(-3.0, -0.1), st.floats(-3.0, -0.1))
+@settings(max_examples=60, deadline=None)
+def test_two_budget_rate_invariant_under_scaling(seed, c, s1, s2):
+    rng = np.random.default_rng(seed)
+    k, j = (int(n) for n in rng.integers(2, 5, size=2))
+    p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(j))
+    d1, d2 = rng.random((k, j)), rng.random((k, j))
+    # budgets on the frontier: the tilted means at the force pair (s1, s2)
+    law = q * np.exp(s1 * d1 + s2 * d2)
+    law /= law.sum(axis=1, keepdims=True)
+    delta1, delta2 = p @ (law * d1).sum(axis=1), p @ (law * d2).sum(axis=1)
+    rate, f1, f2 = rate_two_distortions(RdProblem2(p, q, d1, d2), delta1, delta2)
+    big_rate, g1, g2 = rate_two_distortions(RdProblem2(p, q, d1 * c, d2 * c), c * delta1, c * delta2)
+    assert big_rate == pytest.approx(rate, rel=REL)
+    assert (g1 * c, g2 * c) == pytest.approx((f1, f2), rel=1e-6)

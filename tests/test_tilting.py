@@ -174,6 +174,12 @@ class TestForceAtLevel:
         with pytest.raises(LevelInfeasibleError):
             force_at_level(d, 0.71)
 
+    def test_point_mass_at_small_scale(self):
+        d = FiniteDistribution([1e-12], [1.0])
+        assert force_at_level(d, 1e-12).rate == 0.0
+        with pytest.raises(LevelInfeasibleError, match="point mass"):
+            force_at_level(d, 1.5e-12)
+
     @given(st.floats(-9.0, 9.0))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_force_level_force(self, s):
@@ -264,5 +270,22 @@ class TestKlFreeEnergyGap:
     def test_support_mismatch(self):
         p = coin()
         q = FiniteDistribution([0.0, 2.0], [0.5, 0.5])
+        with pytest.raises(SupportMismatchError):
+            kl_free_energy_gap(q, p)
+
+    def test_matches_a_per_value_sum(self, rng):
+        for _ in range(20):
+            p = random_dist(rng, size=5)
+            keep = rng.random(5) < 0.6
+            keep[0] = True
+            probs = p.probs[keep] / p.probs[keep].sum()
+            q = FiniteDistribution(p.values[keep], probs)
+            want = sum(float(w * math.log(w / p.probs[list(p.values).index(v)])) for v, w in zip(q.values, q.probs))
+            assert kl_free_energy_gap(q, p) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_support_mismatch_at_any_scale(self, scale):
+        p = FiniteDistribution([0.0, scale], [0.5, 0.5])
+        q = FiniteDistribution([0.0, 0.4 * scale], [0.5, 0.5])
         with pytest.raises(SupportMismatchError):
             kl_free_energy_gap(q, p)
