@@ -209,11 +209,11 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     """
     moments = _moments(system)
 
-    def length(lam: float) -> float:
+    def lengths(lam: np.ndarray) -> list[float]:
         fractions, _, means, _ = moments(lam)
-        return float(np.dot(fractions, means))
+        return [np.dot(fractions, row) for row in means]
 
-    return _riemann_sums(_check_schedule(schedule), length)
+    return _riemann_sums(_check_schedule(schedule), lengths)
 
 
 def protocol_work(system: ChainSystem, schedule) -> float:

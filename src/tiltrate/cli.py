@@ -9,6 +9,7 @@ success, 1 for validation problems, 2 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -135,19 +136,16 @@ def _cmd_rd_curve(args) -> tuple:
     grid = _parse_grid(args.grid)
     if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):
         raise ValidationError("rd curve grid values must be finite and <= 0")
-    header_known = False
-    header: list[str] = []
-    rows = []
-    for s in sorted(grid, reverse=True):
-        problem = _rd_problem_at(cfg, float(s), args.tol)
-        point = rd.distortion_at_force(problem, float(s))
-        if not header_known:
-            header = ["s", "distortion", "rate_nats", "mmse"] + [
-                f"mean_x{i}" for i in range(problem.num_source_letters)
-            ]
-            header_known = True
-        rows.append([point.s, point.distortion, point.rate, point.mmse, *point.per_symbol_mean])
-    return ("table", header, rows)
+    if cfg.coding_probs is not None:
+        problem = cfg.rd_problem()
+        points = rd.rd_curve(problem, grid)
+    else:  # the optimal coding law moves with the slope
+        points = []
+        for s in sorted(grid, reverse=True):
+            problem = _rd_problem_at(cfg, float(s), args.tol)
+            points.append(rd.distortion_at_force(problem, float(s)))
+    header = ["s", "distortion", "rate_nats", "mmse"] + [f"mean_x{i}" for i in range(problem.num_source_letters)]
+    return ("table", header, [[pt.s, pt.distortion, pt.rate, pt.mmse, *pt.per_symbol_mean] for pt in points])
 
 
 def _cmd_rd_point(args) -> tuple:
@@ -452,8 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``main`` call and reused: parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         parser.error(f"argument --tol: must be finite and > 0 (got {args.tol!r})")

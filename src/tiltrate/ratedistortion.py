@@ -139,14 +139,18 @@ class Allocation:
         return float(np.dot(problem.source_probs, self.per_symbol_distortion))
 
 
-def _row_moments(problem: RdProblem, s: float):
-    """Per-source-letter (log-partition, mean, variance) of the distortion at force s."""
+def _row_moments(problem: RdProblem, s):
+    """Per-source-letter (log-partition, mean, variance) of the distortion at force s (or forces)."""
     return _tilted_moments(np.log(problem.coding_probs)[None, :], problem.distortion, s)
 
 
 def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
     """Evaluate the curve parametrically at force s (s <= 0 on the useful branch)."""
-    log_z, means, variances = _row_moments(problem, s)
+    return _point(problem, s, *_row_moments(problem, s))
+
+
+def _point(problem: RdProblem, s: float, log_z, means, variances) -> RdPoint:
+    """The curve point at force s from the per-letter moments there."""
     p = problem.source_probs
     delta = float(np.dot(p, means))
     phi = float(np.dot(p, log_z))
@@ -240,7 +244,8 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
     """Riemann sums over a force grid that bracket the rate at its endpoint."""
-    return _riemann_sums(_check_partition(partition), lambda s: distortion_at_force(problem, s).distortion)
+    p = problem.source_probs
+    return _riemann_sums(_check_partition(partition), lambda s: [np.dot(p, m) for m in _row_moments(problem, s)[1]])
 
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
@@ -298,5 +303,5 @@ def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
         raise ValidationError("force_grid must be nonempty")
     if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):
         raise ValidationError("force_grid values must be finite and <= 0")
-    order = np.argsort(-grid, kind="stable")
-    return [distortion_at_force(problem, float(s)) for s in grid[order]]
+    forces = grid[np.argsort(-grid, kind="stable")]
+    return [_point(problem, float(s), *row) for s, *row in zip(forces, *_row_moments(problem, forces))]

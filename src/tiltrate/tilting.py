@@ -140,11 +140,11 @@ class RateResult:
     rate: float
 
 
-# Rows per block of the row kernel keep each of its temporaries near this many entries.
+# Forces and rows per block of the kernel keep each of its temporaries near this many entries.
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s: float):
+def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s):
     """Per-row (log-partition, mean, variance) of ``values`` tilted by e^{s * value}.
 
     Row x carries the weights e^{log_weights[x] + s * values[x]};
@@ -152,8 +152,11 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s: float):
     shared by all.  A ragged table is padded with -inf log-weights (and any
     finite value), which carry no mass.  Sums are max-shifted per row, so
     tilts with |s * value| up to ~700 stay finite.  Large tables are taken
-    a block of rows at a time, so the temporaries stay small.
+    a block of rows at a time, so the temporaries stay small.  For a 1-D
+    array of forces ``s``, each output has one row per force (``_by_force``).
     """
+    if isinstance(s, np.ndarray) and s.ndim == 1:
+        return _by_force(_tilted_moments, log_weights, values, s)
     block = max(1, _BLOCK_ENTRIES // values.shape[1])
     if values.shape[0] > block:
         shared = log_weights.shape[0] == 1
@@ -161,32 +164,49 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s: float):
             _tilted_moments(log_weights if shared else log_weights[i : i + block], values[i : i + block], s)
             for i in range(0, values.shape[0], block)
         ]
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
     # dividing the sums by z, not the weights by z, is the cheaper order
     w, shift = _tilted_weights(log_weights, values, s)
-    z = w.sum(axis=1)
-    mean = np.einsum("ij,ij->i", w, values) / z
-    centered = values - mean[:, None]
-    var = np.einsum("ij,ij,ij->i", w, centered, centered) / z
+    z = w.sum(axis=-1)
+    mean = np.einsum("...j,...j->...", w, values) / z
+    centered = values - mean[..., None]
+    var = np.einsum("...j,...j,...j->...", w, centered, centered) / z
     return shift + np.log(z), mean, var
 
 
-def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s: float):
+def _by_force(kernel, log_weights: np.ndarray, values: np.ndarray, forces: np.ndarray):
+    """``kernel``'s outputs at each of ``forces``, stacked forces first: the forces go
+    through as (forces, 1, 1) blocks of about ``_BLOCK_ENTRIES`` forces x rows x cols
+    entries (one force, in row blocks, once its table is larger), each written into
+    outputs allocated once, so the peak is the outputs plus one block."""
+    step = max(_BLOCK_ENTRIES // values.size, 1)
+    outs = None
+    for i in range(0, forces.size, step):
+        parts = kernel(log_weights, values, forces[i : i + step, None, None])
+        outs = outs or tuple(np.empty((forces.size,) + part.shape[1:]) for part in parts)
+        for out, part in zip(outs, parts):
+            out[i : i + len(part)] = part
+    return outs
+
+
+def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s):
     """Per-row weights e^{log_weights + s * values - shift} and the shifts, each row's
     largest exponent: the one exponential behind every tilted quantity."""
     w = values * s
     w += log_weights
-    shift = w.max(axis=1)
-    w -= shift[:, None]
+    shift = w.max(axis=-1)
+    w -= shift[..., None]
     np.exp(w, out=w)
     return w, shift
 
 
-def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s: float):
+def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
     """Per-row tilted law (each row summing to 1) and log-partition, as in ``_tilted_moments``."""
+    if isinstance(s, np.ndarray) and s.ndim == 1:
+        return _by_force(_tilted_law, log_weights, values, s)
     w, shift = _tilted_weights(log_weights, values, s)
-    z = w.sum(axis=1)
-    w /= z[:, None]
+    z = w.sum(axis=-1)
+    w /= z[..., None]
     return w, shift + np.log(z)
 
 
@@ -350,7 +370,9 @@ def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]
     last entry is the endpoint.  The true rate at that endpoint lies between
     the two returned sums, and the gap shrinks linearly under refinement.
     """
-    return _riemann_sums(_check_partition(partition), lambda s: tilt(dist, s).mean)
+    # each mean as ``tilt`` takes it: the normalised law dotted with the values
+    return _riemann_sums(_check_partition(partition),
+                         lambda s: [np.dot(law, dist.values) for law in _tilted_law(*_one_row(dist), s)[0][:, 0]])
 
 
 def _check_partition(partition) -> np.ndarray:
@@ -367,10 +389,10 @@ def _check_partition(partition) -> np.ndarray:
 
 
 def _riemann_sums(forces: np.ndarray, mean_at) -> tuple[float, float]:
-    """Left- and right-labelled Riemann sums of the integral of s dm(s), m = mean_at(s)."""
+    """Left- and right-labelled Riemann sums of the integral of s dm(s), m = mean_at(forces) in one call."""
     if forces.size == 1:
         return (0.0, 0.0)
-    dm = np.diff([mean_at(float(s)) for s in forces])
+    dm = np.diff(mean_at(forces))
     return (float(np.dot(forces[:-1], dm)), float(np.dot(forces[1:], dm)))
 
 

@@ -142,6 +142,15 @@ class TestRdCurve:
     def test_positive_force_rejected(self, capsys, bss_cfg):
         assert main_of(capsys, "rd", "curve", "--config", bss_cfg, "--grid=0.5:1:2").returncode == 1
 
+    def test_one_batched_call_on_a_configured_coding_law(self, capsys, monkeypatch, bss_cfg):
+        calls = []
+        batched = rd.rd_curve
+        monkeypatch.setattr(rd, "rd_curve", lambda *args: calls.append(args) or batched(*args))
+        res = main_of(capsys, "rd", "curve", "--config", bss_cfg, "--grid=-2:0:9")
+        assert res.returncode == 0
+        assert len(calls) == 1
+        assert len(res.stdout.strip().splitlines()) == 10
+
 
 class TestOptimizedCodingLaw:
     def test_point_needs_force_without_coding_probs(self, capsys, tmp_path):
@@ -307,6 +316,41 @@ class TestFailureModes:
     def test_missing_config_file(self, capsys):
         res = main_of(capsys, "rd", "point", "--config", "/nonexistent.cfg", "--delta", "0.25")
         assert res.returncode == 1
+
+
+class TestParserReuse:
+    """``main`` builds its parser on first use and reuses it; a reused parser
+    answers every command line as a fresh one does."""
+
+    def test_import_builds_no_parser(self):
+        code = "import tiltrate.cli as c; assert c._parser.cache_info().currsize == 0"
+        assert subprocess.run([sys.executable, "-c", code], timeout=120).returncode == 0
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, bss_cfg):
+        lines = [
+            ["rd", "point", "--config", bss_cfg, "--delta", "0.25", "--tol", "0"],  # parser.error: exit 1
+            ["rd", "point", "--config", bss_cfg, "--delta", "0.25", "--allocation", "--bounds", "4"],
+            ["rd", "point", "--bogus"],  # argparse's own error: exit 1
+            ["rd", "curve", "--config", bss_cfg, "--grid=-2:0:5", "--json"],
+            ["rd", "point", "--config", bss_cfg, "--delta", "0.25", "--tol", "nan"],
+            ["chain", "protocol", "--config", bss_cfg, "--schedule=0:-1:4"],
+            ["rd", "point", "--config", bss_cfg, "--delta", "0.25"],
+        ]
+
+        def run(argv):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        reused = [run(argv) for argv in lines + lines]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser on every call
+        fresh = [run(argv) for argv in lines + lines]
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 1, 0, 1, 0, 0] * 2
 
 
 class TestBoundaryRows:

@@ -16,7 +16,9 @@ from tiltrate import (
     riemann_sandwich,
     tilt,
 )
+from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
+from tiltrate.tilting import _BLOCK_ENTRIES, _tilted_law, _tilted_moments
 
 from conftest import LN2, h2, random_dist
 
@@ -238,6 +240,67 @@ class TestRiemannSandwich:
             riemann_sandwich(d, np.array([0.0, -1.0, -0.5]))  # not monotone
         with pytest.raises(PartitionInvalidError):
             riemann_sandwich(d, np.array([0.0, math.nan]))
+
+
+def around_one_block(entries_per_force: int) -> list[int]:
+    """Force counts just below, at and just above one block of the kernel;
+    a force whose table fills a block is a block of its own."""
+    step = max(_BLOCK_ENTRIES // entries_per_force, 1)
+    return [n for n in (step - 1, step, step + 1) if n >= 1]
+
+
+class TestForceBatchedKernel:
+    """The kernel at a 1-D array of forces equals one-force calls stacked, bit for bit."""
+
+    @staticmethod
+    def assert_stacked(log_weights, values, forces, counts=None):
+        """Batched calls on the first n forces, for each n of ``counts`` (all by
+        default), against the one-force calls stacked."""
+        for kernel in (_tilted_moments, _tilted_law):
+            stacked = [np.stack(column) for column in zip(*(kernel(log_weights, values, float(s)) for s in forces))]
+            for n in counts or [forces.size]:
+                batched = kernel(log_weights, values, forces[:n])
+                assert len(batched) == len(stacked)
+                for out, ref in zip(batched, stacked):
+                    assert out.shape == ref[:n].shape
+                    assert np.array_equal(out, ref[:n])
+
+    @pytest.mark.parametrize("k", [2, 64, 512])
+    def test_square_tables_around_one_block(self, rng, k):
+        values = rng.random((k, k))
+        log_weights = np.log(rng.dirichlet(np.ones(k)))[None, :]
+        counts = around_one_block(k * k)
+        self.assert_stacked(log_weights, values, -rng.uniform(0.0, 3.0, counts[-1]), counts)
+
+    @pytest.mark.parametrize("k", [64, 512])
+    def test_one_row_around_one_block(self, rng, k):
+        values = rng.random((1, k)) * 2.0
+        log_weights = np.log(rng.dirichlet(np.ones(k)))[None, :]
+        counts = around_one_block(k)
+        self.assert_stacked(log_weights, values, rng.uniform(-3.0, 3.0, counts[-1]), counts)
+
+    def test_ragged_rows_padded_with_minus_inf(self, rng):
+        sizes = [2, 7, 1, 5, 64, 3]
+        fractions = rng.dirichlet(np.ones(len(sizes)))
+        system = ChainSystem(
+            arrays=tuple(
+                ElementArray(rng.random(m), rng.random(m), float(f)) for m, f in zip(sizes, fractions)
+            ),
+            beta=1.3,
+        )
+        _, log_w, lengths = _table(system)
+        assert np.isneginf(log_w).any()
+        counts = around_one_block(lengths.size)
+        self.assert_stacked(log_w, lengths, -rng.uniform(0.0, 4.0, counts[-1]), counts)
+
+    def test_tilts_near_700(self, rng):
+        values = rng.random((3, 16))
+        values[:, 0] = 1.0
+        log_weights = np.log(rng.dirichlet(np.ones(16), size=3))
+        forces = np.concatenate([-rng.uniform(690.0, 710.0, 20), rng.uniform(690.0, 710.0, 20)])
+        self.assert_stacked(log_weights, values, forces)
+        log_z, means, _ = _tilted_moments(log_weights, values, forces)
+        assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(means))
 
 
 class TestKlFreeEnergyGap:
