@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _legendre, _tilted_moments
+from .tilting import PROB_TOL, _legendre
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -110,10 +110,9 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     np.log(np.broadcast_to(q, support.shape), out=log_w, where=support)
 
     # tol = 0 runs the iteration to machine width so the force itself is pinned
-    s, end_cost = _legendre(log_w, dist, p_out, delta, 0.0, nonpositive=True)
+    s, end_cost, moments = _legendre(log_w, dist, p_out, delta, 0.0, nonpositive=True)
     if math.isinf(s):
         # each output row is constant on its support: the rate is the pure mass cost
         return CapacityPoint(rate=max(end_cost, 0.0), s_star=0.0, delta=delta)
-    log_z, _, _ = _tilted_moments(log_w, dist, s)
-    rate = s * delta - float(np.dot(p_out, log_z))
+    rate = s * delta - float(np.dot(p_out, moments[0]))
     return CapacityPoint(rate=max(rate, 0.0), s_star=float(s), delta=delta)

@@ -39,7 +39,6 @@ from .tilting import (
     _riemann_sums,
     _row_ends,
     _tilted_moments,
-    log_mgf,
 )
 
 __all__ = [
@@ -159,14 +158,14 @@ def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e
     Solved for s = beta * lam by a bracketed Newton iteration on the slope
     dY/ds = Var(length), in the lengths' own force scale.
     """
-    lo = sum(a.fraction * float(a.state_lengths.min()) for a in system.arrays)
-    hi = sum(a.fraction * float(a.state_lengths.max()) for a in system.arrays)
+    fractions, log_w, lengths = _table(system)
+    ends = _row_ends(log_w, lengths)
+    lo, hi = (sum((fractions * end).tolist()) for end in ends)  # summed in array order
     if not lo < target_length < hi:
         raise LengthInfeasibleError(
             f"length {target_length!r} is not strictly inside the achievable range ({lo!r}, {hi!r})"
         )
-    fractions, log_w, lengths = _table(system)
-    s = _force_at_mean(log_w, lengths, fractions, _row_ends(log_w, lengths), target_length, tol * (hi - lo))
+    s = _force_at_mean(log_w, lengths, fractions, ends, target_length, tol * (hi - lo))
     return s / system.beta
 
 
@@ -174,8 +173,10 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     """Reversible work of sweeping the force from 0 to lam_final.
 
     Integrates lam * dY/dlam with dY/dlam = beta * Var(length); equals
-    (1/beta) times the rate function at s = beta * lam_final.
+    (1/beta) times the rate function at s = beta * lam_final, which must be finite.
     """
+    if not math.isfinite(lam_final):
+        raise ValidationError(f"lam_final must be finite (got {lam_final!r})")
     if lam_final == 0.0:
         return 0.0
     beta = system.beta
@@ -259,10 +260,10 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     if energy > vmax + VALUE_MERGE_TOL * (vmax - vmin):
         raise EnergyInfeasibleError(message)
     try:
-        s, end_cost = _legendre(*_one_row(energy_dist), np.ones(1), energy, tol, nonpositive=True)
+        s, end_cost, moments = _legendre(*_one_row(energy_dist), np.ones(1), energy, tol, nonpositive=True)
     except LevelInfeasibleError:
         raise EnergyInfeasibleError(message) from None
     log_count = -math.log(float(energy_dist.probs.min()))
     if s == -math.inf:
         return log_count - end_cost
-    return -s * energy + log_count + log_mgf(energy_dist, s)  # beta* = -s
+    return -s * energy + log_count + float(moments[0][0])  # beta* = -s

@@ -459,6 +459,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         parser.error(f"argument --tol: must be finite and > 0 (got {args.tol!r})")
+    for name, value in vars(args).items():
+        if isinstance(value, float) and math.isnan(value):
+            parser.error(f"argument --{name.replace('_', '-')}: must be a number, not nan")
     try:
         payload = args.handler(args)
         _emit(args, payload)

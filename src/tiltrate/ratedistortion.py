@@ -145,7 +145,9 @@ def _row_moments(problem: RdProblem, s):
 
 
 def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
-    """Evaluate the curve parametrically at force s (s <= 0 on the useful branch)."""
+    """Evaluate the curve parametrically at a finite force s (s <= 0 on the useful branch)."""
+    if not math.isfinite(s):
+        raise ValidationError(f"force s must be finite (got {s!r})")
     return _point(problem, s, *_row_moments(problem, s))
 
 
@@ -178,9 +180,14 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
     reproduction; below that it raises.  The ends are decided as in
     ``tilting._legendre``.
     """
+    return _solve(problem, delta, tol)[0]
+
+
+def _solve(problem: RdProblem, delta: float, tol: float):
+    """``force_at_distortion``'s point and its per-letter log-partitions (None at force -inf)."""
     p, d = problem.source_probs, problem.distortion
     try:
-        s, end_cost = _legendre(np.log(problem.coding_probs)[None, :], d, p, delta, tol, nonpositive=True)
+        s, end_cost, moments = _legendre(np.log(problem.coding_probs)[None, :], d, p, delta, tol, nonpositive=True)
     except LevelInfeasibleError:
         dmin = float(np.dot(p, d.min(axis=1)))
         raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {dmin!r}") from None
@@ -189,11 +196,11 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
         return RdPoint(
             s=s, distortion=float(np.dot(p, means)), rate=end_cost, per_symbol_mean=means,
             per_symbol_var=np.zeros_like(means), mmse=0.0, boundary="min_distortion",
-        )
-    point = distortion_at_force(problem, s)
+        ), None
+    point = _point(problem, s, *moments)
     if s == 0.0 and delta > point.distortion:
-        return replace(point, boundary="above_zero_force")
-    return point
+        point = replace(point, boundary="above_zero_force")
+    return point, moments[0]
 
 
 def rate_legendre(problem: RdProblem, delta: float, tol: float = 1e-10) -> float:
@@ -208,11 +215,10 @@ def equal_force_allocation(problem: RdProblem, delta: float, tol: float = 1e-10)
     and the rate they cost, which matches the joint Legendre rate: the
     equal-force split is exactly the one no other split can beat.
     """
-    point = force_at_distortion(problem, delta, tol)
+    point, log_z = _solve(problem, delta, tol)
     allocation = Allocation(per_symbol_distortion=point.per_symbol_mean)
     if point.boundary == "min_distortion":
         return allocation, point.rate
-    log_z, _, _ = _row_moments(problem, point.s)
     rate = float(np.dot(problem.source_probs, point.s * point.per_symbol_mean - log_z))
     return allocation, max(rate, 0.0)
 

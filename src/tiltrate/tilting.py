@@ -157,14 +157,25 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s):
     """
     if isinstance(s, np.ndarray) and s.ndim == 1:
         return _by_force(_tilted_moments, log_weights, values, s)
-    block = max(1, _BLOCK_ENTRIES // values.shape[1])
-    if values.shape[0] > block:
-        shared = log_weights.shape[0] == 1
-        parts = [
-            _tilted_moments(log_weights if shared else log_weights[i : i + block], values[i : i + block], s)
-            for i in range(0, values.shape[0], block)
-        ]
-        return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
+    return _by_rows(_moments, log_weights, (values,), s)
+
+
+def _by_rows(kernel, log_weights: np.ndarray, tables: tuple, *args):
+    """``kernel(log_weights, *tables, *args)``'s per-row outputs, taken in blocks of rows of about
+    ``_BLOCK_ENTRIES`` entries; ``log_weights`` has one row per table row, or one shared row."""
+    rows, step = tables[0].shape[0], max(1, _BLOCK_ENTRIES // tables[0].shape[1])
+    if rows <= step:
+        return kernel(log_weights, *tables, *args)
+    shared = log_weights.shape[0] == 1
+    parts = [
+        kernel(log_weights if shared else log_weights[i : i + step], *(t[i : i + step] for t in tables), *args)
+        for i in range(0, rows, step)
+    ]
+    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
+
+
+def _moments(log_weights: np.ndarray, values: np.ndarray, s):
+    """``_tilted_moments`` on one block of rows."""
     # dividing the sums by z, not the weights by z, is the cheaper order
     w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=-1)
@@ -227,8 +238,9 @@ _END_REL = 4.0 * float(np.finfo(float).eps)
 
 
 def _legendre(log_weights, values, row_weights, target: float, tol: float, *, nonpositive=False):
-    """(s, end_cost): the force at which the row-weighted tilted mean D(s) of
-    ``values`` hits ``target``, and the rate an end of its range costs.
+    """(s, end_cost, moments): the force at which the row-weighted tilted mean
+    D(s) of ``values`` hits ``target``, the rate an end of its range costs, and
+    the kernel's per-row moments at s (None at an end), each force evaluated once.
 
     D runs from its floor (s -> -inf) to its ceiling (s -> +inf), or with
     ``nonpositive`` to D(0), and a target at or above D(0) gets s = 0.  A
@@ -236,15 +248,19 @@ def _legendre(log_weights, values, row_weights, target: float, tol: float, *, no
     end's size) of an end gets s = -inf or +inf and end_cost = -sum_x w_x
     ln(mass of row x at that end), read from the raw table; beyond an end
     it raises ``LevelInfeasibleError``.  Otherwise s solves
-    ``|D(s) - target| <= tol * span`` and end_cost is nan.
+    ``|D(s) - target| <= tol * span`` and end_cost is nan.  A nan target raises
+    ``ValidationError``.
     """
+    if math.isnan(target):
+        raise ValidationError("the target level must be a number, not nan")
     vmin, vmax = _row_ends(log_weights, values)
     floor, ceiling = float(np.dot(row_weights, vmin)), float(np.dot(row_weights, vmax))
-    top = ceiling
+    top, at_zero = ceiling, None
     if nonpositive:
-        top = min(float(np.dot(row_weights, _tilted_moments(log_weights, values, 0.0)[1])), ceiling)
+        at_zero = _tilted_moments(log_weights, values, 0.0)
+        top = min(float(np.dot(row_weights, at_zero[1])), ceiling)
         if target >= top:
-            return 0.0, math.nan
+            return 0.0, math.nan, at_zero
     span = top - floor
     for end, row_end, sign in [(floor, vmin, -1.0)] + ([] if nonpositive else [(ceiling, vmax, 1.0)]):
         band = VALUE_MERGE_TOL * span + _END_REL * abs(end)
@@ -254,12 +270,14 @@ def _legendre(log_weights, values, row_weights, target: float, tol: float, *, no
             at_end = sign * (values - row_end[:, None]) >= -VALUE_MERGE_TOL * (vmax - vmin)[:, None]
             log_mass = _tilted_law(np.where(at_end, log_weights, -math.inf), values, 0.0)[1]
             # 0.0 - x: an end that holds all the mass costs 0.0, not -0.0
-            return sign * math.inf, 0.0 - float(np.dot(row_weights, log_mass))
-    return _force_at_mean(log_weights, values, row_weights, (vmin, vmax), target, tol * span,
-                          nonpositive=nonpositive), math.nan
+            return sign * math.inf, 0.0 - float(np.dot(row_weights, log_mass)), None
+    s = _force_at_mean(log_weights, values, row_weights, (vmin, vmax), target, tol * span,
+                       nonpositive=nonpositive, zero_moments=at_zero)
+    return s, math.nan, _tilted_moments(log_weights, values, s)
 
 
-def _force_at_mean(log_weights, values, row_weights, ends, target: float, f_tol: float, *, nonpositive=False):
+def _force_at_mean(log_weights, values, row_weights, ends, target: float, f_tol: float, *, nonpositive=False,
+                   zero_moments=None):
     """Force s at which the row-weighted tilted mean D(s) of ``values`` hits ``target``.
 
     D runs from its floor Dmin (s -> -inf, every row at its least value of
@@ -269,7 +287,8 @@ def _force_at_mean(log_weights, values, row_weights, ends, target: float, f_tol:
     1 / (Dmax - D)): it is exactly linear in s for one row of two values
     and close to linear far out in either tail, where D itself flattens
     out exponentially.  The logit tolerance is set so that it implies
-    ``|D(s) - target| <= f_tol``; ``nonpositive`` keeps s <= 0.
+    ``|D(s) - target| <= f_tol``; ``nonpositive`` keeps s <= 0.  ``zero_moments``
+    are the kernel's moments at s = 0, when the caller has them.
     """
     vmin, vmax = ends
     ranges = vmax - vmin
@@ -279,8 +298,8 @@ def _force_at_mean(log_weights, values, row_weights, ends, target: float, f_tol:
     if not (gap_lo > 0.0 and gap_hi > 0.0):
         raise BracketError(f"target {target!r} is not strictly inside the range of the tilted mean")
 
-    def logit_and_slope(u: float):
-        _, means, variances = _tilted_moments(log_weights, values, u)
+    def logit_and_slope(u: float, moments=None):
+        _, means, variances = moments or _tilted_moments(log_weights, values, u)
         above = means - vmin
         a = float(np.dot(row_weights, above))
         b = float(np.dot(row_weights, ranges - above))
@@ -291,7 +310,7 @@ def _force_at_mean(log_weights, values, row_weights, ends, target: float, f_tol:
     # Bracket from 0 to twice the Newton step from 0, whose value and slope
     # are computed once and reused: that step is exact for one row of two
     # values and sets the problem's own force scale otherwise.
-    at_zero = logit_and_slope(0.0)
+    at_zero = logit_and_slope(0.0, zero_moments)
     if not at_zero[1] > 0.0:
         raise BracketError("the tilted mean does not move at zero force")
     goal = math.log(gap_lo / gap_hi)
@@ -337,7 +356,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
     -ln(prob of that endpoint); levels outside the support raise.
     """
     try:
-        s, end_cost = _legendre(*_one_row(dist), np.ones(1), level, tol)
+        s, end_cost, moments = _legendre(*_one_row(dist), np.ones(1), level, tol)
     except LevelInfeasibleError:
         if dist.size > 1:
             raise
@@ -346,7 +365,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
         ) from None
     if math.isinf(s):
         return RateResult(level=dist.min_value if s < 0.0 else dist.max_value, force=s, rate=end_cost)
-    return RateResult(level=float(level), force=float(s), rate=max(s * level - log_mgf(dist, s), 0.0))
+    return RateResult(level=float(level), force=float(s), rate=max(s * level - float(moments[0][0]), 0.0))
 
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:

@@ -135,6 +135,11 @@ class TestQuasistaticWork:
     def test_zero_sweep(self, bss):
         assert quasistatic_work(from_rd_problem(bss), 0.0) == 0.0
 
+    @pytest.mark.parametrize("lam", [math.nan, -math.inf, math.inf])
+    def test_non_finite_final_force_rejected(self, bss, lam):
+        with pytest.raises(ValidationError, match="lam_final must be finite"):
+            quasistatic_work(from_rd_problem(bss), lam)
+
 
 class TestProtocol:
     def test_brackets_quasistatic(self, bss):
@@ -179,6 +184,10 @@ class TestProtocol:
 
 
 class TestEntropyAtEnergy:
+    def test_nan_energy_rejected(self):
+        with pytest.raises(ValidationError, match="not nan"):
+            entropy_at_energy(FiniteDistribution([0.0, 1.0], [0.5, 0.5]), math.nan)
+
     def test_flat_two_level_midpoint(self):
         d = FiniteDistribution([0.0, 1.0], [0.5, 0.5])
         assert entropy_at_energy(d, 0.5) == pytest.approx(LN2, abs=1e-12)

@@ -381,3 +381,53 @@ class TestNumericalFailure:
         assert code == 2
         assert out == ""
         assert "numerical failure" in err
+
+
+class TestNonFiniteInputs:
+    """NaN in any float flag, and a non-finite force or final force, exit 1."""
+
+    @staticmethod
+    def exit_code(argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["rd", "point", "--delta=nan"],
+        ["rd", "point", "--force=nan"],
+        ["rd2", "--delta1=nan", "--delta2=0.4"],
+        ["rd2", "--delta1=0.3", "--delta2=nan"],
+        ["chain", "work", "--lambda-final=nan"],
+        ["chain", "equilibrium", "--length=nan"],
+        ["oracle", "exact", "--n", "6", "--delta=nan"],
+        ["oracle", "ba", "--force=nan"],
+        ["oracle", "alloc", "--delta=nan"],
+        ["oracle", "grid", "--delta=nan"],
+        ["oracle", "grid", "--delta=0.3", "--s-min=nan"],
+    ])
+    def test_nan_flag_exits_1(self, capsys, argv):
+        code, captured = self.exit_code([*argv, "--config", "configs/two_budget.cfg"], capsys)
+        assert code == 1
+        assert captured.out == ""
+        flag = next(a for a in argv if a.endswith("=nan")).split("=")[0]
+        assert f"argument {flag}: must be a number, not nan" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rd", "point", "--force=-inf"], "force s must be finite"),
+        (["rd", "point", "--force=-inf", "--allocation", "--bounds", "4"], "force s must be finite"),
+        (["chain", "work", "--lambda-final=-inf"], "lam_final must be finite"),
+    ])
+    def test_infinite_force_exits_1(self, capsys, bss_cfg, argv, message):
+        code, captured = self.exit_code([*argv, "--config", bss_cfg], capsys)
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_infinite_budget_keeps_its_zero_force_row(self, capsys, bss_cfg):
+        code, captured = self.exit_code(["rd", "point", "--delta=inf", "--config", bss_cfg], capsys)
+        assert code == 0
+        vals = pairs_of(captured.out)
+        assert vals["boundary"] == "above_zero_force"
+        assert vals["s"] == "0"

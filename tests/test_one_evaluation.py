@@ -1,0 +1,162 @@
+"""Every solve evaluates each force once, and full-table quantities are taken in the kernel's row blocks.
+
+Kernel calls are counted by wrapping ``_tilted_moments`` in every module
+that calls it.  The row-blocked results are checked bit for bit against
+in-test full-table references.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from tiltrate import (
+    Channel,
+    ChainSystem,
+    ElementArray,
+    FiniteDistribution,
+    RdProblem,
+    RdProblem2,
+    capacity_point,
+    distortion_at_force,
+    entropy_at_energy,
+    equal_force_allocation,
+    equilibrium_force,
+    force_at_distortion,
+    rate_legendre,
+)
+from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
+from tiltrate.errors import LengthInfeasibleError
+from tiltrate.multiconstraint import _stats
+from tiltrate.tilting import _BLOCK_ENTRIES, _force_at_mean, _row_ends, _tilted_law
+
+from conftest import feasible_delta, random_problem
+
+
+@pytest.fixture
+def forces(monkeypatch):
+    """Every force the kernel is evaluated at, in call order."""
+    seen = []
+    kernel = tilting._tilted_moments
+
+    def counted(log_weights, values, s):
+        seen.append(s)
+        return kernel(log_weights, values, s)
+
+    for module in (tilting, ratedistortion, capacity, chain, multiconstraint):
+        if hasattr(module, "_tilted_moments"):
+            monkeypatch.setattr(module, "_tilted_moments", counted)
+    return seen
+
+
+def problems():
+    rng = np.random.default_rng(7)
+    return [RdProblem([0.7, 0.3], [0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]])] + [random_problem(rng) for _ in range(6)]
+
+
+def interior(problem):
+    return feasible_delta(np.random.default_rng(11), problem)
+
+
+class TestEachForceOnce:
+    @pytest.mark.parametrize("solve", [force_at_distortion, rate_legendre, equal_force_allocation])
+    def test_zero_force_once_per_rd_solve(self, forces, solve):
+        for problem in problems():
+            for delta in (interior(problem), distortion_at_force(problem, 0.0).distortion, 1e9):
+                forces.clear()
+                solve(problem, delta)
+                assert forces.count(0.0) == 1
+
+    def test_allocation_adds_no_evaluation(self, forces):
+        for problem in problems():
+            delta = interior(problem)
+            forces.clear()
+            point = force_at_distortion(problem, delta)
+            solve_calls = list(forces)
+            forces.clear()
+            _, rate = equal_force_allocation(problem, delta)
+            assert forces == solve_calls
+            assert forces.count(point.s) == 1
+            assert rate == pytest.approx(point.rate, rel=1e-12)
+
+    def test_zero_force_once_per_capacity_point(self, forces):
+        rng = np.random.default_rng(3)
+        channels = [Channel([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5])]
+        channels += [Channel(rng.dirichlet(np.ones(4), size=3), rng.dirichlet(np.ones(3))) for _ in range(5)]
+        for channel in channels:
+            forces.clear()
+            point = capacity_point(channel)
+            assert forces.count(0.0) == 1
+            assert point.s_star == pytest.approx(-1.0, abs=1e-9)
+
+    def test_zero_force_once_per_entropy(self, forces):
+        spectrum = FiniteDistribution([0.0, 0.4, 1.0, 1.7], [0.1, 0.2, 0.3, 0.4])
+        for energy in (0.3, 0.9, spectrum.mean, 1.6):
+            forces.clear()
+            entropy_at_energy(spectrum, energy)
+            assert forces.count(0.0) == 1
+
+
+def full_table_stats(problem, s, delta1, delta2):
+    """The two-force objective, gradient and covariance from whole-table temporaries."""
+    d1, d2 = problem.distortion_1, problem.distortion_2
+    p = problem.source_probs
+    cond, phi = _tilted_law(np.log(problem.coding_probs)[None, :], s[0] * d1 + s[1] * d2, 1.0)
+    m1 = np.einsum("ij,ij->i", cond, d1)
+    m2 = np.einsum("ij,ij->i", cond, d2)
+    c1 = d1 - m1[:, None]
+    c2 = d2 - m2[:, None]
+    cov11 = float(np.dot(p, np.einsum("ij,ij,ij->i", cond, c1, c1)))
+    cov22 = float(np.dot(p, np.einsum("ij,ij,ij->i", cond, c2, c2)))
+    cov12 = float(np.dot(p, np.einsum("ij,ij,ij->i", cond, c1, c2)))
+    value = s[0] * delta1 + s[1] * delta2 - float(np.dot(p, phi))
+    grad = np.array([delta1 - float(np.dot(p, m1)), delta2 - float(np.dot(p, m2))])
+    return value, grad, np.array([[cov11, cov12], [cov12, cov22]])
+
+
+ROWS_PER_BLOCK = _BLOCK_ENTRIES // 512  # rows of 512 entries in one block of the kernel
+
+
+class TestBlockedTwoForceStats:
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (64, 64), (512, 512)] + [
+        (ROWS_PER_BLOCK + n, 512) for n in (-1, 0, 1)])
+    def test_equals_full_table_reference(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols)
+        problem = RdProblem2(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)),
+                             rng.random((rows, cols)), 3.0 * rng.random((rows, cols)) - 1.0)
+        for s in (np.zeros(2), np.array([-1.3, -0.7]), np.array([-40.0, 0.0])):
+            value, grad, cov = _stats(problem, s, 0.3, 0.4)
+            want = full_table_stats(problem, s, 0.3, 0.4)
+            assert value == want[0]
+            assert np.array_equal(grad, want[1])
+            assert np.array_equal(cov, want[2])
+
+
+def per_array_equilibrium(system, target, tol=1e-10):
+    """The equilibrium force with its range summed one array at a time."""
+    lo = sum(a.fraction * float(a.state_lengths.min()) for a in system.arrays)
+    hi = sum(a.fraction * float(a.state_lengths.max()) for a in system.arrays)
+    fractions, log_w, lengths = chain._table(system)
+    s = _force_at_mean(log_w, lengths, fractions, _row_ends(log_w, lengths), target, tol * (hi - lo))
+    return lo, hi, s / system.beta
+
+
+class TestEquilibriumRange:
+    @pytest.mark.parametrize("arrays", [3, 70, 600])
+    def test_ragged_arrays_match_the_per_array_reference(self, arrays):
+        rng = np.random.default_rng(arrays)
+        sizes = rng.integers(1, 9, size=arrays)
+        fractions = rng.dirichlet(np.ones(arrays))
+        system = ChainSystem(
+            arrays=tuple(ElementArray(rng.normal(size=n) * 3.0, rng.random(n), f) for n, f in zip(sizes, fractions)),
+            beta=1.7,
+        )
+        lo, hi, _ = per_array_equilibrium(system, 0.0)
+        for u in (0.1, 0.5, 0.93):
+            target = lo + u * (hi - lo)
+            assert equilibrium_force(system, target) == per_array_equilibrium(system, target)[2]
+        for end in (lo, hi):
+            with pytest.raises(LengthInfeasibleError) as raised:
+                equilibrium_force(system, end)
+            assert f"({lo!r}, {hi!r})" in str(raised.value)
+        assert math.isfinite(lo) and math.isfinite(hi)

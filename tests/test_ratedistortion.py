@@ -96,6 +96,17 @@ class TestForceAtDistortion:
         with pytest.raises(DistortionTooLowError):
             force_at_distortion(bss, -0.01)
 
+    def test_nan_budget_rejected(self, bss):
+        # a nan budget is bad input, not a failed solve
+        with pytest.raises(ValidationError, match="not nan"):
+            force_at_distortion(bss, math.nan)
+        with pytest.raises(ValidationError, match="not nan"):
+            equal_force_allocation(bss, math.nan)
+
+    def test_infinite_budget_is_the_zero_force_point(self, bss):
+        pt = force_at_distortion(bss, math.inf)
+        assert (pt.s, pt.rate, pt.boundary) == (0.0, 0.0, "above_zero_force")
+
     def test_asym_floor_rate(self, asym):
         pt = force_at_distortion(asym, 0.0)
         assert pt.rate == pytest.approx(LN2, abs=1e-12)
@@ -170,6 +181,11 @@ class TestDistortionAtForce:
         rates = [p.rate for p in pts]
         assert all(a <= b + 1e-12 for a, b in zip(dists, dists[1:]))
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("s", [math.nan, -math.inf, math.inf])
+    def test_non_finite_force_rejected(self, bss, s):
+        with pytest.raises(ValidationError, match="must be finite"):
+            distortion_at_force(bss, s)
 
 
 class TestRateLegendre:

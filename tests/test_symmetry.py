@@ -1,0 +1,121 @@
+"""Relabelling the letters, shifting a row of the table with the budget, and the chain's
+beta/lambda reparametrisation leave every rate and every equilibrium force unchanged."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tiltrate import (
+    Channel,
+    RdProblem,
+    RdProblem2,
+    capacity_point,
+    equal_force_allocation,
+    equilibrium_force,
+    from_rd_problem,
+    rate_legendre,
+    rate_two_distortions,
+)
+
+REL = 1e-9
+
+seeds = st.integers(0, 2**32 - 1)
+budgets = st.floats(0.05, 0.95)
+
+
+def draw(seed: int):
+    """Source law, coding law and two tables of a random problem."""
+    rng = np.random.default_rng(seed)
+    k, j = (int(n) for n in rng.integers(2, 7, size=2))
+    return rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(j)), rng.random((k, j)), rng.random((k, j))
+
+
+def interior_budget(p, q, d, u: float) -> float:
+    floor = float(p @ d.min(axis=1))
+    return floor + u * (float(p @ (d @ q)) - floor)
+
+
+def pair_budgets(p, q, d1, d2, s1: float, s2: float):
+    """The tilted means at force pair (s1, s2): a pair on the frontier."""
+    law = q * np.exp(s1 * d1 + s2 * d2)
+    law /= law.sum(axis=1, keepdims=True)
+    return float(p @ (law * d1).sum(axis=1)), float(p @ (law * d2).sum(axis=1))
+
+
+def permuted(seed: int, p, q, *tables):
+    """The laws and tables with rows and columns relabelled at random."""
+    rng = np.random.default_rng([seed, 1])
+    rows, cols = rng.permutation(p.size), rng.permutation(q.size)
+    return (p[rows], q[cols], *(t[np.ix_(rows, cols)] for t in tables))
+
+
+@given(seeds, budgets)
+@settings(max_examples=60, deadline=None)
+def test_rd_rates_invariant_under_relabelling(seed, u):
+    p, q, d, _ = draw(seed)
+    delta = interior_budget(p, q, d, u)
+    problem, relabelled = RdProblem(p, q, d), RdProblem(*permuted(seed, p, q, d))
+    assert rate_legendre(relabelled, delta) == pytest.approx(rate_legendre(problem, delta), rel=REL)
+    assert equal_force_allocation(relabelled, delta)[1] == pytest.approx(
+        equal_force_allocation(problem, delta)[1], rel=REL)
+
+
+@given(seeds, st.floats(-3.0, -0.1), st.floats(-3.0, -0.1))
+@settings(max_examples=60, deadline=None)
+def test_two_budget_rate_invariant_under_relabelling(seed, s1, s2):
+    p, q, d1, d2 = draw(seed)
+    delta1, delta2 = pair_budgets(p, q, d1, d2, s1, s2)
+    rate = rate_two_distortions(RdProblem2(p, q, d1, d2), delta1, delta2)[0]
+    relabelled = RdProblem2(*permuted(seed, p, q, d1, d2))
+    assert rate_two_distortions(relabelled, delta1, delta2)[0] == pytest.approx(rate, rel=REL)
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_capacity_rate_invariant_under_relabelling(seed):
+    rng = np.random.default_rng(seed)
+    inputs, outputs = (int(n) for n in rng.integers(2, 7, size=2))
+    law, transition = rng.dirichlet(np.ones(inputs)), rng.dirichlet(np.ones(outputs), size=inputs)
+    rate = capacity_point(Channel(transition, law)).rate
+    relabelled_law, _, relabelled = permuted(seed, law, np.ones(outputs), transition)
+    assert capacity_point(Channel(relabelled, relabelled_law)).rate == pytest.approx(rate, rel=REL)
+
+
+@given(seeds, budgets, st.floats(0.5, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_equilibrium_force_invariant_under_relabelling(seed, u, beta):
+    p, q, d, _ = draw(seed)
+    target = float(p @ d.min(axis=1)) + u * float(p @ np.ptp(d, axis=1))
+    lam = equilibrium_force(from_rd_problem(RdProblem(p, q, d), beta), target)
+    relabelled = from_rd_problem(RdProblem(*permuted(seed, p, q, d)), beta)
+    assert equilibrium_force(relabelled, target) == pytest.approx(lam, rel=REL)
+
+
+@given(seeds, budgets, st.floats(-3.0, -0.1), st.floats(-3.0, -0.1))
+@settings(max_examples=60, deadline=None)
+def test_rates_invariant_under_row_shifts(seed, u, s1, s2):
+    p, q, d1, d2 = draw(seed)
+    rng = np.random.default_rng([seed, 2])
+    c1, c2 = rng.uniform(-10.0, 10.0, size=(2, p.size))
+    shifted1, shifted2 = d1 + c1[:, None], d2 + c2[:, None]
+    delta = interior_budget(p, q, d1, u)
+    moved = delta + float(p @ c1)
+    problem, shifted = RdProblem(p, q, d1), RdProblem(p, q, shifted1)
+    assert rate_legendre(shifted, moved) == pytest.approx(rate_legendre(problem, delta), rel=REL)
+    assert equal_force_allocation(shifted, moved)[1] == pytest.approx(
+        equal_force_allocation(problem, delta)[1], rel=REL)
+    delta1, delta2 = pair_budgets(p, q, d1, d2, s1, s2)
+    rate = rate_two_distortions(RdProblem2(p, q, d1, d2), delta1, delta2)[0]
+    moved_pair = rate_two_distortions(RdProblem2(p, q, shifted1, shifted2), delta1 + float(p @ c1), delta2 + float(p @ c2))
+    assert moved_pair[0] == pytest.approx(rate, rel=REL)
+
+
+@given(seeds, budgets, st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+@settings(max_examples=60, deadline=None)
+def test_chain_force_times_beta_invariant_under_reparametrisation(seed, u, beta):
+    # energies -ln Q / beta: the Boltzmann weights at beta are the coding law for every beta
+    p, q, d, _ = draw(seed)
+    problem = RdProblem(p, q, d)
+    target = float(p @ d.min(axis=1)) + u * float(p @ np.ptp(d, axis=1))
+    s = equilibrium_force(from_rd_problem(problem, 1.0), target)
+    assert beta * equilibrium_force(from_rd_problem(problem, beta), target) == pytest.approx(s, rel=REL)

@@ -149,6 +149,10 @@ class TestForceAtLevel:
         assert res.force == pytest.approx(math.log(1.0 / 3.0), abs=1e-9)
         assert res.rate == pytest.approx(0.13081203594113698, abs=1e-10)
 
+    def test_nan_level_rejected(self):
+        with pytest.raises(ValidationError, match="not nan"):
+            force_at_level(coin(), math.nan)
+
     def test_level_at_mean_gives_zero(self):
         res = force_at_level(coin(), 0.5)
         assert res.force == pytest.approx(0.0, abs=1e-12)
