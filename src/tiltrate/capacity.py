@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _legendre
+from .tilting import PROB_TOL, _frozen, _law, _legendre
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -40,16 +40,7 @@ class Channel:
         row_sums = w.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > PROB_TOL):
             raise ValidationError("each transition row must sum to 1")
-        if np.any(q < 0.0) or not np.all(np.isfinite(q)):
-            raise ValidationError("input_probs must be finite and nonnegative")
-        if abs(float(q.sum()) - 1.0) > PROB_TOL:
-            raise ValidationError("input_probs must sum to 1")
-        w = np.array(w)
-        q = np.array(q)
-        w.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "transition", w)
-        object.__setattr__(self, "input_probs", q)
+        _frozen(self, transition=w, input_probs=_law(q, "input_probs"))
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,11 @@ from .errors import (
 from .ratedistortion import RdProblem
 from .solvers import adaptive_simpson
 from .tilting import (
-    PROB_TOL,
     VALUE_MERGE_TOL,
     FiniteDistribution,
     _force_at_mean,
+    _frozen,
+    _law,
     _legendre,
     _one_row,
     _riemann_sums,
@@ -74,12 +75,7 @@ class ElementArray:
             raise ValidationError("state_lengths and state_energies must be finite")
         if not (math.isfinite(self.fraction) and self.fraction >= 0.0):
             raise ValidationError("fraction must be a nonnegative real")
-        y = np.array(y)
-        e = np.array(e)
-        y.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "state_lengths", y)
-        object.__setattr__(self, "state_energies", e)
+        _frozen(self, state_lengths=y, state_energies=e)
         object.__setattr__(self, "fraction", float(self.fraction))
 
 
@@ -97,9 +93,7 @@ class ChainSystem:
             raise ValidationError("beta must be a positive real")
         if not (math.isfinite(self.boltzmann_k) and self.boltzmann_k > 0.0):
             raise ValidationError("boltzmann_k must be a positive real")
-        total = sum(a.fraction for a in arrays)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"array fractions must sum to 1 within {PROB_TOL} (got {total!r})")
+        _law([a.fraction for a in arrays], "array fractions")
         object.__setattr__(self, "arrays", arrays)
 
     @property

@@ -22,7 +22,7 @@ from . import multiconstraint as mc
 from . import oracles
 from . import ratedistortion as rd
 from .config import ProblemConfig, load_config
-from .errors import ConfigError, NumericalError, TiltrateError, ValidationError
+from .errors import NumericalError, ValidationError
 
 __all__ = ["main"]
 
@@ -131,8 +131,7 @@ def _point_pairs(problem: rd.RdProblem, point: rd.RdPoint) -> list[tuple[str, ob
     return pairs
 
 
-def _cmd_rd_curve(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_rd_curve(args, cfg: ProblemConfig) -> tuple:
     grid = _parse_grid(args.grid)
     if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):
         raise ValidationError("rd curve grid values must be finite and <= 0")
@@ -148,8 +147,7 @@ def _cmd_rd_curve(args) -> tuple:
     return ("table", header, [[pt.s, pt.distortion, pt.rate, pt.mmse, *pt.per_symbol_mean] for pt in points])
 
 
-def _cmd_rd_point(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_rd_point(args, cfg: ProblemConfig) -> tuple:
     if args.force is None and args.delta is None:
         raise ValidationError("rd point needs --delta or --force")
     if args.force is not None and args.delta is not None:
@@ -198,8 +196,7 @@ def _cmd_rd_point(args) -> tuple:
     return ("pairs", pairs)
 
 
-def _cmd_capacity(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_capacity(args, cfg: ProblemConfig) -> tuple:
     channel = cfg.channel()
     point = cap.capacity_point(channel)
     info = cap.mutual_information(channel)
@@ -215,8 +212,7 @@ def _cmd_capacity(args) -> tuple:
     )
 
 
-def _cmd_rd2(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_rd2(args, cfg: ProblemConfig) -> tuple:
     problem = cfg.rd_problem2()
     rate, s1, s2 = mc.rate_two_distortions(problem, args.delta1, args.delta2, tol=args.tol)
     return (
@@ -231,8 +227,7 @@ def _cmd_rd2(args) -> tuple:
     )
 
 
-def _cmd_chain_work(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_chain_work(args, cfg: ProblemConfig) -> tuple:
     system = cfg.chain_system()
     problem = cfg.rd_problem()
     lam = args.lambda_final
@@ -255,8 +250,7 @@ def _cmd_chain_work(args) -> tuple:
     )
 
 
-def _cmd_chain_equilibrium(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_chain_equilibrium(args, cfg: ProblemConfig) -> tuple:
     system = cfg.chain_system()
     lam = chain_mod.equilibrium_force(system, args.length, tol=args.tol)
     pairs: list[tuple[str, object]] = [
@@ -268,8 +262,7 @@ def _cmd_chain_equilibrium(args) -> tuple:
     return ("pairs", pairs)
 
 
-def _cmd_chain_protocol(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_chain_protocol(args, cfg: ProblemConfig) -> tuple:
     system = cfg.chain_system()
     schedule = _parse_grid(args.schedule)
     left, right = chain_mod.protocol_work_bounds(system, schedule)
@@ -286,8 +279,7 @@ def _cmd_chain_protocol(args) -> tuple:
     )
 
 
-def _cmd_oracle_exact(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_oracle_exact(args, cfg: ProblemConfig) -> tuple:
     problem = cfg.rd_problem()
     prob, exponent = oracles.exact_ld_probability(problem, args.n, args.delta)
     rate = rd.rate_legendre(problem, args.delta, tol=args.tol)
@@ -302,8 +294,7 @@ def _cmd_oracle_exact(args) -> tuple:
     )
 
 
-def _cmd_oracle_ba(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_oracle_ba(args, cfg: ProblemConfig) -> tuple:
     source = cfg._need("source_probs")
     table = cfg._need("distortion")
     result = oracles.blahut_arimoto(source, table, args.force, tol=args.tol, max_iter=args.max_iter)
@@ -323,8 +314,7 @@ def _cmd_oracle_ba(args) -> tuple:
     return ("pairs", pairs)
 
 
-def _cmd_oracle_alloc(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_oracle_alloc(args, cfg: ProblemConfig) -> tuple:
     problem = cfg.rd_problem()
     brute = oracles.brute_allocation_min(problem, args.delta, args.grid_points)
     rate = rd.rate_legendre(problem, args.delta, tol=args.tol)
@@ -338,8 +328,7 @@ def _cmd_oracle_alloc(args) -> tuple:
     )
 
 
-def _cmd_oracle_grid(args) -> tuple:
-    cfg = load_config(args.config)
+def _cmd_oracle_grid(args, cfg: ProblemConfig) -> tuple:
     problem = cfg.rd_problem()
     grid_max = oracles.legendre_grid_max(
         problem, args.delta, s_min=args.s_min, points=args.points
@@ -362,11 +351,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub) -> None:
+def _command(group, name: str, help: str, handler):
+    """A leaf command of ``group`` running ``handler``, with the options every command takes."""
+    sub = group.add_parser(name, help=help)
     sub.add_argument("--config", required=True, help="problem definition (JSON or key = value)")
     sub.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver tolerance, finite and > 0")
     sub.add_argument("--output", default=None, help="write to this file instead of stdout")
     sub.add_argument("--json", action="store_true", help="emit JSON instead of CSV")
+    sub.set_defaults(handler=handler)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,76 +369,54 @@ def build_parser() -> argparse.ArgumentParser:
     rd_parser = top.add_parser("rd", help="rate-distortion curve and points")
     rd_sub = rd_parser.add_subparsers(dest="subcommand", required=True)
 
-    curve = rd_sub.add_parser("curve", help="curve on a force grid")
-    _add_common(curve)
+    curve = _command(rd_sub, "curve", "curve on a force grid", _cmd_rd_curve)
     curve.add_argument("--grid", required=True, help="force grid: lo:hi:count or a comma list")
-    curve.set_defaults(handler=_cmd_rd_curve)
 
-    point = rd_sub.add_parser("point", help="one point, by budget or by force")
-    _add_common(point)
+    point = _command(rd_sub, "point", "one point, by budget or by force", _cmd_rd_point)
     point.add_argument("--delta", type=float, default=None, help="distortion budget")
     point.add_argument("--force", type=float, default=None, help="tilt force s <= 0")
     point.add_argument("--bounds", type=int, default=0, metavar="STEPS", help="print sandwich sums over a uniform partition")
     point.add_argument("--allocation", action="store_true", help="print the equal-force budget split")
     point.add_argument("--integral-route", action="store_true", help="print the mmse-integral rate next to the Legendre rate")
     point.add_argument("--observable", action="store_true", help="sweep the configured observable to this point")
-    point.set_defaults(handler=_cmd_rd_point)
 
-    capacity_parser = top.add_parser("capacity", help="channel rate via the distortion route")
-    _add_common(capacity_parser)
-    capacity_parser.set_defaults(handler=_cmd_capacity)
+    _command(top, "capacity", "channel rate via the distortion route", _cmd_capacity)
 
-    rd2 = top.add_parser("rd2", help="two simultaneous distortion budgets")
-    _add_common(rd2)
+    rd2 = _command(top, "rd2", "two simultaneous distortion budgets", _cmd_rd2)
     rd2.add_argument("--delta1", type=float, required=True)
     rd2.add_argument("--delta2", type=float, required=True)
-    rd2.set_defaults(handler=_cmd_rd2)
 
     chain_parser = top.add_parser("chain", help="mechanical chain emulator")
     chain_sub = chain_parser.add_subparsers(dest="subcommand", required=True)
 
-    work = chain_sub.add_parser("work", help="quasistatic work against the rate")
-    _add_common(work)
+    work = _command(chain_sub, "work", "quasistatic work against the rate", _cmd_chain_work)
     work.add_argument("--lambda-final", type=float, required=True, dest="lambda_final")
-    work.set_defaults(handler=_cmd_chain_work)
 
-    equilibrium = chain_sub.add_parser("equilibrium", help="force that holds a mean length")
-    _add_common(equilibrium)
+    equilibrium = _command(chain_sub, "equilibrium", "force that holds a mean length", _cmd_chain_equilibrium)
     equilibrium.add_argument("--length", type=float, required=True)
-    equilibrium.set_defaults(handler=_cmd_chain_equilibrium)
 
-    protocol = chain_sub.add_parser("protocol", help="stepwise force schedule work")
-    _add_common(protocol)
+    protocol = _command(chain_sub, "protocol", "stepwise force schedule work", _cmd_chain_protocol)
     protocol.add_argument("--schedule", required=True, help="force schedule: lo:hi:count or a comma list")
-    protocol.set_defaults(handler=_cmd_chain_protocol)
 
     oracle_parser = top.add_parser("oracle", help="independent cross-checks")
     oracle_sub = oracle_parser.add_subparsers(dest="subcommand", required=True)
 
-    exact = oracle_sub.add_parser("exact", help="exact finite-block event probability")
-    _add_common(exact)
+    exact = _command(oracle_sub, "exact", "exact finite-block event probability", _cmd_oracle_exact)
     exact.add_argument("--n", type=int, required=True)
     exact.add_argument("--delta", type=float, required=True)
-    exact.set_defaults(handler=_cmd_oracle_exact)
 
-    ba = oracle_sub.add_parser("ba", help="optimal coding law at a slope")
-    _add_common(ba)
+    ba = _command(oracle_sub, "ba", "optimal coding law at a slope", _cmd_oracle_ba)
     ba.add_argument("--force", type=float, required=True)
     ba.add_argument("--max-iter", type=int, default=500)
-    ba.set_defaults(handler=_cmd_oracle_ba)
 
-    alloc = oracle_sub.add_parser("alloc", help="brute-force budget split search")
-    _add_common(alloc)
+    alloc = _command(oracle_sub, "alloc", "brute-force budget split search", _cmd_oracle_alloc)
     alloc.add_argument("--delta", type=float, required=True)
     alloc.add_argument("--grid-points", type=int, default=400)
-    alloc.set_defaults(handler=_cmd_oracle_alloc)
 
-    grid = oracle_sub.add_parser("grid", help="dense-grid Legendre maximization")
-    _add_common(grid)
+    grid = _command(oracle_sub, "grid", "dense-grid Legendre maximization", _cmd_oracle_grid)
     grid.add_argument("--delta", type=float, required=True)
     grid.add_argument("--s-min", type=float, default=-50.0)
     grid.add_argument("--points", type=int, default=1001)
-    grid.set_defaults(handler=_cmd_oracle_grid)
 
     return parser
 
@@ -463,16 +434,12 @@ def main(argv=None) -> int:
         if isinstance(value, float) and math.isnan(value):
             parser.error(f"argument --{name.replace('_', '-')}: must be a number, not nan")
     try:
-        payload = args.handler(args)
-        _emit(args, payload)
-    except (ConfigError, ValidationError) as exc:
+        _emit(args, args.handler(args, load_config(args.config)))
+    except ValidationError as exc:
         print(f"tiltrate: error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"tiltrate: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except TiltrateError as exc:
-        print(f"tiltrate: error: {exc}", file=sys.stderr)
         return 2
     return 0
 

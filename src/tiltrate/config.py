@@ -148,13 +148,7 @@ def _from_mapping(doc: dict, path: str) -> ProblemConfig:
         elif key in _MATRIX_KEYS:
             setattr(cfg, key, _as_matrix(raw, key))
         else:
-            value = _as_scalar(raw, key)
-            if key == "beta":
-                cfg.beta = value
-            elif key == "k":
-                cfg.k = value
-            else:
-                cfg.temperature = value
+            setattr(cfg, key, _as_scalar(raw, key))
     return cfg
 
 

@@ -18,8 +18,8 @@ from .errors import (
     CompositionNotIntegralError,
     ValidationError,
 )
-from .ratedistortion import RdProblem, _clean_probs
-from .tilting import force_at_level
+from .ratedistortion import RdProblem
+from .tilting import _law, force_at_level
 
 __all__ = [
     "exact_ld_probability",
@@ -75,7 +75,8 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
 
     cutoff = n * delta + 0.5 * width
     prob = min(sum(pr for k, pr in acc.items() if k * width <= cutoff), 1.0)
-    exponent = math.inf if prob <= 0.0 else max(-math.log(prob) / n, 0.0)
+    # 0.0 - x: a certain event costs 0.0, not -0.0
+    exponent = math.inf if prob <= 0.0 else 0.0 - math.log(prob) / n
     return prob, exponent
 
 
@@ -145,6 +146,8 @@ def legendre_grid_max(
         raise ValidationError("points must be at least 3")
     if not s_min < 0.0:
         raise ValidationError("s_min must be negative")
+    if not math.isfinite(s_min):
+        raise ValidationError(f"s_min must be finite (got {s_min!r})")
     p = problem.source_probs
     dists = problem.delta_dists
 
@@ -204,7 +207,7 @@ def blahut_arimoto(
     iterations.  Stops when the rate moves less than ``tol`` between
     iterations, else returns the last iterate with ``converged=False``.
     """
-    p = _clean_probs(source_probs, "source_probs")
+    p = _law(source_probs, "source_probs")
     d = np.asarray(distortion, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
         raise ValidationError("distortion must have one row per source letter")

@@ -21,9 +21,10 @@ import numpy as np
 from .errors import DistortionTooLowError, LevelInfeasibleError, ValidationError
 from .solvers import adaptive_simpson
 from .tilting import (
-    PROB_TOL,
     FiniteDistribution,
     _check_partition,
+    _frozen,
+    _law,
     _legendre,
     _riemann_sums,
     _tilted_law,
@@ -50,24 +51,12 @@ __all__ = [
 ]
 
 
-def _clean_probs(vec, name: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float).ravel()
-    if v.size == 0:
-        raise ValidationError(f"{name} must be nonempty")
-    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
-        raise ValidationError(f"{name} must be finite and nonnegative")
-    total = float(v.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValidationError(f"{name} must sum to 1 within {PROB_TOL} (got {total!r})")
-    return v
-
-
 def _clean_tables(problem, *names: str) -> None:
     """Check a problem's two laws and its named tables, drop zero-probability
     source letters (rows) and reproduction letters (columns), and store them
     read-only on the (frozen) problem."""
-    p = _clean_probs(problem.source_probs, "source_probs")
-    q = _clean_probs(problem.coding_probs, "coding_probs")
+    p = _law(problem.source_probs, "source_probs")
+    q = _law(problem.coding_probs, "coding_probs")
     rows, cols = p > 0.0, q > 0.0
     kept = {"source_probs": p[rows], "coding_probs": q[cols]}
     for name in names:
@@ -77,9 +66,7 @@ def _clean_tables(problem, *names: str) -> None:
         if not np.all(np.isfinite(d)):
             raise ValidationError(f"{name} entries must all be finite")
         kept[name] = d[np.ix_(rows, cols)]
-    for name, arr in kept.items():
-        arr.setflags(write=False)
-        object.__setattr__(problem, name, arr)
+    _frozen(problem, **kept)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +133,6 @@ def _row_moments(problem: RdProblem, s):
 
 def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
     """Evaluate the curve parametrically at a finite force s (s <= 0 on the useful branch)."""
-    if not math.isfinite(s):
-        raise ValidationError(f"force s must be finite (got {s!r})")
     return _point(problem, s, *_row_moments(problem, s))
 
 

@@ -44,8 +44,31 @@ __all__ = [
     "kl_free_energy_gap",
 ]
 
-PROB_TOL = 1e-12  # probability vectors must sum to 1 within this
+PROB_TOL = 1e-12  # how far from 1 the sum of a probability law (``_law``) may be
 VALUE_MERGE_TOL = 1e-12  # outcome values closer than this times the value span are one outcome
+
+
+def _law(vec, name: str) -> np.ndarray:
+    """``vec`` as a flat float array, checked as a probability law: nonempty,
+    finite, nonnegative and summing to 1 within ``PROB_TOL``."""
+    v = np.asarray(vec, dtype=float).ravel()
+    if v.size == 0:
+        raise ValidationError(f"{name} must be nonempty")
+    if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+        raise ValidationError(f"{name} must be finite and nonnegative")
+    total = float(v.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValidationError(f"{name} must sum to 1 within {PROB_TOL} (got {total!r})")
+    return v
+
+
+def _frozen(obj, **arrays) -> None:
+    """Set each array on the frozen dataclass ``obj`` as a read-only copy of its own,
+    so no caller's array can change it and the caller's stays writable."""
+    for name, value in arrays.items():
+        value = np.array(value)
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,26 +92,14 @@ class FiniteDistribution:
             raise ValidationError("values and probs must be nonempty and equally long")
         if not np.all(np.isfinite(values)):
             raise ValidationError("values must all be finite")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValidationError("probs must be finite and nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"probs must sum to 1 within {PROB_TOL} (got {total!r})")
-        keep = probs > 0.0
-        if not keep.any():
-            raise ValidationError("probs must contain at least one positive entry")
+        keep = _law(probs, "probs") > 0.0
         values, probs = values[keep], probs[keep]
         order = np.argsort(values, kind="stable")
         values, probs = values[order], probs[order]
         tol = VALUE_MERGE_TOL * (values[-1] - values[0])
         starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
-        values = values[starts]
         probs = np.add.reduceat(probs, starts)
-        probs = probs / probs.sum()
-        values.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
+        _frozen(self, values=values[starts], probs=probs / probs.sum())
 
     @property
     def size(self) -> int:
@@ -154,10 +165,18 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s):
     tilts with |s * value| up to ~700 stay finite.  Large tables are taken
     a block of rows at a time, so the temporaries stay small.  For a 1-D
     array of forces ``s``, each output has one row per force (``_by_force``).
+    A scalar force must be finite (``_check_force``).
     """
     if isinstance(s, np.ndarray) and s.ndim == 1:
         return _by_force(_tilted_moments, log_weights, values, s)
+    _check_force(s)
     return _by_rows(_moments, log_weights, (values,), s)
+
+
+def _check_force(s) -> None:
+    """Refuse a non-finite scalar force; an array of forces comes from a grid its caller checked."""
+    if not isinstance(s, np.ndarray) and not math.isfinite(s):
+        raise ValidationError(f"force s must be finite (got {s!r})")
 
 
 def _by_rows(kernel, log_weights: np.ndarray, tables: tuple, *args):
@@ -215,6 +234,7 @@ def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
     """Per-row tilted law (each row summing to 1) and log-partition, as in ``_tilted_moments``."""
     if isinstance(s, np.ndarray) and s.ndim == 1:
         return _by_force(_tilted_law, log_weights, values, s)
+    _check_force(s)
     w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=-1)
     w /= z[..., None]
@@ -370,6 +390,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Work route to the rate: integral of u * Var_u(y) for u from 0 to s."""
+    _check_force(s)  # also on a point mass, which needs no integral
     if s == 0.0 or dist.size == 1:
         return 0.0
     return adaptive_simpson(lambda u: u * tilt(dist, u).variance, 0.0, s, tol)
@@ -377,6 +398,7 @@ def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) ->
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Tilted mean recovered as mean(0) plus the integrated tilted variance."""
+    _check_force(s)  # also on a point mass, which needs no integral
     if s == 0.0 or dist.size == 1:
         return dist.mean
     return dist.mean + adaptive_simpson(lambda u: tilt(dist, u).variance, 0.0, s, tol)

@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from tiltrate import cli
+from tiltrate import blahut_arimoto, cli
 from tiltrate import ratedistortion as rd
 from tiltrate.solvers import BracketError
 
@@ -165,6 +165,48 @@ class TestOptimizedCodingLaw:
         # optimizing the coding law for the uniform bit returns the uniform law
         assert float(vals["rate_nats"]) == pytest.approx(0.13081203594113698, abs=1e-7)
 
+    def test_curve_points_use_the_law_optimized_at_each_slope(self, capsys, tmp_path):
+        source, table = [0.3, 0.7], [[0.0, 1.0, 0.4], [1.0, 0.0, 0.6]]
+        f = tmp_path / "noq.cfg"
+        f.write_text("source_probs = 0.3, 0.7\ndistortion = 0, 1, 0.4; 1, 0, 0.6\n")
+        res = main_of(capsys, "rd", "curve", "--config", str(f), "--grid=-0.5,-3,-1,-2")
+        assert res.returncode == 0
+        rows = res.stdout.strip().splitlines()[1:]
+        assert len(rows) == 4
+        for row, s in zip(rows, [-0.5, -1.0, -2.0, -3.0]):
+            law = blahut_arimoto(source, table, s, tol=1e-10).coding_probs
+            pt = rd.distortion_at_force(rd.RdProblem(source, law, table), s)
+            assert row == ",".join(cli._fmt(v) for v in (pt.s, pt.distortion, pt.rate, pt.mmse, *pt.per_symbol_mean))
+
+
+class TestObservableSweep:
+    @pytest.fixture
+    def obs_cfg(self, tmp_path):
+        f = tmp_path / "obs.cfg"
+        f.write_text("source_probs = 0.7, 0.3\ncoding_probs = 0.5, 0.5\n"
+                     "distortion = 0, 1; 2, 0\nobservable = 1, -2; 0.5, 3\n")
+        return str(f)
+
+    def test_csv(self, capsys, obs_cfg):
+        res = main_of(capsys, "rd", "point", "--config", obs_cfg, "--delta", "0.3", "--observable")
+        assert res.returncode == 0
+        vals = pairs_of(res.stdout)
+        assert float(vals["observable_route_difference"]) <= 1e-8
+        assert float(vals["observable_integral"]) == pytest.approx(float(vals["observable_direct"]), abs=1e-8)
+
+    def test_json(self, capsys, obs_cfg):
+        res = main_of(capsys, "rd", "point", "--config", obs_cfg, "--force=-1", "--observable", "--json")
+        assert res.returncode == 0
+        doc = json.loads(res.stdout)
+        assert doc["observable_route_difference"] <= 1e-8
+        assert doc["s"] == -1.0
+
+    def test_min_distortion_boundary_exits_1(self, capsys, obs_cfg):
+        res = main_of(capsys, "rd", "point", "--config", obs_cfg, "--delta", "0", "--observable")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "the observable sweep needs a finite force" in res.stderr
+
 
 class TestCapacity:
     def test_bsc(self, capsys, tmp_path):
@@ -275,6 +317,18 @@ class TestOracleCommands:
         res = main_of(capsys, "oracle", "grid", "--config", bss_cfg, "--delta", "0.25")
         vals = pairs_of(res.stdout)
         assert float(vals["abs_difference"]) < 1e-6
+
+    def test_grid_refuses_an_infinite_lower_end(self, capsys, bss_cfg):
+        res = main_of(capsys, "oracle", "grid", "--config", bss_cfg, "--delta", "0.3", "--s-min=-inf")
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr == "tiltrate: error: s_min must be finite (got -inf)\n"
+
+    def test_exact_certain_event_prints_zero(self, capsys, bss_cfg):
+        res = main_of(capsys, "oracle", "exact", "--config", bss_cfg, "--n", "6", "--delta=inf")
+        assert res.returncode == 0
+        vals = pairs_of(res.stdout)
+        assert (vals["probability"], vals["exponent"], vals["exponent_minus_rate"]) == ("1", "0", "0")
 
 
 class TestFailureModes:

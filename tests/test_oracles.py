@@ -39,6 +39,12 @@ class TestExactLdProbability:
         assert prob == 1.0
         assert exponent == 0.0
 
+    @pytest.mark.parametrize("delta", [1.0, 2.0, math.inf])
+    def test_certain_event_costs_positive_zero(self, bss, delta):
+        prob, exponent = exact_ld_probability(bss, 6, delta)
+        assert prob == 1.0
+        assert exponent == 0.0 and math.copysign(1.0, exponent) == 1.0
+
     def test_impossible_event(self, bss):
         prob, exponent = exact_ld_probability(bss, 8, -0.5)
         assert prob == 0.0
@@ -124,6 +130,17 @@ class TestLegendreGridMax:
 
     def test_loose_budget_gives_zero(self, bss):
         assert legendre_grid_max(bss, 0.9) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("s_min", [-math.inf, math.nan])
+    def test_non_finite_lower_end_rejected(self, bss, s_min):
+        message = "s_min must be finite" if s_min == -math.inf else "s_min must be negative"
+        with pytest.raises(ValidationError, match=message):
+            legendre_grid_max(bss, 0.3, s_min=s_min)
+
+    @pytest.mark.parametrize("s_min", [0.0, 1.0, math.inf])
+    def test_nonnegative_lower_end_keeps_its_message(self, bss, s_min):
+        with pytest.raises(ValidationError, match="^s_min must be negative$"):
+            legendre_grid_max(bss, 0.3, s_min=s_min)
 
 
 class TestBlahutArimoto:
