@@ -55,28 +55,17 @@ def _json_value(value):
     return _fmt(x)
 
 
-def _emit(args, payload) -> None:
-    kind = payload[0]
-    lines: list[str] = []
-    if kind == "pairs":
-        pairs = payload[1]
-        if args.json:
-            text = json.dumps({k: _json_value(v) for k, v in pairs}, indent=2)
-        else:
-            lines.append("quantity,value")
-            lines.extend(f"{k},{_fmt(v)}" for k, v in pairs)
-            text = "\n".join(lines)
+def _emit(args, result) -> None:
+    """Write a handler's result: a list of (quantity, value) pairs, which CSV prints as the
+    table quantity,value and JSON as one object, or a (header, rows) table."""
+    if args.json and isinstance(result, list):
+        text = json.dumps({k: _json_value(v) for k, v in result}, indent=2)
+    elif args.json:
+        header, rows = result
+        text = json.dumps({"points": [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]}, indent=2)
     else:
-        header, rows = payload[1], payload[2]
-        if args.json:
-            text = json.dumps(
-                {"points": [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]},
-                indent=2,
-            )
-        else:
-            lines.append(",".join(header))
-            lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-            text = "\n".join(lines)
+        header, rows = (["quantity", "value"], result) if isinstance(result, list) else result
+        text = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows])
     text += "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -113,10 +102,12 @@ def _rd_problem_at(cfg: ProblemConfig, s: float, tol: float) -> rd.RdProblem:
     source = cfg._need("source_probs")
     table = cfg._need("distortion")
     result = oracles.blahut_arimoto(source, table, s, tol=min(tol, 1e-10))
+    if not result.converged:
+        raise NumericalError(f"Blahut-Arimoto did not converge at slope s = {s!r} in {result.iterations} iterations")
     return rd.RdProblem(source, result.coding_probs, table)
 
 
-def _point_pairs(problem: rd.RdProblem, point: rd.RdPoint) -> list[tuple[str, object]]:
+def _point_pairs(point: rd.RdPoint) -> list[tuple[str, object]]:
     pairs: list[tuple[str, object]] = [
         ("s", point.s),
         ("distortion", point.distortion),
@@ -144,10 +135,10 @@ def _cmd_rd_curve(args, cfg: ProblemConfig) -> tuple:
             problem = _rd_problem_at(cfg, float(s), args.tol)
             points.append(rd.distortion_at_force(problem, float(s)))
     header = ["s", "distortion", "rate_nats", "mmse"] + [f"mean_x{i}" for i in range(problem.num_source_letters)]
-    return ("table", header, [[pt.s, pt.distortion, pt.rate, pt.mmse, *pt.per_symbol_mean] for pt in points])
+    return header, [[pt.s, pt.distortion, pt.rate, pt.mmse, *pt.per_symbol_mean] for pt in points]
 
 
-def _cmd_rd_point(args, cfg: ProblemConfig) -> tuple:
+def _cmd_rd_point(args, cfg: ProblemConfig) -> list:
     if args.force is None and args.delta is None:
         raise ValidationError("rd point needs --delta or --force")
     if args.force is not None and args.delta is not None:
@@ -164,7 +155,7 @@ def _cmd_rd_point(args, cfg: ProblemConfig) -> tuple:
     else:
         problem = cfg.rd_problem()
         point = rd.force_at_distortion(problem, args.delta, tol=args.tol)
-    pairs = _point_pairs(problem, point)
+    pairs = _point_pairs(point)
     if args.allocation:
         target = point.distortion if args.delta is None else args.delta
         allocation, rate = rd.equal_force_allocation(problem, target, tol=args.tol)
@@ -193,41 +184,35 @@ def _cmd_rd_point(args, cfg: ProblemConfig) -> tuple:
         pairs.append(("observable_integral", swept))
         pairs.append(("observable_direct", direct))
         pairs.append(("observable_route_difference", abs(swept - direct)))
-    return ("pairs", pairs)
+    return pairs
 
 
-def _cmd_capacity(args, cfg: ProblemConfig) -> tuple:
+def _cmd_capacity(args, cfg: ProblemConfig) -> list:
     channel = cfg.channel()
     point = cap.capacity_point(channel)
     info = cap.mutual_information(channel)
-    return (
-        "pairs",
-        [
-            ("rate_nats", point.rate),
-            ("s_star", point.s_star),
-            ("delta", point.delta),
-            ("mutual_information_nats", info),
-            ("cross_check_abs_diff", abs(point.rate - info)),
-        ],
-    )
+    return [
+        ("rate_nats", point.rate),
+        ("s_star", point.s_star),
+        ("delta", point.delta),
+        ("mutual_information_nats", info),
+        ("cross_check_abs_diff", abs(point.rate - info)),
+    ]
 
 
-def _cmd_rd2(args, cfg: ProblemConfig) -> tuple:
+def _cmd_rd2(args, cfg: ProblemConfig) -> list:
     problem = cfg.rd_problem2()
     rate, s1, s2 = mc.rate_two_distortions(problem, args.delta1, args.delta2, tol=args.tol)
-    return (
-        "pairs",
-        [
-            ("rate_nats", rate),
-            ("s1", s1),
-            ("s2", s2),
-            ("constraint1_active", s1 < 0.0),
-            ("constraint2_active", s2 < 0.0),
-        ],
-    )
+    return [
+        ("rate_nats", rate),
+        ("s1", s1),
+        ("s2", s2),
+        ("constraint1_active", s1 < 0.0),
+        ("constraint2_active", s2 < 0.0),
+    ]
 
 
-def _cmd_chain_work(args, cfg: ProblemConfig) -> tuple:
+def _cmd_chain_work(args, cfg: ProblemConfig) -> list:
     system = cfg.chain_system()
     problem = cfg.rd_problem()
     lam = args.lambda_final
@@ -236,21 +221,18 @@ def _cmd_chain_work(args, cfg: ProblemConfig) -> tuple:
         raise ValidationError("--lambda-final must be <= 0 for the compression branch")
     work = chain_mod.quasistatic_work(system, lam, tol=min(args.tol, 1e-9))
     point = rd.distortion_at_force(problem, s)
-    return (
-        "pairs",
-        [
-            ("lambda_final", lam),
-            ("s", s),
-            ("quasistatic_work", work),
-            ("rate_nats", point.rate),
-            ("rate_times_kT", point.rate / system.beta),
-            ("abs_difference", abs(work - point.rate / system.beta)),
-            ("length_final", chain_mod.expected_length(system, lam)),
-        ],
-    )
+    return [
+        ("lambda_final", lam),
+        ("s", s),
+        ("quasistatic_work", work),
+        ("rate_nats", point.rate),
+        ("rate_times_kT", point.rate / system.beta),
+        ("abs_difference", abs(work - point.rate / system.beta)),
+        ("length_final", chain_mod.expected_length(system, lam)),
+    ]
 
 
-def _cmd_chain_equilibrium(args, cfg: ProblemConfig) -> tuple:
+def _cmd_chain_equilibrium(args, cfg: ProblemConfig) -> list:
     system = cfg.chain_system()
     lam = chain_mod.equilibrium_force(system, args.length, tol=args.tol)
     pairs: list[tuple[str, object]] = [
@@ -259,42 +241,36 @@ def _cmd_chain_equilibrium(args, cfg: ProblemConfig) -> tuple:
     ]
     for i, y in enumerate(chain_mod.array_lengths(system, lam)):
         pairs.append((f"length_x{i}", y))
-    return ("pairs", pairs)
+    return pairs
 
 
-def _cmd_chain_protocol(args, cfg: ProblemConfig) -> tuple:
+def _cmd_chain_protocol(args, cfg: ProblemConfig) -> list:
     system = cfg.chain_system()
     schedule = _parse_grid(args.schedule)
     left, right = chain_mod.protocol_work_bounds(system, schedule)
     quasistatic = chain_mod.quasistatic_work(system, float(schedule[-1]), tol=min(args.tol, 1e-9))
-    return (
-        "pairs",
-        [
-            ("steps", int(len(schedule) - 1)),
-            ("protocol_work", right),
-            ("protocol_work_left_sum", left),
-            ("quasistatic_work", quasistatic),
-            ("excess_over_quasistatic", right - quasistatic),
-        ],
-    )
+    return [
+        ("steps", int(len(schedule) - 1)),
+        ("protocol_work", right),
+        ("protocol_work_left_sum", left),
+        ("quasistatic_work", quasistatic),
+        ("excess_over_quasistatic", right - quasistatic),
+    ]
 
 
-def _cmd_oracle_exact(args, cfg: ProblemConfig) -> tuple:
+def _cmd_oracle_exact(args, cfg: ProblemConfig) -> list:
     problem = cfg.rd_problem()
     prob, exponent = oracles.exact_ld_probability(problem, args.n, args.delta)
     rate = rd.rate_legendre(problem, args.delta, tol=args.tol)
-    return (
-        "pairs",
-        [
-            ("probability", prob),
-            ("exponent", exponent),
-            ("rate_legendre", rate),
-            ("exponent_minus_rate", exponent - rate),
-        ],
-    )
+    return [
+        ("probability", prob),
+        ("exponent", exponent),
+        ("rate_legendre", rate),
+        ("exponent_minus_rate", exponent - rate),
+    ]
 
 
-def _cmd_oracle_ba(args, cfg: ProblemConfig) -> tuple:
+def _cmd_oracle_ba(args, cfg: ProblemConfig) -> list:
     source = cfg._need("source_probs")
     table = cfg._need("distortion")
     result = oracles.blahut_arimoto(source, table, args.force, tol=args.tol, max_iter=args.max_iter)
@@ -311,37 +287,31 @@ def _cmd_oracle_ba(args, cfg: ProblemConfig) -> tuple:
         ("recheck_rate_abs_diff", abs(recheck.rate - result.rate)),
         ("recheck_distortion_abs_diff", abs(recheck.distortion - result.distortion)),
     ]
-    return ("pairs", pairs)
+    return pairs
 
 
-def _cmd_oracle_alloc(args, cfg: ProblemConfig) -> tuple:
+def _cmd_oracle_alloc(args, cfg: ProblemConfig) -> list:
     problem = cfg.rd_problem()
     brute = oracles.brute_allocation_min(problem, args.delta, args.grid_points)
     rate = rd.rate_legendre(problem, args.delta, tol=args.tol)
-    return (
-        "pairs",
-        [
-            ("brute_min", brute),
-            ("rate_legendre", rate),
-            ("difference", brute - rate),
-        ],
-    )
+    return [
+        ("brute_min", brute),
+        ("rate_legendre", rate),
+        ("difference", brute - rate),
+    ]
 
 
-def _cmd_oracle_grid(args, cfg: ProblemConfig) -> tuple:
+def _cmd_oracle_grid(args, cfg: ProblemConfig) -> list:
     problem = cfg.rd_problem()
     grid_max = oracles.legendre_grid_max(
         problem, args.delta, s_min=args.s_min, points=args.points
     )
     rate = rd.rate_legendre(problem, args.delta, tol=args.tol)
-    return (
-        "pairs",
-        [
-            ("grid_max", grid_max),
-            ("rate_legendre", rate),
-            ("abs_difference", abs(grid_max - rate)),
-        ],
-    )
+    return [
+        ("grid_max", grid_max),
+        ("rate_legendre", rate),
+        ("abs_difference", abs(grid_max - rate)),
+    ]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ class ProblemConfig:
     beta: float | None = None
     k: float = 1.0
     temperature: float = 1.0
-    path: str = field(default="", repr=False)
 
     def _need(self, name: str):
         value = getattr(self, name)
@@ -128,8 +127,8 @@ def _as_scalar(raw, key: str) -> float:
     return value
 
 
-def _from_mapping(doc: dict, path: str) -> ProblemConfig:
-    cfg = ProblemConfig(path=path)
+def _from_mapping(doc: dict) -> ProblemConfig:
+    cfg = ProblemConfig()
     flat = dict(doc)
     channel = flat.pop("channel", None)
     if channel is not None:
@@ -165,7 +164,7 @@ def _parse_flat(text: str, path: str) -> ProblemConfig:
         if key in doc:
             raise ConfigError(f"{path}:{lineno}: duplicate config field '{key}'")
         doc[key] = value.strip()
-    return _from_mapping(doc, path)
+    return _from_mapping(doc)
 
 
 def load_config(path) -> ProblemConfig:
@@ -183,5 +182,5 @@ def load_config(path) -> ProblemConfig:
             raise ConfigError(f"{p}: invalid JSON ({exc})") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{p}: top-level JSON value must be an object")
-        return _from_mapping(doc, str(p))
+        return _from_mapping(doc)
     return _parse_flat(text, str(p))

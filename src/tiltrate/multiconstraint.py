@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError
 from .ratedistortion import _clean_tables
-from .tilting import _by_rows, _tilted_law
+from .tilting import _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -40,20 +40,11 @@ class RdProblem2:
         _clean_tables(self, "distortion_1", "distortion_2")
 
 
-def _pair_moments(log_q, d1, d2, s):
-    """Per-row log-partition, means and covariances of (d1, d2) at force pair s."""
-    # the pair of tables tilted by (s1, s2) is the one table s1*d1 + s2*d2 at unit force
-    cond, phi = _tilted_law(log_q, s[0] * d1 + s[1] * d2, 1.0)
-    m1, m2 = (np.einsum("ij,ij->i", cond, d) for d in (d1, d2))
-    c1, c2 = d1 - m1[:, None], d2 - m2[:, None]
-    return phi, m1, m2, *(np.einsum("ij,ij,ij->i", cond, a, b) for a, b in ((c1, c1), (c2, c2), (c1, c2)))
-
-
 def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
-    """Objective value, gradient, and tilted covariance at force pair s, one block of rows at a time."""
+    """Objective value, gradient, and tilted covariance at force pair s."""
     p = problem.source_probs
     log_q = np.log(problem.coding_probs)[None, :]
-    phi, m1, m2, *rows = _by_rows(_pair_moments, log_q, (problem.distortion_1, problem.distortion_2), s)
+    phi, m1, m2, *rows = _tilted_pair(log_q, problem.distortion_1, problem.distortion_2, s[0], s[1])
     cov11, cov22, cov12 = (float(np.dot(p, row)) for row in rows)
     value = s[0] * delta1 + s[1] * delta2 - float(np.dot(p, phi))
     grad = np.array([delta1 - float(np.dot(p, m1)), delta2 - float(np.dot(p, m2))])

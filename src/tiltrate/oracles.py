@@ -31,6 +31,7 @@ __all__ = [
 
 _LATTICE_REL = 1e-9  # lattice bin width relative to the distortion value range
 _COMPOSITION_TOL = 1e-9
+_GRID_PASSES = 3  # legendre_grid_max's coarse scan and its two refinements
 
 
 def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[float, float]:
@@ -129,16 +130,10 @@ def brute_allocation_min(problem: RdProblem, delta: float, grid_points_per_symbo
     return best
 
 
-def legendre_grid_max(
-    problem: RdProblem,
-    delta: float,
-    s_min: float = -50.0,
-    points: int = 1001,
-    refinements: int = 2,
-) -> float:
+def legendre_grid_max(problem: RdProblem, delta: float, s_min: float = -50.0, points: int = 1001) -> float:
     """Dense-grid maximization of s*delta - averaged log-MGF over [s_min, 0].
 
-    A coarse scan followed by local refinement passes around the argmax;
+    A coarse scan followed by two local refinement passes around the argmax;
     agrees with the root-solve route to ~1e-6 for budgets whose maximizer
     lies inside the scanned range.
     """
@@ -148,6 +143,9 @@ def legendre_grid_max(
         raise ValidationError("s_min must be negative")
     if not math.isfinite(s_min):
         raise ValidationError(f"s_min must be finite (got {s_min!r})")
+    if math.isinf(delta):
+        # s * delta is -inf (+inf for delta = -inf) at every s < 0 and 0 at s = 0
+        return 0.0 if delta > 0.0 else math.inf
     p = problem.source_probs
     dists = problem.delta_dists
 
@@ -161,7 +159,7 @@ def legendre_grid_max(
 
     lo, hi = s_min, 0.0
     best = -math.inf
-    for _ in range(refinements + 1):
+    for _ in range(_GRID_PASSES):
         grid = np.linspace(lo, hi, points)
         vals = objective(grid)
         i = int(np.argmax(vals))
@@ -217,6 +215,8 @@ def blahut_arimoto(
         raise ValidationError(f"slope s must be <= 0 (got {s!r})")
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
+    keep = p > 0.0  # a source letter of probability 0 carries no mass; RdProblem drops it too
+    p, d = p[keep], d[keep]
 
     n_out = d.shape[1]
     log_p = np.log(p)

@@ -29,6 +29,7 @@ from .tilting import (
     _riemann_sums,
     _tilted_law,
     _tilted_moments,
+    _tilted_pair,
     tilt,
 )
 
@@ -244,22 +245,26 @@ def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
     return _tilted_law(np.log(problem.coding_probs)[None, :], problem.distortion, s)[0]
 
 
-def _check_observable(problem: RdProblem, observable) -> np.ndarray:
+def _observable_tables(problem: RdProblem, observable):
+    """The kernel's inputs for an observable t of the letter pair: the log coding law, the
+    distortion with each row shifted to start at 0, and t, checked against the table's shape.
+
+    t is the second table of ``tilting._tilted_pair``, held at zero force.  A
+    row shift leaves the tilted law and every covariance unchanged, and it
+    keeps s * d at d's own resolution however far the rows sit from 0.
+    """
     t = np.asarray(observable, dtype=float)
-    if t.shape != problem.distortion.shape:
-        raise ValidationError(
-            f"observable must match the distortion table shape {problem.distortion.shape}"
-        )
+    d = problem.distortion
+    if t.shape != d.shape:
+        raise ValidationError(f"observable must match the distortion table shape {d.shape}")
     if not np.all(np.isfinite(t)):
         raise ValidationError("observable entries must all be finite")
-    return t
+    return np.log(problem.coding_probs)[None, :], d - d.min(axis=1)[:, None], t
 
 
 def observable_expectation(problem: RdProblem, observable, s: float) -> float:
     """Direct expectation of a letter-pair observable under the tilted law."""
-    t = _check_observable(problem, observable)
-    cond = tilted_conditional(problem, s)
-    return float(np.dot(problem.source_probs, (cond * t).sum(axis=1)))
+    return float(np.dot(problem.source_probs, _tilted_pair(*_observable_tables(problem, observable), s, 0.0)[2]))
 
 
 def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9) -> float:
@@ -270,21 +275,12 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     quadrature tolerance; the integral form shows how the force drags any
     observable, not just the distortion itself.
     """
-    t = _check_observable(problem, observable)
-    d = problem.distortion
+    tables = _observable_tables(problem, observable)
     p = problem.source_probs
-
-    def covariance(u: float) -> float:
-        cond = tilted_conditional(problem, u)
-        et = (cond * t).sum(axis=1)
-        ed = (cond * d).sum(axis=1)
-        etd = (cond * t * d).sum(axis=1)
-        return float(np.dot(p, etd - et * ed))
-
-    base = observable_expectation(problem, t, 0.0)
+    base = float(np.dot(p, _tilted_pair(*tables, 0.0, 0.0)[2]))
     if s == 0.0:
         return base
-    return base + adaptive_simpson(covariance, 0.0, s, tol)
+    return base + adaptive_simpson(lambda u: float(np.dot(p, _tilted_pair(*tables, u, 0.0)[5])), 0.0, s, tol)
 
 
 def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:

@@ -21,6 +21,9 @@ _X_REL_TOL = 1e-13
 # values are down to their rounding noise: one that fails to halve the step
 # before it, or to lower the residual, ends the iteration at the best point.
 _NOISE_STEP = 1e-8
+# Bracket doublings on each side, and bracketed steps, before giving up.
+_MAX_EXPAND = 60
+_MAX_ITER = 240
 
 
 class BracketError(NumericalError):
@@ -34,45 +37,41 @@ def invert_monotone(
     f_tol: float,
     lo: float = -1.0,
     hi: float = 1.0,
-    lo_limit: float = -math.inf,
     hi_limit: float = math.inf,
-    max_expand: int = 60,
-    max_iter: int = 240,
 ) -> float:
     """Solve value(s) = target for a nondecreasing scalar map.
 
     ``f(s)`` returns ``(value, slope)``.  The starting bracket [lo, hi] is
-    grown geometrically (doubling the reach on the failing side, clipped to
-    the domain limits) until it encloses the target.  Inside it each step is
-    a Newton step from the latest point; a step that leaves the bracket, or
-    a slope <= 0, is replaced by bisection.  Iteration stops once
-    ``|value - target| <= f_tol`` (returning that point moved by one last
-    Newton step when the step stays inside the bracket), or once the bracket
-    or the Newton step is down to 1e-13 of the abscissa, so ``f_tol = 0``
-    pins the root itself to that relative width at any scale.  A Newton step
-    below 1e-8 of the abscissa that stalls (fails to halve the step before
-    it, or to lower the residual) means the values are down to their
-    rounding noise, and the point with the least residual is returned.
+    grown geometrically (doubling the reach on the failing side, the upper
+    end clipped to ``hi_limit``) until it encloses the target.  Inside it
+    each step is a Newton step from the latest point; a step that leaves the
+    bracket, or a slope <= 0, is replaced by bisection.  Iteration stops
+    once ``|value - target| <= f_tol`` (returning that point moved by one
+    last Newton step when the step stays inside the bracket), or once the
+    bracket or the Newton step is down to 1e-13 of the abscissa, so
+    ``f_tol = 0`` pins the root itself to that relative width at any scale.
+    A Newton step below 1e-8 of the abscissa that stalls (fails to halve
+    the step before it, or to lower the residual) means the values are down
+    to their rounding noise, and the point with the least residual is
+    returned.
     """
-    lo = max(lo, lo_limit)
     hi = min(hi, hi_limit)
     if not lo < hi:
-        mid = min(max(0.0, lo_limit), hi_limit)
-        lo = hi = mid
+        lo = hi = min(0.0, hi_limit)
     flo, dlo = f(lo)
     fhi, dhi = f(hi)
 
     # An end passed over by the expansion still bounds the root from the other side.
     step = hi - lo if hi > lo else 1.0
-    for _ in range(max_expand):
-        if flo <= target or lo <= lo_limit:
+    for _ in range(_MAX_EXPAND):
+        if flo <= target:
             break
         step *= 2.0
         hi, fhi, dhi = lo, flo, dlo
-        lo = max(lo - step, lo_limit)
+        lo -= step
         flo, dlo = f(lo)
     step = hi - lo if hi > lo else 1.0
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if fhi >= target or hi >= hi_limit:
             break
         step *= 2.0
@@ -92,7 +91,7 @@ def invert_monotone(
         x, fx, dfx = hi, fhi, dhi
     best_x, best_resid = x, abs(fx - target)
     dx = 2.0 * (hi - lo)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         resid = fx - target
         newton_x = x - resid / dfx if dfx > 0.0 else math.nan
         inside = lo < newton_x < hi

@@ -204,6 +204,28 @@ def _moments(log_weights: np.ndarray, values: np.ndarray, s):
     return shift + np.log(z), mean, var
 
 
+def _tilted_pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
+    """Per-row (log-partition, mean of ``a``, mean of ``b``, variance of ``a``, variance of ``b``,
+    covariance) of two tables tilted together by e^{s_a * a + s_b * b}, in ``_by_rows`` blocks.
+
+    The two-budget ascent tilts two distortion tables at once; an observable
+    of the letter pair is the second table held at zero force.  Both forces
+    must be finite (``_check_force``).
+    """
+    _check_force(s_a)
+    _check_force(s_b)
+    return _by_rows(_pair, log_weights, (a, b), s_a, s_b)
+
+
+def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
+    """``_tilted_pair`` on one block of rows."""
+    # the pair tilted by (s_a, s_b) is the one table s_a * a + s_b * b at unit force
+    law, log_z = _tilted_law(log_weights, s_a * a + s_b * b, 1.0)
+    mean_a, mean_b = (np.einsum("ij,ij->i", law, t) for t in (a, b))
+    ca, cb = a - mean_a[:, None], b - mean_b[:, None]
+    return log_z, mean_a, mean_b, *(np.einsum("ij,ij,ij->i", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb)))
+
+
 def _by_force(kernel, log_weights: np.ndarray, values: np.ndarray, forces: np.ndarray):
     """``kernel``'s outputs at each of ``forces``, stacked forces first: the forces go
     through as (forces, 1, 1) blocks of about ``_BLOCK_ENTRIES`` forces x rows x cols

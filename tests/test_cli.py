@@ -2,8 +2,10 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from tiltrate import blahut_arimoto, cli
@@ -179,6 +181,29 @@ class TestOptimizedCodingLaw:
             assert row == ",".join(cli._fmt(v) for v in (pt.s, pt.distortion, pt.rate, pt.mmse, *pt.per_symbol_mean))
 
 
+    def test_capped_coding_law_exits_2(self, capsys, tmp_path):
+        # draw 8 of a seed-0 sequence of random problems: plain Blahut-Arimoto stops at its cap there
+        rng = np.random.default_rng(0)
+        for _ in range(9):
+            k, m = (int(n) for n in rng.integers(2, 6, size=2))
+            source, table, s = rng.dirichlet(np.ones(k)), rng.random((k, m)), -rng.uniform(0.1, 10.0)
+        assert not blahut_arimoto(source, table, s, tol=1e-10).converged
+        f = tmp_path / "capped.cfg"
+
+        def numbers(row):
+            return ", ".join(repr(float(v)) for v in row)
+
+        f.write_text(f"source_probs = {numbers(source)}\ndistortion = {'; '.join(map(numbers, table))}\n")
+        for argv in (["rd", "point", f"--force={s!r}"], ["rd", "curve", f"--grid={s!r}"]):
+            res = main_of(capsys, *argv, "--config", str(f))
+            assert res.returncode == 2
+            assert res.stdout == ""
+            assert f"Blahut-Arimoto did not converge at slope s = {s!r}" in res.stderr
+        res = main_of(capsys, "oracle", "ba", "--config", str(f), f"--force={s!r}")
+        assert res.returncode == 0
+        assert pairs_of(res.stdout)["converged"] == "false"
+
+
 class TestObservableSweep:
     @pytest.fixture
     def obs_cfg(self, tmp_path):
@@ -323,6 +348,29 @@ class TestOracleCommands:
         assert res.returncode == 1
         assert res.stdout == ""
         assert res.stderr == "tiltrate: error: s_min must be finite (got -inf)\n"
+
+    @pytest.mark.parametrize("delta, code", [("inf", 0), ("-inf", 1)])
+    def test_grid_infinite_budget_writes_no_warning(self, capsys, bss_cfg, delta, code):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = main_of(capsys, "oracle", "grid", "--config", bss_cfg, f"--delta={delta}")
+        assert res.returncode == code
+        if code == 0:
+            assert pairs_of(res.stdout)["grid_max"] == "0"
+            assert res.stderr == ""
+
+    def test_ba_drops_zero_probability_letters_without_warning(self, capsys, tmp_path):
+        outputs = []
+        for name, text in (("three", "source_probs = 0.5, 0.5, 0\ndistortion = 0, 1; 1, 0; 3, 2\n"),
+                           ("two", "source_probs = 0.5, 0.5\ndistortion = 0, 1; 1, 0\n")):
+            f = tmp_path / f"{name}.cfg"
+            f.write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = main_of(capsys, "oracle", "ba", "--config", str(f), "--force=0")
+            assert (res.returncode, res.stderr) == (0, "")
+            outputs.append(res.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_exact_certain_event_prints_zero(self, capsys, bss_cfg):
         res = main_of(capsys, "oracle", "exact", "--config", bss_cfg, "--n", "6", "--delta=inf")

@@ -23,11 +23,14 @@ from tiltrate import (
     equal_force_allocation,
     equilibrium_force,
     force_at_distortion,
+    observable_expectation,
+    observable_sweep,
     rate_legendre,
 )
 from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError
 from tiltrate.multiconstraint import _stats
+from tiltrate.solvers import adaptive_simpson
 from tiltrate.tilting import _BLOCK_ENTRIES, _force_at_mean, _row_ends, _tilted_law
 
 from conftest import feasible_delta, random_problem
@@ -130,6 +133,32 @@ class TestBlockedTwoForceStats:
             assert value == want[0]
             assert np.array_equal(grad, want[1])
             assert np.array_equal(cov, want[2])
+
+
+def full_table_observable(problem, t, s):
+    """The observable's tilted mean and its covariance with the distortion from whole-table
+    temporaries, on the distortion with each row shifted to start at 0."""
+    d = problem.distortion - problem.distortion.min(axis=1)[:, None]
+    p = problem.source_probs
+    law = _tilted_law(np.log(problem.coding_probs)[None, :], d, s)[0]
+    mean_t = np.einsum("ij,ij->i", law, t)
+    mean_d = np.einsum("ij,ij->i", law, d)
+    cov = np.einsum("ij,ij,ij->i", law, d - mean_d[:, None], t - mean_t[:, None])
+    return float(np.dot(p, mean_t)), float(np.dot(p, cov))
+
+
+class TestBlockedObservable:
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (64, 64)] + [(ROWS_PER_BLOCK + n, 512) for n in (-1, 0, 1)])
+    def test_equals_full_table_reference(self, rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols + 1)
+        problem = RdProblem(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), rng.random((rows, cols)))
+        t = 3.0 * rng.random((rows, cols)) - 1.0
+        for s in (0.0, -1.3, -40.0):
+            assert observable_expectation(problem, t, s) == full_table_observable(problem, t, s)[0]
+        s = -1.3
+        want = full_table_observable(problem, t, 0.0)[0] + adaptive_simpson(
+            lambda u: full_table_observable(problem, t, u)[1], 0.0, s, 1e-9)
+        assert observable_sweep(problem, t, s) == want
 
 
 def per_array_equilibrium(system, target, tol=1e-10):

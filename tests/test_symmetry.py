@@ -1,5 +1,6 @@
 """Relabelling the letters, shifting a row of the table with the budget, and the chain's
-beta/lambda reparametrisation leave every rate and every equilibrium force unchanged."""
+beta/lambda reparametrisation leave every rate and every equilibrium force unchanged;
+shifting the rows of the table and offsetting an observable leave its two routes in step."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from tiltrate import (
     equal_force_allocation,
     equilibrium_force,
     from_rd_problem,
+    observable_expectation,
+    observable_sweep,
     rate_legendre,
     rate_two_distortions,
 )
@@ -108,6 +111,22 @@ def test_rates_invariant_under_row_shifts(seed, u, s1, s2):
     rate = rate_two_distortions(RdProblem2(p, q, d1, d2), delta1, delta2)[0]
     moved_pair = rate_two_distortions(RdProblem2(p, q, shifted1, shifted2), delta1 + float(p @ c1), delta2 + float(p @ c2))
     assert moved_pair[0] == pytest.approx(rate, rel=REL)
+
+
+@given(seeds, st.floats(-3.0, -0.1), st.floats(-1e9, 1e9))
+@settings(max_examples=60, deadline=None)
+def test_observable_routes_hold_under_shifts(seed, s, c_t):
+    # Rows of d shifted by c_x and the observable offset by c_t, with |c| up to 1e9, may not
+    # widen the gap between the swept and the direct route.  The yardstick is the gap on the
+    # plain problem, not 0: adaptive Simpson alone misses by up to ~1e-7 on rare draws.
+    p, q, d, t = draw(seed)
+    rng = np.random.default_rng([seed, 3])
+    c_x = rng.choice([-1.0, 1.0], size=p.size) * 10.0 ** rng.uniform(-1.0, 9.0, size=p.size)
+    plain, shifted = RdProblem(p, q, d), RdProblem(p, q, d + c_x[:, None])
+    want = observable_expectation(shifted, t + c_t, s)
+    gap = observable_sweep(shifted, t + c_t, s) - want
+    plain_gap = observable_sweep(plain, t, s) - observable_expectation(plain, t, s)
+    assert abs(gap - plain_gap) <= 1e-8 + 1e-13 * abs(want)
 
 
 @given(seeds, budgets, st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
