@@ -101,9 +101,6 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     np.log(np.broadcast_to(q, support.shape), out=log_w, where=support)
 
     # tol = 0 runs the iteration to machine width so the force itself is pinned
-    s, end_cost, moments = _legendre(log_w, dist, p_out, delta, 0.0, nonpositive=True)
-    if math.isinf(s):
-        # each output row is constant on its support: the rate is the pure mass cost
-        return CapacityPoint(rate=max(end_cost, 0.0), s_star=0.0, delta=delta)
-    rate = s * delta - float(np.dot(p_out, moments[0]))
-    return CapacityPoint(rate=max(rate, 0.0), s_star=float(s), delta=delta)
+    s, rate, _ = _legendre(log_w, dist, p_out, delta, 0.0, nonpositive=True)
+    # at an end each output row is constant on its support: the rate is the pure mass cost
+    return CapacityPoint(rate=max(rate, 0.0), s_star=0.0 if math.isinf(s) else float(s), delta=delta)

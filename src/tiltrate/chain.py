@@ -32,7 +32,6 @@ from .solvers import adaptive_simpson
 from .tilting import (
     VALUE_MERGE_TOL,
     FiniteDistribution,
-    _force_at_mean,
     _frozen,
     _law,
     _legendre,
@@ -149,17 +148,21 @@ def length_variance(system: ChainSystem, lam: float) -> float:
 def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e-10) -> float:
     """Force at which the chain's mean per-element length equals the target.
 
-    Solved for s = beta * lam by a bracketed Newton iteration on the slope
-    dY/ds = Var(length), in the lengths' own force scale.
+    Solved for s = beta * lam by ``tilting._legendre``, in the lengths' own
+    force scale.  A length on an end of the achievable range, as that solve
+    decides the ends, would need an infinite force, and a length beyond one
+    has none: both raise ``LengthInfeasibleError``.
     """
     fractions, log_w, lengths = _table(system)
-    ends = _row_ends(log_w, lengths)
-    lo, hi = (sum((fractions * end).tolist()) for end in ends)  # summed in array order
-    if not lo < target_length < hi:
+    try:
+        s = _legendre(log_w, lengths, fractions, target_length, tol, force_only=True)[0]
+    except LevelInfeasibleError:
+        s = math.inf
+    if math.isinf(s):
+        lo, hi = (sum((fractions * end).tolist()) for end in _row_ends(log_w, lengths))  # summed in array order
         raise LengthInfeasibleError(
             f"length {target_length!r} is not strictly inside the achievable range ({lo!r}, {hi!r})"
         )
-    s = _force_at_mean(log_w, lengths, fractions, ends, target_length, tol * (hi - lo))
     return s / system.beta
 
 
@@ -254,10 +257,7 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     if energy > vmax + VALUE_MERGE_TOL * (vmax - vmin):
         raise EnergyInfeasibleError(message)
     try:
-        s, end_cost, moments = _legendre(*_one_row(energy_dist), np.ones(1), energy, tol, nonpositive=True)
+        rate = _legendre(*_one_row(energy_dist), np.ones(1), energy, tol, nonpositive=True)[1]
     except LevelInfeasibleError:
         raise EnergyInfeasibleError(message) from None
-    log_count = -math.log(float(energy_dist.probs.min()))
-    if s == -math.inf:
-        return log_count - end_cost
-    return -s * energy + log_count + float(moments[0][0])  # beta* = -s
+    return -math.log(float(energy_dist.probs.min())) - rate

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError
 from .ratedistortion import _clean_tables
-from .tilting import _tilted_pair
+from .tilting import _at_origin, _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -65,22 +65,22 @@ def rate_two_distortions(
     tables' scale.
     """
     p, q = problem.source_probs, problem.coding_probs
-    # The ascent's stopping tests are absolute, so it runs on each table with
-    # its rows shifted to start at 0 and divided by its P-weighted range: the
-    # rate is unchanged, and each force comes back divided by that range.
+    # The ascent's stopping tests are absolute, so it runs on each table at
+    # origin (rows start at 0) divided by its P-weighted range: the rate is
+    # unchanged, and each force comes back divided by that range.
     tables, budgets, scales = [], [], []
     for name, d, target in (
         ("delta1", problem.distortion_1, delta1),
         ("delta2", problem.distortion_2, delta2),
     ):
-        low = d.min(axis=1)
+        table, low, ranges = _at_origin(np.log(q)[None, :], d)
         floor = float(np.dot(p, low))
         if not math.isfinite(target) or target <= floor:
             raise InfeasiblePairError(
                 f"{name} = {target!r} does not exceed the minimum achievable {floor!r}"
             )
-        scales.append(float(np.dot(p, d.max(axis=1) - low)) or 1.0)
-        tables.append((d - low[:, None]) / scales[-1])
+        scales.append(float(np.dot(p, ranges)) or 1.0)
+        tables.append(table / scales[-1])
         budgets.append((target - floor) / scales[-1])
     # _stats reads only these four arrays; an RdProblem2 would copy both tables
     scaled = SimpleNamespace(source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])

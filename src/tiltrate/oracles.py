@@ -220,7 +220,8 @@ def blahut_arimoto(
 
     n_out = d.shape[1]
     log_p = np.log(p)
-    sd = s * d
+    # rows moved to start at 0: the conditional is unchanged, and s * d keeps d's own resolution
+    sd = s * (d - d.min(axis=1)[:, None])
     log_q = np.full(n_out, -math.log(n_out))
 
     rate = math.inf

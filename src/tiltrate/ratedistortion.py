@@ -22,11 +22,13 @@ from .errors import DistortionTooLowError, LevelInfeasibleError, ValidationError
 from .solvers import adaptive_simpson
 from .tilting import (
     FiniteDistribution,
+    _at_origin,
     _check_partition,
     _frozen,
     _law,
     _legendre,
     _riemann_sums,
+    _row_ends,
     _tilted_law,
     _tilted_moments,
     _tilted_pair,
@@ -128,24 +130,28 @@ class Allocation:
 
 
 def _row_moments(problem: RdProblem, s):
-    """Per-source-letter (log-partition, mean, variance) of the distortion at force s (or forces)."""
-    return _tilted_moments(np.log(problem.coding_probs)[None, :], problem.distortion, s)
+    """The distortion's row starts, and its per-source-letter (log-partition, mean, variance)
+    at force s (or forces) with each row moved to start at 0 (``tilting._at_origin``)."""
+    log_q = np.log(problem.coding_probs)[None, :]
+    table, starts, _ = _at_origin(log_q, problem.distortion)
+    return starts, _tilted_moments(log_q, table, s)
 
 
 def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
     """Evaluate the curve parametrically at a finite force s (s <= 0 on the useful branch)."""
-    return _point(problem, s, *_row_moments(problem, s))
+    starts, moments = _row_moments(problem, s)
+    return _point(problem, s, starts, *moments)
 
 
-def _point(problem: RdProblem, s: float, log_z, means, variances) -> RdPoint:
-    """The curve point at force s from the per-letter moments there."""
+def _point(problem: RdProblem, s: float, starts, log_z, means, variances) -> RdPoint:
+    """The curve point at force s from the per-letter moments there at origin (``_row_moments``)."""
     p = problem.source_probs
-    delta = float(np.dot(p, means))
-    phi = float(np.dot(p, log_z))
+    rate = s * float(np.dot(p, means)) - float(np.dot(p, log_z))
+    means = means + starts
     return RdPoint(
         s=float(s),
-        distortion=delta,
-        rate=max(s * delta - phi, 0.0),
+        distortion=float(np.dot(p, means)),
+        rate=max(rate, 0.0),
         per_symbol_mean=means,
         per_symbol_var=variances,
         mmse=float(np.dot(p, variances)),
@@ -170,23 +176,23 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
 
 
 def _solve(problem: RdProblem, delta: float, tol: float):
-    """``force_at_distortion``'s point and its per-letter log-partitions (None at force -inf)."""
-    p, d = problem.source_probs, problem.distortion
+    """``force_at_distortion``'s point and its per-letter moments at origin (None at force -inf)."""
+    p, log_q = problem.source_probs, np.log(problem.coding_probs)[None, :]
+    starts = _row_ends(log_q, problem.distortion)[0]
     try:
-        s, end_cost, moments = _legendre(np.log(problem.coding_probs)[None, :], d, p, delta, tol, nonpositive=True)
+        s, rate, moments = _legendre(log_q, problem.distortion, p, delta, tol, nonpositive=True)
     except LevelInfeasibleError:
-        dmin = float(np.dot(p, d.min(axis=1)))
+        dmin = float(np.dot(p, starts))
         raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {dmin!r}") from None
     if s == -math.inf:
-        means = d.min(axis=1)
         return RdPoint(
-            s=s, distortion=float(np.dot(p, means)), rate=end_cost, per_symbol_mean=means,
-            per_symbol_var=np.zeros_like(means), mmse=0.0, boundary="min_distortion",
+            s=s, distortion=float(np.dot(p, starts)), rate=rate, per_symbol_mean=starts,
+            per_symbol_var=np.zeros_like(starts), mmse=0.0, boundary="min_distortion",
         ), None
-    point = _point(problem, s, *moments)
+    point = _point(problem, s, starts, *moments)
     if s == 0.0 and delta > point.distortion:
         point = replace(point, boundary="above_zero_force")
-    return point, moments[0]
+    return point, moments
 
 
 def rate_legendre(problem: RdProblem, delta: float, tol: float = 1e-10) -> float:
@@ -201,11 +207,12 @@ def equal_force_allocation(problem: RdProblem, delta: float, tol: float = 1e-10)
     and the rate they cost, which matches the joint Legendre rate: the
     equal-force split is exactly the one no other split can beat.
     """
-    point, log_z = _solve(problem, delta, tol)
+    point, moments = _solve(problem, delta, tol)
     allocation = Allocation(per_symbol_distortion=point.per_symbol_mean)
     if point.boundary == "min_distortion":
         return allocation, point.rate
-    rate = float(np.dot(problem.source_probs, point.s * point.per_symbol_mean - log_z))
+    log_z, means, _ = moments
+    rate = float(np.dot(problem.source_probs, point.s * means - log_z))
     return allocation, max(rate, 0.0)
 
 
@@ -237,7 +244,12 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
     """Riemann sums over a force grid that bracket the rate at its endpoint."""
     p = problem.source_probs
-    return _riemann_sums(_check_partition(partition), lambda s: [np.dot(p, m) for m in _row_moments(problem, s)[1]])
+
+    def distortions(forces):
+        starts, (_, means, _) = _row_moments(problem, forces)
+        return [np.dot(p, m + starts) for m in means]
+
+    return _riemann_sums(_check_partition(partition), distortions)
 
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
@@ -247,7 +259,7 @@ def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
 
 def _observable_tables(problem: RdProblem, observable):
     """The kernel's inputs for an observable t of the letter pair: the log coding law, the
-    distortion with each row shifted to start at 0, and t, checked against the table's shape.
+    distortion at origin (``tilting._at_origin``), and t, checked against the table's shape.
 
     t is the second table of ``tilting._tilted_pair``, held at zero force.  A
     row shift leaves the tilted law and every covariance unchanged, and it
@@ -259,7 +271,8 @@ def _observable_tables(problem: RdProblem, observable):
         raise ValidationError(f"observable must match the distortion table shape {d.shape}")
     if not np.all(np.isfinite(t)):
         raise ValidationError("observable entries must all be finite")
-    return np.log(problem.coding_probs)[None, :], d - d.min(axis=1)[:, None], t
+    log_q = np.log(problem.coding_probs)[None, :]
+    return log_q, _at_origin(log_q, d)[0], t
 
 
 def observable_expectation(problem: RdProblem, observable, s: float) -> float:
@@ -291,4 +304,5 @@ def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
     if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):
         raise ValidationError("force_grid values must be finite and <= 0")
     forces = grid[np.argsort(-grid, kind="stable")]
-    return [_point(problem, float(s), *row) for s, *row in zip(forces, *_row_moments(problem, forces))]
+    starts, moments = _row_moments(problem, forces)
+    return [_point(problem, float(s), starts, *row) for s, *row in zip(forces, *moments)]

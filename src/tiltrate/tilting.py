@@ -270,8 +270,18 @@ def _one_row(dist: FiniteDistribution):
 
 def _row_ends(log_weights: np.ndarray, values: np.ndarray):
     """Per-row least and greatest value among the entries that carry mass."""
+    if np.isfinite(log_weights).all():  # every entry carries mass: the plain reductions are faster
+        return values.min(axis=1), values.max(axis=1)
     live = np.broadcast_to(np.isfinite(log_weights), values.shape)
     return values.min(axis=1, where=live, initial=math.inf), values.max(axis=1, where=live, initial=-math.inf)
+
+
+def _at_origin(log_weights: np.ndarray, values: np.ndarray):
+    """(table, starts, ranges): ``values`` with each row moved to start at 0, and each row's start
+    and range, over the entries that carry mass (``_row_ends``).  A row shift leaves every tilted
+    law unchanged, and s * value keeps the table's own resolution however far its rows sit from 0."""
+    starts, ends = _row_ends(log_weights, values)
+    return values - starts[:, None], starts, ends - starts
 
 
 # An end also claims targets within this fraction of its own size, a few
@@ -279,92 +289,77 @@ def _row_ends(log_weights: np.ndarray, values: np.ndarray):
 _END_REL = 4.0 * float(np.finfo(float).eps)
 
 
-def _legendre(log_weights, values, row_weights, target: float, tol: float, *, nonpositive=False):
-    """(s, end_cost, moments): the force at which the row-weighted tilted mean
-    D(s) of ``values`` hits ``target``, the rate an end of its range costs, and
-    the kernel's per-row moments at s (None at an end), each force evaluated once.
+def _legendre(log_weights, values, row_weights, target: float, tol: float, *, nonpositive=False, force_only=False):
+    """(s, rate, moments): the force at which the row-weighted tilted mean D(s)
+    of ``values`` hits ``target``, the rate there, and the kernel's per-row
+    moments at s (None at an end), each force evaluated once.
 
-    D runs from its floor (s -> -inf) to its ceiling (s -> +inf), or with
-    ``nonpositive`` to D(0), and a target at or above D(0) gets s = 0.  A
-    target within ``VALUE_MERGE_TOL`` of the span (plus ``_END_REL`` of the
-    end's size) of an end gets s = -inf or +inf and end_cost = -sum_x w_x
-    ln(mass of row x at that end), read from the raw table; beyond an end
-    it raises ``LevelInfeasibleError``.  Otherwise s solves
-    ``|D(s) - target| <= tol * span`` and end_cost is nan.  A nan target raises
+    All three are taken on the table at origin (``_at_origin``), with the
+    target moved by sum_x w_x start_x.  D runs from its floor (s -> -inf) to
+    its ceiling (s -> +inf), or with ``nonpositive`` to D(0), and a target at
+    or above D(0) gets s = 0.  A target within ``VALUE_MERGE_TOL`` of the span
+    (plus ``_END_REL`` of the end's size) of an end gets s = -inf or +inf and
+    the rate -sum_x w_x ln(mass of row x at that end); beyond an end it raises
+    ``LevelInfeasibleError``.  Otherwise Newton runs on the logit
+    log((D - Dmin) / (Dmax - D)), exactly linear in s for one row of two
+    values and close to linear far out in either tail, to
+    ``|D(s) - target| <= tol * span``, and the rate is s * target - sum_x w_x
+    ln Z_x(s).  ``force_only`` returns s alone (rate nan, moments None),
+    without the kernel call the rate needs.  A nan target raises
     ``ValidationError``.
     """
     if math.isnan(target):
         raise ValidationError("the target level must be a number, not nan")
-    vmin, vmax = _row_ends(log_weights, values)
-    floor, ceiling = float(np.dot(row_weights, vmin)), float(np.dot(row_weights, vmax))
-    top, at_zero = ceiling, None
+    values, starts, ranges = _at_origin(log_weights, values)
+    base = float(np.dot(row_weights, starts))
+    level, ceiling = target - base, float(np.dot(row_weights, ranges))
+    top, at_zero = ceiling, None  # the floor is 0 at origin, so top is the span
     if nonpositive:
         at_zero = _tilted_moments(log_weights, values, 0.0)
         top = min(float(np.dot(row_weights, at_zero[1])), ceiling)
-        if target >= top:
-            return 0.0, math.nan, at_zero
-    span = top - floor
-    for end, row_end, sign in [(floor, vmin, -1.0)] + ([] if nonpositive else [(ceiling, vmax, 1.0)]):
-        band = VALUE_MERGE_TOL * span + _END_REL * abs(end)
-        if sign * (target - end) > band:
-            raise LevelInfeasibleError(f"level {target!r} outside the achievable range [{floor!r}, {ceiling!r}]")
-        if sign * (target - end) >= -band:
-            at_end = sign * (values - row_end[:, None]) >= -VALUE_MERGE_TOL * (vmax - vmin)[:, None]
+        if level >= top:
+            return 0.0, 0.0 - float(np.dot(row_weights, at_zero[0])), at_zero
+    for end, row_end, sign in [(0.0, 0.0, -1.0)] + ([] if nonpositive else [(ceiling, ranges[:, None], 1.0)]):
+        band = VALUE_MERGE_TOL * top + _END_REL * abs(base + end)
+        if sign * (level - end) > band:
+            raise LevelInfeasibleError(
+                f"level {target!r} outside the achievable range [{base!r}, {base + ceiling!r}]")
+        if sign * (level - end) >= -band:
+            at_end = sign * (values - row_end) >= -VALUE_MERGE_TOL * ranges[:, None]
             log_mass = _tilted_law(np.where(at_end, log_weights, -math.inf), values, 0.0)[1]
             # 0.0 - x: an end that holds all the mass costs 0.0, not -0.0
             return sign * math.inf, 0.0 - float(np.dot(row_weights, log_mass)), None
-    s = _force_at_mean(log_weights, values, row_weights, (vmin, vmax), target, tol * span,
-                       nonpositive=nonpositive, zero_moments=at_zero)
-    return s, math.nan, _tilted_moments(log_weights, values, s)
 
+    visited = {} if at_zero is None else {0.0: at_zero}  # force -> moments: each force evaluated once
 
-def _force_at_mean(log_weights, values, row_weights, ends, target: float, f_tol: float, *, nonpositive=False,
-                   zero_moments=None):
-    """Force s at which the row-weighted tilted mean D(s) of ``values`` hits ``target``.
-
-    D runs from its floor Dmin (s -> -inf, every row at its least value of
-    ``ends``, from ``_row_ends``) to its ceiling Dmax (s -> +inf), and the
-    target must lie strictly between.  Newton runs on the logit
-    log((D - Dmin) / (Dmax - D)), whose slope is mmse * (1 / (D - Dmin) +
-    1 / (Dmax - D)): it is exactly linear in s for one row of two values
-    and close to linear far out in either tail, where D itself flattens
-    out exponentially.  The logit tolerance is set so that it implies
-    ``|D(s) - target| <= f_tol``; ``nonpositive`` keeps s <= 0.  ``zero_moments``
-    are the kernel's moments at s = 0, when the caller has them.
-    """
-    vmin, vmax = ends
-    ranges = vmax - vmin
-    floor = float(np.dot(row_weights, vmin))
-    gap_lo = target - floor
-    gap_hi = floor + float(np.dot(row_weights, ranges)) - target
-    if not (gap_lo > 0.0 and gap_hi > 0.0):
-        raise BracketError(f"target {target!r} is not strictly inside the range of the tilted mean")
-
-    def logit_and_slope(u: float, moments=None):
-        _, means, variances = moments or _tilted_moments(log_weights, values, u)
-        above = means - vmin
-        a = float(np.dot(row_weights, above))
-        b = float(np.dot(row_weights, ranges - above))
+    def logit_and_slope(u: float):
+        _, means, variances = visited[u] = visited.get(u) or _tilted_moments(log_weights, values, u)
+        a = float(np.dot(row_weights, means))
+        b = float(np.dot(row_weights, ranges - means))
         if a <= 0.0 or b <= 0.0:  # rounding far out in a tail
             return (-math.inf if a <= 0.0 else math.inf), 0.0
         return math.log(a / b), float(np.dot(row_weights, variances)) * (1.0 / a + 1.0 / b)
 
-    # Bracket from 0 to twice the Newton step from 0, whose value and slope
-    # are computed once and reused: that step is exact for one row of two
-    # values and sets the problem's own force scale otherwise.
-    at_zero = logit_and_slope(0.0, zero_moments)
-    if not at_zero[1] > 0.0:
+    # Bracket from 0 to twice the Newton step from 0: that step is exact for
+    # one row of two values and sets the problem's own force scale otherwise.
+    origin = logit_and_slope(0.0)
+    if not origin[1] > 0.0:
         raise BracketError("the tilted mean does not move at zero force")
-    goal = math.log(gap_lo / gap_hi)
-    reach = 2.0 * (goal - at_zero[0]) / at_zero[1]
-    return invert_monotone(
-        lambda u: at_zero if u == 0.0 else logit_and_slope(u),
+    gap = ceiling - level
+    goal = math.log(level / gap)
+    reach = 2.0 * (goal - origin[0]) / origin[1]
+    s = invert_monotone(
+        logit_and_slope,
         goal,
-        f_tol=math.log1p(f_tol / gap_lo) + math.log1p(f_tol / gap_hi),
+        f_tol=math.log1p(tol * top / level) + math.log1p(tol * top / gap),
         lo=min(reach, 0.0),
         hi=max(reach, 0.0),
         hi_limit=0.0 if nonpositive else math.inf,
     )
+    if force_only:
+        return s, math.nan, None
+    moments = visited.get(s) or _tilted_moments(log_weights, values, s)
+    return s, s * level - float(np.dot(row_weights, moments[0])), moments
 
 
 def log_mgf(dist: FiniteDistribution, s: float) -> float:
@@ -392,13 +387,13 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
     """Invert the mean map: find the force whose tilted mean hits ``level``.
 
     Interior levels are solved by a bracketed, safeguarded Newton iteration
-    on the tilted variance (the slope of the mean; see ``_force_at_mean``)
+    on the tilted variance (the slope of the mean; see ``_legendre``)
     to ``|mean - level| <= tol * (max - min)``.  A level on an endpoint of the
     support returns the signed-infinite force sentinel with rate equal to
     -ln(prob of that endpoint); levels outside the support raise.
     """
     try:
-        s, end_cost, moments = _legendre(*_one_row(dist), np.ones(1), level, tol)
+        s, rate, _ = _legendre(*_one_row(dist), np.ones(1), level, tol)
     except LevelInfeasibleError:
         if dist.size > 1:
             raise
@@ -406,8 +401,8 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
             f"level {level!r} unreachable: distribution is a point mass at {dist.min_value!r}"
         ) from None
     if math.isinf(s):
-        return RateResult(level=dist.min_value if s < 0.0 else dist.max_value, force=s, rate=end_cost)
-    return RateResult(level=float(level), force=float(s), rate=max(s * level - float(moments[0][0]), 0.0))
+        return RateResult(level=dist.min_value if s < 0.0 else dist.max_value, force=s, rate=rate)
+    return RateResult(level=float(level), force=float(s), rate=max(rate, 0.0))
 
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:

@@ -203,6 +203,20 @@ class TestOptimizedCodingLaw:
         assert res.returncode == 0
         assert pairs_of(res.stdout)["converged"] == "false"
 
+    def test_rows_far_from_zero_get_the_law_of_the_rows_at_zero(self, capsys, tmp_path):
+        # rows 1e5 and more from 0 once left the law 2e-12 off summing to 1, so RdProblem refused it
+        source, table, s = [0.5, 0.5], np.array([[0.0, 1.5], [2.0, 0.25]]), -1.3
+        offset = table + np.array([[1e5], [3e7]])
+        f = tmp_path / "offset.cfg"
+        rows = "; ".join(", ".join(map(repr, row)) for row in offset.tolist())
+        f.write_text(f"source_probs = 0.5, 0.5\ndistortion = {rows}\n")
+        for argv in (["oracle", "ba", f"--force={s!r}"], ["rd", "point", f"--force={s!r}"],
+                     ["rd", "curve", f"--grid={s!r}"]):
+            res = main_of(capsys, *argv, "--config", str(f))
+            assert (res.returncode, res.stderr) == (0, "")
+        want = blahut_arimoto(source, table, s).coding_probs
+        assert np.max(np.abs(blahut_arimoto(source, offset, s).coding_probs - want)) <= 1e-12
+
 
 class TestObservableSweep:
     @pytest.fixture

@@ -23,6 +23,7 @@ from tiltrate import (
     equal_force_allocation,
     equilibrium_force,
     force_at_distortion,
+    from_rd_problem,
     observable_expectation,
     observable_sweep,
     rate_legendre,
@@ -31,7 +32,7 @@ from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError
 from tiltrate.multiconstraint import _stats
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _BLOCK_ENTRIES, _force_at_mean, _row_ends, _tilted_law
+from tiltrate.tilting import _BLOCK_ENTRIES, _legendre, _tilted_law
 
 from conftest import feasible_delta, random_problem
 
@@ -91,6 +92,23 @@ class TestEachForceOnce:
             point = capacity_point(channel)
             assert forces.count(0.0) == 1
             assert point.s_star == pytest.approx(-1.0, abs=1e-9)
+
+    def test_equilibrium_takes_no_rate(self, forces):
+        # the chain reads only the force: its solve skips the kernel call that the rate takes at s
+        rng = np.random.default_rng(5)
+        systems = [from_rd_problem(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]), 2.0)]
+        systems += [from_rd_problem(random_problem(rng), float(rng.uniform(0.5, 2.0))) for _ in range(5)]
+        for system in systems:
+            fractions, log_w, lengths = chain._table(system)
+            lo, hi = (float(np.dot(fractions, end)) for end in (lengths.min(axis=1), lengths.max(axis=1)))
+            for target in (lo + u * (hi - lo) for u in (0.1, 0.3, 0.93)):
+                forces.clear()
+                equilibrium_force(system, target)
+                solve = list(forces)
+                forces.clear()
+                s = _legendre(log_w, lengths, fractions, target, 1e-10)[0]
+                assert solve.count(0.0) == 1 and len(set(solve)) == len(solve)
+                assert forces == solve + ([] if s in solve else [s])
 
     def test_zero_force_once_per_entropy(self, forces):
         spectrum = FiniteDistribution([0.0, 0.4, 1.0, 1.7], [0.1, 0.2, 0.3, 0.4])
@@ -166,7 +184,7 @@ def per_array_equilibrium(system, target, tol=1e-10):
     lo = sum(a.fraction * float(a.state_lengths.min()) for a in system.arrays)
     hi = sum(a.fraction * float(a.state_lengths.max()) for a in system.arrays)
     fractions, log_w, lengths = chain._table(system)
-    s = _force_at_mean(log_w, lengths, fractions, _row_ends(log_w, lengths), target, tol * (hi - lo))
+    s = _legendre(log_w, lengths, fractions, target, tol, force_only=True)[0]
     return lo, hi, s / system.beta
 
 
@@ -189,3 +207,12 @@ class TestEquilibriumRange:
                 equilibrium_force(system, end)
             assert f"({lo!r}, {hi!r})" in str(raised.value)
         assert math.isfinite(lo) and math.isfinite(hi)
+
+    def test_a_length_within_the_end_band_is_that_end(self):
+        # within 1e-12 of the span (plus a few ulps of the end) an end is claimed, as by every
+        # other solve; its force would be infinite
+        system = from_rd_problem(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]))
+        for length in (1e-13, 1.0 - 1e-13, 1e-12):
+            with pytest.raises(LengthInfeasibleError, match=r"\(0\.0, 1\.0\)"):
+                equilibrium_force(system, length)
+        assert equilibrium_force(system, 1e-11) == pytest.approx(-25.33, abs=0.01)

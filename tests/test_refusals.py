@@ -1,0 +1,189 @@
+"""Every input refusal raises its documented error class with its message, and the CLI
+exits 1 with that message on stderr: one test per refusal no other test reaches."""
+
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from tiltrate import (
+    ChainSystem,
+    Channel,
+    ElementArray,
+    RdProblem,
+    blahut_arimoto,
+    brute_allocation_min,
+    cli,
+    equal_force_allocation,
+    exact_ld_probability,
+    from_rd_problem,
+    legendre_grid_max,
+    load_config,
+    observable_expectation,
+    rd_curve,
+)
+from tiltrate.errors import ConfigError, ValidationError
+
+
+def raises(error, message):
+    return pytest.raises(error, match=f"^{re.escape(message)}$")
+
+
+@pytest.fixture
+def bss():
+    return RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+
+
+class TestConstructors:
+    def test_transition_rows_must_match_the_inputs(self):
+        with raises(ValidationError, "transition must have one row per input letter (shape (1, 2), 2 inputs)"):
+            Channel([[0.5, 0.5]], [0.5, 0.5])
+
+    def test_state_tables_must_be_finite(self):
+        with raises(ValidationError, "state_lengths and state_energies must be finite"):
+            ElementArray([0.0, math.inf], [0.0, 0.0], 0.5)
+
+    @pytest.mark.parametrize("fraction", [-0.1, math.nan, math.inf])
+    def test_fraction_must_be_a_nonnegative_real(self, fraction):
+        with raises(ValidationError, "fraction must be a nonnegative real"):
+            ElementArray([0.0, 1.0], [0.0, 0.0], fraction)
+
+    def test_chain_needs_an_array(self):
+        with raises(ValidationError, "a chain needs at least one element array"):
+            ChainSystem(arrays=())
+
+    @pytest.mark.parametrize("field, message", [
+        ("beta", "beta must be a positive real"), ("boltzmann_k", "boltzmann_k must be a positive real")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_chain_constants_must_be_positive_reals(self, field, message, value):
+        with raises(ValidationError, message):
+            ChainSystem(arrays=(ElementArray([0.0, 1.0], [0.0, 0.0], 1.0),), **{field: value})
+
+    @pytest.mark.parametrize("beta", [0.0, math.inf])
+    def test_mapped_chain_beta_must_be_a_positive_real(self, bss, beta):
+        with raises(ValidationError, "beta must be a positive real"):
+            from_rd_problem(bss, beta)
+
+    def test_a_law_must_be_nonempty(self):
+        with raises(ValidationError, "source_probs must be nonempty"):
+            RdProblem([], [1.0], np.zeros((0, 1)))
+
+
+class TestRateDistortion:
+    def test_allocation_at_the_minimum_distortion_is_the_row_minima(self, bss):
+        allocation, rate = equal_force_allocation(bss, 0.0)
+        assert np.array_equal(allocation.per_symbol_distortion, [0.0, 0.0])
+        assert rate == pytest.approx(math.log(2.0), rel=1e-15)
+
+    def test_observable_must_be_finite(self, bss):
+        with raises(ValidationError, "observable entries must all be finite"):
+            observable_expectation(bss, [[0.0, math.nan], [1.0, 0.0]], -1.0)
+
+    def test_force_grid_must_be_nonempty(self, bss):
+        with raises(ValidationError, "force_grid must be nonempty"):
+            rd_curve(bss, [])
+
+
+class TestOracles:
+    def test_block_length_must_be_positive(self, bss):
+        with raises(ValidationError, "block length n must be positive"):
+            exact_ld_probability(bss, 0, 0.25)
+
+    def test_allocation_grid_needs_two_points(self, bss):
+        with raises(ValidationError, "grid_points_per_symbol must be at least 2"):
+            brute_allocation_min(bss, 0.25, 1)
+
+    def test_one_letter_allocation_below_its_grid(self):
+        problem = RdProblem([1.0], [0.5, 0.5], [[1.0, 2.0]])
+        with raises(ValidationError, "no grid point satisfies the distortion budget"):
+            brute_allocation_min(problem, 0.5, 10)
+
+    def test_legendre_grid_needs_three_points(self, bss):
+        with raises(ValidationError, "points must be at least 3"):
+            legendre_grid_max(bss, 0.25, points=2)
+
+    @pytest.mark.parametrize("table, kwargs, message", [
+        ([[0.0, 1.0]], {}, "distortion must have one row per source letter"),
+        ([[0.0, math.nan], [1.0, 0.0]], {}, "distortion entries must all be finite"),
+        ([[0.0, 1.0], [1.0, 0.0]], {"max_iter": 0}, "max_iter must be at least 1"),
+    ])
+    def test_blahut_arimoto_inputs(self, table, kwargs, message):
+        with raises(ValidationError, message):
+            blahut_arimoto([0.5, 0.5], table, -1.0, **kwargs)
+
+
+def refused(capsys, argv, message):
+    """cli.main(argv) exits 1 and prints exactly ``message`` as its error."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"tiltrate: error: {message}\n"
+
+
+class TestCliRefusals:
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        path = tmp_path / "bss.cfg"
+        path.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1; 1, 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("grid, message", [
+        ("a:b:3", "bad grid spec 'a:b:3': expected lo:hi:count"),
+        ("0:-1:0", "grid count must be at least 1"),
+        ("0, x", "bad grid spec '0, x'"),
+        (" ", "grid spec is empty"),
+    ])
+    def test_grid_specs(self, capsys, cfg, grid, message):
+        refused(capsys, ["rd", "curve", "--config", cfg, f"--grid={grid}"], message)
+
+    def test_positive_force(self, capsys, cfg):
+        refused(capsys, ["rd", "point", "--config", cfg, "--force=0.5"], "--force must be <= 0")
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--bounds=4", "sandwich bounds need a finite force"),
+        ("--integral-route", "the integral route needs a finite force"),
+    ])
+    def test_routes_at_the_minimum_distortion(self, capsys, cfg, flag, message):
+        refused(capsys, ["rd", "point", "--config", cfg, "--delta=0", flag], message)
+
+    def test_positive_final_force(self, capsys, cfg):
+        refused(capsys, ["chain", "work", "--config", cfg, "--lambda-final=0.5"],
+                "--lambda-final must be <= 0 for the compression branch")
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("doc, message", [
+        ({"source_probs": ["a", 1]}, "config field 'source_probs' must be a numeric vector"),
+        ({"source_probs": [[0.5, 0.5]]}, "config field 'source_probs' must be a one-dimensional vector"),
+        ({"distortion": [["a"]]}, "config field 'distortion' must be a numeric matrix"),
+        ({"distortion": [[0.0, 1.0], [1.0]]}, "config field 'distortion' must be a numeric matrix"),
+        ({"beta": None}, "config field 'beta' must be a real number"),
+        ({"channel": [1]}, "config field 'channel' must be an object with transition and input_probs"),
+    ])
+    def test_json_fields(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        refused(capsys, ["capacity", "--config", str(path)], message)
+
+    @pytest.mark.parametrize("line, message", [
+        ("distortion = ;", "config field 'distortion' must contain at least one row"),
+        ("beta = abc", "config field 'beta' must be a real number"),
+        ("beta = inf", "config field 'beta' must be finite"),
+    ])
+    def test_text_fields(self, capsys, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        refused(capsys, ["capacity", "--config", str(path)], message)
+
+    def test_top_level_json_must_be_an_object(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        refused(capsys, ["capacity", "--config", str(path)], f"{path}: top-level JSON value must be an object")
+
+    def test_errors_are_config_errors(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("beta = abc\n")
+        with raises(ConfigError, "config field 'beta' must be a real number"):
+            load_config(path)

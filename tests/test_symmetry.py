@@ -2,6 +2,8 @@
 beta/lambda reparametrisation leave every rate and every equilibrium force unchanged;
 shifting the rows of the table and offsetting an observable leave its two routes in step."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,10 @@ from tiltrate import (
     RdProblem,
     RdProblem2,
     capacity_point,
+    distortion_at_force,
     equal_force_allocation,
     equilibrium_force,
+    force_at_distortion,
     from_rd_problem,
     observable_expectation,
     observable_sweep,
@@ -127,6 +131,29 @@ def test_observable_routes_hold_under_shifts(seed, s, c_t):
     gap = observable_sweep(shifted, t + c_t, s) - want
     plain_gap = observable_sweep(plain, t, s) - observable_expectation(plain, t, s)
     assert abs(gap - plain_gap) <= 1e-8 + 1e-13 * abs(want)
+
+
+@given(seeds, budgets, st.floats(-3.0, -0.1))
+@settings(max_examples=60, deadline=None)
+def test_rates_exact_under_far_row_shifts(seed, u, s):
+    # Entries on a 2^-16 grid and whole-number row shifts c_x up to 1e10 keep every shifted
+    # entry exact, and the moved budget is rounded once from its exact value, so the shifted
+    # problem is the plain one and any gap is the solver's own.  A budget solve still pays
+    # |s| times the rounding of its budget, of its sum_x P(x) c_x and of its tolerance.
+    p, q, d, _ = draw(seed)
+    d = np.round(d * 2.0**16) / 2.0**16
+    rng = np.random.default_rng([seed, 4])
+    c = np.round(rng.choice([-1.0, 1.0], size=p.size) * 10.0 ** rng.uniform(0.0, 10.0, size=p.size))
+    plain, shifted = RdProblem(p, q, d), RdProblem(p, q, d + c[:, None])
+    rate = distortion_at_force(plain, s).rate
+    assert abs(distortion_at_force(shifted, s).rate - rate) <= 1e-13 * rate
+    delta = interior_budget(p, q, d, u)
+    moved = float(Fraction(delta) + sum(Fraction(x) * Fraction(y) for x, y in zip(p, c)))
+    point = force_at_distortion(plain, delta)
+    span = float(p @ np.ptp(d, axis=1))
+    ulps = np.spacing(abs(moved)) + 2.0 * float(p @ np.spacing(np.abs(c)))
+    bound = 1e-9 * max(1.0, point.rate) + abs(point.s) * (ulps + 1e-10 * span)
+    assert abs(rate_legendre(shifted, moved) - point.rate) <= bound
 
 
 @given(seeds, budgets, st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
