@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _frozen, _law, _legendre
+from .tilting import PROB_TOL, _at_origin, _frozen, _law, _legendre
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -101,6 +101,6 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     np.log(np.broadcast_to(q, support.shape), out=log_w, where=support)
 
     # tol = 0 runs the iteration to machine width so the force itself is pinned
-    s, rate, _ = _legendre(log_w, dist, p_out, delta, 0.0, nonpositive=True)
+    s, rate, _ = _legendre(_at_origin(p_out, log_w, dist), delta, 0.0, nonpositive=True)
     # at an end each output row is constant on its support: the rate is the pure mass cost
     return CapacityPoint(rate=max(rate, 0.0), s_star=0.0 if math.isinf(s) else float(s), delta=delta)

@@ -32,13 +32,12 @@ from .solvers import adaptive_simpson
 from .tilting import (
     VALUE_MERGE_TOL,
     FiniteDistribution,
+    _at_origin,
     _frozen,
     _law,
     _legendre,
     _one_row,
     _riemann_sums,
-    _row_ends,
-    _tilted_moments,
 )
 
 __all__ = [
@@ -100,8 +99,9 @@ class ChainSystem:
         return 1.0 / (self.boltzmann_k * self.beta)
 
 
-def _table(system: ChainSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(fractions, log-weights -beta * energies, lengths), one row per array.
+def _table(system: ChainSystem):
+    """The ``tilting._Table`` of the lengths under the log-weights -beta * energies, one row per
+    array weighted by its fraction, with each row moved to start at 0.
 
     Arrays with fewer states are padded with -inf log-weights, which carry
     no Boltzmann mass, and zero lengths.  Built once per public call, not
@@ -113,36 +113,31 @@ def _table(system: ChainSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for x, arr in enumerate(system.arrays):
         log_w[x, : arr.state_energies.size] = -system.beta * arr.state_energies
         lengths[x, : arr.state_lengths.size] = arr.state_lengths
-    return np.array([a.fraction for a in system.arrays]), log_w, lengths
-
-
-def _moments(system: ChainSystem):
-    """lam -> (fractions, per-array log partition, mean length, length variance)."""
-    fractions, log_w, lengths = _table(system)
-    beta = system.beta
-    return lambda lam: (fractions, *_tilted_moments(log_w, lengths, beta * lam))
+    return _at_origin(np.array([a.fraction for a in system.arrays]), log_w, lengths)
 
 
 def gibbs_free_energy(system: ChainSystem, lam: float) -> float:
     """Per-element Gibbs free energy -(1/beta) sum_x p_x ln Z_x(lam)."""
-    fractions, log_z, _, _ = _moments(system)(lam)
-    return -float(np.dot(fractions, log_z)) / system.beta
+    table, s = _table(system), system.beta * lam
+    # a row at origin has ln Z lower by s * start than the row itself
+    return -float(np.dot(table.row_weights, table.moments(s)[0] + s * table.starts)) / system.beta
 
 
 def array_lengths(system: ChainSystem, lam: float) -> np.ndarray:
     """Boltzmann mean length of each array at force lam."""
-    return _moments(system)(lam)[2]
+    table = _table(system)
+    return table.moments(system.beta * lam)[1] + table.starts
 
 
 def expected_length(system: ChainSystem, lam: float) -> float:
-    fractions, _, means, _ = _moments(system)(lam)
-    return float(np.dot(fractions, means))
+    table = _table(system)
+    return float(np.dot(table.row_weights, table.moments(system.beta * lam)[1] + table.starts))
 
 
 def length_variance(system: ChainSystem, lam: float) -> float:
     """Population-averaged per-element length variance; beta times this is dY/dlam."""
-    fractions, _, _, variances = _moments(system)(lam)
-    return float(np.dot(fractions, variances))
+    table = _table(system)
+    return float(np.dot(table.row_weights, table.moments(system.beta * lam)[2]))
 
 
 def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e-10) -> float:
@@ -151,18 +146,20 @@ def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e
     Solved for s = beta * lam by ``tilting._legendre``, in the lengths' own
     force scale.  A length on an end of the achievable range, as that solve
     decides the ends, would need an infinite force, and a length beyond one
-    has none: both raise ``LengthInfeasibleError``.
+    has none: both raise ``LengthInfeasibleError``, whose message names the end
+    band when the length lies strictly inside the range.
     """
-    fractions, log_w, lengths = _table(system)
     try:
-        s = _legendre(log_w, lengths, fractions, target_length, tol, force_only=True)[0]
+        s = _legendre(_table(system), target_length, tol, force_only=True)[0]
     except LevelInfeasibleError:
         s = math.inf
     if math.isinf(s):
-        lo, hi = (sum((fractions * end).tolist()) for end in _row_ends(log_w, lengths))  # summed in array order
-        raise LengthInfeasibleError(
-            f"length {target_length!r} is not strictly inside the achievable range ({lo!r}, {hi!r})"
-        )
+        lo, hi = (sum(a.fraction * float(end(a.state_lengths)) for a in system.arrays) for end in (np.min, np.max))
+        reach = f"the achievable range ({lo!r}, {hi!r})"
+        if lo < target_length < hi:
+            raise LengthInfeasibleError(
+                f"length {target_length!r} lies within the end band of {reach} and needs an infinite force")
+        raise LengthInfeasibleError(f"length {target_length!r} is not strictly inside {reach}")
     return s / system.beta
 
 
@@ -174,14 +171,10 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     """
     if not math.isfinite(lam_final):
         raise ValidationError(f"lam_final must be finite (got {lam_final!r})")
-    if lam_final == 0.0:
-        return 0.0
-    beta = system.beta
-    moments = _moments(system)
+    table, beta = _table(system), system.beta
 
     def power(lam: float) -> float:
-        fractions, _, _, variances = moments(lam)
-        return lam * beta * float(np.dot(fractions, variances))
+        return lam * beta * float(np.dot(table.row_weights, table.moments(beta * lam)[2]))
 
     return adaptive_simpson(power, 0.0, lam_final, tol)
 
@@ -205,11 +198,11 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     letting the chain re-equilibrate; the pre-jump sum is its mirror.  The
     quasistatic work lies between them for every monotone schedule.
     """
-    moments = _moments(system)
+    table = _table(system)
 
     def lengths(lam: np.ndarray) -> list[float]:
-        fractions, _, means, _ = moments(lam)
-        return [np.dot(fractions, row) for row in means]
+        # at origin: the starts cancel in every difference of the sums
+        return [np.dot(table.row_weights, row) for row in table.moments(system.beta * lam)[1]]
 
     return _riemann_sums(_check_schedule(schedule), lengths)
 
@@ -257,7 +250,7 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     if energy > vmax + VALUE_MERGE_TOL * (vmax - vmin):
         raise EnergyInfeasibleError(message)
     try:
-        rate = _legendre(*_one_row(energy_dist), np.ones(1), energy, tol, nonpositive=True)[1]
+        rate = _legendre(_at_origin(np.ones(1), *_one_row(energy_dist)), energy, tol, nonpositive=True)[1]
     except LevelInfeasibleError:
         raise EnergyInfeasibleError(message) from None
     return -math.log(float(energy_dist.probs.min())) - rate

@@ -51,6 +51,25 @@ def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
     return value, grad, np.array([[cov11, cov12], [cov12, cov22]])
 
 
+def _closing_step(s: np.ndarray, free: np.ndarray, grad: np.ndarray, cov: np.ndarray, last: float) -> np.ndarray:
+    """s moved by one Newton step on the free set, as ``solvers.invert_monotone`` ends.
+
+    The plateau test accepts a projected gradient up to ~5e-8, which leaves
+    the forces wrong from about their 8th digit; the Newton step from there
+    squares that error.  It is taken only when the free covariance block
+    solves and the step is shorter than ``last``, the last accepted step.
+    """
+    try:
+        step = np.linalg.solve(cov[np.ix_(free, free)], grad[free])
+    except np.linalg.LinAlgError:
+        return s
+    if not (np.all(np.isfinite(step)) and float(np.linalg.norm(step)) < last):
+        return s
+    closed = s.copy()
+    closed[free] += step
+    return np.minimum(closed, 0.0)
+
+
 def rate_two_distortions(
     problem: RdProblem2, delta1: float, delta2: float, tol: float = 1e-10
 ) -> tuple[float, float, float]:
@@ -73,7 +92,7 @@ def rate_two_distortions(
         ("delta1", problem.distortion_1, delta1),
         ("delta2", problem.distortion_2, delta2),
     ):
-        table, low, ranges = _at_origin(np.log(q)[None, :], d)
+        _, _, table, low, ranges = _at_origin(p, np.log(q)[None, :], d)
         floor = float(np.dot(p, low))
         if not math.isfinite(target) or target <= floor:
             raise InfeasiblePairError(
@@ -91,6 +110,13 @@ def rate_two_distortions(
     s = np.zeros(2)
     value, grad, cov = _stats(scaled, s, *budgets)
     eps = float(np.finfo(float).eps)
+    last = 0.0  # length of the last accepted step: no closing step before one
+
+    def done():
+        # the rate in hand, and the forces closed by one Newton step, each divided by its scale
+        closed = _closing_step(s, ~pinned, grad, cov, last)
+        return float(max(value, 0.0)), float(closed[0] / scales[0]), float(closed[1] / scales[1])
+
     for _ in range(_MAX_ITER):
         pinned = (s >= 0.0) & (grad > 0.0)
         projected_grad = np.where(pinned, 0.0, grad)
@@ -100,7 +126,7 @@ def rate_two_distortions(
         # objective value itself, so the iterate sits on the flat plateau
         # around the maximizer and further ascent is numerically meaningless.
         if pg_norm <= tol or pg_norm * pg_norm <= 8.0 * eps * (1.0 + abs(value)):
-            return float(max(value, 0.0)), float(s[0] / scales[0]), float(s[1] / scales[1])
+            return done()
         if value > ceiling:
             raise InfeasiblePairError(
                 f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
@@ -149,6 +175,7 @@ def rate_two_distortions(
                     break
                 t_value, t_grad, t_cov = _stats(scaled, trial, *budgets)
                 if t_value >= value + _ARMIJO * float(np.dot(grad, trial - s)):
+                    last = float(np.linalg.norm(trial - s))
                     s, value, grad, cov = trial, t_value, t_grad, t_cov
                     accepted = True
                     break
@@ -160,6 +187,6 @@ def rate_two_distortions(
             # has proven the plateau directly; accept if the optimality
             # residual is small on the value's own scale.
             if pg_norm <= max(tol, 1e-9) or pg_norm * pg_norm <= 64.0 * eps * (1.0 + abs(value)):
-                return float(max(value, 0.0)), float(s[0] / scales[0]), float(s[1] / scales[1])
+                return done()
             raise NumericalError("two-force ascent stalled before reaching tolerance")
     raise NumericalError(f"two-force ascent did not converge in {_MAX_ITER} iterations")

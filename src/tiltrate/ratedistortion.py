@@ -28,9 +28,7 @@ from .tilting import (
     _law,
     _legendre,
     _riemann_sums,
-    _row_ends,
     _tilted_law,
-    _tilted_moments,
     _tilted_pair,
     tilt,
 )
@@ -129,25 +127,23 @@ class Allocation:
         return float(np.dot(problem.source_probs, self.per_symbol_distortion))
 
 
-def _row_moments(problem: RdProblem, s):
-    """The distortion's row starts, and its per-source-letter (log-partition, mean, variance)
-    at force s (or forces) with each row moved to start at 0 (``tilting._at_origin``)."""
-    log_q = np.log(problem.coding_probs)[None, :]
-    table, starts, _ = _at_origin(log_q, problem.distortion)
-    return starts, _tilted_moments(log_q, table, s)
+def _table(problem: RdProblem):
+    """The ``tilting._Table`` of the distortion under the coding law, weighted by the source law,
+    with each row moved to start at 0: lowered once per public call, not kept on the problem."""
+    return _at_origin(problem.source_probs, np.log(problem.coding_probs)[None, :], problem.distortion)
 
 
 def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
     """Evaluate the curve parametrically at a finite force s (s <= 0 on the useful branch)."""
-    starts, moments = _row_moments(problem, s)
-    return _point(problem, s, starts, *moments)
+    table = _table(problem)
+    return _point(table, s, *table.moments(s))
 
 
-def _point(problem: RdProblem, s: float, starts, log_z, means, variances) -> RdPoint:
-    """The curve point at force s from the per-letter moments there at origin (``_row_moments``)."""
-    p = problem.source_probs
+def _point(table, s: float, log_z, means, variances) -> RdPoint:
+    """The curve point at force s from the per-letter moments there at origin."""
+    p = table.row_weights
     rate = s * float(np.dot(p, means)) - float(np.dot(p, log_z))
-    means = means + starts
+    means = means + table.starts
     return RdPoint(
         s=float(s),
         distortion=float(np.dot(p, means)),
@@ -177,10 +173,10 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
 
 def _solve(problem: RdProblem, delta: float, tol: float):
     """``force_at_distortion``'s point and its per-letter moments at origin (None at force -inf)."""
-    p, log_q = problem.source_probs, np.log(problem.coding_probs)[None, :]
-    starts = _row_ends(log_q, problem.distortion)[0]
+    table = _table(problem)
+    p, starts = table.row_weights, table.starts
     try:
-        s, rate, moments = _legendre(log_q, problem.distortion, p, delta, tol, nonpositive=True)
+        s, rate, moments = _legendre(table, delta, tol, nonpositive=True)
     except LevelInfeasibleError:
         dmin = float(np.dot(p, starts))
         raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {dmin!r}") from None
@@ -189,7 +185,7 @@ def _solve(problem: RdProblem, delta: float, tol: float):
             s=s, distortion=float(np.dot(p, starts)), rate=rate, per_symbol_mean=starts,
             per_symbol_var=np.zeros_like(starts), mmse=0.0, boundary="min_distortion",
         ), None
-    point = _point(problem, s, starts, *moments)
+    point = _point(table, s, *moments)
     if s == 0.0 and delta > point.distortion:
         point = replace(point, boundary="above_zero_force")
     return point, moments
@@ -228,42 +224,34 @@ def mmse(problem: RdProblem, s: float) -> float:
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
-    if s == 0.0:
-        return 0.0
     return adaptive_simpson(lambda u: u * mmse(problem, u), 0.0, s, tol)
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Distortion recovered as D0 plus the integrated mmse from 0 to s."""
     d0 = distortion_at_force(problem, 0.0).distortion
-    if s == 0.0:
-        return d0
     return d0 + adaptive_simpson(lambda u: mmse(problem, u), 0.0, s, tol)
 
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
     """Riemann sums over a force grid that bracket the rate at its endpoint."""
-    p = problem.source_probs
-
-    def distortions(forces):
-        starts, (_, means, _) = _row_moments(problem, forces)
-        return [np.dot(p, m + starts) for m in means]
-
-    return _riemann_sums(_check_partition(partition), distortions)
+    # the starts cancel in every difference, so the sums take the means at origin
+    table = _table(problem)
+    return _riemann_sums(_check_partition(partition),
+                         lambda forces: [np.dot(table.row_weights, m) for m in table.moments(forces)[1]])
 
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
     """Matrix of tilted reproduction laws Q_s(xhat | x) proportional to Q(xhat) e^{s d}."""
-    return _tilted_law(np.log(problem.coding_probs)[None, :], problem.distortion, s)[0]
+    table = _table(problem)
+    return _tilted_law(table.log_weights, table.values, s)[0]
 
 
 def _observable_tables(problem: RdProblem, observable):
     """The kernel's inputs for an observable t of the letter pair: the log coding law, the
     distortion at origin (``tilting._at_origin``), and t, checked against the table's shape.
 
-    t is the second table of ``tilting._tilted_pair``, held at zero force.  A
-    row shift leaves the tilted law and every covariance unchanged, and it
-    keeps s * d at d's own resolution however far the rows sit from 0.
+    t is the second table of ``tilting._tilted_pair``, held at zero force.
     """
     t = np.asarray(observable, dtype=float)
     d = problem.distortion
@@ -271,8 +259,8 @@ def _observable_tables(problem: RdProblem, observable):
         raise ValidationError(f"observable must match the distortion table shape {d.shape}")
     if not np.all(np.isfinite(t)):
         raise ValidationError("observable entries must all be finite")
-    log_q = np.log(problem.coding_probs)[None, :]
-    return log_q, _at_origin(log_q, d)[0], t
+    table = _table(problem)
+    return table.log_weights, table.values, t
 
 
 def observable_expectation(problem: RdProblem, observable, s: float) -> float:
@@ -291,8 +279,6 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     tables = _observable_tables(problem, observable)
     p = problem.source_probs
     base = float(np.dot(p, _tilted_pair(*tables, 0.0, 0.0)[2]))
-    if s == 0.0:
-        return base
     return base + adaptive_simpson(lambda u: float(np.dot(p, _tilted_pair(*tables, u, 0.0)[5])), 0.0, s, tol)
 
 
@@ -304,5 +290,5 @@ def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
     if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):
         raise ValidationError("force_grid values must be finite and <= 0")
     forces = grid[np.argsort(-grid, kind="stable")]
-    starts, moments = _row_moments(problem, forces)
-    return [_point(problem, float(s), starts, *row) for s, *row in zip(forces, *moments)]
+    table = _table(problem)
+    return [_point(table, float(s), *row) for s, *row in zip(forces, *table.moments(forces))]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,12 +277,26 @@ def _row_ends(log_weights: np.ndarray, values: np.ndarray):
     return values.min(axis=1, where=live, initial=math.inf), values.max(axis=1, where=live, initial=-math.inf)
 
 
-def _at_origin(log_weights: np.ndarray, values: np.ndarray):
-    """(table, starts, ranges): ``values`` with each row moved to start at 0, and each row's start
-    and range, over the entries that carry mass (``_row_ends``).  A row shift leaves every tilted
-    law unchanged, and s * value keeps the table's own resolution however far its rows sit from 0."""
+class _Table(NamedTuple):
+    """A table lowered for the kernel by ``_at_origin``, its values at origin."""
+
+    row_weights: np.ndarray
+    log_weights: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    ranges: np.ndarray
+
+    def moments(self, s):
+        """Per-row (log-partition, mean, variance) at origin at force s (or forces), by ``_tilted_moments``."""
+        return _tilted_moments(self.log_weights, self.values, s)
+
+
+def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
+    """The table with each row of ``values`` moved to start at 0, its starts and ranges taken over
+    the entries that carry mass (``_row_ends``).  A row shift leaves every tilted law unchanged,
+    and s * value keeps the table's own resolution however far its rows sit from 0."""
     starts, ends = _row_ends(log_weights, values)
-    return values - starts[:, None], starts, ends - starts
+    return _Table(weights, log_weights, values - starts[:, None], starts, ends - starts)
 
 
 # An end also claims targets within this fraction of its own size, a few
@@ -289,9 +304,9 @@ def _at_origin(log_weights: np.ndarray, values: np.ndarray):
 _END_REL = 4.0 * float(np.finfo(float).eps)
 
 
-def _legendre(log_weights, values, row_weights, target: float, tol: float, *, nonpositive=False, force_only=False):
+def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False):
     """(s, rate, moments): the force at which the row-weighted tilted mean D(s)
-    of ``values`` hits ``target``, the rate there, and the kernel's per-row
+    of the table hits ``target``, the rate there, and the kernel's per-row
     moments at s (None at an end), each force evaluated once.
 
     All three are taken on the table at origin (``_at_origin``), with the
@@ -310,12 +325,12 @@ def _legendre(log_weights, values, row_weights, target: float, tol: float, *, no
     """
     if math.isnan(target):
         raise ValidationError("the target level must be a number, not nan")
-    values, starts, ranges = _at_origin(log_weights, values)
+    row_weights, log_weights, values, starts, ranges = table
     base = float(np.dot(row_weights, starts))
     level, ceiling = target - base, float(np.dot(row_weights, ranges))
     top, at_zero = ceiling, None  # the floor is 0 at origin, so top is the span
     if nonpositive:
-        at_zero = _tilted_moments(log_weights, values, 0.0)
+        at_zero = table.moments(0.0)
         top = min(float(np.dot(row_weights, at_zero[1])), ceiling)
         if level >= top:
             return 0.0, 0.0 - float(np.dot(row_weights, at_zero[0])), at_zero
@@ -333,7 +348,7 @@ def _legendre(log_weights, values, row_weights, target: float, tol: float, *, no
     visited = {} if at_zero is None else {0.0: at_zero}  # force -> moments: each force evaluated once
 
     def logit_and_slope(u: float):
-        _, means, variances = visited[u] = visited.get(u) or _tilted_moments(log_weights, values, u)
+        _, means, variances = visited[u] = visited.get(u) or table.moments(u)
         a = float(np.dot(row_weights, means))
         b = float(np.dot(row_weights, ranges - means))
         if a <= 0.0 or b <= 0.0:  # rounding far out in a tail
@@ -358,7 +373,7 @@ def _legendre(log_weights, values, row_weights, target: float, tol: float, *, no
     )
     if force_only:
         return s, math.nan, None
-    moments = visited.get(s) or _tilted_moments(log_weights, values, s)
+    moments = visited.get(s) or table.moments(s)
     return s, s * level - float(np.dot(row_weights, moments[0])), moments
 
 
@@ -393,7 +408,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
     -ln(prob of that endpoint); levels outside the support raise.
     """
     try:
-        s, rate, _ = _legendre(*_one_row(dist), np.ones(1), level, tol)
+        s, rate, _ = _legendre(_at_origin(np.ones(1), *_one_row(dist)), level, tol)
     except LevelInfeasibleError:
         if dist.size > 1:
             raise
@@ -408,7 +423,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Work route to the rate: integral of u * Var_u(y) for u from 0 to s."""
     _check_force(s)  # also on a point mass, which needs no integral
-    if s == 0.0 or dist.size == 1:
+    if dist.size == 1:
         return 0.0
     return adaptive_simpson(lambda u: u * tilt(dist, u).variance, 0.0, s, tol)
 
@@ -416,7 +431,7 @@ def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) ->
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Tilted mean recovered as mean(0) plus the integrated tilted variance."""
     _check_force(s)  # also on a point mass, which needs no integral
-    if s == 0.0 or dist.size == 1:
+    if dist.size == 1:
         return dist.mean
     return dist.mean + adaptive_simpson(lambda u: tilt(dist, u).variance, 0.0, s, tol)
 

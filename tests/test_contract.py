@@ -6,10 +6,12 @@ stores read-only copies of its arrays.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tiltrate
 from tiltrate import (
     ChainSystem,
     Channel,
@@ -172,3 +174,9 @@ class TestOneLawCheck:
         a = ElementArray([0.0, 1.0], [0.0, 0.0], 0.6)
         with pytest.raises(ValidationError, match=r"^array fractions must sum to 1 within 1e-12 \(got 1\.2"):
             ChainSystem(arrays=(a, a))
+
+
+def test_row_starts_are_found_by_the_origin_table_alone():
+    # every table route takes its rows' starts from tilting._at_origin; oracles.py keeps its own
+    modules = Path(tiltrate.__file__).parent.glob("*.py")
+    assert sorted(m.name for m in modules if "_row_ends" in m.read_text()) == ["tilting.py"]

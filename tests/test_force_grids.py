@@ -1,10 +1,11 @@
 """Fixed-force grids go through the kernel in one batched call per grid.
 
 Each grid path must give, bit for bit, what a loop of one-force calls gives:
-``rd_curve`` and ``sandwich_bounds`` against ``distortion_at_force``,
-``riemann_sandwich`` against ``tilt``, and ``protocol_work_bounds`` against
-``expected_length``.  The Riemann sums are formed as ``tilting._riemann_sums``
-forms them, from the per-point means.
+``rd_curve`` against ``distortion_at_force``, ``riemann_sandwich`` against
+``tilt``, and ``sandwich_bounds`` and ``protocol_work_bounds`` against the
+kernel at one force on the table at origin, whose means they difference (the
+row starts cancel in every difference).  The Riemann sums are formed as
+``tilting._riemann_sums`` forms them, from the per-point means.
 """
 
 import tracemalloc
@@ -18,7 +19,6 @@ from tiltrate import (
     FiniteDistribution,
     RdProblem,
     distortion_at_force,
-    expected_length,
     from_rd_problem,
     protocol_work_bounds,
     rd_curve,
@@ -26,6 +26,7 @@ from tiltrate import (
     sandwich_bounds,
     tilt,
 )
+from tiltrate import chain, ratedistortion
 from tiltrate.tilting import _tilted_moments
 
 # draws per alphabet size: the k = 512 grids cost a few ms per force
@@ -42,6 +43,11 @@ def draw_problem(k: int, draw: int) -> tuple[np.random.Generator, RdProblem]:
 def sums_of(forces, means) -> tuple[float, float]:
     dm = np.diff(means)
     return (float(np.dot(forces[:-1], dm)), float(np.dot(forces[1:], dm)))
+
+
+def origin_means(table, forces) -> list[float]:
+    """The row-weighted mean at each force on a table at origin, one kernel call per force."""
+    return [np.dot(table.row_weights, _tilted_moments(table.log_weights, table.values, float(s))[1]) for s in forces]
 
 
 def points(k: int) -> int:
@@ -67,7 +73,7 @@ def test_rd_curve_matches_point_by_point(k, draw):
 def test_sandwich_bounds_match_point_by_point(k, draw):
     rng, problem = draw_problem(k, draw)
     part = np.linspace(0.0, -rng.uniform(0.5, 5.0), points(k))
-    means = [distortion_at_force(problem, float(s)).distortion for s in part]
+    means = origin_means(ratedistortion._table(problem), part)
     assert sandwich_bounds(problem, part) == sums_of(part, means)
 
 
@@ -85,7 +91,7 @@ def test_protocol_work_bounds_match_point_by_point(k, draw):
     rng, problem = draw_problem(k, draw)
     system = from_rd_problem(problem, beta=float(rng.uniform(0.5, 2.0)))
     schedule = np.linspace(0.0, -rng.uniform(0.5, 4.0), points(k))
-    means = [expected_length(system, float(lam)) for lam in schedule]
+    means = origin_means(chain._table(system), system.beta * schedule)
     assert protocol_work_bounds(system, schedule) == sums_of(schedule, means)
 
 
@@ -96,7 +102,7 @@ def test_protocol_on_ragged_arrays_matches_point_by_point(rng):
         beta=0.7,
     )
     schedule = np.linspace(0.0, -2.5, 30)
-    means = [expected_length(system, float(lam)) for lam in schedule]
+    means = origin_means(chain._table(system), system.beta * schedule)
     assert protocol_work_bounds(system, schedule) == sums_of(schedule, means)
 
 

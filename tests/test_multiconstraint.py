@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tiltrate import RdProblem, RdProblem2, ValidationError, rate_legendre, rate_two_distortions
+from tiltrate import RdProblem, RdProblem2, ValidationError, force_at_distortion, rate_legendre, rate_two_distortions
 from tiltrate.errors import InfeasiblePairError
 from tiltrate.multiconstraint import _stats
 
@@ -57,6 +57,17 @@ class TestRateTwoDistortions:
         assert rate == pytest.approx(rate_legendre(bss1(), 0.25), abs=1e-9)
         assert s2 == 0.0
         assert s1 == pytest.approx(math.log(1.0 / 3.0), abs=1e-6)
+
+    @pytest.mark.parametrize("d2, budgets, active", [
+        (D_HAMMING, (0.25, 0.4), 0), ([[0.0, 2.0], [1.0, 0.0]], (0.3, 0.4), 1)])
+    def test_active_force_is_the_one_table_force(self, d2, budgets, active):
+        # with one budget slack the other force is the one-table solve's to 1e-12, not to the
+        # ~1e-8 that the ascent's value plateau alone leaves
+        forces = rate_two_distortions(bss2(d2), *budgets)[1:]
+        assert forces[1 - active] == 0.0
+        table = (D_HAMMING, d2)[active]
+        want = force_at_distortion(RdProblem([0.5, 0.5], [0.5, 0.5], table), budgets[active]).s
+        assert forces[active] == pytest.approx(want, rel=1e-12)
 
     def test_zero_force_pair(self):
         rate, s1, s2 = rate_two_distortions(bss2(), 0.6, 0.7)

@@ -99,14 +99,14 @@ class TestEachForceOnce:
         systems = [from_rd_problem(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]), 2.0)]
         systems += [from_rd_problem(random_problem(rng), float(rng.uniform(0.5, 2.0))) for _ in range(5)]
         for system in systems:
-            fractions, log_w, lengths = chain._table(system)
-            lo, hi = (float(np.dot(fractions, end)) for end in (lengths.min(axis=1), lengths.max(axis=1)))
+            table = chain._table(system)
+            lo, hi = (float(np.dot(table.row_weights, end)) for end in (table.starts, table.starts + table.ranges))
             for target in (lo + u * (hi - lo) for u in (0.1, 0.3, 0.93)):
                 forces.clear()
                 equilibrium_force(system, target)
                 solve = list(forces)
                 forces.clear()
-                s = _legendre(log_w, lengths, fractions, target, 1e-10)[0]
+                s = _legendre(table, target, 1e-10)[0]
                 assert solve.count(0.0) == 1 and len(set(solve)) == len(solve)
                 assert forces == solve + ([] if s in solve else [s])
 
@@ -183,8 +183,7 @@ def per_array_equilibrium(system, target, tol=1e-10):
     """The equilibrium force with its range summed one array at a time."""
     lo = sum(a.fraction * float(a.state_lengths.min()) for a in system.arrays)
     hi = sum(a.fraction * float(a.state_lengths.max()) for a in system.arrays)
-    fractions, log_w, lengths = chain._table(system)
-    s = _legendre(log_w, lengths, fractions, target, tol, force_only=True)[0]
+    s = _legendre(chain._table(system), target, tol, force_only=True)[0]
     return lo, hi, s / system.beta
 
 

@@ -148,6 +148,15 @@ class TestCliRefusals:
     def test_routes_at_the_minimum_distortion(self, capsys, cfg, flag, message):
         refused(capsys, ["rd", "point", "--config", cfg, "--delta=0", flag], message)
 
+    @pytest.mark.parametrize("length, message", [
+        ("1e-13", "length 1e-13 lies within the end band of the achievable range (0.0, 1.0) "
+                  "and needs an infinite force"),
+        ("0", "length 0.0 is not strictly inside the achievable range (0.0, 1.0)"),
+        ("1.5", "length 1.5 is not strictly inside the achievable range (0.0, 1.0)"),
+    ])
+    def test_equilibrium_names_the_end_band(self, capsys, cfg, length, message):
+        refused(capsys, ["chain", "equilibrium", "--config", cfg, f"--length={length}"], message)
+
     def test_positive_final_force(self, capsys, cfg):
         refused(capsys, ["chain", "work", "--config", cfg, "--lambda-final=0.5"],
                 "--lambda-final must be <= 0 for the compression branch")

@@ -20,9 +20,14 @@ from tiltrate import (
     from_rd_problem,
     observable_expectation,
     observable_sweep,
+    protocol_work_bounds,
+    quasistatic_work,
     rate_legendre,
     rate_two_distortions,
+    sandwich_bounds,
+    tilted_conditional,
 )
+from tiltrate.chain import array_lengths, length_variance
 
 REL = 1e-9
 
@@ -154,6 +159,30 @@ def test_rates_exact_under_far_row_shifts(seed, u, s):
     ulps = np.spacing(abs(moved)) + 2.0 * float(p @ np.spacing(np.abs(c)))
     bound = 1e-9 * max(1.0, point.rate) + abs(point.s) * (ulps + 1e-10 * span)
     assert abs(rate_legendre(shifted, moved) - point.rate) <= bound
+
+
+@given(seeds, st.floats(-3.0, -0.1), st.floats(0.5, 2.0))
+@settings(max_examples=60, deadline=None)
+def test_table_routes_exact_under_far_row_shifts(seed, s, beta):
+    # Shifted entries are exact as above, and every table route runs on the rows moved to 0,
+    # so it answers bit for bit as on the plain table.  On plain rows that start at 0 the
+    # per-array lengths are the tilted means themselves, and the shifted lengths are those
+    # plus the shift, rounded once.
+    p, q, d, _ = draw(seed)
+    d = np.round(d * 2.0**16) / 2.0**16
+    rng = np.random.default_rng([seed, 5])
+    c = np.round(rng.choice([-1.0, 1.0], size=p.size) * 10.0 ** rng.uniform(0.0, 10.0, size=p.size))
+    plain, shifted = RdProblem(p, q, d), RdProblem(p, q, d + c[:, None])
+    grid = np.linspace(0.0, s, 9)
+    assert sandwich_bounds(shifted, grid) == sandwich_bounds(plain, grid)
+    assert np.array_equal(tilted_conditional(shifted, s), tilted_conditional(plain, s))
+    chains, lam = (from_rd_problem(plain, beta), from_rd_problem(shifted, beta)), s / beta
+    assert protocol_work_bounds(chains[1], grid / beta) == protocol_work_bounds(chains[0], grid / beta)
+    assert quasistatic_work(chains[1], lam) == quasistatic_work(chains[0], lam)
+    assert length_variance(chains[1], lam) == length_variance(chains[0], lam)
+    at_zero = d - d.min(axis=1)[:, None]
+    base, moved = (array_lengths(from_rd_problem(RdProblem(p, q, t), beta), lam) for t in (at_zero, at_zero + c[:, None]))
+    assert np.array_equal(moved, base + c)
 
 
 @given(seeds, budgets, st.floats(-6.0, 6.0).map(lambda e: 10.0**e))

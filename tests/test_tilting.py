@@ -292,7 +292,7 @@ class TestForceBatchedKernel:
             ),
             beta=1.3,
         )
-        _, log_w, lengths = _table(system)
+        _, log_w, lengths, _, _ = _table(system)
         assert np.isneginf(log_w).any()
         counts = around_one_block(lengths.size)
         self.assert_stacked(log_w, lengths, -rng.uniform(0.0, 4.0, counts[-1]), counts)
