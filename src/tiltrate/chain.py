@@ -172,11 +172,7 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     if not math.isfinite(lam_final):
         raise ValidationError(f"lam_final must be finite (got {lam_final!r})")
     table, beta = _table(system), system.beta
-
-    def power(lam: float) -> float:
-        return lam * beta * float(np.dot(table.row_weights, table.moments(beta * lam)[2]))
-
-    return adaptive_simpson(power, 0.0, lam_final, tol)
+    return adaptive_simpson(lambda lams: lams * beta * table.averaged(beta * lams, 2), 0.0, lam_final, tol)
 
 
 def _check_schedule(schedule) -> np.ndarray:
@@ -198,13 +194,9 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     letting the chain re-equilibrate; the pre-jump sum is its mirror.  The
     quasistatic work lies between them for every monotone schedule.
     """
+    # at origin: the starts cancel in every difference of the sums
     table = _table(system)
-
-    def lengths(lam: np.ndarray) -> list[float]:
-        # at origin: the starts cancel in every difference of the sums
-        return [np.dot(table.row_weights, row) for row in table.moments(system.beta * lam)[1]]
-
-    return _riemann_sums(_check_schedule(schedule), lengths)
+    return _riemann_sums(_check_schedule(schedule), lambda lams: table.averaged(system.beta * lams, 1))
 
 
 def protocol_work(system: ChainSystem, schedule) -> float:

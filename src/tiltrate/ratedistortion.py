@@ -23,6 +23,7 @@ from .solvers import adaptive_simpson
 from .tilting import (
     FiniteDistribution,
     _at_origin,
+    _check_force,
     _check_partition,
     _frozen,
     _law,
@@ -224,21 +225,22 @@ def mmse(problem: RdProblem, s: float) -> float:
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
-    return adaptive_simpson(lambda u: u * mmse(problem, u), 0.0, s, tol)
+    return adaptive_simpson(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), 0.0, s, tol)
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Distortion recovered as D0 plus the integrated mmse from 0 to s."""
-    d0 = distortion_at_force(problem, 0.0).distortion
-    return d0 + adaptive_simpson(lambda u: mmse(problem, u), 0.0, s, tol)
+    _check_force(s)
+    table = _table(problem)
+    d0 = float(np.dot(table.row_weights, table.moments(0.0)[1] + table.starts))
+    return d0 + adaptive_simpson(lambda us: table.averaged(us, 2), 0.0, s, tol)
 
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
     """Riemann sums over a force grid that bracket the rate at its endpoint."""
     # the starts cancel in every difference, so the sums take the means at origin
     table = _table(problem)
-    return _riemann_sums(_check_partition(partition),
-                         lambda forces: [np.dot(table.row_weights, m) for m in table.moments(forces)[1]])
+    return _riemann_sums(_check_partition(partition), lambda forces: table.averaged(forces, 1))
 
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
@@ -276,10 +278,13 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     quadrature tolerance; the integral form shows how the force drags any
     observable, not just the distortion itself.
     """
+    _check_force(s)
     tables = _observable_tables(problem, observable)
     p = problem.source_probs
     base = float(np.dot(p, _tilted_pair(*tables, 0.0, 0.0)[2]))
-    return base + adaptive_simpson(lambda u: float(np.dot(p, _tilted_pair(*tables, u, 0.0)[5])), 0.0, s, tol)
+    # one np.dot per force, as ``tilting._Table.averaged`` takes it
+    return base + adaptive_simpson(lambda us: np.array([np.dot(p, c) for c in _tilted_pair(*tables, us, 0.0)[5]]),
+                                   0.0, s, tol)
 
 
 def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:

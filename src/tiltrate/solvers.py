@@ -1,15 +1,19 @@
-"""Shared scalar numerics: a safeguarded Newton root solve and adaptive Simpson quadrature.
+"""Shared numerics: a safeguarded Newton root solve and adaptive Simpson quadrature.
 
 The root solve keeps a bracket around the target and takes Newton steps on
 the slope the caller computes alongside each value; a step that would leave
 the bracket, or a slope that is not positive, falls back to bisection, so a
-vanishing derivative cannot throw it off.  The Simpson subdivision order is
-fixed, so repeated runs give bit-identical answers.
+vanishing derivative cannot throw it off.  The Simpson rule subdivides a
+whole level at a time and hands the integrand that level's abscissae in one
+array, so a batched kernel takes each level in one call; its subdivision
+and summation order are fixed, so repeated runs give bit-identical answers.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -24,6 +28,9 @@ _NOISE_STEP = 1e-8
 # Bracket doublings on each side, and bracketed steps, before giving up.
 _MAX_EXPAND = 60
 _MAX_ITER = 240
+# Subdivision levels below the root interval, and abscissae per integrand call.
+_MAX_DEPTH = 60
+_MAX_CALL = 1024
 
 
 class BracketError(NumericalError):
@@ -132,43 +139,53 @@ def invert_monotone(
 def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_000_000) -> float:
     """Integrate f over [a, b] to the absolute tolerance tol.
 
-    Recursive Simpson with the standard 15x Richardson acceptance test; the
-    per-interval tolerance halves on each split.  Running out of the
-    evaluation budget, or of 60 levels of subdivision, before every piece
-    passes raises NumericalError; smooth integrands stay far below both.
+    ``f`` maps a 1-D array of abscissae to their values, and gets a whole
+    subdivision level at once, at most ``_MAX_CALL`` abscissae per call.
+    Simpson's rule on each interval meets the standard 15x Richardson test
+    against its halves, the tolerance halving on each split; the root is
+    always split.  The pieces are summed in the recursive rule's tree order,
+    so equal node values give a bit-identical answer.  A level that would
+    pass ``max_evals`` evaluations, or a 61st level, raises NumericalError.
     """
     if a == b:
         return 0.0
     if b < a:
         return -adaptive_simpson(f, b, a, tol, max_evals=max_evals)
-    budget = [max_evals]
+    spent = 0
 
-    def feval(x: float) -> float:
-        budget[0] -= 1
-        return f(x)
+    def feval(x: np.ndarray) -> np.ndarray:
+        nonlocal spent
+        spent += x.size
+        if spent > max_evals:
+            raise NumericalError(f"adaptive Simpson short of tolerance near {float(x[0])!r}: out of evaluations")
+        return np.concatenate([f(x[i : i + _MAX_CALL]) for i in range(0, x.size, _MAX_CALL)])
 
-    fa = feval(a)
-    fb = feval(b)
-    m, fm, whole = _simpson_slice(feval, a, fa, b, fb)
-    return _refine(feval, a, fa, m, fm, b, fb, whole, tol, budget, depth=60)
-
-
-def _simpson_slice(feval, a, fa, b, fb):
     m = 0.5 * (a + b)
-    fm = feval(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _refine(feval, a, fa, m, fm, b, fb, whole, tol, budget, depth):
-    lm, flm, left = _simpson_slice(feval, a, fa, m, fm)
-    rm, frm, right = _simpson_slice(feval, m, fm, b, fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0 or budget[0] <= 0:
-        spent = "60 subdivisions deep" if depth <= 0 else "out of evaluations"
-        raise NumericalError(f"adaptive Simpson short of tolerance near {m!r}: {spent}")
-    half = 0.5 * tol
-    return _refine(feval, a, fa, lm, flm, m, fm, left, half, budget, depth - 1) + _refine(
-        feval, m, fm, rm, frm, b, fb, right, half, budget, depth - 1
-    )
+    x = np.array([a, 0.5 * (a + m), m, 0.5 * (m + b), b])
+    # each interval as its ends, midpoint and quarter points, each an (abscissa, value) pair;
+    # the root has no coarser estimate to meet, and its nan one always splits it
+    nodes, wholes, levels = np.stack((x, feval(x)), axis=-1)[None], np.full(1, math.nan), []
+    for depth in range(_MAX_DEPTH, -1, -1):
+        x, fx = nodes[..., 0], nodes[..., 1]
+        halves = (x[:, 2::2] - x[:, :3:2]) / 6.0 * (fx[:, :3:2] + 4.0 * fx[:, 1::2] + fx[:, 2::2])
+        delta = halves[:, 0] + halves[:, 1] - wholes
+        split = ~(np.abs(delta) <= 15.0 * tol)
+        levels.append((halves[:, 0] + halves[:, 1] + delta / 15.0, split))
+        if not split.any():
+            break
+        if depth == 0:
+            near = float(x[np.argmax(split), 2])
+            raise NumericalError(f"adaptive Simpson short of tolerance near {near!r}: {_MAX_DEPTH} subdivisions deep")
+        # the split intervals' halves, whose quarter points are the next level's nodes
+        ends = nodes[split][:, [[0, 1, 2], [2, 3, 4]]].reshape(-1, 3, 2)
+        nodes = np.empty((len(ends), 5, 2))
+        nodes[:, ::2] = ends
+        nodes[:, 1::2, 0] = 0.5 * (ends[:, :2, 0] + ends[:, 1:, 0])
+        nodes[:, 1::2, 1] = feval(nodes[:, 1::2, 0].ravel()).reshape(-1, 2)
+        wholes, tol = halves[split].ravel(), 0.5 * tol
+    # a split interval's value is the sum of its halves', which sit side by side a level down
+    total = levels[-1][0]
+    for level, split in reversed(levels[:-1]):
+        level[split] = total[0::2] + total[1::2]
+        total = level
+    return float(total[0])

@@ -169,7 +169,7 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s):
     A scalar force must be finite (``_check_force``).
     """
     if isinstance(s, np.ndarray) and s.ndim == 1:
-        return _by_force(_tilted_moments, log_weights, values, s)
+        return _by_force(_tilted_moments, log_weights, (values,), s)
     _check_force(s)
     return _by_rows(_moments, log_weights, (values,), s)
 
@@ -210,9 +210,11 @@ def _tilted_pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b
     covariance) of two tables tilted together by e^{s_a * a + s_b * b}, in ``_by_rows`` blocks.
 
     The two-budget ascent tilts two distortion tables at once; an observable
-    of the letter pair is the second table held at zero force.  Both forces
-    must be finite (``_check_force``).
+    of the letter pair is the second table held at zero force.  For a 1-D
+    array ``s_a``, each output has one row per force (``_by_force``).
     """
+    if isinstance(s_a, np.ndarray) and s_a.ndim == 1:
+        return _by_force(_tilted_pair, log_weights, (a, b), s_a, s_b)
     _check_force(s_a)
     _check_force(s_b)
     return _by_rows(_pair, log_weights, (a, b), s_a, s_b)
@@ -222,20 +224,21 @@ def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
     """``_tilted_pair`` on one block of rows."""
     # the pair tilted by (s_a, s_b) is the one table s_a * a + s_b * b at unit force
     law, log_z = _tilted_law(log_weights, s_a * a + s_b * b, 1.0)
-    mean_a, mean_b = (np.einsum("ij,ij->i", law, t) for t in (a, b))
-    ca, cb = a - mean_a[:, None], b - mean_b[:, None]
-    return log_z, mean_a, mean_b, *(np.einsum("ij,ij,ij->i", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb)))
+    mean_a, mean_b = (np.einsum("...j,...j->...", law, t) for t in (a, b))
+    ca, cb = a - mean_a[..., None], b - mean_b[..., None]
+    covariances = (np.einsum("...j,...j,...j->...", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb)))
+    return log_z, mean_a, mean_b, *covariances
 
 
-def _by_force(kernel, log_weights: np.ndarray, values: np.ndarray, forces: np.ndarray):
-    """``kernel``'s outputs at each of ``forces``, stacked forces first: the forces go
-    through as (forces, 1, 1) blocks of about ``_BLOCK_ENTRIES`` forces x rows x cols
-    entries (one force, in row blocks, once its table is larger), each written into
-    outputs allocated once, so the peak is the outputs plus one block."""
-    step = max(_BLOCK_ENTRIES // values.size, 1)
+def _by_force(kernel, log_weights: np.ndarray, tables: tuple, forces: np.ndarray, *args):
+    """``kernel(log_weights, *tables, forces, *args)``'s outputs at each of ``forces``, stacked
+    forces first: the forces go through as (forces, 1, 1) blocks of about ``_BLOCK_ENTRIES``
+    forces x rows x cols entries (one force, in row blocks, once its table is larger), each
+    written into outputs allocated once, so the peak is the outputs plus one block."""
+    step = max(_BLOCK_ENTRIES // tables[0].size, 1)
     outs = None
     for i in range(0, forces.size, step):
-        parts = kernel(log_weights, values, forces[i : i + step, None, None])
+        parts = kernel(log_weights, *tables, forces[i : i + step, None, None], *args)
         outs = outs or tuple(np.empty((forces.size,) + part.shape[1:]) for part in parts)
         for out, part in zip(outs, parts):
             out[i : i + len(part)] = part
@@ -256,7 +259,7 @@ def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s):
 def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
     """Per-row tilted law (each row summing to 1) and log-partition, as in ``_tilted_moments``."""
     if isinstance(s, np.ndarray) and s.ndim == 1:
-        return _by_force(_tilted_law, log_weights, values, s)
+        return _by_force(_tilted_law, log_weights, (values,), s)
     _check_force(s)
     w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=-1)
@@ -289,6 +292,11 @@ class _Table(NamedTuple):
     def moments(self, s):
         """Per-row (log-partition, mean, variance) at origin at force s (or forces), by ``_tilted_moments``."""
         return _tilted_moments(self.log_weights, self.values, s)
+
+    def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
+        """The row-weighted mean (moment 1) or variance (2) at origin at each of ``forces``, one
+        ``np.dot`` per force as at a single force, so a batched route equals its loop bit for bit."""
+        return np.array([np.dot(self.row_weights, row) for row in self.moments(forces)[moment]])
 
 
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
@@ -425,7 +433,8 @@ def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) ->
     _check_force(s)  # also on a point mass, which needs no integral
     if dist.size == 1:
         return 0.0
-    return adaptive_simpson(lambda u: u * tilt(dist, u).variance, 0.0, s, tol)
+    table = _at_origin(np.ones(1), *_one_row(dist))
+    return adaptive_simpson(lambda u: u * table.averaged(u, 2), 0.0, s, tol)
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
@@ -433,7 +442,8 @@ def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> 
     _check_force(s)  # also on a point mass, which needs no integral
     if dist.size == 1:
         return dist.mean
-    return dist.mean + adaptive_simpson(lambda u: tilt(dist, u).variance, 0.0, s, tol)
+    table = _at_origin(np.ones(1), *_one_row(dist))
+    return dist.mean + adaptive_simpson(lambda u: table.averaged(u, 2), 0.0, s, tol)
 
 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:

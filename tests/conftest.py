@@ -51,6 +51,34 @@ def feasible_delta(rng, problem) -> float:
     pytest.skip("degenerate random problem: no interior budget")
 
 
+def recursive_simpson(f, a: float, b: float, tol: float) -> float:
+    """``solvers.adaptive_simpson``'s rule as the plain recursion on a scalar integrand, one
+    node at a time and without its budget or depth cap: the level-synchronous rule must give
+    the same answer bit for bit when its nodes get the same values."""
+    if a == b:
+        return 0.0
+    if b < a:
+        return -recursive_simpson(f, b, a, tol)
+
+    def simpson(a, fa, b, fb):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def refine(a, fa, m, fm, b, fb, whole, tol, root=False):
+        lm, flm, left = simpson(a, fa, m, fm)
+        rm, frm, right = simpson(m, fm, b, fb)
+        delta = left + right - whole
+        if not root and abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        half = 0.5 * tol
+        return refine(a, fa, lm, flm, m, fm, left, half) + refine(m, fm, rm, frm, b, fb, right, half)
+
+    fa, fb = f(a), f(b)
+    m, fm, whole = simpson(a, fa, b, fb)
+    return refine(a, fa, m, fm, b, fb, whole, tol, root=True)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -24,9 +24,12 @@ from tiltrate import (
     equilibrium_force,
     force_at_distortion,
     from_rd_problem,
+    mmse,
     observable_expectation,
     observable_sweep,
+    quasistatic_work,
     rate_legendre,
+    rate_mmse_integral,
 )
 from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError
@@ -34,7 +37,7 @@ from tiltrate.multiconstraint import _stats
 from tiltrate.solvers import adaptive_simpson
 from tiltrate.tilting import _BLOCK_ENTRIES, _legendre, _tilted_law
 
-from conftest import feasible_delta, random_problem
+from conftest import feasible_delta, random_problem, recursive_simpson
 
 
 @pytest.fixture
@@ -136,6 +139,8 @@ def full_table_stats(problem, s, delta1, delta2):
 
 
 ROWS_PER_BLOCK = _BLOCK_ENTRIES // 512  # rows of 512 entries in one block of the kernel
+# small tables, and row counts of 512 columns that straddle a row block
+SHAPES = [(2, 2), (64, 64)] + [(ROWS_PER_BLOCK + n, 512) for n in (-1, 0, 1)]
 
 
 class TestBlockedTwoForceStats:
@@ -166,7 +171,7 @@ def full_table_observable(problem, t, s):
 
 
 class TestBlockedObservable:
-    @pytest.mark.parametrize("rows, cols", [(2, 2), (64, 64)] + [(ROWS_PER_BLOCK + n, 512) for n in (-1, 0, 1)])
+    @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_equals_full_table_reference(self, rows, cols):
         rng = np.random.default_rng(rows * 1000 + cols + 1)
         problem = RdProblem(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), rng.random((rows, cols)))
@@ -175,8 +180,47 @@ class TestBlockedObservable:
             assert observable_expectation(problem, t, s) == full_table_observable(problem, t, s)[0]
         s = -1.3
         want = full_table_observable(problem, t, 0.0)[0] + adaptive_simpson(
-            lambda u: full_table_observable(problem, t, u)[1], 0.0, s, 1e-9)
+            lambda us: np.array([full_table_observable(problem, t, u)[1] for u in us.tolist()]), 0.0, s, 1e-9)
         assert observable_sweep(problem, t, s) == want
+
+
+class TestBatchedQuadrature:
+    """Each quadrature route hands a whole Simpson level to the kernel in one call, and answers
+    bit for bit as the recursive rule does with the kernel called once per node."""
+
+    @staticmethod
+    def problem(rows, cols):
+        rng = np.random.default_rng(rows * 1000 + cols + 2)
+        problem = RdProblem(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), rng.random((rows, cols)))
+        return problem, 3.0 * rng.random((rows, cols)) - 1.0
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_quasistatic_work(self, rows, cols):
+        system = from_rd_problem(self.problem(rows, cols)[0], beta=1.7)
+        table = chain._table(system)
+
+        def power(lam):
+            return lam * system.beta * float(np.dot(table.row_weights, table.moments(system.beta * lam)[2]))
+
+        assert quasistatic_work(system, -0.8) == recursive_simpson(power, 0.0, -0.8, 1e-9)
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_observable_sweep(self, rows, cols):
+        problem, t = self.problem(rows, cols)
+        tables = ratedistortion._observable_tables(problem, t)
+        p = problem.source_probs
+
+        def covariance(u):
+            return float(np.dot(p, tilting._tilted_pair(*tables, u, 0.0)[5]))
+
+        want = observable_expectation(problem, t, 0.0) + recursive_simpson(covariance, 0.0, -1.3, 1e-9)
+        assert observable_sweep(problem, t, -1.3) == want
+
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_rate_mmse_integral(self, rows, cols):
+        problem = self.problem(rows, cols)[0]
+        want = recursive_simpson(lambda u: u * mmse(problem, u), 0.0, -1.3, 1e-9)
+        assert rate_mmse_integral(problem, -1.3) == want
 
 
 def per_array_equilibrium(system, target, tol=1e-10):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltrate.errors import NumericalError, TiltrateError
-from tiltrate.solvers import BracketError, adaptive_simpson, invert_monotone
+from tiltrate.solvers import _MAX_CALL, BracketError, adaptive_simpson, invert_monotone
+
+from conftest import recursive_simpson
 
 
 def value_and_slope(f, df):
@@ -102,31 +104,43 @@ class TestInvertMonotone:
 
 class TestAdaptiveSimpson:
     def test_polynomial_exact(self):
-        # Simpson is exact on cubics, so the first slice already lands
+        # Simpson is exact on cubics, so the first comparison already lands
         val = adaptive_simpson(lambda x: x**3, 0.0, 2.0, 1e-12)
         assert val == pytest.approx(4.0, abs=1e-12)
 
+    def test_root_interval_is_always_split(self):
+        # the cubic passes its first comparison, on the 5 nodes of the first call; the root is
+        # split regardless, and both halves are compared once more: 9 nodes in 2 calls
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return x**3
+
+        adaptive_simpson(f, 0.0, 2.0, 1e-12)
+        assert sizes == [5, 4]
+
     def test_exponential(self):
-        val = adaptive_simpson(math.exp, 0.0, 1.0, 1e-12)
+        val = adaptive_simpson(np.exp, 0.0, 1.0, 1e-12)
         assert val == pytest.approx(math.e - 1.0, abs=1e-11)
 
     def test_orientation(self):
-        fwd = adaptive_simpson(math.sin, 0.0, math.pi, 1e-11)
-        rev = adaptive_simpson(math.sin, math.pi, 0.0, 1e-11)
+        fwd = adaptive_simpson(np.sin, 0.0, math.pi, 1e-11)
+        rev = adaptive_simpson(np.sin, math.pi, 0.0, 1e-11)
         assert fwd == pytest.approx(2.0, abs=1e-10)
         assert rev == pytest.approx(-2.0, abs=1e-10)
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.exp, 1.5, 1.5, 1e-12) == 0.0
+        assert adaptive_simpson(np.exp, 1.5, 1.5, 1e-12) == 0.0
 
     def test_peaked_integrand(self):
         # narrow logistic bump; adaptivity has to find it
-        val = adaptive_simpson(lambda x: 1.0 / math.cosh(40.0 * (x - 0.7)) ** 2, 0.0, 2.0, 1e-12)
+        val = adaptive_simpson(lambda x: 1.0 / np.cosh(40.0 * (x - 0.7)) ** 2, 0.0, 2.0, 1e-12)
         want = (math.tanh(40.0 * 1.3) - math.tanh(-40.0 * 0.7)) / 40.0
         assert val == pytest.approx(want, abs=1e-10)
 
     def test_deterministic(self):
-        f = lambda x: math.exp(-x * x)
+        f = lambda x: np.exp(-x * x)
         runs = {adaptive_simpson(f, -3.0, 3.0, 1e-10) for _ in range(5)}
         assert len(runs) == 1
 
@@ -134,16 +148,52 @@ class TestAdaptiveSimpson:
         count = [0]
 
         def f(x):
-            count[0] += 1
-            return abs(x - 1 / 3) ** 0.1
+            count[0] += x.size
+            return np.abs(x - 1 / 3) ** 0.1
+
+        with pytest.raises(NumericalError, match="out of evaluations"):
+            adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=2000)
+        # the budget is checked before a level is evaluated, so no node goes past it
+        assert count[0] <= 2000
+
+    def test_calls_are_capped_in_size(self):
+        # a level wider than one call is handed over in several calls, each within the cap
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.abs(x - 1 / 3) ** 0.1
 
         with pytest.raises(NumericalError):
-            adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=2000)
-        # unwinding siblings each spend two evaluations before seeing the
-        # exhausted budget, so allow that much slop over the cap
-        assert count[0] <= 2000 + 2 * 61 + 2
+            adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=20_000)
+        assert max(sizes) == _MAX_CALL
+        assert sum(sizes) > 2 * _MAX_CALL
 
     def test_unresolved_integrand_raises(self):
         # sin(1/x) oscillates without end near 0; no budget resolves it
+        def f(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(x == 0.0, 0.0, np.sin(1.0 / x))
+
         with pytest.raises(NumericalError):
-            adaptive_simpson(lambda x: math.sin(1.0 / x) if x else 0.0, 0.0, 1.0, 1e-9, max_evals=1000)
+            adaptive_simpson(f, 0.0, 1.0, 1e-9, max_evals=1000)
+
+    def test_depth_cap_raises(self):
+        # a step at 1e-20 stays inside [0, 2^-L] on every level: one interval per level keeps
+        # failing, so the levels run out long before the budget does
+        with pytest.raises(NumericalError, match="60 subdivisions deep"):
+            adaptive_simpson(lambda x: (x <= 1e-20).astype(float), 0.0, 1.0, 1e-300)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_recursive_rule_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-3.0, 3.0, size=5)
+        a, b = rng.uniform(-2.0, 2.0, size=2)
+        tol = 10.0 ** rng.uniform(-12.0, -5.0)
+
+        def g(u: float) -> float:
+            return c[0] * math.exp(c[1] * u) + c[2] * math.cos(c[3] * u) + 1.0 / (1.0 + c[4] ** 2 * u * u)
+
+        want = recursive_simpson(g, a, b, tol)
+        assert adaptive_simpson(lambda x: np.array([g(u) for u in x.tolist()]), a, b, tol) == want
