@@ -286,6 +286,21 @@ class TestRd2:
         res = main_of(capsys, "rd2", "--config", str(f), "--delta1", "0.1", "--delta2", "0.1")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("q, budgets", [([0.5, 0.5], ("0.45", "0.5")), ([0.5, 0.5], ("0.48", "0.48")),
+                                            ([0.2, 0.8], ("0.48", "0.48"))])
+    def test_complement_pairs_below_one_exit_1(self, capsys, tmp_path, q, budgets):
+        # d1 + d2 = 1 in every cell: these pairs once printed ~1e13 nats, or exited 2
+        f = tmp_path / "two.json"
+        f.write_text(json.dumps({
+            "source_probs": [0.5, 0.5],
+            "coding_probs": q,
+            "distortion": [[0.0, 1.0], [1.0, 0.0]],
+            "distortion_2": [[1.0, 0.0], [0.0, 1.0]],
+        }))
+        res = main_of(capsys, "rd2", "--config", str(f), "--delta1", budgets[0], "--delta2", budgets[1])
+        assert res.returncode == 1
+        assert "jointly unsatisfiable" in res.stderr
+
     def test_missing_second_table(self, capsys, bss_cfg):
         res = main_of(capsys, "rd2", "--config", bss_cfg, "--delta1", "0.25", "--delta2", "0.25")
         assert res.returncode == 1

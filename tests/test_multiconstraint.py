@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tiltrate import RdProblem, RdProblem2, ValidationError, force_at_distortion, rate_legendre, rate_two_distortions
-from tiltrate.errors import InfeasiblePairError
+from tiltrate.errors import InfeasiblePairError, NumericalError
 from tiltrate.multiconstraint import _stats
 
 from conftest import h2
@@ -29,6 +29,31 @@ def grid_oracle(problem, delta1, delta2, reach=12.0, points=201):
     phi = mx[..., 0] + np.log(np.exp(expo - mx).sum(axis=-1))
     objective = axis[:, None] * delta1 + axis[None, :] * delta2 - phi @ problem.source_probs
     return max(0.0, float(objective.max()))
+
+
+def feasibility_slack(p, d1, d2, delta1, delta2) -> float:
+    """min over a in [0, 1] of a*delta1 + (1-a)*delta2 - sum_x P(x) min_j (a*d1 + (1-a)*d2)(x, j).
+
+    Some reproduction law meets both budgets iff this is >= 0 (LP duality).  The
+    slack is convex and piecewise linear in a, so its least value sits at an end
+    or where two letters of a row cross: there d2 + a*(d1 - d2) ties.
+    """
+    e = d1 - d2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (d2[:, None, :] - d2[:, :, None]) / (e[:, :, None] - e[:, None, :])
+    a = np.concatenate(([0.0, 1.0], cross[(cross > 0.0) & (cross < 1.0)]))
+    mixed = d2 + a[:, None, None] * e
+    return float(np.min(a * delta1 + (1.0 - a) * delta2 - mixed.min(axis=2) @ p))
+
+
+# second tables drawn against the first: independent, or affinely dependent on it
+SECOND_TABLES = {
+    "random": lambda rng, d: rng.random(d.shape),
+    "duplicate": lambda rng, d: d,
+    "scaled": lambda rng, d: 2.0 * d + 0.3,
+    "complement": lambda rng, d: 1.0 - d,
+    "noisy": lambda rng, d: d + 1e-9 * rng.random(d.shape),
+}
 
 
 class TestRdProblem2:
@@ -145,3 +170,65 @@ class TestRateTwoDistortions:
         rate, s1, s2 = rate_two_distortions(p, 0.3, 0.72)
         assert rate == pytest.approx(rate_legendre(bss1(), 0.3), abs=1e-8)
         assert s2 == 0.0
+
+    @pytest.mark.parametrize("q, budgets", [([0.5, 0.5], (0.45, 0.5)), ([0.5, 0.5], (0.48, 0.48)),
+                                            ([0.2, 0.8], (0.48, 0.48))])
+    def test_complement_pairs_below_one_raise(self, q, budgets):
+        # d1 + d2 = 1 in every cell, so no law keeps both budgets when they sum below 1; a
+        # plateau test run before the ceiling once returned ~1e13 nats here, or stalled
+        p = RdProblem2([0.5, 0.5], q, D_HAMMING, [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(InfeasiblePairError):
+            rate_two_distortions(p, *budgets)
+
+    @pytest.mark.parametrize("budgets, active", [((0.25, 0.3), 0), ((0.3, 0.25), 1), ((0.1, 0.45), 0),
+                                                 ((0.45, 0.1), 1)])
+    def test_duplicate_table_takes_the_tighter_budget(self, budgets, active):
+        # on one table twice the maximum sits on the tighter budget's face: its one-table solve
+        rate, *forces = rate_two_distortions(bss2(), *budgets)
+        want = force_at_distortion(bss1(), budgets[active])
+        assert forces[active] == want.s and forces[1 - active] == 0.0
+        assert rate == pytest.approx(want.rate, rel=1e-15)
+
+    def test_raises_exactly_on_unsatisfiable_pairs(self, rng):
+        # Against the exact feasibility slack, on every family of second table; draws within
+        # 1e-3 of the frontier are skipped.  A satisfiable pair costs at most -ln min Q.
+        drawn = {family: [0, 0] for family in SECOND_TABLES}
+        for n in range(1000):
+            family = list(SECOND_TABLES)[n % len(SECOND_TABLES)]
+            k, j = (int(x) for x in rng.integers(2, 6, size=2))
+            p_vec, q_vec, d1 = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(j)), rng.random((k, j))
+            d2 = SECOND_TABLES[family](rng, d1)
+            budgets = []
+            for d in (d1, d2):
+                floor = float(p_vec @ d.min(axis=1))
+                budgets.append(floor + rng.uniform(0.0, 1.2) * (float(p_vec @ (d @ q_vec)) - floor))
+            slack = feasibility_slack(p_vec, d1, d2, *budgets)
+            if abs(slack) <= 1e-3:
+                continue
+            problem = RdProblem2(p_vec, q_vec, d1, d2)
+            drawn[family][slack < 0.0] += 1
+            if slack < 0.0:
+                with pytest.raises(InfeasiblePairError):
+                    rate_two_distortions(problem, *budgets)
+            else:
+                assert rate_two_distortions(problem, *budgets)[0] <= -math.log(q_vec.min())
+        # every family contributes satisfiable pairs, and the complement and random ones unsatisfiable
+        assert all(feasible >= 10 for feasible, _ in drawn.values())
+        assert drawn["complement"][1] >= 100 and drawn["random"][1] >= 20
+
+    def test_stiff_independent_pair_is_never_called_unsatisfiable(self):
+        # A frontier pair at forces (-38, -143): the tilted law sits on two letters per row, where
+        # any two tables look affinely dependent, and neither face holds the other budget.  The
+        # tables themselves are independent, so that proves nothing about the pair: it is
+        # satisfiable, and the ascent must answer its rate or fail as numerical (exit 2).
+        rng = np.random.default_rng(16)
+        k, j = (int(x) for x in rng.integers(2, 5, size=2))
+        problem = RdProblem2(rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(j)), rng.random((k, j)),
+                             rng.random((k, j)))
+        s = -(10.0 ** rng.uniform(1.0, 2.5, size=2))
+        value, grad, _ = _stats(problem, s, 0.0, 0.0)
+        try:
+            rate = rate_two_distortions(problem, -grad[0], -grad[1])[0]
+        except NumericalError:
+            return
+        assert rate == pytest.approx(float(s @ -grad) + value, rel=1e-8)

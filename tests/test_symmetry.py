@@ -1,5 +1,6 @@
-"""Relabelling the letters, shifting a row of the table with the budget, and the chain's
-beta/lambda reparametrisation leave every rate and every equilibrium force unchanged;
+"""Relabelling the letters (at every scale of the table), shifting a row of the table with the
+budget, and the chain's beta/lambda reparametrisation leave every rate and every equilibrium
+force unchanged;
 shifting the rows of the table and offsetting an observable leave its two routes in step."""
 
 from fractions import Fraction
@@ -33,6 +34,8 @@ REL = 1e-9
 
 seeds = st.integers(0, 2**32 - 1)
 budgets = st.floats(0.05, 0.95)
+# a table and its budget multiplied by one of these: relabelling must hold at every scale
+scales = st.sampled_from([1.0, 1e-12, 1e-6, 1e6, 1e12])
 
 
 def draw(seed: int):
@@ -61,10 +64,11 @@ def permuted(seed: int, p, q, *tables):
     return (p[rows], q[cols], *(t[np.ix_(rows, cols)] for t in tables))
 
 
-@given(seeds, budgets)
-@settings(max_examples=60, deadline=None)
-def test_rd_rates_invariant_under_relabelling(seed, u):
+@given(seeds, budgets, scales)
+@settings(max_examples=100, deadline=None)
+def test_rd_rates_invariant_under_relabelling(seed, u, c):
     p, q, d, _ = draw(seed)
+    d = d * c
     delta = interior_budget(p, q, d, u)
     problem, relabelled = RdProblem(p, q, d), RdProblem(*permuted(seed, p, q, d))
     assert rate_legendre(relabelled, delta) == pytest.approx(rate_legendre(problem, delta), rel=REL)
@@ -72,11 +76,12 @@ def test_rd_rates_invariant_under_relabelling(seed, u):
         equal_force_allocation(problem, delta)[1], rel=REL)
 
 
-@given(seeds, st.floats(-3.0, -0.1), st.floats(-3.0, -0.1))
-@settings(max_examples=60, deadline=None)
-def test_two_budget_rate_invariant_under_relabelling(seed, s1, s2):
+@given(seeds, st.floats(-3.0, -0.1), st.floats(-3.0, -0.1), scales)
+@settings(max_examples=100, deadline=None)
+def test_two_budget_rate_invariant_under_relabelling(seed, s1, s2, c):
     p, q, d1, d2 = draw(seed)
-    delta1, delta2 = pair_budgets(p, q, d1, d2, s1, s2)
+    delta1, delta2 = (c * delta for delta in pair_budgets(p, q, d1, d2, s1, s2))
+    d1, d2 = d1 * c, d2 * c
     rate = rate_two_distortions(RdProblem2(p, q, d1, d2), delta1, delta2)[0]
     relabelled = RdProblem2(*permuted(seed, p, q, d1, d2))
     assert rate_two_distortions(relabelled, delta1, delta2)[0] == pytest.approx(rate, rel=REL)
@@ -93,10 +98,11 @@ def test_capacity_rate_invariant_under_relabelling(seed):
     assert capacity_point(Channel(relabelled, relabelled_law)).rate == pytest.approx(rate, rel=REL)
 
 
-@given(seeds, budgets, st.floats(0.5, 2.0))
-@settings(max_examples=60, deadline=None)
-def test_equilibrium_force_invariant_under_relabelling(seed, u, beta):
+@given(seeds, budgets, st.floats(0.5, 2.0), scales)
+@settings(max_examples=100, deadline=None)
+def test_equilibrium_force_invariant_under_relabelling(seed, u, beta, c):
     p, q, d, _ = draw(seed)
+    d = d * c
     target = float(p @ d.min(axis=1)) + u * float(p @ np.ptp(d, axis=1))
     lam = equilibrium_force(from_rd_problem(RdProblem(p, q, d), beta), target)
     relabelled = from_rd_problem(RdProblem(*permuted(seed, p, q, d)), beta)
