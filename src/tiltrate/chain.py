@@ -107,31 +107,35 @@ def _table(system: ChainSystem):
     no Boltzmann mass, and zero lengths.  Built once per public call, not
     kept on the system: 512 arrays of 512 states take 4 MB.
     """
-    width = max(a.state_lengths.size for a in system.arrays)
-    log_w = np.full((len(system.arrays), width), -math.inf)
-    lengths = np.zeros((len(system.arrays), width))
-    for x, arr in enumerate(system.arrays):
-        log_w[x, : arr.state_energies.size] = -system.beta * arr.state_energies
-        lengths[x, : arr.state_lengths.size] = arr.state_lengths
-    return _at_origin(np.array([a.fraction for a in system.arrays]), log_w, lengths)
+    arrays, beta = system.arrays, system.beta
+    sizes = [a.state_lengths.size for a in arrays]
+    if min(sizes) == max(sizes):  # every array has the full width: the rows stack as they are
+        lengths = np.array([a.state_lengths for a in arrays])
+        log_w = -beta * np.array([a.state_energies for a in arrays])
+    else:  # row x's states fill its leading sizes[x] entries, in the order they are concatenated
+        live = np.arange(max(sizes)) < np.array(sizes)[:, None]
+        lengths, log_w = np.zeros(live.shape), np.full(live.shape, -math.inf)
+        lengths[live] = np.concatenate([a.state_lengths for a in arrays])
+        log_w[live] = -beta * np.concatenate([a.state_energies for a in arrays])
+    return _at_origin(np.array([a.fraction for a in arrays]), log_w, lengths)
 
 
 def gibbs_free_energy(system: ChainSystem, lam: float) -> float:
     """Per-element Gibbs free energy -(1/beta) sum_x p_x ln Z_x(lam)."""
     table, s = _table(system), system.beta * lam
     # a row at origin has ln Z lower by s * start than the row itself
-    return -float(np.dot(table.row_weights, table.moments(s)[0] + s * table.starts)) / system.beta
+    return -float(np.dot(table.row_weights, table.moments(s, 1)[0] + s * table.starts)) / system.beta
 
 
 def array_lengths(system: ChainSystem, lam: float) -> np.ndarray:
     """Boltzmann mean length of each array at force lam."""
     table = _table(system)
-    return table.moments(system.beta * lam)[1] + table.starts
+    return table.moments(system.beta * lam, 1)[1] + table.starts
 
 
 def expected_length(system: ChainSystem, lam: float) -> float:
     table = _table(system)
-    return float(np.dot(table.row_weights, table.moments(system.beta * lam)[1] + table.starts))
+    return float(np.dot(table.row_weights, table.moments(system.beta * lam, 1)[1] + table.starts))
 
 
 def length_variance(system: ChainSystem, lam: float) -> float:

@@ -156,8 +156,9 @@ class RateResult:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s):
-    """Per-row (log-partition, mean, variance) of ``values`` tilted by e^{s * value}.
+def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s, order: int = 2):
+    """Per-row (log-partition, mean, variance) of ``values`` tilted by e^{s * value}; ``order`` 1
+    stops after the mean and returns (log-partition, mean).
 
     Row x carries the weights e^{log_weights[x] + s * values[x]};
     ``log_weights`` has one row per row of ``values``, or a single row
@@ -169,9 +170,9 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s):
     A scalar force must be finite (``_check_force``).
     """
     if isinstance(s, np.ndarray) and s.ndim == 1:
-        return _by_force(_tilted_moments, log_weights, (values,), s)
+        return _by_force(_tilted_moments, log_weights, (values,), s, order)
     _check_force(s)
-    return _by_rows(_moments, log_weights, (values,), s)
+    return _by_rows(_moments, log_weights, (values,), s, order)
 
 
 def _check_force(s) -> None:
@@ -194,12 +195,14 @@ def _by_rows(kernel, log_weights: np.ndarray, tables: tuple, *args):
     return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
 
 
-def _moments(log_weights: np.ndarray, values: np.ndarray, s):
+def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
     """``_tilted_moments`` on one block of rows."""
     # dividing the sums by z, not the weights by z, is the cheaper order
     w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=-1)
     mean = np.einsum("...j,...j->...", w, values) / z
+    if order == 1:
+        return shift + np.log(z), mean
     centered = values - mean[..., None]
     var = np.einsum("...j,...j,...j->...", w, centered, centered) / z
     return shift + np.log(z), mean, var
@@ -289,14 +292,21 @@ class _Table(NamedTuple):
     starts: np.ndarray
     ranges: np.ndarray
 
-    def moments(self, s):
-        """Per-row (log-partition, mean, variance) at origin at force s (or forces), by ``_tilted_moments``."""
-        return _tilted_moments(self.log_weights, self.values, s)
+    def moments(self, s, order: int = 2):
+        """Per-row (log-partition, mean, variance) at origin at force s (or forces), by
+        ``_tilted_moments``; ``order`` 1 stops after the mean."""
+        return _tilted_moments(self.log_weights, self.values, s, order)
 
     def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
-        """The row-weighted mean (moment 1) or variance (2) at origin at each of ``forces``, one
-        ``np.dot`` per force as at a single force, so a batched route equals its loop bit for bit."""
-        return np.array([np.dot(self.row_weights, row) for row in self.moments(forces)[moment]])
+        """The row-weighted mean (moment 1) or variance (2) at origin at each of ``forces``, the
+        kernel taken to that moment only.
+
+        ``np.vecdot`` reduces every force's row in one call by the same ``ddot`` that ``np.dot``
+        runs at a single force, so a batched route equals its one-force loop bit for bit.
+        ``rows @ w`` (and ``np.inner``) would run gemv, which orders its sums differently, and
+        so would rows that are not C-contiguous; the kernel's outputs are.
+        """
+        return np.vecdot(self.moments(forces, moment)[moment], self.row_weights)
 
 
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
@@ -453,9 +463,9 @@ def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]
     last entry is the endpoint.  The true rate at that endpoint lies between
     the two returned sums, and the gap shrinks linearly under refinement.
     """
-    # each mean as ``tilt`` takes it: the normalised law dotted with the values
+    # each mean as ``tilt`` takes it: the normalised law dotted with the values (``_Table.averaged``)
     return _riemann_sums(_check_partition(partition),
-                         lambda s: [np.dot(law, dist.values) for law in _tilted_law(*_one_row(dist), s)[0][:, 0]])
+                         lambda s: np.vecdot(_tilted_law(*_one_row(dist), s)[0][:, 0], dist.values))
 
 
 def _check_partition(partition) -> np.ndarray:

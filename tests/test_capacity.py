@@ -68,6 +68,22 @@ class TestCapacityPoint:
         assert pt.rate == pytest.approx(mutual_information(ch), abs=1e-12)
         assert abs(pt.s_star) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("w, q", [
+        ([[0.15426497355800592, 0.845735026441994], [0.15422672634378776, 0.8457732736562122]],
+         [0.2615822124414016, 0.7384177875585983]),
+        ([[0.2583064318706405, 0.7416935681293595], [0.2583572829221275, 0.7416427170778724]],
+         [0.5740555687680142, 0.4259444312319858]),
+        ([[0.5088153768293618, 0.4911846231706381], [0.5089344656245769, 0.49106553437542316]],
+         [0.8985467398557794, 0.1014532601442206]),
+    ])
+    def test_rows_that_nearly_agree_keep_the_unit_slope(self, w, q):
+        # the budget H(X | Xhat) is about 0.5 and the table's floor about as large, while their
+        # gap is about 1e-4: a budget formed as their difference put s* off -1 by 1.6e-8 to 1.9e-8
+        ch = Channel(w, q)
+        pt = capacity_point(ch)
+        assert abs(pt.s_star + 1.0) <= 1e-11
+        assert pt.rate == pytest.approx(mutual_information(ch), rel=1e-9, abs=1e-15)
+
     def test_dead_output_letter_rejected(self):
         ch = Channel([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         with pytest.raises(ChannelDegenerateError):

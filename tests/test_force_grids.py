@@ -20,14 +20,18 @@ from tiltrate import (
     RdProblem,
     distortion_at_force,
     from_rd_problem,
+    observable_sweep,
     protocol_work_bounds,
+    quasistatic_work,
     rd_curve,
     riemann_sandwich,
     sandwich_bounds,
     tilt,
 )
 from tiltrate import chain, ratedistortion
-from tiltrate.tilting import _tilted_moments
+from tiltrate.ratedistortion import distortion_mmse_integral
+from tiltrate.solvers import adaptive_simpson
+from tiltrate.tilting import _at_origin, _tilted_moments, _tilted_pair
 
 # draws per alphabet size: the k = 512 grids cost a few ms per force
 DRAWS = {2: 8, 64: 3, 512: 1}
@@ -120,3 +124,84 @@ def test_a_thousand_forces_at_k512_cost_their_outputs_only():
     size = sum(out.nbytes for out in outputs)
     assert size == 3 * 1001 * 512 * 8
     assert peak < size + 2 * 2**20
+
+
+# The batched reductions below take each force's row-weighted sum in one ``np.vecdot`` per
+# kernel call; each must answer bit for bit as the same rule with one ``np.dot`` per node.
+QUADRATURE_SHAPES = [(2, 2), (5, 3), (64, 64), (65, 512)]
+
+
+def quadrature_problem(rows: int, cols: int) -> RdProblem:
+    rng = np.random.default_rng([rows, cols, 17])
+    return RdProblem(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), rng.random((rows, cols)) * 3.0)
+
+
+def dot_per_node(weights, rows) -> np.ndarray:
+    return np.array([np.dot(weights, row) for row in rows])
+
+
+@pytest.mark.parametrize("rows, cols", QUADRATURE_SHAPES)
+def test_observable_sweep_matches_a_dot_per_node(rows, cols):
+    problem = quadrature_problem(rows, cols)
+    t = 2.0 * np.random.default_rng(rows).random((rows, cols)) - 1.0
+    tables, p = ratedistortion._observable_tables(problem, t), problem.source_probs
+    base = float(np.dot(p, _tilted_pair(*tables, 0.0, 0.0)[2]))
+    want = base + adaptive_simpson(lambda us: dot_per_node(p, _tilted_pair(*tables, us, 0.0)[5]), 0.0, -1.1, 1e-9)
+    assert observable_sweep(problem, t, -1.1) == want
+
+
+@pytest.mark.parametrize("rows, cols", QUADRATURE_SHAPES)
+def test_distortion_mmse_integral_matches_a_dot_per_node(rows, cols):
+    problem = quadrature_problem(rows, cols)
+    table = ratedistortion._table(problem)
+    p = table.row_weights
+    d0 = float(np.dot(p, _tilted_moments(table.log_weights, table.values, 0.0)[1] + table.starts))
+    want = d0 + adaptive_simpson(
+        lambda us: dot_per_node(p, _tilted_moments(table.log_weights, table.values, us)[2]), 0.0, -1.1, 1e-9)
+    assert distortion_mmse_integral(problem, -1.1) == want
+
+
+@pytest.mark.parametrize("rows, cols", QUADRATURE_SHAPES)
+def test_quasistatic_work_matches_a_dot_per_node(rows, cols):
+    system = from_rd_problem(quadrature_problem(rows, cols), beta=1.6)
+    table, beta = chain._table(system), system.beta
+
+    def power(lams):
+        return lams * beta * dot_per_node(table.row_weights,
+                                          _tilted_moments(table.log_weights, table.values, beta * lams)[2])
+
+    assert quasistatic_work(system, -0.7) == adaptive_simpson(power, 0.0, -0.7, 1e-9)
+
+
+def padded_chain_table(system: ChainSystem):
+    """The chain's table lowered one array at a time into padded rows."""
+    width = max(a.state_lengths.size for a in system.arrays)
+    log_w = np.full((len(system.arrays), width), -np.inf)
+    lengths = np.zeros((len(system.arrays), width))
+    for x, arr in enumerate(system.arrays):
+        log_w[x, : arr.state_energies.size] = -system.beta * arr.state_energies
+        lengths[x, : arr.state_lengths.size] = arr.state_lengths
+    return _at_origin(np.array([a.fraction for a in system.arrays]), log_w, lengths)
+
+
+def ragged_system(rng, arrays: int, max_states: int) -> ChainSystem:
+    sizes = rng.integers(1, max_states + 1, size=arrays)
+    fractions = rng.dirichlet(np.ones(arrays))
+    return ChainSystem(tuple(ElementArray(rng.normal(size=m) * 2.0, rng.random(m) * 3.0 - 1.0, float(f))
+                             for m, f in zip(sizes, fractions)), beta=1.3)
+
+
+@pytest.mark.parametrize("system", [
+    lambda rng: ragged_system(rng, 1, 4),
+    lambda rng: ragged_system(rng, 3, 6),
+    lambda rng: ragged_system(rng, 70, 9),
+    lambda rng: ragged_system(rng, 512, 512),
+    lambda rng: from_rd_problem(quadrature_problem(2, 2), beta=0.8),
+    lambda rng: from_rd_problem(quadrature_problem(64, 64), beta=2.5),
+    lambda rng: from_rd_problem(quadrature_problem(512, 512), beta=1.0),
+    lambda rng: ChainSystem((ElementArray([0.5, 1.5, 2.0], [0.0, 1.0, 0.3], 1.0),), beta=0.4),
+], ids=["ragged-1", "ragged-3", "ragged-70", "ragged-512", "equal-2", "equal-64", "equal-512", "one-array"])
+def test_chain_table_matches_the_padded_loop(rng, system):
+    system = system(rng)
+    got, want = chain._table(system), padded_chain_table(system)
+    assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))

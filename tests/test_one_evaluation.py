@@ -22,14 +22,18 @@ from tiltrate import (
     entropy_at_energy,
     equal_force_allocation,
     equilibrium_force,
+    expected_length,
     force_at_distortion,
     from_rd_problem,
     mmse,
     observable_expectation,
     observable_sweep,
+    protocol_work_bounds,
     quasistatic_work,
     rate_legendre,
     rate_mmse_integral,
+    rd_curve,
+    sandwich_bounds,
 )
 from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError
@@ -40,15 +44,28 @@ from tiltrate.tilting import _BLOCK_ENTRIES, _legendre, _tilted_law
 from conftest import feasible_delta, random_problem, recursive_simpson
 
 
+class Calls(list):
+    """Every force the kernel is evaluated at, in call order, with the moment order asked there."""
+
+    def __init__(self):
+        super().__init__()
+        self.orders = []
+
+    def clear(self):
+        super().clear()
+        self.orders.clear()
+
+
 @pytest.fixture
 def forces(monkeypatch):
-    """Every force the kernel is evaluated at, in call order."""
-    seen = []
+    """Every force the kernel is evaluated at, in call order (``Calls``)."""
+    seen = Calls()
     kernel = tilting._tilted_moments
 
-    def counted(log_weights, values, s):
+    def counted(log_weights, values, s, order=2):
         seen.append(s)
-        return kernel(log_weights, values, s)
+        seen.orders.append(order)
+        return kernel(log_weights, values, s, order)
 
     for module in (tilting, ratedistortion, capacity, chain, multiconstraint):
         if hasattr(module, "_tilted_moments"):
@@ -119,6 +136,42 @@ class TestEachForceOnce:
             forces.clear()
             entropy_at_energy(spectrum, energy)
             assert forces.count(0.0) == 1
+
+
+class TestMomentOrder:
+    """Routes that read only log-partitions and means ask the kernel to stop after the mean."""
+
+    @staticmethod
+    def cases():
+        problem = RdProblem([0.7, 0.3], [0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]])
+        system = from_rd_problem(problem, 1.3)
+        grid = np.linspace(0.0, -2.0, 9)
+        mean_only = [
+            lambda: sandwich_bounds(problem, grid),
+            lambda: protocol_work_bounds(system, grid),
+            lambda: expected_length(system, -0.4),
+            lambda: chain.array_lengths(system, -0.4),
+            lambda: chain.gibbs_free_energy(system, -0.4),
+        ]
+        with_variance = [
+            lambda: rd_curve(problem, grid),
+            lambda: distortion_at_force(problem, -0.4),
+            lambda: chain.length_variance(system, -0.4),
+            lambda: quasistatic_work(system, -0.4),
+        ]
+        return mean_only, with_variance
+
+    def test_mean_only_routes_ask_for_order_one(self, forces):
+        for route in self.cases()[0]:
+            forces.clear()
+            route()
+            assert forces.orders and set(forces.orders) == {1}
+
+    def test_routes_that_read_variances_ask_for_order_two(self, forces):
+        for route in self.cases()[1]:
+            forces.clear()
+            route()
+            assert forces.orders and set(forces.orders) == {2}
 
 
 def full_table_stats(problem, s, delta1, delta2):
