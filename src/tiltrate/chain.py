@@ -36,7 +36,6 @@ from .tilting import (
     _frozen,
     _law,
     _legendre,
-    _one_row,
     _riemann_sums,
 )
 
@@ -246,7 +245,7 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     if energy > vmax + VALUE_MERGE_TOL * (vmax - vmin):
         raise EnergyInfeasibleError(message)
     try:
-        rate = _legendre(_at_origin(np.ones(1), *_one_row(energy_dist)), energy, tol, nonpositive=True)[1]
+        rate = _legendre(energy_dist._table, energy, tol, nonpositive=True)[1]
     except LevelInfeasibleError:
         raise EnergyInfeasibleError(message) from None
     return -math.log(float(energy_dist.probs.min())) - rate

@@ -37,10 +37,12 @@ _GRID_PASSES = 3  # legendre_grid_max's coarse scan and its two refinements
 def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[float, float]:
     """Exact probability that an n-letter block lands within total distortion n*delta.
 
-    The source composition must be integral (n * P(x) whole counts).  Sums
-    are convolved on an integer lattice of bin width 1e-9 times the
-    distortion value range, so distinct reachable totals never alias at desk
-    scales.  Returns (probability, -ln(probability)/n).
+    The source composition must be integral (n * P(x) whole counts).  Each
+    row is keyed from its least value, and the budget moved by the counted
+    starts, so a row shift costs no digits; sums are convolved on an integer
+    lattice of bin width 1e-9 times the largest row range, so distinct
+    reachable totals never alias at desk scales.  Returns (probability,
+    -ln(probability)/n).
     """
     if n <= 0:
         raise ValidationError("block length n must be positive")
@@ -52,11 +54,11 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
         )
 
     dists = problem.delta_dists
-    lo = min(d.min_value for d in dists)
-    hi = max(d.max_value for d in dists)
-    span = hi - lo
+    starts = np.array([d.min_value for d in dists])
+    base = float(np.dot(rounded, starts))  # sum_x c_x start_x, the least total
+    span = max(d.max_value - d.min_value for d in dists)
     if span == 0.0:
-        total = n * lo
+        total = base
         if total <= n * delta + 1e-12 * max(1.0, abs(total)):
             return 1.0, 0.0
         return 0.0, math.inf
@@ -64,7 +66,7 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
 
     acc: dict[int, float] = {0: 1.0}
     for x, c in enumerate(rounded.astype(int)):
-        keys = np.rint(dists[x].values / width).astype(np.int64)
+        keys = np.rint((dists[x].values - starts[x]) / width).astype(np.int64)
         probs = dists[x].probs
         for _ in range(c):
             nxt: dict[int, float] = {}
@@ -74,7 +76,7 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
                     nxt[key] = nxt.get(key, 0.0) + pr * pv
             acc = nxt
 
-    cutoff = n * delta + 0.5 * width
+    cutoff = n * delta - base + 0.5 * width
     prob = min(sum(pr for k, pr in acc.items() if k * width <= cutoff), 1.0)
     # 0.0 - x: a certain event costs 0.0, not -0.0
     exponent = math.inf if prob <= 0.0 else 0.0 - math.log(prob) / n
@@ -133,9 +135,10 @@ def brute_allocation_min(problem: RdProblem, delta: float, grid_points_per_symbo
 def legendre_grid_max(problem: RdProblem, delta: float, s_min: float = -50.0, points: int = 1001) -> float:
     """Dense-grid maximization of s*delta - averaged log-MGF over [s_min, 0].
 
-    A coarse scan followed by two local refinement passes around the argmax;
-    agrees with the root-solve route to ~1e-6 for budgets whose maximizer
-    lies inside the scanned range.
+    The scan runs on the rows at origin, against delta less sum_x P(x)
+    start_x, so a row shift costs no digits.  A coarse scan followed by two
+    local refinement passes around the argmax; agrees with the root-solve
+    route to ~1e-6 for budgets whose maximizer lies inside the scanned range.
     """
     if points < 3:
         raise ValidationError("points must be at least 3")
@@ -148,14 +151,15 @@ def legendre_grid_max(problem: RdProblem, delta: float, s_min: float = -50.0, po
         return 0.0 if delta > 0.0 else math.inf
     p = problem.source_probs
     dists = problem.delta_dists
+    level = delta - float(np.dot(p, [d.min_value for d in dists]))
 
     def objective(svals: np.ndarray) -> np.ndarray:
         phi = np.zeros_like(svals)
         for weight, d in zip(p, dists):
-            expo = svals[:, None] * d.values[None, :] + np.log(d.probs)[None, :]
+            expo = svals[:, None] * (d.values - d.min_value)[None, :] + np.log(d.probs)[None, :]
             shift = expo.max(axis=1)
             phi += weight * (shift + np.log(np.exp(expo - shift[:, None]).sum(axis=1)))
-        return svals * delta - phi
+        return svals * level - phi
 
     lo, hi = s_min, 0.0
     best = -math.inf

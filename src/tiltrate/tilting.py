@@ -120,8 +120,15 @@ class FiniteDistribution:
 
     @property
     def variance(self) -> float:
-        centered = self.values - self.mean
+        at_origin = self.values - self.values[0]  # as the routes take it: a far support costs no digits
+        centered = at_origin - np.dot(self.probs, at_origin)
         return float(np.dot(self.probs, centered * centered))
+
+    @cached_property
+    def _table(self) -> _Table:
+        """The support as a one-row ``_Table`` at origin, built on first use (sorted, all with mass)."""
+        v = self.values
+        return _Table(np.ones(1), np.log(self.probs)[None, :], (v - v[0])[None, :], v[:1], v[-1:] - v[:1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +143,8 @@ class TiltReport:
 
     @cached_property
     def tilted(self) -> FiniteDistribution:
-        return FiniteDistribution(self.dist.values, _tilted_law(*_one_row(self.dist), self.s)[0][0])
+        table = self.dist._table
+        return FiniteDistribution(self.dist.values, _tilted_law(table.log_weights, table.values, self.s)[0][0])
 
 
 @dataclass(frozen=True)
@@ -270,11 +278,6 @@ def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
     return w, shift + np.log(z)
 
 
-def _one_row(dist: FiniteDistribution):
-    """(log-weights, values) of a distribution as a one-row table for the kernel."""
-    return np.log(dist.probs)[None, :], dist.values[None, :]
-
-
 def _row_ends(log_weights: np.ndarray, values: np.ndarray):
     """Per-row least and greatest value among the entries that carry mass."""
     if np.isfinite(log_weights).all():  # every entry carries mass: the plain reductions are faster
@@ -397,23 +400,24 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
 
 def log_mgf(dist: FiniteDistribution, s: float) -> float:
     """ln E[e^{s*y}], max-shifted so large |s| never overflows."""
-    return float(_tilted_law(*_one_row(dist), s)[1][0])
+    return float(dist._table.moments(s, 1)[0][0]) + s * dist.min_value  # ln Z at origin is s * start lower
 
 
 def tilt(dist: FiniteDistribution, s: float) -> TiltReport:
     """Reweight the distribution by e^{s*y} and report its exact moments."""
-    law, log_z = _tilted_law(*_one_row(dist), s)
-    mean = float(np.dot(law[0], dist.values))
-    centered = dist.values - mean
+    table, start = dist._table, dist.min_value
+    law, log_z = _tilted_law(table.log_weights, table.values, s)
+    mean = float(np.dot(law[0], table.values[0]))
+    centered = table.values[0] - mean
     variance = float(np.dot(law[0], centered * centered))
-    return TiltReport(s=float(s), log_mgf=float(log_z[0]), mean=mean, variance=variance, dist=dist)
+    return TiltReport(s=float(s), log_mgf=float(log_z[0]) + s * start, mean=mean + start, variance=variance, dist=dist)
 
 
 def rate_at_force(dist: FiniteDistribution, s: float) -> RateResult:
     """Rate function evaluated parametrically at tilt s (Legendre route)."""
-    rep = tilt(dist, s)
-    rate = s * rep.mean - rep.log_mgf
-    return RateResult(level=rep.mean, force=float(s), rate=max(rate, 0.0))
+    log_z, mean = dist._table.moments(s, 1)
+    rate = s * float(mean[0]) - float(log_z[0])  # at origin: the start cancels, and + 0.0 below turns -0.0 to 0.0
+    return RateResult(level=float(mean[0]) + dist.min_value, force=float(s), rate=max(rate, 0.0) + 0.0)
 
 
 def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -> RateResult:
@@ -426,7 +430,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
     -ln(prob of that endpoint); levels outside the support raise.
     """
     try:
-        s, rate, _ = _legendre(_at_origin(np.ones(1), *_one_row(dist)), level, tol)
+        s, rate, _ = _legendre(dist._table, level, tol)
     except LevelInfeasibleError:
         if dist.size > 1:
             raise
@@ -440,20 +444,15 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Work route to the rate: integral of u * Var_u(y) for u from 0 to s."""
-    _check_force(s)  # also on a point mass, which needs no integral
-    if dist.size == 1:
-        return 0.0
-    table = _at_origin(np.ones(1), *_one_row(dist))
-    return adaptive_simpson(lambda u: u * table.averaged(u, 2), 0.0, s, tol)
+    _check_force(s)
+    # 0.0 + x: a point mass, of variance 0 at origin, costs 0.0, not -0.0
+    return 0.0 + adaptive_simpson(lambda u: u * dist._table.averaged(u, 2), 0.0, s, tol)
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Tilted mean recovered as mean(0) plus the integrated tilted variance."""
-    _check_force(s)  # also on a point mass, which needs no integral
-    if dist.size == 1:
-        return dist.mean
-    table = _at_origin(np.ones(1), *_one_row(dist))
-    return dist.mean + adaptive_simpson(lambda u: table.averaged(u, 2), 0.0, s, tol)
+    _check_force(s)
+    return dist.mean + adaptive_simpson(lambda u: dist._table.averaged(u, 2), 0.0, s, tol)
 
 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:
@@ -463,9 +462,10 @@ def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]
     last entry is the endpoint.  The true rate at that endpoint lies between
     the two returned sums, and the gap shrinks linearly under refinement.
     """
-    # each mean as ``tilt`` takes it: the normalised law dotted with the values (``_Table.averaged``)
+    # each mean as ``tilt`` takes it at origin, where the start cancels in every difference
+    table = dist._table
     return _riemann_sums(_check_partition(partition),
-                         lambda s: np.vecdot(_tilted_law(*_one_row(dist), s)[0][:, 0], dist.values))
+                         lambda s: np.vecdot(_tilted_law(table.log_weights, table.values, s)[0][:, 0], table.values[0]))
 
 
 def _check_partition(partition) -> np.ndarray:

@@ -99,6 +99,16 @@ class TestRdPoint:
         assert float(vals["sandwich_sum_left"]) <= float(vals["rate_nats"])
         assert float(vals["rate_nats"]) <= float(vals["sandwich_sum_right"])
 
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
+    def test_integral_route_exact_under_far_row_shifts(self, capsys, bss_cfg, tmp_path, offset):
+        # bss's rows start at 0, so a whole-number shift leaves every route's tilted law as it was
+        f = tmp_path / "far.cfg"
+        f.write_text(BSS.replace("0, 1; 1, 0", f"{offset!r}, {offset + 1!r}; {offset + 1!r}, {offset!r}"))
+        argv = ["rd", "point", "--force=-1.3", "--integral-route", "--config"]
+        plain, far = (pairs_of(main_of(capsys, *argv, cfg).stdout) for cfg in (bss_cfg, str(f)))
+        for key in ("rate_nats", "mmse", "rate_mmse_integral", "rate_route_difference"):
+            assert far[key] == plain[key]
+
     def test_json_output(self, capsys, bss_cfg):
         res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25", "--json")
         doc = json.loads(res.stdout)

@@ -1,10 +1,10 @@
 """Fixed-force grids go through the kernel in one batched call per grid.
 
 Each grid path must give, bit for bit, what a loop of one-force calls gives:
-``rd_curve`` against ``distortion_at_force``, ``riemann_sandwich`` against
-``tilt``, and ``sandwich_bounds`` and ``protocol_work_bounds`` against the
-kernel at one force on the table at origin, whose means they difference (the
-row starts cancel in every difference).  The Riemann sums are formed as
+``rd_curve`` against ``distortion_at_force``, and ``riemann_sandwich``,
+``sandwich_bounds`` and ``protocol_work_bounds`` against the kernel at one
+force on the table at origin, whose means they difference (the row starts
+cancel in every difference).  The Riemann sums are formed as
 ``tilting._riemann_sums`` forms them, from the per-point means.
 """
 
@@ -26,12 +26,11 @@ from tiltrate import (
     rd_curve,
     riemann_sandwich,
     sandwich_bounds,
-    tilt,
 )
 from tiltrate import chain, ratedistortion
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _at_origin, _tilted_moments, _tilted_pair
+from tiltrate.tilting import _at_origin, _tilted_law, _tilted_moments, _tilted_pair
 
 # draws per alphabet size: the k = 512 grids cost a few ms per force
 DRAWS = {2: 8, 64: 3, 512: 1}
@@ -86,7 +85,8 @@ def test_riemann_sandwich_matches_point_by_point(k, draw):
     rng = np.random.default_rng([k, draw, 7])
     dist = FiniteDistribution(rng.random(k) * 2.0, rng.dirichlet(np.ones(k)))
     part = np.linspace(0.0, rng.uniform(-6.0, 6.0), 4 * points(k))
-    means = [tilt(dist, float(s)).mean for s in part]
+    table = dist._table  # each mean as ``tilt`` takes it, at origin: the start cancels in every difference
+    means = [np.dot(_tilted_law(table.log_weights, table.values, float(s))[0][0], table.values[0]) for s in part]
     assert riemann_sandwich(dist, part) == sums_of(part, means)
 
 

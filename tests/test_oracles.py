@@ -143,6 +143,18 @@ class TestLegendreGridMax:
             legendre_grid_max(bss, 0.3, s_min=s_min)
 
 
+@pytest.mark.parametrize("c", [(1e3, 1e3), (1e9, -2e9), (1e10, 1e10), (1e10, -3e9)])
+def test_oracles_exact_under_far_row_shifts(c):
+    # bss's rows start at 0.  Whole-number row shifts, with the budget moved by their P-weighted
+    # sum (exact for these), leave both oracles' answers bit for bit as on bss: each takes its
+    # rows at origin.  Keyed on the raw values, a row at 1e10 overflowed the int64 lattice.
+    table = np.array([[0.0, 1.0], [1.0, 0.0]])
+    plain, shifted = (RdProblem([0.5, 0.5], [0.5, 0.5], t) for t in (table, table + np.array(c)[:, None]))
+    moved = 0.375 + 0.5 * (c[0] + c[1])
+    assert exact_ld_probability(shifted, 8, moved) == exact_ld_probability(plain, 8, 0.375)
+    assert legendre_grid_max(shifted, moved) == legendre_grid_max(plain, 0.375)
+
+
 class TestBlahutArimoto:
     def test_bss_recovers_uniform(self):
         for s in (-0.3, -1.0, -2.5):

@@ -19,13 +19,19 @@ from tiltrate import (
     equilibrium_force,
     force_at_distortion,
     from_rd_problem,
+    log_mgf,
+    mmse,
     observable_expectation,
     observable_sweep,
     protocol_work_bounds,
     quasistatic_work,
+    rate_at_force,
     rate_legendre,
+    rate_mmse_integral,
     rate_two_distortions,
+    riemann_sandwich,
     sandwich_bounds,
+    tilt,
     tilted_conditional,
 )
 from tiltrate.chain import array_lengths, length_variance
@@ -198,6 +204,33 @@ def test_table_routes_exact_under_far_row_shifts(seed, s, beta):
     at_zero = d - d.min(axis=1)[:, None]
     base, moved = (array_lengths(from_rd_problem(RdProblem(p, q, t), beta), lam) for t in (at_zero, at_zero + c[:, None]))
     assert np.array_equal(moved, base + c)
+
+
+@given(seeds, st.floats(-3.0, -0.1))
+@settings(max_examples=60, deadline=None)
+def test_one_row_routes_exact_under_far_row_shifts(seed, s):
+    # Shifted entries are exact as above, and the plain rows start at 0, so each one-row route,
+    # run on its distribution at origin, answers bit for bit as on the plain rows, and what adds
+    # the start back adds it to the plain answer, rounded once.  mmse goes first: off origin, a
+    # far row once sent rate_mmse_integral subdividing until it ran out of evaluations.
+    p, q, d, _ = draw(seed)
+    d = np.round(d * 2.0**16) / 2.0**16
+    d -= d.min(axis=1)[:, None]
+    rng = np.random.default_rng([seed, 6])
+    c = np.round(rng.choice([-1.0, 1.0], size=p.size) * 10.0 ** rng.uniform(0.0, 10.0, size=p.size))
+    plain, shifted = RdProblem(p, q, d), RdProblem(p, q, d + c[:, None])
+    assert mmse(shifted, s) == mmse(plain, s)
+    grid = np.linspace(0.0, s, 9)
+    for a, b, x in zip(plain.delta_dists, shifted.delta_dists, c):
+        ta, tb = tilt(a, s), tilt(b, s)
+        assert (tb.variance, tb.mean, tb.log_mgf) == (ta.variance, ta.mean + x, ta.log_mgf + s * x)
+        assert np.array_equal(tb.tilted.probs, ta.tilted.probs)
+        assert log_mgf(b, s) == log_mgf(a, s) + s * x
+        ra, rb = rate_at_force(a, s), rate_at_force(b, s)
+        assert (rb.rate, rb.level) == (ra.rate, ra.level + x)
+        assert riemann_sandwich(b, grid) == riemann_sandwich(a, grid)
+        assert b.variance == a.variance
+    assert rate_mmse_integral(shifted, s) == rate_mmse_integral(plain, s)
 
 
 @given(seeds, budgets, st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
