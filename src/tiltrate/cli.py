@@ -152,13 +152,18 @@ def _cmd_rd_point(args, cfg: ProblemConfig) -> list:
             raise ValidationError("--force must be <= 0")
         problem = _rd_problem_at(cfg, args.force, args.tol)
         point = rd.distortion_at_force(problem, args.force)
+        if args.allocation:  # the split at a force is solved at the distortion that force reached
+            split = rd.equal_force_allocation(problem, point.distortion, tol=args.tol)
+    elif args.allocation:  # the split at a budget comes from the solve that found its point
+        problem = cfg.rd_problem()
+        point, moments = rd._solve(problem, args.delta, args.tol)
+        split = rd._allocation(problem, point, moments)
     else:
         problem = cfg.rd_problem()
         point = rd.force_at_distortion(problem, args.delta, tol=args.tol)
     pairs = _point_pairs(point)
     if args.allocation:
-        target = point.distortion if args.delta is None else args.delta
-        allocation, rate = rd.equal_force_allocation(problem, target, tol=args.tol)
+        allocation, rate = split
         for i, v in enumerate(allocation.per_symbol_distortion):
             pairs.append((f"allocation_x{i}", v))
         pairs.append(("allocation_rate_nats", rate))

@@ -28,6 +28,7 @@ from .tilting import (
     _frozen,
     _law,
     _legendre,
+    _record,
     _riemann_sums,
     _tilted_law,
     _tilted_pair,
@@ -158,14 +159,16 @@ def _point(table, s: float, log_z, means, variances) -> RdPoint:
 def _points(table, forces: np.ndarray, log_z, means, variances) -> list[RdPoint]:
     """``_point`` at each of ``forces``, bit for bit, from the per-letter moments there at origin,
     one row per force: each row-weighted sum is one ``np.vecdot`` over every force
-    (``tilting._Table.averaged``).  One force keeps ``_point``: ``np.vecdot`` on a single row
-    costs more than the four ``np.dot`` calls it replaces."""
+    (``tilting._Table.averaged``), and each point is a ``tilting._record``.  One force keeps
+    ``_point``: ``np.vecdot`` on a single row costs more than the four ``np.dot`` calls it
+    replaces."""
     p = table.row_weights
     rates = forces * np.vecdot(means, p) - np.vecdot(log_z, p)
     means = means + table.starts
     sums = zip(forces.tolist(), np.vecdot(means, p).tolist(), rates.tolist(), np.vecdot(variances, p).tolist())
     return [
-        RdPoint(s=s, distortion=d, rate=max(r, 0.0), per_symbol_mean=m, per_symbol_var=v, mmse=e)
+        _record(RdPoint, s=s, distortion=d, rate=max(r, 0.0), per_symbol_mean=m, per_symbol_var=v, mmse=e,
+                boundary=None)
         for (s, d, r, e), m, v in zip(sums, means, variances)
     ]
 
@@ -219,7 +222,11 @@ def equal_force_allocation(problem: RdProblem, delta: float, tol: float = 1e-10)
     and the rate they cost, which matches the joint Legendre rate: the
     equal-force split is exactly the one no other split can beat.
     """
-    point, moments = _solve(problem, delta, tol)
+    return _allocation(problem, *_solve(problem, delta, tol))
+
+
+def _allocation(problem: RdProblem, point: RdPoint, moments) -> tuple[Allocation, float]:
+    """``equal_force_allocation`` from the point and moments that ``_solve`` returned."""
     allocation = Allocation(per_symbol_distortion=point.per_symbol_mean)
     if point.boundary == "min_distortion":
         return allocation, point.rate
@@ -247,8 +254,25 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
     """Distortion recovered as D0 plus the integrated mmse from 0 to s."""
     _check_force(s)
     table = _table(problem)
-    d0 = float(np.dot(table.row_weights, table.moments(0.0, 1)[1] + table.starts))
-    return d0 + adaptive_simpson(lambda us: table.averaged(us, 2), 0.0, s, tol)
+    means, integral = _sweep(table.moments, s, tol, table.row_weights, mean=1, slope=2)
+    return float(np.dot(table.row_weights, means + table.starts)) + integral
+
+
+def _sweep(outputs_at, s: float, tol: float, p: np.ndarray, *, mean: int, slope: int):
+    """(per-row means at force 0, integral from 0 to s of the row-weighted slope), ``mean`` and
+    ``slope`` indexing the kernel outputs ``outputs_at`` gives at a force or array of forces.
+    The means are read off the rule's root level, which ends at force 0 (at s = 0 no node is
+    taken); each level's slopes are reduced in one ``np.vecdot``, as ``_Table.averaged`` does."""
+    at_zero = []
+
+    def integrand(us):
+        outputs = outputs_at(us)
+        if not at_zero:
+            at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
+        return np.vecdot(outputs[slope], p)
+
+    integral = adaptive_simpson(integrand, 0.0, s, tol)
+    return (at_zero[0] if at_zero else outputs_at(0.0)[mean]), integral
 
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
@@ -296,9 +320,8 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     _check_force(s)
     tables = _observable_tables(problem, observable)
     p = problem.source_probs
-    base = float(np.dot(p, _tilted_pair(*tables, 0.0, 0.0)[2]))
-    # every force's covariance reduced in one np.vecdot, as ``tilting._Table.averaged`` takes it
-    return base + adaptive_simpson(lambda us: np.vecdot(_tilted_pair(*tables, us, 0.0)[5], p), 0.0, s, tol)
+    means, integral = _sweep(lambda us: _tilted_pair(*tables, us, 0.0), s, tol, p, mean=2, slope=5)
+    return float(np.dot(p, means)) + integral
 
 
 def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:

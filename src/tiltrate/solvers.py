@@ -31,6 +31,8 @@ _MAX_ITER = 240
 # Subdivision levels below the root interval, and abscissae per integrand call.
 _MAX_DEPTH = 60
 _MAX_CALL = 1024
+# An interval's five nodes as its two halves' ends and midpoints.
+_HALVES = np.array([[0, 1, 2], [2, 3, 4]])
 
 
 class BracketError(NumericalError):
@@ -158,6 +160,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_00
         spent += x.size
         if spent > max_evals:
             raise NumericalError(f"adaptive Simpson short of tolerance near {float(x[0])!r}: out of evaluations")
+        if x.size <= _MAX_CALL:
+            return f(x)
         return np.concatenate([f(x[i : i + _MAX_CALL]) for i in range(0, x.size, _MAX_CALL)])
 
     m = 0.5 * (a + b)
@@ -168,16 +172,17 @@ def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_00
     for depth in range(_MAX_DEPTH, -1, -1):
         x, fx = nodes[..., 0], nodes[..., 1]
         halves = (x[:, 2::2] - x[:, :3:2]) / 6.0 * (fx[:, :3:2] + 4.0 * fx[:, 1::2] + fx[:, 2::2])
-        delta = halves[:, 0] + halves[:, 1] - wholes
+        pairs = halves[:, 0] + halves[:, 1]
+        delta = pairs - wholes
         split = ~(np.abs(delta) <= 15.0 * tol)
-        levels.append((halves[:, 0] + halves[:, 1] + delta / 15.0, split))
+        levels.append((pairs + delta / 15.0, split))
         if not split.any():
             break
         if depth == 0:
             near = float(x[np.argmax(split), 2])
             raise NumericalError(f"adaptive Simpson short of tolerance near {near!r}: {_MAX_DEPTH} subdivisions deep")
         # the split intervals' halves, whose quarter points are the next level's nodes
-        ends = nodes[split][:, [[0, 1, 2], [2, 3, 4]]].reshape(-1, 3, 2)
+        ends = nodes[split][:, _HALVES].reshape(-1, 3, 2)
         nodes = np.empty((len(ends), 5, 2))
         nodes[:, ::2] = ends
         nodes[:, 1::2, 0] = 0.5 * (ends[:, :2, 0] + ends[:, 1:, 0])

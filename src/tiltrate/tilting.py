@@ -72,6 +72,16 @@ def _frozen(obj, **arrays) -> None:
         object.__setattr__(obj, name, value)
 
 
+def _record(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields``, which must name every field,
+    defaults included, in order: one update of its instance dict, where the generated
+    ``__init__`` calls ``object.__setattr__`` once per field.  No ``__post_init__`` runs, so it
+    is for records whose fields need no checking; the public constructor stays as it is."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteDistribution:
     """A finite-support distribution over real outcome values.
@@ -244,9 +254,12 @@ def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
 def _by_force(kernel, log_weights: np.ndarray, tables: tuple, forces: np.ndarray, *args):
     """``kernel(log_weights, *tables, forces, *args)``'s outputs at each of ``forces``, stacked
     forces first: the forces go through as (forces, 1, 1) blocks of about ``_BLOCK_ENTRIES``
-    forces x rows x cols entries (one force, in row blocks, once its table is larger), each
-    written into outputs allocated once, so the peak is the outputs plus one block."""
+    forces x rows x cols entries (one force, in row blocks, once its table is larger).  One block
+    that holds every force is the kernel's own outputs; several are each written into outputs
+    allocated once, so the peak is the outputs plus one block."""
     step = max(_BLOCK_ENTRIES // tables[0].size, 1)
+    if step >= forces.size:
+        return kernel(log_weights, *tables, forces[:, None, None], *args)
     outs = None
     for i in range(0, forces.size, step):
         parts = kernel(log_weights, *tables, forces[i : i + step, None, None], *args)
@@ -410,7 +423,8 @@ def tilt(dist: FiniteDistribution, s: float) -> TiltReport:
     mean = float(np.dot(law[0], table.values[0]))
     centered = table.values[0] - mean
     variance = float(np.dot(law[0], centered * centered))
-    return TiltReport(s=float(s), log_mgf=float(log_z[0]) + s * start, mean=mean + start, variance=variance, dist=dist)
+    return _record(TiltReport, s=float(s), log_mgf=float(log_z[0]) + s * start, mean=mean + start,
+                   variance=variance, dist=dist)
 
 
 def rate_at_force(dist: FiniteDistribution, s: float) -> RateResult:

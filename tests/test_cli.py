@@ -99,6 +99,22 @@ class TestRdPoint:
         assert float(vals["sandwich_sum_left"]) <= float(vals["rate_nats"])
         assert float(vals["rate_nats"]) <= float(vals["sandwich_sum_right"])
 
+    @pytest.mark.parametrize("delta", ["0.25", "0.6", "0"])
+    def test_allocation_at_a_budget_takes_one_solve(self, capsys, bss_cfg, monkeypatch, delta):
+        # the point and its equal-force split come from one Legendre solve, interior or at an end
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return legendre(*args, **kwargs)
+
+        legendre = rd._legendre
+        monkeypatch.setattr(rd, "_legendre", counted)
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", delta, "--allocation")
+        assert res.returncode == 0
+        assert calls == [float(delta)]
+        assert "allocation_rate_nats" in pairs_of(res.stdout)
+
     @pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
     def test_integral_route_exact_under_far_row_shifts(self, capsys, bss_cfg, tmp_path, offset):
         # bss's rows start at 0, so a whole-number shift leaves every route's tilted law as it was

@@ -8,6 +8,7 @@ cancel in every difference).  The Riemann sums are formed as
 ``tilting._riemann_sums`` forms them, from the per-point means.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,19 @@ def test_rd_curve_matches_point_by_point(k, draw):
             ref.s, ref.distortion, ref.rate, ref.mmse, ref.boundary)
         assert np.array_equal(got.per_symbol_mean, ref.per_symbol_mean)
         assert np.array_equal(got.per_symbol_var, ref.per_symbol_var)
+
+
+def test_rd_curve_points_are_ordinary_records():
+    # the grid's points skip the generated __init__; each must be the record it would have built
+    problem = draw_problem(2, 0)[1]
+    built = distortion_at_force(problem, -0.5)
+    for point in rd_curve(problem, [-0.5, -1.0]):
+        assert list(vars(point)) == list(vars(built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.rate = 0.0
+        moved = dataclasses.replace(point, boundary="above_zero_force")
+        assert (moved.s, moved.rate, moved.boundary) == (point.s, point.rate, "above_zero_force")
+        assert point.boundary is None
 
 
 @pytest.mark.parametrize("k,draw", CASES)

@@ -38,6 +38,7 @@ from tiltrate import (
 from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError
 from tiltrate.multiconstraint import _stats
+from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
 from tiltrate.tilting import _BLOCK_ENTRIES, _legendre, _tilted_law
 
@@ -136,6 +137,46 @@ class TestEachForceOnce:
             forces.clear()
             entropy_at_energy(spectrum, energy)
             assert forces.count(0.0) == 1
+
+
+@pytest.fixture
+def batched_forces(monkeypatch):
+    """Every force the moment and pair kernels are evaluated at, one entry per force of a batched
+    call (the (forces, 1, 1) blocks a batched call hands itself are not counted again)."""
+    seen = []
+    for name, tables in (("_tilted_moments", 1), ("_tilted_pair", 2)):
+        kernel = getattr(tilting, name)
+
+        def counted(log_weights, *args, kernel=kernel, tables=tables):
+            s = args[tables]  # the force follows the kernel's tables
+            if np.ndim(s) <= 1:
+                seen.extend(np.ravel(s).tolist())
+            return kernel(log_weights, *args)
+
+        for module in (tilting, ratedistortion):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+class TestQuadratureZeroForce:
+    """The quadrature routes that add an integral to the value at force 0 read that value off the
+    rule's root level, which ends at force 0, so the kernel sees force 0 once per call."""
+
+    @pytest.mark.parametrize("s", [-1.3, 0.7, 0.0])
+    def test_distortion_mmse_integral(self, batched_forces, s):
+        for problem in problems():
+            batched_forces.clear()
+            distortion_mmse_integral(problem, s)
+            assert batched_forces.count(0.0) == 1
+
+    @pytest.mark.parametrize("s", [-1.3, 0.7, 0.0])
+    def test_observable_sweep(self, batched_forces, s):
+        for problem in problems():
+            t = np.arange(problem.distortion.size, dtype=float).reshape(problem.distortion.shape) % 3.0
+            batched_forces.clear()
+            observable_sweep(problem, t, s)
+            assert batched_forces.count(0.0) == 1
 
 
 class TestMomentOrder:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from tiltrate import (
 )
 from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
-from tiltrate.tilting import _BLOCK_ENTRIES, _tilted_law, _tilted_moments
+from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _tilted_law, _tilted_moments
 
 from conftest import LN2, h2, random_dist
 
@@ -109,6 +110,20 @@ class TestTilt:
         rep = tilt(coin(), math.log(1.0 / 3.0))
         assert "tilted" not in vars(rep)
         np.testing.assert_allclose(rep.tilted.probs, [0.75, 0.25], atol=1e-15)
+
+    def test_reports_are_ordinary_records(self, rng):
+        # tilt skips the generated __init__; its report must be the record that __init__ builds
+        d = random_dist(rng)
+        rep = tilt(d, -0.7)
+        built = TiltReport(s=rep.s, log_mgf=rep.log_mgf, mean=rep.mean, variance=rep.variance, dist=d)
+        assert list(vars(rep)) == list(vars(built))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.mean = 0.0
+        moved = dataclasses.replace(rep, s=0.0)
+        assert (moved.s, moved.mean, moved.dist) == (0.0, rep.mean, d)
+        assert rep.tilted is rep.tilted
+        assert np.array_equal(rep.tilted.probs, built.tilted.probs)
+        assert list(vars(rep)) == list(vars(built))
 
     def test_mean_decreases_with_force(self, rng):
         d = random_dist(rng)
