@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _legendre, _tilted_pair
+from .tilting import _at_origin, _legendre, _record, _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -89,8 +88,8 @@ def rate_two_distortions(
         scales.append(float(np.dot(p, origins[-1].ranges)) or 1.0)
         tables.append(origins[-1].values / scales[-1])
         budgets.append((target - floor) / scales[-1])
-    # _stats reads only these four arrays; an RdProblem2 would copy both tables
-    scaled = SimpleNamespace(source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])
+    # built as a record: the constructor would check and copy both tables again
+    scaled = _record(RdProblem2, source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])
     # Weak duality: every ascent value is at most the rate, and a satisfiable
     # pair's rate is at most the cost -ln min Q of forcing the cheapest
     # reproduction letter everywhere; the margin covers the value's rounding.
@@ -129,9 +128,12 @@ def rate_two_distortions(
             return float(max(value, 0.0)), float(s[0] / scales[0]), float(s[1] / scales[1])
         # A Newton step must climb at a rate commensurate with the gradient:
         # on a singular covariance it is infinite, nan, or a vanishing step
-        # along the null ray while the gradient points off it.
+        # along the null ray while the gradient points off it.  Dependent
+        # tables take none: LAPACK can solve their singular covariance by
+        # rounding, into a huge step that backtracking then halves ~40 times.
         climbed = False
-        if np.all(np.isfinite(newton)) and float(np.dot(newton, g_free)) > 1e-12 * float(np.dot(g_free, g_free)):
+        if (not dependent and np.all(np.isfinite(newton))
+                and float(np.dot(newton, g_free)) > 1e-12 * float(np.dot(g_free, g_free))):
             step = np.zeros(2)
             step[free] = newton
             alpha = 1.0

@@ -174,47 +174,54 @@ class RateResult:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s, order: int = 2):
-    """Per-row (log-partition, mean, variance) of ``values`` tilted by e^{s * value}; ``order`` 1
-    stops after the mean and returns (log-partition, mean).
-
-    Row x carries the weights e^{log_weights[x] + s * values[x]};
-    ``log_weights`` has one row per row of ``values``, or a single row
-    shared by all.  A ragged table is padded with -inf log-weights (and any
-    finite value), which carry no mass.  Sums are max-shifted per row, so
-    tilts with |s * value| up to ~700 stay finite.  Large tables are taken
-    a block of rows at a time, so the temporaries stay small.  For a 1-D
-    array of forces ``s``, each output has one row per force (``_by_force``).
-    A scalar force must be finite (``_check_force``).
-    """
-    if isinstance(s, np.ndarray) and s.ndim == 1:
-        return _by_force(_tilted_moments, log_weights, (values,), s, order)
-    _check_force(s)
-    return _by_rows(_moments, log_weights, (values,), s, order)
-
-
 def _check_force(s) -> None:
     """Refuse a non-finite scalar force; an array of forces comes from a grid its caller checked."""
     if not isinstance(s, np.ndarray) and not math.isfinite(s):
         raise ValidationError(f"force s must be finite (got {s!r})")
 
 
-def _by_rows(kernel, log_weights: np.ndarray, tables: tuple, *args):
-    """``kernel(log_weights, *tables, *args)``'s per-row outputs, taken in blocks of rows of about
-    ``_BLOCK_ENTRIES`` entries; ``log_weights`` has one row per table row, or one shared row."""
-    rows, step = tables[0].shape[0], max(1, _BLOCK_ENTRIES // tables[0].shape[1])
-    if rows <= step:
-        return kernel(log_weights, *tables, *args)
-    shared = log_weights.shape[0] == 1
-    parts = [
-        kernel(log_weights if shared else log_weights[i : i + step], *(t[i : i + step] for t in tables), *args)
-        for i in range(0, rows, step)
-    ]
-    return tuple(np.concatenate(column, axis=-1) for column in zip(*parts))
+def _tilted(body, log_weights: np.ndarray, tables: tuple, s, *args):
+    """``body(log_weights, *tables, s, *args)``'s per-row outputs at force ``s`` or, for a 1-D array
+    ``s``, at each force, stacked forces first: the one front of the kernel.  A scalar force must be
+    finite (``_check_force``).  Blocks hold about ``_BLOCK_ENTRIES`` forces x rows x columns: whole
+    tables at several forces, as (forces, 1, 1), or one force and a slice of rows once a table is
+    larger.  One block is the body's own outputs; several are each written into outputs allocated
+    once, so the peak is the outputs plus one block."""
+    grid = isinstance(s, np.ndarray) and s.ndim == 1
+    if not grid:
+        _check_force(s)
+    (rows, cols), n = tables[0].shape, s.size if grid else 1
+    forces, step = max(_BLOCK_ENTRIES // (rows * cols), 1), max(_BLOCK_ENTRIES // cols, 1)
+    s = s[:, None, None] if grid else s
+    if n <= forces and rows <= step:
+        return body(log_weights, *tables, s, *args)
+    shared, lead, outs = log_weights.shape[0] == 1, (n, rows) if grid else (rows,), None
+    for i in range(0, n, forces):
+        for j in range(0, rows, step):
+            block = slice(j, j + step)
+            parts = body(log_weights if shared else log_weights[block], *(t[block] for t in tables),
+                         s[i : i + forces] if grid else s, *args)
+            outs = outs or tuple(np.empty(lead + part.shape[len(lead):]) for part in parts)
+            for out, part in zip(outs, parts):
+                out[(slice(i, i + forces), block) if grid else block] = part
+    return outs
+
+
+def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s, order: int = 2):
+    """Per-row (log-partition, mean, variance) of ``values`` tilted by e^{s * value}, by ``_tilted``;
+    ``order`` 1 stops after the mean and returns (log-partition, mean).
+
+    Row x carries the weights e^{log_weights[x] + s * values[x]};
+    ``log_weights`` has one row per row of ``values``, or a single row
+    shared by all.  A ragged table is padded with -inf log-weights (and any
+    finite value), which carry no mass.  Sums are max-shifted per row, so
+    tilts with |s * value| up to ~700 stay finite.
+    """
+    return _tilted(_moments, log_weights, (values,), s, order)
 
 
 def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
-    """``_tilted_moments`` on one block of rows."""
+    """``_tilted_moments`` on one block."""
     # dividing the sums by z, not the weights by z, is the cheaper order
     w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=-1)
@@ -228,45 +235,23 @@ def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
 
 def _tilted_pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
     """Per-row (log-partition, mean of ``a``, mean of ``b``, variance of ``a``, variance of ``b``,
-    covariance) of two tables tilted together by e^{s_a * a + s_b * b}, in ``_by_rows`` blocks.
+    covariance) of two tables tilted together by e^{s_a * a + s_b * b}, by ``_tilted`` over ``s_a``.
 
     The two-budget ascent tilts two distortion tables at once; an observable
-    of the letter pair is the second table held at zero force.  For a 1-D
-    array ``s_a``, each output has one row per force (``_by_force``).
+    of the letter pair is the second table held at zero force.  ``s_b`` is a
+    finite scalar: the ascent's own iterate, or an observable's 0.
     """
-    if isinstance(s_a, np.ndarray) and s_a.ndim == 1:
-        return _by_force(_tilted_pair, log_weights, (a, b), s_a, s_b)
-    _check_force(s_a)
-    _check_force(s_b)
-    return _by_rows(_pair, log_weights, (a, b), s_a, s_b)
+    return _tilted(_pair, log_weights, (a, b), s_a, s_b)
 
 
 def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
-    """``_tilted_pair`` on one block of rows."""
+    """``_tilted_pair`` on one block."""
     # the pair tilted by (s_a, s_b) is the one table s_a * a + s_b * b at unit force
     law, log_z = _tilted_law(log_weights, s_a * a + s_b * b, 1.0)
     mean_a, mean_b = (np.einsum("...j,...j->...", law, t) for t in (a, b))
     ca, cb = a - mean_a[..., None], b - mean_b[..., None]
     covariances = (np.einsum("...j,...j,...j->...", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb)))
     return log_z, mean_a, mean_b, *covariances
-
-
-def _by_force(kernel, log_weights: np.ndarray, tables: tuple, forces: np.ndarray, *args):
-    """``kernel(log_weights, *tables, forces, *args)``'s outputs at each of ``forces``, stacked
-    forces first: the forces go through as (forces, 1, 1) blocks of about ``_BLOCK_ENTRIES``
-    forces x rows x cols entries (one force, in row blocks, once its table is larger).  One block
-    that holds every force is the kernel's own outputs; several are each written into outputs
-    allocated once, so the peak is the outputs plus one block."""
-    step = max(_BLOCK_ENTRIES // tables[0].size, 1)
-    if step >= forces.size:
-        return kernel(log_weights, *tables, forces[:, None, None], *args)
-    outs = None
-    for i in range(0, forces.size, step):
-        parts = kernel(log_weights, *tables, forces[i : i + step, None, None], *args)
-        outs = outs or tuple(np.empty((forces.size,) + part.shape[1:]) for part in parts)
-        for out, part in zip(outs, parts):
-            out[i : i + len(part)] = part
-    return outs
 
 
 def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s):
@@ -281,9 +266,11 @@ def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s):
 
 
 def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
-    """Per-row tilted law (each row summing to 1) and log-partition, as in ``_tilted_moments``."""
+    """Per-row tilted law (each row summing to 1) and log-partition, as in ``_tilted_moments``.
+    A force grid goes through ``_tilted``; a scalar force is one call, since the law is as large
+    as its table and row blocks would only add a copy."""
     if isinstance(s, np.ndarray) and s.ndim == 1:
-        return _by_force(_tilted_law, log_weights, (values,), s)
+        return _tilted(_tilted_law, log_weights, (values,), s)
     _check_force(s)
     w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=-1)

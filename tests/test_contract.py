@@ -5,6 +5,7 @@ Every public function that takes a force refuses a non-finite one with
 stores read-only copies of its arrays.
 """
 
+import ast
 import math
 from pathlib import Path
 
@@ -180,3 +181,20 @@ def test_row_starts_are_found_by_the_origin_table_alone():
     # every table route takes its rows' starts from tilting._at_origin; oracles.py keeps its own
     modules = Path(tiltrate.__file__).parent.glob("*.py")
     assert sorted(m.name for m in modules if "_row_ends" in m.read_text()) == ["tilting.py"]
+
+
+def test_blocks_are_cut_by_the_kernel_front_alone():
+    # tilting._tilted is the one scalar-versus-grid dispatch and block loop of the moment and pair
+    # kernels: no other code reads the block size, and the old blocking helpers are gone
+    modules = {m.name: m.read_text() for m in Path(tiltrate.__file__).parent.glob("*.py")}
+    assert sorted(name for name, text in modules.items() if "_BLOCK_ENTRIES" in text) == ["tilting.py"]
+    tree = ast.parse(modules["tilting.py"])
+    readers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "_BLOCK_ENTRIES"
+    }
+    assert readers == {"_tilted"}
+    assert not [name for name, text in modules.items() if "_by_force" in text or "_by_rows" in text]

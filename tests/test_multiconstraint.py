@@ -5,6 +5,7 @@ import pytest
 
 from tiltrate import RdProblem, RdProblem2, ValidationError, force_at_distortion, rate_legendre, rate_two_distortions
 from tiltrate.errors import InfeasiblePairError, NumericalError
+from tiltrate import multiconstraint
 from tiltrate.multiconstraint import _stats
 
 from conftest import h2
@@ -188,6 +189,30 @@ class TestRateTwoDistortions:
         want = force_at_distortion(bss1(), budgets[active])
         assert forces[active] == want.s and forces[1 - active] == 0.0
         assert rate == pytest.approx(want.rate, rel=1e-15)
+
+    def test_dependent_tables_take_no_newton_step(self, monkeypatch):
+        # Dependent tables go from the zero-force tests straight to the one-table faces: the
+        # objective at 0 and the two Kuhn-Tucker checks.  A Newton step on their singular
+        # covariance, when LAPACK solves it by rounding, is huge and backtracks for dozens of calls.
+        calls = []
+        stats = multiconstraint._stats
+        monkeypatch.setattr(multiconstraint, "_stats", lambda *args: calls.append(1) or stats(*args))
+        rng = np.random.default_rng(5)
+        dependent = ["duplicate", "scaled", "complement"]
+        for n in range(200):
+            k, j = (int(x) for x in rng.integers(2, 6, size=2))
+            p_vec, q_vec, d1 = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(j)), rng.random((k, j))
+            d2 = SECOND_TABLES[dependent[n % 3]](rng, d1)
+            budgets = []
+            for d in (d1, d2):
+                floor = float(p_vec @ d.min(axis=1))
+                budgets.append(floor + rng.uniform(0.05, 0.95) * (float(p_vec @ d.max(axis=1)) - floor))
+            calls.clear()
+            try:
+                rate_two_distortions(RdProblem2(p_vec, q_vec, d1, d2), *budgets)
+            except InfeasiblePairError:
+                pass
+            assert len(calls) <= 3
 
     def test_raises_exactly_on_unsatisfiable_pairs(self, rng):
         # Against the exact feasibility slack, on every family of second table; draws within

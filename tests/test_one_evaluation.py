@@ -141,21 +141,16 @@ class TestEachForceOnce:
 
 @pytest.fixture
 def batched_forces(monkeypatch):
-    """Every force the moment and pair kernels are evaluated at, one entry per force of a batched
-    call (the (forces, 1, 1) blocks a batched call hands itself are not counted again)."""
+    """Every force the kernel front ``_tilted`` is called at, one entry per force of a batched
+    call (its blocks go to the body, not back through the front)."""
     seen = []
-    for name, tables in (("_tilted_moments", 1), ("_tilted_pair", 2)):
-        kernel = getattr(tilting, name)
+    front = tilting._tilted
 
-        def counted(log_weights, *args, kernel=kernel, tables=tables):
-            s = args[tables]  # the force follows the kernel's tables
-            if np.ndim(s) <= 1:
-                seen.extend(np.ravel(s).tolist())
-            return kernel(log_weights, *args)
+    def counted(body, log_weights, tables, s, *args):
+        seen.extend(np.ravel(s).tolist())
+        return front(body, log_weights, tables, s, *args)
 
-        for module in (tilting, ratedistortion):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(tilting, "_tilted", counted)
     return seen
 
 

@@ -19,7 +19,7 @@ from tiltrate import (
 )
 from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
-from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _tilted_law, _tilted_moments
+from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _pair, _tilted_law, _tilted_moments, _tilted_pair
 
 from conftest import LN2, h2, random_dist
 
@@ -320,6 +320,54 @@ class TestForceBatchedKernel:
         self.assert_stacked(log_weights, values, forces)
         log_z, means, _ = _tilted_moments(log_weights, values, forces)
         assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(means))
+
+
+def large_table(rng, shape):
+    """(log_weights, values) larger than one block of the kernel: 65 rows of 512 entries under
+    one shared row of log-weights, or 80 ragged rows of 1 to 600 entries (one full) padded with
+    -inf log-weights of their own."""
+    if shape == "square":
+        return np.log(rng.dirichlet(np.ones(512)))[None, :], rng.random((65, 512))
+    lengths = rng.integers(1, 601, size=80)
+    lengths[0] = 600
+    log_weights = np.log(rng.random((80, 600)))
+    log_weights[np.arange(600)[None, :] >= lengths[:, None]] = -math.inf
+    return log_weights, rng.random((80, 600))
+
+
+class TestRowBlockedGrids:
+    """A force grid on a table larger than one block goes through one force and a slice of rows
+    at a time, and equals the unblocked kernel's one-force calls stacked, bit for bit."""
+
+    @staticmethod
+    def assert_stacked(batched, unblocked, forces):
+        stacked = [np.stack(column) for column in zip(*(unblocked(float(s)) for s in forces))]
+        assert len(batched) == len(stacked)
+        for out, ref in zip(batched, stacked):
+            assert out.shape == ref.shape
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("shape", ["square", "ragged"])
+    def test_law(self, rng, shape):
+        log_weights, values = large_table(rng, shape)
+        assert values.size > _BLOCK_ENTRIES
+        forces = -rng.uniform(0.0, 3.0, 3)
+        # the law at one force is one body call, unblocked
+        self.assert_stacked(_tilted_law(log_weights, values, forces),
+                            lambda s: _tilted_law(log_weights, values, s), forces)
+
+    @pytest.mark.parametrize("shape", ["square", "ragged"])
+    def test_pair(self, rng, shape):
+        log_weights, a = large_table(rng, shape)
+        b = 3.0 * rng.random(a.shape) - 1.0
+        assert a.size > _BLOCK_ENTRIES
+        forces = -rng.uniform(0.0, 3.0, 3)
+        for s_b in (0.0, -0.7):
+            self.assert_stacked(_tilted_pair(log_weights, a, b, forces, s_b),
+                                lambda s: _pair(log_weights, a, b, s, s_b), forces)
+            # the pair at one force is row-blocked too
+            self.assert_stacked([x[None] for x in _tilted_pair(log_weights, a, b, float(forces[0]), s_b)],
+                                lambda s: _pair(log_weights, a, b, s, s_b), forces[:1])
 
 
 class TestKlFreeEnergyGap:
