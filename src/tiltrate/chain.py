@@ -33,6 +33,7 @@ from .tilting import (
     VALUE_MERGE_TOL,
     FiniteDistribution,
     _at_origin,
+    _check_partition,
     _frozen,
     _law,
     _legendre,
@@ -178,18 +179,6 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     return adaptive_simpson(lambda lams: lams * beta * table.averaged(beta * lams, 2), 0.0, lam_final, tol)
 
 
-def _check_schedule(schedule) -> np.ndarray:
-    pts = np.asarray(schedule, dtype=float).ravel()
-    if pts.size == 0:
-        raise ScheduleInvalidError("schedule must be nonempty")
-    if not np.all(np.isfinite(pts)) or pts[0] != 0.0:
-        raise ScheduleInvalidError("schedule must be finite and start at force 0")
-    steps = np.diff(pts)
-    if steps.size and not (np.all(steps >= 0.0) or np.all(steps <= 0.0)):
-        raise ScheduleInvalidError("schedule must be monotone")
-    return pts
-
-
 def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     """(pre-jump, post-jump) work sums of a stepwise force protocol.
 
@@ -198,8 +187,8 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     quasistatic work lies between them for every monotone schedule.
     """
     # at origin: the starts cancel in every difference of the sums
-    table = _table(system)
-    return _riemann_sums(_check_schedule(schedule), lambda lams: table.averaged(system.beta * lams, 1))
+    table, schedule = _table(system), _check_partition(schedule, "schedule", ScheduleInvalidError)
+    return _riemann_sums(schedule, lambda lams: table.averaged(system.beta * lams, 1))
 
 
 def protocol_work(system: ChainSystem, schedule) -> float:

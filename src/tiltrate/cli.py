@@ -124,8 +124,6 @@ def _point_pairs(point: rd.RdPoint) -> list[tuple[str, object]]:
 
 def _cmd_rd_curve(args, cfg: ProblemConfig) -> tuple:
     grid = _parse_grid(args.grid)
-    if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):
-        raise ValidationError("rd curve grid values must be finite and <= 0")
     if cfg.coding_probs is not None:
         problem = cfg.rd_problem()
         points = rd.rd_curve(problem, grid)
@@ -143,6 +141,8 @@ def _cmd_rd_point(args, cfg: ProblemConfig) -> list:
         raise ValidationError("rd point needs --delta or --force")
     if args.force is not None and args.delta is not None:
         raise ValidationError("give only one of --delta and --force")
+    if args.bounds < 0:
+        raise ValidationError("--bounds must be >= 0")
     if cfg.coding_probs is None and args.force is None:
         raise ValidationError(
             "config has no coding_probs: give --force so they can be optimized at a target slope"

@@ -136,6 +136,8 @@ def _from_mapping(doc: dict) -> ProblemConfig:
             raise ConfigError("config field 'channel' must be an object with transition and input_probs")
         for sub, target in (("transition", "channel_transition"), ("input_probs", "channel_input_probs")):
             if sub in channel:
+                if target in flat:
+                    raise ConfigError(f"config fields 'channel.{sub}' and '{target}' give the same field twice")
                 flat[target] = channel.pop(sub)
         if channel:
             raise ConfigError(f"unknown config field 'channel.{sorted(channel)[0]}'")
@@ -149,6 +151,16 @@ def _from_mapping(doc: dict) -> ProblemConfig:
         else:
             setattr(cfg, key, _as_scalar(raw, key))
     return cfg
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object's pairs as a dict, refusing a repeated key (``json`` keeps its last value)."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate config field '{key}'")
+        doc[key] = value
+    return doc
 
 
 def _parse_flat(text: str, path: str) -> ProblemConfig:
@@ -177,7 +189,7 @@ def load_config(path) -> ProblemConfig:
     head = text.lstrip()
     if p.suffix.lower() == ".json" or head.startswith("{"):
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{p}: invalid JSON ({exc})") from None
         if not isinstance(doc, dict):

@@ -23,7 +23,7 @@ class SupportMismatchError(ValidationError):
 
 
 class PartitionInvalidError(ValidationError):
-    """Force partition is not a strictly monotone grid anchored at zero."""
+    """Force partition is not a monotone grid anchored at zero."""
 
 
 class DistortionTooLowError(ValidationError):

@@ -80,14 +80,15 @@ def rate_two_distortions(
         ("delta2", problem.distortion_2, delta2),
     ):
         origins.append(_at_origin(p, np.log(q)[None, :], d))
-        floor = float(np.dot(p, origins[-1].starts))
-        if not math.isfinite(target) or target <= floor:
+        floor, span = float(np.dot(p, origins[-1].starts)), float(np.dot(p, origins[-1].ranges))
+        if not target > floor:  # nan and -inf are refused too
             raise InfeasiblePairError(
                 f"{name} = {target!r} does not exceed the minimum achievable {floor!r}"
             )
-        scales.append(float(np.dot(p, origins[-1].ranges)) or 1.0)
+        scales.append(span or 1.0)
         tables.append(origins[-1].values / scales[-1])
-        budgets.append((target - floor) / scales[-1])
+        # a budget at or above the table's largest achievable mean never binds, +inf included
+        budgets.append(min(target - floor, span) / scales[-1])
     # built as a record: the constructor would check and copy both tables again
     scaled = _record(RdProblem2, source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])
     # Weak duality: every ascent value is at most the rate, and a satisfiable

@@ -57,11 +57,8 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
     starts = np.array([d.min_value for d in dists])
     base = float(np.dot(rounded, starts))  # sum_x c_x start_x, the least total
     span = max(d.max_value - d.min_value for d in dists)
-    if span == 0.0:
-        total = base
-        if total <= n * delta + 1e-12 * max(1.0, abs(total)):
-            return 1.0, 0.0
-        return 0.0, math.inf
+    if span == 0.0:  # every block totals base
+        return (1.0, 0.0) if base <= n * delta + 1e-12 * max(1.0, abs(base)) else (0.0, math.inf)
     width = _LATTICE_REL * span
 
     acc: dict[int, float] = {0: 1.0}
@@ -99,34 +96,17 @@ def brute_allocation_min(problem: RdProblem, delta: float, grid_points_per_symbo
     p = problem.source_probs
     dists = problem.delta_dists
 
-    grids = []
-    rates = []
-    for d in dists:
-        g = np.linspace(d.min_value, d.mean, grid_points_per_symbol)
-        r = np.array([force_at_level(d, float(v), tol=1e-9).rate for v in g])
-        grids.append(g)
-        rates.append(r)
+    grids = [np.linspace(d.min_value, d.mean, grid_points_per_symbol) for d in dists]
+    rates = [np.array([force_at_level(d, float(v), tol=1e-9).rate for v in g]) for d, g in zip(dists, grids)]
 
+    # the first letter's budgets outermost, the other letters' as one product grid
     slack = 1e-12 * max(1.0, abs(delta))
-    if k == 1:
-        feasible = p[0] * grids[0] <= delta + slack
-        if not feasible.any():
-            raise ValidationError("no grid point satisfies the distortion budget")
-        return float((p[0] * rates[0])[feasible].min())
-    if k == 2:
-        load = p[0] * grids[0][:, None] + p[1] * grids[1][None, :]
-        cost = p[0] * rates[0][:, None] + p[1] * rates[1][None, :]
-        cost = np.where(load <= delta + slack, cost, np.inf)
-        best = float(cost.min())
-    else:
-        best = math.inf
-        inner_load = p[1] * grids[1][:, None] + p[2] * grids[2][None, :]
-        inner_cost = p[1] * rates[1][:, None] + p[2] * rates[2][None, :]
-        for g0, r0 in zip(grids[0], rates[0]):
-            cost = np.where(
-                p[0] * g0 + inner_load <= delta + slack, p[0] * r0 + inner_cost, np.inf
-            )
-            best = min(best, float(cost.min()))
+    inner_load = sum(np.ix_(*(p[x] * grids[x] for x in range(1, k))))
+    inner_cost = sum(np.ix_(*(p[x] * rates[x] for x in range(1, k))))
+    best = math.inf
+    for g0, r0 in zip(grids[0], rates[0]):
+        cost = np.where(p[0] * g0 + inner_load <= delta + slack, p[0] * r0 + inner_cost, np.inf)
+        best = min(best, float(cost.min()))
     if not math.isfinite(best):
         raise ValidationError("no grid point satisfies the distortion budget")
     return best

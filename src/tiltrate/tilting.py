@@ -175,8 +175,10 @@ _BLOCK_ENTRIES = 1 << 15
 
 
 def _check_force(s) -> None:
-    """Refuse a non-finite scalar force; an array of forces comes from a grid its caller checked."""
-    if not isinstance(s, np.ndarray) and not math.isfinite(s):
+    """Refuse a force that is not one finite number; ``_tilted`` passes a grid its caller checked."""
+    if isinstance(s, np.ndarray) and s.ndim:
+        raise ValidationError(f"force s must be one number (got an array of shape {s.shape})")
+    if not math.isfinite(s):
         raise ValidationError(f"force s must be finite (got {s!r})")
 
 
@@ -266,11 +268,9 @@ def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s):
 
 
 def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
-    """Per-row tilted law (each row summing to 1) and log-partition, as in ``_tilted_moments``.
-    A force grid goes through ``_tilted``; a scalar force is one call, since the law is as large
-    as its table and row blocks would only add a copy."""
-    if isinstance(s, np.ndarray) and s.ndim == 1:
-        return _tilted(_tilted_law, log_weights, (values,), s)
+    """Per-row tilted law (each row summing to 1) and log-partition at one finite force, as in
+    ``_tilted_moments``: one call, since the law is as large as its table and row blocks would
+    only add a copy."""
     _check_force(s)
     w, shift = _tilted_weights(log_weights, values, s)
     z = w.sum(axis=-1)
@@ -459,33 +459,31 @@ def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:
     """Left- and right-labelled Riemann sums for the work integral.
 
-    ``partition`` is a strictly monotone grid of forces starting at 0; its
+    ``partition`` is a monotone grid of forces starting at 0 (``_check_partition``); its
     last entry is the endpoint.  The true rate at that endpoint lies between
     the two returned sums, and the gap shrinks linearly under refinement.
     """
-    # each mean as ``tilt`` takes it at origin, where the start cancels in every difference
-    table = dist._table
-    return _riemann_sums(_check_partition(partition),
-                         lambda s: np.vecdot(_tilted_law(table.log_weights, table.values, s)[0][:, 0], table.values[0]))
+    # the means at origin, where the start cancels in every difference
+    return _riemann_sums(_check_partition(partition), lambda forces: dist._table.averaged(forces, 1))
 
 
-def _check_partition(partition) -> np.ndarray:
-    """The partition as a float array: nonempty, finite, from 0, strictly monotone."""
-    pts = np.asarray(partition, dtype=float).ravel()
+def _check_partition(points, name: str = "partition", error=PartitionInvalidError) -> np.ndarray:
+    """``points`` as a float array of forces, nonempty, finite, from 0 and monotone, or ``error``
+    naming them ``name``: the one check of Riemann partitions and protocol schedules.  A repeated
+    force adds nothing to either sum and is dropped, so the sums equal those without it bit for bit."""
+    pts = np.asarray(points, dtype=float).ravel()
     if pts.size == 0:
-        raise PartitionInvalidError("partition must be nonempty")
+        raise error(f"{name} must be nonempty")
     if not np.all(np.isfinite(pts)) or pts[0] != 0.0:
-        raise PartitionInvalidError("partition must be finite and start at 0")
+        raise error(f"{name} must be finite and start at 0")
     steps = np.diff(pts)
-    if not (np.all(steps > 0.0) or np.all(steps < 0.0)):
-        raise PartitionInvalidError("partition must be strictly monotone")
-    return pts
+    if not (np.all(steps >= 0.0) or np.all(steps <= 0.0)):
+        raise error(f"{name} must be monotone")
+    return pts[np.concatenate(([True], steps != 0.0))]
 
 
 def _riemann_sums(forces: np.ndarray, mean_at) -> tuple[float, float]:
     """Left- and right-labelled Riemann sums of the integral of s dm(s), m = mean_at(forces) in one call."""
-    if forces.size == 1:
-        return (0.0, 0.0)
     dm = np.diff(mean_at(forces))
     return (float(np.dot(forces[:-1], dm)), float(np.dot(forces[1:], dm)))
 

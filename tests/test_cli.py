@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -124,6 +125,14 @@ class TestRdPoint:
         plain, far = (pairs_of(main_of(capsys, *argv, cfg).stdout) for cfg in (bss_cfg, str(f)))
         for key in ("rate_nats", "mmse", "rate_mmse_integral", "rate_route_difference"):
             assert far[key] == plain[key]
+
+    @pytest.mark.parametrize("target", ["--delta=5", "--force=0"])
+    def test_bounds_at_force_zero_are_zero(self, capsys, bss_cfg, target):
+        # the partition 0, 0, ..., 0 is monotone, and its repeated forces add nothing
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, target, "--bounds=8")
+        assert res.returncode == 0
+        vals = pairs_of(res.stdout)
+        assert (vals["s"], vals["sandwich_sum_left"], vals["sandwich_sum_right"]) == ("0", "0", "0")
 
     def test_json_output(self, capsys, bss_cfg):
         res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25", "--json")
@@ -326,6 +335,14 @@ class TestRd2:
         res = main_of(capsys, "rd2", "--config", str(f), "--delta1", budgets[0], "--delta2", budgets[1])
         assert res.returncode == 1
         assert "jointly unsatisfiable" in res.stderr
+
+    def test_an_infinite_budget_answers_as_a_huge_one(self, capsys):
+        cfg = str(Path(__file__).resolve().parent.parent / "configs" / "two_budget.cfg")
+        slack = main_of(capsys, "rd2", "--config", cfg, "--delta1=inf", "--delta2=0.4")
+        assert slack.returncode == 0
+        assert slack == main_of(capsys, "rd2", "--config", cfg, "--delta1=1e9", "--delta2=0.4")
+        vals = pairs_of(slack.stdout)
+        assert (vals["rate_nats"], vals["s1"], vals["s2"]) == ("0.102841922111", "0", "-0.618543140079")
 
     def test_missing_second_table(self, capsys, bss_cfg):
         res = main_of(capsys, "rd2", "--config", bss_cfg, "--delta1", "0.25", "--delta2", "0.25")

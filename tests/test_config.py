@@ -46,6 +46,19 @@ class TestJsonForm:
         with pytest.raises(ConfigError, match="channel.oops"):
             load_config(write(tmp_path, "p.json", json.dumps(doc)))
 
+    def test_duplicate_key(self, tmp_path):
+        text = json.dumps(BSS_DOC)[:-1] + ', "coding_probs": [0.9, 0.1]}'
+        with pytest.raises(ConfigError, match="duplicate config field 'coding_probs'"):
+            load_config(write(tmp_path, "p.json", text))
+
+    @pytest.mark.parametrize("sub, flat", [("transition", "channel_transition"),
+                                           ("input_probs", "channel_input_probs")])
+    def test_channel_block_and_flat_field_conflict(self, tmp_path, sub, flat):
+        channel = {"transition": [[0.9, 0.1], [0.1, 0.9]], "input_probs": [0.5, 0.5]}
+        doc = {"channel": channel, flat: channel[sub]}
+        with pytest.raises(ConfigError, match=f"'channel.{sub}' and '{flat}'"):
+            load_config(write(tmp_path, "c.json", json.dumps(doc)))
+
     def test_invalid_json(self, tmp_path):
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(write(tmp_path, "p.json", "{broken"))

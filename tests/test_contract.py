@@ -83,6 +83,12 @@ class TestNonFiniteForce:
         with pytest.raises(ValidationError, match="force s must be finite"):
             route(POINT_MASS, s)
 
+    @pytest.mark.parametrize("name", ["tilt", "tilted_conditional"])
+    def test_the_tilted_law_refuses_an_array_of_forces(self, name):
+        # the law takes one force: an array would broadcast into the table's columns
+        with pytest.raises(ValidationError, match=r"^force s must be one number \(got an array of shape \(2,\)\)$"):
+            FORCE_TAKERS[name](np.array([-0.5, -1.0]))
+
     @pytest.mark.parametrize("name", sorted(FORCE_TAKERS))
     def test_a_finite_force_still_answers(self, name):
         FORCE_TAKERS[name](-0.5)
@@ -198,3 +204,38 @@ def test_blocks_are_cut_by_the_kernel_front_alone():
     }
     assert readers == {"_tilted"}
     assert not [name for name, text in modules.items() if "_by_force" in text or "_by_rows" in text]
+
+
+def test_every_force_grid_has_one_check_and_one_kernel_path():
+    # partitions and schedules share tilting._check_partition, and the tilted law takes one force:
+    # its only callers pass it a scalar, and no module hands it to the grid front as a body
+    modules = {m.name: m.read_text() for m in Path(tiltrate.__file__).parent.glob("*.py")}
+    assert not [name for name, text in modules.items() if "_check_schedule" in text]
+    defines = {name for name, text in modules.items() if "def _check_partition(" in text}
+    assert defines == {"tilting.py"}
+    for name, text in modules.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and any(
+                    isinstance(arg, ast.Name) and arg.id == "_tilted_law" for arg in node.args):
+                raise AssertionError(f"{name} passes _tilted_law to {ast.unparse(node.func)}")
+
+
+def test_the_tilted_law_is_asked_at_scalar_forces_only(monkeypatch):
+    seen = []
+    law = tiltrate.tilting._tilted_law
+
+    def counted(log_weights, values, s):
+        seen.append(np.ndim(s))
+        return law(log_weights, values, s)
+
+    for module in (tiltrate.tilting, tiltrate.ratedistortion):
+        monkeypatch.setattr(module, "_tilted_law", counted)
+    grid = np.linspace(0.0, -2.0, 9)
+    tilt(DIST, -0.5).tilted
+    tiltrate.riemann_sandwich(DIST, grid)
+    tiltrate.sandwich_bounds(PROBLEM, grid)
+    tiltrate.rd_curve(PROBLEM, grid)
+    tilted_conditional(PROBLEM, -0.5)
+    tiltrate.rate_two_distortions(RdProblem2([0.7, 0.3], [0.5, 0.5], PROBLEM.distortion, OBSERVABLE), 0.5, 0.5)
+    tiltrate.force_at_level(DIST, 0.0)
+    assert seen and set(seen) == {0}

@@ -31,7 +31,7 @@ from tiltrate import (
 from tiltrate import chain, ratedistortion
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _at_origin, _tilted_law, _tilted_moments, _tilted_pair
+from tiltrate.tilting import _at_origin, _tilted_moments, _tilted_pair
 
 # draws per alphabet size: the k = 512 grids cost a few ms per force
 DRAWS = {2: 8, 64: 3, 512: 1}
@@ -99,9 +99,28 @@ def test_riemann_sandwich_matches_point_by_point(k, draw):
     rng = np.random.default_rng([k, draw, 7])
     dist = FiniteDistribution(rng.random(k) * 2.0, rng.dirichlet(np.ones(k)))
     part = np.linspace(0.0, rng.uniform(-6.0, 6.0), 4 * points(k))
-    table = dist._table  # each mean as ``tilt`` takes it, at origin: the start cancels in every difference
-    means = [np.dot(_tilted_law(table.log_weights, table.values, float(s))[0][0], table.values[0]) for s in part]
-    assert riemann_sandwich(dist, part) == sums_of(part, means)
+    assert riemann_sandwich(dist, part) == sums_of(part, origin_means(dist._table, part))
+
+
+def with_repeats(rng, grid) -> np.ndarray:
+    """``grid`` with its first, last and a few inner forces repeated in place."""
+    picks = np.concatenate(([0, grid.size - 1], rng.integers(1, grid.size - 1, 3)))
+    return np.sort(np.concatenate((grid, grid[picks])))[:: 1 if grid[-1] > 0.0 else -1]
+
+
+@pytest.mark.parametrize("k,draw", CASES)
+def test_repeated_forces_add_nothing_to_the_sums(k, draw):
+    # a zero term anywhere but the tail would regroup np.dot's blocked sum: the grids are long
+    rng, problem = draw_problem(k, draw)
+    dist = FiniteDistribution(rng.random(k) * 2.0, rng.dirichlet(np.ones(k)))
+    system = from_rd_problem(problem, beta=float(rng.uniform(0.5, 2.0)))
+    for bounds, end in [(lambda g: sandwich_bounds(problem, g), -rng.uniform(0.5, 5.0)),
+                        (lambda g: riemann_sandwich(dist, g), rng.uniform(-6.0, 6.0)),
+                        (lambda g: protocol_work_bounds(system, g), -rng.uniform(0.5, 4.0))]:
+        grid = np.linspace(0.0, end, points(k))
+        repeated = with_repeats(rng, grid)
+        assert repeated.size == grid.size + 5
+        assert bounds(repeated) == bounds(grid)
 
 
 @pytest.mark.parametrize("k,draw", CASES)

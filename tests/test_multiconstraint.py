@@ -95,6 +95,24 @@ class TestRateTwoDistortions:
         want = force_at_distortion(RdProblem([0.5, 0.5], [0.5, 0.5], table), budgets[active]).s
         assert forces[active] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("delta2", [0.2, 0.4, 0.6])
+    def test_an_infinite_budget_never_binds(self, delta2):
+        # a budget at or above its table's largest achievable mean is slack: inf answers as 1e9 does
+        d2 = [[0.0, 2.0], [1.0, 0.0]]
+        answer = rate_two_distortions(bss2(d2), math.inf, delta2)
+        assert answer == rate_two_distortions(bss2(d2), 1e9, delta2)
+        assert answer[1] == 0.0
+        assert answer[0] == pytest.approx(rate_legendre(RdProblem([0.5, 0.5], [0.5, 0.5], d2), delta2),
+                                          rel=1e-14, abs=0.0)
+
+    def test_two_infinite_budgets_cost_nothing(self):
+        assert rate_two_distortions(bss2(), math.inf, math.inf) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("budget", [math.nan, -math.inf])
+    def test_nan_and_minus_inf_budgets_are_refused(self, budget):
+        with pytest.raises(InfeasiblePairError, match="does not exceed the minimum achievable"):
+            rate_two_distortions(bss2(), budget, 0.4)
+
     def test_zero_force_pair(self):
         rate, s1, s2 = rate_two_distortions(bss2(), 0.6, 0.7)
         assert rate == 0.0

@@ -33,6 +33,7 @@ from tiltrate import (
     rate_legendre,
     rate_mmse_integral,
     rd_curve,
+    riemann_sandwich,
     sandwich_bounds,
 )
 from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
@@ -182,8 +183,10 @@ class TestMomentOrder:
         problem = RdProblem([0.7, 0.3], [0.5, 0.5], [[0.0, 1.0], [2.0, 0.0]])
         system = from_rd_problem(problem, 1.3)
         grid = np.linspace(0.0, -2.0, 9)
+        dist = FiniteDistribution([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
         mean_only = [
             lambda: sandwich_bounds(problem, grid),
+            lambda: riemann_sandwich(dist, grid),
             lambda: protocol_work_bounds(system, grid),
             lambda: expected_length(system, -0.4),
             lambda: chain.array_lengths(system, -0.4),

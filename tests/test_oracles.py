@@ -50,6 +50,12 @@ class TestExactLdProbability:
         assert prob == 0.0
         assert exponent == math.inf
 
+    @pytest.mark.parametrize("delta, want", [(1.5, (1.0, 0.0)), (1.4, (0.0, math.inf))])
+    def test_constant_rows_need_no_lattice(self, delta, want):
+        # every block totals 1 + 2: the event is certain at a budget of 3 / 2 a letter, else impossible
+        problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]])
+        assert exact_ld_probability(problem, 2, delta) == want
+
     def test_composition_must_be_integral(self):
         problem = RdProblem([0.7, 0.3], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
         prob, _ = exact_ld_probability(problem, 10, 0.3)  # 7 and 3 letters

@@ -138,6 +138,15 @@ class TestCliRefusals:
     def test_grid_specs(self, capsys, cfg, grid, message):
         refused(capsys, ["rd", "curve", "--config", cfg, f"--grid={grid}"], message)
 
+    @pytest.mark.parametrize("coding, message", [
+        ("coding_probs = 0.5, 0.5\n", "force_grid values must be finite and <= 0"),
+        ("", "slope s must be <= 0 (got 1.0)"),  # the coding law is optimized at each slope
+    ])
+    def test_curve_grids_are_checked_by_the_library(self, capsys, tmp_path, coding, message):
+        path = tmp_path / "curve.cfg"
+        path.write_text("source_probs = 0.5, 0.5\n" + coding + "distortion = 0, 1; 1, 0\n")
+        refused(capsys, ["rd", "curve", "--config", str(path), "--grid=0.5:1:2"], message)
+
     def test_positive_force(self, capsys, cfg):
         refused(capsys, ["rd", "point", "--config", cfg, "--force=0.5"], "--force must be <= 0")
 
@@ -147,6 +156,9 @@ class TestCliRefusals:
     ])
     def test_routes_at_the_minimum_distortion(self, capsys, cfg, flag, message):
         refused(capsys, ["rd", "point", "--config", cfg, "--delta=0", flag], message)
+
+    def test_negative_bounds(self, capsys, cfg):
+        refused(capsys, ["rd", "point", "--config", cfg, "--delta=0.25", "--bounds=-3"], "--bounds must be >= 0")
 
     @pytest.mark.parametrize("length, message", [
         ("1e-13", "length 1e-13 lies within the end band of the achievable range (0.0, 1.0) "
@@ -174,6 +186,18 @@ class TestConfigRefusals:
     def test_json_fields(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
+        refused(capsys, ["capacity", "--config", str(path)], message)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"beta": 1, "beta": 2}', "duplicate config field 'beta'"),
+        ('{"channel": {"input_probs": [1.0], "input_probs": [1.0]}}', "duplicate config field 'input_probs'"),
+        ('{"channel": {"transition": [[1.0]]}, "channel_transition": [[1.0]]}',
+         "config fields 'channel.transition' and 'channel_transition' give the same field twice"),
+    ])
+    def test_json_fields_given_twice(self, capsys, tmp_path, text, message):
+        # json keeps a repeated key's last value, and the nested channel block would override a flat field
+        path = tmp_path / "twice.json"
+        path.write_text(text)
         refused(capsys, ["capacity", "--config", str(path)], message)
 
     @pytest.mark.parametrize("line, message", [

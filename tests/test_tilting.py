@@ -19,7 +19,7 @@ from tiltrate import (
 )
 from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
-from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _pair, _tilted_law, _tilted_moments, _tilted_pair
+from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _pair, _tilted_moments, _tilted_pair
 
 from conftest import LN2, h2, random_dist
 
@@ -275,14 +275,14 @@ class TestForceBatchedKernel:
     def assert_stacked(log_weights, values, forces, counts=None):
         """Batched calls on the first n forces, for each n of ``counts`` (all by
         default), against the one-force calls stacked."""
-        for kernel in (_tilted_moments, _tilted_law):
-            stacked = [np.stack(column) for column in zip(*(kernel(log_weights, values, float(s)) for s in forces))]
-            for n in counts or [forces.size]:
-                batched = kernel(log_weights, values, forces[:n])
-                assert len(batched) == len(stacked)
-                for out, ref in zip(batched, stacked):
-                    assert out.shape == ref[:n].shape
-                    assert np.array_equal(out, ref[:n])
+        one_force = (_tilted_moments(log_weights, values, float(s)) for s in forces)
+        stacked = [np.stack(column) for column in zip(*one_force)]
+        for n in counts or [forces.size]:
+            batched = _tilted_moments(log_weights, values, forces[:n])
+            assert len(batched) == len(stacked)
+            for out, ref in zip(batched, stacked):
+                assert out.shape == ref[:n].shape
+                assert np.array_equal(out, ref[:n])
 
     @pytest.mark.parametrize("k", [2, 64, 512])
     def test_square_tables_around_one_block(self, rng, k):
@@ -346,15 +346,6 @@ class TestRowBlockedGrids:
         for out, ref in zip(batched, stacked):
             assert out.shape == ref.shape
             assert np.array_equal(out, ref)
-
-    @pytest.mark.parametrize("shape", ["square", "ragged"])
-    def test_law(self, rng, shape):
-        log_weights, values = large_table(rng, shape)
-        assert values.size > _BLOCK_ENTRIES
-        forces = -rng.uniform(0.0, 3.0, 3)
-        # the law at one force is one body call, unblocked
-        self.assert_stacked(_tilted_law(log_weights, values, forces),
-                            lambda s: _tilted_law(log_weights, values, s), forces)
 
     @pytest.mark.parametrize("shape", ["square", "ragged"])
     def test_pair(self, rng, shape):
