@@ -107,4 +107,4 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     # tol = 0 runs the iteration to machine width so the force itself is pinned
     s, rate, _ = _legendre(table._replace(starts=np.zeros_like(table.starts)), level, 0.0, nonpositive=True)
     # at an end each output row is constant on its support: the rate is the pure mass cost
-    return CapacityPoint(rate=max(rate, 0.0), s_star=0.0 if math.isinf(s) else float(s), delta=delta)
+    return CapacityPoint(rate=rate, s_star=0.0 if math.isinf(s) else float(s), delta=delta)

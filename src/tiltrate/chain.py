@@ -33,6 +33,7 @@ from .tilting import (
     VALUE_MERGE_TOL,
     FiniteDistribution,
     _at_origin,
+    _check_force,
     _check_partition,
     _frozen,
     _law,
@@ -134,8 +135,7 @@ def array_lengths(system: ChainSystem, lam: float) -> np.ndarray:
 
 
 def expected_length(system: ChainSystem, lam: float) -> float:
-    table = _table(system)
-    return float(np.dot(table.row_weights, table.moments(system.beta * lam, 1)[1] + table.starts))
+    return float(np.dot([a.fraction for a in system.arrays], array_lengths(system, lam)))
 
 
 def length_variance(system: ChainSystem, lam: float) -> float:
@@ -173,8 +173,7 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     Integrates lam * dY/dlam with dY/dlam = beta * Var(length); equals
     (1/beta) times the rate function at s = beta * lam_final, which must be finite.
     """
-    if not math.isfinite(lam_final):
-        raise ValidationError(f"lam_final must be finite (got {lam_final!r})")
+    _check_force(lam_final, "lam_final")
     table, beta = _table(system), system.beta
     return adaptive_simpson(lambda lams: lams * beta * table.averaged(beta * lams, 2), 0.0, lam_final, tol)
 

@@ -36,12 +36,7 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    x = float(value)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.12g}"
+    return f"{float(value):.12g}"
 
 
 def _json_value(value):
@@ -50,9 +45,7 @@ def _json_value(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     x = float(value)
-    if math.isfinite(x):
-        return float(f"{x:.12g}")
-    return _fmt(x)
+    return float(f"{x:.12g}") if math.isfinite(x) else _fmt(x)
 
 
 def _emit(args, result) -> None:
@@ -151,44 +144,34 @@ def _cmd_rd_point(args, cfg: ProblemConfig) -> list:
         if args.force > 0.0:
             raise ValidationError("--force must be <= 0")
         problem = _rd_problem_at(cfg, args.force, args.tol)
-        point = rd.distortion_at_force(problem, args.force)
-        if args.allocation:  # the split at a force is solved at the distortion that force reached
-            split = rd.equal_force_allocation(problem, point.distortion, tol=args.tol)
-    elif args.allocation:  # the split at a budget comes from the solve that found its point
-        problem = cfg.rd_problem()
-        point, moments = rd._solve(problem, args.delta, args.tol)
-        split = rd._allocation(problem, point, moments)
+        point, moments = rd._at_force(problem, args.force)
     else:
         problem = cfg.rd_problem()
-        point = rd.force_at_distortion(problem, args.delta, tol=args.tol)
+        point, moments = rd._solve(problem, args.delta, args.tol)
     pairs = _point_pairs(point)
-    if args.allocation:
-        allocation, rate = split
-        for i, v in enumerate(allocation.per_symbol_distortion):
-            pairs.append((f"allocation_x{i}", v))
+    if args.allocation:  # the equal-force split is priced from the moments that gave the point
+        allocation, rate = rd._allocation(problem, point, moments)
+        pairs += [(f"allocation_x{i}", v) for i, v in enumerate(allocation.per_symbol_distortion)]
         pairs.append(("allocation_rate_nats", rate))
     if args.bounds:
         if not math.isfinite(point.s):
             raise ValidationError("sandwich bounds need a finite force")
         partition = np.linspace(0.0, point.s, args.bounds + 1)
         low, high = rd.sandwich_bounds(problem, partition)
-        pairs.append(("sandwich_sum_left", low))
-        pairs.append(("sandwich_sum_right", high))
+        pairs += [("sandwich_sum_left", low), ("sandwich_sum_right", high)]
     if args.integral_route:
         if not math.isfinite(point.s):
             raise ValidationError("the integral route needs a finite force")
         integral = rd.rate_mmse_integral(problem, point.s, tol=min(args.tol, 1e-9))
-        pairs.append(("rate_mmse_integral", integral))
-        pairs.append(("rate_route_difference", abs(integral - point.rate)))
+        pairs += [("rate_mmse_integral", integral), ("rate_route_difference", abs(integral - point.rate))]
     if args.observable:
         table = cfg._need("observable")
         if not math.isfinite(point.s):
             raise ValidationError("the observable sweep needs a finite force")
         swept = rd.observable_sweep(problem, table, point.s, tol=min(args.tol, 1e-9))
         direct = rd.observable_expectation(problem, table, point.s)
-        pairs.append(("observable_integral", swept))
-        pairs.append(("observable_direct", direct))
-        pairs.append(("observable_route_difference", abs(swept - direct)))
+        pairs += [("observable_integral", swept), ("observable_direct", direct),
+                  ("observable_route_difference", abs(swept - direct))]
     return pairs
 
 

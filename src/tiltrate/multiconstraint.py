@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _legendre, _record, _tilted_pair
+from .tilting import _at_origin, _floored, _legendre, _record, _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -126,7 +126,7 @@ def rate_two_distortions(
             # solves and is shorter than the last accepted step.
             if np.all(np.isfinite(newton)) and float(np.linalg.norm(newton)) < last:
                 s[free] = np.minimum(s[free] + newton, 0.0)
-            return float(max(value, 0.0)), float(s[0] / scales[0]), float(s[1] / scales[1])
+            return _floored(value), float(s[0] / scales[0]), float(s[1] / scales[1])
         # A Newton step must climb at a rate commensurate with the gradient:
         # on a singular covariance it is infinite, nan, or a vanishing step
         # along the null ray while the gradient points off it.  Dependent
@@ -165,9 +165,7 @@ def rate_two_distortions(
             at = np.zeros(2)
             at[i] = max(force * scales[i], _FAR)
             if _stats(scaled, at, *budgets)[1][1 - i] >= -tol:
-                forces = [0.0, 0.0]
-                forces[i] = force
-                return float(max(rate, 0.0)), *forces
+                return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
         if dependent:
             raise InfeasiblePairError(unsatisfiable)
         raise NumericalError("two-force ascent stalled off both faces before reaching tolerance")

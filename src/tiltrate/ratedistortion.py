@@ -25,12 +25,14 @@ from .tilting import (
     _at_origin,
     _check_force,
     _check_partition,
+    _floored,
     _frozen,
     _law,
     _legendre,
     _record,
     _riemann_sums,
     _tilted_law,
+    _tilted_moments,
     _tilted_pair,
     tilt,
 )
@@ -137,20 +139,25 @@ def _table(problem: RdProblem):
 
 def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
     """Evaluate the curve parametrically at a finite force s (s <= 0 on the useful branch)."""
+    return _at_force(problem, s)[0]
+
+
+def _at_force(problem: RdProblem, s: float):
+    """``distortion_at_force``'s point and the per-letter moments at origin that gave it."""
     table = _table(problem)
-    return _point(table, s, *table.moments(s))
+    moments = table.moments(s)
+    return _point(table, s, *moments), moments
 
 
 def _point(table, s: float, log_z, means, variances) -> RdPoint:
     """The curve point at force s from the per-letter moments there at origin."""
     p = table.row_weights
-    rate = s * float(np.dot(p, means)) - float(np.dot(p, log_z))
-    means = means + table.starts
+    shifted = means + table.starts
     return RdPoint(
         s=float(s),
-        distortion=float(np.dot(p, means)),
-        rate=max(rate, 0.0),
-        per_symbol_mean=means,
+        distortion=float(np.dot(p, shifted)),
+        rate=table.rate(s, float(np.dot(p, means)), log_z),
+        per_symbol_mean=shifted,
         per_symbol_var=variances,
         mmse=float(np.dot(p, variances)),
     )
@@ -163,12 +170,11 @@ def _points(table, forces: np.ndarray, log_z, means, variances) -> list[RdPoint]
     ``_point``: ``np.vecdot`` on a single row costs more than the four ``np.dot`` calls it
     replaces."""
     p = table.row_weights
-    rates = forces * np.vecdot(means, p) - np.vecdot(log_z, p)
+    rates = table.rate(forces, np.vecdot(means, p), log_z)
     means = means + table.starts
     sums = zip(forces.tolist(), np.vecdot(means, p).tolist(), rates.tolist(), np.vecdot(variances, p).tolist())
     return [
-        _record(RdPoint, s=s, distortion=d, rate=max(r, 0.0), per_symbol_mean=m, per_symbol_var=v, mmse=e,
-                boundary=None)
+        _record(RdPoint, s=s, distortion=d, rate=r, per_symbol_mean=m, per_symbol_var=v, mmse=e, boundary=None)
         for (s, d, r, e), m, v in zip(sums, means, variances)
     ]
 
@@ -230,9 +236,8 @@ def _allocation(problem: RdProblem, point: RdPoint, moments) -> tuple[Allocation
     allocation = Allocation(per_symbol_distortion=point.per_symbol_mean)
     if point.boundary == "min_distortion":
         return allocation, point.rate
-    log_z, means, _ = moments
-    rate = float(np.dot(problem.source_probs, point.s * means - log_z))
-    return allocation, max(rate, 0.0)
+    log_z, means, _ = moments  # the per-letter sum, not the point's rate: the two routes check each other
+    return allocation, _floored(float(np.dot(problem.source_probs, point.s * means - log_z)))
 
 
 def mmse(problem: RdProblem, s: float) -> float:
@@ -247,6 +252,7 @@ def mmse(problem: RdProblem, s: float) -> float:
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
+    _check_force(s)
     return adaptive_simpson(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), 0.0, s, tol)
 
 
@@ -254,7 +260,8 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
     """Distortion recovered as D0 plus the integrated mmse from 0 to s."""
     _check_force(s)
     table = _table(problem)
-    means, integral = _sweep(table.moments, s, tol, table.row_weights, mean=1, slope=2)
+    means, integral = _sweep(lambda us: _tilted_moments(table.log_weights, table.values, us), s, tol,
+                             table.row_weights, mean=1, slope=2)
     return float(np.dot(table.row_weights, means + table.starts)) + integral
 
 
@@ -306,6 +313,7 @@ def _observable_tables(problem: RdProblem, observable):
 
 def observable_expectation(problem: RdProblem, observable, s: float) -> float:
     """Direct expectation of a letter-pair observable under the tilted law."""
+    _check_force(s)
     return float(np.dot(problem.source_probs, _tilted_pair(*_observable_tables(problem, observable), s, 0.0)[2]))
 
 
@@ -333,4 +341,4 @@ def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
         raise ValidationError("force_grid values must be finite and <= 0")
     forces = grid[np.argsort(-grid, kind="stable")]
     table = _table(problem)
-    return _points(table, forces, *table.moments(forces))
+    return _points(table, forces, *_tilted_moments(table.log_weights, table.values, forces))

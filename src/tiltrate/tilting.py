@@ -174,24 +174,28 @@ class RateResult:
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _check_force(s) -> None:
-    """Refuse a force that is not one finite number; ``_tilted`` passes a grid its caller checked."""
+def _check_force(s, name: str = "force s") -> None:
+    """Refuse a force that is not one finite number, naming it ``name``: every one-force route's check."""
     if isinstance(s, np.ndarray) and s.ndim:
-        raise ValidationError(f"force s must be one number (got an array of shape {s.shape})")
+        raise ValidationError(f"{name} must be one number (got an array of shape {s.shape})")
     if not math.isfinite(s):
-        raise ValidationError(f"force s must be finite (got {s!r})")
+        raise ValidationError(f"{name} must be finite (got {s!r})")
+
+
+def _floored(rate):
+    """``rate`` (or an array of rates) floored at +0.0, one rate as a builtin float: a rate is the
+    quasistatic work and never negative, so rounding below 0 and -0.0 both come back as 0.0."""
+    return (np.maximum(rate, 0.0) if isinstance(rate, np.ndarray) else float(max(rate, 0.0))) + 0.0
 
 
 def _tilted(body, log_weights: np.ndarray, tables: tuple, s, *args):
     """``body(log_weights, *tables, s, *args)``'s per-row outputs at force ``s`` or, for a 1-D array
-    ``s``, at each force, stacked forces first: the one front of the kernel.  A scalar force must be
-    finite (``_check_force``).  Blocks hold about ``_BLOCK_ENTRIES`` forces x rows x columns: whole
-    tables at several forces, as (forces, 1, 1), or one force and a slice of rows once a table is
-    larger.  One block is the body's own outputs; several are each written into outputs allocated
-    once, so the peak is the outputs plus one block."""
+    ``s``, at each force, stacked forces first: the one front of the kernel, its forces checked by
+    its callers (one by ``_check_force``).  Blocks hold about ``_BLOCK_ENTRIES`` forces x rows x
+    columns: whole tables at several forces, as (forces, 1, 1), or one force and a slice of rows
+    once a table is larger.  One block is the body's own outputs; several are each written into
+    outputs allocated once, so the peak is the outputs plus one block."""
     grid = isinstance(s, np.ndarray) and s.ndim == 1
-    if not grid:
-        _check_force(s)
     (rows, cols), n = tables[0].shape, s.size if grid else 1
     forces, step = max(_BLOCK_ENTRIES // (rows * cols), 1), max(_BLOCK_ENTRIES // cols, 1)
     s = s[:, None, None] if grid else s
@@ -296,8 +300,9 @@ class _Table(NamedTuple):
     ranges: np.ndarray
 
     def moments(self, s, order: int = 2):
-        """Per-row (log-partition, mean, variance) at origin at force s (or forces), by
-        ``_tilted_moments``; ``order`` 1 stops after the mean."""
+        """Per-row (log-partition, mean, variance) at origin at one force s (``_check_force``), by
+        ``_tilted_moments``; ``order`` 1 stops after the mean.  Force grids go to the kernel itself."""
+        _check_force(s)
         return _tilted_moments(self.log_weights, self.values, s, order)
 
     def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
@@ -309,7 +314,14 @@ class _Table(NamedTuple):
         ``rows @ w`` (and ``np.inner``) would run gemv, which orders its sums differently, and
         so would rows that are not C-contiguous; the kernel's outputs are.
         """
-        return np.vecdot(self.moments(forces, moment)[moment], self.row_weights)
+        return np.vecdot(_tilted_moments(self.log_weights, self.values, forces, moment)[moment], self.row_weights)
+
+    def rate(self, s, level, log_z):
+        """The Legendre rate s * level - sum_x w_x ln Z_x(s) at origin, floored (``_floored``).  A 1-D
+        array ``s``, with one ``level`` and one row of ``log_z`` per force, gives an array, summed by
+        ``np.vecdot`` as in ``averaged``, so each entry equals its one-force call bit for bit."""
+        w = self.row_weights
+        return _floored(s * level - (np.vecdot(log_z, w) if isinstance(s, np.ndarray) else float(np.dot(w, log_z))))
 
 
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
@@ -339,8 +351,8 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     ``LevelInfeasibleError``.  Otherwise Newton runs on the logit
     log((D - Dmin) / (Dmax - D)), exactly linear in s for one row of two
     values and close to linear far out in either tail, to
-    ``|D(s) - target| <= tol * span``, and the rate is s * target - sum_x w_x
-    ln Z_x(s).  ``force_only`` returns s alone (rate nan, moments None),
+    ``|D(s) - target| <= tol * span``.  Every rate, an end's included, is
+    ``_Table.rate``'s.  ``force_only`` returns s alone (rate nan, moments None),
     without the kernel call the rate needs.  A nan target raises
     ``ValidationError``.
     """
@@ -354,7 +366,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
         at_zero = table.moments(0.0)
         top = min(float(np.dot(row_weights, at_zero[1])), ceiling)
         if level >= top:
-            return 0.0, 0.0 - float(np.dot(row_weights, at_zero[0])), at_zero
+            return 0.0, table.rate(0.0, top, at_zero[0]), at_zero
     for end, row_end, sign in [(0.0, 0.0, -1.0)] + ([] if nonpositive else [(ceiling, ranges[:, None], 1.0)]):
         band = VALUE_MERGE_TOL * top + _END_REL * abs(base + end)
         if sign * (level - end) > band:
@@ -362,9 +374,9 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
                 f"level {target!r} outside the achievable range [{base!r}, {base + ceiling!r}]")
         if sign * (level - end) >= -band:
             at_end = sign * (values - row_end) >= -VALUE_MERGE_TOL * ranges[:, None]
+            # the mass cost is the zero-force rate of the table restricted to that end
             log_mass = _tilted_law(np.where(at_end, log_weights, -math.inf), values, 0.0)[1]
-            # 0.0 - x: an end that holds all the mass costs 0.0, not -0.0
-            return sign * math.inf, 0.0 - float(np.dot(row_weights, log_mass)), None
+            return sign * math.inf, table.rate(0.0, 0.0, log_mass), None
 
     visited = {} if at_zero is None else {0.0: at_zero}  # force -> moments: each force evaluated once
 
@@ -395,7 +407,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     if force_only:
         return s, math.nan, None
     moments = visited.get(s) or table.moments(s)
-    return s, s * level - float(np.dot(row_weights, moments[0])), moments
+    return s, table.rate(s, level, moments[0]), moments
 
 
 def log_mgf(dist: FiniteDistribution, s: float) -> float:
@@ -416,9 +428,9 @@ def tilt(dist: FiniteDistribution, s: float) -> TiltReport:
 
 def rate_at_force(dist: FiniteDistribution, s: float) -> RateResult:
     """Rate function evaluated parametrically at tilt s (Legendre route)."""
-    log_z, mean = dist._table.moments(s, 1)
-    rate = s * float(mean[0]) - float(log_z[0])  # at origin: the start cancels, and + 0.0 below turns -0.0 to 0.0
-    return RateResult(level=float(mean[0]) + dist.min_value, force=float(s), rate=max(rate, 0.0) + 0.0)
+    table = dist._table
+    log_z, mean = table.moments(s, 1)  # at origin: the start cancels in the rate
+    return RateResult(level=float(mean[0]) + dist.min_value, force=float(s), rate=table.rate(s, mean[0], log_z))
 
 
 def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -> RateResult:
@@ -439,8 +451,8 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
             f"level {level!r} unreachable: distribution is a point mass at {dist.min_value!r}"
         ) from None
     if math.isinf(s):
-        return RateResult(level=dist.min_value if s < 0.0 else dist.max_value, force=s, rate=rate)
-    return RateResult(level=float(level), force=float(s), rate=max(rate, 0.0))
+        level = dist.min_value if s < 0.0 else dist.max_value
+    return RateResult(level=float(level), force=float(s), rate=rate)
 
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:

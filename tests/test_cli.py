@@ -116,6 +116,26 @@ class TestRdPoint:
         assert calls == [float(delta)]
         assert "allocation_rate_nats" in pairs_of(res.stdout)
 
+    @pytest.mark.parametrize("config", ["configs/asym.cfg", "configs/three.cfg"])
+    @pytest.mark.parametrize("force", ["-0.5", "-1e-9", "-40", "-0"])
+    def test_allocation_at_a_force_takes_no_solve(self, capsys, monkeypatch, config, force):
+        # the equal-force split at a force is the per-letter means there, priced from the same moments
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return legendre(*args, **kwargs)
+
+        legendre = rd._legendre
+        monkeypatch.setattr(rd, "_legendre", counted)
+        res = main_of(capsys, "rd", "point", "--config", config, f"--force={force}", "--allocation")
+        assert res.returncode == 0
+        assert calls == []
+        vals = pairs_of(res.stdout)
+        letters = [key[len("mean_"):] for key in vals if key.startswith("mean_")]
+        assert [vals[f"allocation_{x}"] for x in letters] == [vals[f"mean_{x}"] for x in letters]
+        assert float(vals["allocation_rate_nats"]) == pytest.approx(float(vals["rate_nats"]), abs=1e-15)
+
     @pytest.mark.parametrize("offset", [1e3, 1e6, 1e8])
     def test_integral_route_exact_under_far_row_shifts(self, capsys, bss_cfg, tmp_path, offset):
         # bss's rows start at 0, so a whole-number shift leaves every route's tilted law as it was
@@ -545,12 +565,44 @@ class TestBoundaryRows:
         assert doc["s"] == s
 
 
+RD_CONFIGS = ["configs/asym.cfg", "configs/bss.json", "configs/three.cfg", "configs/two_budget.cfg"]
+
+
+def positive_zero(value) -> bool:
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+class TestSignedZero:
+    """A force of -0 costs a rate of +0: printed 0 in CSV and 0.0 in JSON, never -0."""
+
+    @pytest.mark.parametrize("config", RD_CONFIGS)
+    @pytest.mark.parametrize("argv, keys", [
+        (["rd", "point", "--force=-0"], ["rate_nats"]),
+        (["chain", "work", "--lambda-final=-0"], ["rate_nats", "rate_times_kT"]),
+    ])
+    def test_pairs(self, capsys, config, argv, keys):
+        csv = pairs_of(main_of(capsys, *argv, "--config", config).stdout)
+        doc = json.loads(main_of(capsys, *argv, "--config", config, "--json").stdout)
+        for key in keys:
+            assert csv[key] == "0"
+            assert positive_zero(doc[key])
+
+    @pytest.mark.parametrize("config", RD_CONFIGS)
+    def test_curve(self, capsys, config):
+        lines = main_of(capsys, "rd", "curve", "--config", config, "--grid=-0,-1").stdout.splitlines()
+        s, _, rate = lines[1].split(",")[:3]
+        assert (s, rate) == ("-0", "0")
+        doc = json.loads(main_of(capsys, "rd", "curve", "--config", config, "--grid=-0,-1", "--json").stdout)
+        assert positive_zero(doc["points"][0]["rate_nats"])
+        assert doc["points"][1]["rate_nats"] > 0.0
+
+
 class TestNumericalFailure:
     def test_bracket_failure_exits_2(self, bss_cfg, capsys, monkeypatch):
         def no_bracket(*args, **kwargs):
             raise BracketError("could not bracket target")
 
-        monkeypatch.setattr(rd, "force_at_distortion", no_bracket)
+        monkeypatch.setattr(rd, "_legendre", no_bracket)  # the solve behind every budget route
         code, out, err = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25")
         assert code == 2
         assert out == ""

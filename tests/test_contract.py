@@ -83,10 +83,12 @@ class TestNonFiniteForce:
         with pytest.raises(ValidationError, match="force s must be finite"):
             route(POINT_MASS, s)
 
-    @pytest.mark.parametrize("name", ["tilt", "tilted_conditional"])
+    @pytest.mark.parametrize("name", sorted(FORCE_TAKERS))
     def test_the_tilted_law_refuses_an_array_of_forces(self, name):
-        # the law takes one force: an array would broadcast into the table's columns
-        with pytest.raises(ValidationError, match=r"^force s must be one number \(got an array of shape \(2,\)\)$"):
+        # every route tilts the law at one force: an array would broadcast into the table's columns,
+        # run the kernel as a grid, or reach numpy's own TypeError; quasistatic_work names its argument
+        force = "lam_final" if name == "quasistatic_work" else "force s"
+        with pytest.raises(ValidationError, match=rf"^{force} must be one number \(got an array of shape \(2,\)\)$"):
             FORCE_TAKERS[name](np.array([-0.5, -1.0]))
 
     @pytest.mark.parametrize("name", sorted(FORCE_TAKERS))
@@ -187,6 +189,44 @@ def test_row_starts_are_found_by_the_origin_table_alone():
     # every table route takes its rows' starts from tilting._at_origin; oracles.py keeps its own
     modules = Path(tiltrate.__file__).parent.glob("*.py")
     assert sorted(m.name for m in modules if "_row_ends" in m.read_text()) == ["tilting.py"]
+
+
+def test_rates_are_floored_by_tilting_alone():
+    # a rate is floored at +0.0 by tilting._floored alone, behind _Table.rate and the two sums that
+    # keep their own grouping; oracles.py keeps its own.  _legendre's max(reach, 0.0) is the upper
+    # end of its force bracket, not a rate
+    floors = {}
+    for module in Path(tiltrate.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for node in ast.walk(function):
+                if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("max", "np.maximum")
+                        and any(isinstance(arg, ast.Constant) and isinstance(arg.value, float) and arg.value == 0.0
+                                for arg in node.args)):
+                    floors.setdefault(module.name, set()).add(function.name)
+    floors.pop("oracles.py")
+    assert floors == {"tilting.py": {"_floored", "_legendre"}}
+
+
+def test_every_rate_is_formed_by_the_origin_table(monkeypatch):
+    # tilting._Table.rate forms the rate of every Legendre solve, curve point, grid and one-force route
+    def marked(table, s, level, log_z):
+        return np.full(s.shape, 7.0) if isinstance(s, np.ndarray) else 7.0
+
+    monkeypatch.setattr(tiltrate.tilting._Table, "rate", marked)
+    assert distortion_at_force(PROBLEM, -0.5).rate == 7.0
+    assert [point.rate for point in tiltrate.rd_curve(PROBLEM, [0.0, -0.5, -2.0])] == [7.0] * 3
+    for delta in (0.1, 0.5, 0.0, 5.0):  # interior, at the floor and above the zero-force mean
+        assert tiltrate.force_at_distortion(PROBLEM, delta).rate == 7.0
+    assert rate_at_force(DIST, -0.5).rate == 7.0
+    for level in (0.0, 1.2, 3.0):
+        assert tiltrate.force_at_level(DIST, level).rate == 7.0
+    assert tiltrate.capacity_point(Channel([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5])).rate == 7.0
+    assert tiltrate.entropy_at_energy(DIST, 1.0) == -math.log(0.2) - 7.0
+    # affinely dependent tables answer on a face, by the one-table solve
+    assert tiltrate.rate_two_distortions(RdProblem2([0.7, 0.3], [0.5, 0.5], PROBLEM.distortion,
+                                                    2.0 * PROBLEM.distortion), 0.5, 0.5)[0] == 7.0
 
 
 def test_blocks_are_cut_by_the_kernel_front_alone():

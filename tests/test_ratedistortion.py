@@ -170,6 +170,14 @@ class TestDistortionAtForce:
         assert pt.rate == pytest.approx(0.0, abs=1e-14)
         assert pt.mmse == pytest.approx(0.25, abs=1e-14)
 
+    @pytest.mark.parametrize("name", ["bss", "asym"])
+    def test_zero_rates_are_positive_zeros(self, request, name):
+        # every rate is floored at +0.0: a force of -0, or a budget above D0, never reports -0.0
+        problem = request.getfixturevalue(name)
+        rates = [distortion_at_force(problem, -0.0).rate, rd_curve(problem, [-0.0])[0].rate,
+                 equal_force_allocation(problem, 5.0)[1]]
+        assert [(r, math.copysign(1.0, r), type(r)) for r in rates] == [(0.0, 1.0, float)] * 3
+
     def test_asym_zero_force_mmse(self, asym):
         pt = distortion_at_force(asym, 0.0)
         assert pt.mmse == pytest.approx(0.475, abs=1e-14)
