@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _at_origin, _frozen, _law, _legendre
+from .tilting import PROB_TOL, _at_origin, _floored, _frozen, _law, _legendre
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -64,7 +64,7 @@ def mutual_information(channel: Channel) -> float:
     np.divide(w, p_out[None, :], out=ratio, where=mask)
     terms = np.zeros_like(w)
     np.log(ratio, out=terms, where=mask)
-    return float((q[:, None] * w * terms)[mask].sum())
+    return _floored((q[:, None] * w * terms)[mask].sum())
 
 
 def capacity_point(channel: Channel) -> CapacityPoint:
@@ -92,7 +92,7 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     mask = (w > 0.0) & (q[:, None] > 0.0)
     logs = np.zeros_like(w)
     np.log(w, out=logs, where=mask)
-    delta = float(-(q[:, None] * w * logs)[mask].sum())
+    delta = _floored(-(q[:, None] * w * logs)[mask].sum())
 
     # one row per output letter x, one column per input letter xhat
     support = mask.T

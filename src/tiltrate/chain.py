@@ -30,11 +30,12 @@ from .errors import (
 from .ratedistortion import RdProblem
 from .solvers import adaptive_simpson
 from .tilting import (
-    VALUE_MERGE_TOL,
     FiniteDistribution,
     _at_origin,
     _check_force,
     _check_partition,
+    _end_band,
+    _floored,
     _frozen,
     _law,
     _legendre,
@@ -175,7 +176,7 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     """
     _check_force(lam_final, "lam_final")
     table, beta = _table(system), system.beta
-    return adaptive_simpson(lambda lams: lams * beta * table.averaged(beta * lams, 2), 0.0, lam_final, tol)
+    return _floored(adaptive_simpson(lambda lams: lams * beta * table.averaged(beta * lams, 2), 0.0, lam_final, tol))
 
 
 def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
@@ -230,7 +231,7 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     """
     vmin, vmax = energy_dist.min_value, energy_dist.max_value
     message = f"energy {energy!r} outside the spectrum [{vmin!r}, {vmax!r}]"
-    if energy > vmax + VALUE_MERGE_TOL * (vmax - vmin):
+    if energy > vmax + _end_band(vmax - vmin, vmax):
         raise EnergyInfeasibleError(message)
     try:
         rate = _legendre(energy_dist._table, energy, tol, nonpositive=True)[1]

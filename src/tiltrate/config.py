@@ -73,12 +73,12 @@ class ProblemConfig:
     def effective_beta(self) -> float:
         if self.beta is not None:
             return self.beta
+        if self.k * self.temperature == 0.0:
+            raise ConfigError(f"k * temperature must not be 0 (got k = {self.k!r}, temperature = {self.temperature!r})")
         return 1.0 / (self.k * self.temperature)
 
     def chain_system(self) -> ChainSystem:
         system = from_rd_problem(self.rd_problem(), beta=self.effective_beta())
-        if self.k == 1.0:
-            return system
         return ChainSystem(system.arrays, beta=system.beta, boltzmann_k=self.k)
 
 

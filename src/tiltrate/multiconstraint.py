@@ -64,7 +64,7 @@ def rate_two_distortions(
     """Rate in nats for the joint budget pair, plus the maximizing forces.
 
     Returns (rate, s1, s2) with s_i <= 0; a force of exactly 0 means that
-    constraint is slack at the optimum.  Pairs below the per-table floors,
+    constraint is slack at the optimum.  Pairs at or below the per-table floors,
     and jointly unsatisfiable ones, raise InfeasiblePairError; an ascent that
     stalls on independent tables raises NumericalError.  ``tol`` bounds the
     projected gradient in units of each table's P-weighted range, so the

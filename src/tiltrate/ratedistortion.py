@@ -182,10 +182,10 @@ def _points(table, forces: np.ndarray, log_z, means, variances) -> list[RdPoint]
 def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) -> RdPoint:
     """Solve for the nonpositive force whose mean distortion hits ``delta``.
 
-    A bracketed Newton iteration on the slope dD/ds = mmse(s), safeguarded
-    by bisection, guarantees |distortion(s) - delta| <= tol * (D0 - Dmin)
-    for interior targets; it works in the table's own force scale, so the
-    number of steps does not depend on the scale of the table.  delta == D0
+    ``tilting._legendre``'s Newton iteration on the logit of the mean,
+    safeguarded by bisection, guarantees |distortion(s) - delta| <= tol *
+    (D0 - Dmin) for interior targets; it works in the table's own force
+    scale, so the number of steps does not depend on the scale of the table.  delta == D0
     returns the zero-force point exactly; delta > D0 returns it flagged
     "above_zero_force" (the event is typical, rate 0).  delta at the
     minimum achievable distortion returns the infinite-force endpoint whose
@@ -253,7 +253,7 @@ def mmse(problem: RdProblem, s: float) -> float:
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
     _check_force(s)
-    return adaptive_simpson(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), 0.0, s, tol)
+    return _floored(adaptive_simpson(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), 0.0, s, tol))
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:

@@ -62,7 +62,7 @@ def invert_monotone(
     A Newton step below 1e-8 of the abscissa that stalls (fails to halve
     the step before it, or to lower the residual) means the values are down
     to their rounding noise, and the point with the least residual is
-    returned.
+    returned.  Running out of its 240 bracketed steps raises NumericalError.
     """
     hi = min(hi, hi_limit)
     if not lo < hi:
@@ -134,8 +134,8 @@ def invert_monotone(
         else:
             hi = x
         if hi - lo <= _X_REL_TOL * abs(x):
-            break
-    return x
+            return x
+    raise NumericalError(f"root solve short of tolerance after {_MAX_ITER} steps: bracket [{lo!r}, {hi!r}]")
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_000_000) -> float:

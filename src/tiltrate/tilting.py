@@ -8,8 +8,8 @@ sandwich it -- and all of them are exposed so they can cross-check each
 other.
 
 Conventions: natural logarithms throughout, so every rate and divergence is
-in nats.  All sums of exponentials are max-shifted, so tilts with
-|s * y| up to ~700 stay finite.
+in nats.  All sums of exponentials are max-shifted, so no finite tilt
+overflows them.
 """
 
 from __future__ import annotations
@@ -182,10 +182,11 @@ def _check_force(s, name: str = "force s") -> None:
         raise ValidationError(f"{name} must be finite (got {s!r})")
 
 
-def _floored(rate):
-    """``rate`` (or an array of rates) floored at +0.0, one rate as a builtin float: a rate is the
-    quasistatic work and never negative, so rounding below 0 and -0.0 both come back as 0.0."""
-    return (np.maximum(rate, 0.0) if isinstance(rate, np.ndarray) else float(max(rate, 0.0))) + 0.0
+def _floored(x):
+    """``x`` (or an array) floored at +0.0, one value as a builtin float: the one floor of every result
+    the mathematics makes nonnegative (a rate, the quasistatic work and its Riemann bounds, D(q || p),
+    I and H(X | Xhat)), so rounding below 0 and -0.0 both come back as 0.0."""
+    return (np.maximum(x, 0.0) if isinstance(x, np.ndarray) else float(max(x, 0.0))) + 0.0
 
 
 def _tilted(body, log_weights: np.ndarray, tables: tuple, s, *args):
@@ -221,7 +222,7 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s, order: int =
     ``log_weights`` has one row per row of ``values``, or a single row
     shared by all.  A ragged table is padded with -inf log-weights (and any
     finite value), which carry no mass.  Sums are max-shifted per row, so
-    tilts with |s * value| up to ~700 stay finite.
+    no finite tilt overflows them.
     """
     return _tilted(_moments, log_weights, (values,), s, order)
 
@@ -337,6 +338,11 @@ def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
 _END_REL = 4.0 * float(np.finfo(float).eps)
 
 
+def _end_band(span: float, end: float) -> float:
+    """How far past ``end`` a level still sits on it: ``VALUE_MERGE_TOL`` of the span plus ``_END_REL``."""
+    return VALUE_MERGE_TOL * span + _END_REL * abs(end)
+
+
 def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False):
     """(s, rate, moments): the force at which the row-weighted tilted mean D(s)
     of the table hits ``target``, the rate there, and the kernel's per-row
@@ -345,12 +351,11 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     All three are taken on the table at origin (``_at_origin``), with the
     target moved by sum_x w_x start_x.  D runs from its floor (s -> -inf) to
     its ceiling (s -> +inf), or with ``nonpositive`` to D(0), and a target at
-    or above D(0) gets s = 0.  A target within ``VALUE_MERGE_TOL`` of the span
-    (plus ``_END_REL`` of the end's size) of an end gets s = -inf or +inf and
-    the rate -sum_x w_x ln(mass of row x at that end); beyond an end it raises
-    ``LevelInfeasibleError``.  Otherwise Newton runs on the logit
-    log((D - Dmin) / (Dmax - D)), exactly linear in s for one row of two
-    values and close to linear far out in either tail, to
+    or above D(0) gets s = 0.  A target within ``_end_band`` of an end gets
+    s = -inf or +inf and the rate -sum_x w_x ln(mass of row x at that end);
+    beyond an end it raises ``LevelInfeasibleError``.  Otherwise Newton runs
+    on the logit log((D - Dmin) / (Dmax - D)), exactly linear in s for one
+    row of two values and close to linear far out in either tail, to
     ``|D(s) - target| <= tol * span``.  Every rate, an end's included, is
     ``_Table.rate``'s.  ``force_only`` returns s alone (rate nan, moments None),
     without the kernel call the rate needs.  A nan target raises
@@ -368,7 +373,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
         if level >= top:
             return 0.0, table.rate(0.0, top, at_zero[0]), at_zero
     for end, row_end, sign in [(0.0, 0.0, -1.0)] + ([] if nonpositive else [(ceiling, ranges[:, None], 1.0)]):
-        band = VALUE_MERGE_TOL * top + _END_REL * abs(base + end)
+        band = _end_band(top, base + end)
         if sign * (level - end) > band:
             raise LevelInfeasibleError(
                 f"level {target!r} outside the achievable range [{base!r}, {base + ceiling!r}]")
@@ -458,8 +463,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Work route to the rate: integral of u * Var_u(y) for u from 0 to s."""
     _check_force(s)
-    # 0.0 + x: a point mass, of variance 0 at origin, costs 0.0, not -0.0
-    return 0.0 + adaptive_simpson(lambda u: u * dist._table.averaged(u, 2), 0.0, s, tol)
+    return _floored(adaptive_simpson(lambda u: u * dist._table.averaged(u, 2), 0.0, s, tol))
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
@@ -495,9 +499,9 @@ def _check_partition(points, name: str = "partition", error=PartitionInvalidErro
 
 
 def _riemann_sums(forces: np.ndarray, mean_at) -> tuple[float, float]:
-    """Left- and right-labelled Riemann sums of the integral of s dm(s), m = mean_at(forces) in one call."""
+    """Left- and right-labelled Riemann sums of the integral of s dm(s), m = mean_at(forces), floored."""
     dm = np.diff(mean_at(forces))
-    return (float(np.dot(forces[:-1], dm)), float(np.dot(forces[1:], dm)))
+    return _floored(np.dot(forces[:-1], dm)), _floored(np.dot(forces[1:], dm))
 
 
 def kl_free_energy_gap(q: FiniteDistribution, p: FiniteDistribution) -> float:
@@ -516,4 +520,4 @@ def kl_free_energy_gap(q: FiniteDistribution, p: FiniteDistribution) -> float:
     if unmatched.any():
         v = q.values[np.argmax(unmatched)]
         raise SupportMismatchError(f"value {v!r} carried by q has no matching outcome in p")
-    return float(np.dot(q.probs, np.log(q.probs / p.probs[match])))
+    return _floored(np.dot(q.probs, np.log(q.probs / p.probs[match])))

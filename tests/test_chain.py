@@ -12,6 +12,7 @@ from tiltrate import (
     entropy_at_energy,
     equilibrium_force,
     expected_length,
+    force_at_level,
     from_rd_problem,
     gibbs_free_energy,
     protocol_work,
@@ -19,7 +20,7 @@ from tiltrate import (
     quasistatic_work,
 )
 from tiltrate.chain import array_lengths, length_variance
-from tiltrate.errors import EnergyInfeasibleError, LengthInfeasibleError, ScheduleInvalidError
+from tiltrate.errors import EnergyInfeasibleError, LengthInfeasibleError, LevelInfeasibleError, ScheduleInvalidError
 
 from conftest import LN2, LN3, h2, random_problem
 
@@ -234,3 +235,15 @@ class TestEntropyAtEnergy:
             entropy_at_energy(d, -0.2)
         with pytest.raises(EnergyInfeasibleError):
             entropy_at_energy(d, 1.2)
+
+    def test_top_end_band_is_the_legendre_band(self):
+        # a far spectrum's top claims levels within _END_REL of its size too, as force_at_level's does:
+        # a level that force_at_level puts on the end is no energy outside the spectrum
+        d = FiniteDistribution([1e6, 1e6 + 1.0], [0.25, 0.75])
+        on_end, beyond = 1e6 + 1.0 + 5e-10, 1e6 + 1.0 + 2e-9
+        assert force_at_level(d, on_end).force == math.inf
+        assert entropy_at_energy(d, on_end) == entropy_at_energy(d, d.max_value) == pytest.approx(math.log(4.0))
+        with pytest.raises(LevelInfeasibleError):
+            force_at_level(d, beyond)
+        with pytest.raises(EnergyInfeasibleError):
+            entropy_at_energy(d, beyond)

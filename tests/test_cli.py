@@ -596,6 +596,29 @@ class TestSignedZero:
         assert positive_zero(doc["points"][0]["rate_nats"])
         assert doc["points"][1]["rate_nats"] > 0.0
 
+    # Works, Riemann bounds, I and H(X | Xhat) share the rate's floor: each line printed -0 or a
+    # negative information before it.
+    CONSTANT_ROWS = "source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 1, 1; 2, 2\n"
+    USELESS = "channel_transition = 0.52, 0.11, 0.37; 0.52, 0.11, 0.37\nchannel_input_probs = 0.81, 0.19\n"
+    NOISELESS = "channel_transition = 1, 0; 0, 1\nchannel_input_probs = 0.5, 0.5\n"
+
+    @pytest.mark.parametrize("config, argv, key", [
+        ("configs/bss.json", ["rd", "point", "--delta=0.25", "--bounds=1"], "sandwich_sum_left"),
+        ("configs/bss.json", ["chain", "protocol", "--schedule=0,-1"], "protocol_work_left_sum"),
+        (CONSTANT_ROWS, ["rd", "point", "--force=-1", "--integral-route"], "rate_mmse_integral"),
+        (CONSTANT_ROWS, ["chain", "work", "--lambda-final=-1"], "quasistatic_work"),
+        (CONSTANT_ROWS, ["chain", "protocol", "--schedule=0:-2:5"], "quasistatic_work"),
+        (USELESS, ["capacity"], "mutual_information_nats"),
+        (NOISELESS, ["capacity"], "delta"),
+    ], ids=["bss-sandwich", "bss-protocol", "constant-rd-point", "constant-chain-work", "constant-chain-protocol",
+            "useless-capacity", "noiseless-capacity"])
+    def test_nonnegative_results(self, capsys, tmp_path, config, argv, key):
+        if not config.startswith("configs/"):
+            (tmp_path / "p.cfg").write_text(config)
+            config = str(tmp_path / "p.cfg")
+        assert pairs_of(main_of(capsys, *argv, "--config", config).stdout)[key] == "0"
+        assert positive_zero(json.loads(main_of(capsys, *argv, "--config", config, "--json").stdout)[key])
+
 
 class TestNumericalFailure:
     def test_bracket_failure_exits_2(self, bss_cfg, capsys, monkeypatch):

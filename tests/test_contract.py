@@ -191,22 +191,64 @@ def test_row_starts_are_found_by_the_origin_table_alone():
     assert sorted(m.name for m in modules if "_row_ends" in m.read_text()) == ["tilting.py"]
 
 
+def is_float_zero(node) -> bool:
+    return isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value == 0.0
+
+
 def test_rates_are_floored_by_tilting_alone():
-    # a rate is floored at +0.0 by tilting._floored alone, behind _Table.rate and the two sums that
-    # keep their own grouping; oracles.py keeps its own.  _legendre's max(reach, 0.0) is the upper
-    # end of its force bracket, not a rate
-    floors = {}
+    # every nonnegative result is floored at +0.0 by tilting._floored alone, and no 0.0 + x or
+    # 0.0 - x sign guard is left; oracles.py keeps its own.  _legendre's max(reach, 0.0) is the
+    # upper end of its force bracket, not a result
+    floors, guards = {}, {}
     for module in Path(tiltrate.__file__).parent.glob("*.py"):
         for function in ast.walk(ast.parse(module.read_text())):
             if not isinstance(function, ast.FunctionDef):
                 continue
             for node in ast.walk(function):
                 if (isinstance(node, ast.Call) and ast.unparse(node.func) in ("max", "np.maximum")
-                        and any(isinstance(arg, ast.Constant) and isinstance(arg.value, float) and arg.value == 0.0
-                                for arg in node.args)):
+                        and any(is_float_zero(arg) for arg in node.args)):
                     floors.setdefault(module.name, set()).add(function.name)
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                        and (is_float_zero(node.left) or is_float_zero(node.right))):
+                    guards.setdefault(module.name, set()).add(function.name)
     floors.pop("oracles.py")
+    guards.pop("oracles.py")
     assert floors == {"tilting.py": {"_floored", "_legendre"}}
+    assert guards == {"tilting.py": {"_floored"}}
+
+
+CONSTANT_ROWS = RdProblem([0.5, 0.5], [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]])
+BSS = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+COIN = FiniteDistribution([0.0, 1.0], [0.5, 0.5])
+
+# every floored route, each at a case whose exact result is 0: unfloored, its rounding can land at
+# -0.0 or below 0 (the two laws of the gap differ by about 1e-15)
+ZERO_CASES = {
+    "rate_at_force": lambda: rate_at_force(COIN, -0.0).rate,
+    "distortion_at_force": lambda: distortion_at_force(BSS, -0.0).rate,
+    "equal_force_allocation": lambda: tiltrate.equal_force_allocation(BSS, 0.5)[1],
+    "rate_two_distortions": lambda: tiltrate.rate_two_distortions(
+        RdProblem2([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [1.0, 0.5]]), 5.0, 5.0)[0],
+    "rate_work_integral": lambda: rate_work_integral(POINT_MASS, -1.0),
+    "riemann_sandwich": lambda: tiltrate.riemann_sandwich(COIN, [0.0, -1.0])[0],
+    "sandwich_bounds": lambda: tiltrate.sandwich_bounds(BSS, [0.0, -1.0])[0],
+    "protocol_work_bounds": lambda: tiltrate.protocol_work_bounds(from_rd_problem(BSS), [0.0, -1.0])[0],
+    "protocol_work": lambda: tiltrate.protocol_work(from_rd_problem(CONSTANT_ROWS), [0.0, -1.0]),
+    "kl_free_energy_gap": lambda: tiltrate.kl_free_energy_gap(
+        FiniteDistribution([0.0, 1.0], [0.2, 0.8]),
+        FiniteDistribution([0.0, 1.0], [0.2000000000000002, 0.7999999999999998])),
+    "rate_mmse_integral": lambda: rate_mmse_integral(CONSTANT_ROWS, -1.0),
+    "quasistatic_work": lambda: quasistatic_work(from_rd_problem(CONSTANT_ROWS), -1.0),
+    "mutual_information": lambda: tiltrate.mutual_information(Channel([[0.52, 0.11, 0.37]] * 2, [0.81, 0.19])),
+    "capacity_point.delta": lambda: tiltrate.capacity_point(Channel([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])).delta,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_CASES))
+def test_every_floored_route_is_plus_zero_at_a_zero_case(name):
+    x = ZERO_CASES[name]()
+    assert x >= 0.0
+    assert math.copysign(1.0, x) == 1.0
 
 
 def test_every_rate_is_formed_by_the_origin_table(monkeypatch):

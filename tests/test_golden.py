@@ -7,6 +7,8 @@ here, and its golden file is then regenerated and the move named in
 CHANGES.md.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each command line whose record moved, and nothing when none did.
 """
 
 import json
@@ -82,4 +84,9 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     for config in CONFIGS:
-        golden_path(config).write_text(json.dumps(record(config), indent=1) + "\n")
+        path = golden_path(config)
+        old, new = json.loads(path.read_text()) if path.exists() else {}, record(config)
+        for line in dict.fromkeys([*old, *new]):
+            if old.get(line) != new.get(line):
+                print(line)
+        path.write_text(json.dumps(new, indent=1) + "\n")

@@ -210,6 +210,15 @@ class TestConfigRefusals:
         path.write_text(line + "\n")
         refused(capsys, ["capacity", "--config", str(path)], message)
 
+    @pytest.mark.parametrize("k, temperature", [("0", "1"), ("1", "0"), ("1e-200", "1e-200")])
+    def test_k_times_temperature_must_not_be_zero(self, capsys, tmp_path, k, temperature):
+        # beta = 1 / (k * temperature): a zero product, an underflowed one included, is refused
+        path = tmp_path / "cold.cfg"
+        path.write_text(f"source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1; 1, 0\n"
+                        f"k = {k}\ntemperature = {temperature}\n")
+        refused(capsys, ["chain", "work", "--config", str(path), "--lambda-final=-0.5"],
+                f"k * temperature must not be 0 (got k = {float(k)!r}, temperature = {float(temperature)!r})")
+
     def test_top_level_json_must_be_an_object(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

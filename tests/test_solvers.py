@@ -96,6 +96,12 @@ class TestInvertMonotone:
         root = invert_monotone(f, math.atan(0.3), f_tol=0.0, lo=-scale, hi=scale)
         assert root == pytest.approx(0.3 * scale, rel=1e-12)
 
+    def test_running_out_of_steps_raises(self):
+        # a zero slope bisects toward a root at 1e-300, which no bracket of relative width 1e-13
+        # reaches in 240 steps: the cap is no answer
+        with pytest.raises(NumericalError, match="after 240 steps"):
+            invert_monotone(lambda x: (x, 0.0), 1e-300, f_tol=0.0, lo=-1.0, hi=1.0)
+
     def test_bracket_error_is_a_numerical_error(self):
         assert issubclass(BracketError, NumericalError)
         with pytest.raises(TiltrateError):
