@@ -31,6 +31,7 @@ from .tilting import (
     _legendre,
     _record,
     _riemann_sums,
+    _set_laws,
     _tilted_law,
     _tilted_moments,
     _tilted_pair,
@@ -91,11 +92,11 @@ class RdProblem:
 
     @cached_property
     def delta_dists(self) -> tuple[FiniteDistribution, ...]:
-        """Per source letter, the distribution of its distortion under the coding law."""
-        return tuple(
-            FiniteDistribution(self.distortion[i], self.coding_probs)
-            for i in range(self.source_probs.size)
-        )
+        """Per source letter, the distribution of its distortion under the coding law, all rows at once by
+        ``tilting._set_laws``: each equals ``FiniteDistribution(row, coding_probs)`` bit for bit."""
+        dists = tuple(object.__new__(FiniteDistribution) for _ in range(self.source_probs.size))
+        _set_laws(dists, self.distortion, self.coding_probs)
+        return dists
 
     @property
     def num_source_letters(self) -> int:

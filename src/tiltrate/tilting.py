@@ -104,13 +104,7 @@ class FiniteDistribution:
         if not np.all(np.isfinite(values)):
             raise ValidationError("values must all be finite")
         keep = _law(probs, "probs") > 0.0
-        values, probs = values[keep], probs[keep]
-        order = np.argsort(values, kind="stable")
-        values, probs = values[order], probs[order]
-        tol = VALUE_MERGE_TOL * (values[-1] - values[0])
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(values) > tol) + 1))
-        probs = np.add.reduceat(probs, starts)
-        _frozen(self, values=values[starts], probs=probs / probs.sum())
+        _set_laws((self,), values[keep][None, :], probs[keep])
 
     @property
     def size(self) -> int:
@@ -139,6 +133,33 @@ class FiniteDistribution:
         """The support as a one-row ``_Table`` at origin, built on first use (sorted, all with mass)."""
         v = self.values
         return _Table(np.ones(1), np.log(self.probs)[None, :], (v - v[0])[None, :], v[:1], v[-1:] - v[:1])
+
+
+def _set_laws(dists: tuple, values: np.ndarray, probs: np.ndarray) -> None:
+    """Store on ``dists[x]``, through ``_frozen``, row x of ``values`` under the law ``probs`` (all
+    positive): sorted, runs within ``VALUE_MERGE_TOL`` of the row's span merged at their least value,
+    divided by the row's sum.  The one sort-and-merge, in row blocks of about ``_BLOCK_ENTRIES`` entries."""
+    step = max(_BLOCK_ENTRIES // values.shape[1], 1)
+    for j in range(0, values.shape[0], step):
+        block = values[j : j + step]
+        order = np.argsort(block, axis=1)
+        v = np.take_along_axis(block, order, 1)
+        runs = np.ones(v.shape, dtype=bool)
+        runs[:, 1:] = np.diff(v, axis=1) > VALUE_MERGE_TOL * (v[:, -1:] - v[:, :1])
+        if runs.all():  # as in most tables: no two values merge, and none are equal
+            p = probs[order]
+            p /= p.sum(axis=1, keepdims=True)
+        else:  # the order of equal values sets the bits of their merged probability: sort stably
+            merged = ~runs.all(axis=1)
+            order[merged] = np.argsort(block[merged], axis=1, kind="stable")
+            starts, n = np.flatnonzero(runs), runs.sum(axis=1)
+            p, firsts = np.add.reduceat(probs[order].ravel(), starts), np.cumsum(n) - n
+            # reduceat adds a run's rest to its head and ndarray.sum a row to 0: a 0 before each row sums it alike
+            p /= np.repeat(np.add.reduceat(np.insert(p, firsts, 0.0), firsts + np.arange(n.size)), n)
+            v = np.split(np.take_along_axis(block, order, 1).ravel()[starts], firsts[1:])
+            p = np.split(p, firsts[1:])
+        for dist, row_values, row_probs in zip(dists[j : j + step], v, p):
+            _frozen(dist, values=row_values, probs=row_probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +251,7 @@ def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s, order: int =
 def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
     """``_tilted_moments`` on one block."""
     # dividing the sums by z, not the weights by z, is the cheaper order
-    w, shift = _tilted_weights(log_weights, values, s)
+    w, shift = _tilted_weights(log_weights, values * s)
     z = w.sum(axis=-1)
     mean = np.einsum("...j,...j->...", w, values) / z
     if order == 1:
@@ -253,18 +274,20 @@ def _tilted_pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b
 
 def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
     """``_tilted_pair`` on one block."""
-    # the pair tilted by (s_a, s_b) is the one table s_a * a + s_b * b at unit force
-    law, log_z = _tilted_law(log_weights, s_a * a + s_b * b, 1.0)
+    # s_a * a + s_b * b formed once, in the weights' buffer; b at zero force would add signed zeros only
+    exponent = a * s_a
+    if s_b != 0.0:
+        exponent += b * s_b
+    law, log_z = _normalised(*_tilted_weights(log_weights, exponent))
     mean_a, mean_b = (np.einsum("...j,...j->...", law, t) for t in (a, b))
     ca, cb = a - mean_a[..., None], b - mean_b[..., None]
     covariances = (np.einsum("...j,...j,...j->...", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb)))
     return log_z, mean_a, mean_b, *covariances
 
 
-def _tilted_weights(log_weights: np.ndarray, values: np.ndarray, s):
-    """Per-row weights e^{log_weights + s * values - shift} and the shifts, each row's
-    largest exponent: the one exponential behind every tilted quantity."""
-    w = values * s
+def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
+    """Per-row weights e^{log_weights + w - shift}, written over the fresh exponent ``w``, and the shifts,
+    each row's largest exponent: the one exponential behind every tilted quantity."""
     w += log_weights
     shift = w.max(axis=-1)
     w -= shift[..., None]
@@ -277,7 +300,11 @@ def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
     ``_tilted_moments``: one call, since the law is as large as its table and row blocks would
     only add a copy."""
     _check_force(s)
-    w, shift = _tilted_weights(log_weights, values, s)
+    return _normalised(*_tilted_weights(log_weights, values * s))
+
+
+def _normalised(w: np.ndarray, shift: np.ndarray):
+    """``_tilted_weights``' output as the per-row law, each row divided in place by its sum z, and shift + ln z."""
     z = w.sum(axis=-1)
     w /= z[..., None]
     return w, shift + np.log(z)

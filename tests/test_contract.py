@@ -191,6 +191,21 @@ def test_row_starts_are_found_by_the_origin_table_alone():
     assert sorted(m.name for m in modules if "_row_ends" in m.read_text()) == ["tilting.py"]
 
 
+def test_supports_are_sorted_and_merged_in_one_function():
+    # tilting._set_laws is the one sort-and-merge of a support: the one-row constructor and
+    # RdProblem.delta_dists both call it, and no other code merges runs of values
+    mergers, callers = set(), set()
+    for module in Path(tiltrate.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(module.read_text())):
+            for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
+                if isinstance(node, ast.Attribute) and node.attr == "reduceat":
+                    mergers.add((module.name, function.name))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_set_laws":
+                    callers.add((module.name, function.name))
+    assert mergers == {("tilting.py", "_set_laws")}
+    assert callers == {("tilting.py", "__post_init__"), ("ratedistortion.py", "delta_dists")}
+
+
 def is_float_zero(node) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value == 0.0
 
@@ -273,7 +288,8 @@ def test_every_rate_is_formed_by_the_origin_table(monkeypatch):
 
 def test_blocks_are_cut_by_the_kernel_front_alone():
     # tilting._tilted is the one scalar-versus-grid dispatch and block loop of the moment and pair
-    # kernels: no other code reads the block size, and the old blocking helpers are gone
+    # kernels: no other code reads the block size but the sort-and-merge of supports, which cuts
+    # whole tables into row blocks of the same size, and the old blocking helpers are gone
     modules = {m.name: m.read_text() for m in Path(tiltrate.__file__).parent.glob("*.py")}
     assert sorted(name for name, text in modules.items() if "_BLOCK_ENTRIES" in text) == ["tilting.py"]
     tree = ast.parse(modules["tilting.py"])
@@ -284,7 +300,7 @@ def test_blocks_are_cut_by_the_kernel_front_alone():
         for node in ast.walk(function)
         if isinstance(node, ast.Name) and node.id == "_BLOCK_ENTRIES"
     }
-    assert readers == {"_tilted"}
+    assert readers == {"_tilted", "_set_laws"}
     assert not [name for name, text in modules.items() if "_by_force" in text or "_by_rows" in text]
 
 
