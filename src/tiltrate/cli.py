@@ -61,8 +61,11 @@ def _emit(args, result) -> None:
         text = "\n".join([",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows])
     text += "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # as ``load_config`` maps a file it cannot read
+            raise ValidationError(f"cannot write output file {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -1,17 +1,16 @@
 """Joint rate function for two simultaneous distortion ceilings.
 
-The exponent of the event that one random codebook satisfies both budgets is
-a two-dimensional Legendre transform: maximize
-s1*D1 + s2*D2 - sum_x P(x) ln sum_xhat Q(xhat) e^{s1 d1 + s2 d2}
-over nonpositive forces (s1, s2).  The objective is concave with Hessian
-minus the source-averaged tilted covariance of (d1, d2), so a damped
-projected Newton ascent converges fast.  On affinely dependent tables no
-Newton step climbs: the objective is linear along the dependence, and its
-maximum (if any) sits on a face s1 = 0 or s2 = 0, a one-table transform
-solved by ``tilting._legendre``.  Weak duality bounds every satisfiable
-pair's rate by -ln min Q, so an ascent that climbs past that, or dependent
-tables whose faces both break the Kuhn-Tucker conditions, prove the pair
-jointly unsatisfiable.
+The exponent of the event that one random codebook satisfies both budgets is a two-dimensional
+Legendre transform: maximize s1*D1 + s2*D2 - sum_x P(x) ln sum_xhat Q(xhat) e^{s1 d1 + s2 d2}
+over nonpositive forces (s1, s2).  A budget on its table's floor, as ``tilting._legendre``'s end
+band decides it, holds that table rigid (s = -inf) on each row's cheapest letters, where the other
+table settles alone: a one-table transform on those letters.  Otherwise the objective is concave
+with Hessian minus the source-averaged tilted covariance of (d1, d2), so a damped projected Newton
+ascent converges fast.  On affinely dependent tables no Newton step climbs: the objective is
+linear along the dependence, and its maximum (if any) sits on a face s1 = 0 or s2 = 0, a one-table
+transform solved by ``tilting._legendre``.  Weak duality bounds every satisfiable pair's rate by
+-ln min Q, so an ascent that climbs past that, or dependent tables whose faces both break the
+Kuhn-Tucker conditions, prove the pair jointly unsatisfiable.
 """
 
 from __future__ import annotations
@@ -21,17 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePairError, NumericalError
+from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _floored, _legendre, _record, _tilted_pair
+from .tilting import _at_origin, _end_band, _floored, _legendre, _record, _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
 _MAX_ITER = 200
 _ARMIJO = 1e-4
-# A face force of -inf (a budget on its floor) is checked at this force on the scaled table,
-# where an entry above its row's minimum by more than ~1e-13 of the range carries no mass.
-_FAR = -1e16
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,32 +59,42 @@ def rate_two_distortions(
 ) -> tuple[float, float, float]:
     """Rate in nats for the joint budget pair, plus the maximizing forces.
 
-    Returns (rate, s1, s2) with s_i <= 0; a force of exactly 0 means that
-    constraint is slack at the optimum.  Pairs at or below the per-table floors,
-    and jointly unsatisfiable ones, raise InfeasiblePairError; an ascent that
-    stalls on independent tables raises NumericalError.  ``tol`` bounds the
-    projected gradient in units of each table's P-weighted range, so the
-    answer does not depend on the tables' scale.
+    Returns (rate, s1, s2) with s_i <= 0: a force of exactly 0 means that constraint
+    is slack at the optimum, and -inf that its budget sits on its table's floor.  Pairs
+    below the per-table floors, and jointly unsatisfiable ones, raise InfeasiblePairError;
+    an ascent that stalls on independent tables raises NumericalError.  ``tol`` bounds the
+    projected gradient in units of each table's P-weighted range, so the answer does not
+    depend on the tables' scale.
     """
     p, q = problem.source_probs, problem.coding_probs
+    unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
     # The ascent's stopping tests are absolute, so it runs on each table at
     # origin (rows start at 0) divided by its P-weighted range: the rate is
     # unchanged, and each force comes back divided by that range.
-    origins, tables, budgets, scales = [], [], [], []
+    origins, tables, budgets, scales, floored = [], [], [], [], []
     for name, d, target in (
         ("delta1", problem.distortion_1, delta1),
         ("delta2", problem.distortion_2, delta2),
     ):
         origins.append(_at_origin(p, np.log(q)[None, :], d))
         floor, span = float(np.dot(p, origins[-1].starts)), float(np.dot(p, origins[-1].ranges))
-        if not target > floor:  # nan and -inf are refused too
-            raise InfeasiblePairError(
-                f"{name} = {target!r} does not exceed the minimum achievable {floor!r}"
-            )
+        try:  # _legendre's end band decides the floor and refuses nan or a budget below it; past the widest, none is asked
+            floored.append(not target - floor > _end_band(span, floor)
+                           and _legendre(origins[-1], target, tol, nonpositive=True, force_only=True)[0] == -math.inf)
+        except ValidationError:
+            raise InfeasiblePairError(f"{name} = {target!r} does not exceed the minimum achievable {floor!r}") from None
         scales.append(span or 1.0)
         tables.append(origins[-1].values / scales[-1])
         # a budget at or above the table's largest achievable mean never binds, +inf included
         budgets.append(min(target - floor, span) / scales[-1])
+    if any(floored):  # held rigid (force -inf) on its cheapest letters, a floored table leaves the other a one-table solve
+        i = floored.index(True)
+        other = _at_origin(p, origins[i].at_end(-1.0), (problem.distortion_1, problem.distortion_2)[1 - i])
+        try:
+            force, rate, _ = _legendre(other, (delta1, delta2)[1 - i], tol, nonpositive=True)
+        except ValidationError:
+            raise InfeasiblePairError(unsatisfiable) from None
+        return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
     # built as a record: the constructor would check and copy both tables again
     scaled = _record(RdProblem2, source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])
     # Weak duality: every ascent value is at most the rate, and a satisfiable
@@ -96,7 +102,6 @@ def rate_two_distortions(
     # reproduction letter everywhere; the margin covers the value's rounding.
     ceiling = -math.log(float(q.min()))
     ceiling += 1e-9 * (1.0 + ceiling)
-    unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
 
     s = np.zeros(2)
     value, grad, cov = _stats(scaled, s, *budgets)
@@ -163,7 +168,7 @@ def rate_two_distortions(
         for i in (0, 1):
             force, rate, _ = _legendre(origins[i], (delta1, delta2)[i], tol, nonpositive=True)
             at = np.zeros(2)
-            at[i] = max(force * scales[i], _FAR)
+            at[i] = force * scales[i]
             if _stats(scaled, at, *budgets)[1][1 - i] >= -tol:
                 return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
         if dependent:

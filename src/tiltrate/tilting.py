@@ -351,6 +351,11 @@ class _Table(NamedTuple):
         w = self.row_weights
         return _floored(s * level - (np.vecdot(log_z, w) if isinstance(s, np.ndarray) else float(np.dot(w, log_z))))
 
+    def at_end(self, sign: float) -> np.ndarray:
+        """The log-weights on the letters at each row's lower (``sign`` -1) or upper (+1) end, -inf elsewhere."""
+        end = self.ranges[:, None] if sign > 0.0 else 0.0
+        return np.where(sign * (self.values - end) >= -VALUE_MERGE_TOL * self.ranges[:, None], self.log_weights, -math.inf)
+
 
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
     """The table with each row of ``values`` moved to start at 0, its starts and ranges taken over
@@ -390,7 +395,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     """
     if math.isnan(target):
         raise ValidationError("the target level must be a number, not nan")
-    row_weights, log_weights, values, starts, ranges = table
+    row_weights, _, values, starts, ranges = table
     base = float(np.dot(row_weights, starts))
     level, ceiling = target - base, float(np.dot(row_weights, ranges))
     top, at_zero = ceiling, None  # the floor is 0 at origin, so top is the span
@@ -399,15 +404,14 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
         top = min(float(np.dot(row_weights, at_zero[1])), ceiling)
         if level >= top:
             return 0.0, table.rate(0.0, top, at_zero[0]), at_zero
-    for end, row_end, sign in [(0.0, 0.0, -1.0)] + ([] if nonpositive else [(ceiling, ranges[:, None], 1.0)]):
+    for end, sign in [(0.0, -1.0)] + ([] if nonpositive else [(ceiling, 1.0)]):
         band = _end_band(top, base + end)
         if sign * (level - end) > band:
             raise LevelInfeasibleError(
                 f"level {target!r} outside the achievable range [{base!r}, {base + ceiling!r}]")
         if sign * (level - end) >= -band:
-            at_end = sign * (values - row_end) >= -VALUE_MERGE_TOL * ranges[:, None]
             # the mass cost is the zero-force rate of the table restricted to that end
-            log_mass = _tilted_law(np.where(at_end, log_weights, -math.inf), values, 0.0)[1]
+            log_mass = _tilted_law(table.at_end(sign), values, 0.0)[1]
             return sign * math.inf, table.rate(0.0, 0.0, log_mass), None
 
     visited = {} if at_zero is None else {0.0: at_zero}  # force -> moments: each force evaluated once

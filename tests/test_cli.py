@@ -180,6 +180,15 @@ class TestRdPoint:
         assert res.stdout == ""
         assert "rate_nats" in target.read_text()
 
+    @pytest.mark.parametrize("where", ["missing/out.csv", "."])
+    def test_unwritable_output_file_is_refused(self, capsys, bss_cfg, tmp_path, where):
+        # a missing directory, or a directory given as the file: exit 1 with the path, as an unreadable config
+        target = tmp_path / where
+        res = main_of(capsys, "rd", "point", "--config", bss_cfg, "--delta", "0.25", "--output", str(target))
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"tiltrate: error: cannot write output file {target}: ")
+
 
 class TestRdCurve:
     def test_table_shape(self, capsys, bss_cfg):

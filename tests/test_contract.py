@@ -206,6 +206,24 @@ def test_supports_are_sorted_and_merged_in_one_function():
     assert callers == {("tilting.py", "__post_init__"), ("ratedistortion.py", "delta_dists")}
 
 
+def test_end_letters_are_chosen_by_tilting_alone():
+    # tilting._Table.at_end is the one choice of the letters on a row's end: the one-table end mass
+    # and rd2's floor pairs both take it, no other module reads the merge tolerance, and rd2 keeps
+    # no finite stand-in for force -inf on its faces
+    modules = {m.name: m.read_text() for m in Path(tiltrate.__file__).parent.glob("*.py")}
+    assert not [name for name, text in modules.items() if "_FAR" in text]
+    assert sorted(name for name, text in modules.items() if "VALUE_MERGE_TOL" in text) == ["tilting.py"]
+    callers = {
+        (name, function.name)
+        for name, text in modules.items()
+        for function in ast.walk(ast.parse(text))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "at_end"
+    }
+    assert callers == {("tilting.py", "_legendre"), ("multiconstraint.py", "rate_two_distortions")}
+
+
 def is_float_zero(node) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float) and node.value == 0.0
 

@@ -37,6 +37,7 @@ COMMANDS = [
     ["rd", "point", "--force=-1.3", "--observable"],
     ["capacity"],
     ["rd2", "--delta1=0.3", "--delta2=0.4"],
+    ["rd2", "--delta1=0", "--delta2=0.4"],
     ["chain", "work", "--lambda-final=-0.7"],
     ["chain", "equilibrium", "--length=0.25"],
     ["chain", "equilibrium", "--length=0"],

@@ -7,8 +7,10 @@ from tiltrate import RdProblem, RdProblem2, ValidationError, force_at_distortion
 from tiltrate.errors import InfeasiblePairError, NumericalError
 from tiltrate import multiconstraint
 from tiltrate.multiconstraint import _stats
+from tiltrate.tilting import _at_origin, _legendre
 
 from conftest import h2
+from test_symmetry import REL, permuted
 
 D_HAMMING = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -172,10 +174,11 @@ class TestRateTwoDistortions:
         assert r_tight >= r_loose - 1e-12
 
     def test_budget_below_floor(self):
+        # each Hamming table's floor is 0: a budget of 0 sits on it and is answered (TestFloorPairs)
         with pytest.raises(InfeasiblePairError):
             rate_two_distortions(bss2(), -0.1, 0.25)
         with pytest.raises(InfeasiblePairError):
-            rate_two_distortions(bss2(), 0.25, 0.0)
+            rate_two_distortions(bss2(), 0.25, -0.1)
 
     def test_jointly_unsatisfiable_pair(self):
         # second penalty is the complement of the first: their per-letter sum
@@ -275,3 +278,111 @@ class TestRateTwoDistortions:
         except NumericalError:
             return
         assert rate == pytest.approx(float(s @ -grad) + value, rel=1e-8)
+
+
+def restricted_solve(p, q, d1, d2, delta2):
+    """_legendre on d2 restricted to each row's letters where d1 is 0, its floor in these draws."""
+    log_w = np.where(np.asarray(d1) == 0.0, np.log(q), -math.inf)
+    return _legendre(_at_origin(np.asarray(p), log_w, np.asarray(d2, dtype=float)), delta2, 1e-10, nonpositive=True)
+
+
+def tied_tables(rng, k, m):
+    """Laws and a pair of tables whose first two columns are cheapest in d1, all at 0."""
+    p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
+    d1 = rng.integers(0, 2, (k, m)).astype(float)
+    d1[:, :2] = 0.0
+    return p, q, d1, rng.random((k, m))
+
+
+def inside_restricted(rng, p, q, d1, d2) -> float:
+    """A budget on d2 drawn inside its table restricted to d1's floor letters: [floor, D(0)]."""
+    live = np.where(d1 == 0.0, q, 0.0)
+    floor = float(p @ np.where(d1 == 0.0, d2, math.inf).min(axis=1))
+    at_zero = float(p @ ((live * d2).sum(axis=1) / live.sum(axis=1)))
+    return floor + rng.uniform() * (at_zero - floor)
+
+
+class TestFloorPairs:
+    """A budget on its table's floor holds that table rigid (force -inf) on each row's cheapest
+    letters, and the other table settles there alone: the one-table solve on those letters."""
+
+    def test_two_budget_config_at_the_first_floor(self):
+        # configs/two_budget.cfg at delta1 = 0, as `rd point --delta=0` answers ln 2 on its first table
+        assert rate_two_distortions(bss2([[0.0, 2.0], [1.0, 0.0]]), 0.0, 0.4) == (math.log(2.0), -math.inf, 0.0)
+
+    def test_a_far_floor_is_found(self):
+        # both tables far from 0 at their own scale: the end band is relative to the floor
+        problem = RdProblem2([0.6, 0.4], [0.5, 0.5], np.array(D_HAMMING) + 1e6, [[0.0, 2.0], [1.0, 0.5]])
+        assert rate_two_distortions(problem, 1e6, 10.0) == (math.log(2.0), -math.inf, 0.0)
+
+    def test_both_floors_cost_the_letters_cheapest_in_both(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(3, 6))
+            p, q, d1, d2 = tied_tables(rng, k, m)
+            if (d1 == 0.0).all():  # a constant table is slack at zero force, not held on a floor
+                continue
+            d2[:, 0] = 0.0  # column 0 is cheapest in both; column 1 in d1 alone
+            shared = (d1 == 0.0) & (d2 == 0.0)
+            want = -float(p @ np.log(np.where(shared, q, 0.0).sum(axis=1)))
+            rate, s1, s2 = rate_two_distortions(RdProblem2(p, q, d1, d2), 0.0, 0.0)
+            assert (s1, s2) == (-math.inf, -math.inf)
+            assert rate == pytest.approx(want, rel=1e-14)
+
+    def test_both_floors_without_a_shared_letter_are_unsatisfiable(self):
+        # row 0 is cheapest at letter 0 in d1 and at letter 1 in d2
+        with pytest.raises(InfeasiblePairError, match="jointly unsatisfiable"):
+            rate_two_distortions(bss2([[1.0, 0.0], [0.5, 0.0]]), 0.0, 0.25)
+
+    def test_other_budget_below_the_restricted_floor_is_unsatisfiable(self):
+        # on d1's floor letters the complement table costs 1 in every row
+        with pytest.raises(InfeasiblePairError, match="jointly unsatisfiable"):
+            rate_two_distortions(bss2([[1.0, 0.0], [0.0, 1.0]]), 0.0, 0.5)
+        with pytest.raises(InfeasiblePairError, match="jointly unsatisfiable"):
+            rate_two_distortions(bss2([[1.0, 0.0], [0.0, 1.0]]), 0.5, 0.0)
+
+    def test_infinite_other_budget_costs_the_cheapest_letters(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(3, 6))
+            p, q, d1, d2 = tied_tables(rng, k, m)
+            if (d1 == 0.0).all():  # a constant table is slack at zero force, not held on a floor
+                continue
+            want = -float(p @ np.log(np.where(d1 == 0.0, q, 0.0).sum(axis=1)))
+            rate, s1, s2 = rate_two_distortions(RdProblem2(p, q, d1, d2), 0.0, math.inf)
+            assert (s1, s2) == (-math.inf, 0.0)
+            assert rate == pytest.approx(want, rel=1e-14)
+            # and with the tables swapped, the floor is the second budget's
+            assert rate_two_distortions(RdProblem2(p, q, d2, d1), math.inf, 0.0) == (rate, 0.0, -math.inf)
+
+    @pytest.mark.parametrize("delta2", [0.1, 0.25, 0.45, 0.9])
+    def test_a_constant_table_at_its_own_value_leaves_the_other(self, delta2):
+        d2 = [[0.0, 2.0], [1.0, 0.0]]
+        problem = RdProblem2([0.5, 0.5], [0.5, 0.5], [[1.0, 1.0], [2.0, 2.0]], d2)
+        rate = rate_two_distortions(problem, 1.5, delta2)[0]
+        assert rate == pytest.approx(rate_legendre(RdProblem([0.5, 0.5], [0.5, 0.5], d2), delta2), rel=1e-12)
+
+    def test_floor_pairs_keep_relabelling(self):
+        rng = np.random.default_rng(6)
+        for seed in range(40):
+            k, m = int(rng.integers(2, 6)), int(rng.integers(3, 6))
+            p, q, d1, d2 = tied_tables(rng, k, m)
+            delta2 = inside_restricted(rng, p, q, d1, d2)
+            rate = rate_two_distortions(RdProblem2(p, q, d1, d2), 0.0, delta2)[0]
+            relabelled = RdProblem2(*permuted(seed, p, q, d1, d2))
+            assert rate_two_distortions(relabelled, 0.0, delta2)[0] == pytest.approx(rate, rel=REL)
+
+    def test_every_tied_floor_pair_is_the_restricted_solve(self):
+        # d1 is 0 on at least two letters of each row, so delta1 = 0 sits on its floor; delta2 is
+        # drawn inside the restricted table's [floor, D(0)].  Each pair once raised InfeasiblePairError.
+        rng = np.random.default_rng(8)
+        for _ in range(400):
+            k, m = int(rng.integers(2, 5)), int(rng.integers(3, 6))
+            p, q, d1, d2 = tied_tables(rng, k, m)
+            delta2 = inside_restricted(rng, p, q, d1, d2)
+            force, rate, _ = restricted_solve(p, q, d1, d2, delta2)
+            answer = rate_two_distortions(RdProblem2(p, q, d1, d2), 0.0, delta2)
+            if (d1 == 0.0).all():  # a constant first table has no floor letters apart: the ascent answers
+                assert answer[0] == pytest.approx(rate, rel=1e-9)
+            else:
+                assert answer == (rate, -math.inf, force)
