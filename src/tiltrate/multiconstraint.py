@@ -1,16 +1,19 @@
 """Joint rate function for two simultaneous distortion ceilings.
 
-The exponent of the event that one random codebook satisfies both budgets is a two-dimensional
-Legendre transform: maximize s1*D1 + s2*D2 - sum_x P(x) ln sum_xhat Q(xhat) e^{s1 d1 + s2 d2}
-over nonpositive forces (s1, s2).  A budget on its table's floor, as ``tilting._legendre``'s end
-band decides it, holds that table rigid (s = -inf) on each row's cheapest letters, where the other
-table settles alone: a one-table transform on those letters.  Otherwise the objective is concave
-with Hessian minus the source-averaged tilted covariance of (d1, d2), so a damped projected Newton
-ascent converges fast.  On affinely dependent tables no Newton step climbs: the objective is
-linear along the dependence, and its maximum (if any) sits on a face s1 = 0 or s2 = 0, a one-table
-transform solved by ``tilting._legendre``.  Weak duality bounds every satisfiable pair's rate by
--ln min Q, so an ascent that climbs past that, or dependent tables whose faces both break the
-Kuhn-Tucker conditions, prove the pair jointly unsatisfiable.
+The exponent of the event that one random codebook satisfies both budgets is
+a two-dimensional Legendre transform: maximize
+s1*D1 + s2*D2 - sum_x P(x) ln sum_xhat Q(xhat) e^{s1 d1 + s2 d2}
+over nonpositive forces (s1, s2).  A budget on its floor holds its table
+rigid (s = -inf) on each row's cheapest letters, leaving the other table a
+one-table transform on those letters.  Otherwise the objective is concave
+with Hessian minus the source-averaged tilted covariance of (d1, d2), so a
+damped projected Newton ascent converges fast.  On affinely dependent tables
+no Newton step climbs: the objective is linear along the dependence, and
+its maximum (if any) sits on a face s1 = 0 or s2 = 0, a one-table transform
+solved by ``tilting._legendre``.  Weak duality bounds every satisfiable
+pair's rate by -ln min Q, so an ascent that climbs past that, or dependent
+tables whose faces both break the Kuhn-Tucker conditions, prove the pair
+jointly unsatisfiable.
 """
 
 from __future__ import annotations
@@ -59,12 +62,13 @@ def rate_two_distortions(
 ) -> tuple[float, float, float]:
     """Rate in nats for the joint budget pair, plus the maximizing forces.
 
-    Returns (rate, s1, s2) with s_i <= 0: a force of exactly 0 means that constraint
-    is slack at the optimum, and -inf that its budget sits on its table's floor.  Pairs
-    below the per-table floors, and jointly unsatisfiable ones, raise InfeasiblePairError;
-    an ascent that stalls on independent tables raises NumericalError.  ``tol`` bounds the
-    projected gradient in units of each table's P-weighted range, so the answer does not
-    depend on the tables' scale.
+    Returns (rate, s1, s2) with s_i <= 0: a force of exactly 0 means that
+    constraint is slack at the optimum, and -inf that its budget sits on its
+    table's floor.  Pairs below the per-table floors, and jointly
+    unsatisfiable ones, raise InfeasiblePairError; an ascent that stalls on
+    independent tables raises NumericalError.  ``tol`` bounds the projected
+    gradient in units of each table's P-weighted range, so the answer does
+    not depend on the tables' scale.
     """
     p, q = problem.source_probs, problem.coding_probs
     unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
@@ -78,20 +82,27 @@ def rate_two_distortions(
     ):
         origins.append(_at_origin(p, np.log(q)[None, :], d))
         floor, span = float(np.dot(p, origins[-1].starts)), float(np.dot(p, origins[-1].ranges))
-        try:  # _legendre's end band decides the floor and refuses nan or a budget below it; past the widest, none is asked
-            floored.append(not target - floor > _end_band(span, floor)
-                           and _legendre(origins[-1], target, tol, nonpositive=True, force_only=True)[0] == -math.inf)
+        # _legendre's lower end band decides the floor and refuses nan or a budget below it;
+        # a budget past the widest band (span >= D(0) - floor) makes no kernel call
+        try:
+            floored.append(not target - floor > _end_band(span, floor) and (
+                _legendre(origins[-1], target, tol, nonpositive=True, force_only=True)[0] == -math.inf))
         except ValidationError:
-            raise InfeasiblePairError(f"{name} = {target!r} does not exceed the minimum achievable {floor!r}") from None
+            raise InfeasiblePairError(
+                f"{name} = {target!r} does not exceed the minimum achievable {floor!r}"
+            ) from None
         scales.append(span or 1.0)
         tables.append(origins[-1].values / scales[-1])
         # a budget at or above the table's largest achievable mean never binds, +inf included
         budgets.append(min(target - floor, span) / scales[-1])
-    if any(floored):  # held rigid (force -inf) on its cheapest letters, a floored table leaves the other a one-table solve
-        i = floored.index(True)
-        other = _at_origin(p, origins[i].at_end(-1.0), (problem.distortion_1, problem.distortion_2)[1 - i])
+    if any(floored):
+        # The other table's solve on the floor letters keeps its whole table's end band:
+        # restricted to one letter a row, it has no span to give a budget rounded below.
+        i, j = floored.index(True), 1 - floored.index(True)
+        other = _at_origin(p, origins[i].at_end(-1.0), (problem.distortion_1, problem.distortion_2)[j])
+        span = float(np.dot(p, origins[j].ranges))
         try:
-            force, rate, _ = _legendre(other, (delta1, delta2)[1 - i], tol, nonpositive=True)
+            force, rate, _ = _legendre(other, (delta1, delta2)[j], tol, nonpositive=True, band_span=span)
         except ValidationError:
             raise InfeasiblePairError(unsatisfiable) from None
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)

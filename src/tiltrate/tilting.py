@@ -352,9 +352,10 @@ class _Table(NamedTuple):
         return _floored(s * level - (np.vecdot(log_z, w) if isinstance(s, np.ndarray) else float(np.dot(w, log_z))))
 
     def at_end(self, sign: float) -> np.ndarray:
-        """The log-weights on the letters at each row's lower (``sign`` -1) or upper (+1) end, -inf elsewhere."""
+        """The log-weights of each row's letters at its lower (``sign`` -1) or upper (+1) end, -inf elsewhere."""
         end = self.ranges[:, None] if sign > 0.0 else 0.0
-        return np.where(sign * (self.values - end) >= -VALUE_MERGE_TOL * self.ranges[:, None], self.log_weights, -math.inf)
+        at_end = sign * (self.values - end) >= -VALUE_MERGE_TOL * self.ranges[:, None]
+        return np.where(at_end, self.log_weights, -math.inf)
 
 
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
@@ -375,7 +376,7 @@ def _end_band(span: float, end: float) -> float:
     return VALUE_MERGE_TOL * span + _END_REL * abs(end)
 
 
-def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False):
+def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False, band_span=0.0):
     """(s, rate, moments): the force at which the row-weighted tilted mean D(s)
     of the table hits ``target``, the rate there, and the kernel's per-row
     moments at s (None at an end), each force evaluated once.
@@ -390,8 +391,9 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     row of two values and close to linear far out in either tail, to
     ``|D(s) - target| <= tol * span``.  Every rate, an end's included, is
     ``_Table.rate``'s.  ``force_only`` returns s alone (rate nan, moments None),
-    without the kernel call the rate needs.  A nan target raises
-    ``ValidationError``.
+    without the kernel call the rate needs.  ``band_span`` widens the end
+    bands to that span's, for a table restricted from a wider one.  A nan
+    target raises ``ValidationError``.
     """
     if math.isnan(target):
         raise ValidationError("the target level must be a number, not nan")
@@ -405,7 +407,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
         if level >= top:
             return 0.0, table.rate(0.0, top, at_zero[0]), at_zero
     for end, sign in [(0.0, -1.0)] + ([] if nonpositive else [(ceiling, 1.0)]):
-        band = _end_band(top, base + end)
+        band = _end_band(max(top, band_span), base + end)
         if sign * (level - end) > band:
             raise LevelInfeasibleError(
                 f"level {target!r} outside the achievable range [{base!r}, {base + ceiling!r}]")

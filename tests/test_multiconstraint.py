@@ -372,6 +372,30 @@ class TestFloorPairs:
             relabelled = RdProblem2(*permuted(seed, p, q, d1, d2))
             assert rate_two_distortions(relabelled, 0.0, delta2)[0] == pytest.approx(rate, rel=REL)
 
+    def test_stiff_pairs_next_to_a_floor_are_answered(self):
+        # ROADMAP item 4's stiff recipe: the budgets are the tilted means at forces -10^U(1, 2.5).
+        # In the listed draws one budget rounds into its floor's band, and the other sits up to
+        # 9e-13 of its table's span below the floor of the table restricted to the floor letters,
+        # one letter a row with no span of its own: draw 18 is at forces (-104.6, -26.3).  Every
+        # pair is feasible, so none may be called unsatisfiable, and a floor answer must be the
+        # dual value at the drawn forces.
+        on_floor = []
+        rng = np.random.default_rng(2024)
+        for draw in range(600):
+            k, m = (int(x) for x in rng.integers(2, 5, size=2))
+            p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
+            problem = RdProblem2(p, q, rng.random((k, m)), rng.random((k, m)))
+            s = -(10.0 ** rng.uniform(1.0, 2.5, size=2))
+            value, grad, _ = _stats(problem, s, 0.0, 0.0)
+            try:
+                rate, s1, s2 = rate_two_distortions(problem, -grad[0], -grad[1])
+            except NumericalError:  # the ascent's own failures on this recipe stay with item 4
+                continue
+            if -math.inf in (s1, s2):
+                on_floor.append(draw)
+                assert rate == pytest.approx(float(s @ -grad) + value, rel=1e-10)
+        assert {18, 49, 160, 259, 269, 289, 322, 327, 537, 582} <= set(on_floor)
+
     def test_every_tied_floor_pair_is_the_restricted_solve(self):
         # d1 is 0 on at least two letters of each row, so delta1 = 0 sits on its floor; delta2 is
         # drawn inside the restricted table's [floor, D(0)].  Each pair once raised InfeasiblePairError.
