@@ -7,6 +7,8 @@ vanishing derivative cannot throw it off.  The Simpson rule subdivides a
 whole level at a time and hands the integrand that level's abscissae in one
 array, so a batched kernel takes each level in one call; its subdivision
 and summation order are fixed, so repeated runs give bit-identical answers.
+The rule's own bookkeeping runs on Python floats, cheaper than numpy on the
+few-interval levels the routes make; each level crosses to numpy once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 
 __all__ = ["BracketError", "invert_monotone", "adaptive_simpson"]
 
@@ -31,8 +33,6 @@ _MAX_ITER = 240
 # Subdivision levels below the root interval, and abscissae per integrand call.
 _MAX_DEPTH = 60
 _MAX_CALL = 1024
-# An interval's five nodes as its two halves' ends and midpoints.
-_HALVES = np.array([[0, 1, 2], [2, 3, 4]])
 
 
 class BracketError(NumericalError):
@@ -139,7 +139,7 @@ def invert_monotone(
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_000_000) -> float:
-    """Integrate f over [a, b] to the absolute tolerance tol.
+    """Integrate f over [a, b] to the absolute tolerance tol, which must be finite and > 0.
 
     ``f`` maps a 1-D array of abscissae to their values, and gets a whole
     subdivision level at once, at most ``_MAX_CALL`` abscissae per call.
@@ -149,48 +149,58 @@ def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_00
     so equal node values give a bit-identical answer.  A level that would
     pass ``max_evals`` evaluations, or a 61st level, raises NumericalError.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and > 0 (got {tol!r})")
     if a == b:
         return 0.0
     if b < a:
         return -adaptive_simpson(f, b, a, tol, max_evals=max_evals)
-    spent = 0
+    a, b, tol, spent = float(a), float(b), float(tol), 0
 
-    def feval(x: np.ndarray) -> np.ndarray:
+    def feval(x: list) -> list:
         nonlocal spent
-        spent += x.size
+        spent += len(x)
         if spent > max_evals:
-            raise NumericalError(f"adaptive Simpson short of tolerance near {float(x[0])!r}: out of evaluations")
-        if x.size <= _MAX_CALL:
-            return f(x)
-        return np.concatenate([f(x[i : i + _MAX_CALL]) for i in range(0, x.size, _MAX_CALL)])
+            raise NumericalError(f"adaptive Simpson short of tolerance near {x[0]!r}: out of evaluations")
+        if len(x) <= _MAX_CALL:
+            return f(np.array(x)).tolist()
+        return np.concatenate([f(np.array(x[i : i + _MAX_CALL])) for i in range(0, len(x), _MAX_CALL)]).tolist()
 
     m = 0.5 * (a + b)
-    x = np.array([a, 0.5 * (a + m), m, 0.5 * (m + b), b])
-    # each interval as its ends, midpoint and quarter points, each an (abscissa, value) pair;
-    # the root has no coarser estimate to meet, and its nan one always splits it
-    nodes, wholes, levels = np.stack((x, feval(x)), axis=-1)[None], np.full(1, math.nan), []
+    x = [a, 0.5 * (a + m), m, 0.5 * (m + b), b]
+    # each interval as its ends, midpoint and quarter points, and as their values; the root has
+    # no coarser estimate to meet, and its nan one always splits it
+    xs, fs, wholes, levels = [x], [feval(x)], [math.nan], []
     for depth in range(_MAX_DEPTH, -1, -1):
-        x, fx = nodes[..., 0], nodes[..., 1]
-        halves = (x[:, 2::2] - x[:, :3:2]) / 6.0 * (fx[:, :3:2] + 4.0 * fx[:, 1::2] + fx[:, 2::2])
-        pairs = halves[:, 0] + halves[:, 1]
-        delta = pairs - wholes
-        split = ~(np.abs(delta) <= 15.0 * tol)
-        levels.append((pairs + delta / 15.0, split))
-        if not split.any():
+        limit, values, split, quarters, halves, next_xs, kept = 15.0 * tol, [], [], [], [], [], []
+        for (x0, x1, x2, x3, x4), (f0, f1, f2, f3, f4), whole in zip(xs, fs, wholes):
+            left = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+            right = (x4 - x2) / 6.0 * (f2 + 4.0 * f3 + f4)
+            delta = left + right - whole
+            if not abs(delta) <= limit:
+                # its halves, whose quarter points are the next level's nodes
+                split.append(len(values))
+                q = (0.5 * (x0 + x1), 0.5 * (x1 + x2), 0.5 * (x2 + x3), 0.5 * (x3 + x4))
+                quarters += q
+                next_xs += (x0, q[0], x1, q[1], x2), (x2, q[2], x3, q[3], x4)
+                kept.append((f0, f1, f2, f3, f4))
+                halves += left, right
+            values.append(left + right + delta / 15.0)
+        levels.append((values, split))
+        if not split:
             break
         if depth == 0:
-            near = float(x[np.argmax(split), 2])
+            near = xs[split[0]][2]
             raise NumericalError(f"adaptive Simpson short of tolerance near {near!r}: {_MAX_DEPTH} subdivisions deep")
-        # the split intervals' halves, whose quarter points are the next level's nodes
-        ends = nodes[split][:, _HALVES].reshape(-1, 3, 2)
-        nodes = np.empty((len(ends), 5, 2))
-        nodes[:, ::2] = ends
-        nodes[:, 1::2, 0] = 0.5 * (ends[:, :2, 0] + ends[:, 1:, 0])
-        nodes[:, 1::2, 1] = feval(nodes[:, 1::2, 0].ravel()).reshape(-1, 2)
-        wholes, tol = halves[split].ravel(), 0.5 * tol
+        fq, fs = iter(feval(quarters)), []
+        for (f0, f1, f2, f3, f4), g0, g1, g2, g3 in zip(kept, fq, fq, fq, fq):
+            fs += (f0, g0, f1, g1, f2), (f2, g2, f3, g3, f4)
+        xs, wholes, tol = next_xs, halves, 0.5 * tol
     # a split interval's value is the sum of its halves', which sit side by side a level down
-    total = levels[-1][0]
-    for level, split in reversed(levels[:-1]):
-        level[split] = total[0::2] + total[1::2]
-        total = level
-    return float(total[0])
+    total = levels.pop()[0]
+    for values, split in reversed(levels):
+        sums = iter(total)
+        for i, left, right in zip(split, sums, sums):
+            values[i] = left + right
+        total = values
+    return total[0]

@@ -7,6 +7,7 @@ stores read-only copies of its arrays.
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,15 @@ FORCE_TAKERS = {
     "length_variance": lambda s: length_variance(SYSTEM, s),
     "quasistatic_work": lambda s: quasistatic_work(SYSTEM, s),
 }
+# the routes that integrate over the force by solvers.adaptive_simpson, at a finite force and tolerance tol
+QUADRATURE_ROUTES = {
+    "rate_work_integral": lambda tol: rate_work_integral(DIST, -0.5, tol),
+    "mean_via_integral": lambda tol: mean_via_integral(DIST, -0.5, tol),
+    "rate_mmse_integral": lambda tol: rate_mmse_integral(PROBLEM, -0.5, tol),
+    "distortion_mmse_integral": lambda tol: distortion_mmse_integral(PROBLEM, -0.5, tol),
+    "observable_sweep": lambda tol: observable_sweep(PROBLEM, OBSERVABLE, -0.5, tol),
+    "quasistatic_work": lambda tol: quasistatic_work(SYSTEM, -0.5, tol),
+}
 
 
 class TestNonFiniteForce:
@@ -94,6 +104,34 @@ class TestNonFiniteForce:
     @pytest.mark.parametrize("name", sorted(FORCE_TAKERS))
     def test_a_finite_force_still_answers(self, name):
         FORCE_TAKERS[name](-0.5)
+
+
+class TestQuadratureTolerance:
+    """A tolerance that is not finite and > 0 is refused before the rule evaluates any node."""
+
+    @pytest.fixture
+    def integrand_calls(self, monkeypatch):
+        # every route's integrand, counted on its way into the rule
+        calls, rule = [], tiltrate.solvers.adaptive_simpson
+
+        def counted(f, *args, **kwargs):
+            return rule(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
+
+        for module in (tiltrate.tilting, tiltrate.ratedistortion, tiltrate.chain):
+            monkeypatch.setattr(module, "adaptive_simpson", counted)
+        return calls
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_ROUTES))
+    def test_raises_validation_error_before_any_integrand_call(self, name, tol, integrand_calls):
+        with pytest.raises(ValidationError, match=rf"^tol must be finite and > 0 \(got {re.escape(repr(tol))}\)$"):
+            QUADRATURE_ROUTES[name](tol)
+        assert integrand_calls == []
+
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_ROUTES))
+    def test_a_positive_tolerance_reaches_the_integrand(self, name, integrand_calls):
+        QUADRATURE_ROUTES[name](1e-6)
+        assert integrand_calls[:2] == [5, 4]
 
 
 class TestZeroForceReturns:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tiltrate.errors import NumericalError, TiltrateError
+from tiltrate.errors import NumericalError, TiltrateError, ValidationError
 from tiltrate.solvers import _MAX_CALL, BracketError, adaptive_simpson, invert_monotone
 
 from conftest import recursive_simpson
@@ -157,7 +157,7 @@ class TestAdaptiveSimpson:
             count[0] += x.size
             return np.abs(x - 1 / 3) ** 0.1
 
-        with pytest.raises(NumericalError, match="out of evaluations"):
+        with pytest.raises(NumericalError, match=r"^adaptive Simpson short of tolerance near 0\.00048828125: out of evaluations$"):
             adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=2000)
         # the budget is checked before a level is evaluated, so no node goes past it
         assert count[0] <= 2000
@@ -187,7 +187,7 @@ class TestAdaptiveSimpson:
     def test_depth_cap_raises(self):
         # a step at 1e-20 stays inside [0, 2^-L] on every level: one interval per level keeps
         # failing, so the levels run out long before the budget does
-        with pytest.raises(NumericalError, match="60 subdivisions deep"):
+        with pytest.raises(NumericalError, match=r"^adaptive Simpson short of tolerance near 4\.336808689942018e-19: 60 subdivisions deep$"):
             adaptive_simpson(lambda x: (x <= 1e-20).astype(float), 0.0, 1.0, 1e-300)
 
     @given(st.integers(0, 2**32 - 1))
@@ -201,5 +201,21 @@ class TestAdaptiveSimpson:
         def g(u: float) -> float:
             return c[0] * math.exp(c[1] * u) + c[2] * math.cos(c[3] * u) + 1.0 / (1.0 + c[4] ** 2 * u * u)
 
-        want = recursive_simpson(g, a, b, tol)
-        assert adaptive_simpson(lambda x: np.array([g(u) for u in x.tolist()]), a, b, tol) == want
+        def recorded(nodes):
+            return lambda u: nodes.append(u) or g(u)
+
+        # each rule's abscissae in the order it asks for them
+        want_nodes, nodes = [], []
+        want = recursive_simpson(recorded(want_nodes), a, b, tol)
+        level = recorded(nodes)
+        assert adaptive_simpson(lambda x: np.array([level(u) for u in x.tolist()]), a, b, tol) == want
+        # the level rule asks for the recursion's nodes, each once, only in another order
+        assert len(set(nodes)) == len(nodes)
+        assert sorted(nodes) == sorted(want_nodes)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_a_tolerance_no_rule_can_meet(self, tol):
+        calls = []
+        with pytest.raises(ValidationError, match=r"^tol must be finite and > 0 \(got "):
+            adaptive_simpson(lambda x: calls.append(x) or np.exp(x), 0.0, 1.0, tol)
+        assert calls == []
