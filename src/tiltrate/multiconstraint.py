@@ -31,6 +31,8 @@ __all__ = ["RdProblem2", "rate_two_distortions"]
 
 _MAX_ITER = 200
 _ARMIJO = 1e-4
+# the duality gap, or the Newton decrement with a looser gap, a return needs, times 1 + |value|
+_GAP, _DECREMENT, _DECREMENT_GAP = 1e-9, 1e-12, 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +70,12 @@ def rate_two_distortions(
     unsatisfiable ones, raise InfeasiblePairError; an ascent that stalls on
     independent tables raises NumericalError.  ``tol`` bounds the projected
     gradient in units of each table's P-weighted range, so the answer does
-    not depend on the tables' scale.
+    not depend on the tables' scale.  That test, or the plateau test, returns only
+    once the duality gap |s . (delta - m(s))| backs the value (``_GAP``), or the Newton
+    decrement g' cov^-1 g / 2 does with a looser gap: at forces near 1e10 the decrement
+    alone trusts a covariance of rounding noise, and on the plateau at |s| ~ 1 the gap
+    alone stays near 2e-8 while the value is right to second order.  A face answer
+    holds no gap yet, and at stiff forces it can come back about 2e-8 low.
     """
     p, q = problem.source_probs, problem.coding_probs
     unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
@@ -135,7 +142,10 @@ def rate_two_distortions(
         # ~|pg|^2 / curvature, has fallen below the resolution of the
         # objective value itself, so the iterate sits on the flat plateau
         # around the maximizer and further ascent is numerically meaningless.
-        if pg_norm <= tol or pg_norm * pg_norm <= 8.0 * eps * (1.0 + abs(value)):
+        size = 1.0 + abs(value)
+        if (pg_norm <= tol or pg_norm * pg_norm <= 8.0 * eps * size) and (
+                (gap := abs(float(np.dot(s, grad)))) <= _GAP * size
+                or (0.5 * float(np.dot(g_free, newton)) <= _DECREMENT * size and gap <= _DECREMENT_GAP * size)):
             # The plateau leaves the forces wrong from about their 8th digit;
             # one more Newton step squares that error, as
             # ``solvers.invert_monotone`` ends.  It is taken only when it

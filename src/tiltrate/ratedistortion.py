@@ -151,16 +151,18 @@ def _at_force(problem: RdProblem, s: float):
 
 
 def _point(table, s: float, log_z, means, variances) -> RdPoint:
-    """The curve point at force s from the per-letter moments there at origin."""
+    """The curve point at force s from the per-letter moments there at origin, a ``tilting._record``."""
     p = table.row_weights
     shifted = means + table.starts
-    return RdPoint(
+    return _record(
+        RdPoint,
         s=float(s),
         distortion=float(np.dot(p, shifted)),
         rate=table.rate(s, float(np.dot(p, means)), log_z),
         per_symbol_mean=shifted,
         per_symbol_var=variances,
         mmse=float(np.dot(p, variances)),
+        boundary=None,
     )
 
 

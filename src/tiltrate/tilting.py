@@ -20,6 +20,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+# np.einsum(..., optimize=False) forwards its operands to this C function after about 1 us of
+# Python dispatch, half of a 2 x 2 table's einsum: the kernel calls it directly, same bits
+from numpy._core.multiarray import c_einsum
 
 from .errors import (
     LevelInfeasibleError,
@@ -217,6 +220,8 @@ def _tilted(body, log_weights: np.ndarray, tables: tuple, s, *args):
     columns: whole tables at several forces, as (forces, 1, 1), or one force and a slice of rows
     once a table is larger.  One block is the body's own outputs; several are each written into
     outputs allocated once, so the peak is the outputs plus one block."""
+    if not isinstance(s, np.ndarray) and tables[0].size <= _BLOCK_ENTRIES:  # one force, one block
+        return body(log_weights, *tables, s, *args)
     grid = isinstance(s, np.ndarray) and s.ndim == 1
     (rows, cols), n = tables[0].shape, s.size if grid else 1
     forces, step = max(_BLOCK_ENTRIES // (rows * cols), 1), max(_BLOCK_ENTRIES // cols, 1)
@@ -253,12 +258,14 @@ def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
     # dividing the sums by z, not the weights by z, is the cheaper order
     w, shift = _tilted_weights(log_weights, values * s)
     z = w.sum(axis=-1)
-    mean = np.einsum("...j,...j->...", w, values) / z
+    mean = c_einsum("...j,...j->...", w, values)
+    mean /= z
     if order == 1:
-        return shift + np.log(z), mean
+        return _log_partition(shift, z), mean
     centered = values - mean[..., None]
-    var = np.einsum("...j,...j,...j->...", w, centered, centered) / z
-    return shift + np.log(z), mean, var
+    var = c_einsum("...j,...j,...j->...", w, centered, centered)
+    var /= z
+    return _log_partition(shift, z), mean, var
 
 
 def _tilted_pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
@@ -279,9 +286,9 @@ def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
     if s_b != 0.0:
         exponent += b * s_b
     law, log_z = _normalised(*_tilted_weights(log_weights, exponent))
-    mean_a, mean_b = (np.einsum("...j,...j->...", law, t) for t in (a, b))
+    mean_a, mean_b = (c_einsum("...j,...j->...", law, t) for t in (a, b))
     ca, cb = a - mean_a[..., None], b - mean_b[..., None]
-    covariances = (np.einsum("...j,...j,...j->...", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb)))
+    covariances = (c_einsum("...j,...j,...j->...", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb)))
     return log_z, mean_a, mean_b, *covariances
 
 
@@ -307,7 +314,14 @@ def _normalised(w: np.ndarray, shift: np.ndarray):
     """``_tilted_weights``' output as the per-row law, each row divided in place by its sum z, and shift + ln z."""
     z = w.sum(axis=-1)
     w /= z[..., None]
-    return w, shift + np.log(z)
+    return w, _log_partition(shift, z)
+
+
+def _log_partition(shift: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """shift + ln z, the per-row log-partition, written over the sums ``z``."""
+    z = np.log(z, out=z)
+    z += shift
+    return z
 
 
 def _row_ends(log_weights: np.ndarray, values: np.ndarray):

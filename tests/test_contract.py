@@ -393,3 +393,82 @@ def test_the_tilted_law_is_asked_at_scalar_forces_only(monkeypatch):
     tiltrate.rate_two_distortions(RdProblem2([0.7, 0.3], [0.5, 0.5], PROBLEM.distortion, OBSERVABLE), 0.5, 0.5)
     tiltrate.force_at_level(DIST, 0.0)
     assert seen and set(seen) == {0}
+
+
+def einsum_moments(log_weights, values, s, order):
+    """``tilting._moments`` written with the public ``np.einsum`` and fresh arrays, as it was."""
+    w = values * s + log_weights
+    shift = w.max(axis=-1)
+    w = np.exp(w - shift[..., None])
+    z = w.sum(axis=-1)
+    mean = np.einsum("...j,...j->...", w, values) / z
+    if order == 1:
+        return shift + np.log(z), mean
+    centered = values - mean[..., None]
+    return shift + np.log(z), mean, np.einsum("...j,...j,...j->...", w, centered, centered) / z
+
+
+def einsum_pair(log_weights, a, b, s_a, s_b):
+    """``tilting._pair`` written with the public ``np.einsum`` and fresh arrays."""
+    exponent = a * s_a + b * s_b if s_b != 0.0 else a * s_a
+    w = exponent + log_weights
+    shift = w.max(axis=-1)
+    w = np.exp(w - shift[..., None])
+    z = w.sum(axis=-1)
+    law = w / z[..., None]
+    mean_a, mean_b = (np.einsum("...j,...j->...", law, t) for t in (a, b))
+    ca, cb = a - mean_a[..., None], b - mean_b[..., None]
+    covariances = [np.einsum("...j,...j,...j->...", law, x, y) for x, y in ((ca, ca), (cb, cb), (ca, cb))]
+    return shift + np.log(z), mean_a, mean_b, *covariances
+
+
+def kernel_blocks():
+    """Random k x k blocks under one shared row of log-weights at one force, k = 2, 64 and 512, and a
+    2 x 2 block at a 33-force grid shaped as ``tilting._tilted`` hands it to the body."""
+    rng = np.random.default_rng(27)
+    for k, s in ((2, -1.3), (64, -1.3), (512, -1.3), (2, np.linspace(0.0, -3.0, 33)[:, None, None])):
+        log_weights = np.log(rng.dirichlet(np.ones(k)))[None, :]
+        yield log_weights, rng.random((k, k)), rng.random((k, k)), s
+
+
+class TestKernelEinsum:
+    """The kernel calls the C einsum that ``np.einsum`` forwards to, with none of its Python dispatch:
+    the same function, the same bits, and the one private numpy import of the package."""
+
+    def test_is_the_c_einsum_that_np_einsum_forwards_to(self, monkeypatch):
+        from numpy._core import einsumfunc
+
+        assert np.einsum is einsumfunc.einsum
+        assert tiltrate.tilting.c_einsum is einsumfunc.c_einsum
+        forwarded = []
+        monkeypatch.setattr(einsumfunc, "c_einsum", lambda *operands, **kwargs: forwarded.append(operands))
+        np.einsum("...j,...j->...", np.ones((2, 2)), np.ones((2, 2)))
+        assert len(forwarded) == 1
+
+    def test_gives_np_einsum_bits(self):
+        for log_weights, a, b, s in kernel_blocks():
+            w = np.exp(a * s + log_weights)
+            for spec, operands in (("...j,...j->...", (w, a)), ("...j,...j,...j->...", (w, a, b))):
+                want = np.einsum(spec, *operands)
+                assert tiltrate.tilting.c_einsum(spec, *operands).tobytes() == want.tobytes()
+
+    def test_the_kernel_bodies_keep_np_einsum_bits(self):
+        # the sums divided and the log-partition formed in place, as fresh arrays gave them
+        for log_weights, a, b, s in kernel_blocks():
+            for order in (1, 2):
+                got, want = tiltrate.tilting._moments(log_weights, a, s, order), einsum_moments(log_weights, a, s, order)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            for s_b in (0.0, -0.4):
+                got, want = tiltrate.tilting._pair(log_weights, a, b, s, s_b), einsum_pair(log_weights, a, b, s, s_b)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+    def test_tilting_alone_imports_from_numpy_core(self):
+        importers = set()
+        for module in Path(tiltrate.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(module.read_text())):
+                names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [
+                    node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                if any(re.match(r"numpy\.(_core|core)\b", name) for name in names) or (
+                        isinstance(node, ast.Attribute) and node.attr in ("_core", "core")):
+                    importers.add(module.name)
+        assert importers == {"tilting.py"}

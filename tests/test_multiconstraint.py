@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -294,6 +295,24 @@ def tied_tables(rng, k, m):
     return p, q, d1, rng.random((k, m))
 
 
+def stiff_draws():
+    """ROADMAP item 4's stiff recipe, draw by draw: (draw, problem, forces, budgets, truth).  The budgets
+    are the tilted means at forces -10^U(1, 2.5), and the truth is the dual value there, a lower bound
+    on the rate."""
+    rng = np.random.default_rng(2024)
+    for draw in itertools.count():
+        k, m = (int(x) for x in rng.integers(2, 5, size=2))
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
+        problem = RdProblem2(p, q, rng.random((k, m)), rng.random((k, m)))
+        s = -(10.0 ** rng.uniform(1.0, 2.5, size=2))
+        value, grad, _ = _stats(problem, s, 0.0, 0.0)
+        yield draw, problem, s, -grad, float(s @ -grad) + value
+
+
+def is_low(rate, truth, rel=1e-8) -> bool:
+    return rate < truth - rel * max(1.0, abs(truth))
+
+
 def inside_restricted(rng, p, q, d1, d2) -> float:
     """A budget on d2 drawn inside its table restricted to d1's floor letters: [floor, D(0)]."""
     live = np.where(d1 == 0.0, q, 0.0)
@@ -378,23 +397,24 @@ class TestFloorPairs:
         # 9e-13 of its table's span below the floor of the table restricted to the floor letters,
         # one letter a row with no span of its own: draw 18 is at forces (-104.6, -26.3).  Every
         # pair is feasible, so none may be called unsatisfiable, and a floor answer must be the
-        # dual value at the drawn forces.
-        on_floor = []
-        rng = np.random.default_rng(2024)
-        for draw in range(600):
-            k, m = (int(x) for x in rng.integers(2, 5, size=2))
-            p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
-            problem = RdProblem2(p, q, rng.random((k, m)), rng.random((k, m)))
-            s = -(10.0 ** rng.uniform(1.0, 2.5, size=2))
-            value, grad, _ = _stats(problem, s, 0.0, 0.0)
+        # dual value at the drawn forces.  No answer may sit more than 1e-8 below that value but
+        # draw 245's, which the face loop returns 1.9e-8 low, and none more than criterion 9's 1e-7.
+        on_floor, low, stalled = [], [], set()
+        for draw, problem, s, budgets, truth in itertools.islice(stiff_draws(), 600):
             try:
-                rate, s1, s2 = rate_two_distortions(problem, -grad[0], -grad[1])
-            except NumericalError:  # the ascent's own failures on this recipe stay with item 4
+                rate, s1, s2 = rate_two_distortions(problem, *budgets)
+            except NumericalError:  # the ascent's own stalls on this recipe stay with item 4
+                stalled.add(draw)
                 continue
             if -math.inf in (s1, s2):
                 on_floor.append(draw)
-                assert rate == pytest.approx(float(s @ -grad) + value, rel=1e-10)
+                assert rate == pytest.approx(truth, rel=1e-10)
+            if is_low(rate, truth):
+                low.append(draw)
+                assert not is_low(rate, truth, rel=1e-7)
         assert {18, 49, 160, 259, 269, 289, 322, 327, 537, 582} <= set(on_floor)
+        assert low <= [245]
+        assert stalled <= {42, 47, 103, 277, 485, 578}
 
     def test_every_tied_floor_pair_is_the_restricted_solve(self):
         # d1 is 0 on at least two letters of each row, so delta1 = 0 sits on its floor; delta2 is
@@ -410,3 +430,52 @@ class TestFloorPairs:
                 assert answer[0] == pytest.approx(rate, rel=1e-9)
             else:
                 assert answer == (rate, -math.inf, force)
+
+
+class TestDualityGap:
+    """rd2 returns a rate only once its duality gap |s . (delta - m(s))| backs it: a projected
+    gradient below tol says nothing about the rate at forces of 1e10, where the gap is the force
+    times the residual."""
+
+    def test_a_tiny_residual_at_a_huge_force_is_not_an_answer(self):
+        # stiff draw 398 once stopped at forces (-3.65e9, -1.47e10) with a residual of 2.8e-11 of
+        # the span, a gap of 0.199 nats, and returned 1.2021 against a truth of at least 1.4414
+        _, problem, _, budgets, truth = next(itertools.islice(stiff_draws(), 398, None))
+        assert truth > 1.4414
+        assert not is_low(rate_two_distortions(problem, *budgets)[0], truth)
+
+    def test_frontier_pairs_are_not_low(self):
+        # ROADMAP item 11's frontier recipe: the budgets are the means of the law held on each row's
+        # argmin of a*d1 + (1 - a)*d2, so the rate is -sum P ln Q(argmin letters).  102 of the 300
+        # once came back low, by up to 3.6e-6; draw 108 stalls (k = 2, m = 4), an exit 2
+        rng = np.random.default_rng(11)
+        stalled = set()
+        for draw in range(300):
+            k, m = (int(x) for x in rng.integers(2, 5, size=2))
+            p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
+            d1, d2 = rng.random((k, m)), rng.random((k, m))
+            a = rng.uniform(0.1, 0.9)
+            mix = a * d1 + (1.0 - a) * d2
+            law = np.where(mix == mix.min(axis=1, keepdims=True), q, 0.0)
+            mass = law.sum(axis=1)
+            law /= mass[:, None]
+            budgets = float(p @ (law * d1).sum(axis=1)), float(p @ (law * d2).sum(axis=1))
+            try:
+                rate = rate_two_distortions(RdProblem2(p, q, d1, d2), *budgets)[0]
+            except NumericalError:
+                stalled.add(draw)
+                continue
+            assert not is_low(rate, -float(p @ np.log(mass))), draw
+        assert stalled <= {108}
+
+    def test_the_benchmark_pair_that_read_low(self):
+        # perfbench's solve deck at seed 409, operation 97: the budgets are the tilted means at
+        # forces (-1.1949063278772187, -1.2550822369425145), where its numpy reference rate is
+        # 0.015165895409468666.  The ascent once returned 0.015165890825668882 at forces (-3.9, 0)
+        problem = RdProblem2(
+            [0.012663621074042267, 0.9873363789259578], [0.03544415266159113, 0.9645558473384088],
+            [[0.6156307498154947, 0.27970746756461773], [0.38032047282918247, 0.5717638054662878]],
+            [[0.973636106183479, 0.24128804029884077], [0.22561004329760204, 0.6390322056921581]])
+        rate, s1, s2 = rate_two_distortions(problem, 0.5544935929143415, 0.6046880224686847)
+        assert rate == pytest.approx(0.015165895409468666, rel=1e-9)
+        assert (s1, s2) == pytest.approx((-1.1949063278772187, -1.2550822369425145), rel=1e-6)
