@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _end_band, _floored, _legendre, _record, _tilted_pair
+from .tilting import _at_origin, _check_tol, _end_band, _floored, _legendre, _record, _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -48,15 +48,20 @@ class RdProblem2:
         _clean_tables(self, "distortion_1", "distortion_2")
 
 
-def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
-    """Objective value, gradient, and tilted covariance at force pair s."""
+def _evaluate(problem: RdProblem2, log_q: np.ndarray, s1: float, s2: float, delta1: float, delta2: float):
+    """Objective value, gradient and tilted covariance at forces (s1, s2) from one kernel call, as six
+    floats (value, g1, g2, c11, c22, c12); ``log_q`` is ln Q as one row."""
     p = problem.source_probs
-    log_q = np.log(problem.coding_probs)[None, :]
-    phi, m1, m2, *rows = _tilted_pair(log_q, problem.distortion_1, problem.distortion_2, s[0], s[1])
-    cov11, cov22, cov12 = (float(np.dot(p, row)) for row in rows)
-    value = s[0] * delta1 + s[1] * delta2 - float(np.dot(p, phi))
-    grad = np.array([delta1 - float(np.dot(p, m1)), delta2 - float(np.dot(p, m2))])
-    return value, grad, np.array([[cov11, cov12], [cov12, cov22]])
+    phi, m1, m2, *rows = _tilted_pair(log_q, problem.distortion_1, problem.distortion_2, s1, s2)
+    c11, c22, c12 = (float(np.dot(p, row)) for row in rows)
+    return (s1 * delta1 + s2 * delta2 - float(np.dot(p, phi)), delta1 - float(np.dot(p, m1)),
+            delta2 - float(np.dot(p, m2)), c11, c22, c12)
+
+
+def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
+    """Objective value, gradient, and tilted covariance at force pair s, by ``_evaluate``."""
+    value, g1, g2, c11, c22, c12 = _evaluate(problem, np.log(problem.coding_probs)[None, :], s[0], s[1], delta1, delta2)
+    return value, np.array([g1, g2]), np.array([[c11, c12], [c12, c22]])
 
 
 def rate_two_distortions(
@@ -75,19 +80,27 @@ def rate_two_distortions(
     decrement g' cov^-1 g / 2 does with a looser gap: at forces near 1e10 the decrement
     alone trusts a covariance of rounding noise, and on the plateau at |s| ~ 1 the gap
     alone stays near 2e-8 while the value is right to second order.  A face answer
-    holds no gap yet, and at stiff forces it can come back about 2e-8 low.
+    holds no gap yet, and at stiff forces it can come back about 2e-8 low.  A nan,
+    negative or infinite ``tol`` raises ValidationError (``tilting._check_tol``).
+
+    At k = 2 about half of a call is the kernel (``_evaluate``), and numpy's fixed cost
+    per call on 2-vectors once outweighed it, so the loop keeps its forces, gradient and
+    covariance as floats.  A step with both forces free still takes LAPACK's 2x2 solve,
+    whose bits the answers keep; with one free, g_i / c_ii is LAPACK's 1x1 solve.
     """
+    _check_tol(tol)  # before the floor test, which reads a ValidationError as a budget below the floor
     p, q = problem.source_probs, problem.coding_probs
     unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
     # The ascent's stopping tests are absolute, so it runs on each table at
     # origin (rows start at 0) divided by its P-weighted range: the rate is
     # unchanged, and each force comes back divided by that range.
+    log_q = np.log(q)[None, :]  # ln Q as one row, taken once per solve
     origins, tables, budgets, scales, floored = [], [], [], [], []
     for name, d, target in (
         ("delta1", problem.distortion_1, delta1),
         ("delta2", problem.distortion_2, delta2),
     ):
-        origins.append(_at_origin(p, np.log(q)[None, :], d))
+        origins.append(_at_origin(p, log_q, d))
         floor, span = float(np.dot(p, origins[-1].starts)), float(np.dot(p, origins[-1].ranges))
         # _legendre's lower end band decides the floor and refuses nan or a budget below it;
         # a budget past the widest band (span >= D(0) - floor) makes no kernel call
@@ -121,57 +134,60 @@ def rate_two_distortions(
     ceiling = -math.log(float(q.min()))
     ceiling += 1e-9 * (1.0 + ceiling)
 
-    s = np.zeros(2)
-    value, grad, cov = _stats(scaled, s, *budgets)
+    s1 = s2 = 0.0
+    value, g1, g2, c11, c22, c12 = _evaluate(scaled, log_q, s1, s2, *budgets)
     eps = float(np.finfo(float).eps)
     # Every letter carries mass at zero force, so the covariance there is
     # singular exactly when the tables are affinely dependent.
-    dependent = cov[0, 1] ** 2 >= (1.0 - 64.0 * eps) * cov[0, 0] * cov[1, 1]
+    dependent = c12 ** 2 >= (1.0 - 64.0 * eps) * c11 * c22
     last = 0.0  # length of the last accepted step: no closing step before one
     for _ in range(_MAX_ITER):
         if value > ceiling:
             raise InfeasiblePairError(unsatisfiable)
-        free = ~((s >= 0.0) & (grad > 0.0))
-        g_free = grad[free]
-        pg_norm = float(np.linalg.norm(g_free))
-        try:
-            newton = np.linalg.solve(cov[np.ix_(free, free)], g_free)
-        except np.linalg.LinAlgError:
-            newton = np.full(g_free.shape, math.nan)
+        # A force at 0 whose gradient pushes it up is held there: its gradient and Newton entries are 0.
+        free1, free2 = not (s1 >= 0.0 and g1 > 0.0), not (s2 >= 0.0 and g2 > 0.0)
+        h1, h2 = g1 if free1 else 0.0, g2 if free2 else 0.0
+        if free1 and free2:
+            try:
+                n1, n2 = np.linalg.solve(np.array([[c11, c12], [c12, c22]]), np.array([g1, g2])).tolist()
+            except np.linalg.LinAlgError:
+                n1 = n2 = math.nan
+        else:  # LAPACK's 1x1 solve, bit for bit, which refuses a zero variance
+            n1 = (g1 / c11 if c11 != 0.0 else math.nan) if free1 else 0.0
+            n2 = (g2 / c22 if c22 != 0.0 else math.nan) if free2 else 0.0
+        pg_norm = math.sqrt(h1 * h1 + h2 * h2)
         # Second test: the best improvement any step can still predict,
         # ~|pg|^2 / curvature, has fallen below the resolution of the
         # objective value itself, so the iterate sits on the flat plateau
         # around the maximizer and further ascent is numerically meaningless.
         size = 1.0 + abs(value)
         if (pg_norm <= tol or pg_norm * pg_norm <= 8.0 * eps * size) and (
-                (gap := abs(float(np.dot(s, grad)))) <= _GAP * size
-                or (0.5 * float(np.dot(g_free, newton)) <= _DECREMENT * size and gap <= _DECREMENT_GAP * size)):
+                (gap := abs(s1 * g1 + s2 * g2)) <= _GAP * size
+                or (0.5 * (h1 * n1 + h2 * n2) <= _DECREMENT * size and gap <= _DECREMENT_GAP * size)):
             # The plateau leaves the forces wrong from about their 8th digit;
             # one more Newton step squares that error, as
             # ``solvers.invert_monotone`` ends.  It is taken only when it
             # solves and is shorter than the last accepted step.
-            if np.all(np.isfinite(newton)) and float(np.linalg.norm(newton)) < last:
-                s[free] = np.minimum(s[free] + newton, 0.0)
-            return _floored(value), float(s[0] / scales[0]), float(s[1] / scales[1])
+            if math.isfinite(n1) and math.isfinite(n2) and math.sqrt(n1 * n1 + n2 * n2) < last:
+                s1, s2 = min(s1 + n1, 0.0), min(s2 + n2, 0.0)
+            return _floored(value), s1 / scales[0], s2 / scales[1]
         # A Newton step must climb at a rate commensurate with the gradient:
         # on a singular covariance it is infinite, nan, or a vanishing step
         # along the null ray while the gradient points off it.  Dependent
         # tables take none: LAPACK can solve their singular covariance by
         # rounding, into a huge step that backtracking then halves ~40 times.
         climbed = False
-        if (not dependent and np.all(np.isfinite(newton))
-                and float(np.dot(newton, g_free)) > 1e-12 * float(np.dot(g_free, g_free))):
-            step = np.zeros(2)
-            step[free] = newton
+        if (not dependent and math.isfinite(n1) and math.isfinite(n2)
+                and n1 * h1 + n2 * h2 > 1e-12 * (h1 * h1 + h2 * h2)):
             alpha = 1.0
             for _ in range(60):
-                trial = np.minimum(s + alpha * step, 0.0)
-                if np.array_equal(trial, s):
+                t1, t2 = min(s1 + alpha * n1, 0.0), min(s2 + alpha * n2, 0.0)
+                if t1 == s1 and t2 == s2:
                     break
-                t_value, t_grad, t_cov = _stats(scaled, trial, *budgets)
-                if t_value >= value + _ARMIJO * float(np.dot(grad, trial - s)):
-                    last = float(np.linalg.norm(trial - s))
-                    s, value, grad, cov = trial, t_value, t_grad, t_cov
+                trial = _evaluate(scaled, log_q, t1, t2, *budgets)
+                if trial[0] >= value + _ARMIJO * (g1 * (t1 - s1) + g2 * (t2 - s2)):
+                    last = math.sqrt((t1 - s1) * (t1 - s1) + (t2 - s2) * (t2 - s2))
+                    s1, s2, (value, g1, g2, c11, c22, c12) = t1, t2, trial
                     climbed = True
                     break
                 alpha *= 0.5
@@ -188,9 +204,9 @@ def rate_two_distortions(
         # any two tables look dependent).
         for i in (0, 1):
             force, rate, _ = _legendre(origins[i], (delta1, delta2)[i], tol, nonpositive=True)
-            at = np.zeros(2)
+            at = [0.0, 0.0]
             at[i] = force * scales[i]
-            if _stats(scaled, at, *budgets)[1][1 - i] >= -tol:
+            if _evaluate(scaled, log_q, *at, *budgets)[2 - i] >= -tol:
                 return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
         if dependent:
             raise InfeasiblePairError(unsatisfiable)

@@ -206,6 +206,12 @@ def _check_force(s, name: str = "force s") -> None:
         raise ValidationError(f"{name} must be finite (got {s!r})")
 
 
+def _check_tol(tol) -> None:
+    """Refuse a root solve's tolerance that is nan, negative or infinite; 0 asks for machine width."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
+
+
 def _floored(x):
     """``x`` (or an array) floored at +0.0, one value as a builtin float: the one floor of every result
     the mathematics makes nonnegative (a rate, the quasistatic work and its Riemann bounds, D(q || p),
@@ -407,8 +413,9 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     ``_Table.rate``'s.  ``force_only`` returns s alone (rate nan, moments None),
     without the kernel call the rate needs.  ``band_span`` widens the end
     bands to that span's, for a table restricted from a wider one.  A nan
-    target raises ``ValidationError``.
+    target, or a ``tol`` that ``_check_tol`` refuses, raises ``ValidationError``.
     """
+    _check_tol(tol)
     if math.isnan(target):
         raise ValidationError("the target level must be a number, not nan")
     row_weights, _, values, starts, ranges = table

@@ -24,7 +24,12 @@ from tiltrate import (
     ValidationError,
     blahut_arimoto,
     distortion_at_force,
+    entropy_at_energy,
+    equal_force_allocation,
+    equilibrium_force,
     expected_length,
+    force_at_distortion,
+    force_at_level,
     from_rd_problem,
     gibbs_free_energy,
     log_mgf,
@@ -34,7 +39,9 @@ from tiltrate import (
     observable_sweep,
     quasistatic_work,
     rate_at_force,
+    rate_legendre,
     rate_mmse_integral,
+    rate_two_distortions,
     rate_work_integral,
     tilt,
     tilted_conditional,
@@ -132,6 +139,52 @@ class TestQuadratureTolerance:
     def test_a_positive_tolerance_reaches_the_integrand(self, name, integrand_calls):
         QUADRATURE_ROUTES[name](1e-6)
         assert integrand_calls[:2] == [5, 4]
+
+# every root solve, at an interior target and tolerance tol
+PROBLEM2 = RdProblem2([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [1.0, 0.0]])
+ROOT_SOLVES = {
+    "force_at_distortion": lambda tol: force_at_distortion(PROBLEM, 0.3, tol),
+    "rate_legendre": lambda tol: rate_legendre(PROBLEM, 0.3, tol),
+    "equal_force_allocation": lambda tol: equal_force_allocation(PROBLEM, 0.3, tol),
+    "force_at_level": lambda tol: force_at_level(DIST, 2.0, tol),
+    "equilibrium_force": lambda tol: equilibrium_force(SYSTEM, 0.9, tol),
+    "entropy_at_energy": lambda tol: entropy_at_energy(DIST, 1.0, tol),
+    "rate_two_distortions": lambda tol: rate_two_distortions(PROBLEM2, 0.3, 0.4, tol),
+}
+
+
+class TestSolveTolerance:
+    """A root solve's tolerance that is nan, negative or infinite is refused before any kernel call;
+    0 asks for a solve to machine width, as ``capacity_point``'s does."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        # the one exponential behind every tilted quantity, counted
+        calls, weights = [], tiltrate.tilting._tilted_weights
+        monkeypatch.setattr(tiltrate.tilting, "_tilted_weights", lambda *args: calls.append(1) or weights(*args))
+        return calls
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("name", sorted(ROOT_SOLVES))
+    def test_raises_validation_error_before_any_kernel_call(self, name, tol, kernel_calls):
+        with pytest.raises(ValidationError, match=rf"^tol must be finite and >= 0 \(got {re.escape(repr(tol))}\)$"):
+            ROOT_SOLVES[name](tol)
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-10])
+    @pytest.mark.parametrize("name", sorted(ROOT_SOLVES))
+    def test_zero_and_a_positive_tolerance_answer(self, name, tol, kernel_calls):
+        ROOT_SOLVES[name](tol)
+        assert kernel_calls
+
+    def test_an_infinite_tolerance_is_refused_not_answered_at_zero_force(self):
+        # every projected gradient is below inf: rd2 once returned (0.0, 0.0, 0.0) here, where the
+        # rate is 0.102841922111 at s2 = -0.6185
+        with pytest.raises(ValidationError):
+            rate_two_distortions(PROBLEM2, 0.3, 0.4, math.inf)
+        rate, s1, s2 = rate_two_distortions(PROBLEM2, 0.3, 0.4)
+        assert rate == pytest.approx(0.102841922111, rel=1e-11) and s1 == 0.0
+        assert s2 == pytest.approx(-0.6185, abs=1e-4)
 
 
 class TestZeroForceReturns:

@@ -6,7 +6,7 @@ import pytest
 
 from tiltrate import RdProblem, RdProblem2, ValidationError, force_at_distortion, rate_legendre, rate_two_distortions
 from tiltrate.errors import InfeasiblePairError, NumericalError
-from tiltrate import multiconstraint
+from tiltrate import multiconstraint, tilting
 from tiltrate.multiconstraint import _stats
 from tiltrate.tilting import _at_origin, _legendre
 
@@ -216,9 +216,10 @@ class TestRateTwoDistortions:
         # Dependent tables go from the zero-force tests straight to the one-table faces: the
         # objective at 0 and the two Kuhn-Tucker checks.  A Newton step on their singular
         # covariance, when LAPACK solves it by rounding, is huge and backtracks for dozens of calls.
+        # Counted on the ascent's one evaluation path, which every off-floor solve takes at zero force.
         calls = []
-        stats = multiconstraint._stats
-        monkeypatch.setattr(multiconstraint, "_stats", lambda *args: calls.append(1) or stats(*args))
+        evaluate = multiconstraint._evaluate
+        monkeypatch.setattr(multiconstraint, "_evaluate", lambda *args: calls.append(1) or evaluate(*args))
         rng = np.random.default_rng(5)
         dependent = ["duplicate", "scaled", "complement"]
         for n in range(200):
@@ -234,7 +235,7 @@ class TestRateTwoDistortions:
                 rate_two_distortions(RdProblem2(p_vec, q_vec, d1, d2), *budgets)
             except InfeasiblePairError:
                 pass
-            assert len(calls) <= 3
+            assert 1 <= len(calls) <= 3
 
     def test_raises_exactly_on_unsatisfiable_pairs(self, rng):
         # Against the exact feasibility slack, on every family of second table; draws within
@@ -432,6 +433,24 @@ class TestFloorPairs:
                 assert answer == (rate, -math.inf, force)
 
 
+def frontier_draws():
+    """ROADMAP item 11's frontier recipe, draw by draw: (draw, problem, budgets, truth).  The budgets are
+    the means of the law held on each row's argmin of a*d1 + (1 - a)*d2, so the rate, the truth, is
+    -sum P ln Q(argmin letters)."""
+    rng = np.random.default_rng(11)
+    for draw in itertools.count():
+        k, m = (int(x) for x in rng.integers(2, 5, size=2))
+        p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
+        d1, d2 = rng.random((k, m)), rng.random((k, m))
+        a = rng.uniform(0.1, 0.9)
+        mix = a * d1 + (1.0 - a) * d2
+        law = np.where(mix == mix.min(axis=1, keepdims=True), q, 0.0)
+        mass = law.sum(axis=1)
+        law /= mass[:, None]
+        budgets = float(p @ (law * d1).sum(axis=1)), float(p @ (law * d2).sum(axis=1))
+        yield draw, RdProblem2(p, q, d1, d2), budgets, -float(p @ np.log(mass))
+
+
 class TestDualityGap:
     """rd2 returns a rate only once its duality gap |s . (delta - m(s))| backs it: a projected
     gradient below tol says nothing about the rate at forces of 1e10, where the gap is the force
@@ -448,24 +467,14 @@ class TestDualityGap:
         # ROADMAP item 11's frontier recipe: the budgets are the means of the law held on each row's
         # argmin of a*d1 + (1 - a)*d2, so the rate is -sum P ln Q(argmin letters).  102 of the 300
         # once came back low, by up to 3.6e-6; draw 108 stalls (k = 2, m = 4), an exit 2
-        rng = np.random.default_rng(11)
         stalled = set()
-        for draw in range(300):
-            k, m = (int(x) for x in rng.integers(2, 5, size=2))
-            p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
-            d1, d2 = rng.random((k, m)), rng.random((k, m))
-            a = rng.uniform(0.1, 0.9)
-            mix = a * d1 + (1.0 - a) * d2
-            law = np.where(mix == mix.min(axis=1, keepdims=True), q, 0.0)
-            mass = law.sum(axis=1)
-            law /= mass[:, None]
-            budgets = float(p @ (law * d1).sum(axis=1)), float(p @ (law * d2).sum(axis=1))
+        for draw, problem, budgets, truth in itertools.islice(frontier_draws(), 300):
             try:
-                rate = rate_two_distortions(RdProblem2(p, q, d1, d2), *budgets)[0]
+                rate = rate_two_distortions(problem, *budgets)[0]
             except NumericalError:
                 stalled.add(draw)
                 continue
-            assert not is_low(rate, -float(p @ np.log(mass))), draw
+            assert not is_low(rate, truth), draw
         assert stalled <= {108}
 
     def test_the_benchmark_pair_that_read_low(self):
@@ -479,3 +488,109 @@ class TestDualityGap:
         rate, s1, s2 = rate_two_distortions(problem, 0.5544935929143415, 0.6046880224686847)
         assert rate == pytest.approx(0.015165895409468666, rel=1e-9)
         assert (s1, s2) == pytest.approx((-1.1949063278772187, -1.2550822369425145), rel=1e-6)
+
+
+def family_draws():
+    """Seeded pairs on every family of second table, draw by draw: (draw, family, problem, budgets).
+    Over 25 draws each family meets each scale 1e-12, 1e-6, 1, 1e6 and 1e12 once; each budget sits
+    from 2 % above its floor to 20 % past its mean at zero force."""
+    rng = np.random.default_rng(28)
+    for draw in itertools.count():
+        family = list(SECOND_TABLES)[draw % len(SECOND_TABLES)]
+        k, m = (int(x) for x in rng.integers(2, 5, size=2))
+        p, q, d1 = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m)), rng.random((k, m))
+        d2 = SECOND_TABLES[family](rng, d1)
+        scale = 10.0 ** (6 * (draw // 5 % 5) - 12)
+        budgets = []
+        for d in (d1, d2):
+            floor = float(p @ d.min(axis=1))
+            budgets.append(scale * (floor + rng.uniform(0.02, 1.2) * (float(p @ (d @ q)) - floor)))
+        yield draw, family, RdProblem2(p, q, scale * d1, scale * d2), tuple(budgets)
+
+
+def pinned_pairs():
+    """The pinned deck, name by name: (name, problem, budgets)."""
+    stiff = {draw: (problem, budgets) for draw, problem, _, budgets, _ in itertools.islice(stiff_draws(), 399)}
+    # 3 and 245 take 22 and 18 one-force steps, 7 sits on a floor, 42 and 277 stall, 245 is a face answer;
+    # frontier draw 0 sits on a floor and 108 stalls
+    for draw in (1, 3, 6, 7, 42, 245, 277, 398):
+        yield f"stiff{draw}", *stiff[draw]
+    frontier = {draw: (problem, budgets) for draw, problem, budgets, _ in itertools.islice(frontier_draws(), 109)}
+    for draw in (0, 2, 3, 108):
+        yield f"frontier{draw}", *frontier[draw]
+    for draw, family, problem, budgets in itertools.islice(family_draws(), 25):
+        yield f"{family}{draw}", problem, budgets
+    two_budget = bss2([[0.0, 2.0], [1.0, 0.0]])
+    yield "two_budget", two_budget, (0.3, 0.4)
+    yield "two_budget_floor", two_budget, (0.0, 0.4)
+    yield "one_free_force", two_budget, (0.4, 0.3)
+    yield "below_floor", two_budget, (-0.1, 0.4)
+    yield "nan_budget", two_budget, (0.3, math.nan)
+
+
+# Each pinned pair's kernel calls and answer (rate, s1, s2) as float.hex, or the error class it raises.
+PINNED = {
+    "stiff1": (9, "0x1.c3706dfb88544p+0 -0x1.702223d1d2ee5p+4 -0x1.81f3fc085268cp+3"),
+    "stiff3": (22, "0x1.3ccff15ecf60ap+0 -0x1.d8646cdb468f3p+5 0x0.0p+0"),
+    "stiff6": (14, "0x1.4b9f3b90a095fp+0 -0x1.5c688323d423bp+7 0x0.0p+0"),
+    "stiff7": (5, "0x1.30ae030ae2e8dp-2 -inf 0x0.0p+0"),
+    "stiff42": (21, "NumericalError"),
+    "stiff245": (19, "0x1.1a579841f33bbp+0 -0x1.de150379180a8p+5 0x0.0p+0"),
+    "stiff277": (11, "NumericalError"),
+    "stiff398": (10, "0x1.71001890d17b1p+0 -0x1.fa6151580dab9p+8 0x0.0p+0"),
+    "frontier0": (5, "0x1.ecfae96f5106cp-1 -inf 0x0.0p+0"),
+    "frontier2": (26, "0x1.af9f81717b520p-1 -0x1.7e9fb63c0b1e5p+7 -0x1.0032060ad817fp+5"),
+    "frontier3": (27, "0x1.1c7bb768c4410p-1 -0x1.b1938409fc348p+7 -0x1.26d1791df3d26p+10"),
+    "frontier108": (21, "NumericalError"),
+    "random0": (3, "InfeasiblePairError"),
+    "duplicate1": (9, "0x1.8b9a299ad6839p+0 -0x1.c9f08388e535cp+42 0x0.0p+0"),
+    "scaled2": (10, "0x1.9a8be4f383882p+0 -0x1.fa495548c2daap+42 0x0.0p+0"),
+    "complement3": (9, "InfeasiblePairError"),
+    "noisy4": (15, "0x1.6cc3fa17a6c38p-4 0x0.0p+0 -0x1.52f08c8d519fdp+41"),
+    "random5": (8, "0x1.d7f65bb9df8ddp-1 0x0.0p+0 -0x1.1b21c15ab3a6fp+24"),
+    "duplicate6": (16, "0x1.b97ef0e3cd25ap-2 0x0.0p+0 -0x1.e261b92cc6980p+21"),
+    "scaled7": (15, "0x1.35382cdd63c4ap-1 0x0.0p+0 -0x1.1858424ddd610p+21"),
+    "complement8": (10, "0x1.42224160e6a40p-9 0x0.0p+0 -0x1.69371836b834cp+18"),
+    "noisy9": (9, "0x1.2048846674244p+0 -0x1.9fa3668780566p+25 0x0.0p+0"),
+    "random10": (7, "0x1.ab6026d70c950p-1 0x0.0p+0 -0x1.f5f5521bce98ap+2"),
+    "duplicate11": (17, "0x1.15403277cea3ap-3 0x0.0p+0 -0x1.09a6f9373ccbbp+1"),
+    "scaled12": (8, "0x1.b85dfc67b9c38p-6 -0x1.8a4d0ec7762fcp-1 0x0.0p+0"),
+    "complement13": (14, "InfeasiblePairError"),
+    "noisy14": (12, "0x1.8f84a110f40f5p-2 0x0.0p+0 -0x1.46bf2bd7d7833p+2"),
+    "random15": (6, "0x1.8aa5f369bdf94p-3 -0x1.d19e34e64f561p-19 -0x1.595d4ade73076p-22"),
+    "duplicate16": (8, "0x1.355d9ad9e5e43p-2 -0x1.f0407f839bcedp-19 0x0.0p+0"),
+    "scaled17": (9, "0x1.60f632773c810p-5 -0x1.2a6de84531ae6p-18 0x0.0p+0"),
+    "complement18": (11, "InfeasiblePairError"),
+    "noisy19": (10, "0x1.4c0cd9c1f7f10p-7 0x0.0p+0 -0x1.d507f50cac40ep-22"),
+    "random20": (11, "0x1.ade65c4554df8p-1 -0x1.2bfb56f282f49p-37 0x0.0p+0"),
+    "duplicate21": (9, "0x1.68b3ff7957800p-5 -0x1.9c3f10f8eaf7ap-39 0x0.0p+0"),
+    "scaled22": (9, "0x1.192b4b4c51bc0p-4 -0x1.a65161c7fa181p-39 0x0.0p+0"),
+    "complement23": (15, "InfeasiblePairError"),
+    "noisy24": (8, "0x1.a900de9a6df80p-4 -0x1.b3fc138f4fe38p-39 0x0.0p+0"),
+    "two_budget": (5, "0x1.a53d9241fec3cp-4 0x0.0p+0 -0x1.3cb1afbb9b806p-1"),
+    "two_budget_floor": (3, "0x1.62e42fefa39efp-1 -inf 0x0.0p+0"),
+    "one_free_force": (8, "0x1.6927e3c79a44ep-3 0x0.0p+0 -0x1.b915dd7eaf561p-1"),
+    "below_floor": (1, "InfeasiblePairError"),
+    "nan_budget": (0, "InfeasiblePairError"),
+}
+
+
+class TestPinnedDeck:
+    """rd2's answers, bit for bit, and the kernel calls each pair makes, pinned on a seeded deck: stiff
+    and frontier pairs, every dependent family at scales 1e-12 to 1e12, one-force faces, floors, a
+    face answer, stalls and refusals.  The literals are the numpy ascent's bits under numpy 2.4.6 and
+    OpenBLAS 0.3.31 on an AVX2 x86-64 host; a platform whose exp, log or ddot rounds differently
+    moves them, and then they are taken again from that ascent on that platform, not loosened."""
+
+    def test_every_pair_answers_as_pinned(self, monkeypatch):
+        calls, weights = [], tilting._tilted_weights
+        monkeypatch.setattr(tilting, "_tilted_weights", lambda *args: calls.append(1) or weights(*args))
+        got = {}
+        for name, problem, budgets in pinned_pairs():
+            calls.clear()
+            try:
+                answer = " ".join(x.hex() for x in rate_two_distortions(problem, *budgets))
+            except (InfeasiblePairError, NumericalError) as error:
+                answer = type(error).__name__
+            got[name] = (len(calls), answer)
+        assert got == PINNED
