@@ -10,10 +10,12 @@ with Hessian minus the source-averaged tilted covariance of (d1, d2), so a
 damped projected Newton ascent converges fast.  On affinely dependent tables
 no Newton step climbs: the objective is linear along the dependence, and
 its maximum (if any) sits on a face s1 = 0 or s2 = 0, a one-table transform
-solved by ``tilting._legendre``.  Weak duality bounds every satisfiable
-pair's rate by -ln min Q, so an ascent that climbs past that, or dependent
-tables whose faces both break the Kuhn-Tucker conditions, prove the pair
-jointly unsatisfiable.
+solved by ``tilting._legendre``.  A pair is jointly unsatisfiable exactly
+when some mix a*d1 + (1 - a)*d2 has its budget a*D1 + (1 - a)*D2 below its
+floor, and the forces run off along a.  So an ascent that stops without an
+answer refuses the pair when that slack, at a = s1 / (s1 + s2) (at zero
+forces, the covariance's null direction), is below minus the mixed table's
+end band (``tilting._end_band``), as no frontier pair's is; else it stalled.
 """
 
 from __future__ import annotations
@@ -71,17 +73,19 @@ def rate_two_distortions(
 
     Returns (rate, s1, s2) with s_i <= 0: a force of exactly 0 means that
     constraint is slack at the optimum, and -inf that its budget sits on its
-    table's floor.  Pairs below the per-table floors, and jointly
-    unsatisfiable ones, raise InfeasiblePairError; an ascent that stalls on
-    independent tables raises NumericalError.  ``tol`` bounds the projected
+    table's floor.  A budget below its table's floor raises InfeasiblePairError,
+    and so does an ascent that stops without an answer where the slack along
+    its forces' direction is below the band (module docstring); any
+    other stop raises NumericalError.  ``tol`` bounds the projected
     gradient in units of each table's P-weighted range, so the answer does
     not depend on the tables' scale.  That test, or the plateau test, returns only
     once the duality gap |s . (delta - m(s))| backs the value (``_GAP``), or the Newton
     decrement g' cov^-1 g / 2 does with a looser gap: at forces near 1e10 the decrement
     alone trusts a covariance of rounding noise, and on the plateau at |s| ~ 1 the gap
-    alone stays near 2e-8 while the value is right to second order.  A face answer
-    holds no gap yet, and at stiff forces it can come back about 2e-8 low.  A nan,
-    negative or infinite ``tol`` raises ValidationError (``tilting._check_tol``).
+    alone stays near 2e-8 while the value is right to second order.  The plateau test
+    never returns a force held at 0 whose mean exceeds its budget, as the gap has no
+    term for it.  A nan, negative or infinite ``tol`` raises ValidationError
+    (``tilting._check_tol``).
 
     At k = 2 about half of a call is the kernel (``_evaluate``), and numpy's fixed cost
     per call on 2-vectors once outweighed it, so the loop keeps its forces, gradient and
@@ -128,12 +132,6 @@ def rate_two_distortions(
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
     # built as a record: the constructor would check and copy both tables again
     scaled = _record(RdProblem2, source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])
-    # Weak duality: every ascent value is at most the rate, and a satisfiable
-    # pair's rate is at most the cost -ln min Q of forcing the cheapest
-    # reproduction letter everywhere; the margin covers the value's rounding.
-    ceiling = -math.log(float(q.min()))
-    ceiling += 1e-9 * (1.0 + ceiling)
-
     s1 = s2 = 0.0
     value, g1, g2, c11, c22, c12 = _evaluate(scaled, log_q, s1, s2, *budgets)
     eps = float(np.finfo(float).eps)
@@ -141,9 +139,8 @@ def rate_two_distortions(
     # singular exactly when the tables are affinely dependent.
     dependent = c12 ** 2 >= (1.0 - 64.0 * eps) * c11 * c22
     last = 0.0  # length of the last accepted step: no closing step before one
+    stop = f"did not converge in {_MAX_ITER} iterations"
     for _ in range(_MAX_ITER):
-        if value > ceiling:
-            raise InfeasiblePairError(unsatisfiable)
         # A force at 0 whose gradient pushes it up is held there: its gradient and Newton entries are 0.
         free1, free2 = not (s1 >= 0.0 and g1 > 0.0), not (s2 >= 0.0 and g2 > 0.0)
         h1, h2 = g1 if free1 else 0.0, g2 if free2 else 0.0
@@ -157,11 +154,12 @@ def rate_two_distortions(
             n2 = (g2 / c22 if c22 != 0.0 else math.nan) if free2 else 0.0
         pg_norm = math.sqrt(h1 * h1 + h2 * h2)
         # Second test: the best improvement any step can still predict,
-        # ~|pg|^2 / curvature, has fallen below the resolution of the
-        # objective value itself, so the iterate sits on the flat plateau
-        # around the maximizer and further ascent is numerically meaningless.
+        # ~|pg|^2 / curvature, is below the resolution of the value, so the
+        # iterate sits on the flat plateau around the maximizer, unless a
+        # force held at 0 has its mean over budget (the gap cannot see it).
         size = 1.0 + abs(value)
-        if (pg_norm <= tol or pg_norm * pg_norm <= 8.0 * eps * size) and (
+        plateau = pg_norm * pg_norm <= 8.0 * eps * size and not (s1 == 0.0 > g1 or s2 == 0.0 > g2)
+        if (pg_norm <= tol or plateau) and (
                 (gap := abs(s1 * g1 + s2 * g2)) <= _GAP * size
                 or (0.5 * (h1 * n1 + h2 * n2) <= _DECREMENT * size and gap <= _DECREMENT_GAP * size)):
             # The plateau leaves the forces wrong from about their 8th digit;
@@ -197,18 +195,28 @@ def rate_two_distortions(
         # is linear along the dependence, so its maximum, if any, sits on a
         # face where one force is 0; that face's point is the one-table
         # solve, and it is the maximum when the other budget holds there (its
-        # gradient is not below -tol: Kuhn-Tucker).  With neither face a
-        # maximum, the objective rises without bound along the dependence.
-        # On independent tables it proves nothing: the ascent stalled (at
-        # stiff forces the tilted law can sit on two letters per row, where
-        # any two tables look dependent).
+        # gradient is not below -tol: Kuhn-Tucker).  On independent tables
+        # the ascent stalled (at stiff forces the tilted law can sit on two
+        # letters per row, where any two tables look dependent), and the
+        # better face point, if it beats the iterate, is the next iterate.
+        faces = []
         for i in (0, 1):
             force, rate, _ = _legendre(origins[i], (delta1, delta2)[i], tol, nonpositive=True)
             at = [0.0, 0.0]
             at[i] = force * scales[i]
-            if _evaluate(scaled, log_q, *at, *budgets)[2 - i] >= -tol:
+            faces.append((*at, *_evaluate(scaled, log_q, *at, *budgets)))  # (s1, s2, value, g1, g2, ...)
+            if faces[-1][4 - i] >= -tol:  # the other budget's gradient
                 return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
-        if dependent:
-            raise InfeasiblePairError(unsatisfiable)
-        raise NumericalError("two-force ascent stalled off both faces before reaching tolerance")
-    raise NumericalError(f"two-force ascent did not converge in {_MAX_ITER} iterations")
+        best = max(faces, key=lambda face: face[2])
+        if not dependent and best[2] > value:
+            (s1, s2, value, g1, g2, c11, c22, c12), last = best, math.inf
+            continue
+        stop = "stalled off both faces before reaching tolerance"
+        break
+    # No answer: the pair is unsatisfiable if its slack along the forces' direction is past the band (module docstring)
+    a = s1 / (s1 + s2) if s1 + s2 < 0.0 else c12 / (c12 - c11) if c12 < 0.0 else 0.0
+    mixed = _at_origin(p, log_q, a * tables[0] + (1.0 - a) * tables[1])
+    floor = float(np.dot(p, mixed.starts))
+    if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(float(np.dot(p, mixed.ranges)), floor):
+        raise InfeasiblePairError(unsatisfiable)
+    raise NumericalError(f"two-force ascent {stop}")

@@ -198,7 +198,7 @@ class TestRateTwoDistortions:
                                             ([0.2, 0.8], (0.48, 0.48))])
     def test_complement_pairs_below_one_raise(self, q, budgets):
         # d1 + d2 = 1 in every cell, so no law keeps both budgets when they sum below 1; a
-        # plateau test run before the ceiling once returned ~1e13 nats here, or stalled
+        # plateau test once returned ~1e13 nats here, or stalled
         p = RdProblem2([0.5, 0.5], q, D_HAMMING, [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(InfeasiblePairError):
             rate_two_distortions(p, *budgets)
@@ -398,13 +398,15 @@ class TestFloorPairs:
         # 9e-13 of its table's span below the floor of the table restricted to the floor letters,
         # one letter a row with no span of its own: draw 18 is at forces (-104.6, -26.3).  Every
         # pair is feasible, so none may be called unsatisfiable, and a floor answer must be the
-        # dual value at the drawn forces.  No answer may sit more than 1e-8 below that value but
-        # draw 245's, which the face loop returns 1.9e-8 low, and none more than criterion 9's 1e-7.
+        # dual value at the drawn forces.  No answer may sit more than 1e-8 below that value: draw
+        # 245 once left through the plateau test 2.0e-8 low, with s2 held at 0 while its mean
+        # exceeded budget 2.  Draws 42, 47, 103, 277 and 485 once stalled; a face point that beats
+        # the iterate is now the next iterate, and only 578 still stalls.
         on_floor, low, stalled = [], [], set()
         for draw, problem, s, budgets, truth in itertools.islice(stiff_draws(), 600):
             try:
                 rate, s1, s2 = rate_two_distortions(problem, *budgets)
-            except NumericalError:  # the ascent's own stalls on this recipe stay with item 4
+            except NumericalError:  # the ascent's own stall on this recipe stays with ROADMAP item 4
                 stalled.add(draw)
                 continue
             if -math.inf in (s1, s2):
@@ -414,8 +416,8 @@ class TestFloorPairs:
                 low.append(draw)
                 assert not is_low(rate, truth, rel=1e-7)
         assert {18, 49, 160, 259, 269, 289, 322, 327, 537, 582} <= set(on_floor)
-        assert low <= [245]
-        assert stalled <= {42, 47, 103, 277, 485, 578}
+        assert low == []
+        assert stalled <= {578}
 
     def test_every_tied_floor_pair_is_the_restricted_solve(self):
         # d1 is 0 on at least two letters of each row, so delta1 = 0 sits on its floor; delta2 is
@@ -490,6 +492,88 @@ class TestDualityGap:
         assert (s1, s2) == pytest.approx((-1.1949063278772187, -1.2550822369425145), rel=1e-6)
 
 
+def unsatisfiable_draws():
+    """Jointly unsatisfiable pairs, draw by draw: (draw, problem, budgets).  k = m = 2, Dirichlet laws,
+    tables U(0, 1), and each budget its table's floor plus U(0, 0.1) of the way to D(0); only the draws
+    whose exact feasibility slack is negative are kept, and they are numbered in that order."""
+    rng = np.random.default_rng(9)
+    draw = 0
+    while True:
+        p, q = rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(2))
+        d1, d2 = rng.random((2, 2)), rng.random((2, 2))
+        budgets = []
+        for d in (d1, d2):
+            floor = float(p @ d.min(axis=1))
+            budgets.append(floor + rng.uniform(0.0, 0.1) * (float(p @ (d @ q)) - floor))
+        if feasibility_slack(p, d1, d2, *budgets) < 0.0:
+            yield draw, RdProblem2(p, q, d1, d2), tuple(budgets)
+            draw += 1
+
+
+# Draws 2345, 2359 and 2504 of default_rng(5): k, m in [2, 6], Dirichlet laws, tables U(0, 1), and for d1
+# then d2 a budget floor + U(0, 1.2) * (D(0) - floor), as (p, q, d1, d2, budgets).  Each once stalled.
+STALLED_UNSATISFIABLE = {
+    2345: ([0.43698552835075394, 0.2275775552281016, 0.33543691642114454],
+           [0.552940600532198, 0.05188223118639558, 0.020647828093466502, 0.37452934018794004],
+           [[0.22869525332592588, 0.41008821382989713, 0.892953127382598, 0.8420750713573266],
+            [0.09103000877107692, 0.8442020494003324, 0.12755929362827456, 0.7698742281164265],
+            [0.15533260397685078, 0.5573774985756546, 0.08215288425650324, 0.7734319306749758]],
+           [[0.3164486665998084, 0.7951172887592926, 0.11427123196966282, 0.677376652784833],
+            [0.1224911786828018, 0.2275069042955754, 0.3615475592848094, 0.2705853021500715],
+            [0.4254923772677629, 0.8228506088598002, 0.7104582393506378, 0.372887685039348]],
+           (0.15606512178499854, 0.3580333963965955)),
+    2359: ([0.6728196618375905, 0.2803526425906829, 0.046827695571726585], [0.06302777750457406, 0.936972222495426],
+           [[0.8678367040223803, 0.4462238691678295], [0.2924311685484908, 0.7793706003502938],
+            [0.9157973053920568, 0.34194079487822093]],
+           [[0.509232811584711, 0.3494116154935232], [0.9293470261361274, 0.8803247939002048],
+            [0.2215531228677684, 0.6474129855399016]],
+           (0.4252897392684184, 0.5047898374900347)),
+    2504: ([0.03158212756594212, 0.3080076301519065, 0.21589219053258157, 0.2060896884842429, 0.2384283632653269],
+           [0.012022774462010558, 0.27164435210800936, 0.71633287342998],
+           [[0.5360770097898145, 0.6248550568799783, 0.6227258749929813],
+            [0.30529584308644586, 0.8028777014812454, 0.14215846035789315],
+            [0.7012231879804669, 0.9720733062449884, 0.48046003262010184],
+            [0.22691226790264318, 0.6539668894963513, 0.10394801911352802],
+            [0.1939608109840929, 0.48267409221075963, 0.0852446299606926]],
+           [[0.5687358752409992, 0.8689419023376488, 0.3358147602176418],
+            [0.7764229529454193, 0.11488971015422755, 0.6838161309356482],
+            [0.8706196172852716, 0.12867988339584346, 0.23242633844376837],
+            [0.8666961604406224, 0.5982426761979819, 0.36187599230782563],
+            [0.6582289694865519, 0.23500294937914834, 0.005889701737895714]],
+           (0.29623336596196526, 0.2537164717330799)),
+}
+
+
+class TestUnsatisfiablePairs:
+    """A pair that no law meets raises InfeasiblePairError by one rule: where the ascent stops without
+    an answer, the slack along the direction its forces ran is below the mixed table's end band."""
+
+    def test_unsatisfiable_draws_are_refused(self):
+        # 22, 50 and 147 once stalled (exit 2).  147 still does: the ascent stalls at forces (-4.4, -1.2),
+        # where the slack along a = s1 / (s1 + s2) = 0.79 is +7e-3; it is negative only near a = 0.001
+        stalled = set()
+        for draw, problem, budgets in itertools.islice(unsatisfiable_draws(), 200):
+            with pytest.raises((InfeasiblePairError, NumericalError)) as error:
+                rate_two_distortions(problem, *budgets)
+            if error.type is NumericalError:
+                stalled.add(draw)
+        assert stalled <= {147}
+
+    @pytest.mark.parametrize("draw", [540, 745])
+    def test_family_pairs_that_stalled_are_refused(self, draw):
+        _, _, problem, budgets = next(itertools.islice(family_draws(), draw, None))
+        assert feasibility_slack(problem.source_probs, problem.distortion_1, problem.distortion_2, *budgets) < 0.0
+        with pytest.raises(InfeasiblePairError, match="jointly unsatisfiable"):
+            rate_two_distortions(problem, *budgets)
+
+    @pytest.mark.parametrize("draw", sorted(STALLED_UNSATISFIABLE))
+    def test_random_pairs_that_stalled_are_refused(self, draw):
+        p, q, d1, d2, budgets = (np.array(x) for x in STALLED_UNSATISFIABLE[draw])
+        assert feasibility_slack(p, d1, d2, *budgets) < 0.0
+        with pytest.raises(InfeasiblePairError, match="jointly unsatisfiable"):
+            rate_two_distortions(RdProblem2(p, q, d1, d2), *budgets)
+
+
 def family_draws():
     """Seeded pairs on every family of second table, draw by draw: (draw, family, problem, budgets).
     Over 25 draws each family meets each scale 1e-12, 1e-6, 1, 1e6 and 1e12 once; each budget sits
@@ -511,8 +595,9 @@ def family_draws():
 def pinned_pairs():
     """The pinned deck, name by name: (name, problem, budgets)."""
     stiff = {draw: (problem, budgets) for draw, problem, _, budgets, _ in itertools.islice(stiff_draws(), 399)}
-    # 3 and 245 take 22 and 18 one-force steps, 7 sits on a floor, 42 and 277 stall, 245 is a face answer;
-    # frontier draw 0 sits on a floor and 108 stalls
+    # 3 takes 22 one-force steps, 7 sits on a floor, 398 is a face answer; 6 and 245 once left the plateau
+    # with s2 held at 0 while its mean exceeded budget 2, and 42 and 277 stalled until a face point that
+    # beats the iterate became the next iterate; frontier draw 0 sits on a floor and 108 stalls
     for draw in (1, 3, 6, 7, 42, 245, 277, 398):
         yield f"stiff{draw}", *stiff[draw]
     frontier = {draw: (problem, budgets) for draw, problem, budgets, _ in itertools.islice(frontier_draws(), 109)}
@@ -532,17 +617,17 @@ def pinned_pairs():
 PINNED = {
     "stiff1": (9, "0x1.c3706dfb88544p+0 -0x1.702223d1d2ee5p+4 -0x1.81f3fc085268cp+3"),
     "stiff3": (22, "0x1.3ccff15ecf60ap+0 -0x1.d8646cdb468f3p+5 0x0.0p+0"),
-    "stiff6": (14, "0x1.4b9f3b90a095fp+0 -0x1.5c688323d423bp+7 0x0.0p+0"),
+    "stiff6": (17, "0x1.4b9f3b952adbbp+0 -0x1.c640c7c3c03fbp+7 -0x1.1c1e1f90c5bc1p+4"),
     "stiff7": (5, "0x1.30ae030ae2e8dp-2 -inf 0x0.0p+0"),
-    "stiff42": (21, "NumericalError"),
-    "stiff245": (19, "0x1.1a579841f33bbp+0 -0x1.de150379180a8p+5 0x0.0p+0"),
-    "stiff277": (11, "NumericalError"),
+    "stiff42": (26, "0x1.8c246ba4ff460p+1 -0x1.56156bd142c14p+3 -0x1.d99ad81e8b6a9p+5"),
+    "stiff245": (23, "0x1.1a579899a3c20p+0 -0x1.1e719a54a561ep+7 -0x1.3683878573331p+7"),
+    "stiff277": (13, "0x1.4f05a16901b71p+2 -0x1.9f4c555604f9cp+1 -0x1.dcaa9e1ba9259p+4"),
     "stiff398": (10, "0x1.71001890d17b1p+0 -0x1.fa6151580dab9p+8 0x0.0p+0"),
     "frontier0": (5, "0x1.ecfae96f5106cp-1 -inf 0x0.0p+0"),
     "frontier2": (26, "0x1.af9f81717b520p-1 -0x1.7e9fb63c0b1e5p+7 -0x1.0032060ad817fp+5"),
     "frontier3": (27, "0x1.1c7bb768c4410p-1 -0x1.b1938409fc348p+7 -0x1.26d1791df3d26p+10"),
     "frontier108": (21, "NumericalError"),
-    "random0": (3, "InfeasiblePairError"),
+    "random0": (19, "InfeasiblePairError"),
     "duplicate1": (9, "0x1.8b9a299ad6839p+0 -0x1.c9f08388e535cp+42 0x0.0p+0"),
     "scaled2": (10, "0x1.9a8be4f383882p+0 -0x1.fa495548c2daap+42 0x0.0p+0"),
     "complement3": (9, "InfeasiblePairError"),
