@@ -13,9 +13,9 @@ its maximum (if any) sits on a face s1 = 0 or s2 = 0, a one-table transform
 solved by ``tilting._legendre``.  A pair is jointly unsatisfiable exactly
 when some mix a*d1 + (1 - a)*d2 has its budget a*D1 + (1 - a)*D2 below its
 floor, and the forces run off along a.  So an ascent that stops without an
-answer refuses the pair when that slack, at a = s1 / (s1 + s2) (at zero
-forces, the covariance's null direction), is below minus the mixed table's
-end band (``tilting._end_band``), as no frontier pair's is; else it stalled.
+answer refuses the pair when that slack, at its least over a in [0, 1], is
+below minus the mixed table's end band (``tilting._end_band``), as no
+frontier pair's is; else it stalled.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def rate_two_distortions(
     Returns (rate, s1, s2) with s_i <= 0: a force of exactly 0 means that
     constraint is slack at the optimum, and -inf that its budget sits on its
     table's floor.  A budget below its table's floor raises InfeasiblePairError,
-    and so does an ascent that stops without an answer where the slack along
-    its forces' direction is below the band (module docstring); any
+    and so does an ascent that stops without an answer where the least slack
+    over the mixes of the two tables is below the band (module docstring); any
     other stop raises NumericalError.  ``tol`` bounds the projected
     gradient in units of each table's P-weighted range, so the answer does
     not depend on the tables' scale.  That test, or the plateau test, returns only
@@ -213,8 +213,13 @@ def rate_two_distortions(
             continue
         stop = "stalled off both faces before reaching tolerance"
         break
-    # No answer: the pair is unsatisfiable if its slack along the forces' direction is past the band (module docstring)
-    a = s1 / (s1 + s2) if s1 + s2 < 0.0 else c12 / (c12 - c11) if c12 < 0.0 else 0.0
+    # No answer: the pair is unsatisfiable if its least slack is past the band (module docstring).  The
+    # slack is convex in a, so 60 halvings on the sign of its subgradient find where it is least.
+    lo, hi, e, rows = 0.0, 1.0, tables[0] - tables[1], np.arange(len(p))
+    for _ in range(60):
+        a = 0.5 * (lo + hi)
+        rising = budgets[0] - budgets[1] > float(np.dot(p, e[rows, np.argmin(tables[1] + a * e, axis=1)]))
+        lo, hi = (lo, a) if rising else (a, hi)
     mixed = _at_origin(p, log_q, a * tables[0] + (1.0 - a) * tables[1])
     floor = float(np.dot(p, mixed.starts))
     if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(float(np.dot(p, mixed.ranges)), floor):

@@ -1,9 +1,11 @@
 """Shared numerics: a safeguarded Newton root solve and adaptive Simpson quadrature.
 
-The root solve keeps a bracket around the target and takes Newton steps on
-the slope the caller computes alongside each value; a step that would leave
-the bracket, or a slope that is not positive, falls back to bisection, so a
-vanishing derivative cannot throw it off.  The Simpson rule subdivides a
+The root solve takes Newton steps on the slope the caller computes alongside
+each value.  Until the target is crossed its bracket is open on the target's
+side, and each step toward it is capped at a doubling reach; once the target
+is bracketed, a step that would leave the bracket, or a slope that is not
+positive, falls back to bisection, so a vanishing derivative cannot throw it
+off.  The Simpson rule subdivides a
 whole level at a time and hands the integrand that level's abscissae in one
 array, so a batched kernel takes each level in one call; its subdivision
 and summation order are fixed, so repeated runs give bit-identical answers.
@@ -27,7 +29,8 @@ _X_REL_TOL = 1e-13
 # values are down to their rounding noise: one that fails to halve the step
 # before it, or to lower the residual, ends the iteration at the best point.
 _NOISE_STEP = 1e-8
-# Bracket doublings on each side, and bracketed steps, before giving up.
+# Open-side steps that the reach cut short or that had no usable slope, and
+# steps in all, before giving up.
 _MAX_EXPAND = 60
 _MAX_ITER = 240
 # Subdivision levels below the root interval, and abscissae per integrand call.
@@ -44,84 +47,72 @@ def invert_monotone(
     target: float,
     *,
     f_tol: float,
-    lo: float = -1.0,
-    hi: float = 1.0,
+    reach: float = 1.0,
     hi_limit: float = math.inf,
 ) -> float:
     """Solve value(s) = target for a nondecreasing scalar map.
 
-    ``f(s)`` returns ``(value, slope)``.  The starting bracket [lo, hi] is
-    grown geometrically (doubling the reach on the failing side, the upper
-    end clipped to ``hi_limit``) until it encloses the target.  Inside it
-    each step is a Newton step from the latest point; a step that leaves the
-    bracket, or a slope <= 0, is replaced by bisection.  Iteration stops
-    once ``|value - target| <= f_tol`` (returning that point moved by one
-    last Newton step when the step stays inside the bracket), or once the
-    bracket or the Newton step is down to 1e-13 of the abscissa, so
-    ``f_tol = 0`` pins the root itself to that relative width at any scale.
-    A Newton step below 1e-8 of the abscissa that stalls (fails to halve
-    the step before it, or to lower the residual) means the values are down
-    to their rounding noise, and the point with the least residual is
-    returned.  Running out of its 240 bracketed steps raises NumericalError.
+    ``f(s)`` returns ``(value, slope)``.  The solve starts at 0 (at
+    ``hi_limit`` if that is below 0), and its bracket stays open on the
+    target's side until a point crosses the target.  Each step toward an
+    open side is the Newton step from the latest point, no longer than a
+    reach that starts at ``|reach|`` and doubles with each such step, or the
+    whole reach where the slope is not positive and finite; the upper end is
+    clipped to ``hi_limit``.  A point short of the target at ``hi_limit``,
+    or 60 steps that the reach cut short or that had no usable slope, raise
+    BracketError; a Newton run closing in on the root from the open side
+    has all 240 steps.  Inside a closed bracket each
+    step is a Newton step from the latest point; a step that leaves the
+    bracket, or a slope <= 0, is replaced by bisection.  Iteration stops once
+    ``|value - target| <= f_tol`` (returning that point moved by one last
+    Newton step when the step stays inside the bracket, an open side
+    included), or once the bracket or the Newton step is down to 1e-13 of
+    the abscissa, so ``f_tol = 0`` pins the root itself to that relative
+    width at any scale.  A Newton step below 1e-8 of the abscissa that
+    stalls (fails to halve the step before it, or to lower the residual)
+    means the values are down to their rounding noise, and the point with
+    the least residual is returned.  Running out of its 240 steps raises
+    NumericalError.
     """
-    hi = min(hi, hi_limit)
-    if not lo < hi:
-        lo = hi = min(0.0, hi_limit)
-    flo, dlo = f(lo)
-    fhi, dhi = f(hi)
-
-    # An end passed over by the expansion still bounds the root from the other side.
-    step = hi - lo if hi > lo else 1.0
-    for _ in range(_MAX_EXPAND):
-        if flo <= target:
-            break
-        step *= 2.0
-        hi, fhi, dhi = lo, flo, dlo
-        lo -= step
-        flo, dlo = f(lo)
-    step = hi - lo if hi > lo else 1.0
-    for _ in range(_MAX_EXPAND):
-        if fhi >= target or hi >= hi_limit:
-            break
-        step *= 2.0
-        lo, flo, dlo = hi, fhi, dhi
-        hi = min(hi + step, hi_limit)
-        fhi, dhi = f(hi)
-    if flo > target + f_tol or fhi < target - f_tol:
-        raise BracketError(
-            f"could not bracket target {target!r} within [{lo!r}, {hi!r}]"
-        )
-
-    # Start from the end nearer the target, whose value and slope are in
-    # hand; the first Newton step may cross the whole bracket.
-    if target - flo <= fhi - target:
-        x, fx, dfx = lo, flo, dlo
-    else:
-        x, fx, dfx = hi, fhi, dhi
+    x = min(0.0, hi_limit)
+    fx, dfx = f(x)
+    # f(lo) < target <= f(hi), an end the target has not crossed yet being infinite
+    lo, hi = (x, math.inf) if fx < target else (-math.inf, x)
     best_x, best_resid = x, abs(fx - target)
-    dx = 2.0 * (hi - lo)
+    reach, dx, expansions = abs(reach) or 1.0, math.inf, 0
     for _ in range(_MAX_ITER):
         resid = fx - target
         newton_x = x - resid / dfx if dfx > 0.0 else math.nan
-        inside = lo < newton_x < hi
+        inside = lo < newton_x < hi and newton_x <= hi_limit
         if abs(resid) <= f_tol:
             # the Newton step from a point this close costs nothing and
             # squares the remaining error, so it is taken without checking
             return newton_x if inside else x
-        # rtsafe: bisect when Newton would leave the bracket or would not
-        # at least halve the step before last
-        dx_old = dx
-        newton = inside and abs(2.0 * resid) <= abs(dx_old * dfx)
-        if inside and not newton and abs(x - newton_x) <= _NOISE_STEP * abs(x):
-            return best_x  # too small a step to stall unless rounding stalls it
-        if newton:
-            dx = x - newton_x
-            x = newton_x
+        if math.isinf(hi - lo):
+            # the open side: a Newton step capped at the reach, or the reach without a usable slope
+            if expansions == _MAX_EXPAND or hi == math.inf and x >= hi_limit:
+                raise BracketError(f"could not bracket target {target!r} past {x!r}")
+            newton = 0.0 < dfx < math.inf
+            if not newton:
+                newton_x = x + reach if hi == math.inf else x - reach
+            step_x = min(max(newton_x, x - reach), x + reach, hi_limit)
+            expansions += not newton or step_x != newton_x
+            dx, x, reach = x - step_x, step_x, 2.0 * reach
         else:
-            dx = 0.5 * (hi - lo)
-            x = lo + dx
-            if x in (lo, hi):
-                return x
+            # rtsafe: bisect when Newton would leave the bracket or would not
+            # at least halve the step before last
+            dx_old = dx
+            newton = inside and abs(2.0 * resid) <= abs(dx_old * dfx)
+            if inside and not newton and abs(x - newton_x) <= _NOISE_STEP * abs(x):
+                return best_x  # too small a step to stall unless rounding stalls it
+            if newton:
+                dx = x - newton_x
+                x = newton_x
+            else:
+                dx = 0.5 * (hi - lo)
+                x = lo + dx
+                if x in (lo, hi):
+                    return x
         if abs(dx) <= _X_REL_TOL * abs(x):
             return x
         fx, dfx = f(x)

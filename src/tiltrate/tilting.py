@@ -447,20 +447,19 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
             return (-math.inf if a <= 0.0 else math.inf), 0.0
         return math.log(a / b), float(np.dot(row_weights, variances)) * (1.0 / a + 1.0 / b)
 
-    # Bracket from 0 to twice the Newton step from 0: that step is exact for
-    # one row of two values and sets the problem's own force scale otherwise.
+    # Start at 0, whose moments are in hand: the solve's first point is the
+    # Newton step from 0, exact for one row of two values, and twice that
+    # step, the problem's own force scale, caps how far it expands.
     origin = logit_and_slope(0.0)
     if not origin[1] > 0.0:
         raise BracketError("the tilted mean does not move at zero force")
     gap = ceiling - level
     goal = math.log(level / gap)
-    reach = 2.0 * (goal - origin[0]) / origin[1]
     s = invert_monotone(
         logit_and_slope,
         goal,
         f_tol=math.log1p(tol * top / level) + math.log1p(tol * top / gap),
-        lo=min(reach, 0.0),
-        hi=max(reach, 0.0),
+        reach=2.0 * (goal - origin[0]) / origin[1],
         hi_limit=0.0 if nonpositive else math.inf,
     )
     if force_only:

@@ -321,8 +321,7 @@ def is_float_zero(node) -> bool:
 
 def test_rates_are_floored_by_tilting_alone():
     # every nonnegative result is floored at +0.0 by tilting._floored alone, and no 0.0 + x or
-    # 0.0 - x sign guard is left; oracles.py keeps its own.  _legendre's max(reach, 0.0) is the
-    # upper end of its force bracket, not a result
+    # 0.0 - x sign guard is left; oracles.py keeps its own
     floors, guards = {}, {}
     for module in Path(tiltrate.__file__).parent.glob("*.py"):
         for function in ast.walk(ast.parse(module.read_text())):
@@ -337,7 +336,7 @@ def test_rates_are_floored_by_tilting_alone():
                     guards.setdefault(module.name, set()).add(function.name)
     floors.pop("oracles.py")
     guards.pop("oracles.py")
-    assert floors == {"tilting.py": {"_floored", "_legendre"}}
+    assert floors == {"tilting.py": {"_floored"}}
     assert guards == {"tilting.py": {"_floored"}}
 
 

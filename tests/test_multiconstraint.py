@@ -557,7 +557,7 @@ class TestUnsatisfiablePairs:
                 rate_two_distortions(problem, *budgets)
             if error.type is NumericalError:
                 stalled.add(draw)
-        assert stalled <= {147}
+        assert stalled == set()
 
     @pytest.mark.parametrize("draw", [540, 745])
     def test_family_pairs_that_stalled_are_refused(self, draw):
@@ -619,39 +619,39 @@ PINNED = {
     "stiff3": (22, "0x1.3ccff15ecf60ap+0 -0x1.d8646cdb468f3p+5 0x0.0p+0"),
     "stiff6": (17, "0x1.4b9f3b952adbbp+0 -0x1.c640c7c3c03fbp+7 -0x1.1c1e1f90c5bc1p+4"),
     "stiff7": (5, "0x1.30ae030ae2e8dp-2 -inf 0x0.0p+0"),
-    "stiff42": (26, "0x1.8c246ba4ff460p+1 -0x1.56156bd142c14p+3 -0x1.d99ad81e8b6a9p+5"),
+    "stiff42": (24, "0x1.8c246ba4ff460p+1 -0x1.56156bd142c14p+3 -0x1.d99ad81e8b6a9p+5"),
     "stiff245": (23, "0x1.1a579899a3c20p+0 -0x1.1e719a54a561ep+7 -0x1.3683878573331p+7"),
-    "stiff277": (13, "0x1.4f05a16901b71p+2 -0x1.9f4c555604f9cp+1 -0x1.dcaa9e1ba9259p+4"),
-    "stiff398": (10, "0x1.71001890d17b1p+0 -0x1.fa6151580dab9p+8 0x0.0p+0"),
+    "stiff277": (12, "0x1.4f05a16901b71p+2 -0x1.9f4c555604f9cp+1 -0x1.dcaa9e1ba9259p+4"),
+    "stiff398": (10, "0x1.71001890d17b1p+0 -0x1.fa6151580dabap+8 0x0.0p+0"),
     "frontier0": (5, "0x1.ecfae96f5106cp-1 -inf 0x0.0p+0"),
     "frontier2": (26, "0x1.af9f81717b520p-1 -0x1.7e9fb63c0b1e5p+7 -0x1.0032060ad817fp+5"),
     "frontier3": (27, "0x1.1c7bb768c4410p-1 -0x1.b1938409fc348p+7 -0x1.26d1791df3d26p+10"),
-    "frontier108": (21, "NumericalError"),
-    "random0": (19, "InfeasiblePairError"),
-    "duplicate1": (9, "0x1.8b9a299ad6839p+0 -0x1.c9f08388e535cp+42 0x0.0p+0"),
-    "scaled2": (10, "0x1.9a8be4f383882p+0 -0x1.fa495548c2daap+42 0x0.0p+0"),
-    "complement3": (9, "InfeasiblePairError"),
-    "noisy4": (15, "0x1.6cc3fa17a6c38p-4 0x0.0p+0 -0x1.52f08c8d519fdp+41"),
+    "frontier108": (20, "NumericalError"),
+    "random0": (20, "InfeasiblePairError"),
+    "duplicate1": (8, "0x1.8b9a299ad6839p+0 -0x1.c9f08388e535cp+42 0x0.0p+0"),
+    "scaled2": (9, "0x1.9a8be4f383882p+0 -0x1.fa495548c2daap+42 0x0.0p+0"),
+    "complement3": (10, "InfeasiblePairError"),
+    "noisy4": (13, "0x1.6cc3fa17a6c38p-4 0x0.0p+0 -0x1.52f08c8d519fdp+41"),
     "random5": (8, "0x1.d7f65bb9df8ddp-1 0x0.0p+0 -0x1.1b21c15ab3a6fp+24"),
-    "duplicate6": (16, "0x1.b97ef0e3cd25ap-2 0x0.0p+0 -0x1.e261b92cc6980p+21"),
-    "scaled7": (15, "0x1.35382cdd63c4ap-1 0x0.0p+0 -0x1.1858424ddd610p+21"),
-    "complement8": (10, "0x1.42224160e6a40p-9 0x0.0p+0 -0x1.69371836b834cp+18"),
-    "noisy9": (9, "0x1.2048846674244p+0 -0x1.9fa3668780566p+25 0x0.0p+0"),
+    "duplicate6": (14, "0x1.b97ef0e3cd25ap-2 0x0.0p+0 -0x1.e261b92cc6980p+21"),
+    "scaled7": (13, "0x1.35382cdd63c4ap-1 0x0.0p+0 -0x1.1858424ddd610p+21"),
+    "complement8": (9, "0x1.42224160e6a40p-9 0x0.0p+0 -0x1.69371836b834cp+18"),
+    "noisy9": (9, "0x1.2048846674244p+0 -0x1.9fa3668780568p+25 0x0.0p+0"),
     "random10": (7, "0x1.ab6026d70c950p-1 0x0.0p+0 -0x1.f5f5521bce98ap+2"),
-    "duplicate11": (17, "0x1.15403277cea3ap-3 0x0.0p+0 -0x1.09a6f9373ccbbp+1"),
-    "scaled12": (8, "0x1.b85dfc67b9c38p-6 -0x1.8a4d0ec7762fcp-1 0x0.0p+0"),
-    "complement13": (14, "InfeasiblePairError"),
-    "noisy14": (12, "0x1.8f84a110f40f5p-2 0x0.0p+0 -0x1.46bf2bd7d7833p+2"),
+    "duplicate11": (13, "0x1.15403277cea3ap-3 0x0.0p+0 -0x1.09a6f9373ccbbp+1"),
+    "scaled12": (7, "0x1.b85dfc67b9c38p-6 -0x1.8a4d0ec7762fcp-1 0x0.0p+0"),
+    "complement13": (12, "InfeasiblePairError"),
+    "noisy14": (11, "0x1.8f84a110f40f5p-2 0x0.0p+0 -0x1.46bf2bd7d7833p+2"),
     "random15": (6, "0x1.8aa5f369bdf94p-3 -0x1.d19e34e64f561p-19 -0x1.595d4ade73076p-22"),
-    "duplicate16": (8, "0x1.355d9ad9e5e43p-2 -0x1.f0407f839bcedp-19 0x0.0p+0"),
-    "scaled17": (9, "0x1.60f632773c810p-5 -0x1.2a6de84531ae6p-18 0x0.0p+0"),
+    "duplicate16": (7, "0x1.355d9ad9e5e43p-2 -0x1.f0407f839bcedp-19 0x0.0p+0"),
+    "scaled17": (9, "0x1.60f632773c808p-5 -0x1.2a6de84531ae9p-18 0x0.0p+0"),
     "complement18": (11, "InfeasiblePairError"),
-    "noisy19": (10, "0x1.4c0cd9c1f7f10p-7 0x0.0p+0 -0x1.d507f50cac40ep-22"),
+    "noisy19": (8, "0x1.4c0cd9c1f7f08p-7 0x0.0p+0 -0x1.d507f50cac3fep-22"),
     "random20": (11, "0x1.ade65c4554df8p-1 -0x1.2bfb56f282f49p-37 0x0.0p+0"),
-    "duplicate21": (9, "0x1.68b3ff7957800p-5 -0x1.9c3f10f8eaf7ap-39 0x0.0p+0"),
-    "scaled22": (9, "0x1.192b4b4c51bc0p-4 -0x1.a65161c7fa181p-39 0x0.0p+0"),
-    "complement23": (15, "InfeasiblePairError"),
-    "noisy24": (8, "0x1.a900de9a6df80p-4 -0x1.b3fc138f4fe38p-39 0x0.0p+0"),
+    "duplicate21": (8, "0x1.68b3ff7957800p-5 -0x1.9c3f10f8eaf7ap-39 0x0.0p+0"),
+    "scaled22": (8, "0x1.192b4b4c51bc0p-4 -0x1.a65161c7fa181p-39 0x0.0p+0"),
+    "complement23": (13, "InfeasiblePairError"),
+    "noisy24": (7, "0x1.a900de9a6df80p-4 -0x1.b3fc138f4fe38p-39 0x0.0p+0"),
     "two_budget": (5, "0x1.a53d9241fec3cp-4 0x0.0p+0 -0x1.3cb1afbb9b806p-1"),
     "two_budget_floor": (3, "0x1.62e42fefa39efp-1 -inf 0x0.0p+0"),
     "one_free_force": (8, "0x1.6927e3c79a44ep-3 0x0.0p+0 -0x1.b915dd7eaf561p-1"),

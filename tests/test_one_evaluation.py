@@ -24,6 +24,7 @@ from tiltrate import (
     equilibrium_force,
     expected_length,
     force_at_distortion,
+    force_at_level,
     from_rd_problem,
     mmse,
     observable_expectation,
@@ -92,6 +93,17 @@ class TestEachForceOnce:
                 forces.clear()
                 solve(problem, delta)
                 assert forces.count(0.0) == 1
+
+    @pytest.mark.parametrize("p, level", [(0.3, 0.1), (0.5, 0.9), (0.9, 0.5), (0.2, 2.5)])
+    def test_the_force_after_zero_is_the_newton_point(self, forces, p, level):
+        # On one row of two values the logit is linear in s, so the Newton point from 0 is the
+        # root.  The solve evaluates it next, and then at most the rate's closing step; no
+        # probe at twice that step is evaluated and then dropped.
+        point = force_at_level(FiniteDistribution([0.0, 3.0], [1.0 - p, p]), level)
+        root = (math.log(level / (3.0 - level)) - math.log(p / (1.0 - p))) / 3.0
+        assert forces[:2] == [0.0, pytest.approx(root, rel=1e-14)]
+        assert len(forces) <= 3
+        assert point.force == pytest.approx(root, rel=1e-14)
 
     def test_allocation_adds_no_evaluation(self, forces):
         for problem in problems():

@@ -130,7 +130,9 @@ class TestForceAtDistortion:
 class TestSolveCost:
     @pytest.mark.parametrize("k, draws", [(2, 40), (64, 4), (512, 1)])
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
-    def test_at_most_ten_evaluations_per_target(self, monkeypatch, k, draws, scale):
+    def test_at_most_six_evaluations_per_target(self, monkeypatch, k, draws, scale):
+        # the solve's first point past 0 is the Newton point from 0, with no probe beyond it: the
+        # 40 targets at k = 2 take 162 evaluations (0 included), where a probe at twice that step took 204
         counts = []
 
         def counting(f, *args, **kwargs):
@@ -155,7 +157,8 @@ class TestSolveCost:
             pt = force_at_distortion(problem, distortion_at_force(problem, s).distortion)
             assert pt.s == pytest.approx(s, rel=1e-6)
         assert len(counts) == draws
-        assert max(counts) <= 10
+        assert max(counts) <= 6
+        assert k != 2 or sum(counts) <= 170
 
 
 class TestDistortionAtForce:

@@ -31,11 +31,11 @@ class TestInvertMonotone:
     def test_respects_upper_limit(self):
         # root of x = 2 does not exist inside (-inf, 0]
         with pytest.raises(BracketError):
-            invert_monotone(lambda x: (x, 1.0), 2.0, f_tol=0.0, hi=0.0, hi_limit=0.0)
+            invert_monotone(lambda x: (x, 1.0), 2.0, f_tol=0.0, hi_limit=0.0)
 
     def test_limit_touching_target_is_found(self):
-        root = invert_monotone(lambda x: (x, 1.0), 0.0, f_tol=0.0, lo=-4.0, hi=-1.0, hi_limit=0.0)
-        assert root == pytest.approx(0.0, abs=1e-12)
+        root = invert_monotone(lambda x: (x - 4.0, 1.0), 0.0, f_tol=0.0, reach=3.0, hi_limit=4.0)
+        assert root == pytest.approx(4.0, abs=1e-12)
 
     def test_early_exit_uses_f_tol(self):
         calls = []
@@ -65,47 +65,129 @@ class TestInvertMonotone:
         calls = []
 
         def f(x):
-            calls.append(x)
-            return math.atan(x), 1.0 / (1.0 + x * x)
+            y = x + 10.0
+            calls.append(y)
+            return math.atan(y), 1.0 / (1.0 + y * y)
 
-        # From the end x = 10 the tangent reaches x = -92, far outside
-        # [-10, 10]: the step is replaced by the midpoint, then Newton
-        # takes over again.
-        root = invert_monotone(f, math.atan(0.5), f_tol=0.0, lo=-10.0, hi=10.0)
-        assert calls[:3] == [-10.0, 10.0, 0.0]
-        assert root == pytest.approx(0.5, rel=1e-12)
+        # atan(x + 10): from the start y = 10 the tangent reaches y = -92, and the reach of 20
+        # stops the step at -10, across the target.  From -10 the tangent reaches y = 185, far
+        # outside [-10, 10]: the step is replaced by the midpoint, then Newton takes over again.
+        root = invert_monotone(f, math.atan(0.5), f_tol=0.0, reach=20.0)
+        assert calls[:3] == [10.0, -10.0, 0.0]
+        assert root == pytest.approx(-9.5, rel=1e-12)
         assert len(calls) <= 10
 
     def test_bisects_where_the_slope_vanishes(self):
-        # The slope is zero at the starting end, so Newton has no step there.
+        # A map that reports no slope: the start doubles to 1, across the target, and Newton has no
+        # step inside [0, 1], so every step is the midpoint.
         calls = []
 
         def f(x):
             calls.append(x)
-            return x**3, 3.0 * x * x
+            return x, 0.0
 
-        root = invert_monotone(f, 1e-3, f_tol=0.0, lo=0.0, hi=4.0)
-        assert calls[2] == 2.0
-        assert root == pytest.approx(0.1, rel=1e-12)
+        root = invert_monotone(f, 0.3, f_tol=0.0)
+        assert calls[:4] == [0.0, 1.0, 0.5, 0.25]
+        assert root == pytest.approx(0.3, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
     def test_scaled_root_pinned_to_relative_width(self, scale):
         # f(x) = atan(x / scale): the root sits at 0.3 * scale, so an
         # absolute stop would end far from it at scale 1e-12.
         f = value_and_slope(lambda x: math.atan(x / scale), lambda x: scale / (scale * scale + x * x))
-        root = invert_monotone(f, math.atan(0.3), f_tol=0.0, lo=-scale, hi=scale)
+        root = invert_monotone(f, math.atan(0.3), f_tol=0.0, reach=scale)
         assert root == pytest.approx(0.3 * scale, rel=1e-12)
 
     def test_running_out_of_steps_raises(self):
         # a zero slope bisects toward a root at 1e-300, which no bracket of relative width 1e-13
         # reaches in 240 steps: the cap is no answer
         with pytest.raises(NumericalError, match="after 240 steps"):
-            invert_monotone(lambda x: (x, 0.0), 1e-300, f_tol=0.0, lo=-1.0, hi=1.0)
+            invert_monotone(lambda x: (x, 0.0), 1e-300, f_tol=0.0)
 
     def test_bracket_error_is_a_numerical_error(self):
         assert issubclass(BracketError, NumericalError)
         with pytest.raises(TiltrateError):
-            invert_monotone(lambda x: (x, 1.0), 2.0, f_tol=0.0, hi=0.0, hi_limit=0.0)
+            invert_monotone(lambda x: (x, 1.0), 2.0, f_tol=0.0, hi_limit=0.0)
+
+
+class TestOpenBracket:
+    """Until the target is crossed, each step is the Newton step from the latest point, capped at a
+    reach that doubles with each step; no point is spent on a probe that the solve then drops."""
+
+    @staticmethod
+    def recorded(f):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        return g, calls
+
+    def test_a_linear_map_takes_one_evaluation_past_its_start(self):
+        f, calls = self.recorded(lambda x: (3.0 * x + 1.0, 3.0))
+        assert invert_monotone(f, 7.0, f_tol=0.0, reach=4.0) == 2.0
+        assert calls == [0.0, 2.0]
+
+    def test_a_convex_map_reached_from_its_uncrossed_side_takes_its_closing_step(self):
+        # from 0 the tangents of e**x stay right of the root ln 1e-3: no point crosses it, and the
+        # answer is the Newton step from the last point, taken without evaluating it
+        f, calls = self.recorded(lambda x: (math.exp(x), math.exp(x)))
+        root = invert_monotone(f, 1e-3, f_tol=1e-9, reach=8.0)
+        last = calls[-1]
+        assert all(x > math.log(1e-3) for x in calls)
+        assert root == last - (math.exp(last) - 1e-3) / math.exp(last)
+        assert root not in calls
+        assert root == pytest.approx(math.log(1e-3), rel=1e-12)
+
+    def test_a_slow_one_sided_run_is_not_cut_at_sixty_steps(self):
+        # near its triple root (x + 1)**3 draws each tangent only a third of the way in from the
+        # right, so no point crosses the root -1 + 1e-12 for more than 60 steps; none of them is
+        # cut short by the reach, so they count toward the 240 steps in all and not toward the
+        # 60 expansions
+        f, calls = self.recorded(lambda x: ((x + 1.0) ** 3, 3.0 * (x + 1.0) ** 2))
+        root = invert_monotone(f, 1e-36, f_tol=0.0)
+        assert len(calls) > 61
+        assert all(x > -1.0 + 1e-12 for x in calls)
+        assert root == pytest.approx(-1.0 + 1e-12, abs=1e-14)
+
+    def test_a_zero_slope_at_the_start_doubles(self):
+        # no Newton step from 0: the first step is the whole reach, across the target
+        f, calls = self.recorded(lambda x: (x**3, 3.0 * x * x))
+        root = invert_monotone(f, 1e-3, f_tol=0.0, reach=4.0)
+        assert calls[:2] == [0.0, 4.0]
+        assert root == pytest.approx(0.1, rel=1e-12)
+
+    def test_newton_steps_are_capped_at_a_doubling_reach(self):
+        # atan is convex left of 0, so its tangents from 0 toward -321.5 never cross the target.  The
+        # first reaches -1.57, past the reach 1; each later step is at most the reach, 2, 4, 8, ...
+        f, calls = self.recorded(value_and_slope(math.atan, lambda x: 1.0 / (1.0 + x * x)))
+        root = invert_monotone(f, math.atan(-321.5), f_tol=0.0)
+        assert calls[1] == -1.0
+        assert all(-(2.0**i) <= b - a < 0.0 for i, (a, b) in enumerate(zip(calls, calls[1:])))
+        assert root == pytest.approx(-321.5, rel=1e-13)
+
+    def test_steps_past_the_upper_limit_are_clipped_to_it(self):
+        # the Newton point 4 + 5e-13 lies past the limit 4: the step stops at 4, within f_tol of
+        # the target, and the closing step, which would leave (-inf, 4], is not taken
+        f, calls = self.recorded(lambda x: (x - 4.0, 1.0))
+        assert invert_monotone(f, 5e-13, f_tol=1e-12, reach=10.0, hi_limit=4.0) == 4.0
+        assert calls == [0.0, 4.0]
+        calls.clear()
+        with pytest.raises(BracketError):
+            invert_monotone(f, 5e-13, f_tol=0.0, reach=10.0, hi_limit=4.0)
+        assert calls == [0.0, 4.0]
+        # a limit below 0 is where the solve starts
+        calls.clear()
+        assert invert_monotone(f, -7.0, f_tol=0.0, hi_limit=-1.0) == -3.0
+        assert calls[0] == -1.0
+
+    @pytest.mark.parametrize("target", [2.0, -2.0])
+    def test_a_target_out_of_range_raises_after_sixty_steps(self, target):
+        f, calls = self.recorded(value_and_slope(math.atan, lambda x: 1.0 / (1.0 + x * x)))
+        with pytest.raises(BracketError, match="could not bracket"):
+            invert_monotone(f, target, f_tol=0.0)
+        assert len(calls) == 61
 
 
 class TestAdaptiveSimpson:
