@@ -105,7 +105,7 @@ def rate_two_distortions(
         ("delta2", problem.distortion_2, delta2),
     ):
         origins.append(_at_origin(p, log_q, d))
-        floor, span = float(np.dot(p, origins[-1].starts)), float(np.dot(p, origins[-1].ranges))
+        floor, span = origins[-1].floor, origins[-1].span
         # _legendre's lower end band decides the floor and refuses nan or a budget below it;
         # a budget past the widest band (span >= D(0) - floor) makes no kernel call
         try:
@@ -124,9 +124,8 @@ def rate_two_distortions(
         # restricted to one letter a row, it has no span to give a budget rounded below.
         i, j = floored.index(True), 1 - floored.index(True)
         other = _at_origin(p, origins[i].at_end(-1.0), (problem.distortion_1, problem.distortion_2)[j])
-        span = float(np.dot(p, origins[j].ranges))
         try:
-            force, rate, _ = _legendre(other, (delta1, delta2)[j], tol, nonpositive=True, band_span=span)
+            force, rate, _ = _legendre(other, (delta1, delta2)[j], tol, nonpositive=True, band_span=origins[j].span)
         except ValidationError:
             raise InfeasiblePairError(unsatisfiable) from None
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
@@ -221,7 +220,7 @@ def rate_two_distortions(
         rising = budgets[0] - budgets[1] > float(np.dot(p, e[rows, np.argmin(tables[1] + a * e, axis=1)]))
         lo, hi = (lo, a) if rising else (a, hi)
     mixed = _at_origin(p, log_q, a * tables[0] + (1.0 - a) * tables[1])
-    floor = float(np.dot(p, mixed.starts))
-    if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(float(np.dot(p, mixed.ranges)), floor):
+    floor = mixed.floor
+    if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(mixed.span, floor):
         raise InfeasiblePairError(unsatisfiable)
     raise NumericalError(f"two-force ascent {stop}")

@@ -202,16 +202,14 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
 def _solve(problem: RdProblem, delta: float, tol: float):
     """``force_at_distortion``'s point and its per-letter moments at origin (None at force -inf)."""
     table = _table(problem)
-    p, starts = table.row_weights, table.starts
     try:
         s, rate, moments = _legendre(table, delta, tol, nonpositive=True)
     except LevelInfeasibleError:
-        dmin = float(np.dot(p, starts))
-        raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {dmin!r}") from None
+        raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {table.floor!r}") from None
     if s == -math.inf:
         return RdPoint(
-            s=s, distortion=float(np.dot(p, starts)), rate=rate, per_symbol_mean=starts,
-            per_symbol_var=np.zeros_like(starts), mmse=0.0, boundary="min_distortion",
+            s=s, distortion=table.floor, rate=rate, per_symbol_mean=table.starts,
+            per_symbol_var=np.zeros_like(table.starts), mmse=0.0, boundary="min_distortion",
         ), None
     point = _point(table, s, *moments)
     if s == 0.0 and delta > point.distortion:

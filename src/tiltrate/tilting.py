@@ -347,6 +347,17 @@ class _Table(NamedTuple):
     starts: np.ndarray
     ranges: np.ndarray
 
+    @property
+    def floor(self) -> float:
+        """sum_x w_x start_x, the row-weighted start: where the table's origin sits, so a budget
+        moves to origin by subtracting it.  The one place a row-weighted start is summed."""
+        return float(np.dot(self.row_weights, self.starts))
+
+    @property
+    def span(self) -> float:
+        """sum_x w_x range_x, the row-weighted range: the ceiling at origin."""
+        return float(np.dot(self.row_weights, self.ranges))
+
     def moments(self, s, order: int = 2):
         """Per-row (log-partition, mean, variance) at origin at one force s (``_check_force``), by
         ``_tilted_moments``; ``order`` 1 stops after the mean.  Force grids go to the kernel itself."""
@@ -418,9 +429,9 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     _check_tol(tol)
     if math.isnan(target):
         raise ValidationError("the target level must be a number, not nan")
-    row_weights, _, values, starts, ranges = table
-    base = float(np.dot(row_weights, starts))
-    level, ceiling = target - base, float(np.dot(row_weights, ranges))
+    row_weights, _, values, _, ranges = table
+    base, ceiling = table.floor, table.span
+    level = target - base
     top, at_zero = ceiling, None  # the floor is 0 at origin, so top is the span
     if nonpositive:
         at_zero = table.moments(0.0)
