@@ -254,7 +254,11 @@ def mmse(problem: RdProblem, s: float) -> float:
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
     _check_force(s)
-    return _floored(adaptive_simpson(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), 0.0, s, tol))
+
+    def integrand(us):  # u * mmse(u) is exactly 0.0 at the node u = 0, which needs no tilt
+        return np.array([u * mmse(problem, u) if u else 0.0 for u in us.tolist()])
+
+    return _floored(adaptive_simpson(integrand, 0.0, s, tol))
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:

@@ -282,6 +282,34 @@ def test_row_starts_are_found_by_the_origin_table_alone():
     assert sorted(m.name for m in modules if "_row_ends" in m.read_text()) == ["tilting.py"]
 
 
+def test_row_starts_and_ranges_are_summed_by_the_origin_table_alone():
+    # A budget moves to the rows' origin by tilting._Table.floor, sum_x w_x start_x, and the ceiling
+    # at origin is _Table.span, sum_x w_x range_x: no other function takes a weighted sum of a table's
+    # starts or ranges, so how that sum is rounded is decided in one place.  oracles.py sums its own
+    # starts, as it finds them, independent of the table it checks.
+    summing = {"np.dot", "np.vecdot", "np.inner", "np.matmul", "_exact_dot"}
+
+    def is_starts_or_ranges(node):
+        return (isinstance(node, ast.Attribute) and node.attr in ("starts", "ranges")
+                or isinstance(node, ast.Name) and node.id in ("starts", "ranges"))
+
+    summers = set()
+    for module in Path(tiltrate.__file__).parent.glob("*.py"):
+        if module.name == "oracles.py":
+            continue
+        for function in ast.walk(ast.parse(module.read_text())):
+            for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in summing:
+                    operands = node.args
+                elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                    operands = (node.left, node.right)
+                else:
+                    continue
+                if any(map(is_starts_or_ranges, operands)):
+                    summers.add((module.name, function.name))
+    assert summers == {("tilting.py", "floor"), ("tilting.py", "span")}
+
+
 def test_supports_are_sorted_and_merged_in_one_function():
     # tilting._set_laws is the one sort-and-merge of a support: the one-row constructor and
     # RdProblem.delta_dists both call it, and no other code merges runs of values

@@ -641,11 +641,12 @@ PINNED = {
     "duplicate11": (13, "0x1.15403277cea3ap-3 0x0.0p+0 -0x1.09a6f9373ccbbp+1"),
     "scaled12": (7, "0x1.b85dfc67b9c38p-6 -0x1.8a4d0ec7762fcp-1 0x0.0p+0"),
     "complement13": (12, "InfeasiblePairError"),
-    "noisy14": (11, "0x1.8f84a110f40f5p-2 0x0.0p+0 -0x1.46bf2bd7d7833p+2"),
+    # noisy14 and complement18 re-taken when _Table.floor became exact: np.dot put one floor of each 1 ulp off
+    "noisy14": (11, "0x1.8f84a110f40eap-2 0x0.0p+0 -0x1.46bf2bd7d7829p+2"),
     "random15": (6, "0x1.8aa5f369bdf94p-3 -0x1.d19e34e64f561p-19 -0x1.595d4ade73076p-22"),
     "duplicate16": (7, "0x1.355d9ad9e5e43p-2 -0x1.f0407f839bcedp-19 0x0.0p+0"),
     "scaled17": (9, "0x1.60f632773c808p-5 -0x1.2a6de84531ae9p-18 0x0.0p+0"),
-    "complement18": (11, "InfeasiblePairError"),
+    "complement18": (10, "InfeasiblePairError"),
     "noisy19": (8, "0x1.4c0cd9c1f7f08p-7 0x0.0p+0 -0x1.d507f50cac3fep-22"),
     "random20": (11, "0x1.ade65c4554df8p-1 -0x1.2bfb56f282f49p-37 0x0.0p+0"),
     "duplicate21": (8, "0x1.68b3ff7957800p-5 -0x1.9c3f10f8eaf7ap-39 0x0.0p+0"),

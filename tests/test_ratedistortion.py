@@ -19,10 +19,10 @@ from tiltrate import (
     sandwich_bounds,
     tilted_conditional,
 )
-from tiltrate import tilting
+from tiltrate import ratedistortion, tilting
 from tiltrate.errors import DistortionTooLowError
 from tiltrate.ratedistortion import distortion_mmse_integral
-from tiltrate.solvers import invert_monotone
+from tiltrate.solvers import adaptive_simpson, invert_monotone
 
 from conftest import LN2, h2, feasible_delta, random_problem
 
@@ -268,6 +268,17 @@ class TestMmseIntegrals:
             s = float(-rng.uniform(0.2, 3.0))
             direct = distortion_at_force(problem, s).rate
             assert rate_mmse_integral(problem, s) == pytest.approx(direct, abs=1e-8)
+
+    def test_rate_mmse_integral_tilts_nothing_at_force_zero(self, bss, monkeypatch):
+        # u * mmse(u) is exactly 0.0 at the node u = 0, so its per-row tilts are skipped, and the
+        # rate keeps its bits
+        forces, tilt = [], ratedistortion.tilt
+        monkeypatch.setattr(ratedistortion, "tilt", lambda dist, s: forces.append(s) or tilt(dist, s))
+        rate = rate_mmse_integral(bss, S_QUARTER)
+        assert forces and 0.0 not in forces
+        monkeypatch.undo()
+        every_node = lambda us: np.array([u * mmse(bss, u) for u in us.tolist()])  # noqa: E731
+        assert rate == adaptive_simpson(every_node, 0.0, S_QUARTER, 1e-9)
 
     def test_distortion_via_mmse_integral(self, rng):
         for _ in range(8):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tiltrate import (
     Channel,
@@ -160,6 +160,8 @@ def test_observable_sweep_never_rests_on_one_comparison(seed, s):
 
 
 @given(seeds, budgets, st.floats(-3.0, -0.1))
+# shifts up to 2.1e9 of mixed sign: a floor summed by np.dot once put this draw 1.78e-6 off, over its 1.63e-6 bound
+@example(seed=2141, u=0.26378981473177077, s=-1.0)
 @settings(max_examples=60, deadline=None)
 def test_rates_exact_under_far_row_shifts(seed, u, s):
     # Entries on a 2^-16 grid and whole-number row shifts c_x up to 1e10 keep every shifted

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from tiltrate import (
 )
 from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
-from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _pair, _tilted_moments, _tilted_pair
+from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _at_origin, _exact_dot, _pair, _tilted_moments, _tilted_pair
 
 from conftest import LN2, h2, random_dist
 
@@ -359,6 +360,38 @@ class TestRowBlockedGrids:
             # the pair at one force is row-blocked too
             self.assert_stacked([x[None] for x in _tilted_pair(log_weights, a, b, float(forces[0]), s_b)],
                                 lambda s: _pair(log_weights, a, b, s, s_b), forces[:1])
+
+
+def exact(weights, starts) -> float:
+    return float(sum(Fraction(w) * Fraction(x) for w, x in zip(weights, starts)))
+
+
+far_starts = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-12.0, 12.0))
+
+
+class TestTableFloor:
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), far_starts), min_size=1, max_size=64))
+    def test_exact_dot_is_the_exact_sum_rounded_once(self, pairs):
+        w, x = (np.array(column) for column in zip(*pairs))
+        assert _exact_dot(w, x) == exact(w, x)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 64))
+    @settings(max_examples=60)
+    def test_far_rows_are_floored_exactly_and_near_rows_by_dot(self, seed, k):
+        # rows that start far from 0, of either sign, take the exact sum; rows whose starts sum
+        # within the span keep np.dot's bits (here each row starts below 0.1 and spans 0.9 or more)
+        rng = np.random.default_rng(seed)
+        w, d = rng.dirichlet(np.ones(k)), rng.random((k, 3)) * [0.1, 0.0, 1.0] + [0.0, 1.0, 0.0]
+        shifts = np.round(rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(0.0, 10.0, size=k))
+        near, far = (_at_origin(w, np.zeros((1, 3)), d + c[:, None]) for c in (0.0 * shifts, shifts))
+        assert near.floor == float(np.dot(w, near.starts))
+        assert float(np.dot(w, np.abs(far.starts))) > far.span
+        assert far.floor == exact(w, far.starts)
+
+    def test_zeroed_starts_floor_at_zero(self):
+        table = _at_origin(np.array([0.25, 0.75]), np.zeros((1, 2)), np.array([[5.0, 7.0], [-3.0, 2.0]]))
+        assert table._replace(starts=np.zeros(2)).floor == 0.0
+        assert table.span == 0.25 * 2.0 + 0.75 * 5.0
 
 
 class TestKlFreeEnergyGap:
