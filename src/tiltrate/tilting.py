@@ -398,11 +398,13 @@ class _Table(NamedTuple):
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_i a_i b_i rounded once from its exact value, for entries below about 1e300: each product
-    as its rounded value and its exact error (Dekker's TwoProduct, on Veltkamp's split of each
-    factor into two halves of at most 26 bits), all summed by ``math.fsum`` (Ogita, Rump & Oishi,
-    SIAM J. Sci. Comput. 26, 2005).  In Python floats, which at a few rows cost less than numpy's
-    per-call overhead; 512 rows take about 0.2 ms, a seventh of one kernel call there."""
+    """sum_i a_i b_i rounded once from its exact value: each product as its rounded value and its
+    exact error (Dekker's TwoProduct, on Veltkamp's split of each factor into two halves of at most
+    26 bits), all summed by ``math.fsum`` (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).
+    Exact while no factor or product exceeds about 1e300 and no nonzero product falls below about
+    1e-290, so that no part of a product overflows or underflows.  In Python floats, which at a few
+    rows cost less than numpy's per-call overhead; 512 rows take about 0.2 ms, a seventh of one
+    kernel call."""
     terms = []
     for x, y in zip(a.tolist(), b.tolist()):
         product = x * y
