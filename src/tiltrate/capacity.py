@@ -103,8 +103,8 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     # The budget on the rows at origin: every term is nonnegative, so no digit is lost to the
     # difference delta - sum_x p_x start_x, two nearly equal terms when the rows nearly agree.
     table = _at_origin(p_out, log_w, dist)
-    level = float((q[:, None] * w * (-logs - table.starts))[mask].sum())
+    level = float((q[:, None] * w * table.values.T)[mask].sum())
     # tol = 0 runs the iteration to machine width so the force itself is pinned
-    s, rate, _ = _legendre(table._replace(starts=np.zeros_like(table.starts)), level, 0.0, nonpositive=True)
+    s, rate, _ = _legendre(table.rebased(), level, 0.0, nonpositive=True)
     # at an end each output row is constant on its support: the rate is the pure mass cost
     return CapacityPoint(rate=rate, s_star=0.0 if math.isinf(s) else float(s), delta=delta)

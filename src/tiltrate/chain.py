@@ -28,18 +28,17 @@ from .errors import (
     ValidationError,
 )
 from .ratedistortion import RdProblem
-from .solvers import adaptive_simpson
 from .tilting import (
     FiniteDistribution,
     _at_origin,
     _check_force,
     _check_partition,
     _end_band,
-    _floored,
     _frozen,
     _law,
     _legendre,
     _riemann_sums,
+    _work_integral,
 )
 
 __all__ = [
@@ -125,14 +124,13 @@ def _table(system: ChainSystem):
 def gibbs_free_energy(system: ChainSystem, lam: float) -> float:
     """Per-element Gibbs free energy -(1/beta) sum_x p_x ln Z_x(lam)."""
     table, s = _table(system), system.beta * lam
-    # a row at origin has ln Z lower by s * start than the row itself
-    return -float(np.dot(table.row_weights, table.moments(s, 1)[0] + s * table.starts)) / system.beta
+    return -float(np.dot(table.row_weights, table.log_z_from_origin(s, table.moments(s, 1)[0]))) / system.beta
 
 
 def array_lengths(system: ChainSystem, lam: float) -> np.ndarray:
     """Boltzmann mean length of each array at force lam."""
     table = _table(system)
-    return table.moments(system.beta * lam, 1)[1] + table.starts
+    return table.means_from_origin(table.moments(system.beta * lam, 1)[1])
 
 
 def expected_length(system: ChainSystem, lam: float) -> float:
@@ -176,7 +174,7 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     """
     _check_force(lam_final, "lam_final")
     table, beta = _table(system), system.beta
-    return _floored(adaptive_simpson(lambda lams: lams * beta * table.averaged(beta * lams, 2), 0.0, lam_final, tol))
+    return _work_integral(lambda lams: lams * beta * table.averaged(beta * lams, 2), lam_final, tol)
 
 
 def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:

@@ -105,7 +105,8 @@ def rate_two_distortions(
         ("delta2", problem.distortion_2, delta2),
     ):
         origins.append(_at_origin(p, log_q, d))
-        floor, span = origins[-1].floor, origins[-1].span
+        span = origins[-1].span
+        floor = origins[-1].floor(span)
         # _legendre's lower end band decides the floor and refuses nan or a budget below it;
         # a budget past the widest band (span >= D(0) - floor) makes no kernel call
         try:
@@ -220,7 +221,8 @@ def rate_two_distortions(
         rising = budgets[0] - budgets[1] > float(np.dot(p, e[rows, np.argmin(tables[1] + a * e, axis=1)]))
         lo, hi = (lo, a) if rising else (a, hi)
     mixed = _at_origin(p, log_q, a * tables[0] + (1.0 - a) * tables[1])
-    floor = mixed.floor
-    if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(mixed.span, floor):
+    span = mixed.span
+    floor = mixed.floor(span)
+    if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(span, floor):
         raise InfeasiblePairError(unsatisfiable)
     raise NumericalError(f"two-force ascent {stop}")

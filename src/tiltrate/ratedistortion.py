@@ -35,6 +35,7 @@ from .tilting import (
     _tilted_law,
     _tilted_moments,
     _tilted_pair,
+    _work_integral,
     tilt,
 )
 
@@ -153,7 +154,7 @@ def _at_force(problem: RdProblem, s: float):
 def _point(table, s: float, log_z, means, variances) -> RdPoint:
     """The curve point at force s from the per-letter moments there at origin, a ``tilting._record``."""
     p = table.row_weights
-    shifted = means + table.starts
+    shifted = table.means_from_origin(means)
     return _record(
         RdPoint,
         s=float(s),
@@ -174,7 +175,7 @@ def _points(table, forces: np.ndarray, log_z, means, variances) -> list[RdPoint]
     replaces."""
     p = table.row_weights
     rates = table.rate(forces, np.vecdot(means, p), log_z)
-    means = means + table.starts
+    means = table.means_from_origin(means)
     sums = zip(forces.tolist(), np.vecdot(means, p).tolist(), rates.tolist(), np.vecdot(variances, p).tolist())
     return [
         _record(RdPoint, s=s, distortion=d, rate=r, per_symbol_mean=m, per_symbol_var=v, mmse=e, boundary=None)
@@ -205,11 +206,13 @@ def _solve(problem: RdProblem, delta: float, tol: float):
     try:
         s, rate, moments = _legendre(table, delta, tol, nonpositive=True)
     except LevelInfeasibleError:
-        raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {table.floor!r}") from None
+        raise DistortionTooLowError(
+            f"distortion {delta!r} is below the minimum achievable {table.floor(table.span)!r}") from None
     if s == -math.inf:
+        least = table.least
         return RdPoint(
-            s=s, distortion=table.floor, rate=rate, per_symbol_mean=table.starts,
-            per_symbol_var=np.zeros_like(table.starts), mmse=0.0, boundary="min_distortion",
+            s=s, distortion=table.floor(table.span), rate=rate, per_symbol_mean=least,
+            per_symbol_var=np.zeros_like(least), mmse=0.0, boundary="min_distortion",
         ), None
     point = _point(table, s, *moments)
     if s == 0.0 and delta > point.distortion:
@@ -254,11 +257,7 @@ def mmse(problem: RdProblem, s: float) -> float:
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
     _check_force(s)
-
-    def integrand(us):  # u * mmse(u) is exactly 0.0 at the node u = 0, which needs no tilt
-        return np.array([u * mmse(problem, u) if u else 0.0 for u in us.tolist()])
-
-    return _floored(adaptive_simpson(integrand, 0.0, s, tol))
+    return _work_integral(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s, tol)
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
@@ -267,7 +266,7 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
     table = _table(problem)
     means, integral = _sweep(lambda us: _tilted_moments(table.log_weights, table.values, us), s, tol,
                              table.row_weights, mean=1, slope=2)
-    return float(np.dot(table.row_weights, means + table.starts)) + integral
+    return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
 
 
 def _sweep(outputs_at, s: float, tol: float, p: np.ndarray, *, mean: int, slope: int):

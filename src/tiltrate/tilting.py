@@ -339,7 +339,13 @@ def _row_ends(log_weights: np.ndarray, values: np.ndarray):
 
 
 class _Table(NamedTuple):
-    """A table lowered for the kernel by ``_at_origin``, its values at origin."""
+    """A table lowered for the kernel by ``_at_origin``, its values at origin: each row moved to
+    start at 0, which leaves every tilted law unchanged.
+
+    The round trip lives here, and no other module reads ``starts`` or ``ranges``.  A budget moves
+    to origin by ``floor`` and is capped by ``span``; the kernel's per-row means and log-partitions
+    move back by ``means_from_origin`` and ``log_z_from_origin``; ``least`` is each row's mean at
+    force -inf; ``rebased`` is the table for a budget already at origin."""
 
     row_weights: np.ndarray
     log_weights: np.ndarray
@@ -347,17 +353,18 @@ class _Table(NamedTuple):
     starts: np.ndarray
     ranges: np.ndarray
 
-    @property
-    def floor(self) -> float:
+    def floor(self, span: float) -> float:
         """sum_x w_x start_x, the row-weighted start: where the table's origin sits, so a budget
-        moves to origin by subtracting it.  The one place a row-weighted start is summed.
+        moves to origin by subtracting it.  ``span`` is the table's own ``span``, which each caller
+        holds already.  The one place a row-weighted start is summed.
 
         Where sum_x w_x |start_x| exceeds the span, rows sit far from 0 and their starts may
         cancel, and ``np.dot``'s rounding, times the force, could outweigh the span's own
         resolution: there the floor is rounded once from its exact value (``_exact_dot``).
-        Elsewhere that rounding is within the span's, and ``np.dot`` costs less."""
+        Elsewhere that rounding is within the span's, and ``np.dot`` costs less.  One row's
+        single product is rounded once by ``np.dot`` itself, so it needs no test."""
         w, starts = self.row_weights, self.starts
-        if np.dot(w, np.abs(starts)) > self.span:
+        if w.size > 1 and np.dot(w, np.abs(starts)) > span:
             return _exact_dot(w, starts)
         return float(np.dot(w, starts))
 
@@ -365,6 +372,25 @@ class _Table(NamedTuple):
     def span(self) -> float:
         """sum_x w_x range_x, the row-weighted range: the ceiling at origin."""
         return float(np.dot(self.row_weights, self.ranges))
+
+    @property
+    def least(self) -> np.ndarray:
+        """Each row's least value among the entries that carry mass, its mean at force -inf: the
+        starts themselves, signed zeros kept."""
+        return self.starts
+
+    def means_from_origin(self, means: np.ndarray) -> np.ndarray:
+        """Per-row means at origin moved back by each row's start; a force grid's rows, one per
+        force, each move alike."""
+        return means + self.starts
+
+    def log_z_from_origin(self, s: float, log_z: np.ndarray) -> np.ndarray:
+        """Per-row log-partitions at origin at force s moved back: a row at origin has ln Z lower by s * start."""
+        return log_z + s * self.starts
+
+    def rebased(self) -> _Table:
+        """The table with every start 0, so its floor is 0: for a budget already moved to origin."""
+        return self._replace(starts=np.zeros_like(self.starts))
 
     def moments(self, s, order: int = 2):
         """Per-row (log-partition, mean, variance) at origin at one force s (``_check_force``), by
@@ -460,7 +486,8 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     if math.isnan(target):
         raise ValidationError("the target level must be a number, not nan")
     row_weights, _, values, _, ranges = table
-    base, ceiling = table.floor, table.span
+    ceiling = table.span
+    base = table.floor(ceiling)
     level = target - base
     top, at_zero = ceiling, None  # the floor is 0 at origin, so top is the span
     if nonpositive:
@@ -557,7 +584,22 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Work route to the rate: integral of u * Var_u(y) for u from 0 to s."""
     _check_force(s)
-    return _floored(adaptive_simpson(lambda u: u * dist._table.averaged(u, 2), 0.0, s, tol))
+    return _work_integral(lambda u: u * dist._table.averaged(u, 2), s, tol)
+
+
+def _work_integral(integrand, s: float, tol: float) -> float:
+    """The integral from 0 to s of ``integrand``, u times a slope at u for an array of forces u,
+    floored (``_floored``): the one quadrature of the work routes.  At a node u = +-0 the
+    integrand is u itself, exactly, so it is called on the other nodes alone and the kernel
+    never runs at force 0; each value, and so the integral, is the every-node one bit for bit."""
+
+    def at_nodes(us: np.ndarray) -> np.ndarray:
+        values, live = us.copy(), us != 0.0
+        if live.any():  # not on a level whose every node rounds to 0, from a force near 1e-323
+            values[live] = integrand(us[live])
+        return values
+
+    return _floored(adaptive_simpson(at_nodes, 0.0, s, tol))
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:

@@ -124,7 +124,7 @@ class TestQuadratureTolerance:
         def counted(f, *args, **kwargs):
             return rule(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
 
-        for module in (tiltrate.tilting, tiltrate.ratedistortion, tiltrate.chain):
+        for module in (tiltrate.tilting, tiltrate.ratedistortion):
             monkeypatch.setattr(module, "adaptive_simpson", counted)
         return calls
 
@@ -308,6 +308,20 @@ def test_row_starts_and_ranges_are_summed_by_the_origin_table_alone():
                 if any(map(is_starts_or_ranges, operands)):
                     summers.add((module.name, function.name))
     assert summers == {("tilting.py", "floor"), ("tilting.py", "span")}
+
+
+def test_only_tilting_reads_row_starts_and_ranges():
+    # The way to origin and back lives on tilting._Table (floor, span, means_from_origin,
+    # log_z_from_origin, least, rebased), so moving the origin edits one module.  oracles.py
+    # finds its own starts, independent of the table it checks.
+    readers = set()
+    for module in Path(tiltrate.__file__).parent.glob("*.py"):
+        if module.name in ("tilting.py", "oracles.py"):
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("starts", "ranges"):
+                readers.add((module.name, node.lineno))
+    assert readers == set()
 
 
 def test_supports_are_sorted_and_merged_in_one_function():

@@ -33,6 +33,7 @@ from tiltrate import (
     quasistatic_work,
     rate_legendre,
     rate_mmse_integral,
+    rate_work_integral,
     rd_curve,
     riemann_sandwich,
     sandwich_bounds,
@@ -42,7 +43,7 @@ from tiltrate.errors import LengthInfeasibleError
 from tiltrate.multiconstraint import _stats
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _BLOCK_ENTRIES, _legendre, _tilted_law
+from tiltrate.tilting import _BLOCK_ENTRIES, _floored, _legendre, _tilted_law
 
 from conftest import feasible_delta, random_problem, recursive_simpson
 
@@ -185,6 +186,51 @@ class TestQuadratureZeroForce:
             batched_forces.clear()
             observable_sweep(problem, t, s)
             assert batched_forces.count(0.0) == 1
+
+
+class TestWorkIntegralZeroNode:
+    """The work routes integrate u times a slope, exactly u at u = +-0: the kernel never sees force
+    0, and each answer is the every-node rule's bit for bit (``tilting._work_integral``)."""
+
+    @pytest.fixture
+    def kernel_forces(self, monkeypatch):
+        # every force at which the moments (rate_work_integral, quasistatic_work) or a one-row
+        # tilt (mmse) are taken
+        seen, moments, tilt = [], tilting._tilted_moments, ratedistortion.tilt
+
+        def counted_moments(log_weights, values, s, order=2):
+            seen.extend(np.ravel(s).tolist())
+            return moments(log_weights, values, s, order)
+
+        def counted_tilt(dist, s):
+            seen.append(s)
+            return tilt(dist, s)
+
+        monkeypatch.setattr(tilting, "_tilted_moments", counted_moments)
+        monkeypatch.setattr(ratedistortion, "tilt", counted_tilt)
+        return seen
+
+    @staticmethod
+    def routes():
+        problem = problems()[1]
+        system = from_rd_problem(problem, beta=1.7)
+        table, dist = chain._table(system), problem.delta_dists[0]
+        return [  # (route, its integrand at every node)
+            (lambda s: rate_work_integral(dist, s), lambda u: u * dist._table.averaged(u, 2)),
+            (lambda s: quasistatic_work(system, s),
+             lambda lams: lams * system.beta * table.averaged(system.beta * lams, 2)),
+            (lambda s: rate_mmse_integral(problem, s),
+             lambda us: np.array([u * mmse(problem, u) for u in us.tolist()])),
+        ]
+
+    @pytest.mark.parametrize("route", range(3))
+    @pytest.mark.parametrize("s", [-1.3, 0.7, -5e-324])
+    def test_no_zero_force_and_every_node_bits(self, kernel_forces, route, s):
+        # at s = -5e-324 the nodes round to +-0 except s itself, from the root level on
+        answer, integrand = self.routes()[route]
+        got = answer(s)
+        assert kernel_forces and 0.0 not in kernel_forces
+        assert got == _floored(adaptive_simpson(integrand, 0.0, s, 1e-9))
 
 
 class TestMomentOrder:

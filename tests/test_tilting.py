@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tiltrate.tilting
 from tiltrate import (
     FiniteDistribution,
     ValidationError,
@@ -385,13 +386,35 @@ class TestTableFloor:
         w, d = rng.dirichlet(np.ones(k)), rng.random((k, 3)) * [0.1, 0.0, 1.0] + [0.0, 1.0, 0.0]
         shifts = np.round(rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(1.0, 10.0, size=k))
         near, far = (_at_origin(w, np.zeros((1, 3)), d + c[:, None]) for c in (0.0 * shifts, shifts))
-        assert near.floor == float(np.dot(w, near.starts))
+        assert near.floor(near.span) == float(np.dot(w, near.starts))
         assert float(np.dot(w, np.abs(far.starts))) > far.span
-        assert far.floor == exact(w, far.starts)
+        assert far.floor(far.span) == exact(w, far.starts)
+
+    @given(st.floats(1e-3, 1.0), far_starts, st.floats(0.0, 1e3))
+    def test_one_row_is_floored_exactly_by_dot(self, w, start, width):
+        # one product, rounded once: np.dot's floor is the exact one, whichever side of its range
+        # the row starts
+        table = _at_origin(np.array([w]), np.zeros((1, 2)), np.array([[start, start + width]]))
+        assert table.floor(table.span) == exact([w], table.starts)
+
+    def test_one_row_takes_no_exact_sum(self, monkeypatch):
+        # a row far from 0 (start 1e6, range 1) once took _exact_dot on every read of its floor
+        def refused(*args):
+            raise AssertionError("a one-row floor took the exact sum")
+
+        monkeypatch.setattr(tiltrate.tilting, "_exact_dot", refused)
+        dist = FiniteDistribution([1e6, 1e6 + 1.0], [0.25, 0.75])
+        assert dist._table.floor(dist._table.span) == 1e6
+        result = force_at_level(dist, 1e6 + 0.5)  # at origin the mean 1/2 needs e^s = 1/3
+        assert result.force == pytest.approx(-math.log(3.0), rel=1e-9)
+        assert result.rate == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-12)
+        table = _at_origin(np.array([1.0]), np.zeros((1, 2)), np.array([[-1e6, 1.0 - 1e6]]))
+        assert table.floor(table.span) == -1e6
 
     def test_zeroed_starts_floor_at_zero(self):
         table = _at_origin(np.array([0.25, 0.75]), np.zeros((1, 2)), np.array([[5.0, 7.0], [-3.0, 2.0]]))
-        assert table._replace(starts=np.zeros(2)).floor == 0.0
+        rebased = table.rebased()
+        assert rebased.floor(rebased.span) == 0.0
         assert table.span == 0.25 * 2.0 + 0.75 * 5.0
 
 
