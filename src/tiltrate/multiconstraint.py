@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _check_tol, _end_band, _floored, _legendre, _record, _tilted_pair
+from .tilting import _at_origin, _check_tol, _end_band, _floored, _legendre, _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -50,11 +50,12 @@ class RdProblem2:
         _clean_tables(self, "distortion_1", "distortion_2")
 
 
-def _evaluate(problem: RdProblem2, log_q: np.ndarray, s1: float, s2: float, delta1: float, delta2: float):
+def _evaluate(p: np.ndarray, log_q: np.ndarray, d1: np.ndarray, d2: np.ndarray,
+              s1: float, s2: float, delta1: float, delta2: float):
     """Objective value, gradient and tilted covariance at forces (s1, s2) from one kernel call, as six
-    floats (value, g1, g2, c11, c22, c12); ``log_q`` is ln Q as one row."""
-    p = problem.source_probs
-    phi, m1, m2, *rows = _tilted_pair(log_q, problem.distortion_1, problem.distortion_2, s1, s2)
+    floats (value, g1, g2, c11, c22, c12), for source law ``p``, ln Q as one row ``log_q`` and the
+    tables ``d1`` and ``d2``."""
+    phi, m1, m2, *rows = _tilted_pair(log_q, d1, d2, s1, s2)
     c11, c22, c12 = (float(np.dot(p, row)) for row in rows)
     return (s1 * delta1 + s2 * delta2 - float(np.dot(p, phi)), delta1 - float(np.dot(p, m1)),
             delta2 - float(np.dot(p, m2)), c11, c22, c12)
@@ -62,7 +63,8 @@ def _evaluate(problem: RdProblem2, log_q: np.ndarray, s1: float, s2: float, delt
 
 def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
     """Objective value, gradient, and tilted covariance at force pair s, by ``_evaluate``."""
-    value, g1, g2, c11, c22, c12 = _evaluate(problem, np.log(problem.coding_probs)[None, :], s[0], s[1], delta1, delta2)
+    value, g1, g2, c11, c22, c12 = _evaluate(problem.source_probs, np.log(problem.coding_probs)[None, :],
+                                             problem.distortion_1, problem.distortion_2, s[0], s[1], delta1, delta2)
     return value, np.array([g1, g2]), np.array([[c11, c12], [c12, c22]])
 
 
@@ -90,15 +92,18 @@ def rate_two_distortions(
     At k = 2 about half of a call is the kernel (``_evaluate``), and numpy's fixed cost
     per call on 2-vectors once outweighed it, so the loop keeps its forces, gradient and
     covariance as floats.  A step with both forces free still takes LAPACK's 2x2 solve,
-    whose bits the answers keep; with one free, g_i / c_ii is LAPACK's 1x1 solve.
+    whose bits the answers keep; with one free, g_i / c_ii is LAPACK's 1x1 solve.  A
+    closed form would save about a fifth of a k = 2 call, but it changes outcomes, not
+    just bits: on the stiff recipe Cramer's rule stalls on two more draws of 3,000, and
+    elimination with partial pivoting also answers a frontier pair low.
     """
     _check_tol(tol)  # before the floor test, which reads a ValidationError as a budget below the floor
-    p, q = problem.source_probs, problem.coding_probs
+    p = problem.source_probs
     unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
     # The ascent's stopping tests are absolute, so it runs on each table at
     # origin (rows start at 0) divided by its P-weighted range: the rate is
     # unchanged, and each force comes back divided by that range.
-    log_q = np.log(q)[None, :]  # ln Q as one row, taken once per solve
+    log_q = np.log(problem.coding_probs)[None, :]  # ln Q as one row, taken once per solve
     origins, tables, budgets, scales, floored = [], [], [], [], []
     for name, d, target in (
         ("delta1", problem.distortion_1, delta1),
@@ -130,10 +135,8 @@ def rate_two_distortions(
         except ValidationError:
             raise InfeasiblePairError(unsatisfiable) from None
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
-    # built as a record: the constructor would check and copy both tables again
-    scaled = _record(RdProblem2, source_probs=p, coding_probs=q, distortion_1=tables[0], distortion_2=tables[1])
     s1 = s2 = 0.0
-    value, g1, g2, c11, c22, c12 = _evaluate(scaled, log_q, s1, s2, *budgets)
+    value, g1, g2, c11, c22, c12 = _evaluate(p, log_q, *tables, s1, s2, *budgets)
     eps = float(np.finfo(float).eps)
     # Every letter carries mass at zero force, so the covariance there is
     # singular exactly when the tables are affinely dependent.
@@ -182,7 +185,7 @@ def rate_two_distortions(
                 t1, t2 = min(s1 + alpha * n1, 0.0), min(s2 + alpha * n2, 0.0)
                 if t1 == s1 and t2 == s2:
                     break
-                trial = _evaluate(scaled, log_q, t1, t2, *budgets)
+                trial = _evaluate(p, log_q, *tables, t1, t2, *budgets)
                 if trial[0] >= value + _ARMIJO * (g1 * (t1 - s1) + g2 * (t2 - s2)):
                     last = math.sqrt((t1 - s1) * (t1 - s1) + (t2 - s2) * (t2 - s2))
                     s1, s2, (value, g1, g2, c11, c22, c12) = t1, t2, trial
@@ -204,7 +207,7 @@ def rate_two_distortions(
             force, rate, _ = _legendre(origins[i], (delta1, delta2)[i], tol, nonpositive=True)
             at = [0.0, 0.0]
             at[i] = force * scales[i]
-            faces.append((*at, *_evaluate(scaled, log_q, *at, *budgets)))  # (s1, s2, value, g1, g2, ...)
+            faces.append((*at, *_evaluate(p, log_q, *tables, *at, *budgets)))  # (s1, s2, value, g1, g2, ...)
             if faces[-1][4 - i] >= -tol:  # the other budget's gradient
                 return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
         best = max(faces, key=lambda face: face[2])

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DistortionTooLowError, LevelInfeasibleError, ValidationError
-from .solvers import adaptive_simpson
 from .tilting import (
     FiniteDistribution,
     _at_origin,
@@ -32,6 +31,7 @@ from .tilting import (
     _record,
     _riemann_sums,
     _set_laws,
+    _sweep,
     _tilted_law,
     _tilted_moments,
     _tilted_pair,
@@ -267,23 +267,6 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
     means, integral = _sweep(lambda us: _tilted_moments(table.log_weights, table.values, us), s, tol,
                              table.row_weights, mean=1, slope=2)
     return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
-
-
-def _sweep(outputs_at, s: float, tol: float, p: np.ndarray, *, mean: int, slope: int):
-    """(per-row means at force 0, integral from 0 to s of the row-weighted slope), ``mean`` and
-    ``slope`` indexing the kernel outputs ``outputs_at`` gives at a force or array of forces.
-    The means are read off the rule's root level, which ends at force 0 (at s = 0 no node is
-    taken); each level's slopes are reduced in one ``np.vecdot``, as ``_Table.averaged`` does."""
-    at_zero = []
-
-    def integrand(us):
-        outputs = outputs_at(us)
-        if not at_zero:
-            at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
-        return np.vecdot(outputs[slope], p)
-
-    integral = adaptive_simpson(integrand, 0.0, s, tol)
-    return (at_zero[0] if at_zero else outputs_at(0.0)[mean]), integral
 
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:

@@ -10,7 +10,10 @@ whole level at a time and hands the integrand that level's abscissae in one
 array, so a batched kernel takes each level in one call; its subdivision
 and summation order are fixed, so repeated runs give bit-identical answers.
 The rule's own bookkeeping runs on Python floats, cheaper than numpy on the
-few-interval levels the routes make; each level crosses to numpy once.
+few-interval levels the routes make; each level crosses to numpy once.  Its
+evaluation budget is a constant, ``_MAX_EVALS`` (a million nodes per
+integral), and its only client is ``tilting``: every quadrature route reaches
+it through ``_work_integral``, ``_sweep`` or ``mean_via_integral`` there.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ _NOISE_STEP = 1e-8
 # steps in all, before giving up.
 _MAX_EXPAND = 60
 _MAX_ITER = 240
-# Subdivision levels below the root interval, and abscissae per integrand call.
+# Subdivision levels below the root interval, abscissae per integrand call, and
+# evaluations per integral.
 _MAX_DEPTH = 60
 _MAX_CALL = 1024
+_MAX_EVALS = 1_000_000
 
 
 class BracketError(NumericalError):
@@ -129,7 +134,7 @@ def invert_monotone(
     raise NumericalError(f"root solve short of tolerance after {_MAX_ITER} steps: bracket [{lo!r}, {hi!r}]")
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_000_000) -> float:
+def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] to the absolute tolerance tol, which must be finite and > 0.
 
     ``f`` maps a 1-D array of abscissae to their values, and gets a whole
@@ -138,20 +143,20 @@ def adaptive_simpson(f, a: float, b: float, tol: float, *, max_evals: int = 1_00
     against its halves, the tolerance halving on each split; the root is
     always split.  The pieces are summed in the recursive rule's tree order,
     so equal node values give a bit-identical answer.  A level that would
-    pass ``max_evals`` evaluations, or a 61st level, raises NumericalError.
+    pass ``_MAX_EVALS`` (a million) evaluations, or a 61st level, raises NumericalError.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValidationError(f"tol must be finite and > 0 (got {tol!r})")
     if a == b:
         return 0.0
     if b < a:
-        return -adaptive_simpson(f, b, a, tol, max_evals=max_evals)
+        return -adaptive_simpson(f, b, a, tol)
     a, b, tol, spent = float(a), float(b), float(tol), 0
 
     def feval(x: list) -> list:
         nonlocal spent
         spent += len(x)
-        if spent > max_evals:
+        if spent > _MAX_EVALS:
             raise NumericalError(f"adaptive Simpson short of tolerance near {x[0]!r}: out of evaluations")
         if len(x) <= _MAX_CALL:
             return f(np.array(x)).tolist()

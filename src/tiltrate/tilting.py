@@ -602,6 +602,24 @@ def _work_integral(integrand, s: float, tol: float) -> float:
     return _floored(adaptive_simpson(at_nodes, 0.0, s, tol))
 
 
+def _sweep(outputs_at, s: float, tol: float, p: np.ndarray, *, mean: int, slope: int):
+    """(per-row means at force 0, integral from 0 to s of the row-weighted slope), ``mean`` and
+    ``slope`` indexing the kernel outputs ``outputs_at`` gives at a force or array of forces:
+    the quadrature of the routes that add a slope's integral to a mean at force 0.  The means
+    are read off the rule's root level, which ends at force 0 (at s = 0 no node is taken); each
+    level's slopes are reduced in one ``np.vecdot``, as ``_Table.averaged`` does."""
+    at_zero = []
+
+    def integrand(us):
+        outputs = outputs_at(us)
+        if not at_zero:
+            at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
+        return np.vecdot(outputs[slope], p)
+
+    integral = adaptive_simpson(integrand, 0.0, s, tol)
+    return (at_zero[0] if at_zero else outputs_at(0.0)[mean]), integral
+
+
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Tilted mean recovered as mean(0) plus the integrated tilted variance."""
     _check_force(s)

@@ -124,8 +124,7 @@ class TestQuadratureTolerance:
         def counted(f, *args, **kwargs):
             return rule(lambda x: calls.append(x.size) or f(x), *args, **kwargs)
 
-        for module in (tiltrate.tilting, tiltrate.ratedistortion):
-            monkeypatch.setattr(module, "adaptive_simpson", counted)
+        monkeypatch.setattr(tiltrate.tilting, "adaptive_simpson", counted)
         return calls
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -322,6 +321,39 @@ def test_only_tilting_reads_row_starts_and_ranges():
             if isinstance(node, ast.Attribute) and node.attr in ("starts", "ranges"):
                 readers.add((module.name, node.lineno))
     assert readers == set()
+
+
+def names(tree) -> set:
+    """Every identifier a module's code uses: names, attributes and imported names."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | {
+        alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names}
+
+
+def test_the_quadrature_rule_is_named_by_tilting_alone():
+    # every quadrature route reaches solvers.adaptive_simpson through tilting._work_integral,
+    # tilting._sweep or mean_via_integral, so a new rule edits solvers.py and tilting.py alone
+    modules = Path(tiltrate.__file__).parent.glob("*.py")
+    assert sorted(m.name for m in modules if "adaptive_simpson" in names(ast.parse(m.read_text()))) == [
+        "solvers.py", "tilting.py"]
+
+
+def test_records_are_built_only_for_classes_that_check_nothing():
+    # tilting._record skips __post_init__, so it may build only a class that defines none: a
+    # validated input class is built by its constructor, or not at all
+    trees = [ast.parse(m.read_text()) for m in Path(tiltrate.__file__).parent.glob("*.py")]
+    classes = {
+        node.name: any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body)
+        for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+    recorded = {
+        node.args[0].id
+        for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record"
+    }
+    assert recorded and recorded <= classes.keys()
+    assert sorted(name for name in recorded if classes[name]) == []
 
 
 def test_supports_are_sorted_and_merged_in_one_function():

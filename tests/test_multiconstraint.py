@@ -594,11 +594,14 @@ def family_draws():
 
 def pinned_pairs():
     """The pinned deck, name by name: (name, problem, budgets)."""
-    stiff = {draw: (problem, budgets) for draw, problem, _, budgets, _ in itertools.islice(stiff_draws(), 399)}
+    drawn = (1, 3, 6, 7, 42, 245, 277, 398, 1095, 2663)
+    stiff = {draw: (problem, budgets) for draw, problem, _, budgets, _ in itertools.islice(stiff_draws(), 2664)
+             if draw in drawn}
     # 3 takes 22 one-force steps, 7 sits on a floor, 398 is a face answer; 6 and 245 once left the plateau
     # with s2 held at 0 while its mean exceeded budget 2, and 42 and 277 stalled until a face point that
-    # beats the iterate became the next iterate; frontier draw 0 sits on a floor and 108 stalls
-    for draw in (1, 3, 6, 7, 42, 245, 277, 398):
+    # beats the iterate became the next iterate; 1095 and 2663 stall under a closed-form 2x2 Newton
+    # solve (Cramer's rule), so they pin the LAPACK step; frontier draw 0 sits on a floor and 108 stalls
+    for draw in drawn:
         yield f"stiff{draw}", *stiff[draw]
     frontier = {draw: (problem, budgets) for draw, problem, budgets, _ in itertools.islice(frontier_draws(), 109)}
     for draw in (0, 2, 3, 108):
@@ -623,6 +626,9 @@ PINNED = {
     "stiff245": (23, "0x1.1a579899a3c20p+0 -0x1.1e719a54a561ep+7 -0x1.3683878573331p+7"),
     "stiff277": (12, "0x1.4f05a16901b71p+2 -0x1.9f4c555604f9cp+1 -0x1.dcaa9e1ba9259p+4"),
     "stiff398": (10, "0x1.71001890d17b1p+0 -0x1.fa6151580dabap+8 0x0.0p+0"),
+    # added with the LAPACK step's record: both answer under LAPACK's dgesv and stall under Cramer's rule
+    "stiff1095": (47, "0x1.f54cf20f67574p+1 -0x1.cd455afa139f9p+5 -0x1.287a6a9c1f0e5p+5"),
+    "stiff2663": (59, "0x1.750137249228cp+0 -0x1.671c3b120e404p+4 -0x1.91cc1b9fb4c4dp+3"),
     "frontier0": (5, "0x1.ecfae96f5106cp-1 -inf 0x0.0p+0"),
     "frontier2": (26, "0x1.af9f81717b520p-1 -0x1.7e9fb63c0b1e5p+7 -0x1.0032060ad817fp+5"),
     "frontier3": (27, "0x1.1c7bb768c4410p-1 -0x1.b1938409fc348p+7 -0x1.26d1791df3d26p+10"),

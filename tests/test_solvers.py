@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tiltrate.errors import NumericalError, TiltrateError, ValidationError
+from tiltrate import solvers
 from tiltrate.solvers import _MAX_CALL, BracketError, adaptive_simpson, invert_monotone
 
 from conftest import recursive_simpson
@@ -232,7 +233,8 @@ class TestAdaptiveSimpson:
         runs = {adaptive_simpson(f, -3.0, 3.0, 1e-10) for _ in range(5)}
         assert len(runs) == 1
 
-    def test_budget_caps_evaluations(self):
+    def test_budget_caps_evaluations(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_MAX_EVALS", 2000)
         count = [0]
 
         def f(x):
@@ -240,12 +242,13 @@ class TestAdaptiveSimpson:
             return np.abs(x - 1 / 3) ** 0.1
 
         with pytest.raises(NumericalError, match=r"^adaptive Simpson short of tolerance near 0\.00048828125: out of evaluations$"):
-            adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=2000)
+            adaptive_simpson(f, 0.0, 1.0, 1e-15)
         # the budget is checked before a level is evaluated, so no node goes past it
         assert count[0] <= 2000
 
-    def test_calls_are_capped_in_size(self):
+    def test_calls_are_capped_in_size(self, monkeypatch):
         # a level wider than one call is handed over in several calls, each within the cap
+        monkeypatch.setattr(solvers, "_MAX_EVALS", 20_000)
         sizes = []
 
         def f(x):
@@ -253,18 +256,20 @@ class TestAdaptiveSimpson:
             return np.abs(x - 1 / 3) ** 0.1
 
         with pytest.raises(NumericalError):
-            adaptive_simpson(f, 0.0, 1.0, 1e-15, max_evals=20_000)
+            adaptive_simpson(f, 0.0, 1.0, 1e-15)
         assert max(sizes) == _MAX_CALL
         assert sum(sizes) > 2 * _MAX_CALL
 
-    def test_unresolved_integrand_raises(self):
+    def test_unresolved_integrand_raises(self, monkeypatch):
         # sin(1/x) oscillates without end near 0; no budget resolves it
+        monkeypatch.setattr(solvers, "_MAX_EVALS", 1000)
+
         def f(x):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(x == 0.0, 0.0, np.sin(1.0 / x))
 
         with pytest.raises(NumericalError):
-            adaptive_simpson(f, 0.0, 1.0, 1e-9, max_evals=1000)
+            adaptive_simpson(f, 0.0, 1.0, 1e-9)
 
     def test_depth_cap_raises(self):
         # a step at 1e-20 stays inside [0, 2^-L] on every level: one interval per level keeps
