@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _check_tol, _end_band, _floored, _legendre, _tilted_pair
+from .tilting import _at_origin, _check_number, _check_tol, _end_band, _floored, _legendre, _tilted_pair
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -75,7 +75,7 @@ def rate_two_distortions(
 
     Returns (rate, s1, s2) with s_i <= 0: a force of exactly 0 means that
     constraint is slack at the optimum, and -inf that its budget sits on its
-    table's floor.  A budget below its table's floor raises InfeasiblePairError,
+    table's floor.  A nan budget, or one below its table's floor, raises InfeasiblePairError,
     and so does an ascent that stops without an answer where the least slack
     over the mixes of the two tables is below the band (module docstring); any
     other stop raises NumericalError.  ``tol`` bounds the projected
@@ -98,6 +98,8 @@ def rate_two_distortions(
     elimination with partial pivoting also answers a frontier pair low.
     """
     _check_tol(tol)  # before the floor test, which reads a ValidationError as a budget below the floor
+    for name, target in (("delta1", delta1), ("delta2", delta2)):
+        _check_number(target, name, InfeasiblePairError)
     p = problem.source_probs
     unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
     # The ascent's stopping tests are absolute, so it runs on each table at
@@ -112,7 +114,7 @@ def rate_two_distortions(
         origins.append(_at_origin(p, log_q, d))
         span = origins[-1].span
         floor = origins[-1].floor(span)
-        # _legendre's lower end band decides the floor and refuses nan or a budget below it;
+        # _legendre's lower end band decides the floor and refuses a budget below it;
         # a budget past the widest band (span >= D(0) - floor) makes no kernel call
         try:
             floored.append(not target - floor > _end_band(span, floor) and (

@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .ratedistortion import RdProblem
-from .tilting import _law, force_at_level
+from .tilting import _check_number, _law, force_at_level
 
 __all__ = [
     "exact_ld_probability",
@@ -42,10 +42,11 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
     starts, so a row shift costs no digits; sums are convolved on an integer
     lattice of bin width 1e-9 times the largest row range, so distinct
     reachable totals never alias at desk scales.  Returns (probability,
-    -ln(probability)/n).
+    -ln(probability)/n) as floats; a nan ``delta`` raises ValidationError.
     """
     if n <= 0:
         raise ValidationError("block length n must be positive")
+    _check_number(delta, "delta")
     counts = problem.source_probs * n
     rounded = np.rint(counts)
     if np.any(np.abs(counts - rounded) > _COMPOSITION_TOL * max(1.0, n)):
@@ -74,7 +75,7 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
             acc = nxt
 
     cutoff = n * delta - base + 0.5 * width
-    prob = min(sum(pr for k, pr in acc.items() if k * width <= cutoff), 1.0)
+    prob = min(float(sum(pr for k, pr in acc.items() if k * width <= cutoff)), 1.0)
     # 0.0 - x: a certain event costs 0.0, not -0.0
     exponent = math.inf if prob <= 0.0 else 0.0 - math.log(prob) / n
     return prob, exponent
@@ -93,6 +94,7 @@ def brute_allocation_min(problem: RdProblem, delta: float, grid_points_per_symbo
         raise AlphabetTooLargeError(f"brute-force allocation handles at most 3 source letters (got {k})")
     if grid_points_per_symbol < 2:
         raise ValidationError("grid_points_per_symbol must be at least 2")
+    _check_number(delta, "delta")
     p = problem.source_probs
     dists = problem.delta_dists
 
@@ -126,6 +128,7 @@ def legendre_grid_max(problem: RdProblem, delta: float, s_min: float = -50.0, po
         raise ValidationError("s_min must be negative")
     if not math.isfinite(s_min):
         raise ValidationError(f"s_min must be finite (got {s_min!r})")
+    _check_number(delta, "delta")
     if math.isinf(delta):
         # s * delta is -inf (+inf for delta = -inf) at every s < 0 and 0 at s = 0
         return 0.0 if delta > 0.0 else math.inf

@@ -64,9 +64,9 @@ def invert_monotone(
     reach that starts at ``|reach|`` and doubles with each such step, or the
     whole reach where the slope is not positive and finite; the upper end is
     clipped to ``hi_limit``.  A point short of the target at ``hi_limit``,
-    or 60 steps that the reach cut short or that had no usable slope, raise
-    BracketError; a Newton run closing in on the root from the open side
-    has all 240 steps.  Inside a closed bracket each
+    60 steps that the reach cut short or that had no usable slope, or a step
+    that is not finite raise BracketError; a Newton run closing in on the
+    root from the open side has all 240 steps.  Inside a closed bracket each
     step is a Newton step from the latest point; a step that leaves the
     bracket, or a slope <= 0, is replaced by bisection.  Iteration stops once
     ``|value - target| <= f_tol`` (returning that point moved by one last
@@ -95,12 +95,12 @@ def invert_monotone(
             return newton_x if inside else x
         if math.isinf(hi - lo):
             # the open side: a Newton step capped at the reach, or the reach without a usable slope
-            if expansions == _MAX_EXPAND or hi == math.inf and x >= hi_limit:
-                raise BracketError(f"could not bracket target {target!r} past {x!r}")
             newton = 0.0 < dfx < math.inf
             if not newton:
                 newton_x = x + reach if hi == math.inf else x - reach
             step_x = min(max(newton_x, x - reach), x + reach, hi_limit)
+            if expansions == _MAX_EXPAND or hi == math.inf and x >= hi_limit or not math.isfinite(step_x):
+                raise BracketError(f"could not bracket target {target!r} past {x!r}")
             expansions += not newton or step_x != newton_x
             dx, x, reach = x - step_x, step_x, 2.0 * reach
         else:

@@ -30,7 +30,7 @@ from .errors import (
     SupportMismatchError,
     ValidationError,
 )
-from .solvers import BracketError, adaptive_simpson, invert_monotone
+from .solvers import adaptive_simpson, invert_monotone
 
 __all__ = [
     "PROB_TOL",
@@ -178,7 +178,7 @@ class TiltReport:
     @cached_property
     def tilted(self) -> FiniteDistribution:
         table = self.dist._table
-        return FiniteDistribution(self.dist.values, _tilted_law(table.log_weights, table.values, self.s)[0][0])
+        return FiniteDistribution(self.dist.values, _tilted_law(table.log_weights[0], table.values[0], self.s)[0])
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,12 @@ def _check_tol(tol) -> None:
     """Refuse a root solve's tolerance that is nan, negative or infinite; 0 asks for machine width."""
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
+
+
+def _check_number(x, name: str, error=ValidationError) -> None:
+    """Refuse a nan level or budget ``x`` with ``error``, naming it ``name``: every budget route's check."""
+    if math.isnan(x):
+        raise error(f"{name} must be a number, not nan")
 
 
 def _floored(x):
@@ -267,11 +273,11 @@ def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
     mean = c_einsum("...j,...j->...", w, values)
     mean /= z
     if order == 1:
-        return _log_partition(shift, z), mean
+        return np.log(z) + shift, mean
     centered = values - mean[..., None]
     var = c_einsum("...j,...j,...j->...", w, centered, centered)
     var /= z
-    return _log_partition(shift, z), mean, var
+    return np.log(z) + shift, mean, var
 
 
 def _tilted_pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
@@ -310,24 +316,18 @@ def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
 
 def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
     """Per-row tilted law (each row summing to 1) and log-partition at one finite force, as in
-    ``_tilted_moments``: one call, since the law is as large as its table and row blocks would
-    only add a copy."""
+    ``_tilted_moments``, or one row's law and log-partition for a 1-D row: one call, since the
+    law is as large as its table and row blocks would only add a copy."""
     _check_force(s)
     return _normalised(*_tilted_weights(log_weights, values * s))
 
 
 def _normalised(w: np.ndarray, shift: np.ndarray):
-    """``_tilted_weights``' output as the per-row law, each row divided in place by its sum z, and shift + ln z."""
+    """``_tilted_weights``' output as the per-row law, each row divided in place by its sum z, and the
+    per-row log-partition shift + ln z (a scalar for one 1-D row)."""
     z = w.sum(axis=-1)
     w /= z[..., None]
-    return w, _log_partition(shift, z)
-
-
-def _log_partition(shift: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """shift + ln z, the per-row log-partition, written over the sums ``z``."""
-    z = np.log(z, out=z)
-    z += shift
-    return z
+    return w, np.log(z) + shift
 
 
 def _row_ends(log_weights: np.ndarray, values: np.ndarray):
@@ -464,7 +464,7 @@ def _end_band(span: float, end: float) -> float:
 def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False, band_span=0.0):
     """(s, rate, moments): the force at which the row-weighted tilted mean D(s)
     of the table hits ``target``, the rate there, and the kernel's per-row
-    moments at s (None at an end), each force evaluated once.
+    moments at s (None at an end), each force evaluated once, force 0 first.
 
     All three are taken on the table at origin (``_at_origin``), with the
     target moved there by the table's ``floor``, sum_x w_x start_x, rounded
@@ -476,25 +476,22 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     beyond an end it raises ``LevelInfeasibleError``.  Otherwise Newton runs
     on the logit log((D - Dmin) / (Dmax - D)), exactly linear in s for one
     row of two values and close to linear far out in either tail, to
-    ``|D(s) - target| <= tol * span``.  Every rate, an end's included, is
-    ``_Table.rate``'s.  ``force_only`` returns s alone (rate nan, moments None),
-    without the kernel call the rate needs.  ``band_span`` widens the end
-    bands to that span's, for a table restricted from a wider one.  A nan
-    target, or a ``tol`` that ``_check_tol`` refuses, raises ``ValidationError``.
+    ``|D(s) - target| <= tol * span``, or raises ``BracketError`` where it cannot bracket the
+    target.  Every rate, an end's included, is ``_Table.rate``'s.  ``force_only`` returns s alone
+    (rate nan, moments None), without the kernel call the rate needs.  ``band_span`` widens the
+    end bands to that span's, for a table restricted from a wider one.  A nan target, or a
+    ``tol`` that ``_check_tol`` refuses, raises ``ValidationError``.
     """
     _check_tol(tol)
-    if math.isnan(target):
-        raise ValidationError("the target level must be a number, not nan")
+    _check_number(target, "the target level")
     row_weights, _, values, _, ranges = table
     ceiling = table.span
     base = table.floor(ceiling)
     level = target - base
-    top, at_zero = ceiling, None  # the floor is 0 at origin, so top is the span
-    if nonpositive:
-        at_zero = table.moments(0.0)
-        top = min(float(np.dot(row_weights, at_zero[1])), ceiling)
-        if level >= top:
-            return 0.0, table.rate(0.0, top, at_zero[0]), at_zero
+    visited = {0.0: table.moments(0.0)}  # force -> moments: each force evaluated once
+    top = min(float(np.dot(row_weights, visited[0.0][1])), ceiling) if nonpositive else ceiling
+    if nonpositive and level >= top:
+        return 0.0, table.rate(0.0, top, visited[0.0][0]), visited[0.0]
     for end, sign in [(0.0, -1.0)] + ([] if nonpositive else [(ceiling, 1.0)]):
         band = _end_band(max(top, band_span), base + end)
         if sign * (level - end) > band:
@@ -505,8 +502,6 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
             log_mass = _tilted_law(table.at_end(sign), values, 0.0)[1]
             return sign * math.inf, table.rate(0.0, 0.0, log_mass), None
 
-    visited = {} if at_zero is None else {0.0: at_zero}  # force -> moments: each force evaluated once
-
     def logit_and_slope(u: float):
         _, means, variances = visited[u] = visited.get(u) or table.moments(u)
         a = float(np.dot(row_weights, means))
@@ -515,19 +510,18 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
             return (-math.inf if a <= 0.0 else math.inf), 0.0
         return math.log(a / b), float(np.dot(row_weights, variances)) * (1.0 / a + 1.0 / b)
 
-    # Start at 0, whose moments are in hand: the solve's first point is the
-    # Newton step from 0, exact for one row of two values, and twice that
-    # step, the problem's own force scale, caps how far it expands.
+    # The solve's first point is the Newton step from 0, exact for one row of two values, and
+    # twice that step, the problem's own force scale, caps how far it expands.  Without a slope at
+    # 0 (the weights or the variance underflow there) the cap starts at the span's scale, 1 / span;
+    # where that overflows, invert_monotone has no finite step to take and raises BracketError.
     origin = logit_and_slope(0.0)
-    if not origin[1] > 0.0:
-        raise BracketError("the tilted mean does not move at zero force")
     gap = ceiling - level
     goal = math.log(level / gap)
     s = invert_monotone(
         logit_and_slope,
         goal,
         f_tol=math.log1p(tol * top / level) + math.log1p(tol * top / gap),
-        reach=2.0 * (goal - origin[0]) / origin[1],
+        reach=2.0 * (goal - origin[0]) / origin[1] if origin[1] > 0.0 else 1.0 / ceiling,
         hi_limit=0.0 if nonpositive else math.inf,
     )
     if force_only:
@@ -544,11 +538,11 @@ def log_mgf(dist: FiniteDistribution, s: float) -> float:
 def tilt(dist: FiniteDistribution, s: float) -> TiltReport:
     """Reweight the distribution by e^{s*y} and report its exact moments."""
     table, start = dist._table, dist.min_value
-    law, log_z = _tilted_law(table.log_weights, table.values, s)
-    mean = float(np.dot(law[0], table.values[0]))
+    law, log_z = _tilted_law(table.log_weights[0], table.values[0], s)
+    mean = float(np.dot(law, table.values[0]))
     centered = table.values[0] - mean
-    variance = float(np.dot(law[0], centered * centered))
-    return _record(TiltReport, s=float(s), log_mgf=float(log_z[0]) + s * start, mean=mean + start,
+    variance = float(np.dot(law, centered * centered))
+    return _record(TiltReport, s=float(s), log_mgf=float(log_z) + s * start, mean=mean + start,
                    variance=variance, dist=dist)
 
 

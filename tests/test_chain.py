@@ -80,6 +80,16 @@ class TestEquilibrium:
         with pytest.raises(LengthInfeasibleError):
             equilibrium_force(system, 0.0)  # endpoint needs infinite force
 
+    @pytest.mark.parametrize("length", [0.5, 1e-3, 0.999])
+    def test_a_state_out_of_reach_at_zero_force(self, length):
+        # at force 0 the long state's weight e^-1000 underflows, so the mean length has no slope
+        # there; the force is 1000 + ln(L / (1 - L)), and mirrored energies mirror it
+        want = 1000.0 + math.log(length / (1.0 - length))
+        system = ChainSystem(arrays=(ElementArray([0.0, 1.0], [0.0, 1000.0], 1.0),), beta=1.0)
+        mirrored = ChainSystem(arrays=(ElementArray([0.0, 1.0], [1000.0, 0.0], 1.0),), beta=1.0)
+        assert equilibrium_force(system, length) == pytest.approx(want, rel=1e-9)
+        assert equilibrium_force(mirrored, 1.0 - length) == pytest.approx(-want, rel=1e-9)
+
     def test_susceptibility_identity(self):
         # dY/dlam equals beta times the length variance
         system = two_state(beta=1.6)

@@ -496,11 +496,16 @@ class TestFailureModes:
         assert run_cli("frobnicate").returncode == 1
 
     def test_numerical_failure_exits_2(self, tmp_path):
-        # on a table scaled by 1e-200 the tilted variance underflows to 0, so
-        # the root solve cannot move off zero force
+        # on a table scaled by 1e-200 the tilted variance underflows to 0, so the root solve has no
+        # slope at zero force and reaches out by 1 / span; at 1e-320 that reach is not finite
         f = tmp_path / "tiny.cfg"
         f.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1e-200; 1e-200, 0\n")
         res = run_cli("rd", "point", "--config", str(f), "--delta", "0.25e-200")
+        assert res.returncode == 0
+        assert float(dict(line.split(",") for line in res.stdout.splitlines())["rate_nats"]) == pytest.approx(
+            0.130812035941, rel=0.0, abs=1e-9)
+        f.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1e-320; 1e-320, 0\n")
+        res = run_cli("rd", "point", "--config", str(f), "--delta", "0.25e-320")
         assert res.returncode == 2
         assert res.stdout == ""
         assert "numerical failure" in res.stderr

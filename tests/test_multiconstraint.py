@@ -111,10 +111,14 @@ class TestRateTwoDistortions:
     def test_two_infinite_budgets_cost_nothing(self):
         assert rate_two_distortions(bss2(), math.inf, math.inf) == (0.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("budget", [math.nan, -math.inf])
-    def test_nan_and_minus_inf_budgets_are_refused(self, budget):
-        with pytest.raises(InfeasiblePairError, match="does not exceed the minimum achievable"):
-            rate_two_distortions(bss2(), budget, 0.4)
+    @pytest.mark.parametrize("budgets, message", [
+        ((math.nan, 0.4), "delta1 must be a number, not nan"),
+        ((0.4, math.nan), "delta2 must be a number, not nan"),
+        ((-math.inf, 0.4), "does not exceed the minimum achievable"),
+    ], ids=["nan", "nan_delta2", "-inf"])
+    def test_nan_and_minus_inf_budgets_are_refused(self, budgets, message):
+        with pytest.raises(InfeasiblePairError, match=message):
+            rate_two_distortions(bss2(), *budgets)
 
     def test_zero_force_pair(self):
         rate, s1, s2 = rate_two_distortions(bss2(), 0.6, 0.7)

@@ -39,7 +39,7 @@ from tiltrate import (
     sandwich_bounds,
 )
 from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
-from tiltrate.errors import LengthInfeasibleError
+from tiltrate.errors import LengthInfeasibleError, LevelInfeasibleError
 from tiltrate.multiconstraint import _stats
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
@@ -144,6 +144,23 @@ class TestEachForceOnce:
                 s = _legendre(table, target, 1e-10)[0]
                 assert solve.count(0.0) == 1 and len(set(solve)) == len(solve)
                 assert forces == solve + ([] if s in solve else [s])
+
+    def test_zero_force_first_on_every_branch(self, forces):
+        # the two-sided solves too, and before the ends are checked: at an end, or past one, force 0
+        # is the one force evaluated
+        dist = FiniteDistribution([0.0, 0.4, 1.0, 1.7], [0.1, 0.2, 0.3, 0.4])
+        system = from_rd_problem(problems()[0], 1.3)
+        table = chain._table(system)
+        lo, hi = (float(np.dot(table.row_weights, end)) for end in (table.starts, table.starts + table.ranges))
+        solves = [(force_at_level, dist, level) for level in (0.2, 1.5, 0.0, 1.7, 2.0)]
+        solves += [(equilibrium_force, system, lo + u * (hi - lo)) for u in (0.2, 0.9, 0.0, 1.0, 1.5)]
+        for solve, subject, level in solves:
+            forces.clear()
+            try:
+                solve(subject, level)
+            except (LengthInfeasibleError, LevelInfeasibleError):
+                assert forces == [0.0]
+            assert forces[0] == 0.0 and forces.count(0.0) == 1
 
     def test_zero_force_once_per_entropy(self, forces):
         spectrum = FiniteDistribution([0.0, 0.4, 1.0, 1.7], [0.1, 0.2, 0.3, 0.4])

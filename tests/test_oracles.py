@@ -50,6 +50,14 @@ class TestExactLdProbability:
         assert prob == 0.0
         assert exponent == math.inf
 
+    def test_nan_budget_rejected(self, bss):
+        with pytest.raises(ValidationError, match="delta must be a number, not nan"):
+            exact_ld_probability(bss, 10, math.nan)
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.25, 1.0, math.inf])
+    def test_returns_builtin_floats(self, bss, delta):
+        assert [type(x) for x in exact_ld_probability(bss, 8, delta)] == [float, float]
+
     @pytest.mark.parametrize("delta, want", [(1.5, (1.0, 0.0)), (1.4, (0.0, math.inf))])
     def test_constant_rows_need_no_lattice(self, delta, want):
         # every block totals 1 + 2: the event is certain at a budget of 3 / 2 a letter, else impossible
@@ -121,6 +129,10 @@ class TestBruteAllocationMin:
         with pytest.raises(ValidationError):
             brute_allocation_min(bss, -0.2, 50)
 
+    def test_nan_budget_rejected(self, bss):
+        with pytest.raises(ValidationError, match="delta must be a number, not nan"):
+            brute_allocation_min(bss, math.nan, 20)
+
 
 class TestLegendreGridMax:
     def test_matches_bisection_route(self, rng):
@@ -136,6 +148,10 @@ class TestLegendreGridMax:
 
     def test_loose_budget_gives_zero(self, bss):
         assert legendre_grid_max(bss, 0.9) == pytest.approx(0.0, abs=1e-12)
+
+    def test_nan_budget_rejected(self, bss):
+        with pytest.raises(ValidationError, match="delta must be a number, not nan"):
+            legendre_grid_max(bss, math.nan)
 
     @pytest.mark.parametrize("s_min", [-math.inf, math.nan])
     def test_non_finite_lower_end_rejected(self, bss, s_min):

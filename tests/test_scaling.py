@@ -18,6 +18,9 @@ from tiltrate import (
     rate_legendre,
     rate_two_distortions,
 )
+from tiltrate.errors import NumericalError
+
+from conftest import LN2, LN3, h2
 
 REL = 1e-9
 
@@ -106,3 +109,19 @@ def test_two_budget_rate_invariant_under_scaling(seed, c, s1, s2):
     big_rate, g1, g2 = rate_two_distortions(RdProblem2(p, q, d1 * c, d2 * c), c * delta1, c * delta2)
     assert big_rate == pytest.approx(rate, rel=REL)
     assert (g1 * c, g2 * c) == pytest.approx((f1, f2), rel=1e-6)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-300])
+def test_a_table_with_no_slope_at_zero_force_is_solved(c):
+    # below about 1e-154 the zero-force variance of bss scaled by c underflows to 0, so the solve
+    # has no Newton step from 0 and reaches out by the span's own force scale, 1 / span
+    point = force_at_distortion(scaled(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]), c), 0.25 * c)
+    assert point.rate == pytest.approx(LN2 - h2(0.25), rel=REL)
+    assert point.s == pytest.approx(-LN3 / c, rel=REL)
+
+
+@pytest.mark.parametrize("c", [1e-310, 1e-320])
+def test_a_span_with_no_finite_force_scale_is_a_numerical_failure(c):
+    # 1 / span overflows: the solve has no finite reach, which is a numerical failure, not bad input
+    with pytest.raises(NumericalError):
+        force_at_distortion(scaled(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]), c), 0.25 * c)

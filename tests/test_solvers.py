@@ -105,6 +105,35 @@ class TestInvertMonotone:
         with pytest.raises(NumericalError, match="after 240 steps"):
             invert_monotone(lambda x: (x, 0.0), 1e-300, f_tol=0.0)
 
+    def test_a_midpoint_that_rounds_onto_an_end_is_returned(self):
+        # a step map with no slope bisects toward 0 from below; no float lies strictly inside
+        # [-ulp(0), 0], so the midpoint rounds onto its lower end, which is the answer
+        tiny = math.ulp(0.0)
+        root = invert_monotone(lambda x: (1.0 if x >= 0.0 else -1.0, 0.0), 0.5, f_tol=0.0, reach=8.0 * tiny)
+        assert root == -tiny
+
+    def test_a_small_newton_step_that_does_not_lower_the_residual_returns_the_best_point(self):
+        # the map stalls at 1 while claiming slope 1, as values down to their rounding noise do:
+        # the Newton step from 1 is 1e-10 long, below 1e-8 of the point, and its value is no
+        # nearer the target, so the solve ends at 1
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return min(x, 1.0), 1.0
+
+        assert invert_monotone(f, 1.0 + 1e-10, f_tol=0.0) == 1.0
+        assert calls == [0.0, 1.0, pytest.approx(1.0 + 1e-10, rel=1e-15)]
+
+    def test_a_newton_step_that_collapses_the_bracket_onto_its_far_end_returns_its_point(self):
+        # Newton steps down from the bracket's top, each half the one before.  The last is 450.5
+        # ulps long from 1 + 901 ulps and rounds to even, onto 1 + 450 ulps: it is 451 ulps long,
+        # above 1e-13 of the point (450.36 ulps), and leaves 450 ulps to the far end at 1
+        u = 2.0**-52
+        values = {0.0: -1.0, 1.0: -1802 * u, 1.0 + 1802 * u: 901 * u, 1.0 + 901 * u: 450.5 * u, 1.0 + 450 * u: 225 * u}
+        root = invert_monotone(lambda x: (values[x], 1.0), 0.0, f_tol=0.0, reach=2.0)
+        assert root == 1.0 + 450 * u
+
     def test_bracket_error_is_a_numerical_error(self):
         assert issubclass(BracketError, NumericalError)
         with pytest.raises(TiltrateError):
@@ -182,6 +211,15 @@ class TestOpenBracket:
         calls.clear()
         assert invert_monotone(f, -7.0, f_tol=0.0, hi_limit=-1.0) == -3.0
         assert calls[0] == -1.0
+
+    @pytest.mark.parametrize("reach, points", [(math.inf, [0.0]), (1e308, [0.0, 1e308])], ids=["inf", "doubled"])
+    def test_a_step_to_a_force_that_is_not_finite_raises(self, reach, points):
+        # a reach that is not finite, from the start or once doubled, is no step: the map is never
+        # evaluated there
+        f, calls = self.recorded(lambda x: (-1.0, 0.0))
+        with pytest.raises(BracketError, match="could not bracket"):
+            invert_monotone(f, 0.0, f_tol=0.0, reach=reach)
+        assert calls == points
 
     @pytest.mark.parametrize("target", [2.0, -2.0])
     def test_a_target_out_of_range_raises_after_sixty_steps(self, target):
