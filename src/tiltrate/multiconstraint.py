@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _check_number, _check_tol, _end_band, _floored, _legendre, _tilted_pair
+from .tilting import _at_origin, _check_number, _check_tol, _end_band, _floored, _legendre
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -50,22 +50,14 @@ class RdProblem2:
         _clean_tables(self, "distortion_1", "distortion_2")
 
 
-def _evaluate(p: np.ndarray, log_q: np.ndarray, d1: np.ndarray, d2: np.ndarray,
-              s1: float, s2: float, delta1: float, delta2: float):
-    """Objective value, gradient and tilted covariance at forces (s1, s2) from one kernel call, as six
-    floats (value, g1, g2, c11, c22, c12), for source law ``p``, ln Q as one row ``log_q`` and the
-    tables ``d1`` and ``d2``."""
-    phi, m1, m2, *rows = _tilted_pair(log_q, d1, d2, s1, s2)
+def _evaluate(p: np.ndarray, t1, t2, s1: float, s2: float, delta1: float, delta2: float):
+    """Objective value, gradient and tilted covariance at forces (s1, s2) from one kernel call
+    (``tilting._Table.pair``), as six floats (value, g1, g2, c11, c22, c12), for source law ``p``
+    and the ``tilting._Table``s ``t1`` and ``t2``, which share their log-weights."""
+    phi, m1, m2, *rows = t1.pair(t2.values, s1, s2)
     c11, c22, c12 = (float(np.dot(p, row)) for row in rows)
     return (s1 * delta1 + s2 * delta2 - float(np.dot(p, phi)), delta1 - float(np.dot(p, m1)),
             delta2 - float(np.dot(p, m2)), c11, c22, c12)
-
-
-def _stats(problem: RdProblem2, s: np.ndarray, delta1: float, delta2: float):
-    """Objective value, gradient, and tilted covariance at force pair s, by ``_evaluate``."""
-    value, g1, g2, c11, c22, c12 = _evaluate(problem.source_probs, np.log(problem.coding_probs)[None, :],
-                                             problem.distortion_1, problem.distortion_2, s[0], s[1], delta1, delta2)
-    return value, np.array([g1, g2]), np.array([[c11, c12], [c12, c22]])
 
 
 def rate_two_distortions(
@@ -124,7 +116,7 @@ def rate_two_distortions(
                 f"{name} = {target!r} does not exceed the minimum achievable {floor!r}"
             ) from None
         scales.append(span or 1.0)
-        tables.append(origins[-1].values / scales[-1])
+        tables.append(origins[-1].divided(scales[-1]))
         # a budget at or above the table's largest achievable mean never binds, +inf included
         budgets.append(min(target - floor, span) / scales[-1])
     if any(floored):
@@ -138,7 +130,7 @@ def rate_two_distortions(
             raise InfeasiblePairError(unsatisfiable) from None
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
     s1 = s2 = 0.0
-    value, g1, g2, c11, c22, c12 = _evaluate(p, log_q, *tables, s1, s2, *budgets)
+    value, g1, g2, c11, c22, c12 = _evaluate(p, *tables, s1, s2, *budgets)
     eps = float(np.finfo(float).eps)
     # Every letter carries mass at zero force, so the covariance there is
     # singular exactly when the tables are affinely dependent.
@@ -187,7 +179,7 @@ def rate_two_distortions(
                 t1, t2 = min(s1 + alpha * n1, 0.0), min(s2 + alpha * n2, 0.0)
                 if t1 == s1 and t2 == s2:
                     break
-                trial = _evaluate(p, log_q, *tables, t1, t2, *budgets)
+                trial = _evaluate(p, *tables, t1, t2, *budgets)
                 if trial[0] >= value + _ARMIJO * (g1 * (t1 - s1) + g2 * (t2 - s2)):
                     last = math.sqrt((t1 - s1) * (t1 - s1) + (t2 - s2) * (t2 - s2))
                     s1, s2, (value, g1, g2, c11, c22, c12) = t1, t2, trial
@@ -209,7 +201,7 @@ def rate_two_distortions(
             force, rate, _ = _legendre(origins[i], (delta1, delta2)[i], tol, nonpositive=True)
             at = [0.0, 0.0]
             at[i] = force * scales[i]
-            faces.append((*at, *_evaluate(p, log_q, *tables, *at, *budgets)))  # (s1, s2, value, g1, g2, ...)
+            faces.append((*at, *_evaluate(p, *tables, *at, *budgets)))  # (s1, s2, value, g1, g2, ...)
             if faces[-1][4 - i] >= -tol:  # the other budget's gradient
                 return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
         best = max(faces, key=lambda face: face[2])
@@ -220,12 +212,13 @@ def rate_two_distortions(
         break
     # No answer: the pair is unsatisfiable if its least slack is past the band (module docstring).  The
     # slack is convex in a, so 60 halvings on the sign of its subgradient find where it is least.
-    lo, hi, e, rows = 0.0, 1.0, tables[0] - tables[1], np.arange(len(p))
+    d1, d2 = (table.values for table in tables)
+    lo, hi, e, rows = 0.0, 1.0, d1 - d2, np.arange(len(p))
     for _ in range(60):
         a = 0.5 * (lo + hi)
-        rising = budgets[0] - budgets[1] > float(np.dot(p, e[rows, np.argmin(tables[1] + a * e, axis=1)]))
+        rising = budgets[0] - budgets[1] > float(np.dot(p, e[rows, np.argmin(d2 + a * e, axis=1)]))
         lo, hi = (lo, a) if rising else (a, hi)
-    mixed = _at_origin(p, log_q, a * tables[0] + (1.0 - a) * tables[1])
+    mixed = _at_origin(p, log_q, a * d1 + (1.0 - a) * d2)
     span = mixed.span
     floor = mixed.floor(span)
     if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(span, floor):

@@ -32,9 +32,6 @@ from .tilting import (
     _riemann_sums,
     _set_laws,
     _sweep,
-    _tilted_law,
-    _tilted_moments,
-    _tilted_pair,
     _work_integral,
     tilt,
 )
@@ -264,8 +261,7 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
     """Distortion recovered as D0 plus the integrated mmse from 0 to s."""
     _check_force(s)
     table = _table(problem)
-    means, integral = _sweep(lambda us: _tilted_moments(table.log_weights, table.values, us), s, tol,
-                             table.row_weights, mean=1, slope=2)
+    means, integral = _sweep(table.grid, s, tol, table.row_weights, mean=1, slope=2)
     return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
 
 
@@ -278,30 +274,26 @@ def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
     """Matrix of tilted reproduction laws Q_s(xhat | x) proportional to Q(xhat) e^{s d}."""
-    table = _table(problem)
-    return _tilted_law(table.log_weights, table.values, s)[0]
+    return _table(problem).law(s)[0]
 
 
 def _observable_tables(problem: RdProblem, observable):
-    """The kernel's inputs for an observable t of the letter pair: the log coding law, the
-    distortion at origin (``tilting._at_origin``), and t, checked against the table's shape.
-
-    t is the second table of ``tilting._tilted_pair``, held at zero force.
-    """
+    """The problem's table (``_table``) and an observable t of the letter pair, checked against the
+    table's shape: t is the second table of ``tilting._Table.pair``, held at zero force."""
     t = np.asarray(observable, dtype=float)
     d = problem.distortion
     if t.shape != d.shape:
         raise ValidationError(f"observable must match the distortion table shape {d.shape}")
     if not np.all(np.isfinite(t)):
         raise ValidationError("observable entries must all be finite")
-    table = _table(problem)
-    return table.log_weights, table.values, t
+    return _table(problem), t
 
 
 def observable_expectation(problem: RdProblem, observable, s: float) -> float:
     """Direct expectation of a letter-pair observable under the tilted law."""
     _check_force(s)
-    return float(np.dot(problem.source_probs, _tilted_pair(*_observable_tables(problem, observable), s, 0.0)[2]))
+    table, t = _observable_tables(problem, observable)
+    return float(np.dot(problem.source_probs, table.pair(t, s, 0.0)[2]))
 
 
 def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9) -> float:
@@ -313,9 +305,9 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     observable, not just the distortion itself.
     """
     _check_force(s)
-    tables = _observable_tables(problem, observable)
+    table, t = _observable_tables(problem, observable)
     p = problem.source_probs
-    means, integral = _sweep(lambda us: _tilted_pair(*tables, us, 0.0), s, tol, p, mean=2, slope=5)
+    means, integral = _sweep(lambda us: table.pair(t, us, 0.0), s, tol, p, mean=2, slope=5)
     return float(np.dot(p, means)) + integral
 
 
@@ -328,4 +320,4 @@ def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
         raise ValidationError("force_grid values must be finite and <= 0")
     forces = grid[np.argsort(-grid, kind="stable")]
     table = _table(problem)
-    return _points(table, forces, *_tilted_moments(table.log_weights, table.values, forces))
+    return _points(table, forces, *table.grid(forces))

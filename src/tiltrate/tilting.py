@@ -177,8 +177,7 @@ class TiltReport:
 
     @cached_property
     def tilted(self) -> FiniteDistribution:
-        table = self.dist._table
-        return FiniteDistribution(self.dist.values, _tilted_law(table.log_weights[0], table.values[0], self.s)[0])
+        return FiniteDistribution(self.dist.values, self.dist._table.law(self.s)[0][0])
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,8 @@ def _floored(x):
 
 def _tilted(body, log_weights: np.ndarray, tables: tuple, s, *args):
     """``body(log_weights, *tables, s, *args)``'s per-row outputs at force ``s`` or, for a 1-D array
-    ``s``, at each force, stacked forces first: the one front of the kernel, its forces checked by
-    its callers (one by ``_check_force``).  Blocks hold about ``_BLOCK_ENTRIES`` forces x rows x
+    ``s``, at each force, stacked forces first: the one block loop of the kernel, behind
+    ``_Table.grid`` and ``_Table.pair``.  Blocks hold about ``_BLOCK_ENTRIES`` forces x rows x
     columns: whole tables at several forces, as (forces, 1, 1), or one force and a slice of rows
     once a table is larger.  One block is the body's own outputs; several are each written into
     outputs allocated once, so the peak is the outputs plus one block."""
@@ -252,21 +251,8 @@ def _tilted(body, log_weights: np.ndarray, tables: tuple, s, *args):
     return outs
 
 
-def _tilted_moments(log_weights: np.ndarray, values: np.ndarray, s, order: int = 2):
-    """Per-row (log-partition, mean, variance) of ``values`` tilted by e^{s * value}, by ``_tilted``;
-    ``order`` 1 stops after the mean and returns (log-partition, mean).
-
-    Row x carries the weights e^{log_weights[x] + s * values[x]};
-    ``log_weights`` has one row per row of ``values``, or a single row
-    shared by all.  A ragged table is padded with -inf log-weights (and any
-    finite value), which carry no mass.  Sums are max-shifted per row, so
-    no finite tilt overflows them.
-    """
-    return _tilted(_moments, log_weights, (values,), s, order)
-
-
 def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
-    """``_tilted_moments`` on one block."""
+    """``_Table.grid`` on one block."""
     # dividing the sums by z, not the weights by z, is the cheaper order
     w, shift = _tilted_weights(log_weights, values * s)
     z = w.sum(axis=-1)
@@ -280,19 +266,8 @@ def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
     return np.log(z) + shift, mean, var
 
 
-def _tilted_pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
-    """Per-row (log-partition, mean of ``a``, mean of ``b``, variance of ``a``, variance of ``b``,
-    covariance) of two tables tilted together by e^{s_a * a + s_b * b}, by ``_tilted`` over ``s_a``.
-
-    The two-budget ascent tilts two distortion tables at once; an observable
-    of the letter pair is the second table held at zero force.  ``s_b`` is a
-    finite scalar: the ascent's own iterate, or an observable's 0.
-    """
-    return _tilted(_pair, log_weights, (a, b), s_a, s_b)
-
-
 def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
-    """``_tilted_pair`` on one block."""
+    """``_Table.pair`` on one block."""
     # s_a * a + s_b * b formed once, in the weights' buffer; b at zero force would add signed zeros only
     exponent = a * s_a
     if s_b != 0.0:
@@ -314,17 +289,9 @@ def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
     return w, shift
 
 
-def _tilted_law(log_weights: np.ndarray, values: np.ndarray, s):
-    """Per-row tilted law (each row summing to 1) and log-partition at one finite force, as in
-    ``_tilted_moments``, or one row's law and log-partition for a 1-D row: one call, since the
-    law is as large as its table and row blocks would only add a copy."""
-    _check_force(s)
-    return _normalised(*_tilted_weights(log_weights, values * s))
-
-
 def _normalised(w: np.ndarray, shift: np.ndarray):
     """``_tilted_weights``' output as the per-row law, each row divided in place by its sum z, and the
-    per-row log-partition shift + ln z (a scalar for one 1-D row)."""
+    per-row log-partition shift + ln z."""
     z = w.sum(axis=-1)
     w /= z[..., None]
     return w, np.log(z) + shift
@@ -342,10 +309,18 @@ class _Table(NamedTuple):
     """A table lowered for the kernel by ``_at_origin``, its values at origin: each row moved to
     start at 0, which leaves every tilted law unchanged.
 
+    Every kernel call is a method: ``grid`` (the moments at one force or a force grid, and
+    ``moments`` and ``averaged`` on it), ``pair`` (a second table tilted along) and ``law``.  Row x
+    carries the weights e^{log_weights[x] + s * values[x]}; ``log_weights`` has one row per row of
+    ``values``, or a single row shared by all, and a ragged table is padded with -inf log-weights
+    (and any finite value), which carry no mass.  Sums are max-shifted per row, so no finite tilt
+    overflows them.
+
     The round trip lives here, and no other module reads ``starts`` or ``ranges``.  A budget moves
     to origin by ``floor`` and is capped by ``span``; the kernel's per-row means and log-partitions
     move back by ``means_from_origin`` and ``log_z_from_origin``; ``least`` is each row's mean at
-    force -inf; ``rebased`` is the table for a budget already at origin."""
+    force -inf; ``rebased`` is the table for a budget already at origin; ``divided`` is the table
+    in another unit."""
 
     row_weights: np.ndarray
     log_weights: np.ndarray
@@ -392,11 +367,38 @@ class _Table(NamedTuple):
         """The table with every start 0, so its floor is 0: for a budget already moved to origin."""
         return self._replace(starts=np.zeros_like(self.starts))
 
+    def divided(self, unit: float) -> _Table:
+        """The table with its values, starts and ranges each divided by ``unit``: where a table's unit
+        enters.  Its laws at force s * unit are this table's at s."""
+        return self._replace(values=self.values / unit, starts=self.starts / unit, ranges=self.ranges / unit)
+
+    def grid(self, s, order: int = 2):
+        """Per-row (log-partition, mean, variance) at origin at force ``s``, or at each force of a 1-D
+        array ``s``, stacked forces first, by ``_tilted``; ``order`` 1 stops after the mean.  The
+        forces are unchecked."""
+        return _tilted(_moments, self.log_weights, (self.values,), s, order)
+
     def moments(self, s, order: int = 2):
-        """Per-row (log-partition, mean, variance) at origin at one force s (``_check_force``), by
-        ``_tilted_moments``; ``order`` 1 stops after the mean.  Force grids go to the kernel itself."""
+        """``grid`` at one force s, checked by ``_check_force``."""
         _check_force(s)
-        return _tilted_moments(self.log_weights, self.values, s, order)
+        return self.grid(s, order)
+
+    def pair(self, b: np.ndarray, s_a, s_b):
+        """Per-row (log-partition, mean of the values, mean of ``b``, variance of the values, variance
+        of ``b``, covariance) of the values and ``b`` tilted together by e^{s_a * value + s_b * b}, by
+        ``_tilted`` over ``s_a``.
+
+        The two-budget ascent tilts two distortion tables at once; an observable of the letter pair
+        is ``b`` held at zero force.  ``s_b`` is a finite scalar: the ascent's own iterate, or an
+        observable's 0.  The forces are unchecked."""
+        return _tilted(_pair, self.log_weights, (self.values, b), s_a, s_b)
+
+    def law(self, s):
+        """Per-row tilted law (each row summing to 1) and log-partition at one force s
+        (``_check_force``): one call, since the law is as large as its table and row blocks would
+        only add a copy."""
+        _check_force(s)
+        return _normalised(*_tilted_weights(self.log_weights, self.values * s))
 
     def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
         """The row-weighted mean (moment 1) or variance (2) at origin at each of ``forces``, the
@@ -407,7 +409,7 @@ class _Table(NamedTuple):
         ``rows @ w`` (and ``np.inner``) would run gemv, which orders its sums differently, and
         so would rows that are not C-contiguous; the kernel's outputs are.
         """
-        return np.vecdot(_tilted_moments(self.log_weights, self.values, forces, moment)[moment], self.row_weights)
+        return np.vecdot(self.grid(forces, moment)[moment], self.row_weights)
 
     def rate(self, s, level, log_z):
         """The Legendre rate s * level - sum_x w_x ln Z_x(s) at origin, floored (``_floored``).  A 1-D
@@ -499,7 +501,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
                 f"level {target!r} outside the achievable range [{base!r}, {base + ceiling!r}]")
         if sign * (level - end) >= -band:
             # the mass cost is the zero-force rate of the table restricted to that end
-            log_mass = _tilted_law(table.at_end(sign), values, 0.0)[1]
+            log_mass = table._replace(log_weights=table.at_end(sign)).law(0.0)[1]
             return sign * math.inf, table.rate(0.0, 0.0, log_mass), None
 
     def logit_and_slope(u: float):
@@ -538,9 +540,10 @@ def log_mgf(dist: FiniteDistribution, s: float) -> float:
 def tilt(dist: FiniteDistribution, s: float) -> TiltReport:
     """Reweight the distribution by e^{s*y} and report its exact moments."""
     table, start = dist._table, dist.min_value
-    law, log_z = _tilted_law(table.log_weights[0], table.values[0], s)
-    mean = float(np.dot(law, table.values[0]))
-    centered = table.values[0] - mean
+    (law,), (log_z,) = table.law(s)
+    values = table.values[0]
+    mean = float(np.dot(law, values))
+    centered = values - mean
     variance = float(np.dot(law, centered * centered))
     return _record(TiltReport, s=float(s), log_mgf=float(log_z) + s * start, mean=mean + start,
                    variance=variance, dist=dist)

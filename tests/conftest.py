@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tiltrate import FiniteDistribution, RdProblem
+from tiltrate.multiconstraint import _evaluate
+from tiltrate.tilting import _Table
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -24,6 +26,22 @@ def random_dist(rng, size=None) -> FiniteDistribution:
     # keep values apart so merging never kicks in
     values = np.sort(values) + np.arange(n) * 1e-3
     return FiniteDistribution(values, probs)
+
+
+def raw_table(log_weights, values) -> _Table:
+    """``values`` under ``log_weights`` as a ``tilting._Table`` taken as it is, not moved to origin:
+    the kernel's methods (``grid``, ``pair``, ``law``) read the log-weights and values alone."""
+    rows = values.shape[0]
+    return _Table(np.full(rows, 1.0 / rows), log_weights, values, np.zeros(rows), np.ptp(values, axis=1))
+
+
+def rd2_stats(problem, s, delta1: float, delta2: float):
+    """rd2's objective value, gradient and tilted covariance at force pair s on the problem's own
+    tables (not moved to origin), by ``multiconstraint._evaluate``."""
+    p, log_q = problem.source_probs, np.log(problem.coding_probs)[None, :]
+    t1, t2 = (raw_table(log_q, d) for d in (problem.distortion_1, problem.distortion_2))
+    value, g1, g2, c11, c22, c12 = _evaluate(p, t1, t2, s[0], s[1], delta1, delta2)
+    return value, np.array([g1, g2]), np.array([[c11, c12], [c12, c22]])
 
 
 def random_problem(rng, max_letters=5) -> RdProblem:

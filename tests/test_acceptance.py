@@ -11,9 +11,8 @@ import time
 import numpy as np
 
 import tiltrate as tr
-from tiltrate.multiconstraint import _stats
 
-from conftest import LN2, h2, feasible_delta, random_problem
+from conftest import LN2, h2, feasible_delta, random_problem, rd2_stats
 
 SEED = 20240817
 
@@ -232,7 +231,7 @@ def test_criterion_09_two_budget_rate():
 
         # a target pair on the frontier: tilted means at a random force pair
         sbar = -rng.uniform(0.05, 3.0, size=2)
-        value, grad, _ = _stats(problem2, sbar, 0.0, 0.0)
+        value, grad, _ = rd2_stats(problem2, sbar, 0.0, 0.0)
         t1, t2 = -grad[0], -grad[1]
         want = sbar[0] * t1 + sbar[1] * t2 + value
         rate, _, _ = tr.rate_two_distortions(problem2, t1, t2)

@@ -470,7 +470,7 @@ def test_every_rate_is_formed_by_the_origin_table(monkeypatch):
 
 def test_blocks_are_cut_by_the_kernel_front_alone():
     # tilting._tilted is the one scalar-versus-grid dispatch and block loop of the moment and pair
-    # kernels: no other code reads the block size but the sort-and-merge of supports, which cuts
+    # kernels (tilting._Table.grid and .pair): no other code reads the block size but the sort-and-merge of supports, which cuts
     # whole tables into row blocks of the same size, and the old blocking helpers are gone
     modules = {m.name: m.read_text() for m in Path(tiltrate.__file__).parent.glob("*.py")}
     assert sorted(name for name, text in modules.items() if "_BLOCK_ENTRIES" in text) == ["tilting.py"]
@@ -488,28 +488,48 @@ def test_blocks_are_cut_by_the_kernel_front_alone():
 
 def test_every_force_grid_has_one_check_and_one_kernel_path():
     # partitions and schedules share tilting._check_partition, and the tilted law takes one force:
-    # its only callers pass it a scalar, and no module hands it to the grid front as a body
+    # the block loop's only bodies are the moments and the pair, never the law
     modules = {m.name: m.read_text() for m in Path(tiltrate.__file__).parent.glob("*.py")}
     assert not [name for name, text in modules.items() if "_check_schedule" in text]
     defines = {name for name, text in modules.items() if "def _check_partition(" in text}
     assert defines == {"tilting.py"}
-    for name, text in modules.items():
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.Call) and any(
-                    isinstance(arg, ast.Name) and arg.id == "_tilted_law" for arg in node.args):
-                raise AssertionError(f"{name} passes _tilted_law to {ast.unparse(node.func)}")
+    bodies = {
+        ast.unparse(node.args[0])
+        for node in ast.walk(ast.parse(modules["tilting.py"]))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_tilted"
+    }
+    assert bodies == {"_moments", "_pair"}
+
+
+def test_every_kernel_call_is_a_table_method():
+    # tilting._Table's grid, pair and law are the kernel's only entry: no other module names the
+    # block loop, its bodies or its exponential, and the old module-level fronts are gone
+    inner = {"_tilted", "_moments", "_pair", "_tilted_weights", "_normalised"}
+    fronts = {"_tilted_moments", "_tilted_pair", "_tilted_law"}
+    for module in Path(tiltrate.__file__).parent.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(module.read_text())))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+        assert not names & fronts, module.name
+        if module.name != "tilting.py":
+            assert not names & inner, module.name
+    tree = ast.parse((Path(tiltrate.__file__).parent / "tilting.py").read_text())
+    methods = {node.name for node in next(node for node in tree.body
+                                          if isinstance(node, ast.ClassDef) and node.name == "_Table").body
+               if isinstance(node, ast.FunctionDef)}
+    assert {"grid", "pair", "law", "moments", "averaged", "divided"} <= methods
 
 
 def test_the_tilted_law_is_asked_at_scalar_forces_only(monkeypatch):
     seen = []
-    law = tiltrate.tilting._tilted_law
+    law = tiltrate.tilting._Table.law
 
-    def counted(log_weights, values, s):
+    def counted(table, s):
         seen.append(np.ndim(s))
-        return law(log_weights, values, s)
+        return law(table, s)
 
-    for module in (tiltrate.tilting, tiltrate.ratedistortion):
-        monkeypatch.setattr(module, "_tilted_law", counted)
+    monkeypatch.setattr(tiltrate.tilting._Table, "law", counted)
     grid = np.linspace(0.0, -2.0, 9)
     tilt(DIST, -0.5).tilted
     tiltrate.riemann_sandwich(DIST, grid)

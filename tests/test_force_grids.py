@@ -31,7 +31,9 @@ from tiltrate import (
 from tiltrate import chain, ratedistortion
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _at_origin, _tilted_moments, _tilted_pair
+from tiltrate.tilting import _at_origin
+
+from conftest import raw_table
 
 # draws per alphabet size: the k = 512 grids cost a few ms per force
 DRAWS = {2: 8, 64: 3, 512: 1}
@@ -51,7 +53,7 @@ def sums_of(forces, means) -> tuple[float, float]:
 
 def origin_means(table, forces) -> list[float]:
     """The row-weighted mean at each force on a table at origin, one kernel call per force."""
-    return [np.dot(table.row_weights, _tilted_moments(table.log_weights, table.values, float(s))[1]) for s in forces]
+    return [np.dot(table.row_weights, table.grid(float(s))[1]) for s in forces]
 
 
 def points(k: int) -> int:
@@ -147,10 +149,10 @@ def test_a_thousand_forces_at_k512_cost_their_outputs_only():
     rng = np.random.default_rng(512)
     values = rng.random((512, 512))
     log_weights = np.log(rng.dirichlet(np.ones(512)))[None, :]
-    forces = -rng.uniform(0.0, 3.0, 1001)
+    forces, table = -rng.uniform(0.0, 3.0, 1001), raw_table(log_weights, values)
     tracemalloc.start()
     try:
-        outputs = _tilted_moments(log_weights, values, forces)
+        outputs = table.grid(forces)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -177,9 +179,9 @@ def dot_per_node(weights, rows) -> np.ndarray:
 def test_observable_sweep_matches_a_dot_per_node(rows, cols):
     problem = quadrature_problem(rows, cols)
     t = 2.0 * np.random.default_rng(rows).random((rows, cols)) - 1.0
-    tables, p = ratedistortion._observable_tables(problem, t), problem.source_probs
-    base = float(np.dot(p, _tilted_pair(*tables, 0.0, 0.0)[2]))
-    want = base + adaptive_simpson(lambda us: dot_per_node(p, _tilted_pair(*tables, us, 0.0)[5]), 0.0, -1.1, 1e-9)
+    (table, t), p = ratedistortion._observable_tables(problem, t), problem.source_probs
+    base = float(np.dot(p, table.pair(t, 0.0, 0.0)[2]))
+    want = base + adaptive_simpson(lambda us: dot_per_node(p, table.pair(t, us, 0.0)[5]), 0.0, -1.1, 1e-9)
     assert observable_sweep(problem, t, -1.1) == want
 
 
@@ -188,9 +190,8 @@ def test_distortion_mmse_integral_matches_a_dot_per_node(rows, cols):
     problem = quadrature_problem(rows, cols)
     table = ratedistortion._table(problem)
     p = table.row_weights
-    d0 = float(np.dot(p, _tilted_moments(table.log_weights, table.values, 0.0)[1] + table.starts))
-    want = d0 + adaptive_simpson(
-        lambda us: dot_per_node(p, _tilted_moments(table.log_weights, table.values, us)[2]), 0.0, -1.1, 1e-9)
+    d0 = float(np.dot(p, table.grid(0.0)[1] + table.starts))
+    want = d0 + adaptive_simpson(lambda us: dot_per_node(p, table.grid(us)[2]), 0.0, -1.1, 1e-9)
     assert distortion_mmse_integral(problem, -1.1) == want
 
 
@@ -200,8 +201,7 @@ def test_quasistatic_work_matches_a_dot_per_node(rows, cols):
     table, beta = chain._table(system), system.beta
 
     def power(lams):
-        return lams * beta * dot_per_node(table.row_weights,
-                                          _tilted_moments(table.log_weights, table.values, beta * lams)[2])
+        return lams * beta * dot_per_node(table.row_weights, table.grid(beta * lams)[2])
 
     assert quasistatic_work(system, -0.7) == adaptive_simpson(power, 0.0, -0.7, 1e-9)
 

@@ -7,10 +7,9 @@ import pytest
 from tiltrate import RdProblem, RdProblem2, ValidationError, force_at_distortion, rate_legendre, rate_two_distortions
 from tiltrate.errors import InfeasiblePairError, NumericalError
 from tiltrate import multiconstraint, tilting
-from tiltrate.multiconstraint import _stats
 from tiltrate.tilting import _at_origin, _legendre
 
-from conftest import h2
+from conftest import h2, rd2_stats
 from test_symmetry import REL, permuted
 
 D_HAMMING = [[0.0, 1.0], [1.0, 0.0]]
@@ -149,7 +148,7 @@ class TestRateTwoDistortions:
             d2 = rng.random((k, j)) * 2.0
             problem = RdProblem2(p_vec, q_vec, d1, d2)
             sbar = -rng.uniform(0.1, 2.0, size=2)
-            _, grad, _ = _stats(problem, sbar, 0.0, 0.0)
+            _, grad, _ = rd2_stats(problem, sbar, 0.0, 0.0)
             delta1, delta2 = -grad[0], -grad[1]
             rate, _, _ = rate_two_distortions(problem, delta1, delta2)
             assert rate >= grid_oracle(problem, delta1, delta2) - 1e-6
@@ -165,7 +164,7 @@ class TestRateTwoDistortions:
             q_vec /= q_vec.sum()
             problem = RdProblem2(p_vec, q_vec, rng.random((k, j)) * 2.0, rng.random((k, j)) * 2.0)
             sbar = -rng.uniform(0.05, 3.0, size=2)
-            value, grad, _ = _stats(problem, sbar, 0.0, 0.0)
+            value, grad, _ = rd2_stats(problem, sbar, 0.0, 0.0)
             delta1, delta2 = -grad[0], -grad[1]
             want = sbar[0] * delta1 + sbar[1] * delta2 + value
             rate, s1, s2 = rate_two_distortions(problem, delta1, delta2)
@@ -278,7 +277,7 @@ class TestRateTwoDistortions:
         problem = RdProblem2(rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(j)), rng.random((k, j)),
                              rng.random((k, j)))
         s = -(10.0 ** rng.uniform(1.0, 2.5, size=2))
-        value, grad, _ = _stats(problem, s, 0.0, 0.0)
+        value, grad, _ = rd2_stats(problem, s, 0.0, 0.0)
         try:
             rate = rate_two_distortions(problem, -grad[0], -grad[1])[0]
         except NumericalError:
@@ -310,7 +309,7 @@ def stiff_draws():
         p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(m))
         problem = RdProblem2(p, q, rng.random((k, m)), rng.random((k, m)))
         s = -(10.0 ** rng.uniform(1.0, 2.5, size=2))
-        value, grad, _ = _stats(problem, s, 0.0, 0.0)
+        value, grad, _ = rd2_stats(problem, s, 0.0, 0.0)
         yield draw, problem, s, -grad, float(s @ -grad) + value
 
 

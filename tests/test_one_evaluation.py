@@ -1,8 +1,8 @@
 """Every solve evaluates each force once, and full-table quantities are taken in the kernel's row blocks.
 
-Kernel calls are counted by wrapping ``_tilted_moments`` in every module
-that calls it.  The row-blocked results are checked bit for bit against
-in-test full-table references.
+Kernel calls are counted by wrapping ``tilting._Table.grid``, the one
+entry of the moments.  The row-blocked results are checked bit for bit
+against in-test full-table references.
 """
 
 import math
@@ -38,14 +38,13 @@ from tiltrate import (
     riemann_sandwich,
     sandwich_bounds,
 )
-from tiltrate import capacity, chain, multiconstraint, ratedistortion, tilting
+from tiltrate import chain, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError, LevelInfeasibleError
-from tiltrate.multiconstraint import _stats
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _BLOCK_ENTRIES, _floored, _legendre, _tilted_law
+from tiltrate.tilting import _BLOCK_ENTRIES, _floored, _legendre
 
-from conftest import feasible_delta, random_problem, recursive_simpson
+from conftest import feasible_delta, random_problem, raw_table, rd2_stats, recursive_simpson
 
 
 class Calls(list):
@@ -64,16 +63,14 @@ class Calls(list):
 def forces(monkeypatch):
     """Every force the kernel is evaluated at, in call order (``Calls``)."""
     seen = Calls()
-    kernel = tilting._tilted_moments
+    grid = tilting._Table.grid
 
-    def counted(log_weights, values, s, order=2):
+    def counted(table, s, order=2):
         seen.append(s)
         seen.orders.append(order)
-        return kernel(log_weights, values, s, order)
+        return grid(table, s, order)
 
-    for module in (tilting, ratedistortion, capacity, chain, multiconstraint):
-        if hasattr(module, "_tilted_moments"):
-            monkeypatch.setattr(module, "_tilted_moments", counted)
+    monkeypatch.setattr(tilting._Table, "grid", counted)
     return seen
 
 
@@ -213,17 +210,17 @@ class TestWorkIntegralZeroNode:
     def kernel_forces(self, monkeypatch):
         # every force at which the moments (rate_work_integral, quasistatic_work) or a one-row
         # tilt (mmse) are taken
-        seen, moments, tilt = [], tilting._tilted_moments, ratedistortion.tilt
+        seen, grid, tilt = [], tilting._Table.grid, ratedistortion.tilt
 
-        def counted_moments(log_weights, values, s, order=2):
+        def counted_moments(table, s, order=2):
             seen.extend(np.ravel(s).tolist())
-            return moments(log_weights, values, s, order)
+            return grid(table, s, order)
 
         def counted_tilt(dist, s):
             seen.append(s)
             return tilt(dist, s)
 
-        monkeypatch.setattr(tilting, "_tilted_moments", counted_moments)
+        monkeypatch.setattr(tilting._Table, "grid", counted_moments)
         monkeypatch.setattr(ratedistortion, "tilt", counted_tilt)
         return seen
 
@@ -292,7 +289,7 @@ def full_table_stats(problem, s, delta1, delta2):
     """The two-force objective, gradient and covariance from whole-table temporaries."""
     d1, d2 = problem.distortion_1, problem.distortion_2
     p = problem.source_probs
-    cond, phi = _tilted_law(np.log(problem.coding_probs)[None, :], s[0] * d1 + s[1] * d2, 1.0)
+    cond, phi = raw_table(np.log(problem.coding_probs)[None, :], s[0] * d1 + s[1] * d2).law(1.0)
     m1 = np.einsum("ij,ij->i", cond, d1)
     m2 = np.einsum("ij,ij->i", cond, d2)
     c1 = d1 - m1[:, None]
@@ -318,7 +315,7 @@ class TestBlockedTwoForceStats:
         problem = RdProblem2(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)),
                              rng.random((rows, cols)), 3.0 * rng.random((rows, cols)) - 1.0)
         for s in (np.zeros(2), np.array([-1.3, -0.7]), np.array([-40.0, 0.0])):
-            value, grad, cov = _stats(problem, s, 0.3, 0.4)
+            value, grad, cov = rd2_stats(problem, s, 0.3, 0.4)
             want = full_table_stats(problem, s, 0.3, 0.4)
             assert value == want[0]
             assert np.array_equal(grad, want[1])
@@ -330,7 +327,7 @@ def full_table_observable(problem, t, s):
     temporaries, on the distortion with each row shifted to start at 0."""
     d = problem.distortion - problem.distortion.min(axis=1)[:, None]
     p = problem.source_probs
-    law = _tilted_law(np.log(problem.coding_probs)[None, :], d, s)[0]
+    law = raw_table(np.log(problem.coding_probs)[None, :], d).law(s)[0]
     mean_t = np.einsum("ij,ij->i", law, t)
     mean_d = np.einsum("ij,ij->i", law, d)
     cov = np.einsum("ij,ij,ij->i", law, d - mean_d[:, None], t - mean_t[:, None])
@@ -374,11 +371,11 @@ class TestBatchedQuadrature:
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_observable_sweep(self, rows, cols):
         problem, t = self.problem(rows, cols)
-        tables = ratedistortion._observable_tables(problem, t)
+        table, t = ratedistortion._observable_tables(problem, t)
         p = problem.source_probs
 
         def covariance(u):
-            return float(np.dot(p, tilting._tilted_pair(*tables, u, 0.0)[5]))
+            return float(np.dot(p, table.pair(t, u, 0.0)[5]))
 
         want = observable_expectation(problem, t, 0.0) + recursive_simpson(covariance, 0.0, -1.3, 1e-9)
         assert observable_sweep(problem, t, -1.3) == want

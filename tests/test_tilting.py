@@ -21,9 +21,9 @@ from tiltrate import (
 )
 from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
-from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _at_origin, _exact_dot, _pair, _tilted_moments, _tilted_pair
+from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _at_origin, _exact_dot, _pair
 
-from conftest import LN2, h2, random_dist
+from conftest import LN2, h2, random_dist, raw_table
 
 
 def coin():
@@ -277,10 +277,11 @@ class TestForceBatchedKernel:
     def assert_stacked(log_weights, values, forces, counts=None):
         """Batched calls on the first n forces, for each n of ``counts`` (all by
         default), against the one-force calls stacked."""
-        one_force = (_tilted_moments(log_weights, values, float(s)) for s in forces)
+        table = raw_table(log_weights, values)
+        one_force = (table.grid(float(s)) for s in forces)
         stacked = [np.stack(column) for column in zip(*one_force)]
         for n in counts or [forces.size]:
-            batched = _tilted_moments(log_weights, values, forces[:n])
+            batched = table.grid(forces[:n])
             assert len(batched) == len(stacked)
             for out, ref in zip(batched, stacked):
                 assert out.shape == ref[:n].shape
@@ -320,7 +321,7 @@ class TestForceBatchedKernel:
         log_weights = np.log(rng.dirichlet(np.ones(16), size=3))
         forces = np.concatenate([-rng.uniform(690.0, 710.0, 20), rng.uniform(690.0, 710.0, 20)])
         self.assert_stacked(log_weights, values, forces)
-        log_z, means, _ = _tilted_moments(log_weights, values, forces)
+        log_z, means, _ = raw_table(log_weights, values).grid(forces)
         assert np.all(np.isfinite(log_z)) and np.all(np.isfinite(means))
 
 
@@ -356,10 +357,10 @@ class TestRowBlockedGrids:
         assert a.size > _BLOCK_ENTRIES
         forces = -rng.uniform(0.0, 3.0, 3)
         for s_b in (0.0, -0.7):
-            self.assert_stacked(_tilted_pair(log_weights, a, b, forces, s_b),
-                                lambda s: _pair(log_weights, a, b, s, s_b), forces)
+            table = raw_table(log_weights, a)
+            self.assert_stacked(table.pair(b, forces, s_b), lambda s: _pair(log_weights, a, b, s, s_b), forces)
             # the pair at one force is row-blocked too
-            self.assert_stacked([x[None] for x in _tilted_pair(log_weights, a, b, float(forces[0]), s_b)],
+            self.assert_stacked([x[None] for x in table.pair(b, float(forces[0]), s_b)],
                                 lambda s: _pair(log_weights, a, b, s, s_b), forces[:1])
 
 
