@@ -121,16 +121,29 @@ def _table(system: ChainSystem):
     return _at_origin(np.array([a.fraction for a in arrays]), log_w, lengths)
 
 
+def _force(system: ChainSystem, lam, name: str = "lam") -> float:
+    """The kernel's force s = beta * lam, or ``ValidationError`` naming ``name`` where lam is not one
+    finite number (``_check_force``) or the product is not finite: every force route's one check,
+    before any kernel call."""
+    _check_force(lam, name)
+    s = system.beta * lam
+    if not math.isfinite(s):
+        raise ValidationError(f"{name} times beta must be finite (got {lam!r} * {system.beta!r})")
+    return s
+
+
 def gibbs_free_energy(system: ChainSystem, lam: float) -> float:
     """Per-element Gibbs free energy -(1/beta) sum_x p_x ln Z_x(lam)."""
-    table, s = _table(system), system.beta * lam
+    s = _force(system, lam)
+    table = _table(system)
     return -float(np.dot(table.row_weights, table.log_z_from_origin(s, table.moments(s, 1)[0]))) / system.beta
 
 
 def array_lengths(system: ChainSystem, lam: float) -> np.ndarray:
     """Boltzmann mean length of each array at force lam."""
+    s = _force(system, lam)
     table = _table(system)
-    return table.means_from_origin(table.moments(system.beta * lam, 1)[1])
+    return table.means_from_origin(table.moments(s, 1)[1])
 
 
 def expected_length(system: ChainSystem, lam: float) -> float:
@@ -139,8 +152,9 @@ def expected_length(system: ChainSystem, lam: float) -> float:
 
 def length_variance(system: ChainSystem, lam: float) -> float:
     """Population-averaged per-element length variance; beta times this is dY/dlam."""
+    s = _force(system, lam)
     table = _table(system)
-    return float(np.dot(table.row_weights, table.moments(system.beta * lam)[2]))
+    return float(np.dot(table.row_weights, table.moments(s)[2]))
 
 
 def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e-10) -> float:
@@ -172,9 +186,10 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     Integrates lam * dY/dlam with dY/dlam = beta * Var(length); equals
     (1/beta) times the rate function at s = beta * lam_final, which must be finite.
     """
-    _check_force(lam_final, "lam_final")
+    _force(system, lam_final, "lam_final")
     table, beta = _table(system), system.beta
-    return _work_integral(lambda lams: lams * beta * table.averaged(beta * lams, 2), lam_final, tol)
+    return _work_integral(lambda lams: lams * beta * table.averaged(beta * lams, 2), lam_final, tol,
+                          table.force_scale / beta)
 
 
 def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:

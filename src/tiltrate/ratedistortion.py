@@ -254,14 +254,15 @@ def mmse(problem: RdProblem, s: float) -> float:
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
     _check_force(s)
-    return _work_integral(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s, tol)
+    return _work_integral(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s, tol,
+                          _table(problem).force_scale)
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Distortion recovered as D0 plus the integrated mmse from 0 to s."""
     _check_force(s)
     table = _table(problem)
-    means, integral = _sweep(table.grid, s, tol, table.row_weights, mean=1, slope=2)
+    means, integral = _sweep(table, table.grid, s, tol, mean=1, slope=2)
     return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
 
 
@@ -306,9 +307,8 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     """
     _check_force(s)
     table, t = _observable_tables(problem, observable)
-    p = problem.source_probs
-    means, integral = _sweep(lambda us: table.pair(t, us, 0.0), s, tol, p, mean=2, slope=5)
-    return float(np.dot(p, means)) + integral
+    means, integral = _sweep(table, lambda us: table.pair(t, us, 0.0), s, tol, mean=2, slope=5)
+    return float(np.dot(problem.source_probs, means)) + integral
 
 
 def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:

@@ -13,7 +13,7 @@ The rule's own bookkeeping runs on Python floats, cheaper than numpy on the
 few-interval levels the routes make; each level crosses to numpy once.  Its
 evaluation budget is a constant, ``_MAX_EVALS`` (a million nodes per
 integral), and its only client is ``tilting``: every quadrature route reaches
-it through ``_work_integral``, ``_sweep`` or ``mean_via_integral`` there.
+it through the cut of ``tilting._pieces``.
 """
 
 from __future__ import annotations
@@ -134,6 +134,12 @@ def invert_monotone(
     raise NumericalError(f"root solve short of tolerance after {_MAX_ITER} steps: bracket [{lo!r}, {hi!r}]")
 
 
+def _check_quadrature_tol(tol) -> None:
+    """Refuse a quadrature tolerance that is not finite and > 0."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and > 0 (got {tol!r})")
+
+
 def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     """Integrate f over [a, b] to the absolute tolerance tol, which must be finite and > 0.
 
@@ -145,8 +151,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     so equal node values give a bit-identical answer.  A level that would
     pass ``_MAX_EVALS`` (a million) evaluations, or a 61st level, raises NumericalError.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be finite and > 0 (got {tol!r})")
+    _check_quadrature_tol(tol)
     if a == b:
         return 0.0
     if b < a:

@@ -30,7 +30,7 @@ from .errors import (
     SupportMismatchError,
     ValidationError,
 )
-from .solvers import adaptive_simpson, invert_monotone
+from .solvers import _check_quadrature_tol, adaptive_simpson, invert_monotone
 
 __all__ = [
     "PROB_TOL",
@@ -320,7 +320,7 @@ class _Table(NamedTuple):
     to origin by ``floor`` and is capped by ``span``; the kernel's per-row means and log-partitions
     move back by ``means_from_origin`` and ``log_z_from_origin``; ``least`` is each row's mean at
     force -inf; ``rebased`` is the table for a budget already at origin; ``divided`` is the table
-    in another unit."""
+    in another unit; ``force_scale`` is the unit in which the quadratures cut their intervals."""
 
     row_weights: np.ndarray
     log_weights: np.ndarray
@@ -371,6 +371,14 @@ class _Table(NamedTuple):
         """The table with its values, starts and ranges each divided by ``unit``: where a table's unit
         enters.  Its laws at force s * unit are this table's at s."""
         return self._replace(values=self.values / unit, starts=self.starts / unit, ranges=self.ranges / unit)
+
+    @property
+    def force_scale(self) -> float:
+        """One over the largest row range, or inf where every row is one value: the force at which
+        the widest row's two ends change their weight ratio by a factor e.  The quadratures cut their
+        intervals in this unit (``_pieces``)."""
+        widest = float(self.ranges.max())
+        return 1.0 / widest if widest > 0.0 else math.inf
 
     def grid(self, s, order: int = 2):
         """Per-row (log-partition, mean, variance) at origin at force ``s``, or at each force of a 1-D
@@ -581,14 +589,45 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Work route to the rate: integral of u * Var_u(y) for u from 0 to s."""
     _check_force(s)
-    return _work_integral(lambda u: u * dist._table.averaged(u, 2), s, tol)
+    table = dist._table
+    return _work_integral(lambda u: u * table.averaged(u, 2), s, tol, table.force_scale)
 
 
-def _work_integral(integrand, s: float, tol: float) -> float:
+# The quadratures cut their interval from 0 at this many force scales, and at each doubling of it.
+_CUT_SCALES = 64.0
+
+
+def _pieces(f, s: float, tol: float, scale: float) -> float:
+    """The integral of ``f`` from 0 to s by ``adaptive_simpson``, the interval cut from 0 at 64, 128,
+    256, ... force scales ``scale`` (``_Table.force_scale``, in the route's own force units) and each
+    piece run to its share of ``tol``, summed from 0 outward: the one cut of the quadrature routes.
+
+    Their integrands, a variance or u times one, fall off exponentially within a few force scales of
+    0, and a piece's first nodes sit an eighth and a quarter of its length from its start.  So one
+    piece from 0 to 250 force scales or more puts no node where that mass lies: a work integral
+    comes out about 0, and far enough out a slope's integral runs out of subdivisions.  A piece of
+    at most 64 scales has its first nodes within 8 scales of 0.  Within 64 scales (or at a scale of
+    0 or inf) the interval is one piece, the rule's own call, bit for bit."""
+    ends, edge = [0.0], _CUT_SCALES * scale
+    while 0.0 < edge < abs(s):
+        ends.append(math.copysign(edge, s))
+        edge *= 2.0
+    if len(ends) == 1:
+        return adaptive_simpson(f, 0.0, s, tol)
+    _check_quadrature_tol(tol)  # each piece sees only its share
+    ends.append(s)
+    share, total = tol / (len(ends) - 1), 0.0
+    for a, b in zip(ends, ends[1:]):
+        total += adaptive_simpson(f, a, b, share)
+    return total
+
+
+def _work_integral(integrand, s: float, tol: float, scale: float) -> float:
     """The integral from 0 to s of ``integrand``, u times a slope at u for an array of forces u,
-    floored (``_floored``): the one quadrature of the work routes.  At a node u = +-0 the
-    integrand is u itself, exactly, so it is called on the other nodes alone and the kernel
-    never runs at force 0; each value, and so the integral, is the every-node one bit for bit."""
+    by ``_pieces`` in force scales ``scale``, floored (``_floored``): the one quadrature of the work
+    routes.  At a node u = +-0 the integrand is u itself, exactly, so it is called on the other nodes
+    alone and the kernel never runs at force 0; each value, and so the integral, is the every-node
+    one bit for bit."""
 
     def at_nodes(us: np.ndarray) -> np.ndarray:
         values, live = us.copy(), us != 0.0
@@ -596,16 +635,17 @@ def _work_integral(integrand, s: float, tol: float) -> float:
             values[live] = integrand(us[live])
         return values
 
-    return _floored(adaptive_simpson(at_nodes, 0.0, s, tol))
+    return _floored(_pieces(at_nodes, s, tol, scale))
 
 
-def _sweep(outputs_at, s: float, tol: float, p: np.ndarray, *, mean: int, slope: int):
+def _sweep(table: _Table, outputs_at, s: float, tol: float, *, mean: int, slope: int):
     """(per-row means at force 0, integral from 0 to s of the row-weighted slope), ``mean`` and
-    ``slope`` indexing the kernel outputs ``outputs_at`` gives at a force or array of forces:
-    the quadrature of the routes that add a slope's integral to a mean at force 0.  The means
-    are read off the rule's root level, which ends at force 0 (at s = 0 no node is taken); each
-    level's slopes are reduced in one ``np.vecdot``, as ``_Table.averaged`` does."""
-    at_zero = []
+    ``slope`` indexing the kernel outputs ``outputs_at`` gives at a force or array of forces on
+    ``table``: the quadrature of the routes that add a slope's integral to a mean at force 0, by
+    ``_pieces`` in the table's force scale.  The means are read off the first piece's root level,
+    which ends at force 0 (at s = 0 no node is taken); each level's slopes are reduced by the row
+    weights in one ``np.vecdot``, as ``_Table.averaged`` does."""
+    at_zero, p = [], table.row_weights
 
     def integrand(us):
         outputs = outputs_at(us)
@@ -613,14 +653,15 @@ def _sweep(outputs_at, s: float, tol: float, p: np.ndarray, *, mean: int, slope:
             at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
         return np.vecdot(outputs[slope], p)
 
-    integral = adaptive_simpson(integrand, 0.0, s, tol)
+    integral = _pieces(integrand, s, tol, table.force_scale)
     return (at_zero[0] if at_zero else outputs_at(0.0)[mean]), integral
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Tilted mean recovered as mean(0) plus the integrated tilted variance."""
     _check_force(s)
-    return dist.mean + adaptive_simpson(lambda u: dist._table.averaged(u, 2), 0.0, s, tol)
+    table = dist._table
+    return dist.mean + _pieces(lambda u: table.averaged(u, 2), s, tol, table.force_scale)
 
 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:

@@ -399,6 +399,27 @@ class TestChain:
         vals = pairs_of(res.stdout)
         assert float(vals["abs_difference"]) < 1e-8
 
+    @pytest.mark.parametrize("lam", ["-300", "-1000", "-1e6"])
+    def test_work_matches_rate_far_out(self, capsys, lam):
+        # bss's force scale is 1: one interval past about 250 of them puts no node near 0, where
+        # the integrand's mass lies
+        res = main_of(capsys, "chain", "work", "--config", "configs/bss.json", f"--lambda-final={lam}")
+        vals = pairs_of(res.stdout)
+        assert float(vals["rate_times_kT"]) == pytest.approx(math.log(2.0), rel=1e-10)
+        assert float(vals["abs_difference"]) < 1e-8
+
+    def test_integral_route_far_out(self, capsys):
+        res = main_of(capsys, "rd", "point", "--config", "configs/bss.json", "--force=-1000", "--integral-route")
+        assert float(pairs_of(res.stdout)["rate_route_difference"]) < 1e-8
+
+    def test_work_refuses_a_force_whose_product_with_beta_overflows(self, capsys):
+        # beta = 2: lam = -1e308 is finite, and beta * lam is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = main_of(capsys, "chain", "work", "--config", "configs/two_budget.cfg", "--lambda-final=-1e308")
+        assert res.returncode == 1 and res.stdout == ""
+        assert "lam_final times beta must be finite" in res.stderr
+
     def test_equilibrium(self, capsys, bss_cfg):
         res = main_of(capsys, "chain", "equilibrium", "--config", bss_cfg, "--length", "0.25")
         vals = pairs_of(res.stdout)

@@ -4,7 +4,11 @@ Each command line runs in process through ``tiltrate.cli.main``, as CSV and
 as ``--json``; its exit status, stdout and stderr are compared with the
 checked-in record of its config.  A change that moves a printed digit fails
 here, and its golden file is then regenerated and the move named in
-CHANGES.md.  Regenerate with
+CHANGES.md.  The records were taken under numpy 2.4.6's AVX-512 dispatch on
+x86-64 (AVX512_SPR); under AVX2-only dispatch
+(``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) one line moves,
+``three.cfg``'s ``oracle ba --force=-1.3`` ``recheck_rate_abs_diff``, a
+difference of two routes that keeps their last bits.  Regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
 

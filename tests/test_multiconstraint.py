@@ -673,9 +673,11 @@ PINNED = {
 class TestPinnedDeck:
     """rd2's answers, bit for bit, and the kernel calls each pair makes, pinned on a seeded deck: stiff
     and frontier pairs, every dependent family at scales 1e-12 to 1e12, one-force faces, floors, a
-    face answer, stalls and refusals.  The literals are the numpy ascent's bits under numpy 2.4.6 and
-    OpenBLAS 0.3.31 on an AVX2 x86-64 host; a platform whose exp, log or ddot rounds differently
-    moves them, and then they are taken again from that ascent on that platform, not loosened."""
+    face answer, stalls and refusals.  The literals are the numpy ascent's bits under numpy 2.4.6's
+    AVX-512 dispatch (an x86-64 host reporting AVX512_SPR) and OpenBLAS 0.3.31.  A platform whose
+    exp, log or ddot rounds differently moves them: under AVX2-only dispatch
+    (``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``) frontier3, stiff2663 and scaled22
+    move by 1 to 3 ulps.  Then they are taken again from that ascent on that platform, not loosened."""
 
     def test_every_pair_answers_as_pinned(self, monkeypatch):
         calls, weights = [], tilting._tilted_weights

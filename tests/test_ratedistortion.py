@@ -9,14 +9,20 @@ from tiltrate import (
     distortion_at_force,
     equal_force_allocation,
     force_at_distortion,
+    from_rd_problem,
     legendre_grid_max,
+    mean_via_integral,
     mmse,
     observable_expectation,
     observable_sweep,
+    quasistatic_work,
+    rate_at_force,
     rate_legendre,
     rate_mmse_integral,
+    rate_work_integral,
     rd_curve,
     sandwich_bounds,
+    tilt,
     tilted_conditional,
 )
 from tiltrate import ratedistortion, tilting
@@ -331,6 +337,67 @@ class TestObservableRoutes:
     def test_shape_validation(self, bss):
         with pytest.raises(ValidationError):
             observable_expectation(bss, np.ones((3, 3)), -1.0)
+
+
+class TestFarForces:
+    """Beyond 64 force scales the quadratures cut their interval from 0 at 64, 128, 256, ... scales
+    (``tilting._pieces``): the integrands' mass lies within a few scales of 0, where one interval's
+    nodes never fall once it spans about 250 scales.  bss's force scale is 1."""
+
+    @staticmethod
+    def work_routes(problem):
+        dist = problem.delta_dists[0]
+        return [  # (route, its Legendre value)
+            (lambda s: quasistatic_work(from_rd_problem(problem), s), lambda s: distortion_at_force(problem, s).rate),
+            (lambda s: rate_mmse_integral(problem, s), lambda s: distortion_at_force(problem, s).rate),
+            (lambda s: rate_work_integral(dist, s), lambda s: rate_at_force(dist, s).rate),
+        ]
+
+    @staticmethod
+    def sweep_routes(problem):
+        t, dist = np.array([[1.0, -2.0], [0.5, 3.0]]), problem.delta_dists[0]
+        return [  # (route, its direct value)
+            (lambda s: distortion_mmse_integral(problem, s), lambda s: distortion_at_force(problem, s).distortion),
+            (lambda s: observable_sweep(problem, t, s), lambda s: observable_expectation(problem, t, s)),
+            (lambda s: mean_via_integral(dist, s), lambda s: tilt(dist, s).mean),
+        ]
+
+    @pytest.mark.parametrize("route", range(3))
+    @pytest.mark.parametrize("s", [-300.0, -1e3, -1e6])
+    def test_work_routes(self, bss, route, s):
+        answer, truth = self.work_routes(bss)[route]
+        assert truth(s) == pytest.approx(LN2, rel=1e-12)
+        assert answer(s) == pytest.approx(truth(s), abs=1e-8)
+
+    @pytest.mark.parametrize("route", range(3))
+    @pytest.mark.parametrize("s", [-300.0, -1e3, -1e6, -1e9])
+    def test_sweep_routes(self, bss, route, s):
+        answer, truth = self.sweep_routes(bss)[route]
+        assert answer(s) == pytest.approx(truth(s), abs=1e-8)
+
+    @pytest.fixture
+    def pieces(self, monkeypatch):
+        seen, rule = [], tilting.adaptive_simpson
+        monkeypatch.setattr(tilting, "adaptive_simpson", lambda f, a, b, tol: seen.append((a, b, tol)) or rule(f, a, b, tol))
+        return seen
+
+    def test_the_cuts_double_from_64_force_scales(self, pieces):
+        # the table's widest row spans 2, so a force scale is 0.5; each piece gets a fifth of tol
+        problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 2.0], [1.0, 0.0]])
+        distortion_mmse_integral(problem, -500.0, 1e-9)
+        assert pieces == [(0.0, -32.0, 2e-10), (-32.0, -64.0, 2e-10), (-64.0, -128.0, 2e-10),
+                          (-128.0, -256.0, 2e-10), (-256.0, -500.0, 2e-10)]
+
+    @pytest.mark.parametrize("s", [-0.5, -32.0, 32.0])
+    def test_within_64_force_scales_the_interval_is_one_piece(self, pieces, s):
+        problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 2.0], [1.0, 0.0]])
+        rate_mmse_integral(problem, s)
+        assert pieces == [(0.0, s, 1e-9)]
+
+    def test_a_refused_tolerance_is_named_as_given(self, bss, pieces):
+        with pytest.raises(ValidationError, match=r"^tol must be finite and > 0 \(got -1\.0\)$"):
+            rate_mmse_integral(bss, -1e3, -1.0)
+        assert pieces == []
 
 
 class TestRdCurve:
