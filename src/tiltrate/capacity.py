@@ -50,16 +50,15 @@ class CapacityPoint:
     delta: float
 
 
-def _output_marginal(channel: Channel) -> np.ndarray:
-    return channel.input_probs @ channel.transition
+def _terms(channel: Channel):
+    """W, q, the output marginal qW and the mask of the pairs (xhat, x) with mass: what both routes sum over."""
+    w, q = channel.transition, channel.input_probs
+    return w, q, q @ w, (w > 0.0) & (q[:, None] > 0.0)
 
 
 def mutual_information(channel: Channel) -> float:
     """I(Xhat; X) in nats for the given input law, summed over positive entries."""
-    w = channel.transition
-    q = channel.input_probs
-    p_out = _output_marginal(channel)
-    mask = (w > 0.0) & (q[:, None] > 0.0)
+    w, q, p_out, mask = _terms(channel)
     ratio = np.ones_like(w)
     np.divide(w, p_out[None, :], out=ratio, where=mask)
     terms = np.zeros_like(w)
@@ -79,9 +78,7 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     to machine width; it lands at -1 whenever the channel is nondegenerate,
     and is reported as 0 when the budget sits at an end (a degenerate channel).
     """
-    w = channel.transition
-    q = channel.input_probs
-    p_out = _output_marginal(channel)
+    w, q, p_out, mask = _terms(channel)
     if np.any(p_out <= 0.0):
         dead = int(np.argmin(p_out))
         raise ChannelDegenerateError(
@@ -89,7 +86,6 @@ def capacity_point(channel: Channel) -> CapacityPoint:
         )
 
     # conditional entropy H(X | Xhat), with 0 ln 0 = 0
-    mask = (w > 0.0) & (q[:, None] > 0.0)
     logs = np.zeros_like(w)
     np.log(w, out=logs, where=mask)
     delta = _floored(-(q[:, None] * w * logs)[mask].sum())

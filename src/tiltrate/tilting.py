@@ -133,9 +133,8 @@ class FiniteDistribution:
 
     @cached_property
     def _table(self) -> _Table:
-        """The support as a one-row ``_Table`` at origin, built on first use (sorted, all with mass)."""
-        v = self.values
-        return _Table(np.ones(1), np.log(self.probs)[None, :], (v - v[0])[None, :], v[:1], v[-1:] - v[:1])
+        """The support as a one-row table lowered by ``_at_origin``, built on first use (sorted, all with mass)."""
+        return _at_origin(np.ones(1), np.log(self.probs)[None, :], self.values[None, :])
 
 
 def _set_laws(dists: tuple, values: np.ndarray, probs: np.ndarray) -> None:
@@ -149,19 +148,19 @@ def _set_laws(dists: tuple, values: np.ndarray, probs: np.ndarray) -> None:
         v = np.take_along_axis(block, order, 1)
         runs = np.ones(v.shape, dtype=bool)
         runs[:, 1:] = np.diff(v, axis=1) > VALUE_MERGE_TOL * (v[:, -1:] - v[:, :1])
-        if runs.all():  # as in most tables: no two values merge, and none are equal
-            p = probs[order]
-            p /= p.sum(axis=1, keepdims=True)
-        else:  # the order of equal values sets the bits of their merged probability: sort stably
-            merged = ~runs.all(axis=1)
-            order[merged] = np.argsort(block[merged], axis=1, kind="stable")
-            starts, n = np.flatnonzero(runs), runs.sum(axis=1)
-            p, firsts = np.add.reduceat(probs[order].ravel(), starts), np.cumsum(n) - n
-            # reduceat adds a run's rest to its head and ndarray.sum a row to 0: a 0 before each row sums it alike
-            p /= np.repeat(np.add.reduceat(np.insert(p, firsts, 0.0), firsts + np.arange(n.size)), n)
-            v = np.split(np.take_along_axis(block, order, 1).ravel()[starts], firsts[1:])
-            p = np.split(p, firsts[1:])
-        for dist, row_values, row_probs in zip(dists[j : j + step], v, p):
+        p = probs[order]
+        p /= p.sum(axis=1, keepdims=True)
+        rows = zip(v, p)
+        if not runs.all():  # each merging row by the one-row rule (reduceat over its run heads, then ndarray.sum),
+            # all sorted stably in one call, since the order of equal values sets their merged mass's bits
+            rows, merged = list(rows), np.flatnonzero(~runs.all(axis=1))
+            stable = np.argsort(block[merged], axis=1, kind="stable")
+            sorted_rows = zip(merged, np.take_along_axis(block[merged], stable, 1), probs[stable], runs[merged])
+            for x, row, mass, heads in sorted_rows:
+                heads = np.flatnonzero(heads)
+                mass = np.add.reduceat(mass, heads)
+                rows[x] = row[heads], mass / mass.sum()
+        for dist, (row_values, row_probs) in zip(dists[j : j + step], rows):
             _frozen(dist, values=row_values, probs=row_probs)
 
 

@@ -293,6 +293,22 @@ def test_row_starts_are_found_by_the_origin_table_alone():
     assert sorted(m.name for m in modules if "_row_ends" in m.read_text()) == ["tilting.py"]
 
 
+def test_every_table_is_lowered_by_at_origin_alone():
+    # tilting._at_origin is the one lowering: no other code builds a _Table, the one-row table of a
+    # FiniteDistribution included, so a table's origin is set in one place (a table derived from a
+    # lowered one, by _Table._replace, keeps it)
+    lowered = []
+    for module in Path(tiltrate.__file__).parent.glob("*.py"):
+        tree = ast.parse(module.read_text())
+        owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+        lowered += [
+            (module.name, owner.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_Table"
+        ]
+    assert lowered == [("tilting.py", "_at_origin")]
+
+
 def test_row_starts_and_ranges_are_summed_by_the_origin_table_alone():
     # A budget moves to the rows' origin by tilting._Table.floor, sum_x w_x start_x, and the ceiling
     # at origin is _Table.span, sum_x w_x range_x: no other function takes a weighted sum of a table's
