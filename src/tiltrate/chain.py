@@ -184,12 +184,13 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
     """Reversible work of sweeping the force from 0 to lam_final.
 
     Integrates lam * dY/dlam with dY/dlam = beta * Var(length); equals
-    (1/beta) times the rate function at s = beta * lam_final, which must be finite.
+    (1/beta) times the rate function at s = beta * lam_final, which must be finite.  The integral
+    is taken to ``tol`` in the work's own units (``tilting._Table.quadrature_tol``).
     """
     _force(system, lam_final, "lam_final")
     table, beta = _table(system), system.beta
-    return _work_integral(lambda lams: lams * beta * table.averaged(beta * lams, 2), lam_final, tol,
-                          table.force_scale / beta)
+    return _work_integral(lambda lams: lams * beta * table.averaged(beta * lams, 2), lam_final,
+                          table.quadrature_tol(tol), table.force_scale / beta)
 
 
 def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:

@@ -252,17 +252,20 @@ def mmse(problem: RdProblem, s: float) -> float:
 
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
-    """Rate recovered as the work integral of u * mmse(u) from 0 to s."""
+    """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
+    (``tilting._Table.quadrature_tol``)."""
     _check_force(s)
-    return _work_integral(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s, tol,
-                          _table(problem).force_scale)
+    table = _table(problem)
+    return _work_integral(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s,
+                          table.quadrature_tol(tol), table.force_scale)
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
-    """Distortion recovered as D0 plus the integrated mmse from 0 to s."""
+    """Distortion recovered as D0 plus the integrated mmse from 0 to s, to ``tol`` times D's span
+    (``tilting._Table.quadrature_tol``), as ``force_at_distortion`` meets its budget."""
     _check_force(s)
     table = _table(problem)
-    means, integral = _sweep(table, table.grid, s, tol, mean=1, slope=2)
+    means, integral = _sweep(table, table.grid, s, table.quadrature_tol(tol, slope=True), mean=1, slope=2)
     return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
 
 

@@ -149,7 +149,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     against its halves, the tolerance halving on each split; the root is
     always split.  The pieces are summed in the recursive rule's tree order,
     so equal node values give a bit-identical answer.  A level that would
-    pass ``_MAX_EVALS`` (a million) evaluations, or a 61st level, raises NumericalError.
+    pass ``_MAX_EVALS`` (a million) evaluations, or a 61st level, raises NumericalError, and so
+    does a ``tol`` below half an ulp of the root level's estimate, which rounding alone keeps the
+    rule from meeting, at once, before it subdivides.
     """
     _check_quadrature_tol(tol)
     if a == b:
@@ -188,6 +190,10 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
                 halves += left, right
             values.append(left + right + delta / 15.0)
         levels.append((values, split))
+        if depth == _MAX_DEPTH and tol < 0.5 * math.ulp(halves[0] + halves[1]):  # the root's two halves
+            size = abs(halves[0] + halves[1])
+            raise NumericalError(
+                f"adaptive Simpson tolerance {tol!r} is below the rounding of the integral's size {size!r}")
         if not split:
             break
         if depth == 0:

@@ -26,6 +26,7 @@ from numpy._core.multiarray import c_einsum
 
 from .errors import (
     LevelInfeasibleError,
+    NumericalError,
     PartitionInvalidError,
     SupportMismatchError,
     ValidationError,
@@ -194,6 +195,8 @@ class RateResult:
 
 # Forces and rows per block of the kernel keep each of its temporaries near this many entries.
 _BLOCK_ENTRIES = 1 << 15
+# The least normal float: a range whose square falls below it has a tilted variance short of digits.
+_TINY = float(np.finfo(float).tiny)
 
 
 def _check_force(s, name: str = "force s") -> None:
@@ -370,6 +373,24 @@ class _Table(NamedTuple):
         """The table with its values, starts and ranges each divided by ``unit``: where a table's unit
         enters.  Its laws at force s * unit are this table's at s."""
         return self._replace(values=self.values / unit, starts=self.starts / unit, ranges=self.ranges / unit)
+
+    def quadrature_tol(self, tol, slope: bool = False) -> float:
+        """The tolerance of a route that integrates the tilted variance: ``tol`` checked as given
+        (``_check_quadrature_tol``), and for a ``slope``'s integral, a mean's displacement, ``tol``
+        times the ``span``, so that it answers alike at every scale, as ``_legendre`` meets its
+        budget.  A rate's integral is in nats and keeps ``tol``, as does a slope's where that product
+        is not a positive finite number: a point mass, whose span and integral are 0.
+
+        Where the widest row range has no normal square (below about 1.5e-154 or above 1.3e154) the
+        variance, a squared spread, underflows to subnormals or 0 or overflows, and the integral
+        would come out wrong without an error: there it raises ``NumericalError``."""
+        _check_quadrature_tol(tol)
+        widest = float(self.ranges.max())
+        if widest > 0.0 and not _TINY <= widest * widest < math.inf:
+            raise NumericalError(f"the widest row range {widest!r} has no normal square: its tilted variance "
+                                 "under- or overflows")
+        scaled = tol * self.span if slope else tol
+        return scaled if 0.0 < scaled < math.inf else tol
 
     @property
     def force_scale(self) -> float:
@@ -586,10 +607,11 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
-    """Work route to the rate: integral of u * Var_u(y) for u from 0 to s."""
+    """Work route to the rate: integral of u * Var_u(y) for u from 0 to s, to ``tol`` in nats
+    (``_Table.quadrature_tol``)."""
     _check_force(s)
     table = dist._table
-    return _work_integral(lambda u: u * table.averaged(u, 2), s, tol, table.force_scale)
+    return _work_integral(lambda u: u * table.averaged(u, 2), s, table.quadrature_tol(tol), table.force_scale)
 
 
 # The quadratures cut their interval from 0 at this many force scales, and at each doubling of it.
@@ -657,10 +679,12 @@ def _sweep(table: _Table, outputs_at, s: float, tol: float, *, mean: int, slope:
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
-    """Tilted mean recovered as mean(0) plus the integrated tilted variance."""
+    """Tilted mean recovered as mean(0) plus the integrated tilted variance, to ``tol`` times the
+    support's span (``_Table.quadrature_tol``), as ``force_at_level`` meets its level."""
     _check_force(s)
     table = dist._table
-    return dist.mean + _pieces(lambda u: table.averaged(u, 2), s, tol, table.force_scale)
+    return dist.mean + _pieces(lambda u: table.averaged(u, 2), s, table.quadrature_tol(tol, slope=True),
+                               table.force_scale)
 
 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:

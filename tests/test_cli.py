@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -420,6 +421,23 @@ class TestChain:
         assert res.returncode == 1 and res.stdout == ""
         assert "lam_final times beta must be finite" in res.stderr
 
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-300", "5e-324"])
+    def test_work_refuses_a_tolerance_below_rounding_at_once(self, capsys, tol):
+        # the work, about 0.11, rounds to about 7e-18: the quadrature stops after its root level,
+        # where it once evaluated a million nodes for 1.2 to 1.7 s before giving up
+        start = time.perf_counter()
+        res = main_of(capsys, "chain", "work", "--config", "configs/bss.json", "--lambda-final=-1", "--tol", tol)
+        assert time.perf_counter() - start < 0.5
+        assert res.returncode == 2 and res.stdout == ""
+        assert f"tolerance {tol} is below the rounding of the integral's size" in res.stderr
+
+    def test_work_at_a_tolerance_rounding_can_meet_prints_as_before(self, capsys):
+        res = main_of(capsys, "chain", "work", "--config", "configs/bss.json", "--lambda-final=-1", "--tol", "1e-16")
+        assert res.returncode == 0
+        assert res.stdout == (
+            "quantity,value\nlambda_final,-1\ns,-1\nquasistatic_work,0.110944071672\nrate_nats,0.110944071672\n"
+            "rate_times_kT,0.110944071672\nabs_difference,4.16333634234e-17\nlength_final,0.26894142137\n")
+
     def test_equilibrium(self, capsys, bss_cfg):
         res = main_of(capsys, "chain", "equilibrium", "--config", bss_cfg, "--length", "0.25")
         vals = pairs_of(res.stdout)
@@ -530,6 +548,17 @@ class TestFailureModes:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "numerical failure" in res.stderr
+
+    @pytest.mark.parametrize("argv", [["rd", "point", "--delta", "0.25e-200", "--integral-route"],
+                                      ["chain", "work", "--lambda-final=-1.0986122886681098e200"]])
+    def test_variance_integrals_far_below_scale_1_exit_2(self, capsys, tmp_path, argv):
+        # at 1e-200 the tilted variance underflows to 0: rate_mmse_integral and quasistatic_work
+        # printed 0 and exited 0, where the truth is 0.1308
+        f = tmp_path / "tiny.cfg"
+        f.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1e-200; 1e-200, 0\n")
+        res = main_of(capsys, *argv, "--config", str(f))
+        assert res.returncode == 2 and res.stdout == ""
+        assert "numerical failure" in res.stderr and "has no normal square" in res.stderr
 
     @pytest.mark.parametrize("extra", [["--force=-1", "--integral-route", "--tol=-1"], ["--delta", "0.25", "--tol", "0"]])
     def test_tolerance_must_be_positive(self, capsys, bss_cfg, extra):

@@ -191,7 +191,8 @@ def test_distortion_mmse_integral_matches_a_dot_per_node(rows, cols):
     table = ratedistortion._table(problem)
     p = table.row_weights
     d0 = float(np.dot(p, table.grid(0.0)[1] + table.starts))
-    want = d0 + adaptive_simpson(lambda us: dot_per_node(p, table.grid(us)[2]), 0.0, -1.1, 1e-9)
+    # the route integrates to tol times D's span
+    want = d0 + adaptive_simpson(lambda us: dot_per_node(p, table.grid(us)[2]), 0.0, -1.1, 1e-9 * table.span)
     assert distortion_mmse_integral(problem, -1.1) == want
 
 

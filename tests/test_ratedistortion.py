@@ -382,11 +382,13 @@ class TestFarForces:
         return seen
 
     def test_the_cuts_double_from_64_force_scales(self, pieces):
-        # the table's widest row spans 2, so a force scale is 0.5; each piece gets a fifth of tol
+        # the table's widest row spans 2, so a force scale is 0.5; D spans 1.5, so the route's tol is
+        # 1.5e-9, and each piece gets a fifth of it
         problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 2.0], [1.0, 0.0]])
         distortion_mmse_integral(problem, -500.0, 1e-9)
-        assert pieces == [(0.0, -32.0, 2e-10), (-32.0, -64.0, 2e-10), (-64.0, -128.0, 2e-10),
-                          (-128.0, -256.0, 2e-10), (-256.0, -500.0, 2e-10)]
+        share = 1e-9 * 1.5 / 5
+        assert pieces == [(0.0, -32.0, share), (-32.0, -64.0, share), (-64.0, -128.0, share),
+                          (-128.0, -256.0, share), (-256.0, -500.0, share)]
 
     @pytest.mark.parametrize("s", [-0.5, -32.0, 32.0])
     def test_within_64_force_scales_the_interval_is_one_piece(self, pieces, s):

@@ -1,5 +1,8 @@
 """Scaling a table and its budget by c leaves every rate and entropy unchanged and divides every force by c."""
 
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +18,15 @@ from tiltrate import (
     equilibrium_force,
     force_at_distortion,
     from_rd_problem,
+    mean_via_integral,
+    quasistatic_work,
     rate_legendre,
+    rate_mmse_integral,
     rate_two_distortions,
+    rate_work_integral,
 )
 from tiltrate.errors import NumericalError
+from tiltrate.ratedistortion import distortion_mmse_integral
 
 from conftest import LN2, LN3, h2
 
@@ -125,3 +133,71 @@ def test_a_span_with_no_finite_force_scale_is_a_numerical_failure(c):
     # 1 / span overflows: the solve has no finite reach, which is a numerical failure, not bad input
     with pytest.raises(NumericalError):
         force_at_distortion(scaled(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]), c), 0.25 * c)
+
+
+BSS = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+
+
+def slope_routes(c: float) -> dict:
+    """The two routes that integrate a tilted variance to a mean, on bss scaled by c at the force
+    ln(1/3) / c, whose mean is 0.25 c: each to tol 1e-9 times its span, c."""
+    s, coin = -LN3 / c, FiniteDistribution([0.0, c], [0.5, 0.5])
+    return {
+        "distortion_mmse_integral": lambda: distortion_mmse_integral(scaled(BSS, c), s, 1e-9),
+        "mean_via_integral": lambda: mean_via_integral(coin, s, 1e-9),
+    }
+
+
+def rate_routes(c: float) -> dict:
+    """The three routes that integrate u times a tilted variance to a rate, on bss scaled by c at the
+    force ln(1/3) / c, whose rate is ln 2 - h(0.25): each to tol 1e-9 nats."""
+    s, coin = -LN3 / c, FiniteDistribution([0.0, c], [0.5, 0.5])
+    return {
+        "rate_mmse_integral": lambda: rate_mmse_integral(scaled(BSS, c), s, 1e-9),
+        "rate_work_integral": lambda: rate_work_integral(coin, s, 1e-9),
+        "quasistatic_work": lambda: quasistatic_work(from_rd_problem(scaled(BSS, c)), s, 1e-9),
+    }
+
+
+@pytest.mark.parametrize("c", [10.0**e for e in range(-12, 13, 3)])
+@pytest.mark.parametrize("name", ["distortion_mmse_integral", "mean_via_integral"])
+def test_slope_integrals_are_scale_free(name, c):
+    # each integrates to tol times its span, so bss answers alike at every scale (an absolute tol
+    # ran out of evaluations at 1e9 and was 1.3e-8 off at 1e-6)
+    assert slope_routes(c)[name]() == pytest.approx(0.25 * c, rel=REL)
+
+
+@given(seeds, factors, st.floats(-8.0, -0.5))
+@settings(max_examples=30, deadline=None)
+def test_slope_integrals_scale_with_the_table(seed, c, s):
+    problem = draw_problem(seed)
+    dist = FiniteDistribution(problem.distortion[0], problem.coding_probs)
+    assert distortion_mmse_integral(scaled(problem, c), s / c) == pytest.approx(
+        c * distortion_mmse_integral(problem, s), rel=REL)
+    big = FiniteDistribution(dist.values * c, dist.probs)
+    assert mean_via_integral(big, s / c) == pytest.approx(c * mean_via_integral(dist, s), rel=REL)
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e150])
+def test_variance_integrals_answer_where_the_range_has_a_normal_square(c):
+    for route in slope_routes(c).values():
+        assert abs(route() - 0.25 * c) <= 1e-9 * c
+    for route in rate_routes(c).values():
+        assert abs(route() - (LN2 - h2(0.25))) <= 1e-9
+
+
+@pytest.mark.parametrize("c", [1e-160, 1e-200, 1e-300, 1e160])
+@pytest.mark.parametrize("name", ["distortion_mmse_integral", "mean_via_integral", "rate_mmse_integral",
+                                  "rate_work_integral", "quasistatic_work"])
+def test_variance_integrals_refuse_a_range_with_no_normal_square(name, c):
+    # the tilted variance, a squared spread, underflows below a range of about 1.5e-154 and
+    # overflows above 1.3e154: these routes returned 0 or the zero-force mean without an error
+    # (1e-200, 1e-300), were 8e-4 off (1e-160), or warned of an overflow and ran for 24 s (1e160)
+    route = {**slope_routes(c), **rate_routes(c)}[name]
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError, match="has no normal square"):
+            route()
+    assert time.perf_counter() - start < 0.1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []

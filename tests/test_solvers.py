@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,10 +311,31 @@ class TestAdaptiveSimpson:
             adaptive_simpson(f, 0.0, 1.0, 1e-9)
 
     def test_depth_cap_raises(self):
-        # a step at 1e-20 stays inside [0, 2^-L] on every level: one interval per level keeps
-        # failing, so the levels run out long before the budget does
+        # a step at 1e-20 stays inside [0, 2^-L] on every level: the interval [0, h] keeps an error
+        # estimate of h / 12 against its limit 15 tol h, so it fails on every level for any tol below
+        # 1/180, and the levels run out long before the budget does
         with pytest.raises(NumericalError, match=r"^adaptive Simpson short of tolerance near 4\.336808689942018e-19: 60 subdivisions deep$"):
-            adaptive_simpson(lambda x: (x <= 1e-20).astype(float), 0.0, 1.0, 1e-300)
+            adaptive_simpson(lambda x: (x <= 1e-20).astype(float), 0.0, 1.0, 1e-12)
+
+    @pytest.mark.parametrize("tol", [1e-20, 1e-300, 5e-324])
+    def test_a_tolerance_below_the_rounding_is_refused_after_the_root_level(self, tol):
+        # the root level's estimate of the step is 1/12, whose half ulp is about 7e-18: no sum of
+        # rounded values meets a tol below it, so the rule stops on its first 5 nodes
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return (x <= 1e-20).astype(float)
+
+        size = re.escape(repr(1.0 / 12.0))
+        with pytest.raises(NumericalError, match=rf"^adaptive Simpson tolerance {re.escape(repr(tol))} is below the rounding of the integral's size {size}$"):
+            adaptive_simpson(f, 0.0, 1.0, tol)
+        assert sizes == [5]
+
+    def test_a_tolerance_at_the_rounding_is_still_tried(self):
+        # half an ulp of the root estimate 2 is 2^-52: a tol of exactly that is tried, and the cubic,
+        # which Simpson's rule integrates exactly, meets it
+        assert adaptive_simpson(lambda x: x**3 / 2.0, 0.0, 2.0, 2.0**-52) == 2.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
