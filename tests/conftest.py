@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from tiltrate import FiniteDistribution, RdProblem
 from tiltrate.multiconstraint import _evaluate
@@ -9,6 +10,16 @@ from tiltrate.tilting import _Table
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+
+def dispatch_level() -> str:
+    """The highest SIMD level numpy dispatches its kernels to in this process: the last of its
+    dispatch targets whose features are on, or "baseline" where none is.  A level disabled by
+    ``NPY_DISABLE_CPU_FEATURES`` reads as off, so each level of a host can be taken in turn.  The
+    tests that pin absolute float bits keep one set per level, since exp, log and the reductions
+    round their last bits by the kernel numpy picks."""
+    on = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return on[-1] if on else "baseline"
 
 
 def h2(x: float) -> float:
