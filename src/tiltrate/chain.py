@@ -183,14 +183,11 @@ def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e
 def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -> float:
     """Reversible work of sweeping the force from 0 to lam_final.
 
-    Integrates lam * dY/dlam with dY/dlam = beta * Var(length); equals
-    (1/beta) times the rate function at s = beta * lam_final, which must be finite.  The integral
-    is taken to ``tol`` in the work's own units (``tilting._Table.quadrature_tol``).
+    The work is (1/beta) times the rate function at s = beta * lam_final, which must be finite: the
+    rate's work integral of u times the row-weighted length variance from 0 to s
+    (``tilting._work_integral``), taken to ``tol`` in nats, divided by beta.
     """
-    _force(system, lam_final, "lam_final")
-    table, beta = _table(system), system.beta
-    return _work_integral(lambda lams: lams * beta * table.averaged(beta * lams, 2), lam_final,
-                          table.quadrature_tol(tol), table.force_scale / beta)
+    return _work_integral(_table(system), _force(system, lam_final, "lam_final"), tol) / system.beta
 
 
 def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:

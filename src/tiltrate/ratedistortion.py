@@ -253,11 +253,8 @@ def mmse(problem: RdProblem, s: float) -> float:
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
-    (``tilting._Table.quadrature_tol``)."""
-    _check_force(s)
-    table = _table(problem)
-    return _work_integral(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s,
-                          table.quadrature_tol(tol), table.force_scale)
+    (``tilting._work_integral``)."""
+    return _work_integral(_table(problem), s, tol, lambda us: np.array([mmse(problem, u) for u in us.tolist()]))
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
@@ -265,7 +262,7 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
     (``tilting._Table.quadrature_tol``), as ``force_at_distortion`` meets its budget."""
     _check_force(s)
     table = _table(problem)
-    means, integral = _sweep(table, table.grid, s, table.quadrature_tol(tol, slope=True), mean=1, slope=2)
+    means, integral = _sweep(table, table.grid, s, table.quadrature_tol(tol, table), mean=1, slope=2)
     return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
 
 
@@ -305,11 +302,14 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     with the distortion along the force sweep from 0 to s.
 
     Agrees with :func:`observable_expectation` at the endpoint to within the
-    quadrature tolerance; the integral form shows how the force drags any
-    observable, not just the distortion itself.
+    quadrature tolerance, ``tol`` times the observable's source-weighted span
+    (``tilting._Table.quadrature_tol``), so it answers alike at every scale of
+    either table; the integral form shows how the force drags any observable,
+    not just the distortion itself.
     """
     _check_force(s)
     table, t = _observable_tables(problem, observable)
+    tol = table.quadrature_tol(tol, _at_origin(problem.source_probs, table.log_weights, t))
     means, integral = _sweep(table, lambda us: table.pair(t, us, 0.0), s, tol, mean=2, slope=5)
     return float(np.dot(problem.source_probs, means)) + integral
 

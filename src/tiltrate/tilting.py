@@ -374,22 +374,26 @@ class _Table(NamedTuple):
         enters.  Its laws at force s * unit are this table's at s."""
         return self._replace(values=self.values / unit, starts=self.starts / unit, ranges=self.ranges / unit)
 
-    def quadrature_tol(self, tol, slope: bool = False) -> float:
-        """The tolerance of a route that integrates the tilted variance: ``tol`` checked as given
-        (``_check_quadrature_tol``), and for a ``slope``'s integral, a mean's displacement, ``tol``
-        times the ``span``, so that it answers alike at every scale, as ``_legendre`` meets its
-        budget.  A rate's integral is in nats and keeps ``tol``, as does a slope's where that product
-        is not a positive finite number: a point mass, whose span and integral are 0.
+    def quadrature_tol(self, tol, mean_of: _Table | None = None) -> float:
+        """The tolerance of a route that integrates a tilted variance or covariance: ``tol`` checked
+        as given (``_check_quadrature_tol``), and for the integral of a slope, the displacement of the
+        mean of ``mean_of`` (this table itself, or an observable's), ``tol`` times that table's
+        ``span``, so that it answers alike at every scale, as ``_legendre`` meets its budget.  A rate's
+        integral is in nats and keeps ``tol``, as does a slope's where that product is not a positive
+        finite number: a table whose rows are each one value, whose span and integral are 0.
 
-        Where the widest row range has no normal square (below about 1.5e-154 or above 1.3e154) the
-        variance, a squared spread, underflows to subnormals or 0 or overflows, and the integral
-        would come out wrong without an error: there it raises ``NumericalError``."""
+        Where this table's widest row range times that of ``mean_of`` (its own square for a rate) is
+        not a normal float (a square below about 1.5e-154 or above 1.3e154) the integrand, a product of
+        two spreads, underflows to subnormals or 0 or overflows, and the integral would come out wrong
+        without an error: there it raises ``NumericalError``."""
         _check_quadrature_tol(tol)
         widest = float(self.ranges.max())
-        if widest > 0.0 and not _TINY <= widest * widest < math.inf:
-            raise NumericalError(f"the widest row range {widest!r} has no normal square: its tilted variance "
-                                 "under- or overflows")
-        scaled = tol * self.span if slope else tol
+        other = widest if mean_of is None else float(mean_of.ranges.max())
+        if widest > 0.0 and other > 0.0 and not _TINY <= widest * other < math.inf:
+            product = "square" if other == widest else f"product with {other!r}"
+            raise NumericalError(f"the widest row range {widest!r} has no normal {product}: its tilted "
+                                 "(co)variance under- or overflows")
+        scaled = tol if mean_of is None else tol * mean_of.span
         return scaled if 0.0 < scaled < math.inf else tol
 
     @property
@@ -608,10 +612,8 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Work route to the rate: integral of u * Var_u(y) for u from 0 to s, to ``tol`` in nats
-    (``_Table.quadrature_tol``)."""
-    _check_force(s)
-    table = dist._table
-    return _work_integral(lambda u: u * table.averaged(u, 2), s, table.quadrature_tol(tol), table.force_scale)
+    (``_work_integral``)."""
+    return _work_integral(dist._table, s, tol)
 
 
 # The quadratures cut their interval from 0 at this many force scales, and at each doubling of it.
@@ -620,22 +622,22 @@ _CUT_SCALES = 64.0
 
 def _pieces(f, s: float, tol: float, scale: float) -> float:
     """The integral of ``f`` from 0 to s by ``adaptive_simpson``, the interval cut from 0 at 64, 128,
-    256, ... force scales ``scale`` (``_Table.force_scale``, in the route's own force units) and each
-    piece run to its share of ``tol``, summed from 0 outward: the one cut of the quadrature routes.
+    256, ... force scales ``scale`` (``_Table.force_scale``) and each piece run to its share of
+    ``tol``, summed from 0 outward: the one cut of the quadrature routes.  ``tol`` is checked by
+    every caller (``_Table.quadrature_tol``) before its share is taken.
 
-    Their integrands, a variance or u times one, fall off exponentially within a few force scales of
-    0, and a piece's first nodes sit an eighth and a quarter of its length from its start.  So one
-    piece from 0 to 250 force scales or more puts no node where that mass lies: a work integral
-    comes out about 0, and far enough out a slope's integral runs out of subdivisions.  A piece of
-    at most 64 scales has its first nodes within 8 scales of 0.  Within 64 scales (or at a scale of
-    0 or inf) the interval is one piece, the rule's own call, bit for bit."""
+    Their integrands, a variance, a covariance or u times a variance, fall off exponentially within a
+    few force scales of 0, and a piece's first nodes sit an eighth and a quarter of its length from
+    its start.  So one piece from 0 to 250 force scales or more puts no node where that mass lies: a
+    work integral comes out about 0, and far enough out a slope's integral runs out of subdivisions.
+    A piece of at most 64 scales has its first nodes within 8 scales of 0.  Within 64 scales (or at
+    a scale of 0 or inf) the interval is one piece, the rule's own call, bit for bit."""
     ends, edge = [0.0], _CUT_SCALES * scale
     while 0.0 < edge < abs(s):
         ends.append(math.copysign(edge, s))
         edge *= 2.0
     if len(ends) == 1:
         return adaptive_simpson(f, 0.0, s, tol)
-    _check_quadrature_tol(tol)  # each piece sees only its share
     ends.append(s)
     share, total = tol / (len(ends) - 1), 0.0
     for a, b in zip(ends, ends[1:]):
@@ -643,20 +645,23 @@ def _pieces(f, s: float, tol: float, scale: float) -> float:
     return total
 
 
-def _work_integral(integrand, s: float, tol: float, scale: float) -> float:
-    """The integral from 0 to s of ``integrand``, u times a slope at u for an array of forces u,
-    by ``_pieces`` in force scales ``scale``, floored (``_floored``): the one quadrature of the work
-    routes.  At a node u = +-0 the integrand is u itself, exactly, so it is called on the other nodes
-    alone and the kernel never runs at force 0; each value, and so the integral, is the every-node
-    one bit for bit."""
+def _work_integral(table: _Table, s: float, tol: float, variance=None) -> float:
+    """The integral from 0 to s of u times ``variance(u)``, the row-weighted tilted variance at an
+    array of forces u (``table.averaged(u, 2)`` by default), to ``tol`` in nats
+    (``_Table.quadrature_tol``), by ``_pieces`` in the table's force scale, floored (``_floored``): the
+    one quadrature of the work routes, each at the kernel's own force s.  At a node u = +-0 the
+    integrand is u itself, exactly, so the variance is taken at the other nodes alone and the kernel
+    never runs at force 0; each value, and so the integral, is the every-node one bit for bit."""
+    _check_force(s)
+    tol, variance = table.quadrature_tol(tol), variance or (lambda us: table.averaged(us, 2))
 
     def at_nodes(us: np.ndarray) -> np.ndarray:
         values, live = us.copy(), us != 0.0
         if live.any():  # not on a level whose every node rounds to 0, from a force near 1e-323
-            values[live] = integrand(us[live])
+            values[live] = us[live] * variance(us[live])
         return values
 
-    return _floored(_pieces(at_nodes, s, tol, scale))
+    return _floored(_pieces(at_nodes, s, tol, table.force_scale))
 
 
 def _sweep(table: _Table, outputs_at, s: float, tol: float, *, mean: int, slope: int):
@@ -683,8 +688,7 @@ def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> 
     support's span (``_Table.quadrature_tol``), as ``force_at_level`` meets its level."""
     _check_force(s)
     table = dist._table
-    return dist.mean + _pieces(lambda u: table.averaged(u, 2), s, table.quadrature_tol(tol, slope=True),
-                               table.force_scale)
+    return dist.mean + _pieces(lambda u: table.averaged(u, 2), s, table.quadrature_tol(tol, table), table.force_scale)
 
 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:

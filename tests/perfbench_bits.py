@@ -6,8 +6,10 @@ Runs every operation of the solve and sweep decks (``perfbench/workloads.py``) a
 passes 0 and 1, and prints one line: the number of results, a sha256 over each result's floats as
 ``float.hex`` and its arrays' bytes (or the name of the error it raised), and the number of kernel
 block calls (``tilting._moments`` plus ``tilting._pair``).  Run it before and after a change that
-should keep every answer: the two lines are equal when it does.  pytest does not collect this
-file: its name does not start with ``test_``.
+should keep every answer: the two lines are equal when it does.  After it, one line per operation
+family gives the same three numbers for that family's operations alone, its sha256 cut to 16
+digits, so a change that moves some answers names the families it moved.  pytest does not collect
+this file: its name does not start with ``test_``.
 """
 
 import dataclasses
@@ -53,7 +55,7 @@ def main() -> int:
 
     tilting._moments, tilting._pair = counted(tilting._moments), counted(tilting._pair)
     tr = workloads.load_package()
-    digest, results = hashlib.sha256(), 0
+    digest, results, families = hashlib.sha256(), 0, {}
     for workload in ("solve", "sweep"):
         for seed in SEEDS:
             first = workloads.generate(workload, seed)
@@ -61,13 +63,21 @@ def main() -> int:
                 deck = workloads.pass_deck(first, seed, index)
                 workloads.build(tr, deck)
                 for op in deck:
+                    before = calls
                     try:
                         bits = canonical(workloads.call(tr, op))
                     except Exception as error:  # a raised error is an answer too
                         bits = type(error).__name__.encode()
-                    digest.update(op.label.encode() + b"=" + bits + b"\n")
+                    line = op.label.encode() + b"=" + bits + b"\n"
+                    digest.update(line)
                     results += 1
+                    family = families.setdefault(op.family, [0, hashlib.sha256(), 0])
+                    family[0] += 1
+                    family[1].update(line)
+                    family[2] += calls - before
     print(f"{results} results sha256 {digest.hexdigest()} {calls} kernel block calls")
+    for name, (count, family_digest, family_calls) in sorted(families.items()):
+        print(f"  {name}: {count} results sha256 {family_digest.hexdigest()[:16]} {family_calls} kernel block calls")
     return 0
 
 

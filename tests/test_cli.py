@@ -459,6 +459,16 @@ class TestChain:
         assert float(vals["s"]) == pytest.approx(math.log(1 / 3), abs=1e-9)
         assert float(vals["quasistatic_work"]) == pytest.approx(0.13081203594113698 / 2, abs=1e-8)
 
+    def test_work_answers_at_a_small_beta(self, capsys, tmp_path):
+        # the work, rate / beta = 1.3e8, is integrated to tol in nats at s = beta * lambda: a tol in
+        # the work's own units was below its rounding, and this exited 2
+        f = tmp_path / "cold.cfg"
+        f.write_text(BSS + "beta = 1e-9\n")
+        res = main_of(capsys, "chain", "work", "--config", str(f), "--lambda-final=-1.0986122886681098e9")
+        assert res.returncode == 0
+        vals = pairs_of(res.stdout)
+        assert float(vals["quasistatic_work"]) == pytest.approx(0.13081203594113698 / 1e-9, rel=1e-9)
+
 
 class TestOracleCommands:
     def test_exact(self, capsys, bss_cfg):

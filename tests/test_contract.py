@@ -367,6 +367,16 @@ def test_the_quadrature_rule_is_named_by_tilting_alone():
         "solvers.py", "tilting.py"]
 
 
+def test_the_quadrature_cut_is_set_by_tilting_alone():
+    # every quadrature runs in the kernel's own force and is cut in the table's force scale by
+    # tilting._work_integral, tilting._sweep or mean_via_integral: no route keeps a scale, and so
+    # no tolerance, in a force unit of its own
+    modules = Path(tiltrate.__file__).parent.glob("*.py")
+    readers = sorted(m.name for m in modules for node in ast.walk(ast.parse(m.read_text()))
+                     if isinstance(node, ast.Attribute) and node.attr == "force_scale")
+    assert set(readers) == {"tilting.py"}
+
+
 def test_records_are_built_only_for_classes_that_check_nothing():
     # tilting._record skips __post_init__, so it may build only a class that defines none: a
     # validated input class is built by its constructor, or not at all

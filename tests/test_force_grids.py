@@ -181,7 +181,9 @@ def test_observable_sweep_matches_a_dot_per_node(rows, cols):
     t = 2.0 * np.random.default_rng(rows).random((rows, cols)) - 1.0
     (table, t), p = ratedistortion._observable_tables(problem, t), problem.source_probs
     base = float(np.dot(p, table.pair(t, 0.0, 0.0)[2]))
-    want = base + adaptive_simpson(lambda us: dot_per_node(p, table.pair(t, us, 0.0)[5]), 0.0, -1.1, 1e-9)
+    # the route integrates to tol times the observable's source-weighted span
+    tol = 1e-9 * np.dot(p, np.ptp(t, axis=1))
+    want = base + adaptive_simpson(lambda us: dot_per_node(p, table.pair(t, us, 0.0)[5]), 0.0, -1.1, tol)
     assert observable_sweep(problem, t, -1.1) == want
 
 
@@ -201,10 +203,11 @@ def test_quasistatic_work_matches_a_dot_per_node(rows, cols):
     system = from_rd_problem(quadrature_problem(rows, cols), beta=1.6)
     table, beta = chain._table(system), system.beta
 
-    def power(lams):
-        return lams * beta * dot_per_node(table.row_weights, table.grid(beta * lams)[2])
+    def power(us):
+        return us * dot_per_node(table.row_weights, table.grid(us)[2])
 
-    assert quasistatic_work(system, -0.7) == adaptive_simpson(power, 0.0, -0.7, 1e-9)
+    # the rate's work integral at the kernel's force s = beta * lam, to tol in nats, over beta
+    assert quasistatic_work(system, -0.7) == adaptive_simpson(power, 0.0, beta * -0.7, 1e-9) / beta
 
 
 def padded_chain_table(system: ChainSystem):

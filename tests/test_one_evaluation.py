@@ -229,22 +229,29 @@ class TestWorkIntegralZeroNode:
         problem = problems()[1]
         system = from_rd_problem(problem, beta=1.7)
         table, dist = chain._table(system), problem.delta_dists[0]
-        return [  # (route, its integrand at every node)
-            (lambda s: rate_work_integral(dist, s), lambda u: u * dist._table.averaged(u, 2)),
+        beta = system.beta
+
+        def every_node(integrand, s):
+            return _floored(adaptive_simpson(integrand, 0.0, s, 1e-9))
+
+        return [  # (route, its answer with the integrand called at every node)
+            (lambda s: rate_work_integral(dist, s),
+             lambda s: every_node(lambda u: u * dist._table.averaged(u, 2), s)),
+            # the rate's work integral at the kernel's force beta * lam, over beta
             (lambda s: quasistatic_work(system, s),
-             lambda lams: lams * system.beta * table.averaged(system.beta * lams, 2)),
+             lambda s: every_node(lambda us: us * table.averaged(us, 2), beta * s) / beta),
             (lambda s: rate_mmse_integral(problem, s),
-             lambda us: np.array([u * mmse(problem, u) for u in us.tolist()])),
+             lambda s: every_node(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s)),
         ]
 
     @pytest.mark.parametrize("route", range(3))
     @pytest.mark.parametrize("s", [-1.3, 0.7, -5e-324])
     def test_no_zero_force_and_every_node_bits(self, kernel_forces, route, s):
         # at s = -5e-324 the nodes round to +-0 except s itself, from the root level on
-        answer, integrand = self.routes()[route]
+        answer, every_node = self.routes()[route]
         got = answer(s)
         assert kernel_forces and 0.0 not in kernel_forces
-        assert got == _floored(adaptive_simpson(integrand, 0.0, s, 1e-9))
+        assert got == every_node(s)
 
 
 class TestMomentOrder:
@@ -343,8 +350,10 @@ class TestBlockedObservable:
         for s in (0.0, -1.3, -40.0):
             assert observable_expectation(problem, t, s) == full_table_observable(problem, t, s)[0]
         s = -1.3
+        # the route integrates to tol times the observable's source-weighted span
+        tol = 1e-9 * np.dot(problem.source_probs, np.ptp(t, axis=1))
         want = full_table_observable(problem, t, 0.0)[0] + adaptive_simpson(
-            lambda us: np.array([full_table_observable(problem, t, u)[1] for u in us.tolist()]), 0.0, s, 1e-9)
+            lambda us: np.array([full_table_observable(problem, t, u)[1] for u in us.tolist()]), 0.0, s, tol)
         assert observable_sweep(problem, t, s) == want
 
 
@@ -363,10 +372,12 @@ class TestBatchedQuadrature:
         system = from_rd_problem(self.problem(rows, cols)[0], beta=1.7)
         table = chain._table(system)
 
-        def power(lam):
-            return lam * system.beta * float(np.dot(table.row_weights, table.moments(system.beta * lam)[2]))
+        def power(u):
+            return u * float(np.dot(table.row_weights, table.moments(u)[2]))
 
-        assert quasistatic_work(system, -0.8) == recursive_simpson(power, 0.0, -0.8, 1e-9)
+        # the rate's work integral at the kernel's force s = beta * lam, to tol in nats, over beta
+        beta = system.beta
+        assert quasistatic_work(system, -0.8) == recursive_simpson(power, 0.0, beta * -0.8, 1e-9) / beta
 
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_observable_sweep(self, rows, cols):
@@ -377,7 +388,9 @@ class TestBatchedQuadrature:
         def covariance(u):
             return float(np.dot(p, table.pair(t, u, 0.0)[5]))
 
-        want = observable_expectation(problem, t, 0.0) + recursive_simpson(covariance, 0.0, -1.3, 1e-9)
+        # the route integrates to tol times the observable's source-weighted span
+        tol = 1e-9 * np.dot(p, np.ptp(t, axis=1))
+        want = observable_expectation(problem, t, 0.0) + recursive_simpson(covariance, 0.0, -1.3, tol)
         assert observable_sweep(problem, t, -1.3) == want
 
     @pytest.mark.parametrize("rows, cols", SHAPES)

@@ -13,6 +13,7 @@ from tiltrate import (
     FiniteDistribution,
     RdProblem,
     RdProblem2,
+    distortion_at_force,
     entropy_at_energy,
     equal_force_allocation,
     equilibrium_force,
@@ -25,8 +26,9 @@ from tiltrate import (
     rate_two_distortions,
     rate_work_integral,
 )
+from tiltrate import tilting
 from tiltrate.errors import NumericalError
-from tiltrate.ratedistortion import distortion_mmse_integral
+from tiltrate.ratedistortion import distortion_mmse_integral, observable_expectation, observable_sweep
 
 from conftest import LN2, LN3, h2
 
@@ -159,6 +161,18 @@ def rate_routes(c: float) -> dict:
     }
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("beta", [1e-12, 1e-9, 1e-3, 1e3, 1e9, 1e12])
+def test_quasistatic_work_is_the_rate_over_beta_at_every_beta(beta, c):
+    # the work is integrated in the kernel's force s = beta * lam to tol in nats, so beta times it is
+    # the rate at s: a tol in the work's units was below its rounding at beta 1e-9 and 1e-12, and
+    # the answer 1e-7 off at 1e3 and 1e9
+    s = -LN3 / c
+    work = quasistatic_work(from_rd_problem(scaled(BSS, c), beta), s / beta)
+    assert work * beta == pytest.approx(force_at_distortion(scaled(BSS, c), 0.25 * c).rate, rel=REL)
+    assert work * beta == pytest.approx(distortion_at_force(scaled(BSS, c), s).rate, rel=REL)
+
+
 @pytest.mark.parametrize("c", [10.0**e for e in range(-12, 13, 3)])
 @pytest.mark.parametrize("name", ["distortion_mmse_integral", "mean_via_integral"])
 def test_slope_integrals_are_scale_free(name, c):
@@ -201,3 +215,29 @@ def test_variance_integrals_refuse_a_range_with_no_normal_square(name, c):
             route()
     assert time.perf_counter() - start < 0.1
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+THREE = RdProblem([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 0.5, 0.0]])
+THREE_OBSERVABLE = np.array([[1.0, -2.0, 0.5], [0.5, 3.0, -1.0], [0.0, 1.0, 2.0]])
+
+
+@pytest.mark.parametrize("ct", [10.0**e for e in range(-12, 13, 3)])
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_observable_sweep_is_scale_free(c, ct):
+    # it integrates to tol times the observable's source-weighted span, so it answers alike at every
+    # scale of either table (an absolute tol was below the rounding at ct = 1e12 and 3e-7 off at 1e-6)
+    problem, t, s = scaled(THREE, c), THREE_OBSERVABLE * ct, -1.3 / c
+    want = observable_expectation(problem, t, s)
+    assert observable_sweep(problem, t, s) == pytest.approx(want, rel=REL, abs=0.0)
+
+
+@pytest.mark.parametrize("c, ct", [(1e-200, 1e-200), (1e-100, 1e-300), (1e160, 1e160)])
+def test_observable_sweep_refuses_a_covariance_with_no_normal_product(monkeypatch, c, ct):
+    # the integrand, a covariance, is a product of the two tables' spreads: at 1e-200 each it
+    # underflowed and the answer came back 68 % off without an error
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(tilting, "_pair", no_kernel)
+    with pytest.raises(NumericalError, match="has no normal product"):
+        observable_sweep(scaled(THREE, c), THREE_OBSERVABLE * ct, -1.3 / c)
