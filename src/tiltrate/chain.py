@@ -31,6 +31,7 @@ from .ratedistortion import RdProblem
 from .tilting import (
     FiniteDistribution,
     _at_origin,
+    _check_entries,
     _check_force,
     _check_partition,
     _end_band,
@@ -70,11 +71,15 @@ class ElementArray:
         e = np.asarray(self.state_energies, dtype=float).ravel()
         if y.size == 0 or y.size != e.size:
             raise ValidationError("state_lengths and state_energies must be nonempty and equally long")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(e))):
+        # the energies' two ends, which ChainSystem checks as the ends of the log-weights -beta * energies
+        ends = float(e.min()), float(e.max())
+        if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
             raise ValidationError("state_lengths and state_energies must be finite")
+        _check_entries(y, "state_lengths", "state_lengths and state_energies must be finite")
         if not (math.isfinite(self.fraction) and self.fraction >= 0.0):
             raise ValidationError("fraction must be a nonnegative real")
         _frozen(self, state_lengths=y, state_energies=e)
+        object.__setattr__(self, "_energy_ends", ends)
         object.__setattr__(self, "fraction", float(self.fraction))
 
 
@@ -93,6 +98,10 @@ class ChainSystem:
         if not (math.isfinite(self.boltzmann_k) and self.boltzmann_k > 0.0):
             raise ValidationError("boltzmann_k must be a positive real")
         _law([a.fraction for a in arrays], "array fractions")
+        # the two ends of each array's log-weights, a row per array: an overflow to inf is refused, not warned of
+        with np.errstate(over="ignore"):
+            ends = -self.beta * np.array([a._energy_ends for a in arrays])
+        _check_entries(ends, "-beta * state_energies", "-beta * state_energies must be finite")
         object.__setattr__(self, "arrays", arrays)
 
     @property

@@ -16,10 +16,11 @@ import numpy as np
 from .errors import (
     AlphabetTooLargeError,
     CompositionNotIntegralError,
+    NumericalError,
     ValidationError,
 )
 from .ratedistortion import RdProblem
-from .tilting import _check_number, _law, force_at_level
+from .tilting import _check_entries, _check_number, _law, force_at_level
 
 __all__ = [
     "exact_ld_probability",
@@ -61,6 +62,8 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
     if span == 0.0:  # every block totals base
         return (1.0, 0.0) if base <= n * delta + 1e-12 * max(1.0, abs(base)) else (0.0, math.inf)
     width = _LATTICE_REL * span
+    if width == 0.0:
+        raise NumericalError(f"the lattice width {_LATTICE_REL!r} times the largest row range {span!r} rounds to 0")
 
     acc: dict[int, float] = {0: 1.0}
     for x, c in enumerate(rounded.astype(int)):
@@ -196,8 +199,9 @@ def blahut_arimoto(
     d = np.asarray(distortion, dtype=float)
     if d.ndim != 2 or d.shape[0] != p.size:
         raise ValidationError("distortion must have one row per source letter")
-    if not np.all(np.isfinite(d)):
-        raise ValidationError("distortion entries must all be finite")
+    if d.size == 0:
+        raise ValidationError("distortion must have at least one column")
+    _check_entries(d, "distortion", "distortion entries must all be finite")
     if not (math.isfinite(s) and s <= 0.0):
         raise ValidationError(f"slope s must be <= 0 (got {s!r})")
     if max_iter < 1:

@@ -22,6 +22,7 @@ from .errors import DistortionTooLowError, LevelInfeasibleError, ValidationError
 from .tilting import (
     FiniteDistribution,
     _at_origin,
+    _check_entries,
     _check_force,
     _check_partition,
     _floored,
@@ -67,8 +68,7 @@ def _clean_tables(problem, *names: str) -> None:
         d = np.asarray(getattr(problem, name), dtype=float)
         if d.ndim != 2 or d.shape != (p.size, q.size):
             raise ValidationError(f"{name} must be a {p.size}x{q.size} matrix (got shape {d.shape})")
-        if not np.all(np.isfinite(d)):
-            raise ValidationError(f"{name} entries must all be finite")
+        _check_entries(d, name, f"{name} entries must all be finite")
         kept[name] = d[np.ix_(rows, cols)]
     _frozen(problem, **kept)
 
@@ -259,10 +259,9 @@ def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Distortion recovered as D0 plus the integrated mmse from 0 to s, to ``tol`` times D's span
-    (``tilting._Table.quadrature_tol``), as ``force_at_distortion`` meets its budget."""
-    _check_force(s)
+    (``tilting._pieces``), as ``force_at_distortion`` meets its budget."""
     table = _table(problem)
-    means, integral = _sweep(table, table.grid, s, table.quadrature_tol(tol, table), mean=1, slope=2)
+    means, integral = _sweep(table, table.grid, s, tol, table, mean=1, slope=2)
     return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
 
 
@@ -285,8 +284,7 @@ def _observable_tables(problem: RdProblem, observable):
     d = problem.distortion
     if t.shape != d.shape:
         raise ValidationError(f"observable must match the distortion table shape {d.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValidationError("observable entries must all be finite")
+    _check_entries(t, "observable", "observable entries must all be finite")
     return _table(problem), t
 
 
@@ -303,14 +301,13 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
 
     Agrees with :func:`observable_expectation` at the endpoint to within the
     quadrature tolerance, ``tol`` times the observable's source-weighted span
-    (``tilting._Table.quadrature_tol``), so it answers alike at every scale of
-    either table; the integral form shows how the force drags any observable,
-    not just the distortion itself.
+    (``tilting._pieces``), so it answers alike at every scale of either table;
+    the integral form shows how the force drags any observable, not just the
+    distortion itself.
     """
-    _check_force(s)
     table, t = _observable_tables(problem, observable)
-    tol = table.quadrature_tol(tol, _at_origin(problem.source_probs, table.log_weights, t))
-    means, integral = _sweep(table, lambda us: table.pair(t, us, 0.0), s, tol, mean=2, slope=5)
+    observed = _at_origin(problem.source_probs, table.log_weights, t)
+    means, integral = _sweep(table, lambda us: table.pair(t, us, 0.0), s, tol, observed, mean=2, slope=5)
     return float(np.dot(problem.source_probs, means)) + integral
 
 

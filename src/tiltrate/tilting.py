@@ -67,6 +67,22 @@ def _law(vec, name: str) -> np.ndarray:
     return v
 
 
+def _check_entries(t: np.ndarray, name: str, unfinite: str) -> None:
+    """Refuse with ``ValidationError`` a nonempty table ``t`` (2-D, or one row) with an entry that is
+    not finite (the message ``unfinite``) or a row whose range overflows, naming it: the one check of
+    every table's entries.  The kernel moves each row to start at 0, so such a row has no tilted law.
+    The whole table's range, in Python floats, which do not warn, passes a sound table at the cost of
+    ``np.isfinite`` and with no temporary array; rows are searched only where it is not finite."""
+    if not math.isfinite(float(t.max()) - float(t.min())):
+        if not np.isfinite(t).all():
+            raise ValidationError(unfinite)
+        for x, row in enumerate(t if t.ndim == 2 else [t]):
+            lo, hi = float(row.min()), float(row.max())
+            if not math.isfinite(hi - lo):
+                where = f"row {x} of {name}" if t.ndim == 2 else name
+                raise ValidationError(f"the range of {where}, {lo!r} to {hi!r}, overflows")
+
+
 def _frozen(obj, **arrays) -> None:
     """Set each array on the frozen dataclass ``obj`` as a read-only copy of its own,
     so no caller's array can change it and the caller's stays writable."""
@@ -105,8 +121,7 @@ class FiniteDistribution:
         probs = np.asarray(self.probs, dtype=float).ravel()
         if values.size == 0 or values.size != probs.size:
             raise ValidationError("values and probs must be nonempty and equally long")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("values must all be finite")
+        _check_entries(values, "values", "values must all be finite")
         keep = _law(probs, "probs") > 0.0
         _set_laws((self,), values[keep][None, :], probs[keep])
 
@@ -322,7 +337,7 @@ class _Table(NamedTuple):
     to origin by ``floor`` and is capped by ``span``; the kernel's per-row means and log-partitions
     move back by ``means_from_origin`` and ``log_z_from_origin``; ``least`` is each row's mean at
     force -inf; ``rebased`` is the table for a budget already at origin; ``divided`` is the table
-    in another unit; ``force_scale`` is the unit in which the quadratures cut their intervals."""
+    in another unit."""
 
     row_weights: np.ndarray
     log_weights: np.ndarray
@@ -373,36 +388,6 @@ class _Table(NamedTuple):
         """The table with its values, starts and ranges each divided by ``unit``: where a table's unit
         enters.  Its laws at force s * unit are this table's at s."""
         return self._replace(values=self.values / unit, starts=self.starts / unit, ranges=self.ranges / unit)
-
-    def quadrature_tol(self, tol, mean_of: _Table | None = None) -> float:
-        """The tolerance of a route that integrates a tilted variance or covariance: ``tol`` checked
-        as given (``_check_quadrature_tol``), and for the integral of a slope, the displacement of the
-        mean of ``mean_of`` (this table itself, or an observable's), ``tol`` times that table's
-        ``span``, so that it answers alike at every scale, as ``_legendre`` meets its budget.  A rate's
-        integral is in nats and keeps ``tol``, as does a slope's where that product is not a positive
-        finite number: a table whose rows are each one value, whose span and integral are 0.
-
-        Where this table's widest row range times that of ``mean_of`` (its own square for a rate) is
-        not a normal float (a square below about 1.5e-154 or above 1.3e154) the integrand, a product of
-        two spreads, underflows to subnormals or 0 or overflows, and the integral would come out wrong
-        without an error: there it raises ``NumericalError``."""
-        _check_quadrature_tol(tol)
-        widest = float(self.ranges.max())
-        other = widest if mean_of is None else float(mean_of.ranges.max())
-        if widest > 0.0 and other > 0.0 and not _TINY <= widest * other < math.inf:
-            product = "square" if other == widest else f"product with {other!r}"
-            raise NumericalError(f"the widest row range {widest!r} has no normal {product}: its tilted "
-                                 "(co)variance under- or overflows")
-        scaled = tol if mean_of is None else tol * mean_of.span
-        return scaled if 0.0 < scaled < math.inf else tol
-
-    @property
-    def force_scale(self) -> float:
-        """One over the largest row range, or inf where every row is one value: the force at which
-        the widest row's two ends change their weight ratio by a factor e.  The quadratures cut their
-        intervals in this unit (``_pieces``)."""
-        widest = float(self.ranges.max())
-        return 1.0 / widest if widest > 0.0 else math.inf
 
     def grid(self, s, order: int = 2):
         """Per-row (log-partition, mean, variance) at origin at force ``s``, or at each force of a 1-D
@@ -461,10 +446,11 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     """sum_i a_i b_i rounded once from its exact value: each product as its rounded value and its
     exact error (Dekker's TwoProduct, on Veltkamp's split of each factor into two halves of at most
     26 bits), all summed by ``math.fsum`` (Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).
-    Exact while no factor or product exceeds about 1e300 and no nonzero product falls below about
-    1e-290, so that no part of a product overflows or underflows.  In Python floats, which at a few
-    rows cost less than numpy's per-call overhead; 512 rows take about 0.2 ms, a seventh of one
-    kernel call."""
+    Exact while no nonzero product falls below about 1e-290, so that no part of a product underflows.
+    In Python floats, which at a few rows cost less than numpy's per-call overhead; 512 rows take
+    about 0.2 ms, a seventh of one kernel call.  A factor past about 1e300 overflows its split, and
+    the sum comes out nan: there it is summed in exact rationals (``Fraction``) instead, rounded once
+    to the same float."""
     terms = []
     for x, y in zip(a.tolist(), b.tolist()):
         product = x * y
@@ -474,7 +460,12 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
         y1 = c - (c - y)
         x2, y2 = x - x1, y - y1
         terms += (product, x2 * y2 - (((product - x1 * y1) - x2 * y1) - x1 * y2))
-    return math.fsum(terms)
+    total = math.fsum(terms)
+    if math.isfinite(total):
+        return total
+    from fractions import Fraction  # imported on this rare path alone, off the command line's cold start
+
+    return float(sum(Fraction(x) * Fraction(y) for x, y in zip(a.tolist(), b.tolist())))
 
 
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
@@ -514,7 +505,8 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     target.  Every rate, an end's included, is ``_Table.rate``'s.  ``force_only`` returns s alone
     (rate nan, moments None), without the kernel call the rate needs.  ``band_span`` widens the
     end bands to that span's, for a table restricted from a wider one.  A nan target, or a
-    ``tol`` that ``_check_tol`` refuses, raises ``ValidationError``.
+    ``tol`` that ``_check_tol`` refuses, raises ``ValidationError``.  Where the span rounds to 0
+    and a row range does not, any target but one above D(0) raises ``NumericalError``.
     """
     _check_tol(tol)
     _check_number(target, "the target level")
@@ -524,8 +516,13 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     level = target - base
     visited = {0.0: table.moments(0.0)}  # force -> moments: each force evaluated once
     top = min(float(np.dot(row_weights, visited[0.0][1])), ceiling) if nonpositive else ceiling
-    if nonpositive and level >= top:
+    # ranges that weigh to a span of 0: the floor, D(0) and the ceiling are one float
+    unresolved = ceiling == 0.0 and bool(ranges.any())
+    if nonpositive and level >= top and not (unresolved and level == 0.0):
         return 0.0, table.rate(0.0, top, visited[0.0][0]), visited[0.0]
+    if unresolved:
+        raise NumericalError(f"the table's span, its row ranges (up to {float(ranges.max())!r}) weighted, "
+                             "rounds to 0: its floor and its mean at force 0 are one float")
     for end, sign in [(0.0, -1.0)] + ([] if nonpositive else [(ceiling, 1.0)]):
         band = _end_band(max(top, band_span), base + end)
         if sign * (level - end) > band:
@@ -620,26 +617,41 @@ def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) ->
 _CUT_SCALES = 64.0
 
 
-def _pieces(f, s: float, tol: float, scale: float) -> float:
-    """The integral of ``f`` from 0 to s by ``adaptive_simpson``, the interval cut from 0 at 64, 128,
-    256, ... force scales ``scale`` (``_Table.force_scale``) and each piece run to its share of
-    ``tol``, summed from 0 outward: the one cut of the quadrature routes.  ``tol`` is checked by
-    every caller (``_Table.quadrature_tol``) before its share is taken.
+def _pieces(f, table: _Table, s: float, tol: float, mean_of: _Table | None = None) -> float:
+    """The integral of ``f`` from 0 to s by ``adaptive_simpson``: the one front of the quadrature
+    routes, whose integrands are a tilted variance or covariance on ``table``, or u times one.
 
-    Their integrands, a variance, a covariance or u times a variance, fall off exponentially within a
-    few force scales of 0, and a piece's first nodes sit an eighth and a quarter of its length from
-    its start.  So one piece from 0 to 250 force scales or more puts no node where that mass lies: a
-    work integral comes out about 0, and far enough out a slope's integral runs out of subdivisions.
-    A piece of at most 64 scales has its first nodes within 8 scales of 0.  Within 64 scales (or at
-    a scale of 0 or inf) the interval is one piece, the rule's own call, bit for bit."""
-    ends, edge = [0.0], _CUT_SCALES * scale
-    while 0.0 < edge < abs(s):
+    Before any node it refuses a force that is not one finite number (``_check_force``), a ``tol``
+    that is not finite and > 0, as given, and, with ``NumericalError``, a widest row range whose
+    product with that of ``mean_of`` (its square for a rate) is not a normal float (a square below
+    about 1.5e-154 or above 1.3e154): the integrand, a product of two spreads, would under- or
+    overflow without an error.  The integral of a slope, the displacement of the mean of ``mean_of``
+    (``table`` itself, or an observable's), runs to ``tol`` times that table's ``span``, as
+    ``_legendre`` meets its budget; a rate's, in nats, keeps ``tol``, as does a slope's where that
+    product is not a positive finite number (every row one value, the integral 0).
+
+    The integrands fall off exponentially within a few force scales (one over the widest row range)
+    of 0, and one piece from 0 to 250 scales or more puts no node there, its first nodes an eighth
+    and a quarter of the way out: a work integral came out about 0.  So [0, s] is cut at 64, 128,
+    256, ... scales, each piece run to its share of ``tol`` and summed from 0 outward.  Within 64
+    scales (or where every row is one value) it is one piece, the rule's own call, bit for bit."""
+    _check_force(s)
+    _check_quadrature_tol(tol)
+    widest = float(table.ranges.max())
+    other = widest if mean_of is None else float(mean_of.ranges.max())
+    if widest > 0.0 and other > 0.0 and not _TINY <= widest * other < math.inf:
+        product = "square" if other == widest else f"product with {other!r}"
+        raise NumericalError(f"the widest row range {widest!r} has no normal {product}: its tilted "
+                             "(co)variance under- or overflows")
+    if mean_of is not None:
+        scaled = tol * mean_of.span
+        tol = scaled if 0.0 < scaled < math.inf else tol
+    ends, edge = [0.0], _CUT_SCALES * (1.0 / widest) if widest > 0.0 else math.inf
+    while edge < abs(s):
         ends.append(math.copysign(edge, s))
         edge *= 2.0
-    if len(ends) == 1:
-        return adaptive_simpson(f, 0.0, s, tol)
     ends.append(s)
-    share, total = tol / (len(ends) - 1), 0.0
+    share, total = tol / (len(ends) - 1), -0.0  # -0.0 + x is x: one piece is the rule's own call, bit for bit
     for a, b in zip(ends, ends[1:]):
         total += adaptive_simpson(f, a, b, share)
     return total
@@ -647,13 +659,12 @@ def _pieces(f, s: float, tol: float, scale: float) -> float:
 
 def _work_integral(table: _Table, s: float, tol: float, variance=None) -> float:
     """The integral from 0 to s of u times ``variance(u)``, the row-weighted tilted variance at an
-    array of forces u (``table.averaged(u, 2)`` by default), to ``tol`` in nats
-    (``_Table.quadrature_tol``), by ``_pieces`` in the table's force scale, floored (``_floored``): the
-    one quadrature of the work routes, each at the kernel's own force s.  At a node u = +-0 the
-    integrand is u itself, exactly, so the variance is taken at the other nodes alone and the kernel
-    never runs at force 0; each value, and so the integral, is the every-node one bit for bit."""
-    _check_force(s)
-    tol, variance = table.quadrature_tol(tol), variance or (lambda us: table.averaged(us, 2))
+    array of forces u (``table.averaged(u, 2)`` by default), to ``tol`` in nats by ``_pieces``,
+    floored (``_floored``): the one quadrature of the work routes, each at the kernel's own force s.
+    At a node u = +-0 the integrand is u itself, exactly, so the variance is taken at the other nodes
+    alone and the kernel never runs at force 0; each value, and so the integral, is the every-node
+    one bit for bit."""
+    variance = variance or (lambda us: table.averaged(us, 2))
 
     def at_nodes(us: np.ndarray) -> np.ndarray:
         values, live = us.copy(), us != 0.0
@@ -661,16 +672,16 @@ def _work_integral(table: _Table, s: float, tol: float, variance=None) -> float:
             values[live] = us[live] * variance(us[live])
         return values
 
-    return _floored(_pieces(at_nodes, s, tol, table.force_scale))
+    return _floored(_pieces(at_nodes, table, s, tol))
 
 
-def _sweep(table: _Table, outputs_at, s: float, tol: float, *, mean: int, slope: int):
+def _sweep(table: _Table, outputs_at, s: float, tol: float, mean_of: _Table, *, mean: int, slope: int):
     """(per-row means at force 0, integral from 0 to s of the row-weighted slope), ``mean`` and
     ``slope`` indexing the kernel outputs ``outputs_at`` gives at a force or array of forces on
     ``table``: the quadrature of the routes that add a slope's integral to a mean at force 0, by
-    ``_pieces`` in the table's force scale.  The means are read off the first piece's root level,
-    which ends at force 0 (at s = 0 no node is taken); each level's slopes are reduced by the row
-    weights in one ``np.vecdot``, as ``_Table.averaged`` does."""
+    ``_pieces`` to ``tol`` times the span of ``mean_of``, the table whose mean moves.  The means are
+    read off the first piece's root level, which ends at force 0 (at s = 0 no node is taken); each
+    level's slopes are reduced by the row weights in one ``np.vecdot``, as ``_Table.averaged`` does."""
     at_zero, p = [], table.row_weights
 
     def integrand(us):
@@ -679,16 +690,15 @@ def _sweep(table: _Table, outputs_at, s: float, tol: float, *, mean: int, slope:
             at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
         return np.vecdot(outputs[slope], p)
 
-    integral = _pieces(integrand, s, tol, table.force_scale)
+    integral = _pieces(integrand, table, s, tol, mean_of)
     return (at_zero[0] if at_zero else outputs_at(0.0)[mean]), integral
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Tilted mean recovered as mean(0) plus the integrated tilted variance, to ``tol`` times the
-    support's span (``_Table.quadrature_tol``), as ``force_at_level`` meets its level."""
-    _check_force(s)
+    support's span (``_pieces``), as ``force_at_level`` meets its level."""
     table = dist._table
-    return dist.mean + _pieces(lambda u: table.averaged(u, 2), s, table.quadrature_tol(tol, table), table.force_scale)
+    return dist.mean + _pieces(lambda u: table.averaged(u, 2), table, s, tol, table)
 
 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:
@@ -732,10 +742,13 @@ def kl_free_energy_gap(q: FiniteDistribution, p: FiniteDistribution) -> float:
     """
     right = np.minimum(np.searchsorted(p.values, q.values), p.size - 1)
     left = np.maximum(right - 1, 0)
-    nearer = np.abs(p.values[left] - q.values) <= np.abs(p.values[right] - q.values)
-    match = np.where(nearer, left, right)
-    span = max(p.max_value, q.max_value) - min(p.min_value, q.min_value)
-    unmatched = np.abs(p.values[match] - q.values) > VALUE_MERGE_TOL * span
+    # two supports together may span past the largest float: scale each end, and an overflowing gap is unmatched
+    hi, lo = max(p.max_value, q.max_value), min(p.min_value, q.min_value)
+    band = VALUE_MERGE_TOL * (hi - lo) if hi - lo < math.inf else VALUE_MERGE_TOL * hi - VALUE_MERGE_TOL * lo
+    with np.errstate(over="ignore"):
+        to_left, to_right = np.abs(p.values[left] - q.values), np.abs(p.values[right] - q.values)
+    match = np.where(to_left <= to_right, left, right)
+    unmatched = np.minimum(to_left, to_right) > band
     if unmatched.any():
         v = q.values[np.argmax(unmatched)]
         raise SupportMismatchError(f"value {v!r} carried by q has no matching outcome in p")

@@ -10,11 +10,21 @@ should keep every answer: the two lines are equal when it does.  After it, one l
 family gives the same three numbers for that family's operations alone, its sha256 cut to 16
 digits, so a change that moves some answers names the families it moved.  pytest does not collect
 this file: its name does not start with ``test_``.
+
+    PYTHONPATH=src python tests/perfbench_bits.py --against REV
+
+also exports REV's ``src`` by ``git archive`` into a temporary directory, runs the same decks on it in
+a child process, and after its own lines prints ``same as REV`` or the families whose lines differ.
+It exits 0 either way.
 """
 
+import argparse
 import dataclasses
 import hashlib
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +53,8 @@ def canonical(result) -> bytes:
     return repr(result).encode()
 
 
-def main() -> int:
+def answer_lines() -> list[str]:
+    """The total line and one line per family, over both workloads, seeds and passes."""
     calls = 0
 
     def counted(body):
@@ -75,9 +86,40 @@ def main() -> int:
                     family[0] += 1
                     family[1].update(line)
                     family[2] += calls - before
-    print(f"{results} results sha256 {digest.hexdigest()} {calls} kernel block calls")
-    for name, (count, family_digest, family_calls) in sorted(families.items()):
-        print(f"  {name}: {count} results sha256 {family_digest.hexdigest()[:16]} {family_calls} kernel block calls")
+    return [f"{results} results sha256 {digest.hexdigest()} {calls} kernel block calls"] + [
+        f"  {name}: {count} results sha256 {family_digest.hexdigest()[:16]} {family_calls} kernel block calls"
+        for name, (count, family_digest, family_calls) in sorted(families.items())]
+
+
+def lines_at(rev: str) -> list[str]:
+    """``answer_lines`` on the ``src`` of git revision ``rev``, exported into a temporary directory and
+    imported first in a child process, whatever the environment's path holds."""
+    root = Path(__file__).resolve().parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src"], capture_output=True, check=True)
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
+        child = (f"import runpy, sys; sys.path.insert(0, {str(Path(tmp) / 'src')!r}); "
+                 f"runpy.run_path({str(Path(__file__).resolve())!r}, run_name='__main__')")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, check=True, env=env)
+    return run.stdout.splitlines()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Hash perfbench's solve and sweep answers bit for bit.")
+    parser.add_argument("--against", metavar="REV", help="compare with the answers of git revision REV's src")
+    args = parser.parse_args(argv)
+    ours = answer_lines()
+    print("\n".join(ours), flush=True)
+    if args.against:
+        theirs = lines_at(args.against)
+        families = dict(line.split(":", 1) for line in ours[1:]), dict(line.split(":", 1) for line in theirs[1:])
+        moved = sorted(name.strip() for name in families[0].keys() | families[1].keys()
+                       if families[0].get(name) != families[1].get(name))
+        if ours == theirs:
+            print(f"same as {args.against}")
+        else:
+            print(f"differs from {args.against} in: {', '.join(moved) or 'the total line'}")
     return 0
 
 

@@ -112,6 +112,21 @@ class TestNonFiniteForce:
         with pytest.raises(ValidationError, match="force s must be finite"):
             route(POINT_MASS, s)
 
+    @pytest.mark.parametrize("s", [math.nan, -math.inf, np.array([-0.5, -1.0])])
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_ROUTES))
+    def test_the_quadrature_front_refuses_the_force_before_any_kernel_call(self, name, s, monkeypatch):
+        # tilting._pieces checks the force of all six routes; those that lower their table first
+        # (distortion_mmse_integral, observable_sweep, mean_via_integral) run no kernel before it
+        calls, weights = [], tiltrate.tilting._tilted_weights
+        monkeypatch.setattr(tiltrate.tilting, "_tilted_weights", lambda *args: calls.append(1) or weights(*args))
+        with pytest.raises(ValidationError, match=f"^{CHAIN_FORCES.get(name, 'force s')} must be"):
+            FORCE_TAKERS[name](s)
+        assert calls == []
+
+    def test_a_misshapen_observable_is_refused_for_its_shape_before_its_force(self):
+        with pytest.raises(ValidationError, match="^observable must match the distortion table shape"):
+            observable_sweep(PROBLEM, [[1.0, 2.0, 3.0]], math.nan)
+
     @pytest.mark.parametrize("name", sorted(FORCE_TAKERS))
     def test_the_tilted_law_refuses_an_array_of_forces(self, name):
         # every route tilts the law at one force: an array would broadcast into the table's columns,
@@ -360,21 +375,30 @@ def names(tree) -> set:
 
 
 def test_the_quadrature_rule_is_named_by_tilting_alone():
-    # every quadrature route reaches solvers.adaptive_simpson through tilting._work_integral,
-    # tilting._sweep or mean_via_integral, so a new rule edits solvers.py and tilting.py alone
+    # every quadrature route reaches solvers.adaptive_simpson through tilting._pieces, so a new rule
+    # edits solvers.py and tilting.py alone
     modules = Path(tiltrate.__file__).parent.glob("*.py")
     assert sorted(m.name for m in modules if "adaptive_simpson" in names(ast.parse(m.read_text()))) == [
         "solvers.py", "tilting.py"]
 
 
 def test_the_quadrature_cut_is_set_by_tilting_alone():
-    # every quadrature runs in the kernel's own force and is cut in the table's force scale by
-    # tilting._work_integral, tilting._sweep or mean_via_integral: no route keeps a scale, and so
+    # tilting._pieces is the one quadrature front: it checks the force and tol, scales a slope's tol,
+    # refuses a range with no normal square and cuts [0, s] in the table's force scale.  The rule is
+    # called there alone (and in its own reversed-interval call), no other module names the front,
+    # and the tol check is made by the front and the rule alone, so no route keeps a scale, and so
     # no tolerance, in a force unit of its own
-    modules = Path(tiltrate.__file__).parent.glob("*.py")
-    readers = sorted(m.name for m in modules for node in ast.walk(ast.parse(m.read_text()))
-                     if isinstance(node, ast.Attribute) and node.attr == "force_scale")
-    assert set(readers) == {"tilting.py"}
+    trees = {m.name: ast.parse(m.read_text()) for m in Path(tiltrate.__file__).parent.glob("*.py")}
+    callers = {
+        (name, function.name)
+        for name, tree in trees.items()
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("adaptive_simpson", "_check_quadrature_tol")
+    }
+    assert callers == {("solvers.py", "adaptive_simpson"), ("tilting.py", "_pieces")}
+    assert sorted(name for name, tree in trees.items() if "_pieces" in names(tree)) == ["tilting.py"]
 
 
 def test_records_are_built_only_for_classes_that_check_nothing():

@@ -106,6 +106,7 @@ class TestOracles:
 
     @pytest.mark.parametrize("table, kwargs, message", [
         ([[0.0, 1.0]], {}, "distortion must have one row per source letter"),
+        ([[], []], {}, "distortion must have at least one column"),
         ([[0.0, math.nan], [1.0, 0.0]], {}, "distortion entries must all be finite"),
         ([[0.0, 1.0], [1.0, 0.0]], {"max_iter": 0}, "max_iter must be at least 1"),
     ])
