@@ -226,6 +226,9 @@ def from_rd_problem(problem: RdProblem, beta: float = 1.0) -> ChainSystem:
     """
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValidationError("beta must be a positive real")
+    # the largest energy, in Python floats, which do not warn: a tiny beta would overflow in numpy first
+    if not math.isfinite(-math.log(float(problem.coding_probs.min())) / beta):
+        raise ValidationError(f"beta is too small: the energies -ln Q / beta overflow (got beta = {beta!r})")
     energies = -np.log(problem.coding_probs) / beta
     arrays = tuple(
         ElementArray(

@@ -91,16 +91,24 @@ def _parse_grid(spec: str) -> np.ndarray:
     return values
 
 
-def _rd_problem_at(cfg: ProblemConfig, s: float, tol: float) -> rd.RdProblem:
-    """The configured problem; without coding_probs, optimize them at slope s."""
-    if cfg.coding_probs is not None:
-        return cfg.rd_problem()
+def _rd_laws_at(cfg: ProblemConfig, s: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The configured source and coding laws; without coding_probs, the coding law optimized at slope s."""
     source = cfg._need("source_probs")
-    table = cfg._need("distortion")
-    result = oracles.blahut_arimoto(source, table, s, tol=min(tol, 1e-10))
+    if cfg.coding_probs is not None:
+        return source, cfg.coding_probs
+    result = oracles.blahut_arimoto(source, cfg._need("distortion"), s, tol=min(tol, 1e-10))
     if not result.converged:
         raise NumericalError(f"Blahut-Arimoto did not converge at slope s = {s!r} in {result.iterations} iterations")
-    return rd.RdProblem(source, result.coding_probs, table)
+    return source, result.coding_probs
+
+
+def _observable(cfg: ProblemConfig, source: np.ndarray, coding: np.ndarray) -> np.ndarray:
+    """The configured observable, checked against the configured distortion's shape, less the rows
+    and columns of the letters that ``rd.RdProblem`` drops (``rd._kept_letters``)."""
+    table, shape = cfg._need("observable"), cfg.distortion.shape
+    if table.shape != shape:
+        raise ValidationError(f"observable must match the distortion table shape {shape}")
+    return table[np.ix_(*rd._kept_letters(source, coding))]
 
 
 def _point_pairs(point: rd.RdPoint) -> list[tuple[str, object]]:
@@ -126,7 +134,7 @@ def _cmd_rd_curve(args, cfg: ProblemConfig) -> tuple:
     else:  # the optimal coding law moves with the slope
         points = []
         for s in sorted(grid, reverse=True):
-            problem = _rd_problem_at(cfg, float(s), args.tol)
+            problem = rd.RdProblem(*_rd_laws_at(cfg, float(s), args.tol), cfg._need("distortion"))
             points.append(rd.distortion_at_force(problem, float(s)))
     header = ["s", "distortion", "rate_nats", "mmse"] + [f"mean_x{i}" for i in range(problem.num_source_letters)]
     return header, [[pt.s, pt.distortion, pt.rate, pt.mmse, *pt.per_symbol_mean] for pt in points]
@@ -143,13 +151,13 @@ def _cmd_rd_point(args, cfg: ProblemConfig) -> list:
         raise ValidationError(
             "config has no coding_probs: give --force so they can be optimized at a target slope"
         )
+    if args.force is not None and args.force > 0.0:
+        raise ValidationError("--force must be <= 0")
+    laws = _rd_laws_at(cfg, args.force, args.tol)
+    problem = rd.RdProblem(*laws, cfg._need("distortion"))
     if args.force is not None:
-        if args.force > 0.0:
-            raise ValidationError("--force must be <= 0")
-        problem = _rd_problem_at(cfg, args.force, args.tol)
         point, moments = rd._at_force(problem, args.force)
     else:
-        problem = cfg.rd_problem()
         point, moments = rd._solve(problem, args.delta, args.tol)
     pairs = _point_pairs(point)
     if args.allocation:  # the equal-force split is priced from the moments that gave the point
@@ -168,7 +176,7 @@ def _cmd_rd_point(args, cfg: ProblemConfig) -> list:
         integral = rd.rate_mmse_integral(problem, point.s, tol=min(args.tol, 1e-9))
         pairs += [("rate_mmse_integral", integral), ("rate_route_difference", abs(integral - point.rate))]
     if args.observable:
-        table = cfg._need("observable")
+        table = _observable(cfg, *laws)
         if not math.isfinite(point.s):
             raise ValidationError("the observable sweep needs a finite force")
         swept = rd.observable_sweep(problem, table, point.s, tol=min(args.tol, 1e-9))

@@ -56,13 +56,19 @@ __all__ = [
 ]
 
 
+def _kept_letters(source_probs: np.ndarray, coding_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source letters (rows) and reproduction letters (columns) that ``RdProblem`` keeps: those
+    of nonzero probability.  A table of the full alphabets is cut to them by ``np.ix_``."""
+    return source_probs > 0.0, coding_probs > 0.0
+
+
 def _clean_tables(problem, *names: str) -> None:
     """Check a problem's two laws and its named tables, drop zero-probability
     source letters (rows) and reproduction letters (columns), and store them
     read-only on the (frozen) problem."""
     p = _law(problem.source_probs, "source_probs")
     q = _law(problem.coding_probs, "coding_probs")
-    rows, cols = p > 0.0, q > 0.0
+    rows, cols = _kept_letters(p, q)
     kept = {"source_probs": p[rows], "coding_probs": q[cols]}
     for name in names:
         d = np.asarray(getattr(problem, name), dtype=float)
@@ -241,20 +247,18 @@ def _allocation(problem: RdProblem, point: RdPoint, moments) -> tuple[Allocation
     return allocation, _floored(float(np.dot(problem.source_probs, point.s * means - log_z)))
 
 
-def mmse(problem: RdProblem, s: float) -> float:
-    """Source-averaged tilted variance of the distortion at force s."""
-    return float(
-        np.dot(
-            problem.source_probs,
-            np.array([tilt(d, s).variance for d in problem.delta_dists]),
-        )
-    )
+def mmse(problem: RdProblem, s):
+    """Source-averaged tilted variance of the distortion at force s, or at each force of a 1-D array
+    s as an array: one ``tilt`` per source letter either way.  The forces x letters variances
+    (C-contiguous) are reduced by ``np.vecdot``, so each entry is its one-force value bit for bit."""
+    averaged = np.vecdot(np.stack([tilt(d, s).variance for d in problem.delta_dists], axis=-1), problem.source_probs)
+    return float(averaged) if averaged.ndim == 0 else averaged
 
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
-    (``tilting._work_integral``)."""
-    return _work_integral(_table(problem), s, tol, lambda us: np.array([mmse(problem, u) for u in us.tolist()]))
+    (``tilting._work_integral``), each Simpson level's nodes taken by one ``mmse`` call."""
+    return _work_integral(_table(problem), s, tol, lambda us: mmse(problem, us))
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:

@@ -182,16 +182,20 @@ def _set_laws(dists: tuple, values: np.ndarray, probs: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TiltReport:
-    """Snapshot of the exponential family of ``dist`` at one tilt value; ``tilted`` is built on read."""
+    """Snapshot of the exponential family of ``dist`` at one tilt value, or at each force of a grid,
+    every number field then an array with one entry per force; ``tilted`` is built on read, at one
+    force only."""
 
-    s: float
-    log_mgf: float
-    mean: float
-    variance: float
+    s: float | np.ndarray
+    log_mgf: float | np.ndarray
+    mean: float | np.ndarray
+    variance: float | np.ndarray
     dist: FiniteDistribution = field(repr=False)
 
     @cached_property
     def tilted(self) -> FiniteDistribution:
+        if isinstance(self.s, np.ndarray):
+            raise ValidationError(f"tilted needs a report at one force s (this one holds {self.s.size} forces)")
         return FiniteDistribution(self.dist.values, self.dist._table.law(self.s)[0][0])
 
 
@@ -218,8 +222,32 @@ def _check_force(s, name: str = "force s") -> None:
     """Refuse a force that is not one finite number, naming it ``name``: every one-force route's check."""
     if isinstance(s, np.ndarray) and s.ndim:
         raise ValidationError(f"{name} must be one number (got an array of shape {s.shape})")
-    if not math.isfinite(s):
+    try:
+        finite = math.isfinite(s)
+    except TypeError:
+        raise ValidationError(f"{name} must be one number (got a {type(s).__name__})") from None
+    if not finite:
         raise ValidationError(f"{name} must be finite (got {s!r})")
+
+
+def _force_grid(s) -> tuple[np.ndarray, bool]:
+    """The forces of ``s`` as a fresh 1-D float array, and whether ``s`` is one force: the check of
+    the two routes that take a force grid, ``tilt`` and ``ratedistortion.mmse``.  One force goes
+    through ``_check_force``; a list, tuple or array must hold finite numbers in one dimension."""
+    if not (isinstance(s, (list, tuple)) or isinstance(s, np.ndarray) and s.ndim):
+        _check_force(s)
+        return np.array([float(s)]), True
+    try:
+        grid = np.array(s, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"force s must be one number or a 1-D array (got a {type(s).__name__} "
+                              "that numpy cannot read as a float array)") from None
+    if grid.ndim != 1:
+        raise ValidationError(f"force s must be one number or a 1-D array (got an array of shape {grid.shape})")
+    bad = ~np.isfinite(grid)
+    if bad.any():
+        raise ValidationError(f"force s must be finite (got {float(grid[bad][0])!r})")
+    return grid, False
 
 
 def _check_tol(tol) -> None:
@@ -415,6 +443,12 @@ class _Table(NamedTuple):
         (``_check_force``): one call, since the law is as large as its table and row blocks would
         only add a copy."""
         _check_force(s)
+        return self.laws(s)
+
+    def laws(self, s):
+        """``law`` with ``s`` unchecked: one force, or an array that broadcasts against ``values``,
+        such as ``tilt``'s column of forces on a one-row table, one law per force.  Each law is
+        the one-force law bit for bit, since every step acts on each row alone."""
         return _normalised(*_tilted_weights(self.log_weights, self.values * s))
 
     def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
@@ -566,16 +600,25 @@ def log_mgf(dist: FiniteDistribution, s: float) -> float:
     return float(dist._table.moments(s, 1)[0][0]) + s * dist.min_value  # ln Z at origin is s * start lower
 
 
-def tilt(dist: FiniteDistribution, s: float) -> TiltReport:
-    """Reweight the distribution by e^{s*y} and report its exact moments."""
+def tilt(dist: FiniteDistribution, s) -> TiltReport:
+    """Reweight the distribution by e^{s*y} and report its exact moments, at one force s or at each
+    force of a 1-D array s (``_force_grid``).
+
+    One path serves both: the laws come from one ``_Table.laws`` call, and ``np.vecdot`` reduces
+    each force's row by the same ``ddot`` that ``np.dot`` runs on one row (``_Table.averaged``),
+    so each entry of a grid's report is its force's report bit for bit.  A grid's report holds
+    arrays; one force's holds floats."""
+    grid, one = _force_grid(s)
     table, start = dist._table, dist.min_value
-    (law,), (log_z,) = table.law(s)
     values = table.values[0]
-    mean = float(np.dot(law, values))
-    centered = values - mean
-    variance = float(np.dot(law, centered * centered))
-    return _record(TiltReport, s=float(s), log_mgf=float(log_z) + s * start, mean=mean + start,
-                   variance=variance, dist=dist)
+    law, log_z = table.laws(grid[:, None])
+    mean = np.vecdot(law, values)
+    centered = values - mean[:, None]
+    fields = {"s": grid, "log_mgf": log_z + grid * start, "mean": mean + start,
+              "variance": np.vecdot(law, centered * centered)}
+    if one:
+        fields = {name: float(value[0]) for name, value in fields.items()}
+    return _record(TiltReport, **fields, dist=dist)
 
 
 def rate_at_force(dist: FiniteDistribution, s: float) -> RateResult:

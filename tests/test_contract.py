@@ -74,6 +74,8 @@ FORCE_TAKERS = {
     "length_variance": lambda s: length_variance(SYSTEM, s),
     "quasistatic_work": lambda s: quasistatic_work(SYSTEM, s),
 }
+# the two routes that take a 1-D array of forces as well as one force (tilting._force_grid)
+GRID_TAKERS = {"tilt": lambda s: tilt(DIST, s), "mmse": lambda s: mmse(PROBLEM, s)}
 # the routes that integrate over the force by solvers.adaptive_simpson, at a finite force and tolerance tol
 QUADRATURE_ROUTES = {
     "rate_work_integral": lambda tol: rate_work_integral(DIST, -0.5, tol),
@@ -127,17 +129,95 @@ class TestNonFiniteForce:
         with pytest.raises(ValidationError, match="^observable must match the distortion table shape"):
             observable_sweep(PROBLEM, [[1.0, 2.0, 3.0]], math.nan)
 
-    @pytest.mark.parametrize("name", sorted(FORCE_TAKERS))
+    @pytest.mark.parametrize("name", sorted(set(FORCE_TAKERS) - set(GRID_TAKERS)))
     def test_the_tilted_law_refuses_an_array_of_forces(self, name):
-        # every route tilts the law at one force: an array would broadcast into the table's columns,
-        # run the kernel as a grid, or reach numpy's own TypeError; the chain names its argument
+        # every other route tilts the law at one force: an array would broadcast into the table's
+        # columns, run the kernel as a grid, or reach numpy's own TypeError; the chain names its argument
         force = CHAIN_FORCES.get(name, "force s")
         with pytest.raises(ValidationError, match=rf"^{force} must be one number \(got an array of shape \(2,\)\)$"):
             FORCE_TAKERS[name](np.array([-0.5, -1.0]))
 
+    @pytest.mark.parametrize("name, force, kind", [
+        (name, force, kind) for name in sorted(FORCE_TAKERS)
+        for force, kind in [([-0.5, -1.0], "list"), ((-0.5,), "tuple"), ("-0.5", "str"), (None, "NoneType")]
+        if name not in GRID_TAKERS or kind in ("str", "NoneType")  # tilt and mmse take a list or tuple as a grid
+    ])
+    def test_a_force_that_is_no_number_is_refused(self, name, force, kind):
+        # math.isfinite raises TypeError on each of these
+        force_name = CHAIN_FORCES.get(name, "force s")
+        with pytest.raises(ValidationError, match=rf"^{force_name} must be one number \(got a {kind}\)$"):
+            FORCE_TAKERS[name](force)
+
     @pytest.mark.parametrize("name", sorted(FORCE_TAKERS))
     def test_a_finite_force_still_answers(self, name):
         FORCE_TAKERS[name](-0.5)
+
+
+class TestForceGrid:
+    """``tilt`` and ``mmse`` take a 1-D array of finite forces as well as one force
+    (``tilting._force_grid``); every other route refuses an array (``TestNonFiniteForce``)."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls, weights = [], tiltrate.tilting._tilted_weights
+        monkeypatch.setattr(tiltrate.tilting, "_tilted_weights", lambda *args: calls.append(1) or weights(*args))
+        return calls
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(GRID_TAKERS))
+    def test_a_grid_with_a_force_that_is_not_finite_is_refused(self, name, bad, kernel_calls):
+        with pytest.raises(ValidationError, match=rf"^force s must be finite \(got {re.escape(repr(bad))}\)$"):
+            GRID_TAKERS[name](np.array([-0.5, bad, -1.0]))
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (2, 2, 1)])
+    @pytest.mark.parametrize("name", sorted(GRID_TAKERS))
+    def test_an_array_of_more_dimensions_is_refused(self, name, shape, kernel_calls):
+        message = rf"^force s must be one number or a 1-D array \(got an array of shape {re.escape(str(shape))}\)$"
+        with pytest.raises(ValidationError, match=message):
+            GRID_TAKERS[name](np.full(shape, -0.5))
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("name", sorted(GRID_TAKERS))
+    def test_a_grid_answers_an_array_and_one_force_a_float(self, name):
+        assert isinstance(GRID_TAKERS[name](np.array([-0.5, -1.0])), (np.ndarray, tiltrate.TiltReport))
+        one = GRID_TAKERS[name](np.float64(-0.5))
+        assert type(one.s if name == "tilt" else one) is float
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize("name", sorted(GRID_TAKERS))
+    def test_a_list_or_tuple_is_a_grid(self, name, kind):
+        def fields(answer):
+            return [answer.s, answer.log_mgf, answer.mean, answer.variance] if name == "tilt" else [answer]
+
+        got, want = fields(GRID_TAKERS[name](kind([-0.5, -1.0]))), fields(GRID_TAKERS[name](np.array([-0.5, -1.0])))
+        assert [np.asarray(a).tobytes() for a in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("bad, why", [
+        ([-0.5, "x"], "that numpy cannot read as a float array"),
+        ([[-0.5], [-1.0, -2.0]], "that numpy cannot read as a float array"),
+        ([[-0.5, -1.0]], "an array of shape (1, 2)"),
+    ])
+    @pytest.mark.parametrize("name", sorted(GRID_TAKERS))
+    def test_a_list_that_is_no_1d_grid_of_numbers_is_refused(self, name, bad, why, kernel_calls):
+        with pytest.raises(ValidationError, match=rf"^force s must be one number or a 1-D array .*{re.escape(why)}\)$"):
+            GRID_TAKERS[name](bad)
+        assert kernel_calls == []
+
+    def test_a_grid_report_has_no_tilted_law(self):
+        report = tilt(DIST, np.array([-0.5, -1.0]))
+        with pytest.raises(ValidationError, match=r"^tilted needs a report at one force s \(this one holds 2 forces\)$"):
+            report.tilted
+        one = tilt(DIST, -0.5)
+        assert one.tilted.mean == pytest.approx(one.mean, rel=1e-15)
+
+    def test_no_grid_report_field_aliases_the_callers_array(self):
+        forces = np.array([-0.5, -1.0])
+        report = tilt(DIST, forces)
+        fields = [report.s, report.log_mgf, report.mean, report.variance]
+        assert not any(np.shares_memory(field, forces) for field in fields)
+        forces[0] = 7.0
+        assert report.s.tolist() == [-0.5, -1.0]
 
 
 class TestQuadratureTolerance:
@@ -372,6 +452,20 @@ def names(tree) -> set:
         node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | {
         alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names}
+
+
+def test_a_force_grid_reaches_the_tilted_law_through_tilt_alone():
+    # _Table.laws takes its force unchecked: _Table.law calls it after _check_force, and tilt after
+    # _force_grid, so tilt (and mmse, through it) is the one public route that tilts a law at a grid
+    callers = set()
+    for module in Path(tiltrate.__file__).parent.glob("*.py"):
+        for function in ast.walk(ast.parse(module.read_text())):
+            for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
+                called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
+                if called in ("laws", "_force_grid"):
+                    callers.add((module.name, function.name, called))
+    assert callers == {("tilting.py", "law", "laws"), ("tilting.py", "tilt", "laws"),
+                       ("tilting.py", "tilt", "_force_grid")}
 
 
 def test_the_quadrature_rule_is_named_by_tilting_alone():

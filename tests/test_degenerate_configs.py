@@ -23,6 +23,7 @@ from tiltrate import (
     equilibrium_force,
     exact_ld_probability,
     force_at_distortion,
+    from_rd_problem,
     kl_free_energy_gap,
     observable_expectation,
 )
@@ -157,6 +158,42 @@ def test_a_budget_above_the_rounded_span_still_answers(capsys, config):
     code, out, err = run(capsys, ["rd", "point", "--delta", "0.25", "--config", config("subnormal_entries")])
     assert (code, err) == (0, "")
     assert "rate_nats,0\n" in out and out.endswith("boundary,above_zero_force\n")
+
+
+def csv_values(out: str) -> dict:
+    return dict(line.split(",") for line in out.splitlines()[1:])
+
+
+def test_a_configs_observable_is_checked_against_the_configs_own_shape(capsys, config, tmp_path):
+    # the observable was compared with the table left after the zero-probability letters are
+    # dropped, and refused: "observable must match the distortion table shape (2, 2)"
+    argv = ["rd", "point", "--force=-1", "--observable", "--config"]
+    code, out, err = run(capsys, argv + [config("zero_probability_letters")])
+    assert (code, err) == (0, "")
+    problem = RdProblem([0.5, 0.5, 0], [0.5, 0, 0.5], [[0, 1, 2], [1, 0, 3], [5, 5, 5]])
+    direct = observable_expectation(problem, [[1, 3], [4, 6]], -1.0)  # rows 0, 1 and columns 0, 2
+    assert csv_values(out)["observable_direct"] == f"{direct:.12g}"
+    # an observable of another shape is still refused, naming the config's own
+    path = tmp_path / "wrong_observable.cfg"
+    path.write_text(CONFIGS["zero_probability_letters"].replace("observable = 1, 2, 3; 4, 5, 6; 7, 8, 9",
+                                                                "observable = 1, 2; 4, 5; 7, 8"))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert (code, err) == (1, "tiltrate: error: observable must match the distortion table shape (3, 3)\n")
+
+
+def test_a_beta_whose_energies_overflow_is_refused_before_numpy_forms_them(capsys, tmp_path):
+    # -ln Q / beta overflowed in numpy, with a RuntimeWarning, before the chain refused its energies
+    path = tmp_path / "tiny_beta.cfg"
+    path.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1; 1, 0\nbeta = 1e-310\n")
+    code, out, err = run(capsys, ["chain", "work", "--lambda-final=-1", "--config", str(path)])
+    message = "beta is too small: the energies -ln Q / beta overflow (got beta = 1e-310)"
+    assert (code, err) == (1, f"tiltrate: error: {message}\n")
+    bss = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+    with refused(message):
+        from_rd_problem(bss, beta=1e-310)
+    # ln 2 / 1e-308 is finite, and so is every energy; a coding law of one letter has energy 0
+    assert from_rd_problem(bss, beta=1e-308).beta == 1e-308
+    assert from_rd_problem(RdProblem([1.0], [1.0], [[0.0]]), beta=5e-324).beta == 5e-324
 
 
 def refused(message):

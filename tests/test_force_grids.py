@@ -1,7 +1,8 @@
 """Fixed-force grids go through the kernel in one batched call per grid.
 
 Each grid path must give, bit for bit, what a loop of one-force calls gives:
-``rd_curve`` against ``distortion_at_force``, and ``riemann_sandwich``,
+``rd_curve`` against ``distortion_at_force``, ``tilt`` and ``mmse`` on a grid
+against themselves at each force, and ``riemann_sandwich``,
 ``sandwich_bounds`` and ``protocol_work_bounds`` against the kernel at one
 force on the table at origin, whose means they difference (the row starts
 cancel in every difference).  The Riemann sums are formed as
@@ -13,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tiltrate import (
     ChainSystem,
@@ -21,12 +23,14 @@ from tiltrate import (
     RdProblem,
     distortion_at_force,
     from_rd_problem,
+    mmse,
     observable_sweep,
     protocol_work_bounds,
     quasistatic_work,
     rd_curve,
     riemann_sandwich,
     sandwich_bounds,
+    tilt,
 )
 from tiltrate import chain, ratedistortion
 from tiltrate.ratedistortion import distortion_mmse_integral
@@ -34,6 +38,7 @@ from tiltrate.solvers import adaptive_simpson
 from tiltrate.tilting import _at_origin
 
 from conftest import raw_table
+from test_symmetry import draw
 
 # draws per alphabet size: the k = 512 grids cost a few ms per force
 DRAWS = {2: 8, 64: 3, 512: 1}
@@ -143,6 +148,72 @@ def test_protocol_on_ragged_arrays_matches_point_by_point(rng):
     schedule = np.linspace(0.0, -2.5, 30)
     means = origin_means(chain._table(system), system.beta * schedule)
     assert protocol_work_bounds(system, schedule) == sums_of(schedule, means)
+
+
+def bits(values) -> bytes:
+    """The float bits of ``values``, so that -0.0 and 0.0 differ and nan equals itself."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def tilt_by_dot(dist, s: float) -> tuple:
+    """(s, log_mgf, mean, variance) of ``dist`` at one force, by ``np.dot`` on its tilted law: an
+    independent one-force formula, since ``tilt`` runs its grid path at one force too."""
+    (law,), (log_z,) = dist._table.law(s)
+    values, start = dist._table.values[0], dist.min_value
+    mean = float(np.dot(law, values))
+    centered = values - mean
+    return s, float(log_z) + s * start, mean + start, float(np.dot(law, centered * centered))
+
+
+def assert_grid_is_the_loop(problem: RdProblem, forces: np.ndarray):
+    """``tilt`` of each letter's distortion law and ``mmse`` on ``forces``, each field bit for bit
+    as the same route at each force in turn and as ``np.dot`` at each force (``tilt_by_dot``)."""
+    variances = []
+    for dist in problem.delta_dists:
+        report, each = tilt(dist, forces), [tilt(dist, s) for s in forces.tolist()]
+        by_dot = np.array([tilt_by_dot(dist, s) for s in forces.tolist()]).T
+        for name, reference in zip(("s", "log_mgf", "mean", "variance"), by_dot):
+            assert bits(getattr(report, name)) == bits([getattr(one, name) for one in each]) == bits(reference), name
+        variances.append(by_dot[3])
+    # contiguous rows: ddot on a strided row orders its sum otherwise
+    by_dot = [float(np.dot(problem.source_probs, row)) for row in np.stack(variances, axis=1)]
+    assert bits(mmse(problem, forces)) == bits([mmse(problem, s) for s in forces.tolist()]) == bits(by_dot)
+
+
+signed_zeros_and_forces = st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 40.0), min_size=1, max_size=12)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["draw", "ties", "point mass rows"]), signed_zeros_and_forces)
+@settings(max_examples=80, deadline=None)
+@example(0, "draw", [0.0, -0.0, -1.5, 2.0])
+@example(5, "ties", [-0.0, -3.0, 0.0])
+@example(7, "point mass rows", [0.0, -0.0, -40.0, 40.0])
+def test_tilt_and_mmse_on_a_grid_are_their_loop(seed, kind, forces):
+    assert_grid_is_the_loop(grid_problem(seed, kind), np.array(forces))
+
+
+def grid_problem(seed: int, kind: str) -> RdProblem:
+    """A ``test_symmetry.draw`` problem; with "ties", its entries drawn from four values, the last
+    two within the merge tolerance (``tilting._set_laws``); with "point mass rows", every other
+    row one value."""
+    p, q, d, _ = draw(seed)
+    if kind == "ties":
+        d = np.random.default_rng(seed).choice([0.0, 0.5, 1.0, 1.0 + 1e-14], size=d.shape)
+    elif kind == "point mass rows":
+        d[::2] = d[::2, :1]
+    return RdProblem(p, q, d)
+
+
+def test_the_grid_draws_reach_merged_rows_and_point_masses():
+    merged = grid_problem(5, "ties")
+    assert any(dist.size < merged.coding_probs.size for dist in merged.delta_dists)
+    assert {dist.size for dist in grid_problem(7, "point mass rows").delta_dists[::2]} == {1}
+
+
+def test_tilt_and_mmse_on_a_grid_are_their_loop_at_k64():
+    rng, problem = draw_problem(64, 0)
+    forces = np.concatenate(([0.0, -0.0], -rng.uniform(0.0, 6.0, 29), [3.0]))
+    assert_grid_is_the_loop(problem, forces)
 
 
 def test_a_thousand_forces_at_k512_cost_their_outputs_only():

@@ -217,7 +217,7 @@ class TestWorkIntegralZeroNode:
             return grid(table, s, order)
 
         def counted_tilt(dist, s):
-            seen.append(s)
+            seen.extend(np.ravel(s).tolist())
             return tilt(dist, s)
 
         monkeypatch.setattr(tilting._Table, "grid", counted_moments)

@@ -279,12 +279,24 @@ class TestMmseIntegrals:
         # u * mmse(u) is exactly 0.0 at the node u = 0, so its per-row tilts are skipped, and the
         # rate keeps its bits
         forces, tilt = [], ratedistortion.tilt
-        monkeypatch.setattr(ratedistortion, "tilt", lambda dist, s: forces.append(s) or tilt(dist, s))
+        record = lambda dist, s: forces.extend(np.ravel(s).tolist()) or tilt(dist, s)  # noqa: E731
+        monkeypatch.setattr(ratedistortion, "tilt", record)
         rate = rate_mmse_integral(bss, S_QUARTER)
         assert forces and 0.0 not in forces
         monkeypatch.undo()
         every_node = lambda us: np.array([u * mmse(bss, u) for u in us.tolist()])  # noqa: E731
         assert rate == adaptive_simpson(every_node, 0.0, S_QUARTER, 1e-9)
+
+    def test_rate_mmse_integral_tilts_each_letter_once_per_simpson_level(self, bss, monkeypatch):
+        # each level's nodes reach mmse as one array, which tilts each letter once; the node u = 0
+        # is never tilted
+        tilts, levels, tilt, rule = [], [], ratedistortion.tilt, tilting.adaptive_simpson
+        monkeypatch.setattr(ratedistortion, "tilt", lambda dist, s: tilts.append(s.size) or tilt(dist, s))
+        monkeypatch.setattr(tilting, "adaptive_simpson",
+                            lambda f, *args: rule(lambda us: levels.append(us.size) or f(us), *args))
+        rate_mmse_integral(bss, S_QUARTER)
+        assert len(levels) > 2 and len(tilts) == bss.num_source_letters * len(levels)
+        assert sum(tilts) == bss.num_source_letters * (sum(levels) - 1)
 
     def test_distortion_via_mmse_integral(self, rng):
         for _ in range(8):
