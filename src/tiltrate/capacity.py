@@ -96,11 +96,11 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     log_w = np.full(support.shape, -math.inf)
     np.log(np.broadcast_to(q, support.shape), out=log_w, where=support)
 
-    # The budget on the rows at origin: every term is nonnegative, so no digit is lost to the
-    # difference delta - sum_x p_x start_x, two nearly equal terms when the rows nearly agree.
+    # The budget on the rows at origin and in units: every term is nonnegative, so no digit is lost
+    # to the difference delta - sum_x p_x start_x, two nearly equal terms when the rows nearly agree.
     table = _at_origin(p_out, log_w, dist)
     level = float((q[:, None] * w * table.values.T)[mask].sum())
     # tol = 0 runs the iteration to machine width so the force itself is pinned
-    s, rate, _ = _legendre(table.rebased(), level, 0.0, nonpositive=True)
+    s, rate, _ = _legendre(table, level, 0.0, nonpositive=True, in_units=True)
     # at an end each output row is constant on its support: the rate is the pure mass cost
-    return CapacityPoint(rate=rate, s_star=0.0 if math.isinf(s) else float(s), delta=delta)
+    return CapacityPoint(rate=rate, s_star=0.0 if math.isinf(s) else float(table.force_from_unit(s)), delta=delta)

@@ -163,7 +163,7 @@ def length_variance(system: ChainSystem, lam: float) -> float:
     """Population-averaged per-element length variance; beta times this is dY/dlam."""
     s = _force(system, lam)
     table = _table(system)
-    return float(np.dot(table.row_weights, table.moments(s)[2]))
+    return float(table.variances(float(np.dot(table.row_weights, table.moments(s)[2])), "length_variance"))
 
 
 def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e-10) -> float:
@@ -175,8 +175,9 @@ def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e
     has none: both raise ``LengthInfeasibleError``, whose message names the end
     band when the length lies strictly inside the range.
     """
+    table = _table(system)
     try:
-        s = _legendre(_table(system), target_length, tol, force_only=True)[0]
+        s = _legendre(table, target_length, tol, force_only=True)[0]
     except LevelInfeasibleError:
         s = math.inf
     if math.isinf(s):
@@ -186,7 +187,7 @@ def equilibrium_force(system: ChainSystem, target_length: float, tol: float = 1e
             raise LengthInfeasibleError(
                 f"length {target_length!r} lies within the end band of {reach} and needs an infinite force")
         raise LengthInfeasibleError(f"length {target_length!r} is not strictly inside {reach}")
-    return s / system.beta
+    return table.force_from_unit(s) / system.beta
 
 
 def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -> float:
@@ -194,7 +195,7 @@ def quasistatic_work(system: ChainSystem, lam_final: float, tol: float = 1e-9) -
 
     The work is (1/beta) times the rate function at s = beta * lam_final, which must be finite: the
     rate's work integral of u times the row-weighted length variance from 0 to s
-    (``tilting._work_integral``), taken to ``tol`` in nats, divided by beta.
+    (``tilting._work_integral``), taken to ``tol`` in nats, over beta.
     """
     return _work_integral(_table(system), _force(system, lam_final, "lam_final"), tol) / system.beta
 
@@ -206,9 +207,11 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     letting the chain re-equilibrate; the pre-jump sum is its mirror.  The
     quasistatic work lies between them for every monotone schedule.
     """
-    # at origin: the starts cancel in every difference of the sums
+    # at the kernel's forces s = beta * lam and the means at origin in units, where the starts cancel
+    # in every difference of the sums: they are beta times the work
     table, schedule = _table(system), _check_partition(schedule, "schedule", ScheduleInvalidError)
-    return _riemann_sums(schedule, lambda lams: table.averaged(system.beta * lams, 1))
+    low, high = _riemann_sums(table.forces(system.beta * schedule), lambda forces: table.averaged(forces, 1))
+    return low / system.beta, high / system.beta
 
 
 def protocol_work(system: ChainSystem, schedule) -> float:

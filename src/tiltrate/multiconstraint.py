@@ -94,40 +94,39 @@ def rate_two_distortions(
         _check_number(target, name, InfeasiblePairError)
     p = problem.source_probs
     unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
-    # The ascent's stopping tests are absolute, so it runs on each table at
-    # origin (rows start at 0) divided by its P-weighted range: the rate is
-    # unchanged, and each force comes back divided by that range.
+    # The ascent's stopping tests are absolute, so it runs on each table lowered (``_at_origin``):
+    # at origin (rows start at 0) and in units of its P-weighted range, where the rate is
+    # unchanged and each force leaves by ``force_from_unit``.
     log_q = np.log(problem.coding_probs)[None, :]  # ln Q as one row, taken once per solve
-    origins, tables, budgets, scales, floored = [], [], [], [], []
+    tables, budgets, floored = [], [], []
     for name, d, target in (
         ("delta1", problem.distortion_1, delta1),
         ("delta2", problem.distortion_2, delta2),
     ):
-        origins.append(_at_origin(p, log_q, d))
-        span = origins[-1].span
-        floor = origins[-1].floor(span)
+        tables.append(_at_origin(p, log_q, d))
+        span = tables[-1].span
+        floor = tables[-1].floor(span)
         # _legendre's lower end band decides the floor and refuses a budget below it;
         # a budget past the widest band (span >= D(0) - floor) makes no kernel call
         try:
             floored.append(not target - floor > _end_band(span, floor) and (
-                _legendre(origins[-1], target, tol, nonpositive=True, force_only=True)[0] == -math.inf))
+                _legendre(tables[-1], target, tol, nonpositive=True, force_only=True)[0] == -math.inf))
         except ValidationError:
             raise InfeasiblePairError(
                 f"{name} = {target!r} does not exceed the minimum achievable {floor!r}"
             ) from None
-        scales.append(span or 1.0)
-        tables.append(origins[-1].divided(scales[-1]))
         # a budget at or above the table's largest achievable mean never binds, +inf included
-        budgets.append(min(target - floor, span) / scales[-1])
+        budgets.append(tables[-1].in_units(min(target - floor, span)))
     if any(floored):
         # The other table's solve on the floor letters keeps its whole table's end band:
         # restricted to one letter a row, it has no span to give a budget rounded below.
         i, j = floored.index(True), 1 - floored.index(True)
-        other = _at_origin(p, origins[i].at_end(-1.0), (problem.distortion_1, problem.distortion_2)[j])
+        other = _at_origin(p, tables[i].at_end(-1.0), (problem.distortion_1, problem.distortion_2)[j])
         try:
-            force, rate, _ = _legendre(other, (delta1, delta2)[j], tol, nonpositive=True, band_span=origins[j].span)
+            force, rate, _ = _legendre(other, (delta1, delta2)[j], tol, nonpositive=True, band_span=tables[j].span)
         except ValidationError:
             raise InfeasiblePairError(unsatisfiable) from None
+        force = other.force_from_unit(force)
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
     s1 = s2 = 0.0
     value, g1, g2, c11, c22, c12 = _evaluate(p, *tables, s1, s2, *budgets)
@@ -165,7 +164,7 @@ def rate_two_distortions(
             # solves and is shorter than the last accepted step.
             if math.isfinite(n1) and math.isfinite(n2) and math.sqrt(n1 * n1 + n2 * n2) < last:
                 s1, s2 = min(s1 + n1, 0.0), min(s2 + n2, 0.0)
-            return _floored(value), s1 / scales[0], s2 / scales[1]
+            return _floored(value), tables[0].force_from_unit(s1), tables[1].force_from_unit(s2)
         # A Newton step must climb at a rate commensurate with the gradient:
         # on a singular covariance it is infinite, nan, or a vanishing step
         # along the null ray while the gradient points off it.  Dependent
@@ -198,11 +197,12 @@ def rate_two_distortions(
         # better face point, if it beats the iterate, is the next iterate.
         faces = []
         for i in (0, 1):
-            force, rate, _ = _legendre(origins[i], (delta1, delta2)[i], tol, nonpositive=True)
+            force, rate, _ = _legendre(tables[i], (delta1, delta2)[i], tol, nonpositive=True)
             at = [0.0, 0.0]
-            at[i] = force * scales[i]
+            at[i] = force
             faces.append((*at, *_evaluate(p, *tables, *at, *budgets)))  # (s1, s2, value, g1, g2, ...)
             if faces[-1][4 - i] >= -tol:  # the other budget's gradient
+                force = tables[i].force_from_unit(force)
                 return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
         best = max(faces, key=lambda face: face[2])
         if not dependent and best[2] > value:

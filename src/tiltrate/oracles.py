@@ -57,13 +57,16 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
 
     dists = problem.delta_dists
     starts = np.array([d.min_value for d in dists])
-    base = float(np.dot(rounded, starts))  # sum_x c_x start_x, the least total
+    with np.errstate(over="ignore"):
+        base = float(np.dot(rounded, starts))  # sum_x c_x start_x, the least total
+    if not math.isfinite(base):
+        raise NumericalError(f"the least total of a block of {n}, {base!r}, is past the largest float")
     span = max(d.max_value - d.min_value for d in dists)
     if span == 0.0:  # every block totals base
         return (1.0, 0.0) if base <= n * delta + 1e-12 * max(1.0, abs(base)) else (0.0, math.inf)
     width = _LATTICE_REL * span
     if width == 0.0:
-        raise NumericalError(f"the lattice width {_LATTICE_REL!r} times the largest row range {span!r} rounds to 0")
+        raise NumericalError(f"the lattice width {_LATTICE_REL!r} times the largest row range {span!r} is 0")
 
     acc: dict[int, float] = {0: 1.0}
     for x, c in enumerate(rounded.astype(int)):
@@ -138,11 +141,14 @@ def legendre_grid_max(problem: RdProblem, delta: float, s_min: float = -50.0, po
     p = problem.source_probs
     dists = problem.delta_dists
     level = delta - float(np.dot(p, [d.min_value for d in dists]))
+    if abs(s_min) * abs(level) > 2.0**1021:  # s * level and the log-MGF it is set against would overflow
+        raise NumericalError(f"s_min {s_min!r} times the budget above the floor, {level!r}, is past 2^1021")
 
     def objective(svals: np.ndarray) -> np.ndarray:
         phi = np.zeros_like(svals)
         for weight, d in zip(p, dists):
-            expo = svals[:, None] * (d.values - d.min_value)[None, :] + np.log(d.probs)[None, :]
+            with np.errstate(over="ignore"):  # s <= 0: an exponent past the largest float is -inf, the limit
+                expo = svals[:, None] * (d.values - d.min_value)[None, :] + np.log(d.probs)[None, :]
             shift = expo.max(axis=1)
             phi += weight * (shift + np.log(np.exp(expo - shift[:, None]).sum(axis=1)))
         return svals * level - phi
@@ -211,6 +217,8 @@ def blahut_arimoto(
 
     n_out = d.shape[1]
     log_p = np.log(p)
+    if abs(s) * float(np.ptp(d, axis=1).max()) > 2.0**1021:  # the alternation sums log-weights near s * range
+        raise NumericalError(f"slope {s!r} times the widest row range of distortion is past 2^1021")
     # rows moved to start at 0: the conditional is unchanged, and s * d keeps d's own resolution
     sd = s * (d - d.min(axis=1)[:, None])
     log_q = np.full(n_out, -math.log(n_out))

@@ -13,7 +13,7 @@ tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +33,7 @@ from .tilting import (
     _riemann_sums,
     _set_laws,
     _sweep,
+    _Table,
     _work_integral,
     tilt,
 )
@@ -114,16 +115,26 @@ class RdPoint:
     ``boundary`` is None for interior points, "min_distortion" when the
     request was pinned at the smallest achievable distortion (force -inf),
     and "above_zero_force" when the request exceeded the zero-force
-    distortion and was answered with the zero-rate point.
+    distortion and was answered with the zero-rate point.  ``per_symbol_var``
+    and ``mmse`` leave the table's units when read, raising ``NumericalError``
+    if they cannot be represented (``tilting._Table.variances``).
     """
 
     s: float
     distortion: float
     rate: float
     per_symbol_mean: np.ndarray
-    per_symbol_var: np.ndarray
-    mmse: float
     boundary: str | None = None
+    _table: _Table | None = field(default=None, repr=False)
+    _variances: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def per_symbol_var(self) -> np.ndarray:
+        return self._table.variances(self._variances, "per_symbol_var")
+
+    @property
+    def mmse(self) -> float:
+        return float(self._table.variances(float(np.dot(self._table.row_weights, self._variances)), "mmse"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,41 +159,42 @@ def distortion_at_force(problem: RdProblem, s: float) -> RdPoint:
 
 
 def _at_force(problem: RdProblem, s: float):
-    """``distortion_at_force``'s point and the per-letter moments at origin that gave it."""
+    """``distortion_at_force``'s point and the kernel force and per-letter moments that gave it."""
     table = _table(problem)
-    moments = table.moments(s)
-    return _point(table, s, *moments), moments
+    kernel_s = table.force(s)
+    moments = table.grid(kernel_s)
+    return _point(table, s, kernel_s, *moments), (kernel_s, moments)
 
 
-def _point(table, s: float, log_z, means, variances) -> RdPoint:
-    """The curve point at force s from the per-letter moments there at origin, a ``tilting._record``."""
+def _point(table, s: float, kernel_s: float, log_z, means, variances) -> RdPoint:
+    """The curve point at force s from the per-letter moments at kernel force ``kernel_s``, a ``tilting._record``."""
     p = table.row_weights
     shifted = table.means_from_origin(means)
     return _record(
         RdPoint,
         s=float(s),
         distortion=float(np.dot(p, shifted)),
-        rate=table.rate(s, float(np.dot(p, means)), log_z),
+        rate=table.rate(kernel_s, float(np.dot(p, means)), log_z),
         per_symbol_mean=shifted,
-        per_symbol_var=variances,
-        mmse=float(np.dot(p, variances)),
         boundary=None,
+        _table=table,
+        _variances=variances,
     )
 
 
-def _points(table, forces: np.ndarray, log_z, means, variances) -> list[RdPoint]:
+def _points(table, forces: np.ndarray, kernel_forces: np.ndarray, log_z, means, variances) -> list[RdPoint]:
     """``_point`` at each of ``forces``, bit for bit, from the per-letter moments there at origin,
     one row per force: each row-weighted sum is one ``np.vecdot`` over every force
     (``tilting._Table.averaged``), and each point is a ``tilting._record``.  One force keeps
     ``_point``: ``np.vecdot`` on a single row costs more than the four ``np.dot`` calls it
     replaces."""
     p = table.row_weights
-    rates = table.rate(forces, np.vecdot(means, p), log_z)
+    rates = table.rate(kernel_forces, np.vecdot(means, p), log_z)
     means = table.means_from_origin(means)
-    sums = zip(forces.tolist(), np.vecdot(means, p).tolist(), rates.tolist(), np.vecdot(variances, p).tolist())
+    sums = zip(forces.tolist(), np.vecdot(means, p).tolist(), rates.tolist())
     return [
-        _record(RdPoint, s=s, distortion=d, rate=r, per_symbol_mean=m, per_symbol_var=v, mmse=e, boundary=None)
-        for (s, d, r, e), m, v in zip(sums, means, variances)
+        _record(RdPoint, s=s, distortion=d, rate=r, per_symbol_mean=m, boundary=None, _table=table, _variances=v)
+        for (s, d, r), m, v in zip(sums, means, variances)
     ]
 
 
@@ -204,7 +216,7 @@ def force_at_distortion(problem: RdProblem, delta: float, tol: float = 1e-10) ->
 
 
 def _solve(problem: RdProblem, delta: float, tol: float):
-    """``force_at_distortion``'s point and its per-letter moments at origin (None at force -inf)."""
+    """``force_at_distortion``'s point and its kernel force and per-letter moments (None at force -inf)."""
     table = _table(problem)
     try:
         s, rate, moments = _legendre(table, delta, tol, nonpositive=True)
@@ -213,14 +225,12 @@ def _solve(problem: RdProblem, delta: float, tol: float):
             f"distortion {delta!r} is below the minimum achievable {table.floor(table.span)!r}") from None
     if s == -math.inf:
         least = table.least
-        return RdPoint(
-            s=s, distortion=table.floor(table.span), rate=rate, per_symbol_mean=least,
-            per_symbol_var=np.zeros_like(least), mmse=0.0, boundary="min_distortion",
-        ), None
-    point = _point(table, s, *moments)
+        return RdPoint(s=s, distortion=table.floor(table.span), rate=rate, per_symbol_mean=least,
+                       boundary="min_distortion", _table=table, _variances=np.zeros_like(least)), None
+    point = _point(table, table.force_from_unit(s), s, *moments)
     if s == 0.0 and delta > point.distortion:
         point = replace(point, boundary="above_zero_force")
-    return point, moments
+    return point, (s, moments)
 
 
 def rate_legendre(problem: RdProblem, delta: float, tol: float = 1e-10) -> float:
@@ -238,27 +248,35 @@ def equal_force_allocation(problem: RdProblem, delta: float, tol: float = 1e-10)
     return _allocation(problem, *_solve(problem, delta, tol))
 
 
-def _allocation(problem: RdProblem, point: RdPoint, moments) -> tuple[Allocation, float]:
-    """``equal_force_allocation`` from the point and moments that ``_solve`` returned."""
+def _allocation(problem: RdProblem, point: RdPoint, solved) -> tuple[Allocation, float]:
+    """``equal_force_allocation`` from the point, kernel force and moments that ``_solve`` returned."""
     allocation = Allocation(per_symbol_distortion=point.per_symbol_mean)
     if point.boundary == "min_distortion":
         return allocation, point.rate
-    log_z, means, _ = moments  # the per-letter sum, not the point's rate: the two routes check each other
-    return allocation, _floored(float(np.dot(problem.source_probs, point.s * means - log_z)))
+    s, (log_z, means, _) = solved  # the per-letter sum, not the point's rate: the two routes check each other
+    return allocation, _floored(float(np.dot(problem.source_probs, s * means - log_z)))
 
 
 def mmse(problem: RdProblem, s):
     """Source-averaged tilted variance of the distortion at force s, or at each force of a 1-D array
-    s as an array: one ``tilt`` per source letter either way.  The forces x letters variances
-    (C-contiguous) are reduced by ``np.vecdot``, so each entry is its one-force value bit for bit."""
-    averaged = np.vecdot(np.stack([tilt(d, s).variance for d in problem.delta_dists], axis=-1), problem.source_probs)
+    s as an array: one ``tilt`` per source letter either way (``_mmse``)."""
+    return _mmse(problem.delta_dists, problem.source_probs, s)
+
+
+def _mmse(dists: tuple, p: np.ndarray, s):
+    """``mmse`` of the letters' laws ``dists`` under the source law ``p``: the forces x letters
+    variances (C-contiguous) reduced by ``np.vecdot``, each entry its one-force value bit for bit."""
+    averaged = np.vecdot(np.stack([tilt(d, s).variance for d in dists], axis=-1), p)
     return float(averaged) if averaged.ndim == 0 else averaged
 
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
-    (``tilting._work_integral``), each Simpson level's nodes taken by one ``mmse`` call."""
-    return _work_integral(_table(problem), s, tol, lambda us: mmse(problem, us))
+    (``tilting._work_integral``), each Simpson level's nodes taken by one ``_mmse`` call on the
+    letters lowered into the table's units (``tilting._Table.lowered``), so no variance leaves them."""
+    table = _table(problem)
+    letters = table.lowered(problem.delta_dists)
+    return _work_integral(table, s, tol, lambda us: _mmse(letters, problem.source_probs, us))
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
@@ -266,14 +284,14 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
     (``tilting._pieces``), as ``force_at_distortion`` meets its budget."""
     table = _table(problem)
     means, integral = _sweep(table, table.grid, s, tol, table, mean=1, slope=2)
-    return float(np.dot(table.row_weights, table.means_from_origin(means))) + integral
+    return float(np.dot(table.row_weights, means)) + integral
 
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
     """Riemann sums over a force grid that bracket the rate at its endpoint."""
-    # the starts cancel in every difference, so the sums take the means at origin
+    # kernel forces and means at origin in units: the starts cancel in every difference
     table = _table(problem)
-    return _riemann_sums(_check_partition(partition), lambda forces: table.averaged(forces, 1))
+    return _riemann_sums(table.forces(_check_partition(partition)), lambda forces: table.averaged(forces, 1))
 
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
@@ -296,7 +314,7 @@ def observable_expectation(problem: RdProblem, observable, s: float) -> float:
     """Direct expectation of a letter-pair observable under the tilted law."""
     _check_force(s)
     table, t = _observable_tables(problem, observable)
-    return float(np.dot(problem.source_probs, table.pair(t, s, 0.0)[2]))
+    return float(np.dot(problem.source_probs, table.pair(t, table.force(s), 0.0)[2]))
 
 
 def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9) -> float:
@@ -310,8 +328,9 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     distortion itself.
     """
     table, t = _observable_tables(problem, observable)
-    observed = _at_origin(problem.source_probs, table.log_weights, t)
-    means, integral = _sweep(table, lambda us: table.pair(t, us, 0.0), s, tol, observed, mean=2, slope=5)
+    observed = _at_origin(problem.source_probs, table.log_weights, t)  # the observable in its own units
+    means, integral = _sweep(table, lambda us: table.pair(observed.values, us, 0.0), s, tol, observed,
+                             mean=2, slope=5)
     return float(np.dot(problem.source_probs, means)) + integral
 
 
@@ -324,4 +343,5 @@ def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
         raise ValidationError("force_grid values must be finite and <= 0")
     forces = grid[np.argsort(-grid, kind="stable")]
     table = _table(problem)
-    return _points(table, forces, *table.grid(forces))
+    kernel_forces = table.forces(forces)
+    return _points(table, forces, kernel_forces, *table.grid(kernel_forces))

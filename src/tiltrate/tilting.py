@@ -143,9 +143,8 @@ class FiniteDistribution:
 
     @property
     def variance(self) -> float:
-        at_origin = self.values - self.values[0]  # as the routes take it: a far support costs no digits
-        centered = at_origin - np.dot(self.probs, at_origin)
-        return float(np.dot(self.probs, centered * centered))
+        """The variance at force 0, taken by the kernel and moved out of units by ``_Table.variances``."""
+        return float(self._table.variances(self._table.moments(0.0)[2], "variance")[0])
 
     @cached_property
     def _table(self) -> _Table:
@@ -156,7 +155,7 @@ class FiniteDistribution:
 def _set_laws(dists: tuple, values: np.ndarray, probs: np.ndarray) -> None:
     """Store on ``dists[x]``, through ``_frozen``, row x of ``values`` under the law ``probs`` (all
     positive): sorted, runs within ``VALUE_MERGE_TOL`` of the row's span merged at their least value,
-    divided by the row's sum.  The one sort-and-merge, in row blocks of about ``_BLOCK_ENTRIES`` entries."""
+    over the row's sum.  The one sort-and-merge, in row blocks of about ``_BLOCK_ENTRIES`` entries."""
     step = max(_BLOCK_ENTRIES // values.shape[1], 1)
     for j in range(0, values.shape[0], step):
         block = values[j : j + step]
@@ -214,8 +213,10 @@ class RateResult:
 
 # Forces and rows per block of the kernel keep each of its temporaries near this many entries.
 _BLOCK_ENTRIES = 1 << 15
-# The least normal float: a range whose square falls below it has a tilted variance short of digits.
+# The least normal float: a variance at or above it that leaves its units as 0 has lost every digit.
 _TINY = float(np.finfo(float).tiny)
+# The widest exponent |s| * range the kernel takes (``_Table.forces``): past it a rate keeps no digit.
+_REACH = 2.0**52
 
 
 def _check_force(s, name: str = "force s") -> None:
@@ -248,6 +249,12 @@ def _force_grid(s) -> tuple[np.ndarray, bool]:
     if bad.any():
         raise ValidationError(f"force s must be finite (got {float(grid[bad][0])!r})")
     return grid, False
+
+
+def _largest(x) -> float:
+    """The largest |entry| of one number or a nonempty array, in Python floats."""
+    listed = x.ravel().tolist() if isinstance(x, np.ndarray) else [float(x)]
+    return max(max(listed), -min(listed))
 
 
 def _check_tol(tol) -> None:
@@ -335,7 +342,7 @@ def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
 
 
 def _normalised(w: np.ndarray, shift: np.ndarray):
-    """``_tilted_weights``' output as the per-row law, each row divided in place by its sum z, and the
+    """``_tilted_weights``' output as the per-row law, each row over its sum z, in place, and the
     per-row log-partition shift + ln z."""
     z = w.sum(axis=-1)
     w /= z[..., None]
@@ -343,35 +350,36 @@ def _normalised(w: np.ndarray, shift: np.ndarray):
 
 
 def _row_ends(log_weights: np.ndarray, values: np.ndarray):
-    """Per-row least and greatest value among the entries that carry mass."""
+    """Per-row least and greatest value among the entries that carry mass, and those entries (or None)."""
     if np.isfinite(log_weights).all():  # every entry carries mass: the plain reductions are faster
-        return values.min(axis=1), values.max(axis=1)
+        return values.min(axis=1), values.max(axis=1), None
     live = np.broadcast_to(np.isfinite(log_weights), values.shape)
-    return values.min(axis=1, where=live, initial=math.inf), values.max(axis=1, where=live, initial=-math.inf)
+    ends = values.min(axis=1, where=live, initial=math.inf), values.max(axis=1, where=live, initial=-math.inf)
+    return *ends, live
 
 
 class _Table(NamedTuple):
-    """A table lowered for the kernel by ``_at_origin``, its values at origin: each row moved to
-    start at 0, which leaves every tilted law unchanged.
+    """A table lowered for the kernel by ``_at_origin``: each row moved to start at 0 and put in units
+    of ``unit``, which leaves every tilted law, and every rate at force s * unit, unchanged.
 
-    Every kernel call is a method: ``grid`` (the moments at one force or a force grid, and
-    ``moments`` and ``averaged`` on it), ``pair`` (a second table tilted along) and ``law``.  Row x
-    carries the weights e^{log_weights[x] + s * values[x]}; ``log_weights`` has one row per row of
-    ``values``, or a single row shared by all, and a ragged table is padded with -inf log-weights
-    (and any finite value), which carry no mass.  Sums are max-shifted per row, so no finite tilt
-    overflows them.
+    Every kernel call is a method, at kernel forces: ``grid`` (the moments at one force or a force
+    grid, and ``moments`` and ``averaged`` on it), ``pair`` (a second table tilted along) and
+    ``law``.  Row x carries the weights e^{log_weights[x] + s * values[x]}; ``log_weights`` has one
+    row per row of ``values``, or a single row shared by all, and a ragged table is padded with -inf
+    log-weights, which carry no mass.  Sums are max-shifted per row, so no finite tilt overflows them.
 
-    The round trip lives here, and no other module reads ``starts`` or ``ranges``.  A budget moves
-    to origin by ``floor`` and is capped by ``span``; the kernel's per-row means and log-partitions
-    move back by ``means_from_origin`` and ``log_z_from_origin``; ``least`` is each row's mean at
-    force -inf; ``rebased`` is the table for a budget already at origin; ``divided`` is the table
-    in another unit."""
+    The round trip lives here, and no other module reads ``starts``, ``ranges`` (both in the
+    table's own scale) or ``unit``.  A force enters by ``force`` and leaves by ``force_from_unit``;
+    a budget moves to origin by ``floor``, is capped by ``span`` and enters by ``in_units``; means,
+    variances and log-partitions leave by ``means_from_origin``, ``variances`` and
+    ``log_z_from_origin``, each raising ``NumericalError`` for a value it cannot represent."""
 
     row_weights: np.ndarray
     log_weights: np.ndarray
     values: np.ndarray
     starts: np.ndarray
     ranges: np.ndarray
+    unit: float = 1.0
 
     def floor(self, span: float) -> float:
         """sum_x w_x start_x, the row-weighted start: where the table's origin sits, so a budget
@@ -390,8 +398,8 @@ class _Table(NamedTuple):
 
     @property
     def span(self) -> float:
-        """sum_x w_x range_x, the row-weighted range: the ceiling at origin."""
-        return float(np.dot(self.row_weights, self.ranges))
+        """sum_x w_x range_x, the row-weighted range: the ceiling at origin, and the unit wherever that is not 1."""
+        return self.unit if self.unit != 1.0 else float(np.dot(self.row_weights, self.ranges))
 
     @property
     def least(self) -> np.ndarray:
@@ -399,34 +407,88 @@ class _Table(NamedTuple):
         starts themselves, signed zeros kept."""
         return self.starts
 
+    @property
+    def reach(self) -> float:
+        """The force at which the widest row's exponent s * range reaches ``_REACH`` (where every row
+        is one value, and every force tilts alike, ``_REACH`` itself)."""
+        widest = max(self.ranges.tolist())
+        return _REACH / widest if widest > 0.0 else _REACH
+
+    def force(self, s) -> float:
+        """The kernel's force for one force s, checked by ``_check_force`` (``forces``)."""
+        _check_force(s)
+        reach = self.reach
+        if s > reach and self.ranges.any():
+            self.forces(np.array([s]))  # raises
+        return min(max(s, -reach), reach) * self.unit
+
+    def forces(self, s: np.ndarray) -> np.ndarray:
+        """The kernel's forces s * unit for finite forces s, each held above -``reach``: past it a
+        letter 1e-12 of the widest range above its row's start weighs e^-4500, and the law is the
+        limit s -> -inf's.  Past +``reach`` the rate, a difference of terms near s * range, keeps no
+        digit: ``NumericalError`` (on point masses, which every force tilts alike, s is held there)."""
+        reach, listed = self.reach, s.tolist()
+        if listed and max(listed) > reach and self.ranges.any():
+            raise NumericalError(f"at force {max(listed)!r} the exponent s * range passes 2^52 on a range of "
+                                 f"{max(self.ranges.tolist())!r}: its rate keeps no digit")
+        return (np.clip(s, -reach, reach) if listed and max(max(listed), -min(listed)) > reach else s) * self.unit
+
+    def force_from_unit(self, s: float) -> float:
+        """A kernel force s / unit; an end's +-inf stays, and a finite one past the largest float raises."""
+        out = s / self.unit
+        if math.isinf(out) and not math.isinf(s):
+            raise NumericalError(f"the force {s!r} in units of {self.unit!r} is past the largest float")
+        return out
+
+    def in_units(self, level: float) -> float:
+        """A level at origin (a budget less the floor) in units."""
+        return level / self.unit
+
     def means_from_origin(self, means: np.ndarray) -> np.ndarray:
-        """Per-row means at origin moved back by each row's start; a force grid's rows, one per
-        force, each move alike."""
-        return means + self.starts
+        """Per-row means at origin in units moved back; a force grid's rows, one per force, alike."""
+        return means * self.unit + self.starts
 
-    def log_z_from_origin(self, s: float, log_z: np.ndarray) -> np.ndarray:
-        """Per-row log-partitions at origin at force s moved back: a row at origin has ln Z lower by s * start."""
-        return log_z + s * self.starts
+    def log_z_from_origin(self, s, log_z: np.ndarray) -> np.ndarray:
+        """Per-row log-partitions at origin at force s moved back: a row at origin has ln Z lower by
+        s * start (s one number, or an array that broadcasts against the starts).  The kernel's are
+        within 2^53, so the sum is checked only where |s * start| may pass 2^1021."""
+        if _largest(s) * _largest(self.starts) <= 2.0**1021:
+            return log_z + s * self.starts
+        with np.errstate(over="ignore", invalid="ignore"):
+            moved = log_z + s * self.starts
+        if not np.isfinite(moved).all():
+            raise NumericalError(f"the log-partition at force {s!r} is past the largest float")
+        return moved
 
-    def rebased(self) -> _Table:
-        """The table with every start 0, so its floor is 0: for a budget already moved to origin."""
-        return self._replace(starts=np.zeros_like(self.starts))
+    def variances(self, v, name: str):
+        """Variances in units (an array, or one number) times unit, twice; ``name`` names them in the
+        error for one that overflows or, normal, underflows to 0.  The kernel's own 0 or subnormal,
+        at a stiff force, stays.  A variance is at most the widest range squared, so only a unit below
+        1e-8, or a range past 1e154, in units or out, needs the extremes checked, in Python floats."""
+        unit, widest = self.unit, max(self.ranges.tolist())
+        if unit < 1e-8 or not widest < 1e154 * min(unit, 1.0):
+            listed = v.ravel().tolist() if isinstance(v, np.ndarray) else [v]
+            top, least = max(listed), min((x for x in listed if x >= _TINY), default=math.inf)
+            if not top * unit * unit < math.inf or least * unit * unit == 0.0:  # nan fails the first
+                raise NumericalError(f"{name} is not representable: {top!r} or {least!r} in units of {unit!r}, squared")
+        return v * unit * unit
 
-    def divided(self, unit: float) -> _Table:
-        """The table with its values, starts and ranges each divided by ``unit``: where a table's unit
-        enters.  Its laws at force s * unit are this table's at s."""
-        return self._replace(values=self.values / unit, starts=self.starts / unit, ranges=self.ranges / unit)
+    def lowered(self, dists: tuple) -> tuple:
+        """The rows' own distributions ``dists`` (``RdProblem.delta_dists``) at origin and in units."""
+        out = tuple(object.__new__(FiniteDistribution) for _ in dists)
+        for row, dist in zip(out, dists):
+            _frozen(row, values=(dist.values - dist.values[0]) / self.unit, probs=dist.probs)
+        return out
 
     def grid(self, s, order: int = 2):
-        """Per-row (log-partition, mean, variance) at origin at force ``s``, or at each force of a 1-D
-        array ``s``, stacked forces first, by ``_tilted``; ``order`` 1 stops after the mean.  The
-        forces are unchecked."""
+        """Per-row (log-partition, mean, variance) at origin at kernel force ``s``, or at each force
+        of a 1-D array ``s``, stacked forces first, by ``_tilted``; ``order`` 1 stops after the mean.
+        The forces are unchecked."""
         return _tilted(_moments, self.log_weights, (self.values,), s, order)
 
     def moments(self, s, order: int = 2):
-        """``grid`` at one force s, checked by ``_check_force``."""
-        _check_force(s)
-        return self.grid(s, order)
+        """``grid`` at the kernel force for one force s (``force``)."""
+        return self.grid(self.force(s), order)
 
     def pair(self, b: np.ndarray, s_a, s_b):
         """Per-row (log-partition, mean of the values, mean of ``b``, variance of the values, variance
@@ -435,25 +497,24 @@ class _Table(NamedTuple):
 
         The two-budget ascent tilts two distortion tables at once; an observable of the letter pair
         is ``b`` held at zero force.  ``s_b`` is a finite scalar: the ascent's own iterate, or an
-        observable's 0.  The forces are unchecked."""
+        observable's 0.  The forces are kernel forces, unchecked."""
         return _tilted(_pair, self.log_weights, (self.values, b), s_a, s_b)
 
     def law(self, s):
-        """Per-row tilted law (each row summing to 1) and log-partition at one force s
-        (``_check_force``): one call, since the law is as large as its table and row blocks would
+        """Per-row tilted law (each row summing to 1) and log-partition at the kernel force for one
+        force s (``force``): one call, since the law is as large as its table and row blocks would
         only add a copy."""
-        _check_force(s)
-        return self.laws(s)
+        return self.laws(self.force(s))
 
     def laws(self, s):
-        """``law`` with ``s`` unchecked: one force, or an array that broadcasts against ``values``,
-        such as ``tilt``'s column of forces on a one-row table, one law per force.  Each law is
-        the one-force law bit for bit, since every step acts on each row alone."""
+        """``law`` at kernel force ``s``, unchecked: one force, or an array that broadcasts against
+        ``values``, such as ``tilt``'s column of forces on a one-row table, one law per force.  Each
+        law is the one-force law bit for bit, since every step acts on each row alone."""
         return _normalised(*_tilted_weights(self.log_weights, self.values * s))
 
     def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
-        """The row-weighted mean (moment 1) or variance (2) at origin at each of ``forces``, the
-        kernel taken to that moment only.
+        """The row-weighted mean (moment 1) or variance (2) at origin, in units, at each of the
+        kernel ``forces``, the kernel taken to that moment only.
 
         ``np.vecdot`` reduces every force's row in one call by the same ``ddot`` that ``np.dot``
         runs at a single force, so a batched route equals its one-force loop bit for bit.
@@ -463,16 +524,17 @@ class _Table(NamedTuple):
         return np.vecdot(self.grid(forces, moment)[moment], self.row_weights)
 
     def rate(self, s, level, log_z):
-        """The Legendre rate s * level - sum_x w_x ln Z_x(s) at origin, floored (``_floored``).  A 1-D
-        array ``s``, with one ``level`` and one row of ``log_z`` per force, gives an array, summed by
-        ``np.vecdot`` as in ``averaged``, so each entry equals its one-force call bit for bit."""
+        """The Legendre rate s * level - sum_x w_x ln Z_x(s) at origin, at a kernel force s and a level
+        in units, floored (``_floored``).  A 1-D array ``s``, with one ``level`` and one row of
+        ``log_z`` per force, gives an array, summed by ``np.vecdot`` as in ``averaged``, so each entry
+        equals its one-force call bit for bit."""
         w = self.row_weights
         return _floored(s * level - (np.vecdot(log_z, w) if isinstance(s, np.ndarray) else float(np.dot(w, log_z))))
 
     def at_end(self, sign: float) -> np.ndarray:
         """The log-weights of each row's letters at its lower (``sign`` -1) or upper (+1) end, -inf elsewhere."""
-        end = self.ranges[:, None] if sign > 0.0 else 0.0
-        at_end = sign * (self.values - end) >= -VALUE_MERGE_TOL * self.ranges[:, None]
+        ranges = self.ranges[:, None] / self.unit
+        at_end = sign * (self.values - (ranges if sign > 0.0 else 0.0)) >= -VALUE_MERGE_TOL * ranges
         return np.where(at_end, self.log_weights, -math.inf)
 
 
@@ -503,11 +565,21 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
-    """The table with each row of ``values`` moved to start at 0, its starts and ranges taken over
-    the entries that carry mass (``_row_ends``).  A row shift leaves every tilted law unchanged,
-    and s * value keeps the table's own resolution however far its rows sit from 0."""
-    starts, ends = _row_ends(log_weights, values)
-    return _Table(weights, log_weights, values - starts[:, None], starts, ends - starts)
+    """The table with each row of ``values`` moved to start at 0, its starts and ranges taken over the
+    entries that carry mass (``_row_ends``; an entry with none is set to 0), and put in units of its
+    ``span`` in place, or of 1 where that is 0 or not finite.  A row shift leaves every tilted law
+    unchanged, and s * value keeps the table's own resolution however far its rows sit from 0; in
+    units every table spans 1, so no tilted variance under- or overflows for its scale alone."""
+    starts, ends, live = _row_ends(log_weights, values)
+    at_origin = values - starts[:, None]
+    if live is not None:
+        at_origin[~live] = 0.0
+    table = _Table(weights, log_weights, at_origin, starts, ends - starts)
+    span = table.span
+    if not 0.0 < span < math.inf or span == 1.0:
+        return table
+    at_origin /= span
+    return _Table._make((*table[:-1], span))
 
 
 # An end also claims targets within this fraction of its own size, a few
@@ -520,55 +592,50 @@ def _end_band(span: float, end: float) -> float:
     return VALUE_MERGE_TOL * span + _END_REL * abs(end)
 
 
-def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False, band_span=0.0):
-    """(s, rate, moments): the force at which the row-weighted tilted mean D(s)
-    of the table hits ``target``, the rate there, and the kernel's per-row
-    moments at s (None at an end), each force evaluated once, force 0 first.
+def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False, band_span=0.0,
+              in_units=False):
+    """(s, rate, moments): the kernel force at which the row-weighted tilted mean D(s) of the table
+    hits ``target``, the rate there, and the kernel's per-row moments at s (None at an end), each
+    force evaluated once, force 0 first.
 
-    All three are taken on the table at origin (``_at_origin``), with the
-    target moved there by the table's ``floor``, sum_x w_x start_x, rounded
-    once from its exact value where the rows sit far from 0.  D runs from
-    that floor (s -> -inf) to its ceiling, the floor plus the table's
-    ``span`` (s -> +inf), or with ``nonpositive`` to D(0), and a target at
-    or above D(0) gets s = 0.  A target within ``_end_band`` of an end gets
-    s = -inf or +inf and the rate -sum_x w_x ln(mass of row x at that end);
-    beyond an end it raises ``LevelInfeasibleError``.  Otherwise Newton runs
-    on the logit log((D - Dmin) / (Dmax - D)), exactly linear in s for one
-    row of two values and close to linear far out in either tail, to
+    All three are taken on the table at origin and in units (``_at_origin``), with the target moved
+    there by the table's ``floor``, sum_x w_x start_x, rounded once from its exact value where the
+    rows sit far from 0 (``in_units`` takes a target already there).  D runs from that floor (s ->
+    -inf) to its ceiling, the floor plus the table's ``span`` (s -> +inf), or with ``nonpositive``
+    to D(0), and a target at or above D(0) gets s = 0.  A target within ``_end_band`` of an end gets
+    s = -inf or +inf and the rate -sum_x w_x ln(mass of row x at that end); beyond an end it raises
+    ``LevelInfeasibleError``.  Otherwise Newton runs on the logit log((D - Dmin) / (Dmax - D)),
+    exactly linear in s for one row of two values and close to linear far out in either tail, to
     ``|D(s) - target| <= tol * span``, or raises ``BracketError`` where it cannot bracket the
     target.  Every rate, an end's included, is ``_Table.rate``'s.  ``force_only`` returns s alone
-    (rate nan, moments None), without the kernel call the rate needs.  ``band_span`` widens the
-    end bands to that span's, for a table restricted from a wider one.  A nan target, or a
-    ``tol`` that ``_check_tol`` refuses, raises ``ValidationError``.  Where the span rounds to 0
-    and a row range does not, any target but one above D(0) raises ``NumericalError``.
+    (rate nan, moments None), without the kernel call the rate needs.  ``band_span`` widens the end
+    bands to that span's, for a table restricted from a wider one.  A nan target, or a ``tol`` that
+    ``_check_tol`` refuses, raises ``ValidationError``.
     """
     _check_tol(tol)
     _check_number(target, "the target level")
-    row_weights, _, values, _, ranges = table
-    ceiling = table.span
-    base = table.floor(ceiling)
-    level = target - base
-    visited = {0.0: table.moments(0.0)}  # force -> moments: each force evaluated once
+    row_weights, unit = table.row_weights, table.unit
+    span = table.span
+    base = 0.0 if in_units else table.floor(span)
+    level = target if in_units else table.in_units(target - base)
+    ceiling, ranges = span / unit, table.ranges / unit
+    visited = {0.0: table.grid(0.0)}  # force -> moments: each force evaluated once
     top = min(float(np.dot(row_weights, visited[0.0][1])), ceiling) if nonpositive else ceiling
-    # ranges that weigh to a span of 0: the floor, D(0) and the ceiling are one float
-    unresolved = ceiling == 0.0 and bool(ranges.any())
-    if nonpositive and level >= top and not (unresolved and level == 0.0):
+    # ranges that weigh to a span of 0 (subnormal ones): the floor, D(0) and the ceiling are one
+    # float, and a budget on the floor is on its end
+    if nonpositive and level >= top and (level > 0.0 or ceiling > 0.0 or not ranges.any()):
         return 0.0, table.rate(0.0, top, visited[0.0][0]), visited[0.0]
-    if unresolved:
-        raise NumericalError(f"the table's span, its row ranges (up to {float(ranges.max())!r}) weighted, "
-                             "rounds to 0: its floor and its mean at force 0 are one float")
     for end, sign in [(0.0, -1.0)] + ([] if nonpositive else [(ceiling, 1.0)]):
-        band = _end_band(max(top, band_span), base + end)
+        band = _end_band(max(top * unit, band_span), base + end * unit) / unit
         if sign * (level - end) > band:
-            raise LevelInfeasibleError(
-                f"level {target!r} outside the achievable range [{base!r}, {base + ceiling!r}]")
+            raise LevelInfeasibleError(f"level {target!r} outside the achievable range [{base!r}, {base + span!r}]")
         if sign * (level - end) >= -band:
             # the mass cost is the zero-force rate of the table restricted to that end
             log_mass = table._replace(log_weights=table.at_end(sign)).law(0.0)[1]
             return sign * math.inf, table.rate(0.0, 0.0, log_mass), None
 
     def logit_and_slope(u: float):
-        _, means, variances = visited[u] = visited.get(u) or table.moments(u)
+        _, means, variances = visited[u] = visited.get(u) or table.grid(u)
         a = float(np.dot(row_weights, means))
         b = float(np.dot(row_weights, ranges - means))
         if a <= 0.0 or b <= 0.0:  # rounding far out in a tail
@@ -577,8 +644,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
 
     # The solve's first point is the Newton step from 0, exact for one row of two values, and
     # twice that step, the problem's own force scale, caps how far it expands.  Without a slope at
-    # 0 (the weights or the variance underflow there) the cap starts at the span's scale, 1 / span;
-    # where that overflows, invert_monotone has no finite step to take and raises BracketError.
+    # 0 (the weights underflow there) the cap starts at 1, the force scale of a table in units.
     origin = logit_and_slope(0.0)
     gap = ceiling - level
     goal = math.log(level / gap)
@@ -586,18 +652,19 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
         logit_and_slope,
         goal,
         f_tol=math.log1p(tol * top / level) + math.log1p(tol * top / gap),
-        reach=2.0 * (goal - origin[0]) / origin[1] if origin[1] > 0.0 else 1.0 / ceiling,
+        reach=2.0 * (goal - origin[0]) / origin[1] if origin[1] > 0.0 else 1.0,
         hi_limit=0.0 if nonpositive else math.inf,
     )
     if force_only:
         return s, math.nan, None
-    moments = visited.get(s) or table.moments(s)
+    moments = visited.get(s) or table.grid(s)
     return s, table.rate(s, level, moments[0]), moments
 
 
 def log_mgf(dist: FiniteDistribution, s: float) -> float:
     """ln E[e^{s*y}], max-shifted so large |s| never overflows."""
-    return float(dist._table.moments(s, 1)[0][0]) + s * dist.min_value  # ln Z at origin is s * start lower
+    table = dist._table
+    return float(table.log_z_from_origin(s, table.moments(s, 1)[0])[0])
 
 
 def tilt(dist: FiniteDistribution, s) -> TiltReport:
@@ -609,13 +676,13 @@ def tilt(dist: FiniteDistribution, s) -> TiltReport:
     so each entry of a grid's report is its force's report bit for bit.  A grid's report holds
     arrays; one force's holds floats."""
     grid, one = _force_grid(s)
-    table, start = dist._table, dist.min_value
+    table = dist._table
     values = table.values[0]
-    law, log_z = table.laws(grid[:, None])
+    law, log_z = table.laws(table.forces(grid)[:, None])
     mean = np.vecdot(law, values)
     centered = values - mean[:, None]
-    fields = {"s": grid, "log_mgf": log_z + grid * start, "mean": mean + start,
-              "variance": np.vecdot(law, centered * centered)}
+    fields = {"s": grid, "log_mgf": table.log_z_from_origin(grid, log_z), "mean": table.means_from_origin(mean),
+              "variance": table.variances(np.vecdot(law, centered * centered), "tilt's variance")}
     if one:
         fields = {name: float(value[0]) for name, value in fields.items()}
     return _record(TiltReport, **fields, dist=dist)
@@ -624,8 +691,9 @@ def tilt(dist: FiniteDistribution, s) -> TiltReport:
 def rate_at_force(dist: FiniteDistribution, s: float) -> RateResult:
     """Rate function evaluated parametrically at tilt s (Legendre route)."""
     table = dist._table
-    log_z, mean = table.moments(s, 1)  # at origin: the start cancels in the rate
-    return RateResult(level=float(mean[0]) + dist.min_value, force=float(s), rate=table.rate(s, mean[0], log_z))
+    kernel_s = table.force(s)
+    log_z, mean = table.grid(kernel_s, 1)  # at origin: the start cancels in the rate
+    return RateResult(float(table.means_from_origin(mean)[0]), float(s), table.rate(kernel_s, mean[0], log_z))
 
 
 def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -> RateResult:
@@ -637,8 +705,9 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
     support returns the signed-infinite force sentinel with rate equal to
     -ln(prob of that endpoint); levels outside the support raise.
     """
+    table = dist._table
     try:
-        s, rate, _ = _legendre(dist._table, level, tol)
+        s, rate, _ = _legendre(table, level, tol)
     except LevelInfeasibleError:
         if dist.size > 1:
             raise
@@ -647,7 +716,7 @@ def force_at_level(dist: FiniteDistribution, level: float, tol: float = 1e-10) -
         ) from None
     if math.isinf(s):
         level = dist.min_value if s < 0.0 else dist.max_value
-    return RateResult(level=float(level), force=float(s), rate=rate)
+    return RateResult(level=float(level), force=float(table.force_from_unit(s)), rate=rate)
 
 
 def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
@@ -660,35 +729,21 @@ def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) ->
 _CUT_SCALES = 64.0
 
 
-def _pieces(f, table: _Table, s: float, tol: float, mean_of: _Table | None = None) -> float:
-    """The integral of ``f`` from 0 to s by ``adaptive_simpson``: the one front of the quadrature
-    routes, whose integrands are a tilted variance or covariance on ``table``, or u times one.
+def _pieces(f, table: _Table, s: float, tol: float) -> float:
+    """The integral of ``f`` from 0 to the kernel force s by ``adaptive_simpson``: the one front of the
+    quadrature routes, whose integrands are a tilted variance or covariance on ``table``, or u times one.
 
-    Before any node it refuses a force that is not one finite number (``_check_force``), a ``tol``
-    that is not finite and > 0, as given, and, with ``NumericalError``, a widest row range whose
-    product with that of ``mean_of`` (its square for a rate) is not a normal float (a square below
-    about 1.5e-154 or above 1.3e154): the integrand, a product of two spreads, would under- or
-    overflow without an error.  The integral of a slope, the displacement of the mean of ``mean_of``
-    (``table`` itself, or an observable's), runs to ``tol`` times that table's ``span``, as
-    ``_legendre`` meets its budget; a rate's, in nats, keeps ``tol``, as does a slope's where that
-    product is not a positive finite number (every row one value, the integral 0).
+    Before any node it refuses a ``tol`` that is not finite and > 0.  The integral of a slope, the
+    displacement of a mean in its table's units, runs to ``tol`` there, which is ``tol`` times that
+    table's span, as ``_legendre`` meets its budget; a rate's, in nats, keeps ``tol``.
 
     The integrands fall off exponentially within a few force scales (one over the widest row range)
     of 0, and one piece from 0 to 250 scales or more puts no node there, its first nodes an eighth
     and a quarter of the way out: a work integral came out about 0.  So [0, s] is cut at 64, 128,
     256, ... scales, each piece run to its share of ``tol`` and summed from 0 outward.  Within 64
     scales (or where every row is one value) it is one piece, the rule's own call, bit for bit."""
-    _check_force(s)
     _check_quadrature_tol(tol)
-    widest = float(table.ranges.max())
-    other = widest if mean_of is None else float(mean_of.ranges.max())
-    if widest > 0.0 and other > 0.0 and not _TINY <= widest * other < math.inf:
-        product = "square" if other == widest else f"product with {other!r}"
-        raise NumericalError(f"the widest row range {widest!r} has no normal {product}: its tilted "
-                             "(co)variance under- or overflows")
-    if mean_of is not None:
-        scaled = tol * mean_of.span
-        tol = scaled if 0.0 < scaled < math.inf else tol
+    widest = float(table.ranges.max()) / table.unit
     ends, edge = [0.0], _CUT_SCALES * (1.0 / widest) if widest > 0.0 else math.inf
     while edge < abs(s):
         ends.append(math.copysign(edge, s))
@@ -702,7 +757,7 @@ def _pieces(f, table: _Table, s: float, tol: float, mean_of: _Table | None = Non
 
 def _work_integral(table: _Table, s: float, tol: float, variance=None) -> float:
     """The integral from 0 to s of u times ``variance(u)``, the row-weighted tilted variance at an
-    array of forces u (``table.averaged(u, 2)`` by default), to ``tol`` in nats by ``_pieces``,
+    array of kernel forces u (``table.averaged(u, 2)`` by default), to ``tol`` in nats by ``_pieces``,
     floored (``_floored``): the one quadrature of the work routes, each at the kernel's own force s.
     At a node u = +-0 the integrand is u itself, exactly, so the variance is taken at the other nodes
     alone and the kernel never runs at force 0; each value, and so the integral, is the every-node
@@ -711,20 +766,21 @@ def _work_integral(table: _Table, s: float, tol: float, variance=None) -> float:
 
     def at_nodes(us: np.ndarray) -> np.ndarray:
         values, live = us.copy(), us != 0.0
-        if live.any():  # not on a level whose every node rounds to 0, from a force near 1e-323
+        if live.any():  # not on a level whose every node is 0, from a force near 1e-323
             values[live] = us[live] * variance(us[live])
         return values
 
-    return _floored(_pieces(at_nodes, table, s, tol))
+    return _floored(_pieces(at_nodes, table, table.force(s), tol))
 
 
 def _sweep(table: _Table, outputs_at, s: float, tol: float, mean_of: _Table, *, mean: int, slope: int):
     """(per-row means at force 0, integral from 0 to s of the row-weighted slope), ``mean`` and
-    ``slope`` indexing the kernel outputs ``outputs_at`` gives at a force or array of forces on
+    ``slope`` indexing the kernel outputs ``outputs_at`` gives at a kernel force or array of them on
     ``table``: the quadrature of the routes that add a slope's integral to a mean at force 0, by
-    ``_pieces`` to ``tol`` times the span of ``mean_of``, the table whose mean moves.  The means are
-    read off the first piece's root level, which ends at force 0 (at s = 0 no node is taken); each
-    level's slopes are reduced by the row weights in one ``np.vecdot``, as ``_Table.averaged`` does."""
+    ``_pieces`` in the units of ``mean_of``, the table whose mean moves, and moved out of them.  The
+    means are read off the first piece's root level, which ends at force 0 (at s = 0 no node is
+    taken); each level's slopes are reduced by the row weights in one ``np.vecdot``, as
+    ``_Table.averaged`` does."""
     at_zero, p = [], table.row_weights
 
     def integrand(us):
@@ -733,15 +789,16 @@ def _sweep(table: _Table, outputs_at, s: float, tol: float, mean_of: _Table, *, 
             at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
         return np.vecdot(outputs[slope], p)
 
-    integral = _pieces(integrand, table, s, tol, mean_of)
-    return (at_zero[0] if at_zero else outputs_at(0.0)[mean]), integral
+    integral = _pieces(integrand, table, table.force(s), tol)
+    means = at_zero[0] if at_zero else outputs_at(0.0)[mean]
+    return mean_of.means_from_origin(means), integral * mean_of.unit
 
 
 def mean_via_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) -> float:
     """Tilted mean recovered as mean(0) plus the integrated tilted variance, to ``tol`` times the
     support's span (``_pieces``), as ``force_at_level`` meets its level."""
     table = dist._table
-    return dist.mean + _pieces(lambda u: table.averaged(u, 2), table, s, tol, table)
+    return dist.mean + _pieces(lambda u: table.averaged(u, 2), table, table.force(s), tol) * table.unit
 
 
 def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]:
@@ -751,8 +808,9 @@ def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]
     last entry is the endpoint.  The true rate at that endpoint lies between
     the two returned sums, and the gap shrinks linearly under refinement.
     """
-    # the means at origin, where the start cancels in every difference
-    return _riemann_sums(_check_partition(partition), lambda forces: dist._table.averaged(forces, 1))
+    # kernel forces and means at origin in units, where the start cancels in every difference
+    table = dist._table
+    return _riemann_sums(table.forces(_check_partition(partition)), lambda forces: table.averaged(forces, 1))
 
 
 def _check_partition(points, name: str = "partition", error=PartitionInvalidError) -> np.ndarray:

@@ -545,14 +545,16 @@ class TestFailureModes:
         assert run_cli("frobnicate").returncode == 1
 
     def test_numerical_failure_exits_2(self, tmp_path):
-        # on a table scaled by 1e-200 the tilted variance underflows to 0, so the root solve has no
-        # slope at zero force and reaches out by 1 / span; at 1e-320 that reach is not finite
+        # on a table scaled by 1e-200 the root solve answers in the table's units, but the point's
+        # mmse, 1.9e-401, cannot be represented, where it printed mmse,0 with exit 0; at 1e-320 the
+        # force itself, about -1.1e320, overflows as it leaves the table's units
         f = tmp_path / "tiny.cfg"
         f.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1e-200; 1e-200, 0\n")
         res = run_cli("rd", "point", "--config", str(f), "--delta", "0.25e-200")
-        assert res.returncode == 0
-        assert float(dict(line.split(",") for line in res.stdout.splitlines())["rate_nats"]) == pytest.approx(
-            0.130812035941, rel=0.0, abs=1e-9)
+        assert res.returncode == 2 and res.stdout == ""
+        assert "numerical failure: mmse is not representable" in res.stderr
+        tiny = rd.RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e-200], [1e-200, 0.0]])
+        assert rd.force_at_distortion(tiny, 0.25e-200).rate == pytest.approx(0.130812035941, rel=0.0, abs=1e-9)
         f.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1e-320; 1e-320, 0\n")
         res = run_cli("rd", "point", "--config", str(f), "--delta", "0.25e-320")
         assert res.returncode == 2
@@ -561,14 +563,22 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("argv", [["rd", "point", "--delta", "0.25e-200", "--integral-route"],
                                       ["chain", "work", "--lambda-final=-1.0986122886681098e200"]])
-    def test_variance_integrals_far_below_scale_1_exit_2(self, capsys, tmp_path, argv):
-        # at 1e-200 the tilted variance underflows to 0: rate_mmse_integral and quasistatic_work
-        # printed 0 and exited 0, where the truth is 0.1308
+    def test_variance_integrals_far_below_scale_1_answer(self, capsys, tmp_path, argv):
+        # Tilted raw, the variance underflowed to 0 at 1e-200: rate_mmse_integral and quasistatic_work
+        # printed 0 and exited 0, where the truth is 0.1308, and then were refused.  In the table's
+        # units both answer; rd point still exits 2, on its mmse, 1.9e-401, which cannot be represented
         f = tmp_path / "tiny.cfg"
         f.write_text("source_probs = 0.5, 0.5\ncoding_probs = 0.5, 0.5\ndistortion = 0, 1e-200; 1e-200, 0\n")
         res = main_of(capsys, *argv, "--config", str(f))
-        assert res.returncode == 2 and res.stdout == ""
-        assert "numerical failure" in res.stderr and "has no normal square" in res.stderr
+        tiny = rd.RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e-200], [1e-200, 0.0]])
+        if argv[0] == "chain":
+            assert (res.returncode, res.stderr) == (0, "")
+            assert float(pairs_of(res.stdout)["quasistatic_work"]) == pytest.approx(0.130812035941, rel=0.0, abs=1e-9)
+        else:
+            assert res.returncode == 2 and res.stdout == ""
+            assert "numerical failure: mmse is not representable" in res.stderr
+            rate = rd.rate_mmse_integral(tiny, -math.log(3.0) / 1e-200)
+            assert rate == pytest.approx(0.130812035941, rel=0.0, abs=1e-9)
 
     @pytest.mark.parametrize("extra", [["--force=-1", "--integral-route", "--tol=-1"], ["--delta", "0.25", "--tol", "0"]])
     def test_tolerance_must_be_positive(self, capsys, bss_cfg, extra):

@@ -434,7 +434,7 @@ def test_row_starts_and_ranges_are_summed_by_the_origin_table_alone():
 
 def test_only_tilting_reads_row_starts_and_ranges():
     # The way to origin and back lives on tilting._Table (floor, span, means_from_origin,
-    # log_z_from_origin, least, rebased), so moving the origin edits one module.  oracles.py
+    # log_z_from_origin, variances, least), so moving the origin edits one module.  oracles.py
     # finds its own starts, independent of the table it checks.
     readers = set()
     for module in Path(tiltrate.__file__).parent.glob("*.py"):
@@ -477,8 +477,8 @@ def test_the_quadrature_rule_is_named_by_tilting_alone():
 
 
 def test_the_quadrature_cut_is_set_by_tilting_alone():
-    # tilting._pieces is the one quadrature front: it checks the force and tol, scales a slope's tol,
-    # refuses a range with no normal square and cuts [0, s] in the table's force scale.  The rule is
+    # tilting._pieces is the one quadrature front: it checks the tol and cuts [0, s], a kernel force
+    # that _Table.force has checked, in the table's force scale.  The rule is
     # called there alone (and in its own reversed-interval call), no other module names the front,
     # and the tol check is made by the front and the rule alone, so no route keeps a scale, and so
     # no tolerance, in a force unit of its own

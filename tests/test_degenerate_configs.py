@@ -20,14 +20,16 @@ from tiltrate import (
     RdProblem,
     blahut_arimoto,
     cli,
+    distortion_at_force,
     equilibrium_force,
     exact_ld_probability,
     force_at_distortion,
     from_rd_problem,
     kl_free_energy_gap,
     observable_expectation,
+    tilt,
 )
-from tiltrate.errors import NumericalError, SupportMismatchError, ValidationError
+from tiltrate.errors import LengthInfeasibleError, NumericalError, SupportMismatchError, ValidationError
 
 CONFIGS = {
     "one_column": """
@@ -81,6 +83,17 @@ coding_probs = 0.5, 0.5
 distortion = -1e308, -1e308; 1e308, 1e308
 distortion_2 = 0, 1; 1, 0
 observable = -1e308, 0; 0, 1e308
+""",
+    # the span, 1e308, is the table's unit: a force past about -0.9 takes the least letters' law, the
+    # limit, and the mmse at force 0, 2.5e615, cannot be represented.  rd curve warned "overflow
+    # encountered in multiply" at the kernel's s * value and printed mmse,inf with exit 0, and the
+    # oracle grid warned there too
+    "huge_span": """
+source_probs = 0.5, 0.5
+coding_probs = 0.5, 0.5
+distortion = 0, 1e308; 1e308, 0
+distortion_2 = 0, 1; 1, 0
+observable = 0, 1; 1, 0
 """,
     # the ranges are the least subnormal, and their weighted sum rounds to 0
     "subnormal_entries": """
@@ -144,13 +157,37 @@ def test_a_row_whose_range_overflows_is_refused_at_construction(capsys, config, 
     assert err == f"tiltrate: error: the range of row 0 of {table}, -1e+308 to 1e+308, overflows\n"
 
 
-@pytest.mark.parametrize("argv", [["rd", "point", "--delta", "0"], ["oracle", "exact", "--n", "2", "--delta", "0"]])
+@pytest.mark.parametrize("argv", [["oracle", "exact", "--n", "2", "--delta", "0"]])
 def test_ranges_that_weigh_to_a_span_of_0_are_a_numerical_failure(capsys, config, argv):
-    # rd point printed s 0 and rate 0, where the budget is the floor and the rate ln 2, and the exact
-    # oracle printed probability 1, where it is 0.25, after a divide by zero
+    # the exact oracle printed probability 1, where it is 0.25, after a divide by zero
     code, out, err = run(capsys, argv + ["--config", config("subnormal_entries")])
     assert code == 2
     assert err.startswith("tiltrate: numerical failure: ")
+
+
+def test_a_budget_on_the_floor_of_ranges_that_weigh_to_a_span_of_0_is_that_floor(capsys, config):
+    # rd point printed s 0 and rate 0, where the budget is the floor and the rate ln 2, and then was
+    # refused; the one-table solve takes a budget on the floor of such a table as that end
+    code, out, err = run(capsys, ["rd", "point", "--delta", "0", "--config", config("subnormal_entries")])
+    assert (code, err) == (0, "")
+    assert csv_values(out)["s"] == "-inf" and csv_values(out)["rate_nats"] == f"{math.log(2.0):.12g}"
+
+
+def test_the_kernels_force_past_the_largest_float_takes_the_ends_limit(capsys, config):
+    # rd curve warned "overflow encountered in multiply" at the kernel's s * value, then printed
+    # mmse,inf with exit 0: at force -3 the law is the least letters' (rate ln 2, mmse 0), and the
+    # mmse at force 0, 2.5e615, cannot be represented
+    code, out, err = run(capsys, ["rd", "curve", "--grid=-3:0:2", "--config", config("huge_span")])
+    assert (code, out) == (2, "")
+    assert err.startswith("tiltrate: numerical failure: mmse is not representable")
+    problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e308], [1e308, 0.0]])
+    point = distortion_at_force(problem, -3.0)
+    assert (point.distortion, point.rate, point.mmse) == (0.0, math.log(2.0), 0.0)
+    # tilt returned nan: for s > 0 past the force at which the exponent passes 2^1023 the
+    # log-partition is past the largest float, and the force is refused
+    with pytest.raises(NumericalError, match="passes 2"):
+        tilt(FiniteDistribution([0.0, 1e308], [0.5, 0.5]), 3.0)
+    assert tilt(FiniteDistribution([0.0, 1e308], [0.5, 0.5]), -3.0).mean == 0.0
 
 
 def test_a_budget_above_the_rounded_span_still_answers(capsys, config):
@@ -258,14 +295,14 @@ class TestRangesThatOverflow:
 
 class TestSpanBelowTheLeastSubnormal:
     """Row ranges whose weighted sum rounds to 0 leave the floor, the mean at force 0 and the
-    ceiling one float: a budget there is refused with ``NumericalError``, and so is the exact
-    oracle, whose lattice width rounds to 0."""
+    ceiling one float: a budget there is that end (it was refused with ``NumericalError``), and
+    the exact oracle, whose lattice width is 0, is refused."""
 
     PROBLEM = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 5e-324], [5e-324, 0.0]])
 
-    def test_a_budget_at_the_floor_is_a_numerical_failure(self):
-        with pytest.raises(NumericalError, match="span"):
-            force_at_distortion(self.PROBLEM, 0.0)
+    def test_a_budget_at_the_floor_is_that_floor(self):
+        point = force_at_distortion(self.PROBLEM, 0.0)
+        assert point.boundary == "min_distortion" and point.rate == pytest.approx(math.log(2.0), rel=1e-15)
         point = force_at_distortion(self.PROBLEM, 1e-320)
         assert (point.s, point.rate, point.boundary) == (0.0, 0.0, "above_zero_force")
 
@@ -274,9 +311,10 @@ class TestSpanBelowTheLeastSubnormal:
         point = force_at_distortion(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e-320], [1e-320, 0.0]]), 0.0)
         assert point.boundary == "min_distortion" and point.rate == pytest.approx(math.log(2.0), rel=1e-15)
 
-    def test_the_chain_length_solve_refuses_it_too(self):
+    def test_the_chain_length_solve_takes_it_as_that_end_too(self):
+        # a length on an end needs an infinite force
         arrays = tuple(ElementArray([0.0, 5e-324], [0.0, 0.0], 0.5) for _ in range(2))
-        with pytest.raises(NumericalError, match="span"):
+        with pytest.raises(LengthInfeasibleError, match="is not strictly inside the achievable range"):
             equilibrium_force(ChainSystem(arrays), 0.0)
 
     def test_the_exact_oracle_refuses_a_lattice_width_of_0(self):

@@ -4,9 +4,10 @@ Each grid path must give, bit for bit, what a loop of one-force calls gives:
 ``rd_curve`` against ``distortion_at_force``, ``tilt`` and ``mmse`` on a grid
 against themselves at each force, and ``riemann_sandwich``,
 ``sandwich_bounds`` and ``protocol_work_bounds`` against the kernel at one
-force on the table at origin, whose means they difference (the row starts
-cancel in every difference).  The Riemann sums are formed as
-``tilting._riemann_sums`` forms them, from the per-point means.
+force on the table at origin and in units, whose means they difference (the
+row starts cancel in every difference).  The Riemann sums are formed as
+``tilting._riemann_sums`` forms them, from the per-point means at the kernel's
+forces (``tilting._Table.forces``, the forces times the table's unit).
 """
 
 import dataclasses
@@ -57,8 +58,9 @@ def sums_of(forces, means) -> tuple[float, float]:
 
 
 def origin_means(table, forces) -> list[float]:
-    """The row-weighted mean at each force on a table at origin, one kernel call per force."""
-    return [np.dot(table.row_weights, table.grid(float(s))[1]) for s in forces]
+    """The row-weighted mean at each force on a table at origin, in units, one kernel call per force
+    at its kernel force (``tilting._Table.force``)."""
+    return [np.dot(table.row_weights, table.grid(table.force(float(s)))[1]) for s in forces]
 
 
 def points(k: int) -> int:
@@ -97,8 +99,8 @@ def test_rd_curve_points_are_ordinary_records():
 def test_sandwich_bounds_match_point_by_point(k, draw):
     rng, problem = draw_problem(k, draw)
     part = np.linspace(0.0, -rng.uniform(0.5, 5.0), points(k))
-    means = origin_means(ratedistortion._table(problem), part)
-    assert sandwich_bounds(problem, part) == sums_of(part, means)
+    table = ratedistortion._table(problem)
+    assert sandwich_bounds(problem, part) == sums_of(table.forces(part), origin_means(table, part))
 
 
 @pytest.mark.parametrize("k,draw", CASES)
@@ -106,7 +108,7 @@ def test_riemann_sandwich_matches_point_by_point(k, draw):
     rng = np.random.default_rng([k, draw, 7])
     dist = FiniteDistribution(rng.random(k) * 2.0, rng.dirichlet(np.ones(k)))
     part = np.linspace(0.0, rng.uniform(-6.0, 6.0), 4 * points(k))
-    assert riemann_sandwich(dist, part) == sums_of(part, origin_means(dist._table, part))
+    assert riemann_sandwich(dist, part) == sums_of(dist._table.forces(part), origin_means(dist._table, part))
 
 
 def with_repeats(rng, grid) -> np.ndarray:
@@ -135,8 +137,7 @@ def test_protocol_work_bounds_match_point_by_point(k, draw):
     rng, problem = draw_problem(k, draw)
     system = from_rd_problem(problem, beta=float(rng.uniform(0.5, 2.0)))
     schedule = np.linspace(0.0, -rng.uniform(0.5, 4.0), points(k))
-    means = origin_means(chain._table(system), system.beta * schedule)
-    assert protocol_work_bounds(system, schedule) == sums_of(schedule, means)
+    assert protocol_work_bounds(system, schedule) == beta_sums(system, schedule)
 
 
 def test_protocol_on_ragged_arrays_matches_point_by_point(rng):
@@ -146,8 +147,14 @@ def test_protocol_on_ragged_arrays_matches_point_by_point(rng):
         beta=0.7,
     )
     schedule = np.linspace(0.0, -2.5, 30)
-    means = origin_means(chain._table(system), system.beta * schedule)
-    assert protocol_work_bounds(system, schedule) == sums_of(schedule, means)
+    assert protocol_work_bounds(system, schedule) == beta_sums(system, schedule)
+
+
+def beta_sums(system, schedule) -> tuple[float, float]:
+    """The protocol's sums at the kernel's forces beta * lam, over beta."""
+    table = chain._table(system)
+    forces = system.beta * schedule
+    return tuple(x / system.beta for x in sums_of(table.forces(forces), origin_means(table, forces)))
 
 
 def bits(values) -> bytes:
@@ -156,13 +163,15 @@ def bits(values) -> bytes:
 
 
 def tilt_by_dot(dist, s: float) -> tuple:
-    """(s, log_mgf, mean, variance) of ``dist`` at one force, by ``np.dot`` on its tilted law: an
-    independent one-force formula, since ``tilt`` runs its grid path at one force too."""
-    (law,), (log_z,) = dist._table.law(s)
-    values, start = dist._table.values[0], dist.min_value
+    """(s, log_mgf, mean, variance) of ``dist`` at one force, by ``np.dot`` on its tilted law at origin
+    and in units, each moment moved out as the table's exits move it (times the unit, or its square):
+    an independent one-force formula, since ``tilt`` runs its grid path at one force too."""
+    table = dist._table
+    (law,), (log_z,) = table.law(s)
+    values, start, unit = table.values[0], dist.min_value, table.unit
     mean = float(np.dot(law, values))
     centered = values - mean
-    return s, float(log_z) + s * start, mean + start, float(np.dot(law, centered * centered))
+    return s, float(log_z) + s * start, mean * unit + start, float(np.dot(law, centered * centered)) * unit * unit
 
 
 def assert_grid_is_the_loop(problem: RdProblem, forces: np.ndarray):
@@ -251,11 +260,12 @@ def test_observable_sweep_matches_a_dot_per_node(rows, cols):
     problem = quadrature_problem(rows, cols)
     t = 2.0 * np.random.default_rng(rows).random((rows, cols)) - 1.0
     (table, t), p = ratedistortion._observable_tables(problem, t), problem.source_probs
-    base = float(np.dot(p, table.pair(t, 0.0, 0.0)[2]))
-    # the route integrates to tol times the observable's source-weighted span
-    tol = 1e-9 * np.dot(p, np.ptp(t, axis=1))
-    want = base + adaptive_simpson(lambda us: dot_per_node(p, table.pair(t, us, 0.0)[5]), 0.0, -1.1, tol)
-    assert observable_sweep(problem, t, -1.1) == want
+    observed = _at_origin(p, table.log_weights, t)  # the observable at origin, in its own units
+    base = float(np.dot(p, observed.means_from_origin(table.pair(observed.values, 0.0, 0.0)[2])))
+    # the route integrates in the observable's units to tol, which is tol times its source-weighted span
+    integral = adaptive_simpson(lambda us: dot_per_node(p, table.pair(observed.values, us, 0.0)[5]), 0.0,
+                                table.force(-1.1), 1e-9)
+    assert observable_sweep(problem, t, -1.1) == base + integral * observed.unit
 
 
 @pytest.mark.parametrize("rows, cols", QUADRATURE_SHAPES)
@@ -263,10 +273,10 @@ def test_distortion_mmse_integral_matches_a_dot_per_node(rows, cols):
     problem = quadrature_problem(rows, cols)
     table = ratedistortion._table(problem)
     p = table.row_weights
-    d0 = float(np.dot(p, table.grid(0.0)[1] + table.starts))
-    # the route integrates to tol times D's span
-    want = d0 + adaptive_simpson(lambda us: dot_per_node(p, table.grid(us)[2]), 0.0, -1.1, 1e-9 * table.span)
-    assert distortion_mmse_integral(problem, -1.1) == want
+    d0 = float(np.dot(p, table.means_from_origin(table.grid(0.0)[1])))
+    # the route integrates in units to tol, which is tol times D's span
+    integral = adaptive_simpson(lambda us: dot_per_node(p, table.grid(us)[2]), 0.0, table.force(-1.1), 1e-9)
+    assert distortion_mmse_integral(problem, -1.1) == d0 + integral * table.unit
 
 
 @pytest.mark.parametrize("rows, cols", QUADRATURE_SHAPES)
@@ -277,8 +287,9 @@ def test_quasistatic_work_matches_a_dot_per_node(rows, cols):
     def power(us):
         return us * dot_per_node(table.row_weights, table.grid(us)[2])
 
-    # the rate's work integral at the kernel's force s = beta * lam, to tol in nats, over beta
-    assert quasistatic_work(system, -0.7) == adaptive_simpson(power, 0.0, beta * -0.7, 1e-9) / beta
+    # the rate's work integral at the kernel's force s = beta * lam (times the table's unit), to tol
+    # in nats, over beta
+    assert quasistatic_work(system, -0.7) == adaptive_simpson(power, 0.0, table.force(beta * -0.7), 1e-9) / beta
 
 
 def padded_chain_table(system: ChainSystem):
@@ -312,4 +323,4 @@ def ragged_system(rng, arrays: int, max_states: int) -> ChainSystem:
 def test_chain_table_matches_the_padded_loop(rng, system):
     system = system(rng)
     got, want = chain._table(system), padded_chain_table(system)
-    assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.shape(a) == np.shape(b) and np.array_equal(a, b) for a, b in zip(got, want))

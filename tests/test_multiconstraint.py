@@ -286,9 +286,12 @@ class TestRateTwoDistortions:
 
 
 def restricted_solve(p, q, d1, d2, delta2):
-    """_legendre on d2 restricted to each row's letters where d1 is 0, its floor in these draws."""
+    """_legendre on d2 restricted to each row's letters where d1 is 0, its floor in these draws, with
+    its force moved out of the table's units."""
     log_w = np.where(np.asarray(d1) == 0.0, np.log(q), -math.inf)
-    return _legendre(_at_origin(np.asarray(p), log_w, np.asarray(d2, dtype=float)), delta2, 1e-10, nonpositive=True)
+    table = _at_origin(np.asarray(p), log_w, np.asarray(d2, dtype=float))
+    force, rate, moments = _legendre(table, delta2, 1e-10, nonpositive=True)
+    return table.force_from_unit(force), rate, moments
 
 
 def tied_tables(rng, k, m):
@@ -620,6 +623,9 @@ def pinned_pairs():
 
 
 # Each pinned pair's kernel calls and answer (rate, s1, s2) as float.hex, or the error class it raises.
+# Re-taken when every table went into its span's units at lowering: the ascent keeps its bits, and the
+# pairs answered on a face or refused after one (the one-table solve, now in units) moved in their last
+# bits; random0 takes 21 calls, noisy4 and scaled12 one fewer, duplicate6 one more.
 PINNED = {
     "stiff1": (9, "0x1.c3706dfb88544p+0 -0x1.702223d1d2ee5p+4 -0x1.81f3fc085268cp+3"),
     "stiff3": (22, "0x1.3ccff15ecf60ap+0 -0x1.d8646cdb468f3p+5 0x0.0p+0"),
@@ -627,7 +633,7 @@ PINNED = {
     "stiff7": (5, "0x1.30ae030ae2e8dp-2 -inf 0x0.0p+0"),
     "stiff42": (24, "0x1.8c246ba4ff460p+1 -0x1.56156bd142c14p+3 -0x1.d99ad81e8b6a9p+5"),
     "stiff245": (23, "0x1.1a579899a3c20p+0 -0x1.1e719a54a561ep+7 -0x1.3683878573331p+7"),
-    "stiff277": (12, "0x1.4f05a16901b71p+2 -0x1.9f4c555604f9cp+1 -0x1.dcaa9e1ba9259p+4"),
+    "stiff277": (12, "0x1.4f05a16901b71p+2 -0x1.9f4c555604acbp+1 -0x1.dcaa9e1ba91fep+4"),
     "stiff398": (10, "0x1.71001890d17b1p+0 -0x1.fa6151580dabap+8 0x0.0p+0"),
     # added with the LAPACK step's record: both answer under LAPACK's dgesv and stall under Cramer's rule
     "stiff1095": (47, "0x1.f54cf20f67574p+1 -0x1.cd455afa139f9p+5 -0x1.287a6a9c1f0e5p+5"),
@@ -636,32 +642,32 @@ PINNED = {
     "frontier2": (26, "0x1.af9f81717b520p-1 -0x1.7e9fb63c0b1e5p+7 -0x1.0032060ad817fp+5"),
     "frontier3": (27, "0x1.1c7bb768c4410p-1 -0x1.b1938409fc348p+7 -0x1.26d1791df3d26p+10"),
     "frontier108": (20, "NumericalError"),
-    "random0": (20, "InfeasiblePairError"),
+    "random0": (21, "InfeasiblePairError"),
     "duplicate1": (8, "0x1.8b9a299ad6839p+0 -0x1.c9f08388e535cp+42 0x0.0p+0"),
-    "scaled2": (9, "0x1.9a8be4f383882p+0 -0x1.fa495548c2daap+42 0x0.0p+0"),
+    "scaled2": (9, "0x1.9a8be4f383882p+0 -0x1.fa495548c2da9p+42 0x0.0p+0"),
     "complement3": (10, "InfeasiblePairError"),
-    "noisy4": (13, "0x1.6cc3fa17a6c38p-4 0x0.0p+0 -0x1.52f08c8d519fdp+41"),
+    "noisy4": (12, "0x1.6cc3fa17a6c40p-4 0x0.0p+0 -0x1.52f08c8d519fcp+41"),
     "random5": (8, "0x1.d7f65bb9df8ddp-1 0x0.0p+0 -0x1.1b21c15ab3a6fp+24"),
-    "duplicate6": (14, "0x1.b97ef0e3cd25ap-2 0x0.0p+0 -0x1.e261b92cc6980p+21"),
+    "duplicate6": (15, "0x1.b97ef0e3cd25bp-2 0x0.0p+0 -0x1.e261b92cc697ep+21"),
     "scaled7": (13, "0x1.35382cdd63c4ap-1 0x0.0p+0 -0x1.1858424ddd610p+21"),
-    "complement8": (9, "0x1.42224160e6a40p-9 0x0.0p+0 -0x1.69371836b834cp+18"),
-    "noisy9": (9, "0x1.2048846674244p+0 -0x1.9fa3668780568p+25 0x0.0p+0"),
+    "complement8": (9, "0x1.42224160e6a40p-9 0x0.0p+0 -0x1.69371836b8349p+18"),
+    "noisy9": (9, "0x1.2048846674244p+0 -0x1.9fa3668780566p+25 0x0.0p+0"),
     "random10": (7, "0x1.ab6026d70c950p-1 0x0.0p+0 -0x1.f5f5521bce98ap+2"),
-    "duplicate11": (13, "0x1.15403277cea3ap-3 0x0.0p+0 -0x1.09a6f9373ccbbp+1"),
-    "scaled12": (7, "0x1.b85dfc67b9c38p-6 -0x1.8a4d0ec7762fcp-1 0x0.0p+0"),
+    "duplicate11": (13, "0x1.15403277cea38p-3 0x0.0p+0 -0x1.09a6f9373ccbap+1"),
+    "scaled12": (6, "0x1.b85dfc67b9c18p-6 -0x1.8a4d0ec7762f4p-1 0x0.0p+0"),
     "complement13": (12, "InfeasiblePairError"),
     # noisy14 and complement18 re-taken when _Table.floor became exact: np.dot put one floor of each 1 ulp off
     "noisy14": (11, "0x1.8f84a110f40eap-2 0x0.0p+0 -0x1.46bf2bd7d7829p+2"),
     "random15": (6, "0x1.8aa5f369bdf94p-3 -0x1.d19e34e64f561p-19 -0x1.595d4ade73076p-22"),
-    "duplicate16": (7, "0x1.355d9ad9e5e43p-2 -0x1.f0407f839bcedp-19 0x0.0p+0"),
-    "scaled17": (9, "0x1.60f632773c808p-5 -0x1.2a6de84531ae9p-18 0x0.0p+0"),
+    "duplicate16": (7, "0x1.355d9ad9e5e45p-2 -0x1.f0407f839bcecp-19 0x0.0p+0"),
+    "scaled17": (9, "0x1.60f632773c810p-5 -0x1.2a6de84531af5p-18 0x0.0p+0"),
     "complement18": (10, "InfeasiblePairError"),
-    "noisy19": (8, "0x1.4c0cd9c1f7f08p-7 0x0.0p+0 -0x1.d507f50cac3fep-22"),
+    "noisy19": (8, "0x1.4c0cd9c1f7ee0p-7 0x0.0p+0 -0x1.d507f50cac40ep-22"),
     "random20": (11, "0x1.ade65c4554df8p-1 -0x1.2bfb56f282f49p-37 0x0.0p+0"),
-    "duplicate21": (8, "0x1.68b3ff7957800p-5 -0x1.9c3f10f8eaf7ap-39 0x0.0p+0"),
-    "scaled22": (8, "0x1.192b4b4c51bc0p-4 -0x1.a65161c7fa181p-39 0x0.0p+0"),
+    "duplicate21": (8, "0x1.68b3ff79577fcp-5 -0x1.9c3f10f8eaf7fp-39 0x0.0p+0"),
+    "scaled22": (8, "0x1.192b4b4c51bbep-4 -0x1.a65161c7fa180p-39 0x0.0p+0"),
     "complement23": (13, "InfeasiblePairError"),
-    "noisy24": (7, "0x1.a900de9a6df80p-4 -0x1.b3fc138f4fe38p-39 0x0.0p+0"),
+    "noisy24": (7, "0x1.a900de9a6df80p-4 -0x1.b3fc138f4fe37p-39 0x0.0p+0"),
     "two_budget": (5, "0x1.a53d9241fec3cp-4 0x0.0p+0 -0x1.3cb1afbb9b806p-1"),
     "two_budget_floor": (3, "0x1.62e42fefa39efp-1 -inf 0x0.0p+0"),
     "one_free_force": (8, "0x1.6927e3c79a44ep-3 0x0.0p+0 -0x1.b915dd7eaf561p-1"),
@@ -672,11 +678,14 @@ PINNED = {
 # The pairs whose bits differ from PINNED at each SIMD level that numpy 2.4.6 dispatches to on x86-64
 # (``conftest.dispatch_level``), taken on one AVX512_SPR host with the levels above disabled by
 # NPY_DISABLE_CPU_FEATURES.  Below X86_V4, exp, log and the reductions round a few last bits
-# differently: frontier3, stiff2663 and scaled22 move by 1 to 3 ulps, and no kernel call count moves.
+# differently: frontier3, stiff2663, complement8 and duplicate21 move by 1 to 32 ulps, and complement18
+# takes one kernel call more before it is refused.
 BELOW_X86_V4 = {
     "stiff2663": (59, "0x1.750137249228cp+0 -0x1.671c3b120e407p+4 -0x1.91cc1b9fb4c4cp+3"),
     "frontier3": (27, "0x1.1c7bb768c4410p-1 -0x1.b1938409fc345p+7 -0x1.26d1791df3d25p+10"),
-    "scaled22": (8, "0x1.192b4b4c51bbep-4 -0x1.a65161c7fa180p-39 0x0.0p+0"),
+    "complement8": (9, "0x1.42224160e6a60p-9 0x0.0p+0 -0x1.69371836b8348p+18"),
+    "complement18": (11, "InfeasiblePairError"),
+    "duplicate21": (8, "0x1.68b3ff7957800p-5 -0x1.9c3f10f8eaf7ep-39 0x0.0p+0"),
 }
 PINNED_AT_LEVEL = {
     "AVX512_SPR": {}, "AVX512_ICL": {}, "X86_V4": {}, "X86_V3": BELOW_X86_V4, "baseline": BELOW_X86_V4,

@@ -1,8 +1,10 @@
 """Every solve evaluates each force once, and full-table quantities are taken in the kernel's row blocks.
 
 Kernel calls are counted by wrapping ``tilting._Table.grid``, the one
-entry of the moments.  The row-blocked results are checked bit for bit
-against in-test full-table references.
+entry of the moments, and record the kernel's forces: each force times its
+table's unit (``tilting._Table.force``).  The row-blocked results are checked
+bit for bit against in-test full-table references, taken at origin and in
+units as the kernel takes them.
 """
 
 import math
@@ -26,7 +28,6 @@ from tiltrate import (
     force_at_distortion,
     force_at_level,
     from_rd_problem,
-    mmse,
     observable_expectation,
     observable_sweep,
     protocol_work_bounds,
@@ -42,7 +43,7 @@ from tiltrate import chain, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError, LevelInfeasibleError
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _BLOCK_ENTRIES, _floored, _legendre
+from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin, _floored, _legendre
 
 from conftest import feasible_delta, random_problem, raw_table, rd2_stats, recursive_simpson
 
@@ -96,23 +97,26 @@ class TestEachForceOnce:
     def test_the_force_after_zero_is_the_newton_point(self, forces, p, level):
         # On one row of two values the logit is linear in s, so the Newton point from 0 is the
         # root.  The solve evaluates it next, and then at most the rate's closing step; no
-        # probe at twice that step is evaluated and then dropped.
+        # probe at twice that step is evaluated and then dropped.  The row spans 3, its unit, so
+        # the kernel's force is 3 times the root.
         point = force_at_level(FiniteDistribution([0.0, 3.0], [1.0 - p, p]), level)
         root = (math.log(level / (3.0 - level)) - math.log(p / (1.0 - p))) / 3.0
-        assert forces[:2] == [0.0, pytest.approx(root, rel=1e-14)]
+        assert forces[:2] == [0.0, pytest.approx(3.0 * root, rel=1e-14)]
         assert len(forces) <= 3
         assert point.force == pytest.approx(root, rel=1e-14)
 
     def test_allocation_adds_no_evaluation(self, forces):
         for problem in problems():
             delta = interior(problem)
+            # the kernel's force at the point: its force in the table's units
+            kernel_s = _legendre(ratedistortion._table(problem), delta, 1e-10, nonpositive=True)[0]
             forces.clear()
             point = force_at_distortion(problem, delta)
             solve_calls = list(forces)
             forces.clear()
             _, rate = equal_force_allocation(problem, delta)
             assert forces == solve_calls
-            assert forces.count(point.s) == 1
+            assert forces.count(kernel_s) == 1
             assert rate == pytest.approx(point.rate, rel=1e-12)
 
     def test_zero_force_once_per_capacity_point(self, forces):
@@ -209,7 +213,7 @@ class TestWorkIntegralZeroNode:
     @pytest.fixture
     def kernel_forces(self, monkeypatch):
         # every force at which the moments (rate_work_integral, quasistatic_work) or a one-row
-        # tilt (mmse) are taken
+        # tilt (mmse, on the letters lowered into the table's units) are taken
         seen, grid, tilt = [], tilting._Table.grid, ratedistortion.tilt
 
         def counted_moments(table, s, order=2):
@@ -229,26 +233,33 @@ class TestWorkIntegralZeroNode:
         problem = problems()[1]
         system = from_rd_problem(problem, beta=1.7)
         table, dist = chain._table(system), problem.delta_dists[0]
-        beta = system.beta
+        beta, lowered = system.beta, ratedistortion._table(problem)
+        letters = lowered.lowered(problem.delta_dists)
 
         def every_node(integrand, s):
             return _floored(adaptive_simpson(integrand, 0.0, s, 1e-9))
 
-        return [  # (route, its answer with the integrand called at every node)
+        return [  # (route, its answer with the integrand called at every node, its force's unit)
             (lambda s: rate_work_integral(dist, s),
-             lambda s: every_node(lambda u: u * dist._table.averaged(u, 2), s)),
+             lambda s: every_node(lambda u: u * dist._table.averaged(u, 2), dist._table.force(s)),
+             dist._table.unit),
             # the rate's work integral at the kernel's force beta * lam, over beta
             (lambda s: quasistatic_work(system, s),
-             lambda s: every_node(lambda us: us * table.averaged(us, 2), beta * s) / beta),
+             lambda s: every_node(lambda us: us * table.averaged(us, 2), table.force(beta * s)) / beta,
+             table.unit * beta),
             (lambda s: rate_mmse_integral(problem, s),
-             lambda s: every_node(lambda us: np.array([u * mmse(problem, u) for u in us.tolist()]), s)),
+             lambda s: every_node(lambda us: np.array([u * ratedistortion._mmse(letters, problem.source_probs, u)
+                                                       for u in us.tolist()]), lowered.force(s)),
+             lowered.unit),
         ]
 
     @pytest.mark.parametrize("route", range(3))
     @pytest.mark.parametrize("s", [-1.3, 0.7, -5e-324])
     def test_no_zero_force_and_every_node_bits(self, kernel_forces, route, s):
-        # at s = -5e-324 the nodes round to +-0 except s itself, from the root level on
-        answer, every_node = self.routes()[route]
+        # at a kernel force of -5e-324 the nodes round to +-0 except s itself, from the root level on
+        answer, every_node, unit = self.routes()[route]
+        if s == -5e-324:
+            s /= unit
         got = answer(s)
         assert kernel_forces and 0.0 not in kernel_forces
         assert got == every_node(s)
@@ -330,15 +341,17 @@ class TestBlockedTwoForceStats:
 
 
 def full_table_observable(problem, t, s):
-    """The observable's tilted mean and its covariance with the distortion from whole-table
-    temporaries, on the distortion with each row shifted to start at 0."""
+    """The observable's tilted mean, its covariance with the distortion and its per-row means, from
+    whole-table temporaries, on the distortion with each row shifted to start at 0 and put in units
+    of its source-weighted span, at the kernel's force s."""
     d = problem.distortion - problem.distortion.min(axis=1)[:, None]
+    d /= float(np.dot(problem.source_probs, np.ptp(d, axis=1)))
     p = problem.source_probs
     law = raw_table(np.log(problem.coding_probs)[None, :], d).law(s)[0]
     mean_t = np.einsum("ij,ij->i", law, t)
     mean_d = np.einsum("ij,ij->i", law, d)
     cov = np.einsum("ij,ij,ij->i", law, d - mean_d[:, None], t - mean_t[:, None])
-    return float(np.dot(p, mean_t)), float(np.dot(p, cov))
+    return float(np.dot(p, mean_t)), float(np.dot(p, cov)), mean_t
 
 
 class TestBlockedObservable:
@@ -347,14 +360,18 @@ class TestBlockedObservable:
         rng = np.random.default_rng(rows * 1000 + cols + 1)
         problem = RdProblem(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), rng.random((rows, cols)))
         t = 3.0 * rng.random((rows, cols)) - 1.0
+        table = ratedistortion._table(problem)
         for s in (0.0, -1.3, -40.0):
-            assert observable_expectation(problem, t, s) == full_table_observable(problem, t, s)[0]
-        s = -1.3
-        # the route integrates to tol times the observable's source-weighted span
-        tol = 1e-9 * np.dot(problem.source_probs, np.ptp(t, axis=1))
-        want = full_table_observable(problem, t, 0.0)[0] + adaptive_simpson(
-            lambda us: np.array([full_table_observable(problem, t, u)[1] for u in us.tolist()]), 0.0, s, tol)
-        assert observable_sweep(problem, t, s) == want
+            assert observable_expectation(problem, t, s) == full_table_observable(problem, t, table.force(s))[0]
+        s = table.force(-1.3)
+        # the route integrates in the observable's units to tol, which is tol times its source-weighted span
+        observed = _at_origin(problem.source_probs, table.log_weights, t)
+        base = float(np.dot(problem.source_probs, observed.means_from_origin(
+            full_table_observable(problem, observed.values, 0.0)[2])))
+        integral = adaptive_simpson(
+            lambda us: np.array([full_table_observable(problem, observed.values, u)[1] for u in us.tolist()]),
+            0.0, s, 1e-9)
+        assert observable_sweep(problem, t, -1.3) == base + integral * observed.unit
 
 
 class TestBatchedQuadrature:
@@ -373,30 +390,35 @@ class TestBatchedQuadrature:
         table = chain._table(system)
 
         def power(u):
-            return u * float(np.dot(table.row_weights, table.moments(u)[2]))
+            return u * float(np.dot(table.row_weights, table.grid(u)[2]))
 
-        # the rate's work integral at the kernel's force s = beta * lam, to tol in nats, over beta
+        # the rate's work integral at the kernel's force s = beta * lam (times the table's unit), to
+        # tol in nats, over beta
         beta = system.beta
-        assert quasistatic_work(system, -0.8) == recursive_simpson(power, 0.0, beta * -0.8, 1e-9) / beta
+        assert quasistatic_work(system, -0.8) == recursive_simpson(power, 0.0, table.force(beta * -0.8), 1e-9) / beta
 
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_observable_sweep(self, rows, cols):
         problem, t = self.problem(rows, cols)
         table, t = ratedistortion._observable_tables(problem, t)
         p = problem.source_probs
+        observed = _at_origin(p, table.log_weights, t)  # the observable at origin, in its own units
 
         def covariance(u):
-            return float(np.dot(p, table.pair(t, u, 0.0)[5]))
+            return float(np.dot(p, table.pair(observed.values, u, 0.0)[5]))
 
-        # the route integrates to tol times the observable's source-weighted span
-        tol = 1e-9 * np.dot(p, np.ptp(t, axis=1))
-        want = observable_expectation(problem, t, 0.0) + recursive_simpson(covariance, 0.0, -1.3, tol)
+        # the route integrates in the observable's units to tol, which is tol times its source-weighted span
+        base = float(np.dot(p, observed.means_from_origin(table.pair(observed.values, 0.0, 0.0)[2])))
+        want = base + recursive_simpson(covariance, 0.0, table.force(-1.3), 1e-9) * observed.unit
         assert observable_sweep(problem, t, -1.3) == want
 
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_rate_mmse_integral(self, rows, cols):
+        # the mmse of the letters lowered into the table's units, at the kernel's forces
         problem = self.problem(rows, cols)[0]
-        want = recursive_simpson(lambda u: u * mmse(problem, u), 0.0, -1.3, 1e-9)
+        table = ratedistortion._table(problem)
+        letters, p = table.lowered(problem.delta_dists), problem.source_probs
+        want = recursive_simpson(lambda u: u * ratedistortion._mmse(letters, p, u), 0.0, table.force(-1.3), 1e-9)
         assert rate_mmse_integral(problem, -1.3) == want
 
 
@@ -404,8 +426,9 @@ def per_array_equilibrium(system, target, tol=1e-10):
     """The equilibrium force with its range summed one array at a time."""
     lo = sum(a.fraction * float(a.state_lengths.min()) for a in system.arrays)
     hi = sum(a.fraction * float(a.state_lengths.max()) for a in system.arrays)
-    s = _legendre(chain._table(system), target, tol, force_only=True)[0]
-    return lo, hi, s / system.beta
+    table = chain._table(system)
+    s = _legendre(table, target, tol, force_only=True)[0]
+    return lo, hi, table.force_from_unit(s) / system.beta
 
 
 class TestEquilibriumRange:

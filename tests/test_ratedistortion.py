@@ -394,19 +394,20 @@ class TestFarForces:
         return seen
 
     def test_the_cuts_double_from_64_force_scales(self, pieces):
-        # the table's widest row spans 2, so a force scale is 0.5; D spans 1.5, so the route's tol is
-        # 1.5e-9, and each piece gets a fifth of it
+        # D spans 1.5, the table's unit, so the kernel's force is 1.5 s and the widest row spans 2 / 1.5
+        # units, a force scale of 0.75; in units the route's tol, 1e-9 of D's span, is 1e-9, and each
+        # piece gets a fifth of it
         problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 2.0], [1.0, 0.0]])
         distortion_mmse_integral(problem, -500.0, 1e-9)
-        share = 1e-9 * 1.5 / 5
-        assert pieces == [(0.0, -32.0, share), (-32.0, -64.0, share), (-64.0, -128.0, share),
-                          (-128.0, -256.0, share), (-256.0, -500.0, share)]
+        share = 1e-9 / 5
+        assert pieces == [(0.0, -48.0, share), (-48.0, -96.0, share), (-96.0, -192.0, share),
+                          (-192.0, -384.0, share), (-384.0, -750.0, share)]
 
     @pytest.mark.parametrize("s", [-0.5, -32.0, 32.0])
     def test_within_64_force_scales_the_interval_is_one_piece(self, pieces, s):
         problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 2.0], [1.0, 0.0]])
         rate_mmse_integral(problem, s)
-        assert pieces == [(0.0, s, 1e-9)]
+        assert pieces == [(0.0, 1.5 * s, 1e-9)]  # the kernel's force: s times the table's unit, 1.5
 
     def test_a_refused_tolerance_is_named_as_given(self, bss, pieces):
         with pytest.raises(ValidationError, match=r"^tol must be finite and > 0 \(got -1\.0\)$"):

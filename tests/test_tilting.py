@@ -21,7 +21,7 @@ from tiltrate import (
 )
 from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
-from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _at_origin, _exact_dot, _pair
+from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _at_origin, _exact_dot, _legendre, _pair
 
 from conftest import LN2, h2, random_dist, raw_table
 
@@ -310,7 +310,7 @@ class TestForceBatchedKernel:
             ),
             beta=1.3,
         )
-        _, log_w, lengths, _, _ = _table(system)
+        _, log_w, lengths, *_ = _table(system)
         assert np.isneginf(log_w).any()
         counts = around_one_block(lengths.size)
         self.assert_stacked(log_w, lengths, -rng.uniform(0.0, 4.0, counts[-1]), counts)
@@ -415,11 +415,15 @@ class TestTableFloor:
         table = _at_origin(np.array([1.0]), np.zeros((1, 2)), np.array([[-1e6, 1.0 - 1e6]]))
         assert table.floor(table.span) == -1e6
 
-    def test_zeroed_starts_floor_at_zero(self):
+    def test_a_budget_at_origin_in_units_skips_the_floor(self):
+        # capacity's budget is summed at origin and in units, so no digit is lost to the floor:
+        # _legendre takes it as it is, and answers as for the same budget given as a raw level
         table = _at_origin(np.array([0.25, 0.75]), np.zeros((1, 2)), np.array([[5.0, 7.0], [-3.0, 2.0]]))
-        rebased = table.rebased()
-        assert rebased.floor(rebased.span) == 0.0
-        assert table.span == 0.25 * 2.0 + 0.75 * 5.0
+        assert table.span == 0.25 * 2.0 + 0.75 * 5.0 == table.unit
+        floor = table.floor(table.span)
+        in_units = _legendre(table, 0.5, 0.0, nonpositive=True, in_units=True)
+        raw = _legendre(table, floor + 0.5 * table.span, 0.0, nonpositive=True)
+        assert in_units[0] == pytest.approx(raw[0], rel=1e-13) and in_units[1] == pytest.approx(raw[1], rel=1e-13)
 
 
 class TestKlFreeEnergyGap:
