@@ -207,11 +207,7 @@ def protocol_work_bounds(system: ChainSystem, schedule) -> tuple[float, float]:
     letting the chain re-equilibrate; the pre-jump sum is its mirror.  The
     quasistatic work lies between them for every monotone schedule.
     """
-    # at the kernel's forces s = beta * lam and the means at origin in units, where the starts cancel
-    # in every difference of the sums: they are beta times the work
-    table, schedule = _table(system), _check_partition(schedule, "schedule", ScheduleInvalidError)
-    low, high = _riemann_sums(table.forces(system.beta * schedule), lambda forces: table.averaged(forces, 1))
-    return low / system.beta, high / system.beta
+    return _riemann_sums(_table(system), _check_partition(schedule, "schedule", ScheduleInvalidError), system.beta)
 
 
 def protocol_work(system: ChainSystem, schedule) -> float:

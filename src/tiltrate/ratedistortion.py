@@ -103,6 +103,15 @@ class RdProblem:
         _set_laws(dists, self.distortion, self.coding_probs)
         return dists
 
+    def _letters(self, table) -> tuple[FiniteDistribution, ...]:
+        """``delta_dists`` at origin and in the units of ``table``, the problem's own ``_table``, built on
+        first use and kept: the letters ``rate_mmse_integral`` tilts, so that no variance leaves them."""
+        if "_in_units" not in self.__dict__:
+            letters = self.__dict__["_in_units"] = tuple(object.__new__(FiniteDistribution) for _ in self.delta_dists)
+            for letter, dist in zip(letters, self.delta_dists):
+                _frozen(letter, values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
+        return self.__dict__["_in_units"]
+
     @property
     def num_source_letters(self) -> int:
         return int(self.source_probs.size)
@@ -273,9 +282,9 @@ def _mmse(dists: tuple, p: np.ndarray, s):
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
     (``tilting._work_integral``), each Simpson level's nodes taken by one ``_mmse`` call on the
-    letters lowered into the table's units (``tilting._Table.lowered``), so no variance leaves them."""
+    letters in the table's units (``RdProblem._letters``), so no variance leaves them."""
     table = _table(problem)
-    letters = table.lowered(problem.delta_dists)
+    letters = problem._letters(table)
     return _work_integral(table, s, tol, lambda us: _mmse(letters, problem.source_probs, us))
 
 
@@ -289,9 +298,7 @@ def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) ->
 
 def sandwich_bounds(problem: RdProblem, partition) -> tuple[float, float]:
     """Riemann sums over a force grid that bracket the rate at its endpoint."""
-    # kernel forces and means at origin in units: the starts cancel in every difference
-    table = _table(problem)
-    return _riemann_sums(table.forces(_check_partition(partition)), lambda forces: table.averaged(forces, 1))
+    return _riemann_sums(_table(problem), _check_partition(partition))
 
 
 def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:

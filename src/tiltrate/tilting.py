@@ -215,7 +215,10 @@ class RateResult:
 _BLOCK_ENTRIES = 1 << 15
 # The least normal float: a variance at or above it that leaves its units as 0 has lost every digit.
 _TINY = float(np.finfo(float).tiny)
-# The widest exponent |s| * range the kernel takes (``_Table.forces``): past it a rate keeps no digit.
+# The largest exponent |s| * value the kernel takes (``_Table.forces``): its products, and the sum
+# of two such forces that a quadrature's midpoint takes, stay below the largest float.
+_HOLD = 2.0**1022
+# The widest exponent s * range at which a positive force's rate keeps a digit (``_Table.rate``).
 _REACH = 2.0**52
 
 
@@ -252,7 +255,10 @@ def _force_grid(s) -> tuple[np.ndarray, bool]:
 
 
 def _largest(x) -> float:
-    """The largest |entry| of one number or a nonempty array, in Python floats."""
+    """The largest |entry| of one number or a nonempty array, in Python floats below 16 entries, where
+    they cost less than numpy's reductions."""
+    if isinstance(x, np.ndarray) and x.size >= 16:
+        return float(np.abs(x).max())
     listed = x.ravel().tolist() if isinstance(x, np.ndarray) else [float(x)]
     return max(max(listed), -min(listed))
 
@@ -369,17 +375,21 @@ class _Table(NamedTuple):
     log-weights, which carry no mass.  Sums are max-shifted per row, so no finite tilt overflows them.
 
     The round trip lives here, and no other module reads ``starts``, ``ranges`` (both in the
-    table's own scale) or ``unit``.  A force enters by ``force`` and leaves by ``force_from_unit``;
-    a budget moves to origin by ``floor``, is capped by ``span`` and enters by ``in_units``; means,
-    variances and log-partitions leave by ``means_from_origin``, ``variances`` and
-    ``log_z_from_origin``, each raising ``NumericalError`` for a value it cannot represent."""
+    table's own scale), ``unit``, ``widest`` (the largest range in units) or ``far`` (the largest
+    |start|).  A force enters by ``force`` and leaves by ``force_from_unit``; a budget moves to
+    origin by ``floor``, is capped by ``span`` and enters by ``in_units``; means, variances and
+    log-partitions leave by ``means_from_origin``, ``variances`` and ``log_z_from_origin``, each
+    raising ``NumericalError`` for a value it cannot represent."""
 
     row_weights: np.ndarray
     log_weights: np.ndarray
     values: np.ndarray
     starts: np.ndarray
     ranges: np.ndarray
-    unit: float = 1.0
+    span: float
+    unit: float
+    widest: float
+    far: float
 
     def floor(self, span: float) -> float:
         """sum_x w_x start_x, the row-weighted start: where the table's origin sits, so a budget
@@ -397,41 +407,36 @@ class _Table(NamedTuple):
         return float(np.dot(w, starts))
 
     @property
-    def span(self) -> float:
-        """sum_x w_x range_x, the row-weighted range: the ceiling at origin, and the unit wherever that is not 1."""
-        return self.unit if self.unit != 1.0 else float(np.dot(self.row_weights, self.ranges))
-
-    @property
     def least(self) -> np.ndarray:
         """Each row's least value among the entries that carry mass, its mean at force -inf: the
         starts themselves, signed zeros kept."""
         return self.starts
 
-    @property
-    def reach(self) -> float:
-        """The force at which the widest row's exponent s * range reaches ``_REACH`` (where every row
-        is one value, and every force tilts alike, ``_REACH`` itself)."""
-        widest = max(self.ranges.tolist())
-        return _REACH / widest if widest > 0.0 else _REACH
-
     def force(self, s) -> float:
-        """The kernel's force for one force s, checked by ``_check_force`` (``forces``)."""
+        """The kernel's force for one force s, checked by ``_check_force``: ``forces`` of it alone."""
         _check_force(s)
-        reach = self.reach
-        if s > reach and self.ranges.any():
-            self.forces(np.array([s]))  # raises
-        return min(max(s, -reach), reach) * self.unit
+        return float(self.forces(np.array([s], dtype=float))[0])
 
     def forces(self, s: np.ndarray) -> np.ndarray:
-        """The kernel's forces s * unit for finite forces s, each held above -``reach``: past it a
-        letter 1e-12 of the widest range above its row's start weighs e^-4500, and the law is the
-        limit s -> -inf's.  Past +``reach`` the rate, a difference of terms near s * range, keeps no
-        digit: ``NumericalError`` (on point masses, which every force tilts alike, s is held there)."""
-        reach, listed = self.reach, s.tolist()
-        if listed and max(listed) > reach and self.ranges.any():
-            raise NumericalError(f"at force {max(listed)!r} the exponent s * range passes 2^52 on a range of "
-                                 f"{max(self.ranges.tolist())!r}: its rate keeps no digit")
-        return (np.clip(s, -reach, reach) if listed and max(max(listed), -min(listed)) > reach else s) * self.unit
+        """The kernel's forces s * unit for finite forces s, each exponent s * value within ``_HOLD``.
+        A negative force past it is held at the kernel force -``_HOLD`` / ``widest``, where every
+        letter above its row's start weighs e^-1500 of its start or less, so 0, and the law, the
+        log-partition at origin and the rate are the limit s -> -inf's bit for bit.  ``NumericalError``
+        where that hold is not exact (a letter less than about 1e-305 of ``widest`` above its start),
+        and for a positive force past it, whose log-partition is near the largest float."""
+        unit, widest = self.unit, self.widest
+        if not s.size or _largest(s) * unit * widest <= _HOLD:
+            return s * unit
+        listed = s.tolist()
+        if max(listed) * unit * widest > _HOLD:
+            raise NumericalError(f"at force {max(listed)!r} the exponent s * value passes 2^1022 on a range of "
+                                 f"{widest * unit!r}: its log-partition is near the largest float")
+        held = -_HOLD / widest
+        finest = float(self.values[self.values > 0.0].min())
+        if held * finest > -1500.0:
+            raise NumericalError(f"at force {min(listed)!r} no kernel force holds the letters {finest * unit!r} to "
+                                 f"{widest * unit!r} above their rows' starts at their limit")
+        return np.maximum(s, held / unit) * unit
 
     def force_from_unit(self, s: float) -> float:
         """A kernel force s / unit; an end's +-inf stays, and a finite one past the largest float raises."""
@@ -440,8 +445,8 @@ class _Table(NamedTuple):
             raise NumericalError(f"the force {s!r} in units of {self.unit!r} is past the largest float")
         return out
 
-    def in_units(self, level: float) -> float:
-        """A level at origin (a budget less the floor) in units."""
+    def in_units(self, level):
+        """A level at origin (a budget less the floor), or an array of values at origin, in units."""
         return level / self.unit
 
     def means_from_origin(self, means: np.ndarray) -> np.ndarray:
@@ -451,8 +456,9 @@ class _Table(NamedTuple):
     def log_z_from_origin(self, s, log_z: np.ndarray) -> np.ndarray:
         """Per-row log-partitions at origin at force s moved back: a row at origin has ln Z lower by
         s * start (s one number, or an array that broadcasts against the starts).  The kernel's are
-        within 2^53, so the sum is checked only where |s * start| may pass 2^1021."""
-        if _largest(s) * _largest(self.starts) <= 2.0**1021:
+        within 2^1022 at the forces ``forces`` gives, so the sum is checked only where |s * start|
+        may pass 2^1021."""
+        if not self.far or _largest(s) * self.far <= 2.0**1021:
             return log_z + s * self.starts
         with np.errstate(over="ignore", invalid="ignore"):
             moved = log_z + s * self.starts
@@ -464,21 +470,14 @@ class _Table(NamedTuple):
         """Variances in units (an array, or one number) times unit, twice; ``name`` names them in the
         error for one that overflows or, normal, underflows to 0.  The kernel's own 0 or subnormal,
         at a stiff force, stays.  A variance is at most the widest range squared, so only a unit below
-        1e-8, or a range past 1e154, in units or out, needs the extremes checked, in Python floats."""
-        unit, widest = self.unit, max(self.ranges.tolist())
-        if unit < 1e-8 or not widest < 1e154 * min(unit, 1.0):
+        1e-7, or a range past 1e154, in units or out, needs the extremes checked, in Python floats."""
+        unit, widest = self.unit, self.widest
+        if unit < 1e-7 or not max(widest, widest * unit) < 1e154:
             listed = v.ravel().tolist() if isinstance(v, np.ndarray) else [v]
             top, least = max(listed), min((x for x in listed if x >= _TINY), default=math.inf)
             if not top * unit * unit < math.inf or least * unit * unit == 0.0:  # nan fails the first
                 raise NumericalError(f"{name} is not representable: {top!r} or {least!r} in units of {unit!r}, squared")
         return v * unit * unit
-
-    def lowered(self, dists: tuple) -> tuple:
-        """The rows' own distributions ``dists`` (``RdProblem.delta_dists``) at origin and in units."""
-        out = tuple(object.__new__(FiniteDistribution) for _ in dists)
-        for row, dist in zip(out, dists):
-            _frozen(row, values=(dist.values - dist.values[0]) / self.unit, probs=dist.probs)
-        return out
 
     def grid(self, s, order: int = 2):
         """Per-row (log-partition, mean, variance) at origin at kernel force ``s``, or at each force
@@ -527,8 +526,12 @@ class _Table(NamedTuple):
         """The Legendre rate s * level - sum_x w_x ln Z_x(s) at origin, at a kernel force s and a level
         in units, floored (``_floored``).  A 1-D array ``s``, with one ``level`` and one row of
         ``log_z`` per force, gives an array, summed by ``np.vecdot`` as in ``averaged``, so each entry
-        equals its one-force call bit for bit."""
+        equals its one-force call bit for bit.  A positive force one s whose exponent s * range
+        passes 2^52 raises ``NumericalError``: the rate, a difference of terms near it, keeps no digit."""
         w = self.row_weights
+        if not isinstance(s, np.ndarray) and s * self.widest > _REACH:
+            raise NumericalError(f"at force {s / self.unit!r} the rate, a difference of terms near s * range "
+                                 f"{s * self.widest * self.unit!r}, keeps no digit")
         return _floored(s * level - (np.vecdot(log_z, w) if isinstance(s, np.ndarray) else float(np.dot(w, log_z))))
 
     def at_end(self, sign: float) -> np.ndarray:
@@ -571,15 +574,16 @@ def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
     unchanged, and s * value keeps the table's own resolution however far its rows sit from 0; in
     units every table spans 1, so no tilted variance under- or overflows for its scale alone."""
     starts, ends, live = _row_ends(log_weights, values)
-    at_origin = values - starts[:, None]
+    at_origin, ranges = values - starts[:, None], ends - starts
     if live is not None:
         at_origin[~live] = 0.0
-    table = _Table(weights, log_weights, at_origin, starts, ends - starts)
-    span = table.span
-    if not 0.0 < span < math.inf or span == 1.0:
-        return table
-    at_origin /= span
-    return _Table._make((*table[:-1], span))
+    span = float(np.dot(weights, ranges))
+    unit = span if 0.0 < span < math.inf else 1.0
+    if unit != 1.0:
+        at_origin /= unit
+    listed = starts.tolist()
+    return _Table(weights, log_weights, at_origin, starts, ranges, span, unit, max(ranges.tolist()) / unit,
+                  max(max(listed), -min(listed)))
 
 
 # An end also claims targets within this fraction of its own size, a few
@@ -614,8 +618,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     """
     _check_tol(tol)
     _check_number(target, "the target level")
-    row_weights, unit = table.row_weights, table.unit
-    span = table.span
+    row_weights, unit, span = table.row_weights, table.unit, table.span
     base = 0.0 if in_units else table.floor(span)
     level = target if in_units else table.in_units(target - base)
     ceiling, ranges = span / unit, table.ranges / unit
@@ -743,8 +746,7 @@ def _pieces(f, table: _Table, s: float, tol: float) -> float:
     256, ... scales, each piece run to its share of ``tol`` and summed from 0 outward.  Within 64
     scales (or where every row is one value) it is one piece, the rule's own call, bit for bit."""
     _check_quadrature_tol(tol)
-    widest = float(table.ranges.max()) / table.unit
-    ends, edge = [0.0], _CUT_SCALES * (1.0 / widest) if widest > 0.0 else math.inf
+    ends, edge = [0.0], _CUT_SCALES * (1.0 / table.widest) if table.widest > 0.0 else math.inf
     while edge < abs(s):
         ends.append(math.copysign(edge, s))
         edge *= 2.0
@@ -808,9 +810,7 @@ def riemann_sandwich(dist: FiniteDistribution, partition) -> tuple[float, float]
     last entry is the endpoint.  The true rate at that endpoint lies between
     the two returned sums, and the gap shrinks linearly under refinement.
     """
-    # kernel forces and means at origin in units, where the start cancels in every difference
-    table = dist._table
-    return _riemann_sums(table.forces(_check_partition(partition)), lambda forces: table.averaged(forces, 1))
+    return _riemann_sums(dist._table, _check_partition(partition))
 
 
 def _check_partition(points, name: str = "partition", error=PartitionInvalidError) -> np.ndarray:
@@ -828,10 +828,16 @@ def _check_partition(points, name: str = "partition", error=PartitionInvalidErro
     return pts[np.concatenate(([True], steps != 0.0))]
 
 
-def _riemann_sums(forces: np.ndarray, mean_at) -> tuple[float, float]:
-    """Left- and right-labelled Riemann sums of the integral of s dm(s), m = mean_at(forces), floored."""
-    dm = np.diff(mean_at(forces))
-    return _floored(np.dot(forces[:-1], dm)), _floored(np.dot(forces[1:], dm))
+def _riemann_sums(table: _Table, points: np.ndarray, scale: float = 1.0) -> tuple[float, float]:
+    """Left- and right-labelled Riemann sums of the integral of x dm(x) over the checked ``points``, m
+    the table's row-weighted mean at force scale * x, floored, or ``NumericalError`` for a sum past
+    the largest float.  The means are taken at origin in units, where the starts cancel in every
+    difference, and the sums leave the units once."""
+    dm = np.diff(table.averaged(table.forces(scale * points), 1))
+    sums = float(np.dot(points[:-1], dm)) * table.unit, float(np.dot(points[1:], dm)) * table.unit
+    if not (math.isfinite(sums[0]) and math.isfinite(sums[1])):
+        raise NumericalError(f"the Riemann sums to force {float(points[-1])!r} are past the largest float")
+    return _floored(sums[0]), _floored(sums[1])
 
 
 def kl_free_energy_gap(q: FiniteDistribution, p: FiniteDistribution) -> float:

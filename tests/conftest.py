@@ -41,9 +41,11 @@ def random_dist(rng, size=None) -> FiniteDistribution:
 
 def raw_table(log_weights, values) -> _Table:
     """``values`` under ``log_weights`` as a ``tilting._Table`` taken as it is, not moved to origin:
-    the kernel's methods (``grid``, ``pair``, ``law``) read the log-weights and values alone."""
-    rows = values.shape[0]
-    return _Table(np.full(rows, 1.0 / rows), log_weights, values, np.zeros(rows), np.ptp(values, axis=1))
+    the kernel's methods (``grid``, ``pair``, ``law``) read the log-weights and values alone, and a
+    force enters in unit 1, bounded by the largest |value|."""
+    rows, ranges = values.shape[0], np.ptp(values, axis=1)
+    return _Table(np.full(rows, 1.0 / rows), log_weights, values, np.zeros(rows), ranges, float(ranges.mean()), 1.0,
+                  float(np.abs(values).max()), 0.0)
 
 
 def rd2_stats(problem, s, delta1: float, delta2: float):

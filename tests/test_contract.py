@@ -406,7 +406,7 @@ def test_every_table_is_lowered_by_at_origin_alone():
 
 def test_row_starts_and_ranges_are_summed_by_the_origin_table_alone():
     # A budget moves to the rows' origin by tilting._Table.floor, sum_x w_x start_x, and the ceiling
-    # at origin is _Table.span, sum_x w_x range_x: no other function takes a weighted sum of a table's
+    # at origin is the span _at_origin stores, sum_x w_x range_x: no other function takes a weighted sum of a table's
     # starts or ranges, so how that sum is rounded is decided in one place.  oracles.py sums its own
     # starts, as it finds them, independent of the table it checks.
     summing = {"np.dot", "np.vecdot", "np.inner", "np.matmul", "_exact_dot"}
@@ -429,7 +429,7 @@ def test_row_starts_and_ranges_are_summed_by_the_origin_table_alone():
                     continue
                 if any(map(is_starts_or_ranges, operands)):
                     summers.add((module.name, function.name))
-    assert summers == {("tilting.py", "floor"), ("tilting.py", "span")}
+    assert summers == {("tilting.py", "floor"), ("tilting.py", "_at_origin")}
 
 
 def test_only_tilting_reads_row_starts_and_ranges():

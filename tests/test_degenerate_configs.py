@@ -183,8 +183,8 @@ def test_the_kernels_force_past_the_largest_float_takes_the_ends_limit(capsys, c
     problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e308], [1e308, 0.0]])
     point = distortion_at_force(problem, -3.0)
     assert (point.distortion, point.rate, point.mmse) == (0.0, math.log(2.0), 0.0)
-    # tilt returned nan: for s > 0 past the force at which the exponent passes 2^1023 the
-    # log-partition is past the largest float, and the force is refused
+    # tilt returned nan: for s > 0 past the force at which the exponent s * value passes 2^1022 the
+    # log-partition is near the largest float, and the force is refused
     with pytest.raises(NumericalError, match="passes 2"):
         tilt(FiniteDistribution([0.0, 1e308], [0.5, 0.5]), 3.0)
     assert tilt(FiniteDistribution([0.0, 1e308], [0.5, 0.5]), -3.0).mean == 0.0

@@ -6,8 +6,8 @@ against themselves at each force, and ``riemann_sandwich``,
 ``sandwich_bounds`` and ``protocol_work_bounds`` against the kernel at one
 force on the table at origin and in units, whose means they difference (the
 row starts cancel in every difference).  The Riemann sums are formed as
-``tilting._riemann_sums`` forms them, from the per-point means at the kernel's
-forces (``tilting._Table.forces``, the forces times the table's unit).
+``tilting._riemann_sums`` forms them, from the per-point means in units, each
+taken at its kernel force (``tilting._Table.force``), times the table's unit.
 """
 
 import dataclasses
@@ -52,9 +52,9 @@ def draw_problem(k: int, draw: int) -> tuple[np.random.Generator, RdProblem]:
     return rng, problem
 
 
-def sums_of(forces, means) -> tuple[float, float]:
+def sums_of(forces, means, unit: float = 1.0) -> tuple[float, float]:
     dm = np.diff(means)
-    return (float(np.dot(forces[:-1], dm)), float(np.dot(forces[1:], dm)))
+    return (float(np.dot(forces[:-1], dm)) * unit, float(np.dot(forces[1:], dm)) * unit)
 
 
 def origin_means(table, forces) -> list[float]:
@@ -100,7 +100,7 @@ def test_sandwich_bounds_match_point_by_point(k, draw):
     rng, problem = draw_problem(k, draw)
     part = np.linspace(0.0, -rng.uniform(0.5, 5.0), points(k))
     table = ratedistortion._table(problem)
-    assert sandwich_bounds(problem, part) == sums_of(table.forces(part), origin_means(table, part))
+    assert sandwich_bounds(problem, part) == sums_of(part, origin_means(table, part), table.unit)
 
 
 @pytest.mark.parametrize("k,draw", CASES)
@@ -108,7 +108,7 @@ def test_riemann_sandwich_matches_point_by_point(k, draw):
     rng = np.random.default_rng([k, draw, 7])
     dist = FiniteDistribution(rng.random(k) * 2.0, rng.dirichlet(np.ones(k)))
     part = np.linspace(0.0, rng.uniform(-6.0, 6.0), 4 * points(k))
-    assert riemann_sandwich(dist, part) == sums_of(dist._table.forces(part), origin_means(dist._table, part))
+    assert riemann_sandwich(dist, part) == sums_of(part, origin_means(dist._table, part), dist._table.unit)
 
 
 def with_repeats(rng, grid) -> np.ndarray:
@@ -151,10 +151,9 @@ def test_protocol_on_ragged_arrays_matches_point_by_point(rng):
 
 
 def beta_sums(system, schedule) -> tuple[float, float]:
-    """The protocol's sums at the kernel's forces beta * lam, over beta."""
+    """The protocol's sums over the schedule, of the means at the forces beta * lam."""
     table = chain._table(system)
-    forces = system.beta * schedule
-    return tuple(x / system.beta for x in sums_of(table.forces(forces), origin_means(table, forces)))
+    return sums_of(schedule, origin_means(table, system.beta * schedule), table.unit)
 
 
 def bits(values) -> bytes:

@@ -234,7 +234,7 @@ class TestWorkIntegralZeroNode:
         system = from_rd_problem(problem, beta=1.7)
         table, dist = chain._table(system), problem.delta_dists[0]
         beta, lowered = system.beta, ratedistortion._table(problem)
-        letters = lowered.lowered(problem.delta_dists)
+        letters = problem._letters(lowered)
 
         def every_node(integrand, s):
             return _floored(adaptive_simpson(integrand, 0.0, s, 1e-9))
@@ -417,7 +417,7 @@ class TestBatchedQuadrature:
         # the mmse of the letters lowered into the table's units, at the kernel's forces
         problem = self.problem(rows, cols)[0]
         table = ratedistortion._table(problem)
-        letters, p = table.lowered(problem.delta_dists), problem.source_probs
+        letters, p = problem._letters(table), problem.source_probs
         want = recursive_simpson(lambda u: u * ratedistortion._mmse(letters, p, u), 0.0, table.force(-1.3), 1e-9)
         assert rate_mmse_integral(problem, -1.3) == want
 

@@ -307,3 +307,64 @@ def test_a_row_of_weight_1e_200_that_carries_the_whole_range():
                 variance()
         with pytest.raises(NumericalError, match="short of tolerance"):
             force_at_distortion(problem, point.distortion)
+
+
+def two_letter_rows(p, ranges, s: float) -> tuple[float, float]:
+    """(rate, distortion) at force s of rows {0, r} under the coding law (1/2, 1/2), in closed form:
+    Z_x = (1 + e^{s r_x}) / 2 and D_x = r_x e^{s r_x} / (1 + e^{s r_x})."""
+    weights = [math.exp(s * r) for r in ranges]
+    distortion = sum(px * r * w / (1.0 + w) for px, r, w in zip(p, ranges, weights))
+    return s * distortion - sum(px * math.log((1.0 + w) / 2.0) for px, w in zip(p, weights)), distortion
+
+
+@pytest.mark.parametrize("s", [-1e14, -1e17, -1e300, -1e308])
+def test_a_narrow_row_keeps_its_own_law_past_the_widest_rows_limit(s):
+    # rows [0, 1] and [0, 1e-15]: at s = -1e17 the narrow row's exponent is -100, so the rate is ln 2
+    # less 2e-44; held where the wide row's exponent passed 2^52 it was -4.5, and the rate 4 % low.
+    # Past 2^1022 the force is held where every letter above its row's start weighs 0, the limit.
+    p, ranges = [0.5, 0.5], [1.0, 1e-15]
+    problem = RdProblem(p, [0.5, 0.5], [[0.0, 1.0], [0.0, 1e-15]])
+    rate, distortion = two_letter_rows(p, ranges, s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = distortion_at_force(problem, s)
+        assert point.rate == pytest.approx(rate, rel=1e-13)
+        assert point.distortion == pytest.approx(distortion, rel=1e-12, abs=0.0)
+        curve = rd_curve(problem, [s, 0.0])
+        assert (curve[-1].rate, curve[-1].distortion) == (point.rate, point.distortion)
+        for integral in (lambda: rate_mmse_integral(problem, s), lambda: quasistatic_work(from_rd_problem(problem), s)):
+            assert integral() == pytest.approx(rate, abs=1e-9)
+        low, high = sandwich_bounds(problem, three(s))
+        assert low <= rate <= high
+
+
+def test_a_hold_that_is_not_exact_is_a_numerical_failure():
+    # rows [0, 1e300] and [0, 1e-10]: at s = -1e9 the wide row's exponent passes the largest float,
+    # and no one kernel force puts the narrow row's letter (exponent -0.1) and the wide row's at their
+    # laws, so the route refuses; the parent warned of an overflow in multiply
+    problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e300], [0.0, 1e-10]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="no kernel force holds"):
+            distortion_at_force(problem, -1e9)
+        assert distortion_at_force(problem, -1e-9).rate > 0.0
+
+
+def test_a_positive_force_answers_its_law_and_refuses_only_a_rate_with_no_digit():
+    # at s = 1e16 on {0, 1} the law is on the greatest letter: tilt, log_mgf, the mean's integral and
+    # the chain's lengths answer, as at the parent; the rate, the difference of two terms near 1e16,
+    # keeps no digit (the parent gave 0.0 for ln 2) and raises.  Past 2^1022 the log-partition is near
+    # the largest float, and every route refuses the force.
+    coin, system = FiniteDistribution([0.0, 1.0], [0.5, 0.5]), from_rd_problem(bss(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = tilt(coin, 1e16)
+        assert (report.log_mgf, report.mean, report.variance) == (1e16, 1.0, 0.0)
+        assert log_mgf(coin, 1e16) == 1e16
+        assert mean_via_integral(coin, 1e16) == pytest.approx(1.0, abs=1e-9)
+        assert expected_length(system, 1e16) == 1.0
+        with pytest.raises(NumericalError, match="keeps no digit"):
+            rate_at_force(coin, 1e16)
+        for route in (lambda: tilt(coin, 1e308), lambda: expected_length(system, 1e308)):
+            with pytest.raises(NumericalError, match="passes 2"):
+                route()
