@@ -320,8 +320,9 @@ def two_letter_rows(p, ranges, s: float) -> tuple[float, float]:
 @pytest.mark.parametrize("s", [-1e14, -1e17, -1e300, -1e308])
 def test_a_narrow_row_keeps_its_own_law_past_the_widest_rows_limit(s):
     # rows [0, 1] and [0, 1e-15]: at s = -1e17 the narrow row's exponent is -100, so the rate is ln 2
-    # less 2e-44; held where the wide row's exponent passed 2^52 it was -4.5, and the rate 4 % low.
-    # Past 2^1022 the force is held where every letter above its row's start weighs 0, the limit.
+    # less 2e-44.  A force held where only the wide row is at its limit (its exponent at 2^52) would
+    # put the narrow row's at -4.5 and the rate 4 % low; past 2^1022 the force is held where every
+    # letter above its row's start weighs 0, the limit of every row.
     p, ranges = [0.5, 0.5], [1.0, 1e-15]
     problem = RdProblem(p, [0.5, 0.5], [[0.0, 1.0], [0.0, 1e-15]])
     rate, distortion = two_letter_rows(p, ranges, s)
