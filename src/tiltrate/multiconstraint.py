@@ -95,8 +95,8 @@ def rate_two_distortions(
     p = problem.source_probs
     unsatisfiable = f"budget pair ({delta1!r}, {delta2!r}) is jointly unsatisfiable"
     # The ascent's stopping tests are absolute, so it runs on each table lowered (``_at_origin``):
-    # at origin (rows start at 0) and in units of its P-weighted range, where the rate is
-    # unchanged and each force leaves by ``force_from_unit``.
+    # at origin (rows start at 0) and in its units, where the rate is unchanged, each force leaves by
+    # ``force_from_unit``, and a gradient over the table's ``extent`` is in its P-weighted range.
     log_q = np.log(problem.coding_probs)[None, :]  # ln Q as one row, taken once per solve
     tables, budgets, floored = [], [], []
     for name, d, target in (
@@ -104,8 +104,7 @@ def rate_two_distortions(
         ("delta2", problem.distortion_2, delta2),
     ):
         tables.append(_at_origin(p, log_q, d))
-        span = tables[-1].span
-        floor = tables[-1].floor(span)
+        span, floor = tables[-1].span, tables[-1].floor()
         # _legendre's lower end band decides the floor and refuses a budget below it;
         # a budget past the widest band (span >= D(0) - floor) makes no kernel call
         try:
@@ -128,6 +127,7 @@ def rate_two_distortions(
             raise InfeasiblePairError(unsatisfiable) from None
         force = other.force_from_unit(force)
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
+    extent1, extent2 = (table.extent for table in tables)
     s1 = s2 = 0.0
     value, g1, g2, c11, c22, c12 = _evaluate(p, *tables, s1, s2, *budgets)
     eps = float(np.finfo(float).eps)
@@ -148,7 +148,8 @@ def rate_two_distortions(
         else:  # LAPACK's 1x1 solve, bit for bit, which refuses a zero variance
             n1 = (g1 / c11 if c11 != 0.0 else math.nan) if free1 else 0.0
             n2 = (g2 / c22 if c22 != 0.0 else math.nan) if free2 else 0.0
-        pg_norm = math.sqrt(h1 * h1 + h2 * h2)
+        k1, k2 = h1 / extent1, h2 / extent2  # in units of each table's span, which the stopping tests read
+        pg_norm = math.sqrt(k1 * k1 + k2 * k2)
         # Second test: the best improvement any step can still predict,
         # ~|pg|^2 / curvature, is below the resolution of the value, so the
         # iterate sits on the flat plateau around the maximizer, unless a
@@ -172,7 +173,7 @@ def rate_two_distortions(
         # rounding, into a huge step that backtracking then halves ~40 times.
         climbed = False
         if (not dependent and math.isfinite(n1) and math.isfinite(n2)
-                and n1 * h1 + n2 * h2 > 1e-12 * (h1 * h1 + h2 * h2)):
+                and n1 * h1 + n2 * h2 > 1e-12 * (k1 * k1 + k2 * k2)):
             alpha = 1.0
             for _ in range(60):
                 t1, t2 = min(s1 + alpha * n1, 0.0), min(s2 + alpha * n2, 0.0)
@@ -201,7 +202,7 @@ def rate_two_distortions(
             at = [0.0, 0.0]
             at[i] = force
             faces.append((*at, *_evaluate(p, *tables, *at, *budgets)))  # (s1, s2, value, g1, g2, ...)
-            if faces[-1][4 - i] >= -tol:  # the other budget's gradient
+            if faces[-1][4 - i] >= -tol * tables[1 - i].extent:  # the other budget's gradient
                 force = tables[i].force_from_unit(force)
                 return (rate, force, 0.0) if i == 0 else (rate, 0.0, force)
         best = max(faces, key=lambda face: face[2])
@@ -219,8 +220,7 @@ def rate_two_distortions(
         rising = budgets[0] - budgets[1] > float(np.dot(p, e[rows, np.argmin(d2 + a * e, axis=1)]))
         lo, hi = (lo, a) if rising else (a, hi)
     mixed = _at_origin(p, log_q, a * d1 + (1.0 - a) * d2)
-    span = mixed.span
-    floor = mixed.floor(span)
-    if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(span, floor):
+    floor = mixed.floor()
+    if a * budgets[0] + (1.0 - a) * budgets[1] - floor < -_end_band(mixed.span, floor):
         raise InfeasiblePairError(unsatisfiable)
     raise NumericalError(f"two-force ascent {stop}")

@@ -230,11 +230,10 @@ def _solve(problem: RdProblem, delta: float, tol: float):
     try:
         s, rate, moments = _legendre(table, delta, tol, nonpositive=True)
     except LevelInfeasibleError:
-        raise DistortionTooLowError(
-            f"distortion {delta!r} is below the minimum achievable {table.floor(table.span)!r}") from None
+        raise DistortionTooLowError(f"distortion {delta!r} is below the minimum achievable {table.floor()!r}") from None
     if s == -math.inf:
         least = table.least
-        return RdPoint(s=s, distortion=table.floor(table.span), rate=rate, per_symbol_mean=least,
+        return RdPoint(s=s, distortion=table.floor(), rate=rate, per_symbol_mean=least,
                        boundary="min_distortion", _table=table, _variances=np.zeros_like(least)), None
     point = _point(table, table.force_from_unit(s), s, *moments)
     if s == 0.0 and delta > point.distortion:

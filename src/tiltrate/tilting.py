@@ -220,6 +220,8 @@ _TINY = float(np.finfo(float).tiny)
 _HOLD = 2.0**1022
 # The widest exponent s * range at which a positive force's rate keeps a digit (``_Table.rate``).
 _REACH = 2.0**52
+# The most units a table's widest row spans (``_at_origin``): its tilted variance in units stays below 2^128.
+_WIDEST_UNITS = 2.0**64
 
 
 def _check_force(s, name: str = "force s") -> None:
@@ -391,10 +393,9 @@ class _Table(NamedTuple):
     widest: float
     far: float
 
-    def floor(self, span: float) -> float:
+    def floor(self) -> float:
         """sum_x w_x start_x, the row-weighted start: where the table's origin sits, so a budget
-        moves to origin by subtracting it.  ``span`` is the table's own ``span``, which each caller
-        holds already.  The one place a row-weighted start is summed.
+        moves to origin by subtracting it.  The one place a row-weighted start is summed.
 
         Where sum_x w_x |start_x| exceeds the span, rows sit far from 0 and their starts may
         cancel, and ``np.dot``'s rounding, times the force, could outweigh the span's own
@@ -402,9 +403,14 @@ class _Table(NamedTuple):
         Elsewhere that rounding is within the span's, and ``np.dot`` costs less.  One row's
         single product is rounded once by ``np.dot`` itself, so it needs no test."""
         w, starts = self.row_weights, self.starts
-        if w.size > 1 and np.dot(w, np.abs(starts)) > span:
+        if w.size > 1 and np.dot(w, np.abs(starts)) > self.span:
             return _exact_dot(w, starts)
         return float(np.dot(w, starts))
+
+    @property
+    def extent(self) -> float:
+        """The span in units, below 1 only where the widest row sets the unit (``_at_origin``), else 1."""
+        return min(self.span / self.unit, 1.0) or 1.0
 
     @property
     def least(self) -> np.ndarray:
@@ -503,13 +509,7 @@ class _Table(NamedTuple):
         """Per-row tilted law (each row summing to 1) and log-partition at the kernel force for one
         force s (``force``): one call, since the law is as large as its table and row blocks would
         only add a copy."""
-        return self.laws(self.force(s))
-
-    def laws(self, s):
-        """``law`` at kernel force ``s``, unchecked: one force, or an array that broadcasts against
-        ``values``, such as ``tilt``'s column of forces on a one-row table, one law per force.  Each
-        law is the one-force law bit for bit, since every step acts on each row alone."""
-        return _normalised(*_tilted_weights(self.log_weights, self.values * s))
+        return _normalised(*_tilted_weights(self.log_weights, self.values * self.force(s)))
 
     def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
         """The row-weighted mean (moment 1) or variance (2) at origin, in units, at each of the
@@ -570,20 +570,22 @@ def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:
 def _at_origin(weights, log_weights: np.ndarray, values: np.ndarray) -> _Table:
     """The table with each row of ``values`` moved to start at 0, its starts and ranges taken over the
     entries that carry mass (``_row_ends``; an entry with none is set to 0), and put in units of its
-    ``span`` in place, or of 1 where that is 0 or not finite.  A row shift leaves every tilted law
-    unchanged, and s * value keeps the table's own resolution however far its rows sit from 0; in
-    units every table spans 1, so no tilted variance under- or overflows for its scale alone."""
+    ``span`` in place, or of 1 where that is 0 or not finite, or of the widest range over
+    ``_WIDEST_UNITS`` where that is wider still and a normal float (a light row that carries the whole
+    range spans 1 / weight spans).  A row shift leaves every tilted law unchanged, and s * value keeps
+    the table's own resolution however far its rows sit from 0; in units every table spans at most 1
+    and no row more than 2^64, so no tilted variance under- or overflows for its scale alone."""
     starts, ends, live = _row_ends(log_weights, values)
     at_origin, ranges = values - starts[:, None], ends - starts
     if live is not None:
         at_origin[~live] = 0.0
-    span = float(np.dot(weights, ranges))
+    span, widest = float(np.dot(weights, ranges)), max(ranges.tolist())
     unit = span if 0.0 < span < math.inf else 1.0
+    if widest > unit * _WIDEST_UNITS and widest / _WIDEST_UNITS >= _TINY:
+        unit = widest / _WIDEST_UNITS
     if unit != 1.0:
         at_origin /= unit
-    listed = starts.tolist()
-    return _Table(weights, log_weights, at_origin, starts, ranges, span, unit, max(ranges.tolist()) / unit,
-                  max(max(listed), -min(listed)))
+    return _Table(weights, log_weights, at_origin, starts, ranges, span, unit, widest / unit, _largest(starts))
 
 
 # An end also claims targets within this fraction of its own size, a few
@@ -619,7 +621,7 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     _check_tol(tol)
     _check_number(target, "the target level")
     row_weights, unit, span = table.row_weights, table.unit, table.span
-    base = 0.0 if in_units else table.floor(span)
+    base = 0.0 if in_units else table.floor()
     level = target if in_units else table.in_units(target - base)
     ceiling, ranges = span / unit, table.ranges / unit
     visited = {0.0: table.grid(0.0)}  # force -> moments: each force evaluated once
@@ -674,18 +676,15 @@ def tilt(dist: FiniteDistribution, s) -> TiltReport:
     """Reweight the distribution by e^{s*y} and report its exact moments, at one force s or at each
     force of a 1-D array s (``_force_grid``).
 
-    One path serves both: the laws come from one ``_Table.laws`` call, and ``np.vecdot`` reduces
-    each force's row by the same ``ddot`` that ``np.dot`` runs on one row (``_Table.averaged``),
-    so each entry of a grid's report is its force's report bit for bit.  A grid's report holds
-    arrays; one force's holds floats."""
+    The moments are the kernel's (``_Table.grid``), in row blocks of about ``_BLOCK_ENTRIES``
+    entries, so each entry is ``log_mgf``'s, ``rate_at_force``'s level and, at force 0,
+    ``FiniteDistribution.variance`` bit for bit, and each entry of a grid's report is its force's
+    report.  A grid's report holds arrays; one force's holds floats."""
     grid, one = _force_grid(s)
     table = dist._table
-    values = table.values[0]
-    law, log_z = table.laws(table.forces(grid)[:, None])
-    mean = np.vecdot(law, values)
-    centered = values - mean[:, None]
+    log_z, mean, variance = (out[:, 0] for out in table.grid(table.forces(grid)))
     fields = {"s": grid, "log_mgf": table.log_z_from_origin(grid, log_z), "mean": table.means_from_origin(mean),
-              "variance": table.variances(np.vecdot(law, centered * centered), "tilt's variance")}
+              "variance": table.variances(variance, "tilt's variance")}
     if one:
         fields = {name: float(value[0]) for name, value in fields.items()}
     return _record(TiltReport, **fields, dist=dist)
@@ -737,8 +736,8 @@ def _pieces(f, table: _Table, s: float, tol: float) -> float:
     quadrature routes, whose integrands are a tilted variance or covariance on ``table``, or u times one.
 
     Before any node it refuses a ``tol`` that is not finite and > 0.  The integral of a slope, the
-    displacement of a mean in its table's units, runs to ``tol`` there, which is ``tol`` times that
-    table's span, as ``_legendre`` meets its budget; a rate's, in nats, keeps ``tol``.
+    displacement of a mean in its table's units, runs to ``tol`` times that table's ``extent`` there,
+    which is ``tol`` times its span, as ``_legendre`` meets its budget; a rate's, in nats, keeps ``tol``.
 
     The integrands fall off exponentially within a few force scales (one over the widest row range)
     of 0, and one piece from 0 to 250 scales or more puts no node there, its first nodes an eighth
@@ -779,10 +778,10 @@ def _sweep(table: _Table, outputs_at, s: float, tol: float, mean_of: _Table, *, 
     """(per-row means at force 0, integral from 0 to s of the row-weighted slope), ``mean`` and
     ``slope`` indexing the kernel outputs ``outputs_at`` gives at a kernel force or array of them on
     ``table``: the quadrature of the routes that add a slope's integral to a mean at force 0, by
-    ``_pieces`` in the units of ``mean_of``, the table whose mean moves, and moved out of them.  The
-    means are read off the first piece's root level, which ends at force 0 (at s = 0 no node is
-    taken); each level's slopes are reduced by the row weights in one ``np.vecdot``, as
-    ``_Table.averaged`` does."""
+    ``_pieces`` in the units of ``mean_of``, the table whose mean moves, to ``tol`` times its span,
+    and moved out of them.  The means are read off the first piece's root level, which ends at force
+    0 (at s = 0 no node is taken); each level's slopes are reduced by the row weights in one
+    ``np.vecdot``, as ``_Table.averaged`` does."""
     at_zero, p = [], table.row_weights
 
     def integrand(us):
@@ -791,7 +790,7 @@ def _sweep(table: _Table, outputs_at, s: float, tol: float, mean_of: _Table, *, 
             at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
         return np.vecdot(outputs[slope], p)
 
-    integral = _pieces(integrand, table, table.force(s), tol)
+    integral = _pieces(integrand, table, table.force(s), tol * mean_of.extent)
     means = at_zero[0] if at_zero else outputs_at(0.0)[mean]
     return mean_of.means_from_origin(means), integral * mean_of.unit
 

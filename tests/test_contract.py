@@ -454,18 +454,22 @@ def names(tree) -> set:
         for alias in node.names}
 
 
-def test_a_force_grid_reaches_the_tilted_law_through_tilt_alone():
-    # _Table.laws takes its force unchecked: _Table.law calls it after _check_force, and tilt after
-    # _force_grid, so tilt (and mmse, through it) is the one public route that tilts a law at a grid
-    callers = set()
+def test_a_force_grid_reaches_the_kernel_through_tilt_alone():
+    # _Table.grid takes its forces unchecked: tilt checks a public grid by _force_grid and hands it to
+    # the kernel's grid, so tilt (and mmse, through it) is the one public route that takes a force
+    # grid, and it has no tilted law, dot product or centring of its own
+    callers, in_tilt = set(), set()
     for module in Path(tiltrate.__file__).parent.glob("*.py"):
         for function in ast.walk(ast.parse(module.read_text())):
             for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
                 called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
-                if called in ("laws", "_force_grid"):
-                    callers.add((module.name, function.name, called))
-    assert callers == {("tilting.py", "law", "laws"), ("tilting.py", "tilt", "laws"),
-                       ("tilting.py", "tilt", "_force_grid")}
+                if called == "_force_grid":
+                    callers.add((module.name, function.name))
+                if (module.name, function.name) == ("tilting.py", "tilt") and called:
+                    in_tilt.add(called)
+    assert callers == {("tilting.py", "tilt")}
+    assert {"_force_grid", "forces", "grid"} <= in_tilt
+    assert not in_tilt & {"law", "laws", "vecdot", "dot", "einsum", "_normalised", "_tilted_weights"}
 
 
 def test_the_quadrature_rule_is_named_by_tilting_alone():

@@ -18,6 +18,7 @@ from tiltrate import (
     ElementArray,
     FiniteDistribution,
     RdProblem,
+    RdProblem2,
     blahut_arimoto,
     cli,
     distortion_at_force,
@@ -27,9 +28,18 @@ from tiltrate import (
     from_rd_problem,
     kl_free_energy_gap,
     observable_expectation,
+    quasistatic_work,
+    rate_mmse_integral,
+    rate_two_distortions,
     tilt,
 )
-from tiltrate.errors import LengthInfeasibleError, NumericalError, SupportMismatchError, ValidationError
+from tiltrate.errors import (
+    InfeasiblePairError,
+    LengthInfeasibleError,
+    NumericalError,
+    SupportMismatchError,
+    ValidationError,
+)
 
 CONFIGS = {
     "one_column": """
@@ -93,6 +103,22 @@ source_probs = 0.5, 0.5
 coding_probs = 0.5, 0.5
 distortion = 0, 1e308; 1e308, 0
 distortion_2 = 0, 1; 1, 0
+observable = 0, 1; 1, 0
+""",
+    # a row of subnormal weight carries the whole range, 1e310 or 1e320 spans: dividing the table by
+    # its span warned "overflow encountered in divide" on every route, and rd point --force exited 2
+    "light_row_1e-310": """
+source_probs = 1, 1e-310
+coding_probs = 0.5, 0.5
+distortion = 0, 0; 0, 1
+distortion_2 = 0, 0; 1, 0
+observable = 0, 1; 1, 0
+""",
+    "light_row_1e-320": """
+source_probs = 1, 1e-320
+coding_probs = 0.5, 0.5
+distortion = 0, 0; 0, 1
+distortion_2 = 0, 0; 1, 0
 observable = 0, 1; 1, 0
 """,
     # the ranges are the least subnormal, and their weighted sum rounds to 0
@@ -322,3 +348,55 @@ class TestSpanBelowTheLeastSubnormal:
             exact_ld_probability(self.PROBLEM, 2, 0.0)
         assert np.isclose(exact_ld_probability(RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]), 2, 0.0)[0],
                           0.25)
+
+
+@pytest.mark.parametrize("w", [1e-310, 1e-320])
+class TestARowOfSubnormalWeightCarriesTheWholeRange:
+    """Source law (1, w) on rows {0, 0} and {0, 1} under the coding law (1/2, 1/2): the second row spans
+    1 / w spans.  Every route warned "overflow encountered in divide" where the table was put in units
+    of its span, 1e310 or 1e320 of them past the largest float; the unit is now that row's range over
+    2^64.  Each answer is within 64 subnormal steps of w (5e-324 each) of the closed form: at force s
+    the rate is w (s m - ln((1 + e^s) / 2)), m = e^s / (1 + e^s) the row's tilted mean, and a budget
+    of 0.4 w is met at s = ln(2/3)."""
+
+    @staticmethod
+    def closed_form(w: float, s: float) -> tuple[float, float]:
+        m = math.exp(s) / (1.0 + math.exp(s))
+        return w * (s * m - math.log((1.0 + math.exp(s)) / 2.0)), w * m * (1.0 - m)
+
+    @staticmethod
+    def near(w: float, value: float):
+        return pytest.approx(value, rel=1e-12 + 64 * 5e-324 / w)
+
+    def test_the_problem(self, w):
+        problem = RdProblem([1.0, w], [0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]])
+        rate, mmse = self.closed_form(w, -1.0)
+        point = distortion_at_force(problem, -1.0)
+        assert point.rate == self.near(w, rate) and point.mmse == self.near(w, mmse)
+        assert rate_mmse_integral(problem, -1.0, tol=max(1e-9 * w, 5e-324)) == self.near(w, rate)
+        solved = force_at_distortion(problem, 0.4 * w)
+        assert solved.s == self.near(w, math.log(2.0 / 3.0))
+        assert solved.rate == self.near(w, self.closed_form(w, math.log(2.0 / 3.0))[0])
+
+    def test_the_chain(self, w):
+        system = from_rd_problem(RdProblem([1.0, w], [0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]]))
+        assert quasistatic_work(system, -1.0, tol=max(1e-9 * w, 5e-324)) == self.near(w, self.closed_form(w, -1.0)[0])
+        assert equilibrium_force(system, 0.4 * w) == self.near(w, math.log(2.0 / 3.0))
+
+    def test_rd2(self, w):
+        # the second table holds the row's other letter: budgets 0.4 w and 0.7 w meet on the first
+        # table's face, and 0.4 w with 0.3 w ask the row for a mass both below 0.4 and above 0.7
+        problem = RdProblem2([1.0, w], [0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
+        rate, s1, s2 = rate_two_distortions(problem, 0.4 * w, 0.7 * w)
+        assert rate == self.near(w, self.closed_form(w, math.log(2.0 / 3.0))[0])
+        assert (s1, s2) == (self.near(w, math.log(2.0 / 3.0)), 0.0)
+        with pytest.raises(InfeasiblePairError, match="jointly unsatisfiable"):
+            rate_two_distortions(problem, 0.4 * w, 0.3 * w)
+
+    def test_rd_point_at_a_force(self, capsys, config, w):
+        # exit 2, "mmse is not representable", after the overflow warnings
+        code, out, err = run(capsys, ["rd", "point", "--force=-1", "--config", config(f"light_row_{w!r}")])
+        assert (code, err) == (0, "")
+        rate, mmse = self.closed_form(w, -1.0)
+        assert float(csv_values(out)["rate_nats"]) == self.near(w, rate)
+        assert float(csv_values(out)["mmse"]) == self.near(w, mmse)

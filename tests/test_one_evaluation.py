@@ -212,17 +212,24 @@ class TestWorkIntegralZeroNode:
 
     @pytest.fixture
     def kernel_forces(self, monkeypatch):
-        # every force at which the moments (rate_work_integral, quasistatic_work) or a one-row
-        # tilt (mmse, on the letters lowered into the table's units) are taken
-        seen, grid, tilt = [], tilting._Table.grid, ratedistortion.tilt
+        # every force at which the route's own table takes its moments (rate_work_integral,
+        # quasistatic_work) or a one-row tilt is taken (mmse, on the letters lowered into the table's
+        # units).  Each such tilt takes its moments on the letter's own table, at the force times the
+        # letter's unit, which rounds to -0.0 at the kernel force -5e-324: those are not the route's
+        seen, tilting_now, grid, tilt = [], [], tilting._Table.grid, ratedistortion.tilt
 
         def counted_moments(table, s, order=2):
-            seen.extend(np.ravel(s).tolist())
+            if not tilting_now:
+                seen.extend(np.ravel(s).tolist())
             return grid(table, s, order)
 
         def counted_tilt(dist, s):
             seen.extend(np.ravel(s).tolist())
-            return tilt(dist, s)
+            tilting_now.append(dist)
+            try:
+                return tilt(dist, s)
+            finally:
+                tilting_now.pop()
 
         monkeypatch.setattr(tilting._Table, "grid", counted_moments)
         monkeypatch.setattr(ratedistortion, "tilt", counted_tilt)

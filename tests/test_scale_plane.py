@@ -61,6 +61,8 @@ from tiltrate import (
     tilt,
     tilted_conditional,
 )
+from tiltrate.errors import InfeasiblePairError
+from tiltrate.ratedistortion import distortion_mmse_integral
 
 from conftest import LN2, LN3, h2
 
@@ -289,24 +291,51 @@ def test_a_point_whose_mmse_overflows_raises_when_read():
 
 
 def test_a_row_of_weight_1e_200_that_carries_the_whole_range():
-    # The table's span, 1e-200, is its unit, so that row spans 1e200 units.  The point at a force
-    # answers as at the parent, within 1e-12 (tilted raw, the row spanned 1).  That row's tilted
-    # variance in units, about 1e400, overflows: the point's mmse and per_symbol_var, and the mmse
-    # integral, whose letters are lowered into the table's units, raise NumericalError, and so does
-    # the solve for a budget, whose Newton slope it is (it bisects and runs out of steps, where the
-    # parent answered); none leaves inf.
-    p = [1.0 - 1e-200, 1e-200]
-    problem = RdProblem(p, [0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]])
+    # The table's span is 1e-200, and that row spans 1e200 of it: the unit is the row's range over
+    # 2^64 (tilting._WIDEST_UNITS), where in units of the span its tilted variance, about 1e400,
+    # overflowed.  Every route answers within 1e-12 of the closed form (two_letter_rows), with no
+    # warning: the point's mmse and per_symbol_var and the mmse integral had raised NumericalError,
+    # and the solve for a budget, whose Newton slope it is, had bisected and run out of steps.
+    w = 1e-200
+    problem = RdProblem([1.0 - w, w], [0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]])
+    tilted = 1.0 / (1.0 + math.e)  # the row's tilted mass on distortion 1 at force -1
+    rate, distortion = two_letter_rows([1.0 - w, w], [0.0, 1.0], -1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         point = distortion_at_force(problem, -1.0)
-        assert point.distortion == pytest.approx(1e-200 / (1.0 + math.e), rel=1e-12)
-        assert point.rate == pytest.approx(1e-200 * (-1.0 / (1.0 + math.e) - math.log(0.5 + 0.5 / math.e)), rel=1e-12)
-        for variance in (lambda: point.mmse, lambda: point.per_symbol_var, lambda: rate_mmse_integral(problem, -1.0)):
-            with pytest.raises(NumericalError, match="is not representable"):
-                variance()
-        with pytest.raises(NumericalError, match="short of tolerance"):
-            force_at_distortion(problem, point.distortion)
+        assert point.distortion == pytest.approx(distortion, rel=1e-12)
+        assert point.rate == pytest.approx(rate, rel=1e-12)
+        assert point.rate == pytest.approx(w * (-tilted - math.log(0.5 + 0.5 / math.e)), rel=1e-12)
+        assert point.mmse == pytest.approx(w * tilted * (1.0 - tilted), rel=1e-12)
+        assert point.per_symbol_var == pytest.approx([0.0, tilted * (1.0 - tilted)], rel=1e-12)
+        assert rate_mmse_integral(problem, -1.0, tol=1e-213) == pytest.approx(rate, rel=1e-12)
+        assert force_at_distortion(problem, point.distortion).s == pytest.approx(-1.0, rel=1e-12)
+        # a budget of 0.4 w puts mass 0.4 on distortion 1, at force ln(2/3)
+        solved = force_at_distortion(problem, 0.4 * w)
+        assert solved.s == pytest.approx(math.log(2.0 / 3.0), rel=1e-12)
+        assert solved.rate == pytest.approx(w * (0.4 * math.log(2.0 / 3.0) - math.log(5.0 / 6.0)), rel=1e-12)
+        assert solved.rate == pytest.approx(0.0201355135507 * w, rel=1e-11)
+
+
+@pytest.mark.parametrize("w", [1e-25, 1e-100, 1e-200])
+def test_tolerances_in_units_of_the_span_hold_where_a_light_row_sets_the_unit(w):
+    # Where a row of weight w carries the whole range the table spans 2^64 w units, not 1.  The slope
+    # integrals meet tol times the span, where in units they had run to tol (2.3 times tol times the
+    # span off); rd2's stopping tests read its gradient in units of each table's span, where a
+    # gradient near 2^64 w passed them at once and answered (0, 0, 0) for every pair
+    problem = RdProblem([1.0 - w, w], [0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        distortion = distortion_at_force(problem, -1.0).distortion
+        assert abs(distortion_mmse_integral(problem, -1.0) - distortion) <= 1e-9 * w
+        twice = [[0.0, 0.0], [0.0, 2.0]]
+        assert abs(observable_sweep(problem, twice, -1.0) - 2.0 * distortion) <= 2e-9 * w
+        pair = RdProblem2([1.0 - w, w], [0.5, 0.5], [[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]])
+        rate, s1, s2 = rate_two_distortions(pair, 0.4 * w, 0.7 * w)
+        assert rate == pytest.approx(w * (0.4 * math.log(2.0 / 3.0) - math.log(5.0 / 6.0)), rel=1e-12)
+        assert (s1, s2) == (pytest.approx(math.log(2.0 / 3.0), rel=1e-12), 0.0)
+        with pytest.raises(InfeasiblePairError, match="jointly unsatisfiable"):
+            rate_two_distortions(pair, 0.4 * w, 0.3 * w)
 
 
 def two_letter_rows(p, ranges, s: float) -> tuple[float, float]:

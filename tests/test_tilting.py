@@ -390,16 +390,16 @@ class TestTableFloor:
         w, d = rng.dirichlet(np.ones(k)), rng.random((k, 3)) * [0.1, 0.0, 1.0] + [0.0, 1.0, 0.0]
         shifts = np.round(rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(1.0, 10.0, size=k))
         near, far = (_at_origin(w, np.zeros((1, 3)), d + c[:, None]) for c in (0.0 * shifts, shifts))
-        assert near.floor(near.span) == float(np.dot(w, near.starts))
+        assert near.floor() == float(np.dot(w, near.starts))
         assert float(np.dot(w, np.abs(far.starts))) > far.span
-        assert far.floor(far.span) == exact(w, far.starts)
+        assert far.floor() == exact(w, far.starts)
 
     @given(st.floats(1e-3, 1.0), far_starts, st.floats(0.0, 1e3))
     def test_one_row_is_floored_exactly_by_dot(self, w, start, width):
         # one product, rounded once: np.dot's floor is the exact one, whichever side of its range
         # the row starts
         table = _at_origin(np.array([w]), np.zeros((1, 2)), np.array([[start, start + width]]))
-        assert table.floor(table.span) == exact([w], table.starts)
+        assert table.floor() == exact([w], table.starts)
 
     def test_one_row_takes_no_exact_sum(self, monkeypatch):
         # a row far from 0 (start 1e6, range 1) once took _exact_dot on every read of its floor
@@ -408,19 +408,19 @@ class TestTableFloor:
 
         monkeypatch.setattr(tiltrate.tilting, "_exact_dot", refused)
         dist = FiniteDistribution([1e6, 1e6 + 1.0], [0.25, 0.75])
-        assert dist._table.floor(dist._table.span) == 1e6
+        assert dist._table.floor() == 1e6
         result = force_at_level(dist, 1e6 + 0.5)  # at origin the mean 1/2 needs e^s = 1/3
         assert result.force == pytest.approx(-math.log(3.0), rel=1e-9)
         assert result.rate == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-12)
         table = _at_origin(np.array([1.0]), np.zeros((1, 2)), np.array([[-1e6, 1.0 - 1e6]]))
-        assert table.floor(table.span) == -1e6
+        assert table.floor() == -1e6
 
     def test_a_budget_at_origin_in_units_skips_the_floor(self):
         # capacity's budget is summed at origin and in units, so no digit is lost to the floor:
         # _legendre takes it as it is, and answers as for the same budget given as a raw level
         table = _at_origin(np.array([0.25, 0.75]), np.zeros((1, 2)), np.array([[5.0, 7.0], [-3.0, 2.0]]))
         assert table.span == 0.25 * 2.0 + 0.75 * 5.0 == table.unit
-        floor = table.floor(table.span)
+        floor = table.floor()
         in_units = _legendre(table, 0.5, 0.0, nonpositive=True, in_units=True)
         raw = _legendre(table, floor + 0.5 * table.span, 0.0, nonpositive=True)
         assert in_units[0] == pytest.approx(raw[0], rel=1e-13) and in_units[1] == pytest.approx(raw[1], rel=1e-13)
