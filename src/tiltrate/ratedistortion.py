@@ -26,6 +26,7 @@ from .tilting import (
     _check_force,
     _check_partition,
     _floored,
+    _force_grid,
     _frozen,
     _law,
     _legendre,
@@ -102,15 +103,6 @@ class RdProblem:
         dists = tuple(object.__new__(FiniteDistribution) for _ in range(self.source_probs.size))
         _set_laws(dists, self.distortion, self.coding_probs)
         return dists
-
-    def _letters(self, table) -> tuple[FiniteDistribution, ...]:
-        """``delta_dists`` at origin and in the units of ``table``, the problem's own ``_table``, built on
-        first use and kept: the letters ``rate_mmse_integral`` tilts, so that no variance leaves them."""
-        if "_in_units" not in self.__dict__:
-            letters = self.__dict__["_in_units"] = tuple(object.__new__(FiniteDistribution) for _ in self.delta_dists)
-            for letter, dist in zip(letters, self.delta_dists):
-                _frozen(letter, values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
-        return self.__dict__["_in_units"]
 
     @property
     def num_source_letters(self) -> int:
@@ -267,24 +259,25 @@ def _allocation(problem: RdProblem, point: RdPoint, solved) -> tuple[Allocation,
 
 def mmse(problem: RdProblem, s):
     """Source-averaged tilted variance of the distortion at force s, or at each force of a 1-D array
-    s as an array: one ``tilt`` per source letter either way (``_mmse``)."""
-    return _mmse(problem.delta_dists, problem.source_probs, s)
-
-
-def _mmse(dists: tuple, p: np.ndarray, s):
-    """``mmse`` of the letters' laws ``dists`` under the source law ``p``: the forces x letters
-    variances (C-contiguous) reduced by ``np.vecdot``, each entry its one-force value bit for bit."""
-    averaged = np.vecdot(np.stack([tilt(d, s).variance for d in dists], axis=-1), p)
-    return float(averaged) if averaged.ndim == 0 else averaged
+    s as an array (``tilting._force_grid``): ``RdPoint.mmse`` bit for bit, the kernel's variances
+    reduced in the table's units (``tilting._Table.averaged``) and moved out once, so one that cannot
+    be represented raises ``NumericalError``."""
+    grid, one = _force_grid(s)
+    table = _table(problem)
+    averaged = table.variances(table.averaged(table.forces(grid), 2), "mmse")
+    return float(averaged[0]) if one else averaged
 
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
-    (``tilting._work_integral``), each Simpson level's nodes taken by one ``_mmse`` call on the
-    letters in the table's units (``RdProblem._letters``), so no variance leaves them."""
-    table = _table(problem)
-    letters = problem._letters(table)
-    return _work_integral(table, s, tol, lambda us: _mmse(letters, problem.source_probs, us))
+    (``tilting._work_integral``).  Each Simpson level's nodes go to one ``tilt`` per source letter, on
+    the letters moved to origin and into the table's units, built once per call, so no variance
+    leaves them; the forces x letters variances (C-contiguous) are reduced by ``np.vecdot``."""
+    table, p = _table(problem), problem.source_probs
+    letters = tuple(object.__new__(FiniteDistribution) for _ in problem.delta_dists)
+    for letter, dist in zip(letters, problem.delta_dists):
+        _frozen(letter, values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
+    return _work_integral(table, s, tol, lambda us: np.vecdot(np.stack([tilt(d, us).variance for d in letters], -1), p))
 
 
 def distortion_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:

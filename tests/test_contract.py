@@ -454,22 +454,38 @@ def names(tree) -> set:
         for alias in node.names}
 
 
-def test_a_force_grid_reaches_the_kernel_through_tilt_alone():
-    # _Table.grid takes its forces unchecked: tilt checks a public grid by _force_grid and hands it to
-    # the kernel's grid, so tilt (and mmse, through it) is the one public route that takes a force
-    # grid, and it has no tilted law, dot product or centring of its own
-    callers, in_tilt = set(), set()
-    for module in Path(tiltrate.__file__).parent.glob("*.py"):
-        for function in ast.walk(ast.parse(module.read_text())):
-            for node in ast.walk(function) if isinstance(function, ast.FunctionDef) else ():
-                called = ast.unparse(node.func).split(".")[-1] if isinstance(node, ast.Call) else None
-                if called == "_force_grid":
-                    callers.add((module.name, function.name))
-                if (module.name, function.name) == ("tilting.py", "tilt") and called:
-                    in_tilt.add(called)
-    assert callers == {("tilting.py", "tilt")}
+def calls_by_function(module: str) -> dict:
+    """Each function of the package module ``module`` by name, a method as "Class.name", with the last
+    part of the name of everything it calls, in the functions nested in it too."""
+    calls = {}
+    for node in ast.parse((Path(tiltrate.__file__).parent / module).read_text()).body:
+        functions = [(f"{node.name}.", f) for f in node.body] if isinstance(node, ast.ClassDef) else [("", node)]
+        for prefix, function in functions:
+            if isinstance(function, ast.FunctionDef):
+                calls[prefix + function.name] = {
+                    ast.unparse(call.func).split(".")[-1] for call in ast.walk(function) if isinstance(call, ast.Call)}
+    return calls
+
+
+def test_a_force_grid_reaches_the_kernel_through_tilt_and_mmse_alone():
+    # _Table.grid takes its forces unchecked: tilt and mmse check a public grid by _force_grid and hand
+    # its kernel forces to the kernel, tilt through the grid of its one-row table and mmse through the
+    # table's source-weighted variances, so they are the public routes that take a force grid, and
+    # neither has a tilted law, dot product or centring of its own
+    modules = [m.name for m in Path(tiltrate.__file__).parent.glob("*.py")]
+    callers = {(m, name) for m in modules for name, called in calls_by_function(m).items() if "_force_grid" in called}
+    assert callers == {("tilting.py", "tilt"), ("ratedistortion.py", "mmse")}
+    in_tilt, in_mmse = calls_by_function("tilting.py")["tilt"], calls_by_function("ratedistortion.py")["mmse"]
     assert {"_force_grid", "forces", "grid"} <= in_tilt
-    assert not in_tilt & {"law", "laws", "vecdot", "dot", "einsum", "_normalised", "_tilted_weights"}
+    assert {"_force_grid", "forces", "averaged", "variances"} <= in_mmse
+    for called in (in_tilt, in_mmse):
+        assert not called & {"law", "laws", "vecdot", "dot", "einsum", "stack", "_normalised", "_tilted_weights", "tilt"}
+
+
+def test_ratedistortion_tilts_its_letters_in_the_mmse_integral_alone():
+    # the public mmse reads the kernel; only rate_mmse_integral still tilts one source letter at a time
+    calls = calls_by_function("ratedistortion.py")
+    assert {name for name, called in calls.items() if "tilt" in called} == {"rate_mmse_integral"}
 
 
 def test_the_quadrature_rule_is_named_by_tilting_alone():

@@ -186,19 +186,37 @@ def tilt_by_dot(dist, s: float) -> tuple:
     return s, float(log_z) + s * start, mean * unit + start, float(np.dot(law, centered * centered)) * unit * unit
 
 
-def within_ulps(a, b, ulps: int) -> bool:
-    """Whether each entry of ``a`` is within ``ulps`` units in the last place of the larger of it and ``b``'s."""
+def within_ulps(a, b, ulps: int, beside=0.0) -> bool:
+    """Whether each entry of ``a`` is within ``ulps`` units in the last place of the larger of it and ``b``'s,
+    and ``beside`` (one number, or one per entry) more."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return bool(np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b)))))
+    return bool(np.all(np.abs(a - b) <= ulps * np.spacing(np.maximum(np.abs(a), np.abs(b))) + beside))
+
+
+def mmse_by_dot(problem: RdProblem, s: float, ulps: int) -> tuple[float, float]:
+    """``mmse`` at one force by ``np.dot`` (each row's variance on its tilted law at origin and in
+    units, weighted by the source law and moved out of the units), and how far the kernel's may part
+    from it beside ``ulps`` units in its last place.  A variance taken about a mean off by m is off by
+    m^2, and each formula's mean is within a few units in the last place of itself, so the two may
+    also part by sum_x p_x (ulps eps mean_x)^2.  That matters only where a row's law sits on values far
+    closer together than its mean: at force 39.9 on the "ties" rows, whose last two values are 1e-14
+    apart, they parted by up to 330 units in the last place.  Each row of the table is its own, not
+    its letter's law, whose tied values ``delta_dists`` merges."""
+    table = ratedistortion._table(problem)
+    (laws, _), p, eps = table.law(s), problem.source_probs, float(np.finfo(float).eps)
+    means = np.array([float(np.dot(law, values)) for law, values in zip(laws, table.values)])
+    rows = [float(np.dot(law, (values - mean) ** 2)) for law, values, mean in zip(laws, table.values, means)]
+    squared = table.unit * table.unit
+    return float(np.dot(p, rows)) * squared, float(np.dot(p, (ulps * eps * means) ** 2)) * squared
 
 
 def assert_grid_is_the_loop(problem: RdProblem, forces: np.ndarray, ulps: int = 8):
     """``tilt`` of each letter's distortion law and ``mmse`` on ``forces``, each field bit for bit as the
-    same route at each force in turn and as the kernel's formula at each force (``tilt_by_einsum``), and
-    within ``ulps`` units in the last place of ``np.dot`` at each force (``tilt_by_dot``).  Over 9,000
-    draws of up to 6 letters at forces within 40 of 0 the two formulas parted by 3 units in a mean and
-    7 in a variance at most."""
-    variances = []
+    same route at each force in turn.  ``tilt`` is also the kernel's formula at each force
+    (``tilt_by_einsum``) and ``mmse`` is ``RdPoint.mmse``, bit for bit; each is within ``ulps`` units in
+    the last place of ``np.dot`` at each force (``tilt_by_dot``, ``mmse_by_dot``).  Over 9,000 draws of
+    up to 6 letters at forces within 40 of 0 the two formulas parted by 3 units in a mean and 7 in a
+    variance at most."""
     for dist in problem.delta_dists:
         report, each = tilt(dist, forces), [tilt(dist, s) for s in forces.tolist()]
         by_einsum = np.array([tilt_by_einsum(dist, s) for s in forces.tolist()]).T
@@ -206,10 +224,10 @@ def assert_grid_is_the_loop(problem: RdProblem, forces: np.ndarray, ulps: int = 
         for name, reference, independent in zip(("s", "log_mgf", "mean", "variance"), by_einsum, by_dot):
             assert bits(getattr(report, name)) == bits([getattr(one, name) for one in each]) == bits(reference), name
             assert within_ulps(reference, independent, ulps), name
-        variances.append(by_einsum[3])
-    # contiguous rows: ddot on a strided row orders its sum otherwise
-    by_dot = [float(np.dot(problem.source_probs, row)) for row in np.stack(variances, axis=1)]
-    assert bits(mmse(problem, forces)) == bits([mmse(problem, s) for s in forces.tolist()]) == bits(by_dot)
+    points = [distortion_at_force(problem, s).mmse for s in forces.tolist()]
+    assert bits(mmse(problem, forces)) == bits([mmse(problem, s) for s in forces.tolist()]) == bits(points)
+    by_dot, allowed = np.array([mmse_by_dot(problem, s, ulps) for s in forces.tolist()]).T
+    assert within_ulps(points, by_dot, ulps, allowed)
 
 
 signed_zeros_and_forces = st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-40.0, 40.0), min_size=1, max_size=12)

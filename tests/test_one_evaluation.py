@@ -38,12 +38,13 @@ from tiltrate import (
     rd_curve,
     riemann_sandwich,
     sandwich_bounds,
+    tilt,
 )
 from tiltrate import chain, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError, LevelInfeasibleError
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin, _floored, _legendre
+from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin, _floored, _frozen, _legendre
 
 from conftest import feasible_delta, random_problem, raw_table, rd2_stats, recursive_simpson
 
@@ -73,6 +74,22 @@ def forces(monkeypatch):
 
     monkeypatch.setattr(tilting._Table, "grid", counted)
     return seen
+
+
+def letters_in_units(problem, table) -> list:
+    """Each source letter's distortion law moved to origin and into ``table``'s units, built as
+    ``rate_mmse_integral`` builds the letters it tilts."""
+    letters = []
+    for dist in problem.delta_dists:
+        letters.append(object.__new__(FiniteDistribution))
+        _frozen(letters[-1], values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
+    return letters
+
+
+def letters_mmse(letters, p, s):
+    """The source-weighted sum of the letters' ``tilt`` variances at one force s, reduced by
+    ``np.vecdot`` as ``rate_mmse_integral`` reduces each level's."""
+    return float(np.vecdot(np.stack([tilt(d, s).variance for d in letters], axis=-1), p))
 
 
 def problems():
@@ -213,8 +230,8 @@ class TestWorkIntegralZeroNode:
     @pytest.fixture
     def kernel_forces(self, monkeypatch):
         # every force at which the route's own table takes its moments (rate_work_integral,
-        # quasistatic_work) or a one-row tilt is taken (mmse, on the letters lowered into the table's
-        # units).  Each such tilt takes its moments on the letter's own table, at the force times the
+        # quasistatic_work) or a one-row tilt is taken (rate_mmse_integral, on the letters lowered into
+        # the table's units).  Each such tilt takes its moments on the letter's own table, at the force times the
         # letter's unit, which rounds to -0.0 at the kernel force -5e-324: those are not the route's
         seen, tilting_now, grid, tilt = [], [], tilting._Table.grid, ratedistortion.tilt
 
@@ -241,7 +258,7 @@ class TestWorkIntegralZeroNode:
         system = from_rd_problem(problem, beta=1.7)
         table, dist = chain._table(system), problem.delta_dists[0]
         beta, lowered = system.beta, ratedistortion._table(problem)
-        letters = problem._letters(lowered)
+        letters = letters_in_units(problem, lowered)
 
         def every_node(integrand, s):
             return _floored(adaptive_simpson(integrand, 0.0, s, 1e-9))
@@ -255,7 +272,7 @@ class TestWorkIntegralZeroNode:
              lambda s: every_node(lambda us: us * table.averaged(us, 2), table.force(beta * s)) / beta,
              table.unit * beta),
             (lambda s: rate_mmse_integral(problem, s),
-             lambda s: every_node(lambda us: np.array([u * ratedistortion._mmse(letters, problem.source_probs, u)
+             lambda s: every_node(lambda us: np.array([u * letters_mmse(letters, problem.source_probs, u)
                                                        for u in us.tolist()]), lowered.force(s)),
              lowered.unit),
         ]
@@ -424,8 +441,8 @@ class TestBatchedQuadrature:
         # the mmse of the letters lowered into the table's units, at the kernel's forces
         problem = self.problem(rows, cols)[0]
         table = ratedistortion._table(problem)
-        letters, p = problem._letters(table), problem.source_probs
-        want = recursive_simpson(lambda u: u * ratedistortion._mmse(letters, p, u), 0.0, table.force(-1.3), 1e-9)
+        letters, p = letters_in_units(problem, table), problem.source_probs
+        want = recursive_simpson(lambda u: u * letters_mmse(letters, p, u), 0.0, table.force(-1.3), 1e-9)
         assert rate_mmse_integral(problem, -1.3) == want
 
 
