@@ -24,6 +24,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import tiltrate
 from tiltrate import (
+    ChainSystem,
+    ElementArray,
     FiniteDistribution,
     NumericalError,
     RdProblem,
@@ -71,14 +73,19 @@ TINY, EPS = float(np.finfo(float).tiny), float(np.finfo(float).eps)
 
 class Case:
     """The problem of one draw at scale c: its laws, the table d = c * U(0, 1) (k x k), its first
-    row as a distribution, its chain, and a two-budget problem with the columns of d reversed."""
+    row as a distribution, its chain, ragged, and a two-budget problem with a second table d2 drawn
+    as d is.  Array x of the chain is row x of d with the energies -ln Q, every odd one a state
+    shorter."""
 
-    def __init__(self, p, q, d, c):
+    def __init__(self, p, q, d, d2, c):
         self.c = c
         self.problem = RdProblem(p, q, d)
         self.dist = FiniteDistribution(d[0], q)
-        self.system = from_rd_problem(self.problem)
-        self.pair = RdProblem2(p, q, d, d[:, ::-1])
+        table, energies = self.problem.distortion, -np.log(self.problem.coding_probs)
+        self.system = ChainSystem(tuple(
+            ElementArray(row[: row.size - x % 2], energies[: row.size - x % 2], fraction)
+            for x, (row, fraction) in enumerate(zip(table, self.problem.source_probs.tolist()))))
+        self.pair = RdProblem2(p, q, d, d2)
 
 
 def halfway(lo: float, hi: float) -> float:
@@ -217,17 +224,19 @@ def check(route, case, s, twin, twin_s):
 
 
 def draw_case(seed: int, k: int, c: float) -> tuple[Case, Case | None]:
-    """The case at scale c and, where the scaled table holds it to full precision, its twin at
-    scale 1: the scaled table over c, so the two hold one table."""
+    """The case at scale c and, where the scaled tables hold it to full precision, its twin at
+    scale 1: the scaled tables over c, so the two hold one problem."""
     rng = np.random.default_rng(seed)
     p, q = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(k))
     d = rng.random((k, k)) * c
+    d2 = rng.random((k, k)) * c
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        case = Case(p, q, d, c)
-    nonzero = np.abs(d[d != 0.0])
+        case = Case(p, q, d, d2, c)
+    nonzero = np.abs(np.concatenate((d[d != 0.0], d2[d2 != 0.0])))
     held = nonzero.size == 0 or float(nonzero.min()) * min(float(p.min()), float(q.min())) > 1e-290
-    return case, (Case(p, q, d / c, 1.0) if held and float(d.max()) < 1e300 else None)
+    twin_held = held and max(float(d.max()), float(d2.max())) < 1e300
+    return case, (Case(p, q, d / c, d2 / c, 1.0) if twin_held else None)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-320.0, 308.0), st.floats(-320.0, 308.0),
@@ -237,6 +246,7 @@ def draw_case(seed: int, k: int, c: float) -> tuple[Case, Case | None]:
 @example(1, 3, 160.0, -160.0, -1.0)
 @example(2, 6, -320.0, 300.0, 1.0)
 @example(3, 1, 300.0, -310.0, -1.0)
+@example(4, 4, -161.0625, 0.0, -1.0)  # every letter's variance leaves its units subnormal: mmse answered 0.0
 def test_the_scale_plane(seed, k, log_c, log_s, sign):
     case, twin = draw_case(seed, k, 10.0**log_c)
     s = sign * 10.0**log_s
@@ -245,6 +255,41 @@ def test_the_scale_plane(seed, k, log_c, log_s, sign):
         twin = None
     for route in ROUTES:
         check(route, case, s, twin, twin_s)
+
+
+def read_mmse(route):
+    """The bits of an mmse, or the message of the ``NumericalError`` it raised, under warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.asarray(route(), dtype=float).tobytes()
+        except NumericalError as error:
+            return str(error)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.floats(-320.0, 308.0), st.floats(-320.0, 308.0),
+       st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=100, deadline=None)
+@example(4, 4, -161.0625, 0.0, -1.0)  # mmse answered 0.0, where RdPoint.mmse raises
+@example(0, 2, -300.0, 0.0, -1.0)
+@example(1, 3, 160.0, -160.0, -1.0)
+def test_mmse_is_the_points_mmse_and_raises_where_it_does(seed, k, log_c, log_s, sign):
+    # at one force, bit for bit or the same refusal; on a grid, each entry's bits, or a refusal where
+    # any entry's point refuses
+    problem, s = draw_case(seed, k, 10.0**log_c)[0].problem, sign * 10.0**log_s
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points = [distortion_at_force(problem, u) for u in (s, -0.0, 0.5 * s)]
+    except TiltrateError:
+        return  # no point to read (a rate at a positive force past 2^52 keeps no digit)
+    each = [read_mmse(lambda: point.mmse) for point in points]
+    assert read_mmse(lambda: mmse(problem, s)) == each[0]
+    grid = read_mmse(lambda: mmse(problem, np.array([s, -0.0, 0.5 * s])))
+    if all(isinstance(one, bytes) for one in each):
+        assert grid == b"".join(each)
+    else:
+        assert isinstance(grid, str) and grid.startswith("mmse is not representable")
 
 
 def bss(c: float) -> RdProblem:
