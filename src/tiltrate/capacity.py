@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _at_origin, _floored, _frozen, _law, _legendre
+from .tilting import PROB_TOL, _at_origin, _floats, _floored, _frozen, _law, _legendre
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -29,8 +29,7 @@ class Channel:
     input_probs: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.transition, dtype=float)
-        q = np.asarray(self.input_probs, dtype=float).ravel()
+        w, q = _floats(self.transition, "transition"), _floats(self.input_probs, "input_probs").ravel()
         if w.ndim != 2 or w.shape[0] != q.size:
             raise ValidationError(
                 f"transition must have one row per input letter (shape {w.shape}, {q.size} inputs)"

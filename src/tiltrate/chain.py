@@ -33,8 +33,11 @@ from .tilting import (
     _at_origin,
     _check_entries,
     _check_force,
+    _check_number,
     _check_partition,
     _end_band,
+    _finite,
+    _floats,
     _frozen,
     _law,
     _legendre,
@@ -67,8 +70,8 @@ class ElementArray:
     fraction: float
 
     def __post_init__(self):
-        y = np.asarray(self.state_lengths, dtype=float).ravel()
-        e = np.asarray(self.state_energies, dtype=float).ravel()
+        y = _floats(self.state_lengths, "state_lengths").ravel()
+        e = _floats(self.state_energies, "state_energies").ravel()
         if y.size == 0 or y.size != e.size:
             raise ValidationError("state_lengths and state_energies must be nonempty and equally long")
         # the energies' two ends, which ChainSystem checks as the ends of the log-weights -beta * energies
@@ -76,7 +79,7 @@ class ElementArray:
         if not (math.isfinite(ends[0]) and math.isfinite(ends[1])):
             raise ValidationError("state_lengths and state_energies must be finite")
         _check_entries(y, "state_lengths", "state_lengths and state_energies must be finite")
-        if not (math.isfinite(self.fraction) and self.fraction >= 0.0):
+        if not (_finite(self.fraction, "fraction") and self.fraction >= 0.0):
             raise ValidationError("fraction must be a nonnegative real")
         _frozen(self, state_lengths=y, state_energies=e)
         object.__setattr__(self, "_energy_ends", ends)
@@ -93,9 +96,9 @@ class ChainSystem:
         arrays = tuple(self.arrays)
         if not arrays:
             raise ValidationError("a chain needs at least one element array")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
+        if not (_finite(self.beta, "beta") and self.beta > 0.0):
             raise ValidationError("beta must be a positive real")
-        if not (math.isfinite(self.boltzmann_k) and self.boltzmann_k > 0.0):
+        if not (_finite(self.boltzmann_k, "boltzmann_k") and self.boltzmann_k > 0.0):
             raise ValidationError("boltzmann_k must be a positive real")
         _law([a.fraction for a in arrays], "array fractions")
         # the two ends of each array's log-weights, a row per array: an overflow to inf is refused, not warned of
@@ -223,7 +226,7 @@ def from_rd_problem(problem: RdProblem, beta: float = 1.0) -> ChainSystem:
     energies -ln Q(xhat) / beta, making the zero-force Boltzmann weights
     reproduce Q exactly.
     """
-    if not (math.isfinite(beta) and beta > 0.0):
+    if not (_finite(beta, "beta") and beta > 0.0):
         raise ValidationError("beta must be a positive real")
     # the largest energy, in Python floats, which do not warn: a tiny beta would overflow in numpy first
     if not math.isfinite(-math.log(float(problem.coding_probs.min())) / beta):
@@ -251,6 +254,7 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     limit), and energies above the flat-weight mean sit at beta = 0; the
     ends are decided as in ``tilting._legendre``.
     """
+    _check_number(energy, "energy")
     vmin, vmax = energy_dist.min_value, energy_dist.max_value
     message = f"energy {energy!r} outside the spectrum [{vmin!r}, {vmax!r}]"
     if energy > vmax + _end_band(vmax - vmin, vmax):

@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .ratedistortion import RdProblem
-from .tilting import _check_entries, _check_number, _law, force_at_level
+from .tilting import _check_entries, _check_number, _finite, _floats, _law, force_at_level
 
 __all__ = [
     "exact_ld_probability",
@@ -202,14 +202,15 @@ def blahut_arimoto(
     iterations, else returns the last iterate with ``converged=False``.
     """
     p = _law(source_probs, "source_probs")
-    d = np.asarray(distortion, dtype=float)
+    d = _floats(distortion, "distortion")
     if d.ndim != 2 or d.shape[0] != p.size:
         raise ValidationError("distortion must have one row per source letter")
     if d.size == 0:
         raise ValidationError("distortion must have at least one column")
     _check_entries(d, "distortion", "distortion entries must all be finite")
-    if not (math.isfinite(s) and s <= 0.0):
+    if not (_finite(s, "slope s") and s <= 0.0):
         raise ValidationError(f"slope s must be <= 0 (got {s!r})")
+    _finite(tol, "tol")  # one number, taken at any value: one that is not > 0 never converges
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
     keep = p > 0.0  # a source letter of probability 0 carries no mass; RdProblem drops it too

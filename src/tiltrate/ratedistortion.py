@@ -25,6 +25,7 @@ from .tilting import (
     _check_entries,
     _check_force,
     _check_partition,
+    _floats,
     _floored,
     _force_grid,
     _frozen,
@@ -73,7 +74,7 @@ def _clean_tables(problem, *names: str) -> None:
     rows, cols = _kept_letters(p, q)
     kept = {"source_probs": p[rows], "coding_probs": q[cols]}
     for name in names:
-        d = np.asarray(getattr(problem, name), dtype=float)
+        d = _floats(getattr(problem, name), name)
         if d.ndim != 2 or d.shape != (p.size, q.size):
             raise ValidationError(f"{name} must be a {p.size}x{q.size} matrix (got shape {d.shape})")
         _check_entries(d, name, f"{name} entries must all be finite")
@@ -301,7 +302,7 @@ def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
 def _observable_tables(problem: RdProblem, observable):
     """The problem's table (``_table``) and an observable t of the letter pair, checked against the
     table's shape: t is the second table of ``tilting._Table.pair``, held at zero force."""
-    t = np.asarray(observable, dtype=float)
+    t = _floats(observable, "observable")
     d = problem.distortion
     if t.shape != d.shape:
         raise ValidationError(f"observable must match the distortion table shape {d.shape}")
@@ -335,7 +336,7 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
 
 def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
     """Evaluate the curve on a grid of nonpositive forces, ordered s descending."""
-    grid = np.asarray(force_grid, dtype=float).ravel()
+    grid = _floats(force_grid, "force_grid").ravel()
     if grid.size == 0:
         raise ValidationError("force_grid must be nonempty")
     if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):

@@ -134,9 +134,21 @@ def invert_monotone(
     raise NumericalError(f"root solve short of tolerance after {_MAX_ITER} steps: bracket [{lo!r}, {hi!r}]")
 
 
+def _finite(x, name: str) -> bool:
+    """Whether ``x``, one real number (a Python or numpy scalar, or a 0-d array), is finite; anything
+    else raises ``ValidationError`` naming it ``name``: the one such test of every scalar check."""
+    if not (isinstance(x, np.ndarray) and x.ndim):
+        try:
+            return math.isfinite(x)
+        except TypeError:
+            pass
+    got = f"an array of shape {x.shape}" if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
+    raise ValidationError(f"{name} must be one number (got {got})")
+
+
 def _check_quadrature_tol(tol) -> None:
-    """Refuse a quadrature tolerance that is not finite and > 0."""
-    if not (math.isfinite(tol) and tol > 0.0):
+    """Refuse a quadrature tolerance that is not one finite number > 0."""
+    if not (_finite(tol, "tol") and tol > 0.0):
         raise ValidationError(f"tol must be finite and > 0 (got {tol!r})")
 
 

@@ -31,7 +31,7 @@ from .errors import (
     SupportMismatchError,
     ValidationError,
 )
-from .solvers import _check_quadrature_tol, adaptive_simpson, invert_monotone
+from .solvers import _check_quadrature_tol, _finite, adaptive_simpson, invert_monotone
 
 __all__ = [
     "PROB_TOL",
@@ -53,10 +53,19 @@ PROB_TOL = 1e-12  # how far from 1 the sum of a probability law (``_law``) may b
 VALUE_MERGE_TOL = 1e-12  # outcome values closer than this times the value span are one outcome
 
 
+def _floats(x, name: str, error=ValidationError) -> np.ndarray:
+    """``x`` as a float array by ``np.asarray``, or ``error`` naming it ``name`` where numpy cannot read
+    it as one (an entry that is not a number, or ragged rows): every array argument's conversion."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be an array of numbers (got a {type(x).__name__} that numpy cannot read)") from None
+
+
 def _law(vec, name: str) -> np.ndarray:
     """``vec`` as a flat float array, checked as a probability law: nonempty,
     finite, nonnegative and summing to 1 within ``PROB_TOL``."""
-    v = np.asarray(vec, dtype=float).ravel()
+    v = _floats(vec, name).ravel()
     if v.size == 0:
         raise ValidationError(f"{name} must be nonempty")
     if np.any(v < 0.0) or not np.all(np.isfinite(v)):
@@ -117,8 +126,7 @@ class FiniteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).ravel()
-        probs = np.asarray(self.probs, dtype=float).ravel()
+        values, probs = _floats(self.values, "values").ravel(), _floats(self.probs, "probs").ravel()
         if values.size == 0 or values.size != probs.size:
             raise ValidationError("values and probs must be nonempty and equally long")
         _check_entries(values, "values", "values must all be finite")
@@ -226,28 +234,19 @@ _WIDEST_UNITS = 2.0**64
 
 def _check_force(s, name: str = "force s") -> None:
     """Refuse a force that is not one finite number, naming it ``name``: every one-force route's check."""
-    if isinstance(s, np.ndarray) and s.ndim:
-        raise ValidationError(f"{name} must be one number (got an array of shape {s.shape})")
-    try:
-        finite = math.isfinite(s)
-    except TypeError:
-        raise ValidationError(f"{name} must be one number (got a {type(s).__name__})") from None
-    if not finite:
+    if not _finite(s, name):
         raise ValidationError(f"{name} must be finite (got {s!r})")
 
 
 def _force_grid(s) -> tuple[np.ndarray, bool]:
     """The forces of ``s`` as a fresh 1-D float array, and whether ``s`` is one force: the check of
     the two routes that take a force grid, ``tilt`` and ``ratedistortion.mmse``.  One force goes
-    through ``_check_force``; a list, tuple or array must hold finite numbers in one dimension."""
+    through ``_check_force``; a list, tuple or array must hold finite numbers (``_floats``) in one
+    dimension."""
     if not (isinstance(s, (list, tuple)) or isinstance(s, np.ndarray) and s.ndim):
         _check_force(s)
         return np.array([float(s)]), True
-    try:
-        grid = np.array(s, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"force s must be one number or a 1-D array (got a {type(s).__name__} "
-                              "that numpy cannot read as a float array)") from None
+    grid = np.array(_floats(s, "force s"))
     if grid.ndim != 1:
         raise ValidationError(f"force s must be one number or a 1-D array (got an array of shape {grid.shape})")
     bad = ~np.isfinite(grid)
@@ -266,14 +265,15 @@ def _largest(x) -> float:
 
 
 def _check_tol(tol) -> None:
-    """Refuse a root solve's tolerance that is nan, negative or infinite; 0 asks for machine width."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    """Refuse a root solve's tolerance that is nan, negative, infinite or no number; 0 asks for machine width."""
+    if not (_finite(tol, "tol") and tol >= 0.0):
         raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
 
 
 def _check_number(x, name: str, error=ValidationError) -> None:
-    """Refuse a nan level or budget ``x`` with ``error``, naming it ``name``: every budget route's check."""
-    if math.isnan(x):
+    """Refuse a nan level or budget ``x`` with ``error``, or no number by ``_finite``, naming it ``name``:
+    every budget route's check."""
+    if not _finite(x, name) and math.isnan(x):
         raise error(f"{name} must be a number, not nan")
 
 
@@ -731,12 +731,12 @@ def rate_work_integral(dist: FiniteDistribution, s: float, tol: float = 1e-9) ->
 _CUT_SCALES = 64.0
 
 
-def _pieces(f, table: _Table, s: float, tol: float) -> float:
+def _pieces(f, table: _Table, s: float, tol: float, extent: float = 1.0) -> float:
     """The integral of ``f`` from 0 to the kernel force s by ``adaptive_simpson``: the one front of the
     quadrature routes, whose integrands are a tilted variance or covariance on ``table``, or u times one.
 
-    Before any node it refuses a ``tol`` that is not finite and > 0.  The integral of a slope, the
-    displacement of a mean in its table's units, runs to ``tol`` times that table's ``extent`` there,
+    Before any node it refuses a ``tol`` that is not one finite number > 0.  The integral of a slope,
+    the displacement of a mean in its table's units, runs to ``tol`` times that table's ``extent``,
     which is ``tol`` times its span, as ``_legendre`` meets its budget; a rate's, in nats, keeps ``tol``.
 
     The integrands fall off exponentially within a few force scales (one over the widest row range)
@@ -750,7 +750,7 @@ def _pieces(f, table: _Table, s: float, tol: float) -> float:
         ends.append(math.copysign(edge, s))
         edge *= 2.0
     ends.append(s)
-    share, total = tol / (len(ends) - 1), -0.0  # -0.0 + x is x: one piece is the rule's own call, bit for bit
+    share, total = tol * extent / (len(ends) - 1), -0.0  # -0.0 + x is x: one piece is the rule's own call, bit for bit
     for a, b in zip(ends, ends[1:]):
         total += adaptive_simpson(f, a, b, share)
     return total
@@ -790,7 +790,7 @@ def _sweep(table: _Table, outputs_at, s: float, tol: float, mean_of: _Table, *, 
             at_zero.append(outputs[mean][-1 if s < 0.0 else 0])
         return np.vecdot(outputs[slope], p)
 
-    integral = _pieces(integrand, table, table.force(s), tol * mean_of.extent)
+    integral = _pieces(integrand, table, table.force(s), tol, mean_of.extent)
     means = at_zero[0] if at_zero else outputs_at(0.0)[mean]
     return mean_of.means_from_origin(means), integral * mean_of.unit
 
@@ -816,7 +816,7 @@ def _check_partition(points, name: str = "partition", error=PartitionInvalidErro
     """``points`` as a float array of forces, nonempty, finite, from 0 and monotone, or ``error``
     naming them ``name``: the one check of Riemann partitions and protocol schedules.  A repeated
     force adds nothing to either sum and is dropped, so the sums equal those without it bit for bit."""
-    pts = np.asarray(points, dtype=float).ravel()
+    pts = _floats(points, name, error).ravel()
     if pts.size == 0:
         raise error(f"{name} must be nonempty")
     if not np.all(np.isfinite(pts)) or pts[0] != 0.0:

@@ -12,19 +12,33 @@ from tiltrate import (
     ChainSystem,
     Channel,
     ElementArray,
+    FiniteDistribution,
     RdProblem,
+    RdProblem2,
     blahut_arimoto,
     brute_allocation_min,
     cli,
+    entropy_at_energy,
     equal_force_allocation,
     exact_ld_probability,
+    force_at_distortion,
+    force_at_level,
     from_rd_problem,
     legendre_grid_max,
     load_config,
+    mean_via_integral,
     observable_expectation,
+    observable_sweep,
+    quasistatic_work,
+    rate_legendre,
+    rate_mmse_integral,
+    rate_two_distortions,
+    rate_work_integral,
     rd_curve,
+    sandwich_bounds,
 )
 from tiltrate.errors import ConfigError, ValidationError
+from tiltrate.ratedistortion import distortion_mmse_integral
 
 
 def raises(error, message):
@@ -69,6 +83,76 @@ class TestConstructors:
     def test_a_law_must_be_nonempty(self):
         with raises(ValidationError, "source_probs must be nonempty"):
             RdProblem([], [1.0], np.zeros((0, 1)))
+
+
+BSS = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+PAIR = RdProblem2([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 2.0], [1.0, 0.0]])
+COIN = FiniteDistribution([0.0, 1.0], [0.5, 0.5])
+CHAIN = from_rd_problem(BSS)
+
+# Each route with one scalar argument in turn set to x: the argument's name, and the call
+ONE_NUMBER = {
+    "force_at_distortion tol": ("tol", lambda x: force_at_distortion(BSS, 0.25, x)),
+    "rate_legendre tol": ("tol", lambda x: rate_legendre(BSS, 0.25, x)),
+    "equal_force_allocation tol": ("tol", lambda x: equal_force_allocation(BSS, 0.25, x)),
+    "force_at_level tol": ("tol", lambda x: force_at_level(COIN, 0.25, x)),
+    "entropy_at_energy tol": ("tol", lambda x: entropy_at_energy(COIN, 0.25, x)),
+    "rate_two_distortions tol": ("tol", lambda x: rate_two_distortions(PAIR, 0.3, 0.6, x)),
+    "rate_mmse_integral tol": ("tol", lambda x: rate_mmse_integral(BSS, -1.0, x)),
+    "distortion_mmse_integral tol": ("tol", lambda x: distortion_mmse_integral(BSS, -1.0, x)),
+    "observable_sweep tol": ("tol", lambda x: observable_sweep(BSS, [[1.0, 2.0], [3.0, 4.0]], -1.0, x)),
+    "rate_work_integral tol": ("tol", lambda x: rate_work_integral(COIN, -1.0, x)),
+    "mean_via_integral tol": ("tol", lambda x: mean_via_integral(COIN, -1.0, x)),
+    "quasistatic_work tol": ("tol", lambda x: quasistatic_work(CHAIN, -1.0, x)),
+    "blahut_arimoto tol": ("tol", lambda x: blahut_arimoto([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], -1.0, x)),
+    "force_at_distortion budget": ("the target level", lambda x: force_at_distortion(BSS, x)),
+    "force_at_level level": ("the target level", lambda x: force_at_level(COIN, x)),
+    "rate_two_distortions delta1": ("delta1", lambda x: rate_two_distortions(PAIR, x, 0.6)),
+    "rate_two_distortions delta2": ("delta2", lambda x: rate_two_distortions(PAIR, 0.3, x)),
+    "entropy_at_energy energy": ("energy", lambda x: entropy_at_energy(COIN, x)),
+    "blahut_arimoto slope": ("slope s", lambda x: blahut_arimoto([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], x)),
+    "ElementArray fraction": ("fraction", lambda x: ElementArray([0.0, 1.0], [0.0, 0.0], x)),
+    "ChainSystem beta": ("beta", lambda x: ChainSystem((ElementArray([0.0, 1.0], [0.0, 0.0], 1.0),), beta=x)),
+    "ChainSystem boltzmann_k": ("boltzmann_k", lambda x: ChainSystem((ElementArray([0.0, 1.0], [0.0, 0.0], 1.0),),
+                                                                      boltzmann_k=x)),
+    "from_rd_problem beta": ("beta", lambda x: from_rd_problem(BSS, x)),
+}
+
+
+@pytest.mark.parametrize("bad, got", [
+    ([1e-9], "a list"), ("1e-9", "a str"), (None, "a NoneType"), (np.array([1e-9, 1e-9]), "an array of shape (2,)"),
+    (np.array([1e-9]), "an array of shape (1,)")])
+@pytest.mark.parametrize("route", sorted(ONE_NUMBER))
+def test_a_scalar_that_is_not_one_number_is_refused_by_name(route, bad, got):
+    # each had raised a bare TypeError from math.isfinite, math.isnan or a comparison, and
+    # blahut_arimoto's tol only after two iterations
+    name, call = ONE_NUMBER[route]
+    with raises(ValidationError, f"{name} must be one number (got {got})") as refusal:
+        call(bad)
+    assert refusal.type is ValidationError  # not a budget's InfeasiblePairError: the pair was never read
+
+
+@pytest.mark.parametrize("route, name", [
+    (lambda bad: RdProblem(bad, [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]]), "source_probs"),
+    (lambda bad: RdProblem([0.5, 0.5], bad, [[0.0, 1.0], [1.0, 0.0]]), "coding_probs"),
+    (lambda bad: RdProblem([0.5, 0.5], [0.5, 0.5], bad), "distortion"),
+    (lambda bad: RdProblem2([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], bad), "distortion_2"),
+    (lambda bad: FiniteDistribution(bad, [0.5, 0.5]), "values"),
+    (lambda bad: FiniteDistribution([0.0, 1.0], bad), "probs"),
+    (lambda bad: Channel(bad, [0.5, 0.5]), "transition"),
+    (lambda bad: Channel([[1.0, 0.0], [0.0, 1.0]], bad), "input_probs"),
+    (lambda bad: ElementArray(bad, [0.0, 0.0], 1.0), "state_lengths"),
+    (lambda bad: ElementArray([0.0, 1.0], bad, 1.0), "state_energies"),
+    (lambda bad: rd_curve(BSS, bad), "force_grid"),
+    (lambda bad: sandwich_bounds(BSS, bad), "partition"),
+    (lambda bad: observable_expectation(BSS, bad, -1.0), "observable"),
+    (lambda bad: blahut_arimoto([0.5, 0.5], bad, -1.0), "distortion"),
+])
+@pytest.mark.parametrize("bad, kind", [(["a", "b"], "list"), ([[0.0, 1.0], [1.0]], "list"), ({"a": 1.0}, "dict")])
+def test_an_array_that_numpy_cannot_read_is_refused_by_name(route, name, bad, kind):
+    # a string entry or ragged rows had raised numpy's bare ValueError, and a dict its TypeError
+    with raises(ValidationError, f"{name} must be an array of numbers (got a {kind} that numpy cannot read)"):
+        route(bad)
 
 
 class TestRateDistortion:
