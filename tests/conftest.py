@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-from tiltrate import FiniteDistribution, RdProblem
+from tiltrate import FiniteDistribution, RdProblem, tilt
 from tiltrate.multiconstraint import _evaluate
-from tiltrate.tilting import _Table
+from tiltrate.tilting import _Table, _frozen
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -80,6 +80,22 @@ def feasible_delta(rng, problem) -> float:
         if delta > floor + 1e-9 * max(1.0, abs(floor)):
             return delta
     pytest.skip("degenerate random problem: no interior budget")
+
+
+def letters_in_units(problem, table) -> list:
+    """Each source letter's distortion law moved to origin and into ``table``'s units, built as
+    ``rate_mmse_integral`` builds the letters it tilts."""
+    letters = []
+    for dist in problem.delta_dists:
+        letters.append(object.__new__(FiniteDistribution))
+        _frozen(letters[-1], values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
+    return letters
+
+
+def letters_mmse(letters, p, s):
+    """The source-weighted sum of the letters' ``tilt`` variances at one force s, reduced by
+    ``np.vecdot`` as ``rate_mmse_integral`` reduces each level's."""
+    return float(np.vecdot(np.stack([tilt(d, s).variance for d in letters], axis=-1), p))
 
 
 def recursive_simpson(f, a: float, b: float, tol: float) -> float:

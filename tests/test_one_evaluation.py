@@ -38,15 +38,15 @@ from tiltrate import (
     rd_curve,
     riemann_sandwich,
     sandwich_bounds,
-    tilt,
 )
 from tiltrate import chain, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError, LevelInfeasibleError
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin, _floored, _frozen, _legendre
+from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin, _floored, _legendre
 
-from conftest import feasible_delta, random_problem, raw_table, rd2_stats, recursive_simpson
+from conftest import (
+    feasible_delta, letters_in_units, letters_mmse, random_problem, raw_table, rd2_stats, recursive_simpson)
 
 
 class Calls(list):
@@ -74,22 +74,6 @@ def forces(monkeypatch):
 
     monkeypatch.setattr(tilting._Table, "grid", counted)
     return seen
-
-
-def letters_in_units(problem, table) -> list:
-    """Each source letter's distortion law moved to origin and into ``table``'s units, built as
-    ``rate_mmse_integral`` builds the letters it tilts."""
-    letters = []
-    for dist in problem.delta_dists:
-        letters.append(object.__new__(FiniteDistribution))
-        _frozen(letters[-1], values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
-    return letters
-
-
-def letters_mmse(letters, p, s):
-    """The source-weighted sum of the letters' ``tilt`` variances at one force s, reduced by
-    ``np.vecdot`` as ``rate_mmse_integral`` reduces each level's."""
-    return float(np.vecdot(np.stack([tilt(d, s).variance for d in letters], axis=-1), p))
 
 
 def problems():

@@ -111,6 +111,7 @@ ONE_NUMBER = {
     "rate_two_distortions delta2": ("delta2", lambda x: rate_two_distortions(PAIR, 0.3, x)),
     "entropy_at_energy energy": ("energy", lambda x: entropy_at_energy(COIN, x)),
     "blahut_arimoto slope": ("slope s", lambda x: blahut_arimoto([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], x)),
+    "legendre_grid_max s_min": ("s_min", lambda x: legendre_grid_max(BSS, 0.25, x)),
     "ElementArray fraction": ("fraction", lambda x: ElementArray([0.0, 1.0], [0.0, 0.0], x)),
     "ChainSystem beta": ("beta", lambda x: ChainSystem((ElementArray([0.0, 1.0], [0.0, 0.0], 1.0),), beta=x)),
     "ChainSystem boltzmann_k": ("boltzmann_k", lambda x: ChainSystem((ElementArray([0.0, 1.0], [0.0, 0.0], 1.0),),
