@@ -478,8 +478,8 @@ def test_a_force_grid_reaches_the_kernel_through_tilt_and_mmse_alone():
     in_tilt, in_mmse = calls_by_function("tilting.py")["tilt"], calls_by_function("ratedistortion.py")["mmse"]
     assert {"_force_grid", "forces", "grid"} <= in_tilt
     assert {"_force_grid", "forces", "averaged", "variances"} <= in_mmse
-    for called in (in_tilt, in_mmse):
-        assert not called & {"law", "laws", "vecdot", "dot", "einsum", "stack", "_normalised", "_tilted_weights", "tilt"}
+    own = {"law", "laws", "vecdot", "dot", "einsum", "stack", "_normalised", "_tilted_weights", "tilt"}
+    assert not in_tilt & own and not in_mmse & own
 
 
 def test_ratedistortion_tilts_its_letters_in_the_mmse_integral_alone():

@@ -197,7 +197,7 @@ def mmse_by_dot(problem: RdProblem, s: float, ulps: int) -> tuple[float, float]:
     """``mmse`` at one force by ``np.dot`` (each row's variance on its tilted law at origin and in
     units, weighted by the source law and moved out of the units), and how far the kernel's may part
     from it beside ``ulps`` units in its last place.  A variance taken about a mean off by m is off by
-    m^2, and each formula's mean is within a few units in the last place of itself, so the two may
+    m^2, and each formula's mean is within a few units in the last place of the true one, so the two may
     also part by sum_x p_x (ulps eps mean_x)^2.  That matters only where a row's law sits on values far
     closer together than its mean: at force 39.9 on the "ties" rows, whose last two values are 1e-14
     apart, they parted by up to 330 units in the last place.  Each row of the table is its own, not

@@ -46,7 +46,14 @@ from tiltrate.solvers import adaptive_simpson
 from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin, _floored, _legendre
 
 from conftest import (
-    feasible_delta, letters_in_units, letters_mmse, random_problem, raw_table, rd2_stats, recursive_simpson)
+    feasible_delta,
+    letters_in_units,
+    letters_mmse,
+    random_problem,
+    raw_table,
+    rd2_stats,
+    recursive_simpson,
+)
 
 
 class Calls(list):
