@@ -223,6 +223,9 @@ class RateResult:
 _BLOCK_ENTRIES = 1 << 15
 # The least normal float: a variance at or above it that leaves its units as 0 has lost every digit.
 _TINY = float(np.finfo(float).tiny)
+# The least share of its squared mean a variance may be before ``_moments`` corrects it for the mean's
+# rounding: above it a mean off by 2^10 units in its last place moves it by under half of its own.
+_CLOSE = 2.0**-30
 # The largest exponent |s| * value the kernel takes (``_Table.forces``): its products, and the sum
 # of two such forces that a quadrature's midpoint takes, stay below the largest float.
 _HOLD = 2.0**1022
@@ -323,6 +326,15 @@ def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
     centered = values - mean[..., None]
     var = c_einsum("...j,...j,...j->...", w, centered, centered)
     var /= z
+    # A variance taken about a mean off by m by rounding is too large by m^2.  Only where the variance
+    # is below _CLOSE times the squared mean, a law on values close together far from origin (a stiff
+    # positive force on a row whose top values nearly tie), can m^2 reach half its last place; there
+    # the corrected two-pass formula takes it back: the mean of the centred values, exact near the
+    # mean, is -m, and its square comes off (Chan, Golub & LeVeque, Am. Stat. 37, 1983).
+    close = var < _CLOSE * mean * mean
+    if np.count_nonzero(close):  # on a small table's few rows, cheaper than close.any()
+        m = c_einsum("ij,ij->i", w[close], centered[close]) / z[close]
+        var[close] -= m * m
     return np.log(z) + shift, mean, var
 
 

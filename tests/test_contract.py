@@ -713,7 +713,7 @@ def test_the_tilted_law_is_asked_at_scalar_forces_only(monkeypatch):
 
 
 def einsum_moments(log_weights, values, s, order):
-    """``tilting._moments`` written with the public ``np.einsum`` and fresh arrays, as it was."""
+    """``tilting._moments`` written with the public ``np.einsum`` and fresh arrays."""
     w = values * s + log_weights
     shift = w.max(axis=-1)
     w = np.exp(w - shift[..., None])
@@ -722,7 +722,11 @@ def einsum_moments(log_weights, values, s, order):
     if order == 1:
         return shift + np.log(z), mean
     centered = values - mean[..., None]
-    return shift + np.log(z), mean, np.einsum("...j,...j,...j->...", w, centered, centered) / z
+    var = np.einsum("...j,...j,...j->...", w, centered, centered) / z
+    close = var < tiltrate.tilting._CLOSE * mean * mean
+    m = np.einsum("ij,ij->i", w[close], centered[close]) / z[close]
+    var[close] -= m * m
+    return shift + np.log(z), mean, var
 
 
 def einsum_pair(log_weights, a, b, s_a, s_b):
