@@ -33,7 +33,6 @@ from .tilting import (
     _at_origin,
     _check_entries,
     _check_force,
-    _check_number,
     _check_partition,
     _end_band,
     _finite,
@@ -254,7 +253,7 @@ def entropy_at_energy(energy_dist: FiniteDistribution, energy: float, tol: float
     limit), and energies above the flat-weight mean sit at beta = 0; the
     ends are decided as in ``tilting._legendre``.
     """
-    _check_number(energy, "energy")
+    _finite(energy, "energy")  # what is no number is refused by name; nan goes on to _legendre's check
     vmin, vmax = energy_dist.min_value, energy_dist.max_value
     message = f"energy {energy!r} outside the spectrum [{vmin!r}, {vmax!r}]"
     if energy > vmax + _end_band(vmax - vmin, vmax):

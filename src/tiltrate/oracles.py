@@ -130,8 +130,11 @@ def legendre_grid_max(problem: RdProblem, delta: float, s_min: float = -50.0, po
     """
     if points < 3:
         raise ValidationError("points must be at least 3")
-    if not (_finite(s_min, "s_min") and s_min < 0.0):
-        raise ValidationError(f"s_min must be finite (got {s_min!r})" if s_min < 0.0 else "s_min must be negative")
+    _finite(s_min, "s_min")
+    if not s_min < 0.0:
+        raise ValidationError("s_min must be negative")
+    if not math.isfinite(s_min):
+        raise ValidationError(f"s_min must be finite (got {s_min!r})")
     _check_number(delta, "delta")
     if math.isinf(delta):
         # s * delta is -inf (+inf for delta = -inf) at every s < 0 and 0 at s = 0
