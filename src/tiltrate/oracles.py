@@ -20,6 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .ratedistortion import RdProblem
+from .solvers import _count
 from .tilting import _check_entries, _check_number, _finite, _floats, _law, force_at_level
 
 __all__ = [
@@ -45,6 +46,7 @@ def exact_ld_probability(problem: RdProblem, n: int, delta: float) -> tuple[floa
     reachable totals never alias at desk scales.  Returns (probability,
     -ln(probability)/n) as floats; a nan ``delta`` raises ValidationError.
     """
+    n = _count(n, "block length n")
     if n <= 0:
         raise ValidationError("block length n must be positive")
     _check_number(delta, "delta")
@@ -98,6 +100,7 @@ def brute_allocation_min(problem: RdProblem, delta: float, grid_points_per_symbo
     k = problem.num_source_letters
     if k > 3:
         raise AlphabetTooLargeError(f"brute-force allocation handles at most 3 source letters (got {k})")
+    grid_points_per_symbol = _count(grid_points_per_symbol, "grid_points_per_symbol")
     if grid_points_per_symbol < 2:
         raise ValidationError("grid_points_per_symbol must be at least 2")
     _check_number(delta, "delta")
@@ -128,6 +131,7 @@ def legendre_grid_max(problem: RdProblem, delta: float, s_min: float = -50.0, po
     local refinement passes around the argmax; agrees with the root-solve
     route to ~1e-6 for budgets whose maximizer lies inside the scanned range.
     """
+    points = _count(points, "points")
     if points < 3:
         raise ValidationError("points must be at least 3")
     _finite(s_min, "s_min")
@@ -212,6 +216,7 @@ def blahut_arimoto(
     if not (_finite(s, "slope s") and s <= 0.0):
         raise ValidationError(f"slope s must be <= 0 (got {s!r})")
     _finite(tol, "tol")  # one number, taken at any value: one that is not > 0 never converges
+    max_iter = _count(max_iter, "max_iter")
     if max_iter < 1:
         raise ValidationError("max_iter must be at least 1")
     keep = p > 0.0  # a source letter of probability 0 carries no mass; RdProblem drops it too

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -97,10 +96,12 @@ class RdProblem:
     def __post_init__(self):
         _clean_tables(self, "distortion")
 
-    @cached_property
+    @property
     def delta_dists(self) -> tuple[FiniteDistribution, ...]:
         """Per source letter, the distribution of its distortion under the coding law, all rows at once by
-        ``tilting._set_laws``: each equals ``FiniteDistribution(row, coding_probs)`` bit for bit."""
+        ``tilting._set_laws``: each equals ``FiniteDistribution(row, coding_probs)`` bit for bit.  Built
+        on each read and not kept, so each read is a fresh tuple: a caller that reads it more than once
+        keeps the tuple."""
         dists = tuple(object.__new__(FiniteDistribution) for _ in range(self.source_probs.size))
         _set_laws(dists, self.distortion, self.coding_probs)
         return dists
@@ -274,9 +275,9 @@ def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float
     (``tilting._work_integral``).  Each Simpson level's nodes go to one ``tilt`` per source letter, on
     the letters moved to origin and into the table's units, built once per call, so no variance
     leaves them; the forces x letters variances (C-contiguous) are reduced by ``np.vecdot``."""
-    table, p = _table(problem), problem.source_probs
-    letters = tuple(object.__new__(FiniteDistribution) for _ in problem.delta_dists)
-    for letter, dist in zip(letters, problem.delta_dists):
+    table, p, dists = _table(problem), problem.source_probs, problem.delta_dists
+    letters = tuple(object.__new__(FiniteDistribution) for _ in dists)
+    for letter, dist in zip(letters, dists):
         _frozen(letter, values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
     return _work_integral(table, s, tol, lambda us: np.vecdot(np.stack([tilt(d, us).variance for d in letters], -1), p))
 

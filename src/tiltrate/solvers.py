@@ -19,6 +19,7 @@ it through the cut of ``tilting._pieces``.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -142,8 +143,24 @@ def _finite(x, name: str) -> bool:
             return math.isfinite(x)
         except TypeError:
             pass
-    got = f"an array of shape {x.shape}" if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
-    raise ValidationError(f"{name} must be one number (got {got})")
+    raise ValidationError(f"{name} must be one number (got {_kind(x)})")
+
+
+def _count(x, name: str) -> int:
+    """``x``, one whole number as ``operator.index`` reads it (a Python or numpy integer, or a 0-d
+    integer array), as an int; anything else, a bool or a float of whole value included, raises
+    ``ValidationError`` naming it ``name``: the one test of every count argument."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be one whole number (got {_kind(x)})")
+
+
+def _kind(x) -> str:
+    """What ``x`` is, for the refusals of ``_finite`` and ``_count``: an array's shape, else its type."""
+    return f"an array of shape {x.shape}" if isinstance(x, np.ndarray) else f"a {type(x).__name__}"
 
 
 def _check_quadrature_tol(tol) -> None:

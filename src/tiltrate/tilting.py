@@ -221,6 +221,10 @@ class RateResult:
 
 # Forces and rows per block of the kernel keep each of its temporaries near this many entries.
 _BLOCK_ENTRIES = 1 << 15
+# The kernel calls made in this process: "block" counts each exponential of ``_tilted_weights``, one
+# per row block, and "table" each call of ``_Table.grid``, ``.pair`` or ``.law``, the kernel's entries.
+# Read by ``_kernel_calls``; a reader takes the difference across the calls it counts.
+_TALLY = {"block": 0, "table": 0}
 # The least normal float: a variance at or above it that leaves its units as 0 has lost every digit.
 _TINY = float(np.finfo(float).tiny)
 # The least share of its squared mean a variance may be before ``_moments`` corrects it for the mean's
@@ -354,6 +358,7 @@ def _pair(log_weights: np.ndarray, a: np.ndarray, b: np.ndarray, s_a, s_b):
 def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
     """Per-row weights e^{log_weights + w - shift}, written over the fresh exponent ``w``, and the shifts,
     each row's largest exponent: the one exponential behind every tilted quantity."""
+    _TALLY["block"] += 1
     w += log_weights
     shift = w.max(axis=-1)
     w -= shift[..., None]
@@ -501,6 +506,7 @@ class _Table(NamedTuple):
         """Per-row (log-partition, mean, variance) at origin at kernel force ``s``, or at each force
         of a 1-D array ``s``, stacked forces first, by ``_tilted``; ``order`` 1 stops after the mean.
         The forces are unchecked."""
+        _TALLY["table"] += 1
         return _tilted(_moments, self.log_weights, (self.values,), s, order)
 
     def moments(self, s, order: int = 2):
@@ -515,12 +521,14 @@ class _Table(NamedTuple):
         The two-budget ascent tilts two distortion tables at once; an observable of the letter pair
         is ``b`` held at zero force.  ``s_b`` is a finite scalar: the ascent's own iterate, or an
         observable's 0.  The forces are kernel forces, unchecked."""
+        _TALLY["table"] += 1
         return _tilted(_pair, self.log_weights, (self.values, b), s_a, s_b)
 
     def law(self, s):
         """Per-row tilted law (each row summing to 1) and log-partition at the kernel force for one
         force s (``force``): one call, since the law is as large as its table and row blocks would
         only add a copy."""
+        _TALLY["table"] += 1
         return _normalised(*_tilted_weights(self.log_weights, self.values * self.force(s)))
 
     def averaged(self, forces: np.ndarray, moment: int) -> np.ndarray:
@@ -551,6 +559,12 @@ class _Table(NamedTuple):
         ranges = self.ranges[:, None] / self.unit
         at_end = sign * (self.values - (ranges if sign > 0.0 else 0.0)) >= -VALUE_MERGE_TOL * ranges
         return np.where(at_end, self.log_weights, -math.inf)
+
+
+def _kernel_calls() -> dict[str, int]:
+    """A copy of the kernel's call tally (``_TALLY``): its row blocks and its table calls, each
+    counted since import."""
+    return dict(_TALLY)
 
 
 def _exact_dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,7 +6,7 @@ from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from tiltrate import FiniteDistribution, RdProblem, tilt
 from tiltrate.multiconstraint import _evaluate
-from tiltrate.tilting import _Table, _frozen
+from tiltrate.tilting import _Table, _frozen, _kernel_calls
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
@@ -20,6 +20,20 @@ def dispatch_level() -> str:
     round their last bits by the kernel numpy picks."""
     on = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
     return on[-1] if on else "baseline"
+
+
+def kernel_calls(kind: str = "block"):
+    """A reader of the kernel calls of ``kind`` (``tilting._kernel_calls``: row blocks, or "table"
+    calls of ``grid``, ``pair`` or ``law``) made since this call: each read is the count so far."""
+    start = _kernel_calls()[kind]
+    return lambda: _kernel_calls()[kind] - start
+
+
+@pytest.fixture
+def exponentials():
+    """``kernel_calls()`` from the test's start: its row blocks, each one exponential (``_tilted_weights``),
+    the one behind every tilted quantity."""
+    return kernel_calls()
 
 
 def h2(x: float) -> float:

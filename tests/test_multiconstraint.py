@@ -6,10 +6,10 @@ import pytest
 
 from tiltrate import RdProblem, RdProblem2, ValidationError, force_at_distortion, rate_legendre, rate_two_distortions
 from tiltrate.errors import InfeasiblePairError, NumericalError
-from tiltrate import multiconstraint, tilting
+from tiltrate import multiconstraint
 from tiltrate.tilting import _at_origin, _legendre
 
-from conftest import dispatch_level, h2, rd2_stats
+from conftest import dispatch_level, h2, kernel_calls, rd2_stats
 from test_symmetry import REL, permuted
 
 D_HAMMING = [[0.0, 1.0], [1.0, 0.0]]
@@ -701,18 +701,16 @@ class TestPinnedDeck:
     their last bits by the kernel numpy picks.  On a level with no set the test fails and names
     it: the pins are then taken from that ascent on that level, never loosened."""
 
-    def test_every_pair_answers_as_pinned(self, monkeypatch):
+    def test_every_pair_answers_as_pinned(self):
         level = dispatch_level()
         if level not in PINNED_AT_LEVEL:
             pytest.fail(f"no pins for numpy's SIMD dispatch level {level}: take them on that level")
-        calls, weights = [], tilting._tilted_weights
-        monkeypatch.setattr(tilting, "_tilted_weights", lambda *args: calls.append(1) or weights(*args))
         got = {}
         for name, problem, budgets in pinned_pairs():
-            calls.clear()
+            calls = kernel_calls()
             try:
                 answer = " ".join(x.hex() for x in rate_two_distortions(problem, *budgets))
             except (InfeasiblePairError, NumericalError) as error:
                 answer = type(error).__name__
-            got[name] = (len(calls), answer)
+            got[name] = (calls(), answer)
         assert got == {**PINNED, **PINNED_AT_LEVEL[level]}

@@ -38,6 +38,7 @@ from tiltrate import (
     sandwich_bounds,
 )
 from tiltrate.errors import ConfigError, ValidationError
+from tiltrate.oracles import BaResult
 from tiltrate.ratedistortion import distortion_mmse_integral
 
 
@@ -131,6 +132,41 @@ def test_a_scalar_that_is_not_one_number_is_refused_by_name(route, bad, got):
     with raises(ValidationError, f"{name} must be one number (got {got})") as refusal:
         call(bad)
     assert refusal.type is ValidationError  # not a budget's InfeasiblePairError: the pair was never read
+
+
+# Each route with one count argument set to x: the argument's name, and the call
+ONE_COUNT = {
+    "exact_ld_probability n": ("block length n", lambda x: exact_ld_probability(BSS, x, 0.25)),
+    "brute_allocation_min grid_points_per_symbol": ("grid_points_per_symbol",
+                                                    lambda x: brute_allocation_min(BSS, 0.25, x)),
+    "legendre_grid_max points": ("points", lambda x: legendre_grid_max(BSS, 0.25, points=x)),
+    "blahut_arimoto max_iter": ("max_iter", lambda x: blahut_arimoto([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], -1.0,
+                                                                     max_iter=x)),
+}
+
+
+@pytest.mark.parametrize("bad, got", [
+    ("5", "a str"), (None, "a NoneType"), ([1.0, 2.0], "a list"), (math.nan, "a float"), (2.5, "a float"),
+    (4.0, "a float"), (True, "a bool"), (np.array([4]), "an array of shape (1,)"), (np.array(4.0), "an array of shape ()")])
+@pytest.mark.parametrize("route", sorted(ONE_COUNT))
+def test_a_count_that_is_not_one_whole_number_is_refused_by_name(route, bad, got):
+    # most had raised a bare TypeError from a comparison, np.linspace or range; n = 4.0, np.array([4])
+    # and np.array(4.0), and max_iter = True, had answered.  A bool is a flag and a float a
+    # measurement, even of whole value, so neither is a count
+    name, call = ONE_COUNT[route]
+    with raises(ValidationError, f"{name} must be one whole number (got {got})"):
+        call(bad)
+
+
+@pytest.mark.parametrize("route", sorted(ONE_COUNT))
+def test_a_numpy_integer_count_answers_as_its_int(route):
+    call = ONE_COUNT[route][1]
+
+    def answer(count):
+        got = call(count)
+        return (got.rate, got.iterations) if isinstance(got, BaResult) else got
+
+    assert answer(np.int64(4)) == answer(np.uint8(4)) == answer(np.array(4)) == answer(4)
 
 
 @pytest.mark.parametrize("route, name", [
