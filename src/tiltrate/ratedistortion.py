@@ -102,9 +102,7 @@ class RdProblem:
         ``tilting._set_laws``: each equals ``FiniteDistribution(row, coding_probs)`` bit for bit.  Built
         on each read and not kept, so each read is a fresh tuple: a caller that reads it more than once
         keeps the tuple."""
-        dists = tuple(object.__new__(FiniteDistribution) for _ in range(self.source_probs.size))
-        _set_laws(dists, self.distortion, self.coding_probs)
-        return dists
+        return _set_laws(self.distortion, self.coding_probs)
 
     @property
     def num_source_letters(self) -> int:
@@ -272,13 +270,11 @@ def mmse(problem: RdProblem, s):
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
-    (``tilting._work_integral``).  Each Simpson level's nodes go to one ``tilt`` per source letter, on
-    the letters moved to origin and into the table's units, built once per call, so no variance
-    leaves them; the forces x letters variances (C-contiguous) are reduced by ``np.vecdot``."""
-    table, p, dists = _table(problem), problem.source_probs, problem.delta_dists
-    letters = tuple(object.__new__(FiniteDistribution) for _ in dists)
-    for letter, dist in zip(letters, dists):
-        _frozen(letter, values=table.in_units(dist.values - dist.values[0]), probs=dist.probs)
+    (``tilting._work_integral``).  Each Simpson level's nodes go to one ``tilt`` per source letter, on its
+    law built by one ``tilting._set_laws`` pass over the rows of the table integrated on, at origin and in
+    units, so no variance leaves them; the forces x letters variances (C-contiguous) are reduced by ``np.vecdot``."""
+    table, p = _table(problem), problem.source_probs
+    letters = _set_laws(table.values, problem.coding_probs)
     return _work_integral(table, s, tol, lambda us: np.vecdot(np.stack([tilt(d, us).variance for d in letters], -1), p))
 
 

@@ -131,7 +131,7 @@ class FiniteDistribution:
             raise ValidationError("values and probs must be nonempty and equally long")
         _check_entries(values, "values", "values must all be finite")
         keep = _law(probs, "probs") > 0.0
-        _set_laws((self,), values[keep][None, :], probs[keep])
+        self.__dict__.update(vars(_set_laws(values[keep][None, :], probs[keep])[0]))
 
     @property
     def size(self) -> int:
@@ -160,10 +160,11 @@ class FiniteDistribution:
         return _at_origin(np.ones(1), np.log(self.probs)[None, :], self.values[None, :])
 
 
-def _set_laws(dists: tuple, values: np.ndarray, probs: np.ndarray) -> None:
-    """Store on ``dists[x]``, through ``_frozen``, row x of ``values`` under the law ``probs`` (all
-    positive): sorted, runs within ``VALUE_MERGE_TOL`` of the row's span merged at their least value,
+def _set_laws(values: np.ndarray, probs: np.ndarray) -> tuple[FiniteDistribution, ...]:
+    """A fresh ``FiniteDistribution`` per row of ``values`` under the law ``probs`` (all positive), set through
+    ``_frozen``, unchecked: sorted, runs within ``VALUE_MERGE_TOL`` of the row's span merged at their least value,
     over the row's sum.  The one sort-and-merge, in row blocks of about ``_BLOCK_ENTRIES`` entries."""
+    dists = tuple(object.__new__(FiniteDistribution) for _ in range(values.shape[0]))
     step = max(_BLOCK_ENTRIES // values.shape[1], 1)
     for j in range(0, values.shape[0], step):
         block = values[j : j + step]
@@ -185,6 +186,7 @@ def _set_laws(dists: tuple, values: np.ndarray, probs: np.ndarray) -> None:
                 rows[x] = row[heads], mass / mass.sum()
         for dist, (row_values, row_probs) in zip(dists[j : j + step], rows):
             _frozen(dist, values=row_values, probs=row_probs)
+    return dists
 
 
 @dataclass(frozen=True, eq=False)

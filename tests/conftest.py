@@ -97,8 +97,9 @@ def feasible_delta(rng, problem) -> float:
 
 
 def letters_in_units(problem, table) -> list:
-    """Each source letter's distortion law moved to origin and into ``table``'s units, built as
-    ``rate_mmse_integral`` builds the letters it tilts."""
+    """Each source letter's distortion law, read from ``delta_dists``, moved to its own least value
+    and into ``table``'s units: an independent reference for ``rate_mmse_integral``'s letters, which
+    it takes from the rows of its lowered table, already at origin and in units."""
     letters = []
     for dist in problem.delta_dists:
         letters.append(object.__new__(FiniteDistribution))
@@ -110,6 +111,20 @@ def letters_mmse(letters, p, s):
     """The source-weighted sum of the letters' ``tilt`` variances at one force s, reduced by
     ``np.vecdot`` as ``rate_mmse_integral`` reduces each level's."""
     return float(np.vecdot(np.stack([tilt(d, s).variance for d in letters], axis=-1), p))
+
+
+def full_table_observable(problem, t, s):
+    """The observable's tilted mean, its covariance with the distortion and its per-row means, from
+    whole-table temporaries, on the distortion with each row shifted to start at 0 and put in units
+    of its source-weighted span, at the kernel's force s."""
+    d = problem.distortion - problem.distortion.min(axis=1)[:, None]
+    d /= float(np.dot(problem.source_probs, np.ptp(d, axis=1)))
+    p = problem.source_probs
+    law = raw_table(np.log(problem.coding_probs)[None, :], d).law(s)[0]
+    mean_t = np.einsum("ij,ij->i", law, t)
+    mean_d = np.einsum("ij,ij->i", law, d)
+    cov = np.einsum("ij,ij,ij->i", law, d - mean_d[:, None], t - mean_t[:, None])
+    return float(np.dot(p, mean_t)), float(np.dot(p, cov)), mean_t
 
 
 def recursive_simpson(f, a: float, b: float, tol: float) -> float:

@@ -4,18 +4,20 @@
 
 Runs every operation of the solve and sweep decks (``perfbench/workloads.py``) at seeds 201 and 202,
 passes 0 and 1, and prints one line: the number of results, a sha256 over each result's floats as
-``float.hex`` and its arrays' bytes (or the name of the error it raised), and the number of kernel
-block calls (``tilting._moments`` plus ``tilting._pair``).  Run it before and after a change that
+``float.hex`` and its arrays' bytes (or the name of the error it raised), and the kernel's calls as
+its own tally counts them (``tilting._kernel_calls()``): its row blocks, each one exponential, and
+its table calls (``_Table.grid``, ``.pair`` and ``.law``).  Run it before and after a change that
 should keep every answer: the two lines are equal when it does.  After it, one line per operation
-family gives the same three numbers for that family's operations alone, its sha256 cut to 16
-digits, so a change that moves some answers names the families it moved.  pytest does not collect
-this file: its name does not start with ``test_``.
+family gives the same numbers for that family's operations alone, its sha256 cut to 16 digits, so a
+change that moves some answers names the families it moved.  pytest does not collect this file: its
+name does not start with ``test_``.
 
     PYTHONPATH=src python tests/perfbench_bits.py --against REV
 
 also exports REV's ``src`` by ``git archive`` into a temporary directory, runs the same decks on it in
 a child process, and after its own lines prints ``same as REV`` or the families whose lines differ.
-It exits 0 either way.
+It exits 0 either way, unless REV cannot be exported or the decks cannot run on its ``src`` (one
+with no ``_kernel_calls``, say): then it stops with a message that names REV.
 """
 
 import argparse
@@ -55,18 +57,9 @@ def canonical(result) -> bytes:
 
 def answer_lines() -> list[str]:
     """The total line and one line per family, over both workloads, seeds and passes."""
-    calls = 0
-
-    def counted(body):
-        def wrapper(*args):
-            nonlocal calls
-            calls += 1
-            return body(*args)
-        return wrapper
-
-    tilting._moments, tilting._pair = counted(tilting._moments), counted(tilting._pair)
     tr = workloads.load_package()
     digest, results, families = hashlib.sha256(), 0, {}
+    start = tilting._kernel_calls()
     for workload in ("solve", "sweep"):
         for seed in SEEDS:
             first = workloads.generate(workload, seed)
@@ -74,7 +67,7 @@ def answer_lines() -> list[str]:
                 deck = workloads.pass_deck(first, seed, index)
                 workloads.build(tr, deck)
                 for op in deck:
-                    before = calls
+                    before = tilting._kernel_calls()
                     try:
                         bits = canonical(workloads.call(tr, op))
                     except Exception as error:  # a raised error is an answer too
@@ -82,27 +75,36 @@ def answer_lines() -> list[str]:
                     line = op.label.encode() + b"=" + bits + b"\n"
                     digest.update(line)
                     results += 1
-                    family = families.setdefault(op.family, [0, hashlib.sha256(), 0])
+                    family = families.setdefault(op.family, [0, hashlib.sha256(), 0, 0])
                     family[0] += 1
                     family[1].update(line)
-                    family[2] += calls - before
-    return [f"{results} results sha256 {digest.hexdigest()} {calls} kernel block calls"] + [
-        f"  {name}: {count} results sha256 {family_digest.hexdigest()[:16]} {family_calls} kernel block calls"
-        for name, (count, family_digest, family_calls) in sorted(families.items())]
+                    after = tilting._kernel_calls()
+                    family[2] += after["block"] - before["block"]
+                    family[3] += after["table"] - before["table"]
+    end = tilting._kernel_calls()
+    total = f"{end['block'] - start['block']} kernel block calls {end['table'] - start['table']} table calls"
+    return [f"{results} results sha256 {digest.hexdigest()} {total}"] + [
+        f"  {name}: {count} results sha256 {family_digest.hexdigest()[:16]} {blocks} kernel block calls "
+        f"{tables} table calls"
+        for name, (count, family_digest, blocks, tables) in sorted(families.items())]
 
 
 def lines_at(rev: str) -> list[str]:
     """``answer_lines`` on the ``src`` of git revision ``rev``, exported into a temporary directory and
-    imported first in a child process, whatever the environment's path holds."""
+    imported first in a child process, whatever the environment's path holds.  Where the export or
+    the child fails, it stops with the last line of that error, naming ``rev``."""
     root = Path(__file__).resolve().parent.parent
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(root), "archive", rev, "src"], capture_output=True, check=True)
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
-        child = (f"import runpy, sys; sys.path.insert(0, {str(Path(tmp) / 'src')!r}); "
-                 f"runpy.run_path({str(Path(__file__).resolve())!r}, run_name='__main__')")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, check=True, env=env)
-    return run.stdout.splitlines()
+        run = subprocess.run(["git", "-C", str(root), "archive", rev, "src"], capture_output=True)
+        if not run.returncode:
+            subprocess.run(["tar", "-x", "-C", tmp], input=run.stdout, check=True)
+            child = (f"import runpy, sys; sys.path.insert(0, {str(Path(tmp) / 'src')!r}); "
+                     f"runpy.run_path({str(Path(__file__).resolve())!r}, run_name='__main__')")
+            env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+            run = subprocess.run([sys.executable, "-c", child], capture_output=True, env=env)
+    if run.returncode:
+        sys.exit(f"the decks did not run on {rev}'s src: {(run.stderr.decode().strip().splitlines() or ['?'])[-1]}")
+    return run.stdout.decode().splitlines()
 
 
 def main(argv=None) -> int:

@@ -431,6 +431,12 @@ def test_only_tilting_reads_row_starts_and_ranges():
     assert readers == set()
 
 
+def test_rate_distortion_moves_nothing_into_units_by_hand():
+    # every rate-distortion route reads its table's rows, already at origin and in units, and
+    # rate_mmse_integral's letters are those rows (tilting._set_laws), not delta_dists lowered again
+    assert "in_units" not in names(ast.parse((Path(tiltrate.__file__).parent / "ratedistortion.py").read_text()))
+
+
 def names(tree) -> set:
     """Every identifier a module's code uses: names, attributes and imported names."""
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
@@ -518,8 +524,9 @@ def test_records_are_built_only_for_classes_that_check_nothing():
 
 
 def test_supports_are_sorted_and_merged_in_one_function():
-    # tilting._set_laws is the one sort-and-merge of a support: the one-row constructor and
-    # RdProblem.delta_dists both call it, and no other code merges runs of values
+    # tilting._set_laws is the one sort-and-merge of a support: the one-row constructor,
+    # RdProblem.delta_dists and rate_mmse_integral's letters (the rows of its lowered table) call
+    # it, and no other code merges runs of values
     mergers, callers = set(), set()
     for module in Path(tiltrate.__file__).parent.glob("*.py"):
         for function in ast.walk(ast.parse(module.read_text())):
@@ -529,7 +536,8 @@ def test_supports_are_sorted_and_merged_in_one_function():
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_set_laws":
                     callers.add((module.name, function.name))
     assert mergers == {("tilting.py", "_set_laws")}
-    assert callers == {("tilting.py", "__post_init__"), ("ratedistortion.py", "delta_dists")}
+    assert callers == {("tilting.py", "__post_init__"), ("ratedistortion.py", "delta_dists"),
+                       ("ratedistortion.py", "rate_mmse_integral")}
 
 
 def test_end_letters_are_chosen_by_tilting_alone():

@@ -38,9 +38,9 @@ from tiltrate import (
 from tiltrate import chain, ratedistortion
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _at_origin
+from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin
 
-from conftest import raw_table
+from conftest import full_table_observable, raw_table, recursive_simpson
 from test_contract import einsum_moments
 from test_symmetry import draw
 
@@ -320,8 +320,9 @@ def test_a_thousand_forces_at_k512_cost_their_outputs_only():
 
 
 # The batched reductions below take each force's row-weighted sum in one ``np.vecdot`` per
-# kernel call; each must answer bit for bit as the same rule with one ``np.dot`` per node.
-QUADRATURE_SHAPES = [(2, 2), (5, 3), (64, 64), (65, 512)]
+# kernel call; each must answer bit for bit as the same rule with one ``np.dot`` per node.  The
+# 512-column tables straddle a row block of the kernel.
+QUADRATURE_SHAPES = [(2, 2), (5, 3), (64, 64)] + [(_BLOCK_ENTRIES // 512 + n, 512) for n in (-1, 0, 1)]
 
 
 def quadrature_problem(rows: int, cols: int) -> RdProblem:
@@ -335,14 +336,15 @@ def dot_per_node(weights, rows) -> np.ndarray:
 
 @pytest.mark.parametrize("rows, cols", QUADRATURE_SHAPES)
 def test_observable_sweep_matches_a_dot_per_node(rows, cols):
+    # the recursive rule on the covariance of whole-table temporaries, one node at a time
     problem = quadrature_problem(rows, cols)
     t = 2.0 * np.random.default_rng(rows).random((rows, cols)) - 1.0
-    (table, t), p = ratedistortion._observable_tables(problem, t), problem.source_probs
-    observed = _at_origin(p, table.log_weights, t)  # the observable at origin, in its own units
-    base = float(np.dot(p, observed.means_from_origin(table.pair(observed.values, 0.0, 0.0)[2])))
+    p = problem.source_probs
+    observed = _at_origin(p, np.log(problem.coding_probs)[None, :], t)  # the observable at origin, in its own units
+    base = float(np.dot(p, observed.means_from_origin(full_table_observable(problem, observed.values, 0.0)[2])))
     # the route integrates in the observable's units to tol, which is tol times its source-weighted span
-    integral = adaptive_simpson(lambda us: dot_per_node(p, table.pair(observed.values, us, 0.0)[5]), 0.0,
-                                table.force(-1.1), 1e-9)
+    integral = recursive_simpson(lambda u: full_table_observable(problem, observed.values, u)[1], 0.0,
+                                 ratedistortion._table(problem).force(-1.1), 1e-9)
     assert observable_sweep(problem, t, -1.1) == base + integral * observed.unit
 
 
@@ -362,12 +364,12 @@ def test_quasistatic_work_matches_a_dot_per_node(rows, cols):
     system = from_rd_problem(quadrature_problem(rows, cols), beta=1.6)
     table, beta = chain._table(system), system.beta
 
-    def power(us):
-        return us * dot_per_node(table.row_weights, table.grid(us)[2])
+    def power(u):
+        return u * float(np.dot(table.row_weights, table.grid(u)[2]))
 
     # the rate's work integral at the kernel's force s = beta * lam (times the table's unit), to tol
-    # in nats, over beta
-    assert quasistatic_work(system, -0.7) == adaptive_simpson(power, 0.0, table.force(beta * -0.7), 1e-9) / beta
+    # in nats, over beta, by the recursive rule one node at a time
+    assert quasistatic_work(system, -0.7) == recursive_simpson(power, 0.0, table.force(beta * -0.7), 1e-9) / beta
 
 
 def padded_chain_table(system: ChainSystem):

@@ -43,10 +43,11 @@ from tiltrate import chain, ratedistortion, tilting
 from tiltrate.errors import LengthInfeasibleError, LevelInfeasibleError
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson
-from tiltrate.tilting import _BLOCK_ENTRIES, _at_origin, _floored, _legendre
+from tiltrate.tilting import _BLOCK_ENTRIES, _floored, _legendre
 
 from conftest import (
     feasible_delta,
+    full_table_observable,
     letters_in_units,
     letters_mmse,
     random_problem,
@@ -54,6 +55,7 @@ from conftest import (
     rd2_stats,
     recursive_simpson,
 )
+from test_delta_dists import KINDS, law, table as kind_table
 
 
 class Calls(list):
@@ -355,20 +357,6 @@ class TestBlockedTwoForceStats:
             assert np.array_equal(cov, want[2])
 
 
-def full_table_observable(problem, t, s):
-    """The observable's tilted mean, its covariance with the distortion and its per-row means, from
-    whole-table temporaries, on the distortion with each row shifted to start at 0 and put in units
-    of its source-weighted span, at the kernel's force s."""
-    d = problem.distortion - problem.distortion.min(axis=1)[:, None]
-    d /= float(np.dot(problem.source_probs, np.ptp(d, axis=1)))
-    p = problem.source_probs
-    law = raw_table(np.log(problem.coding_probs)[None, :], d).law(s)[0]
-    mean_t = np.einsum("ij,ij->i", law, t)
-    mean_d = np.einsum("ij,ij->i", law, d)
-    cov = np.einsum("ij,ij,ij->i", law, d - mean_d[:, None], t - mean_t[:, None])
-    return float(np.dot(p, mean_t)), float(np.dot(p, cov)), mean_t
-
-
 class TestBlockedObservable:
     @pytest.mark.parametrize("rows, cols", SHAPES)
     def test_equals_full_table_reference(self, rows, cols):
@@ -378,63 +366,39 @@ class TestBlockedObservable:
         table = ratedistortion._table(problem)
         for s in (0.0, -1.3, -40.0):
             assert observable_expectation(problem, t, s) == full_table_observable(problem, t, table.force(s))[0]
-        s = table.force(-1.3)
-        # the route integrates in the observable's units to tol, which is tol times its source-weighted span
-        observed = _at_origin(problem.source_probs, table.log_weights, t)
-        base = float(np.dot(problem.source_probs, observed.means_from_origin(
-            full_table_observable(problem, observed.values, 0.0)[2])))
-        integral = adaptive_simpson(
-            lambda us: np.array([full_table_observable(problem, observed.values, u)[1] for u in us.tolist()]),
-            0.0, s, 1e-9)
-        assert observable_sweep(problem, t, -1.3) == base + integral * observed.unit
+
+
+# every kind of table of test_delta_dists (ties, near ties at 0.999 and 1.001 of the merge band,
+# constant rows, signed zeros) at scales 1e-12 to 1e12, as drawn and moved by -1e6 times the scale
+SCALED = [(kind, scale, shift) for kind in KINDS for scale in (1e-12, 1.0, 1e12) for shift in (0.0, -1e6)]
 
 
 class TestBatchedQuadrature:
-    """Each quadrature route hands a whole Simpson level to the kernel in one call, and answers
-    bit for bit as the recursive rule does with the kernel called once per node."""
+    """``rate_mmse_integral`` hands a whole Simpson level to one ``tilt`` per letter, and answers bit
+    for bit as the recursive rule does with the letters' mmse taken once per node.  The other
+    quadrature routes' per-node checks are in ``tests/test_force_grids.py``."""
 
     @staticmethod
-    def problem(rows, cols):
-        rng = np.random.default_rng(rows * 1000 + cols + 2)
-        problem = RdProblem(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), rng.random((rows, cols)))
-        return problem, 3.0 * rng.random((rows, cols)) - 1.0
+    def problem(case):
+        """The problem of a uniform table of a shape of ``SHAPES``, or of a kind of table at a scale
+        moved by ``shift`` times it (``SCALED``), and the scale."""
+        if case in SHAPES:
+            rows, cols = case
+            rng = np.random.default_rng(rows * 1000 + cols + 2)
+            return RdProblem(rng.dirichlet(np.ones(rows)), rng.dirichlet(np.ones(cols)), rng.random((rows, cols))), 1.0
+        kind, scale, shift = case
+        rng = np.random.default_rng([KINDS.index(kind), round(math.log10(scale)) + 12])
+        d = kind_table(rng, 6, 9, kind, scale) + shift * scale
+        return RdProblem(rng.dirichlet(np.ones(6)), law(rng, 9), d), scale
 
-    @pytest.mark.parametrize("rows, cols", SHAPES)
-    def test_quasistatic_work(self, rows, cols):
-        system = from_rd_problem(self.problem(rows, cols)[0], beta=1.7)
-        table = chain._table(system)
-
-        def power(u):
-            return u * float(np.dot(table.row_weights, table.grid(u)[2]))
-
-        # the rate's work integral at the kernel's force s = beta * lam (times the table's unit), to
-        # tol in nats, over beta
-        beta = system.beta
-        assert quasistatic_work(system, -0.8) == recursive_simpson(power, 0.0, table.force(beta * -0.8), 1e-9) / beta
-
-    @pytest.mark.parametrize("rows, cols", SHAPES)
-    def test_observable_sweep(self, rows, cols):
-        problem, t = self.problem(rows, cols)
-        table, t = ratedistortion._observable_tables(problem, t)
-        p = problem.source_probs
-        observed = _at_origin(p, table.log_weights, t)  # the observable at origin, in its own units
-
-        def covariance(u):
-            return float(np.dot(p, table.pair(observed.values, u, 0.0)[5]))
-
-        # the route integrates in the observable's units to tol, which is tol times its source-weighted span
-        base = float(np.dot(p, observed.means_from_origin(table.pair(observed.values, 0.0, 0.0)[2])))
-        want = base + recursive_simpson(covariance, 0.0, table.force(-1.3), 1e-9) * observed.unit
-        assert observable_sweep(problem, t, -1.3) == want
-
-    @pytest.mark.parametrize("rows, cols", SHAPES)
-    def test_rate_mmse_integral(self, rows, cols):
-        # the mmse of the letters lowered into the table's units, at the kernel's forces
-        problem = self.problem(rows, cols)[0]
-        table = ratedistortion._table(problem)
+    @pytest.mark.parametrize("case", SHAPES + SCALED, ids=str)
+    def test_rate_mmse_integral(self, case):
+        # the mmse of the letters derived from delta_dists into the table's units, at the kernel's forces
+        problem, scale = self.problem(case)
+        table, s = ratedistortion._table(problem), -1.3 / scale
         letters, p = letters_in_units(problem, table), problem.source_probs
-        want = recursive_simpson(lambda u: u * letters_mmse(letters, p, u), 0.0, table.force(-1.3), 1e-9)
-        assert rate_mmse_integral(problem, -1.3) == want
+        want = recursive_simpson(lambda u: u * letters_mmse(letters, p, u), 0.0, table.force(s), 1e-9)
+        assert rate_mmse_integral(problem, s) == want
 
 
 def per_array_equilibrium(system, target, tol=1e-10):

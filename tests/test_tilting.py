@@ -453,6 +453,14 @@ class TestKlFreeEnergyGap:
             q = FiniteDistribution(d.values, probs)
             assert kl_free_energy_gap(q, d) >= -1e-13
 
+    def test_near_ties_are_one_outcome_of_p(self):
+        # FiniteDistribution merges p's values 0 and 1e-13 (within 1e-12 of its span) into one
+        # outcome of mass 0.5, which q's value 0 is matched to: unmerged, q's mass there would be
+        # priced against 0.25 alone, and the gap would read ln(2) / 2 = 0.347
+        p = FiniteDistribution([0.0, 1e-13, 1.0], [0.25, 0.25, 0.5])
+        q = FiniteDistribution([0.0, 1.0], [0.5, 0.5])
+        assert kl_free_energy_gap(q, p) == 0.0
+
     def test_support_mismatch(self):
         p = coin()
         q = FiniteDistribution([0.0, 2.0], [0.5, 0.5])
