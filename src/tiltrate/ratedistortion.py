@@ -270,9 +270,10 @@ def mmse(problem: RdProblem, s):
 
 def rate_mmse_integral(problem: RdProblem, s: float, tol: float = 1e-9) -> float:
     """Rate recovered as the work integral of u * mmse(u) from 0 to s, to ``tol`` in nats
-    (``tilting._work_integral``).  Each Simpson level's nodes go to one ``tilt`` per source letter, on its
-    law built by one ``tilting._set_laws`` pass over the rows of the table integrated on, at origin and in
-    units, so no variance leaves them; the forces x letters variances (C-contiguous) are reduced by ``np.vecdot``."""
+    (``tilting._work_integral``).  Each Simpson level's nodes, u = 0 among them, go to one ``tilt`` per
+    source letter, on its law built by one ``tilting._set_laws`` pass over the rows of the table integrated
+    on, at origin and in units, so no variance leaves them; the forces x letters variances (C-contiguous)
+    are reduced by ``np.vecdot``."""
     table, p = _table(problem), problem.source_probs
     letters = _set_laws(table.values, problem.coding_probs)
     return _work_integral(table, s, tol, lambda us: np.vecdot(np.stack([tilt(d, us).variance for d in letters], -1), p))

@@ -788,18 +788,9 @@ def _work_integral(table: _Table, s: float, tol: float, variance=None) -> float:
     """The integral from 0 to s of u times ``variance(u)``, the row-weighted tilted variance at an
     array of kernel forces u (``table.averaged(u, 2)`` by default), to ``tol`` in nats by ``_pieces``,
     floored (``_floored``): the one quadrature of the work routes, each at the kernel's own force s.
-    At a node u = +-0 the integrand is u itself, exactly, so the variance is taken at the other nodes
-    alone and the kernel never runs at force 0; each value, and so the integral, is the every-node
-    one bit for bit."""
+    Like every quadrature on ``_pieces``, its integrand is taken at every node, u = +-0 included."""
     variance = variance or (lambda us: table.averaged(us, 2))
-
-    def at_nodes(us: np.ndarray) -> np.ndarray:
-        values, live = us.copy(), us != 0.0
-        if live.any():  # not on a level whose every node is 0, from a force near 1e-323
-            values[live] = us[live] * variance(us[live])
-        return values
-
-    return _floored(_pieces(at_nodes, table, table.force(s), tol))
+    return _floored(_pieces(lambda us: us * variance(us), table, table.force(s), tol))
 
 
 def _sweep(table: _Table, outputs_at, s: float, tol: float, mean_of: _Table, *, mean: int, slope: int):

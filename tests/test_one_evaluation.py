@@ -216,34 +216,9 @@ class TestQuadratureZeroForce:
             assert batched_forces.count(0.0) == 1
 
 
-class TestWorkIntegralZeroNode:
-    """The work routes integrate u times a slope, exactly u at u = +-0: the kernel never sees force
-    0, and each answer is the every-node rule's bit for bit (``tilting._work_integral``)."""
-
-    @pytest.fixture
-    def kernel_forces(self, monkeypatch):
-        # every force at which the route's own table takes its moments (rate_work_integral,
-        # quasistatic_work) or a one-row tilt is taken (rate_mmse_integral, on the letters lowered into
-        # the table's units).  Each such tilt takes its moments on the letter's own table, at the force times the
-        # letter's unit, which rounds to -0.0 at the kernel force -5e-324: those are not the route's
-        seen, tilting_now, grid, tilt = [], [], tilting._Table.grid, ratedistortion.tilt
-
-        def counted_moments(table, s, order=2):
-            if not tilting_now:
-                seen.extend(np.ravel(s).tolist())
-            return grid(table, s, order)
-
-        def counted_tilt(dist, s):
-            seen.extend(np.ravel(s).tolist())
-            tilting_now.append(dist)
-            try:
-                return tilt(dist, s)
-            finally:
-                tilting_now.pop()
-
-        monkeypatch.setattr(tilting._Table, "grid", counted_moments)
-        monkeypatch.setattr(ratedistortion, "tilt", counted_tilt)
-        return seen
+class TestWorkIntegralEveryNode:
+    """The work routes integrate u times a slope and, like every quadrature, take it at every node,
+    u = +-0 included: each answer is the every-node rule's bit for bit (``tilting._work_integral``)."""
 
     @staticmethod
     def routes():
@@ -272,14 +247,20 @@ class TestWorkIntegralZeroNode:
 
     @pytest.mark.parametrize("route", range(3))
     @pytest.mark.parametrize("s", [-1.3, 0.7, -5e-324])
-    def test_no_zero_force_and_every_node_bits(self, kernel_forces, route, s):
+    def test_every_node_bits(self, route, s):
         # at a kernel force of -5e-324 the nodes round to +-0 except s itself, from the root level on
         answer, every_node, unit = self.routes()[route]
         if s == -5e-324:
             s /= unit
-        got = answer(s)
-        assert kernel_forces and 0.0 not in kernel_forces
-        assert got == every_node(s)
+        assert answer(s) == every_node(s)
+
+    def test_rate_mmse_integral_on_bss(self, bss):
+        # the rate keeps the bits of the every-node rule on the letters it tilts, in the table's units
+        s = math.log(1.0 / 3.0)
+        table = ratedistortion._table(bss)
+        letters, p = letters_in_units(bss, table), bss.source_probs
+        every_node = lambda us: np.array([u * letters_mmse(letters, p, u) for u in us.tolist()])  # noqa: E731
+        assert rate_mmse_integral(bss, s) == adaptive_simpson(every_node, 0.0, table.force(s), 1e-9)
 
 
 class TestMomentOrder:

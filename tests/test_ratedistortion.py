@@ -30,7 +30,7 @@ from tiltrate.errors import DistortionTooLowError
 from tiltrate.ratedistortion import distortion_mmse_integral
 from tiltrate.solvers import adaptive_simpson, invert_monotone
 
-from conftest import LN2, h2, feasible_delta, letters_in_units, letters_mmse, random_problem
+from conftest import LN2, h2, feasible_delta, random_problem
 
 S_QUARTER = math.log(1.0 / 3.0)
 R_QUARTER = 0.13081203594113698  # ln2 - h2(1/4)
@@ -275,30 +275,15 @@ class TestMmseIntegrals:
             direct = distortion_at_force(problem, s).rate
             assert rate_mmse_integral(problem, s) == pytest.approx(direct, abs=1e-8)
 
-    def test_rate_mmse_integral_tilts_nothing_at_force_zero(self, bss, monkeypatch):
-        # u * mmse(u) is exactly 0.0 at the node u = 0, so its per-row tilts are skipped, and the
-        # rate keeps the bits of the every-node rule on the letters it tilts, in the table's units
-        forces, tilt = [], ratedistortion.tilt
-        record = lambda dist, s: forces.extend(np.ravel(s).tolist()) or tilt(dist, s)  # noqa: E731
-        monkeypatch.setattr(ratedistortion, "tilt", record)
-        rate = rate_mmse_integral(bss, S_QUARTER)
-        assert forces and 0.0 not in forces
-        monkeypatch.undo()
-        table = ratedistortion._table(bss)
-        letters, p = letters_in_units(bss, table), bss.source_probs
-        every_node = lambda us: np.array([u * letters_mmse(letters, p, u) for u in us.tolist()])  # noqa: E731
-        assert rate == adaptive_simpson(every_node, 0.0, table.force(S_QUARTER), 1e-9)
-
     def test_rate_mmse_integral_tilts_each_letter_once_per_simpson_level(self, bss, monkeypatch):
-        # each level's nodes reach mmse as one array, which tilts each letter once; the node u = 0
-        # is never tilted
+        # each level's nodes, u = 0 among them, reach mmse as one array, which tilts each letter once
         tilts, levels, tilt, rule = [], [], ratedistortion.tilt, tilting.adaptive_simpson
         monkeypatch.setattr(ratedistortion, "tilt", lambda dist, s: tilts.append(s.size) or tilt(dist, s))
         monkeypatch.setattr(tilting, "adaptive_simpson",
                             lambda f, *args: rule(lambda us: levels.append(us.size) or f(us), *args))
         rate_mmse_integral(bss, S_QUARTER)
         assert len(levels) > 2 and len(tilts) == bss.num_source_letters * len(levels)
-        assert sum(tilts) == bss.num_source_letters * (sum(levels) - 1)
+        assert sum(tilts) == bss.num_source_letters * sum(levels)
 
     def test_distortion_via_mmse_integral(self, rng):
         for _ in range(8):

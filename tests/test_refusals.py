@@ -37,7 +37,7 @@ from tiltrate import (
     rd_curve,
     sandwich_bounds,
 )
-from tiltrate.errors import ConfigError, ValidationError
+from tiltrate.errors import ConfigError, NumericalError, ValidationError
 from tiltrate.oracles import BaResult
 from tiltrate.ratedistortion import distortion_mmse_integral
 
@@ -59,6 +59,9 @@ class TestConstructors:
     def test_state_tables_must_be_finite(self):
         with raises(ValidationError, "state_lengths and state_energies must be finite"):
             ElementArray([0.0, math.inf], [0.0, 0.0], 0.5)
+        for energy in [math.inf, -math.inf, math.nan]:
+            with raises(ValidationError, "state_lengths and state_energies must be finite"):
+                ElementArray([0.0, 1.0], [0.0, energy], 0.5)
 
     @pytest.mark.parametrize("fraction", [-0.1, math.nan, math.inf])
     def test_fraction_must_be_a_nonnegative_real(self, fraction):
@@ -211,6 +214,11 @@ class TestOracles:
     def test_block_length_must_be_positive(self, bss):
         with raises(ValidationError, "block length n must be positive"):
             exact_ld_probability(bss, 0, 0.25)
+
+    def test_least_block_total_must_be_a_float(self):
+        problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[1e308, 1.5e308], [1e308, 1.2e308]])
+        with raises(NumericalError, "the least total of a block of 4, inf, is past the largest float"):
+            exact_ld_probability(problem, 4, 1.2e308)
 
     def test_allocation_grid_needs_two_points(self, bss):
         with raises(ValidationError, "grid_points_per_symbol must be at least 2"):
