@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_tables
-from .tilting import _at_origin, _check_number, _check_tol, _end_band, _floored, _legendre
+from .tilting import _HOLD, _at_origin, _check_number, _check_tol, _end_band, _floored, _legendre
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -55,7 +55,7 @@ def _evaluate(p: np.ndarray, t1, t2, s1: float, s2: float, delta1: float, delta2
     (``tilting._Table.pair``), as six floats (value, g1, g2, c11, c22, c12), for source law ``p``
     and the ``tilting._Table``s ``t1`` and ``t2``, which share their log-weights.  The six per-row
     outputs are reduced by the source law in one ``np.vecdot``, the ``ddot`` of ``np.dot`` on each."""
-    phi, m1, m2, c11, c22, c12 = np.vecdot(np.array(t1.pair(t2.values, s1, s2)), p).tolist()
+    phi, m1, m2, c11, c22, c12 = np.vecdot(np.array(t1.pair(t2, s1, s2)), p).tolist()
     return s1 * delta1 + s2 * delta2 - phi, delta1 - m1, delta2 - m2, c11, c22, c12
 
 
@@ -126,7 +126,8 @@ def rate_two_distortions(
             raise InfeasiblePairError(unsatisfiable) from None
         force = other.force_from_unit(force)
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
-    extent1, extent2 = (table.extent for table in tables)
+    # a step stops at the kernel's hold (``_Table.forces``), where each product of a force and a value is finite
+    (extent1, hold1), (extent2, hold2) = ((table.extent, -_HOLD / max(table.widest, 1.0)) for table in tables)
     s1 = s2 = 0.0
     value, g1, g2, c11, c22, c12 = _evaluate(p, *tables, s1, s2, *budgets)
     eps = float(np.finfo(float).eps)
@@ -175,7 +176,7 @@ def rate_two_distortions(
                 and n1 * h1 + n2 * h2 > 1e-12 * (k1 * k1 + k2 * k2)):
             alpha = 1.0
             for _ in range(60):
-                t1, t2 = min(s1 + alpha * n1, 0.0), min(s2 + alpha * n2, 0.0)
+                t1, t2 = min(max(s1 + alpha * n1, hold1), 0.0), min(max(s2 + alpha * n2, hold2), 0.0)
                 if t1 == s1 and t2 == s2:
                     break
                 trial = _evaluate(p, *tables, t1, t2, *budgets)

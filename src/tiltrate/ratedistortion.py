@@ -22,7 +22,6 @@ from .tilting import (
     FiniteDistribution,
     _at_origin,
     _check_entries,
-    _check_force,
     _check_partition,
     _floats,
     _floored,
@@ -299,7 +298,7 @@ def tilted_conditional(problem: RdProblem, s: float) -> np.ndarray:
 
 def _observable_tables(problem: RdProblem, observable):
     """The problem's table (``_table``) and an observable t of the letter pair, checked against the
-    table's shape: t is the second table of ``tilting._Table.pair``, held at zero force."""
+    table's shape and for finite entries, before any force is."""
     t = _floats(observable, "observable")
     d = problem.distortion
     if t.shape != d.shape:
@@ -309,10 +308,10 @@ def _observable_tables(problem: RdProblem, observable):
 
 
 def observable_expectation(problem: RdProblem, observable, s: float) -> float:
-    """Direct expectation of a letter-pair observable under the tilted law."""
-    _check_force(s)
+    """Direct expectation of a letter-pair observable: t averaged against the tilted law Q_s(xhat | x)
+    of ``tilted_conditional`` (``tilting._Table.law``, which checks s), then against the source law."""
     table, t = _observable_tables(problem, observable)
-    return float(np.dot(problem.source_probs, table.pair(t, table.force(s), 0.0)[2]))
+    return float(np.dot(problem.source_probs, np.einsum("ij,ij->i", table.law(s)[0], t)))
 
 
 def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9) -> float:
@@ -327,8 +326,7 @@ def observable_sweep(problem: RdProblem, observable, s: float, tol: float = 1e-9
     """
     table, t = _observable_tables(problem, observable)
     observed = _at_origin(problem.source_probs, table.log_weights, t)  # the observable in its own units
-    means, integral = _sweep(table, lambda us: table.pair(observed.values, us, 0.0), s, tol, observed,
-                             mean=2, slope=5)
+    means, integral = _sweep(table, lambda us: table.pair(observed, us, 0.0), s, tol, observed, mean=2, slope=5)
     return float(np.dot(problem.source_probs, means)) + integral
 
 

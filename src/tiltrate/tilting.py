@@ -515,16 +515,16 @@ class _Table(NamedTuple):
         """``grid`` at the kernel force for one force s (``force``)."""
         return self.grid(self.force(s), order)
 
-    def pair(self, b: np.ndarray, s_a, s_b):
-        """Per-row (log-partition, mean of the values, mean of ``b``, variance of the values, variance
-        of ``b``, covariance) of the values and ``b`` tilted together by e^{s_a * value + s_b * b}, by
-        ``_tilted`` over ``s_a``.
+    def pair(self, other: _Table, s_a, s_b):
+        """Per-row (log-partition, mean of the values a, mean of ``other``'s values b, variance of a,
+        variance of b, covariance) of the two tables tilted together by e^{s_a * a + s_b * b}, by
+        ``_tilted`` over ``s_a``.  ``other`` is lowered by ``_at_origin`` on the same log-weights.
 
-        The two-budget ascent tilts two distortion tables at once; an observable of the letter pair
-        is ``b`` held at zero force.  ``s_b`` is a finite scalar: the ascent's own iterate, or an
-        observable's 0.  The forces are kernel forces, unchecked."""
+        Its two callers read the covariances: the two-budget ascent (``multiconstraint._evaluate``)
+        and ``observable_sweep``, an observable's table held at ``s_b`` = 0; a mean alone reads
+        ``law``.  ``s_b`` is a finite scalar.  The forces are kernel forces, unchecked."""
         _TALLY["table"] += 1
-        return _tilted(_pair, self.log_weights, (self.values, b), s_a, s_b)
+        return _tilted(_pair, self.log_weights, (self.values, other.values), s_a, s_b)
 
     def law(self, s):
         """Per-row tilted law (each row summing to 1) and log-partition at the kernel force for one

@@ -15,15 +15,19 @@ name does not start with ``test_``.
     PYTHONPATH=src python tests/perfbench_bits.py --against REV
 
 also exports REV's ``src`` by ``git archive`` into a temporary directory, runs the same decks on it in
-a child process, and after its own lines prints ``same as REV`` or the families whose lines differ.
-It exits 0 either way, unless REV cannot be exported or the decks cannot run on its ``src`` (one
-with no ``_kernel_calls``, say): then it stops with a message that names REV.
+a child process, and after its own lines prints ``same as REV`` where every line is equal.
+Otherwise it tells answers from kernel calls apart: ``same answers as REV`` where every sha256 is
+equal, or the families whose answers differ, and then the families whose kernel calls differ, with
+both counts, e.g. ``kernel calls differ in: quasistatic_work (488 blocks, 456 at REV)``.  It exits 0
+either way, unless REV cannot be exported or the decks cannot run on its ``src`` (one with no
+``_kernel_calls``, say): then it stops with a message that names REV.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -89,6 +93,43 @@ def answer_lines() -> list[str]:
         for name, (count, family_digest, blocks, tables) in sorted(families.items())]
 
 
+# a family's line of ``answer_lines``: its name, its answers, its kernel calls
+LINE = re.compile(r"\s*(\S+): (\d+ results sha256 \w+) (\d+) kernel block calls (\d+) table calls$")
+
+
+def by_family(lines: list[str]) -> dict:
+    """Each family's line of ``answer_lines`` (the total line left out: it moves only where some
+    family's does) by its name, as its answers (the count and sha256) and its kernel calls (blocks,
+    table calls)."""
+    out = {}
+    for line in lines[1:]:
+        name, answers, blocks, tables = LINE.match(line).groups()
+        out[name] = answers, (int(blocks), int(tables))
+    return out
+
+
+def calls_moved(ours: tuple, theirs: tuple, rev: str) -> str:
+    """The kernel counts that differ, as ``488 blocks, 456 at REV``."""
+    return "; ".join(f"{a} {what}, {b} at {rev}" for a, b, what in zip(ours, theirs, ("blocks", "table calls"))
+                     if a != b)
+
+
+def verdict(ours: list[str], theirs: list[str], rev: str) -> list[str]:
+    """``same as REV`` where every line is equal.  Else ``same answers as REV`` or the families whose
+    answers differ, then the families whose kernel calls differ, each with both counts."""
+    if ours == theirs:
+        return [f"same as {rev}"]
+    mine, other = by_family(ours), by_family(theirs)
+    names = sorted(mine.keys() | other.keys())
+    moved = [name for name in names if mine.get(name, ("",))[0] != other.get(name, ("",))[0]]
+    calls = [f"{name} ({calls_moved(mine[name][1], other[name][1], rev)})" for name in names
+             if name in mine and name in other and mine[name][1] != other[name][1]]
+    lines = [f"answers differ from {rev} in: {', '.join(moved)}" if moved else f"same answers as {rev}"]
+    if calls:
+        lines.append(f"kernel calls differ in: {', '.join(calls)}")
+    return lines
+
+
 def lines_at(rev: str) -> list[str]:
     """``answer_lines`` on the ``src`` of git revision ``rev``, exported into a temporary directory and
     imported first in a child process, whatever the environment's path holds.  Where the export or
@@ -114,14 +155,7 @@ def main(argv=None) -> int:
     ours = answer_lines()
     print("\n".join(ours), flush=True)
     if args.against:
-        theirs = lines_at(args.against)
-        families = dict(line.split(":", 1) for line in ours[1:]), dict(line.split(":", 1) for line in theirs[1:])
-        moved = sorted(name.strip() for name in families[0].keys() | families[1].keys()
-                       if families[0].get(name) != families[1].get(name))
-        if ours == theirs:
-            print(f"same as {args.against}")
-        else:
-            print(f"differs from {args.against} in: {', '.join(moved) or 'the total line'}")
+        print("\n".join(verdict(ours, lines_at(args.against), args.against)))
     return 0
 
 

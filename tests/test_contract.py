@@ -123,9 +123,10 @@ class TestNonFiniteForce:
             FORCE_TAKERS[name](s)
         assert exponentials() == 0
 
-    def test_a_misshapen_observable_is_refused_for_its_shape_before_its_force(self):
+    @pytest.mark.parametrize("route", [observable_expectation, observable_sweep])
+    def test_a_misshapen_observable_is_refused_for_its_shape_before_its_force(self, route):
         with pytest.raises(ValidationError, match="^observable must match the distortion table shape"):
-            observable_sweep(PROBLEM, [[1.0, 2.0, 3.0]], math.nan)
+            route(PROBLEM, [[1.0, 2.0, 3.0]], math.nan)
 
     @pytest.mark.parametrize("name", sorted(set(FORCE_TAKERS) - set(GRID_TAKERS)))
     def test_the_tilted_law_refuses_an_array_of_forces(self, name):
@@ -683,6 +684,21 @@ def test_every_kernel_call_is_a_table_method():
         assert not names & fronts, module.name
         if module.name != "tilting.py":
             assert not names & inner, module.name
+
+
+def test_the_pair_kernel_is_asked_by_its_two_covariance_routes_alone():
+    # tilting._Table.pair takes a second lowered table, and only the routes that read its covariances
+    # ask for it: rd2's _evaluate and observable_sweep; a tilted mean alone (observable_expectation)
+    # reads _Table.law, so no route hands the kernel a table _at_origin did not lower
+    callers = {
+        f"{module.stem}.{function.name}"
+        for module in Path(tiltrate.__file__).parent.glob("*.py")
+        for function in ast.walk(ast.parse(module.read_text()))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "pair"
+    }
+    assert callers == {"multiconstraint._evaluate", "ratedistortion.observable_sweep"}
 
 
 def test_the_tilted_law_is_asked_at_scalar_forces_only(monkeypatch):

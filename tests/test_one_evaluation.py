@@ -348,6 +348,20 @@ class TestBlockedObservable:
         for s in (0.0, -1.3, -40.0):
             assert observable_expectation(problem, t, s) == full_table_observable(problem, t, table.force(s))[0]
 
+    def test_reads_one_tilted_law_and_no_pair(self, monkeypatch):
+        # the expectation is t averaged against the law tilted_conditional reads: one _Table.law call
+        # on the lowered distortion table, and the raw observable never reaches the pair kernel
+        calls = []
+        for name in ("law", "pair", "grid"):
+            method = getattr(tilting._Table, name)
+            monkeypatch.setattr(tilting._Table, name,
+                                lambda table, *args, name=name, method=method: calls.append(name) or method(table, *args))
+        for problem in problems():
+            t = np.arange(problem.distortion.size, dtype=float).reshape(problem.distortion.shape) % 3.0
+            calls.clear()
+            observable_expectation(problem, t, -1.3)
+            assert calls == ["law"]
+
 
 # every kind of table of test_delta_dists (ties, near ties at 0.999 and 1.001 of the merge band,
 # constant rows, signed zeros) at scales 1e-12 to 1e12, as drawn and moved by -1e6 times the scale

@@ -220,6 +220,11 @@ class TestOracles:
         with raises(NumericalError, "the least total of a block of 4, inf, is past the largest float"):
             exact_ld_probability(problem, 4, 1.2e308)
 
+    def test_s_min_times_the_budget_must_stay_a_float(self):
+        problem = RdProblem([0.5, 0.5], [0.5, 0.5], [[0.0, 1e308], [1e308, 0.0]])
+        with raises(NumericalError, "s_min -50.0 times the budget above the floor, 1e+308, is past 2^1021"):
+            legendre_grid_max(problem, 1e308)
+
     def test_allocation_grid_needs_two_points(self, bss):
         with raises(ValidationError, "grid_points_per_symbol must be at least 2"):
             brute_allocation_min(bss, 0.25, 1)

@@ -247,6 +247,7 @@ def draw_case(seed: int, k: int, c: float) -> tuple[Case, Case | None]:
 @example(2, 6, -320.0, 300.0, 1.0)
 @example(3, 1, 300.0, -310.0, -1.0)
 @example(4, 4, -161.0625, 0.0, -1.0)  # every letter's variance leaves its units subnormal: mmse answered 0.0
+@example(400, 3, 0.0, 0.0, -1.0)  # an unsatisfiable rd2 pair: the ascent stepped past the kernel's hold, an overflow
 def test_the_scale_plane(seed, k, log_c, log_s, sign):
     case, twin = draw_case(seed, k, 10.0**log_c)
     s = sign * 10.0**log_s

@@ -88,6 +88,12 @@ class TestLogMgf:
         assert log_mgf(d, 900.0) == pytest.approx(2.0 * 900.0 + math.log(0.25), rel=1e-12)
         assert log_mgf(d, -900.0) == pytest.approx(math.log(0.25), rel=1e-9)
 
+    def test_a_far_row_whose_log_partition_stays_finite(self):
+        # s * start passes 2^1021, so the move back from origin is checked, and it is finite
+        d = FiniteDistribution([1e300, 2e300], [0.5, 0.5])
+        assert log_mgf(d, -1e8) == -1e308
+        assert tilt(d, -1e8).log_mgf == -1e308
+
     def test_convex_in_force(self, rng):
         d = random_dist(rng)
         ss = np.linspace(-6.0, 6.0, 25)
@@ -356,11 +362,11 @@ class TestRowBlockedGrids:
         b = 3.0 * rng.random(a.shape) - 1.0
         assert a.size > _BLOCK_ENTRIES
         forces = -rng.uniform(0.0, 3.0, 3)
+        table, other = raw_table(log_weights, a), raw_table(log_weights, b)
         for s_b in (0.0, -0.7):
-            table = raw_table(log_weights, a)
-            self.assert_stacked(table.pair(b, forces, s_b), lambda s: _pair(log_weights, a, b, s, s_b), forces)
+            self.assert_stacked(table.pair(other, forces, s_b), lambda s: _pair(log_weights, a, b, s, s_b), forces)
             # the pair at one force is row-blocked too
-            self.assert_stacked([x[None] for x in table.pair(b, float(forces[0]), s_b)],
+            self.assert_stacked([x[None] for x in table.pair(other, float(forces[0]), s_b)],
                                 lambda s: _pair(log_weights, a, b, s, s_b), forces[:1])
 
 
