@@ -2,10 +2,10 @@
 
 Take d(x, xhat) = -ln W(x | xhat) as the distortion a codeword xhat pays for
 output x, let the source law be the channel's output marginal, and set the
-budget to the conditional entropy H(X | Xhat).  The Legendre rate at that
-budget is exactly the mutual information, attained at unit force magnitude;
-the two routes are independent enough to cross-check each other to machine
-accuracy.
+budget to the conditional entropy H(X | Xhat).  At force -1 the tilted law
+is the posterior q(xhat | x), whose mean distortion is that budget, so the
+Legendre rate there, with no root solve, is exactly the mutual information,
+cross-checked against the direct sum to machine accuracy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _at_origin, _floats, _floored, _frozen, _law, _legendre
+from .tilting import PROB_TOL, _at_origin, _floats, _floored, _frozen, _law
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -73,9 +73,9 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     H(X | Xhat).  Zero transition entries get -inf log-weights, so they
     never carry tilted mass (an infinite distortion at negative force), and
     their missing mass enters the rate through each output letter's
-    log-partition.  The force is solved by a bracketed Newton iteration run
-    to machine width; it lands at -1 whenever the channel is nondegenerate,
-    and is reported as 0 when the budget sits at an end (a degenerate channel).
+    log-partition.  The rate is the kernel's at s_star = -1 (one call, no
+    solve); where every output row is one value on its support (the identity
+    channel) it does not depend on the force, and s_star is reported as 0.
     """
     w, q, p_out, mask = _terms(channel)
     if np.any(p_out <= 0.0):
@@ -99,7 +99,6 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     # to the difference delta - sum_x p_x start_x, two nearly equal terms when the rows nearly agree.
     table = _at_origin(p_out, log_w, dist)
     level = float((q[:, None] * w * table.values.T)[mask].sum())
-    # tol = 0 runs the iteration to machine width so the force itself is pinned
-    s, rate, _ = _legendre(table, level, 0.0, nonpositive=True, in_units=True)
-    # at an end each output row is constant on its support: the rate is the pure mass cost
-    return CapacityPoint(rate=rate, s_star=0.0 if math.isinf(s) else float(table.force_from_unit(s)), delta=delta)
+    s = table.force(-1.0)
+    rate = table.rate(s, level, table.grid(s, 1)[0])
+    return CapacityPoint(rate=rate, s_star=-1.0 if table.widest else 0.0, delta=delta)

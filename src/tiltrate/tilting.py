@@ -626,18 +626,17 @@ def _end_band(span: float, end: float) -> float:
     return VALUE_MERGE_TOL * span + _END_REL * abs(end)
 
 
-def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False, band_span=0.0,
-              in_units=False):
+def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, force_only=False, band_span=0.0):
     """(s, rate, moments): the kernel force at which the row-weighted tilted mean D(s) of the table
     hits ``target``, the rate there, and the kernel's per-row moments at s (None at an end), each
     force evaluated once, force 0 first.
 
     All three are taken on the table at origin and in units (``_at_origin``), with the target moved
     there by the table's ``floor``, sum_x w_x start_x, rounded once from its exact value where the
-    rows sit far from 0 (``in_units`` takes a target already there).  D runs from that floor (s ->
-    -inf) to its ceiling, the floor plus the table's ``span`` (s -> +inf), or with ``nonpositive``
-    to D(0), and a target at or above D(0) gets s = 0.  A target within ``_end_band`` of an end gets
-    s = -inf or +inf and the rate -sum_x w_x ln(mass of row x at that end); beyond an end it raises
+    rows sit far from 0.  D runs from that floor (s -> -inf) to its ceiling, the floor plus the
+    table's ``span`` (s -> +inf), or with ``nonpositive`` to D(0), and a target at or above D(0)
+    gets s = 0.  A target within ``_end_band`` of an end gets s = -inf or +inf and the rate
+    -sum_x w_x ln(mass of row x at that end); beyond an end it raises
     ``LevelInfeasibleError``.  Otherwise Newton runs on the logit log((D - Dmin) / (Dmax - D)),
     exactly linear in s for one row of two values and close to linear far out in either tail, to
     ``|D(s) - target| <= tol * span``, or raises ``BracketError`` where it cannot bracket the
@@ -649,8 +648,8 @@ def _legendre(table: _Table, target: float, tol: float, *, nonpositive=False, fo
     _check_tol(tol)
     _check_number(target, "the target level")
     row_weights, unit, span = table.row_weights, table.unit, table.span
-    base = 0.0 if in_units else table.floor()
-    level = target if in_units else table.in_units(target - base)
+    base = table.floor()
+    level = table.in_units(target - base)
     ceiling, ranges = span / unit, table.ranges / unit
     visited = {0.0: table.grid(0.0)}  # force -> moments: each force evaluated once
     top = min(float(np.dot(row_weights, visited[0.0][1])), ceiling) if nonpositive else ceiling
@@ -771,9 +770,11 @@ def _pieces(f, table: _Table, s: float, tol: float, extent: float = 1.0) -> floa
     of 0, and one piece from 0 to 250 scales or more puts no node there, its first nodes an eighth
     and a quarter of the way out: a work integral came out about 0.  So [0, s] is cut at 64, 128,
     256, ... scales, each piece run to its share of ``tol`` and summed from 0 outward.  Within 64
-    scales (or where every row is one value) it is one piece, the rule's own call, bit for bit."""
+    scales it is one piece, the rule's own call, bit for bit; where every row is one value, none."""
     _check_quadrature_tol(tol)
-    ends, edge = [0.0], _CUT_SCALES * (1.0 / table.widest) if table.widest > 0.0 else math.inf
+    if not table.widest:  # every integrand is 0 at any force: the rule's signed 0 (nodes near 1e308 overflowed)
+        return -0.0 if s < 0.0 else 0.0
+    ends, edge = [0.0], _CUT_SCALES / table.widest
     while edge < abs(s):
         ends.append(math.copysign(edge, s))
         edge *= 2.0

@@ -134,13 +134,22 @@ def test_criterion_05_capacity_matches_mutual_information():
         channels.append(tr.Channel(w, q))
     worst_rate = 0.0
     worst_force = 0.0
+    worst_identity = 0.0
     for ch in channels:
         pt = tr.capacity_point(ch)
-        worst_rate = max(worst_rate, abs(pt.rate - tr.mutual_information(ch)))
+        mi = tr.mutual_information(ch)
+        worst_rate = max(worst_rate, abs(pt.rate - mi))
         worst_force = max(worst_force, abs(abs(pt.s_star) - 1.0))
-    print(f"[acceptance 05] rate vs MI {worst_rate:.3e}, |force|-1 {worst_force:.3e}")
+        # the identity the route rests on: at force -1 on d = -ln W, the tilted law is the posterior,
+        # its distortion the budget H(X | Xhat) and its rate I(q)
+        w, q = ch.transition, ch.input_probs
+        at_unit = tr.distortion_at_force(tr.RdProblem(q @ w, q, -np.log(w.T)), -1.0)
+        worst_identity = max(worst_identity, abs(at_unit.distortion - pt.delta), abs(at_unit.rate - mi))
+    print(f"[acceptance 05] rate vs MI {worst_rate:.3e}, |force|-1 {worst_force:.3e}, "
+          f"force -1 vs (budget, MI) {worst_identity:.3e}")
     assert worst_rate <= TOL_CAPACITY
     assert worst_force <= TOL_CAPACITY
+    assert worst_identity <= TOL_CAPACITY
 
 
 def test_criterion_06_chain_work_identities():

@@ -53,6 +53,14 @@ class TestCapacityPoint:
         assert pt.delta == pytest.approx(0.0, abs=1e-14)
         assert pt.s_star == 0.0
 
+    def test_rows_a_hair_from_the_identity_keep_the_unit_force(self):
+        # the budget H(X | Xhat), about 5e-19, sits in the end band of the floor: a root solve
+        # stopped there and reported the force 0.0, as for rows that are one value each
+        ch = Channel([[1 - 1e-20, 1e-20], [1e-20, 1 - 1e-20]], [0.5, 0.5])
+        pt = capacity_point(ch)
+        assert pt.s_star == -1.0
+        assert pt.rate == 0.6931471805599453
+
     def test_useless_channel(self):
         # output independent of input: rate must vanish
         ch = Channel([[0.6, 0.4], [0.6, 0.4]], [0.3, 0.7])

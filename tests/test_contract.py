@@ -254,7 +254,7 @@ ROOT_SOLVES = {
 
 class TestSolveTolerance:
     """A root solve's tolerance that is nan, negative or infinite is refused before any kernel call;
-    0 asks for a solve to machine width, as ``capacity_point``'s does."""
+    0 asks for a solve to machine width."""
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
     @pytest.mark.parametrize("name", sorted(ROOT_SOLVES))

@@ -48,6 +48,7 @@ from tiltrate.tilting import _BLOCK_ENTRIES, _floored, _legendre
 from conftest import (
     feasible_delta,
     full_table_observable,
+    kernel_calls,
     letters_in_units,
     letters_mmse,
     random_problem,
@@ -129,15 +130,30 @@ class TestEachForceOnce:
             assert forces.count(kernel_s) == 1
             assert rate == pytest.approx(point.rate, rel=1e-12)
 
-    def test_zero_force_once_per_capacity_point(self, forces):
+    def test_one_kernel_call_per_capacity_point(self, monkeypatch):
+        # the rate's maximum sits at force -1 on every channel: one order-1 call there, no solve
+        seen, grid = [], tilting._Table.grid
+
+        def counted(table, s, order=2):
+            seen.append((table, s, order))
+            return grid(table, s, order)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("capacity_point ran a root solve")
+
+        monkeypatch.setattr(tilting._Table, "grid", counted)
+        monkeypatch.setattr(tilting, "invert_monotone", refused)
         rng = np.random.default_rng(3)
         channels = [Channel([[0.9, 0.1], [0.1, 0.9]], [0.5, 0.5])]
         channels += [Channel(rng.dirichlet(np.ones(4), size=3), rng.dirichlet(np.ones(3))) for _ in range(5)]
         for channel in channels:
-            forces.clear()
+            seen.clear()
+            table_calls = kernel_calls("table")
             point = capacity_point(channel)
-            assert forces.count(0.0) == 1
-            assert point.s_star == pytest.approx(-1.0, abs=1e-9)
+            assert table_calls() == 1 and len(seen) == 1
+            table, s, order = seen[0]
+            assert s == table.force(-1.0) != 0.0 and order == 1
+            assert point.s_star == -1.0
 
     def test_equilibrium_takes_no_rate(self, forces):
         # the chain reads only the force: its solve skips the kernel call that the rate takes at s

@@ -248,6 +248,7 @@ def draw_case(seed: int, k: int, c: float) -> tuple[Case, Case | None]:
 @example(3, 1, 300.0, -310.0, -1.0)
 @example(4, 4, -161.0625, 0.0, -1.0)  # every letter's variance leaves its units subnormal: mmse answered 0.0
 @example(400, 3, 0.0, 0.0, -1.0)  # an unsatisfiable rd2 pair: the ascent stepped past the kernel's hold, an overflow
+@example(0, 1, 1.25, 307.0, -1.0)  # one-value rows at a force near the largest float: a quadrature node overflowed
 def test_the_scale_plane(seed, k, log_c, log_s, sign):
     case, twin = draw_case(seed, k, 10.0**log_c)
     s = sign * 10.0**log_s

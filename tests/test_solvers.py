@@ -126,6 +126,21 @@ class TestInvertMonotone:
         assert invert_monotone(f, 1.0 + 1e-10, f_tol=0.0) == 1.0
         assert calls == [0.0, 1.0, pytest.approx(1.0 + 1e-10, rel=1e-15)]
 
+    def test_a_small_newton_step_that_would_not_halve_the_last_returns_the_best_point(self):
+        # inside the bracket [1 - e, 1] the Newton step from 1 - e is 3/4 of the step before it, and
+        # below 1e-8 of the point: only rounding noise stalls a step that small, so the solve ends at
+        # the point of least residual, 1 - e, and evaluates no other
+        e = 2.0**-34
+        values = {0.0: -1.0, 1.0: e, 1.0 - e: -0.75 * e}
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return values[x], 1.0
+
+        assert invert_monotone(f, 0.0, f_tol=0.0) == 1.0 - e
+        assert calls == [0.0, 1.0, 1.0 - e]
+
     def test_a_newton_step_that_collapses_the_bracket_onto_its_far_end_returns_its_point(self):
         # Newton steps down from the bracket's top, each half the one before.  The last is 450.5
         # ulps long from 1 + 901 ulps and rounds to even, onto 1 + 450 ulps: it is 451 ulps long,

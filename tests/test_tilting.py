@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from tiltrate import (
 )
 from tiltrate.chain import ChainSystem, ElementArray, _table
 from tiltrate.errors import LevelInfeasibleError, PartitionInvalidError, SupportMismatchError
-from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _at_origin, _exact_dot, _legendre, _pair
+from tiltrate.tilting import _BLOCK_ENTRIES, TiltReport, _at_origin, _exact_dot, _pair
 
 from conftest import LN2, h2, random_dist, raw_table
 
@@ -238,6 +239,17 @@ class TestIntegralRoutes:
             s = float(rng.uniform(-4.0, 4.0))
             assert mean_via_integral(d, s) == pytest.approx(tilt(d, s).mean, abs=1e-8)
 
+    @pytest.mark.parametrize("s", [-1.7e308, -1.0, 1.7e308])
+    def test_a_point_mass_takes_no_node_at_any_force(self, s, exponentials):
+        # every integrand on one value is 0 at every force: near the largest float the rule's nodes
+        # overflowed to -inf, and it spent its million evaluations there before it raised
+        dist = FiniteDistribution([3.0], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rate_work_integral(dist, s) == 0.0
+            assert mean_via_integral(dist, s) == 3.0
+        assert exponentials() == 0
+
 
 class TestRiemannSandwich:
     def test_brackets_the_rate(self):
@@ -420,16 +432,6 @@ class TestTableFloor:
         assert result.rate == pytest.approx(0.5 * math.log(4.0 / 3.0), abs=1e-12)
         table = _at_origin(np.array([1.0]), np.zeros((1, 2)), np.array([[-1e6, 1.0 - 1e6]]))
         assert table.floor() == -1e6
-
-    def test_a_budget_at_origin_in_units_skips_the_floor(self):
-        # capacity's budget is summed at origin and in units, so no digit is lost to the floor:
-        # _legendre takes it as it is, and answers as for the same budget given as a raw level
-        table = _at_origin(np.array([0.25, 0.75]), np.zeros((1, 2)), np.array([[5.0, 7.0], [-3.0, 2.0]]))
-        assert table.span == 0.25 * 2.0 + 0.75 * 5.0 == table.unit
-        floor = table.floor()
-        in_units = _legendre(table, 0.5, 0.0, nonpositive=True, in_units=True)
-        raw = _legendre(table, floor + 0.5 * table.span, 0.0, nonpositive=True)
-        assert in_units[0] == pytest.approx(raw[0], rel=1e-13) and in_units[1] == pytest.approx(raw[1], rel=1e-13)
 
 
 class TestKlFreeEnergyGap:
