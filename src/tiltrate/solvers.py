@@ -42,6 +42,10 @@ _MAX_ITER = 240
 _MAX_DEPTH = 60
 _MAX_CALL = 1024
 _MAX_EVALS = 1_000_000
+# The least |end| the Simpson rule refuses: below it every sum of two of its nodes, a midpoint's or a
+# quarter point's, stays finite.  The kernel's held forces (``tilting._HOLD``, 2^1022, over a widest
+# row that rounding may leave a hair under 1) sit below it.
+_END_LIMIT = 2.0**1023
 
 
 class BracketError(NumericalError):
@@ -180,9 +184,16 @@ def adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     so equal node values give a bit-identical answer.  A level that would
     pass ``_MAX_EVALS`` (a million) evaluations, or a 61st level, raises NumericalError, and so
     does a ``tol`` below half an ulp of the root level's estimate, which rounding alone keeps the
-    rule from meeting, at once, before it subdivides.
+    rule from meeting, at once, before it subdivides.  Before ``f`` sees a node, an end that is not
+    one finite number raises ValidationError, and an end at or past 2^1023 (``_END_LIMIT``) in size,
+    where the sum behind a midpoint or quarter point can overflow, raises NumericalError.
     """
     _check_quadrature_tol(tol)
+    for end in (a, b):
+        if not _finite(end, "an end of the interval"):
+            raise ValidationError(f"the ends of the interval must be finite (got {a!r} and {b!r})")
+        if abs(end) >= _END_LIMIT:
+            raise NumericalError(f"the end {end!r} is 2^1023 or more in size: its midpoints can overflow")
     if a == b:
         return 0.0
     if b < a:

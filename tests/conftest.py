@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from tiltrate import FiniteDistribution, RdProblem, tilt
@@ -10,6 +11,10 @@ from tiltrate.tilting import _Table, _frozen, _kernel_calls
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
+
+# tests/line_trace.py runs the suite under ``--hypothesis-profile=line_trace``: no deadline, since the
+# tracer slows every test, and no example database, so that examples saved by earlier runs add no draws
+settings.register_profile("line_trace", deadline=None, database=None)
 
 
 def dispatch_level() -> str:

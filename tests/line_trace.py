@@ -3,16 +3,18 @@
     PYTHONPATH=src python tests/line_trace.py
 
 Runs the Tier-1 suite (``pytest -q --continue-on-collection-errors`` from the repository root) in
-this process under ``--hypothesis-seed=0``, with a ``sys.settrace`` line tracer set before tiltrate is
-imported, and records each line that a frame of ``src/tiltrate`` executes.  Then it prints, one a
-line, as ``tilting.py:492: <the line>``, every line that holds code (one that some code object
-compiled from the file maps an instruction to, ``co_lines``) and never ran.  ``__main__.py`` and the
-body of an ``if __name__ == "__main__":`` block are skipped: the command line's entry point runs in a
-child process, which the tracer does not follow (the child imports tiltrate from ``src`` too, as
-``PYTHONPATH`` here names it).  Hypothesis runs with no deadline, since the tracer slows every test,
-and with no example database, so that examples saved by earlier runs do not add draws.  It exits 1
-if it printed a line or a test failed, else 0.  pytest does not collect this file: its name does not
-start with ``test_``.
+this process under ``--hypothesis-seed=0`` and ``--hypothesis-profile=line_trace``, with a
+``sys.settrace`` line tracer set before tiltrate is imported, and records each line that a frame of
+``src/tiltrate`` executes.  Then it prints, one a line, as ``tilting.py:492: <the line>``, every line
+that holds code (one that some code object compiled from the file maps an instruction to,
+``co_lines``) and never ran.  ``__main__.py`` and the body of an ``if __name__ == "__main__":`` block
+are skipped: the command line's entry point runs in a child process, which the tracer does not follow
+(the child imports tiltrate from ``src`` too, as ``PYTHONPATH`` here names it).  The profile, registered
+in ``tests/conftest.py``, runs Hypothesis with no deadline, since the tracer slows every test, and with
+no example database, so that examples saved by earlier runs do not add draws.  This file does not
+import Hypothesis: imported before ``pytest.main``, a plugin is one that pytest can no longer rewrite,
+and it warns so.  It exits 1 if it printed a line or a test failed, else 0.  pytest does not collect
+this file: its name does not start with ``test_``.
 """
 
 import ast
@@ -59,10 +61,7 @@ def traced_run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
         return lines if ours[name] else None
 
     import pytest
-    from hypothesis import settings
 
-    settings.register_profile("line_trace", deadline=None, database=None)
-    settings.load_profile("line_trace")
     threading.settrace(calls)
     sys.settrace(calls)
     try:
@@ -78,7 +77,8 @@ def main() -> int:
     sys.path.insert(1, str(PACKAGE.parent))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))
     os.chdir(ROOT)
-    code, ran = traced_run(["-q", "--continue-on-collection-errors", "--hypothesis-seed=0"])
+    code, ran = traced_run(["-q", "--continue-on-collection-errors", "--hypothesis-seed=0",
+                             "--hypothesis-profile=line_trace"])
     missed = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "__main__.py":

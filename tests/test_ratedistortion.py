@@ -401,6 +401,14 @@ class TestFarForces:
             rate_mmse_integral(bss, -1e3, -1.0)
         assert pieces == []
 
+    def test_a_held_force_past_2_to_the_1022_is_integrated(self, pieces):
+        # a source law summing to 1 + 4e-13 makes the span a hair wider than either equal row, so the
+        # widest row is a hair under 1 unit, and the held kernel force -tilting._HOLD / widest is a
+        # hair past 2^1022: the rule takes it as an end, below the 2^1023 it refuses
+        problem = RdProblem([0.5 + 4e-13, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]])
+        assert rate_mmse_integral(problem, -1e308) == pytest.approx(LN2, abs=1e-9)
+        assert abs(pieces[-1][1]) > tilting._HOLD
+
 
 class TestRdCurve:
     def test_bss_curve(self, bss):

@@ -381,3 +381,26 @@ class TestAdaptiveSimpson:
         with pytest.raises(ValidationError, match=r"^tol must be finite and > 0 \(got "):
             adaptive_simpson(lambda x: calls.append(x) or np.exp(x), 0.0, 1.0, tol)
         assert calls == []
+
+    @pytest.mark.parametrize("a, b", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)])
+    def test_refuses_an_end_that_is_not_finite_before_any_node(self, a, b):
+        calls = []
+        with pytest.raises(ValidationError, match=r"^the ends of the interval must be finite \(got "):
+            adaptive_simpson(lambda x: calls.append(x) or np.exp(x), a, b, 1e-9)
+        assert calls == []
+
+    @pytest.mark.parametrize("a, b", [(-1.7e308, 0.0), (0.0, 2.0**1023), (-2.0**1023, -2.0**1023)])
+    def test_refuses_an_end_whose_midpoints_can_overflow_before_any_node(self, a, b):
+        # from -1.7e308 the rule's first quarter point was -inf, and it spent its whole budget of evaluations
+        calls = []
+        with pytest.raises(NumericalError, match=r"^the end .* is 2\^1023 or more in size: its midpoints can overflow$"):
+            adaptive_simpson(lambda x: calls.append(x) or np.ones_like(x), a, b, 1e-9)
+        assert calls == []
+
+    def test_takes_finite_nodes_up_to_the_largest_end_it_admits(self):
+        # from an end just under 2^1023 in size, the sum of it with itself is the largest float, so every
+        # node stays finite; the kernel's held forces, a hair past tilting._HOLD = 2^1022, sit well inside
+        end, nodes = math.nextafter(2.0**1023, 0.0), []
+        total = adaptive_simpson(lambda x: nodes.append(x) or np.ones_like(x), -end, -0.5 * end, 2.0**1000)
+        assert np.isfinite(np.concatenate(nodes)).all()
+        assert total == pytest.approx(0.5 * end, rel=1e-15)
