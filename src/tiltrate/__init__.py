@@ -20,6 +20,7 @@ All rates and entropies are in nats.
 
 from .capacity import capacity_point, CapacityPoint, Channel, mutual_information
 from .chain import (
+    array_lengths,
     ChainSystem,
     ElementArray,
     entropy_at_energy,
@@ -27,6 +28,7 @@ from .chain import (
     expected_length,
     from_rd_problem,
     gibbs_free_energy,
+    length_variance,
     protocol_work,
     protocol_work_bounds,
     quasistatic_work,
@@ -39,6 +41,7 @@ from .errors import (
 )
 from .multiconstraint import rate_two_distortions, RdProblem2
 from .oracles import (
+    BaResult,
     blahut_arimoto,
     brute_allocation_min,
     exact_ld_probability,
@@ -47,6 +50,7 @@ from .oracles import (
 from .ratedistortion import (
     Allocation,
     distortion_at_force,
+    distortion_mmse_integral,
     equal_force_allocation,
     force_at_distortion,
     mmse,
@@ -78,6 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Allocation",
+    "BaResult",
     "CapacityPoint",
     "ChainSystem",
     "Channel",
@@ -92,10 +97,12 @@ __all__ = [
     "TiltReport",
     "TiltrateError",
     "ValidationError",
+    "array_lengths",
     "blahut_arimoto",
     "brute_allocation_min",
     "capacity_point",
     "distortion_at_force",
+    "distortion_mmse_integral",
     "entropy_at_energy",
     "equal_force_allocation",
     "equilibrium_force",
@@ -107,6 +114,7 @@ __all__ = [
     "gibbs_free_energy",
     "kl_free_energy_gap",
     "legendre_grid_max",
+    "length_variance",
     "load_config",
     "log_mgf",
     "mean_via_integral",

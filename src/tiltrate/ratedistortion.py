@@ -67,9 +67,8 @@ def _clean_tables(problem, *names: str) -> None:
     """Check a problem's two laws and its named tables, drop zero-probability
     source letters (rows) and reproduction letters (columns), and store them
     read-only on the (frozen) problem, each table one C-contiguous copy.  A table
-    that drops no letter and is C-contiguous already is copied once, by ``_frozen``;
-    any other is gathered by ``np.ix_`` first, whose copy is C-contiguous, since
-    ``_frozen`` keeps its argument's memory order."""
+    that drops no letter is copied by ``_frozen`` alone; any other is gathered by
+    ``np.ix_`` first."""
     p = _law(problem.source_probs, "source_probs")
     q = _law(problem.coding_probs, "coding_probs")
     rows, cols = _kept_letters(p, q)
@@ -80,7 +79,7 @@ def _clean_tables(problem, *names: str) -> None:
         if d.ndim != 2 or d.shape != (p.size, q.size):
             raise ValidationError(f"{name} must be a {p.size}x{q.size} matrix (got shape {d.shape})")
         _check_entries(d, name, f"{name} entries must all be finite")
-        kept[name] = d if whole and d.flags.c_contiguous else d[np.ix_(rows, cols)]
+        kept[name] = d if whole else d[np.ix_(rows, cols)]
     _frozen(problem, **kept)
 
 

@@ -54,10 +54,10 @@ VALUE_MERGE_TOL = 1e-12  # outcome values closer than this times the value span 
 
 
 def _floats(x, name: str, error=ValidationError) -> np.ndarray:
-    """``x`` as a float array by ``np.asarray``, or ``error`` naming it ``name`` where numpy cannot read
-    it as one (an entry that is not a number, or ragged rows): every array argument's conversion."""
+    """``x`` as a C-ordered float array, or ``error`` naming it ``name`` where numpy cannot read it as one
+    (a non-number entry, or ragged rows): every array argument's conversion and its one layout rule."""
     try:
-        return np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float, order="C")
     except (TypeError, ValueError):
         raise error(f"{name} must be an array of numbers (got a {type(x).__name__} that numpy cannot read)") from None
 

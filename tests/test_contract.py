@@ -6,6 +6,7 @@ stores read-only copies of its arrays.
 """
 
 import ast
+import importlib
 import math
 import re
 from pathlib import Path
@@ -22,8 +23,10 @@ from tiltrate import (
     RdProblem,
     RdProblem2,
     ValidationError,
+    array_lengths,
     blahut_arimoto,
     distortion_at_force,
+    distortion_mmse_integral,
     entropy_at_energy,
     equal_force_allocation,
     equilibrium_force,
@@ -32,6 +35,7 @@ from tiltrate import (
     force_at_level,
     from_rd_problem,
     gibbs_free_energy,
+    length_variance,
     log_mgf,
     mean_via_integral,
     mmse,
@@ -46,8 +50,7 @@ from tiltrate import (
     tilt,
     tilted_conditional,
 )
-from tiltrate.chain import array_lengths, length_variance
-from tiltrate.ratedistortion import distortion_mmse_integral
+from tiltrate.tilting import _floats
 
 DIST = FiniteDistribution([0.0, 1.0, 3.0], [0.2, 0.5, 0.3])
 POINT_MASS = FiniteDistribution([2.0], [1.0])
@@ -366,6 +369,41 @@ class TestOneLawCheck:
         a = ElementArray([0.0, 1.0], [0.0, 0.0], 0.6)
         with pytest.raises(ValidationError, match=r"^array fractions must sum to 1 within 1e-12 \(got 1\.2"):
             ChainSystem(arrays=(a, a))
+
+
+def test_memory_layout_is_decided_by_floats_alone():
+    # every array argument enters through tilting._floats, which reads it in C order, so no answer
+    # depends on the caller's layout (tests/test_stored_tables.py); a C-ordered array is not copied,
+    # and no other module decides a layout
+    given = np.ones((3, 2))
+    assert _floats(given, "x") is given
+    for given in (np.asfortranarray(given), np.ones((3, 4))[:, ::2], [[1, 2], [3, 4]], 2.0):
+        assert _floats(given, "x").flags.c_contiguous
+    layout = re.compile(r"[cf]_contiguous|order=|ascontiguousarray|asfortranarray")
+    modules = Path(tiltrate.__file__).parent.glob("*.py")
+    assert sorted(m.name for m in modules if layout.search(m.read_text())) == ["tilting.py"]
+
+
+# each name that a module exports and the package does not, on purpose
+NOT_EXPORTED = {
+    # the input tolerances, read as tiltrate.tilting.<name>: no other module names the merge tolerance
+    "tilting": {"PROB_TOL", "VALUE_MERGE_TOL"},
+    # the numerical layer under the routes, which refuse through the errors tiltrate exports
+    "solvers": {"BracketError", "invert_monotone", "adaptive_simpson"},
+    # the command line's entry point, run as python -m tiltrate
+    "cli": {"main"},
+}
+
+
+def test_every_module_export_is_a_package_export():
+    unexported = {
+        (module.stem, name)
+        for module in Path(tiltrate.__file__).parent.glob("[!_]*.py")
+        for name in getattr(importlib.import_module(f"tiltrate.{module.stem}"), "__all__", ())
+        if name not in tiltrate.__all__ and name not in NOT_EXPORTED.get(module.stem, ())
+    }
+    assert unexported == set()
+    assert [name for name in tiltrate.__all__ if not hasattr(tiltrate, name)] == []
 
 
 def test_row_starts_are_found_by_the_origin_table_alone():
