@@ -87,6 +87,10 @@ class ElementArray:
 
 @dataclass(frozen=True, eq=False)
 class ChainSystem:
+    """Element arrays at inverse temperature ``beta``.  A system keeps, read-only, its kernel's row weights (k floats)
+    and log-weights -beta * energies: one row of m floats where every array's energies are the first's byte for byte
+    (every ``from_rd_problem`` chain), else the k x m table padded with -inf (2 MB at k = m = 512)."""
+
     arrays: tuple[ElementArray, ...]
     beta: float = 1.0
     boltzmann_k: float = 1.0
@@ -99,37 +103,33 @@ class ChainSystem:
             raise ValidationError("beta must be a positive real")
         if not (_finite(self.boltzmann_k, "boltzmann_k") and self.boltzmann_k > 0.0):
             raise ValidationError("boltzmann_k must be a positive real")
-        _law([a.fraction for a in arrays], "array fractions")
+        weights = _law([a.fraction for a in arrays], "array fractions")
         # the two ends of each array's log-weights, a row per array: an overflow to inf is refused, not warned of
         with np.errstate(over="ignore"):
             ends = -self.beta * np.array([a._energy_ends for a in arrays])
         _check_entries(ends, "-beta * state_energies", "-beta * state_energies must be finite")
+        # each array's energies against the first's, byte by byte: no k x m temporary
+        energies = [a.state_energies for a in arrays]
+        first = energies[0].tobytes()
+        shared = all(e.tobytes() == first for e in energies[1:])
+        log_weights = -self.beta * (energies[0][None, :] if shared else _rows(energies, math.inf))
         object.__setattr__(self, "arrays", arrays)
+        _frozen(self, _row_weights=weights, _log_weights=log_weights)
 
     @property
     def temperature(self) -> float:
         return 1.0 / (self.boltzmann_k * self.beta)
 
 
-def _table(system: ChainSystem):
-    """The ``tilting._Table`` of the lengths under the log-weights -beta * energies, one row per
-    array weighted by its fraction, with each row moved to start at 0.
+def _rows(rows, fill: float) -> np.ndarray:
+    """The 1-D arrays ``rows`` stacked as the rows of a table, each shorter one padded at its end with ``fill``."""
+    width = max(r.size for r in rows)
+    return np.array([np.append(r, np.full(width - r.size, fill)) if r.size < width else r for r in rows])
 
-    Arrays with fewer states are padded with -inf log-weights, which carry
-    no Boltzmann mass, and zero lengths.  Built once per public call, not
-    kept on the system: 512 arrays of 512 states take 4 MB.
-    """
-    arrays, beta = system.arrays, system.beta
-    sizes = [a.state_lengths.size for a in arrays]
-    if min(sizes) == max(sizes):  # every array has the full width: the rows stack as they are
-        lengths = np.array([a.state_lengths for a in arrays])
-        log_w = -beta * np.array([a.state_energies for a in arrays])
-    else:  # row x's states fill its leading sizes[x] entries, in the order they are concatenated
-        live = np.arange(max(sizes)) < np.array(sizes)[:, None]
-        lengths, log_w = np.zeros(live.shape), np.full(live.shape, -math.inf)
-        lengths[live] = np.concatenate([a.state_lengths for a in arrays])
-        log_w[live] = -beta * np.concatenate([a.state_energies for a in arrays])
-    return _at_origin(np.array([a.fraction for a in arrays]), log_w, lengths)
+
+def _table(system: ChainSystem):
+    """The ``tilting._Table`` of the stacked lengths (zero-padded) under the system's kept weights and log-weights."""
+    return _at_origin(system._row_weights, system._log_weights, _rows([a.state_lengths for a in system.arrays], 0.0))
 
 
 def _force(system: ChainSystem, lam, name: str = "lam") -> float:
@@ -158,7 +158,7 @@ def array_lengths(system: ChainSystem, lam: float) -> np.ndarray:
 
 
 def expected_length(system: ChainSystem, lam: float) -> float:
-    return float(np.dot([a.fraction for a in system.arrays], array_lengths(system, lam)))
+    return float(np.dot(system._row_weights, array_lengths(system, lam)))
 
 
 def length_variance(system: ChainSystem, lam: float) -> float:

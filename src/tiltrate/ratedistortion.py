@@ -66,9 +66,9 @@ def _kept_letters(source_probs: np.ndarray, coding_probs: np.ndarray) -> tuple[n
 def _clean_tables(problem, *names: str) -> None:
     """Check a problem's two laws and its named tables, drop zero-probability
     source letters (rows) and reproduction letters (columns), and store them
-    read-only on the (frozen) problem, each table one C-contiguous copy.  A table
-    that drops no letter is copied by ``_frozen`` alone; any other is gathered by
-    ``np.ix_`` first."""
+    read-only on the (frozen) problem, each table one C-contiguous copy: ``_floats``'
+    conversion, the ``np.ix_`` gather of a table that drops a letter, or else
+    ``_frozen``'s copy of the caller's C-ordered table."""
     p = _law(problem.source_probs, "source_probs")
     q = _law(problem.coding_probs, "coding_probs")
     rows, cols = _kept_letters(p, q)

@@ -93,10 +93,14 @@ def _check_entries(t: np.ndarray, name: str, unfinite: str) -> None:
 
 
 def _frozen(obj, **arrays) -> None:
-    """Set each array on the frozen dataclass ``obj`` as a read-only copy of its own,
-    so no caller's array can change it and the caller's stays writable."""
+    """Set each array on the frozen dataclass ``obj`` read-only, copied only where it may share memory
+    with the argument the caller passed for that field (a list or tuple shares none), so no caller's
+    array can change it and the caller's stays writable; a conversion or gather the constructor made,
+    or an array set on an instance made by ``object.__new__``, is kept as it is."""
     for name, value in arrays.items():
-        value = np.array(value)
+        given = getattr(obj, name, None)
+        if given is not None and not isinstance(given, (list, tuple)) and np.may_share_memory(value, given):
+            value = np.array(value)
         value.setflags(write=False)
         object.__setattr__(obj, name, value)
 
@@ -184,8 +188,8 @@ def _set_laws(values: np.ndarray, probs: np.ndarray) -> tuple[FiniteDistribution
                 heads = np.flatnonzero(heads)
                 mass = np.add.reduceat(mass, heads)
                 rows[x] = row[heads], mass / mass.sum()
-        for dist, (row_values, row_probs) in zip(dists[j : j + step], rows):
-            _frozen(dist, values=row_values, probs=row_probs)
+        for dist, (row_values, row_probs) in zip(dists[j : j + step], rows):  # each row its own copy, not a view
+            _frozen(dist, values=row_values.copy(), probs=row_probs.copy())
     return dists
 
 

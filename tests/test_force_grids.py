@@ -22,8 +22,13 @@ from tiltrate import (
     ElementArray,
     FiniteDistribution,
     RdProblem,
+    array_lengths,
     distortion_at_force,
+    equilibrium_force,
+    expected_length,
     from_rd_problem,
+    gibbs_free_energy,
+    length_variance,
     log_mgf,
     mmse,
     observable_sweep,
@@ -403,4 +408,43 @@ def ragged_system(rng, arrays: int, max_states: int) -> ChainSystem:
 def test_chain_table_matches_the_padded_loop(rng, system):
     system = system(rng)
     got, want = chain._table(system), padded_chain_table(system)
-    assert all(np.shape(a) == np.shape(b) and np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.shape(a) == np.shape(b) and np.array_equal(a, b)
+               for field, a, b in zip(got._fields, got, want) if field != "log_weights")
+    # the kept log-weights are the loop's table bit for bit once broadcast to every row: one row exactly
+    # where every array's energies are the first's bytes, else one row per array
+    assert bits(np.broadcast_to(got.log_weights, got.values.shape)) == bits(want.log_weights)
+    shared = len({a.state_energies.tobytes() for a in system.arrays}) == 1
+    assert got.log_weights.shape[0] == (1 if shared else len(system.arrays))
+
+
+def signed_zero_twins(k: int) -> tuple[ChainSystem, ChainSystem]:
+    """A k-array chain whose arrays share one row of energies, an entry of it 0.0, and its twin, where
+    the last array writes that 0.0 as -0.0: equal in value, not in bytes, so the twin keeps k rows of
+    log-weights where the chain keeps one."""
+    rng = np.random.default_rng([k, 11])
+    p, d, energies = rng.dirichlet(np.ones(k)), rng.random((k, k)) * 3.0, rng.random(k) * 2.0
+    energies[0], signed = 0.0, energies.copy()
+    signed[0] = -0.0
+    rows = [(d[x], energies, p[x]) for x in range(k)]
+    twin = rows[:-1] + [(d[-1], signed, p[-1])]
+    return (ChainSystem(tuple(ElementArray(*row) for row in rows), beta=1.3),
+            ChainSystem(tuple(ElementArray(*row) for row in twin), beta=1.3))
+
+
+@pytest.mark.parametrize("k", [2, 64, 512])
+def test_a_shared_row_and_the_full_table_answer_alike(k):
+    # == counts -0.0 as 0.0, so the two forms of the kept log-weights must give equal answers
+    system, twin = signed_zero_twins(k)
+    assert (system._log_weights.shape[0], twin._log_weights.shape[0]) == (1, k)
+    target = expected_length(system, -0.7)
+    routes = [
+        lambda c: gibbs_free_energy(c, -0.7),
+        lambda c: expected_length(c, -0.7),
+        lambda c: length_variance(c, -0.7),
+        lambda c: equilibrium_force(c, target),
+        lambda c: quasistatic_work(c, -0.7),
+        lambda c: protocol_work_bounds(c, np.linspace(0.0, -0.7, 6)),
+    ]
+    for route in routes:
+        assert route(system) == route(twin)
+    assert (array_lengths(system, -0.7) == array_lengths(twin, -0.7)).all()

@@ -3,8 +3,8 @@
 A table or observable held in its caller's Fortran order holds the same numbers, yet the kernel's and
 numpy's reductions then run along the other axis and round the answers' last bits differently.  So
 ``_floats`` reads every array argument in C order, and each constructor stores it by ``_frozen`` as
-one C-contiguous, read-only copy.  ``RdProblem`` and ``RdProblem2`` hand a table that drops no letter
-straight to ``_frozen``, so a C-ordered one is copied once; any other is gathered by ``np.ix_`` first.
+one C-contiguous, read-only copy: ``_frozen`` copies only an array that may share memory with the
+caller's, so ``_floats``' conversion and ``np.ix_``'s gather of a table that drops a letter are kept.
 Each route here answers a Fortran-ordered, transposed or column-sliced input with its C twin's bits.
 """
 
@@ -168,3 +168,24 @@ def test_building_a_k512_problem_copies_each_table_once():
     RdProblem(p, p, d1)  # the first build fills the interpreter's and numpy's own caches
     assert construction_peak(lambda: RdProblem(p, p, d1)) < 1.5 * d1.nbytes
     assert construction_peak(lambda: RdProblem2(p, p, d1, d2)) < 1.5 * (d1.nbytes + d2.nbytes)
+
+
+def k512_table_as_given(given: str):
+    """A k = 512 problem's laws and its table as the caller hands it: C-ordered, Fortran-ordered, or
+    C-ordered with a 513th source letter of probability 0, which the problem drops."""
+    rng = np.random.default_rng(3)
+    p, d = np.full(512, 1.0 / 512), rng.random((512, 512))
+    if given == "fortran":
+        return p, p, np.asfortranarray(d)
+    if given == "dropped_letter":
+        return np.append(p, 0.0), p, np.vstack([d, np.full(512, 9.0)])
+    return p, p, d
+
+
+@pytest.mark.parametrize("given", ["c", "fortran", "dropped_letter"])
+def test_building_a_k512_problem_peaks_near_its_stored_table(given):
+    # each table is stored with one copy: the C-ordering conversion, the gather, or, for a C-ordered
+    # table that drops no letter, the freeze; a second copy would peak at twice the stored bytes
+    p, q, d = k512_table_as_given(given)
+    RdProblem(p, q, d)  # the first build fills the interpreter's and numpy's own caches
+    assert construction_peak(lambda: RdProblem(p, q, d)) <= 1.2 * RdProblem(p, q, d).distortion.nbytes
