@@ -1,11 +1,13 @@
 """Channel rates through the distortion formalism.
 
 Take d(x, xhat) = -ln W(x | xhat) as the distortion a codeword xhat pays for
-output x, let the source law be the channel's output marginal, and set the
-budget to the conditional entropy H(X | Xhat).  At force -1 the tilted law
-is the posterior q(xhat | x), whose mean distortion is that budget, so the
-Legendre rate there, with no root solve, is exactly the mutual information,
-cross-checked against the direct sum to machine accuracy.
+output x, let the source law be the channel's output marginal, and let the
+coding law be the input law: one table (``_table``), a row per output letter
+and a column per input letter.  At force -1 each row's tilted law is the
+posterior q(xhat | x), so the kernel's row-weighted tilted mean there is the
+budget, the conditional entropy H(X | Xhat), and the Legendre rate there,
+with no root solve, is exactly the mutual information, cross-checked against
+the direct sum to machine accuracy.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelDegenerateError, ValidationError
-from .tilting import PROB_TOL, _at_origin, _floats, _floored, _frozen, _law
+from .tilting import PROB_TOL, _at_origin, _floats, _floored, _frozen, _law, _Table
 
 __all__ = ["Channel", "CapacityPoint", "capacity_point", "mutual_information"]
 
@@ -49,15 +51,10 @@ class CapacityPoint:
     delta: float
 
 
-def _terms(channel: Channel):
-    """W, q, the output marginal qW and the mask of the pairs (xhat, x) with mass: what both routes sum over."""
-    w, q = channel.transition, channel.input_probs
-    return w, q, q @ w, (w > 0.0) & (q[:, None] > 0.0)
-
-
 def mutual_information(channel: Channel) -> float:
-    """I(Xhat; X) in nats for the given input law, summed over positive entries."""
-    w, q, p_out, mask = _terms(channel)
+    """I(Xhat; X) in nats for the given input law: the direct sum over positive entries, apart from the kernel."""
+    w, q = channel.transition, channel.input_probs
+    p_out, mask = q @ w, (w > 0.0) & (q[:, None] > 0.0)
     ratio = np.ones_like(w)
     np.divide(w, p_out[None, :], out=ratio, where=mask)
     terms = np.zeros_like(w)
@@ -65,40 +62,37 @@ def mutual_information(channel: Channel) -> float:
     return _floored((q[:, None] * w * terms)[mask].sum())
 
 
-def capacity_point(channel: Channel) -> CapacityPoint:
-    """Mutual information recovered as a Legendre rate.
-
-    Builds the rate-distortion instance with source = output marginal,
-    coding law = input law, d = -ln W; the distortion budget is
-    H(X | Xhat).  Zero transition entries get -inf log-weights, so they
-    never carry tilted mass (an infinite distortion at negative force), and
-    their missing mass enters the rate through each output letter's
-    log-partition.  The rate is the kernel's at s_star = -1 (one call, no
-    solve); where every output row is one value on its support (the identity
-    channel) it does not depend on the force, and s_star is reported as 0.
-    """
-    w, q, p_out, mask = _terms(channel)
+def _table(channel: Channel) -> _Table:
+    """The ``tilting._Table`` of d = -ln W, weighted by the output marginal qW: a row per output letter
+    x and a column per input letter xhat, its values -ln W(x | xhat) and its log-weights ln q(xhat)
+    where both carry mass (-inf, with the value 0, elsewhere), each written into a fresh C-ordered
+    array.  ``ChannelDegenerateError`` for an output letter that no input reaches."""
+    w, q = channel.transition, channel.input_probs
+    p_out = q @ w
     if np.any(p_out <= 0.0):
-        dead = int(np.argmin(p_out))
-        raise ChannelDegenerateError(
-            f"output letter {dead} has zero probability under (input_probs, transition)"
-        )
+        raise ChannelDegenerateError(f"output letter {int(np.argmin(p_out))} has zero probability under "
+                                     "(input_probs, transition)")
+    support = (w.T > 0.0) & (q > 0.0)
+    dist = np.log(w.T, out=np.zeros(support.shape), where=support)
+    log_w = np.log(np.broadcast_to(q, support.shape), out=np.full(support.shape, -math.inf), where=support)
+    return _at_origin(p_out, log_w, np.negative(dist, out=dist))
 
-    # conditional entropy H(X | Xhat), with 0 ln 0 = 0
-    logs = np.zeros_like(w)
-    np.log(w, out=logs, where=mask)
-    delta = _floored(-(q[:, None] * w * logs)[mask].sum())
 
-    # one row per output letter x, one column per input letter xhat
-    support = mask.T
-    dist = -logs.T
-    log_w = np.full(support.shape, -math.inf)
-    np.log(np.broadcast_to(q, support.shape), out=log_w, where=support)
+def capacity_point(channel: Channel) -> CapacityPoint:
+    """Mutual information recovered as a Legendre rate, from one order-1 kernel call on ``_table``.
 
-    # The budget on the rows at origin and in units: every term is nonnegative, so no digit is lost
-    # to the difference delta - sum_x p_x start_x, two nearly equal terms when the rows nearly agree.
-    table = _at_origin(p_out, log_w, dist)
-    level = float((q[:, None] * w * table.values.T)[mask].sum())
+    The rate-distortion instance has source = output marginal, coding law = input law and
+    d = -ln W.  Zero transition entries get -inf log-weights, so they never carry tilted mass (an
+    infinite distortion at negative force), and their missing mass enters the rate through each
+    output letter's log-partition.  At the kernel force for -1 each row's tilted law is the
+    posterior q(xhat | x), so the row-weighted tilted mean is the budget H(X | Xhat): at origin and
+    in units it is the rate's level, and moved back by ``means_from_origin`` it is ``delta``.  The
+    rate needs no solve; where every output row is one value on its support (the identity channel)
+    it does not depend on the force, and s_star is reported as 0.
+    """
+    table = _table(channel)
     s = table.force(-1.0)
-    rate = table.rate(s, level, table.grid(s, 1)[0])
+    log_z, means = table.grid(s, 1)
+    delta = _floored(np.dot(table.row_weights, table.means_from_origin(means)))
+    rate = table.rate(s, float(np.dot(table.row_weights, means)), log_z)
     return CapacityPoint(rate=rate, s_star=-1.0 if table.widest else 0.0, delta=delta)

@@ -228,9 +228,10 @@ class RateResult:
 # Forces and rows per block of the kernel keep each of its temporaries near this many entries.
 _BLOCK_ENTRIES = 1 << 15
 # The kernel calls made in this process: "block" counts each exponential of ``_tilted_weights``, one
-# per row block, and "table" each call of ``_Table.grid``, ``.pair`` or ``.law``, the kernel's entries.
-# Read by ``_kernel_calls``; a reader takes the difference across the calls it counts.
-_TALLY = {"block": 0, "table": 0}
+# per row block, "entries" the weights those blocks tilted (forces x rows x columns), and "table" each
+# call of ``_Table.grid``, ``.pair`` or ``.law``, the kernel's entries.  Read by ``_kernel_calls``; a
+# reader takes the difference across the calls it counts.
+_TALLY = {"block": 0, "entries": 0, "table": 0}
 # The least normal float: a variance at or above it that leaves its units as 0 has lost every digit.
 _TINY = float(np.finfo(float).tiny)
 # The least share of its squared mean a variance may be before ``_moments`` corrects it for the mean's
@@ -365,6 +366,7 @@ def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
     """Per-row weights e^{log_weights + w - shift}, written over the fresh exponent ``w``, and the shifts,
     each row's largest exponent: the one exponential behind every tilted quantity."""
     _TALLY["block"] += 1
+    _TALLY["entries"] += w.size
     w += log_weights
     shift = w.max(axis=-1)
     w -= shift[..., None]
@@ -484,9 +486,10 @@ class _Table(NamedTuple):
 
     def log_z_from_origin(self, s, log_z: np.ndarray) -> np.ndarray:
         """Per-row log-partitions at origin at force s moved back: a row at origin has ln Z lower by
-        s * start (s one number, or an array that broadcasts against the starts).  The kernel's are
-        within 2^1022 at the forces ``forces`` gives, so the sum is checked only where |s * start|
-        may pass 2^1021."""
+        s * start (s one number, or an array that broadcasts against the starts).  The starts are in
+        the table's own scale, so s is too: the force, not the kernel force s * unit of ``force``.
+        The kernel's are within 2^1022 at the forces ``forces`` gives, so the sum is checked only
+        where |s * start| may pass 2^1021."""
         if not self.far or _largest(s) * self.far <= 2.0**1021:
             return log_z + s * self.starts
         with np.errstate(over="ignore", invalid="ignore"):
@@ -568,8 +571,8 @@ class _Table(NamedTuple):
 
 
 def _kernel_calls() -> dict[str, int]:
-    """A copy of the kernel's call tally (``_TALLY``): its row blocks and its table calls, each
-    counted since import."""
+    """A copy of the kernel's call tally (``_TALLY``): its row blocks, the entries they tilted and its
+    table calls, each counted since import."""
     return dict(_TALLY)
 
 

@@ -28,8 +28,9 @@ def dispatch_level() -> str:
 
 
 def kernel_calls(kind: str = "block"):
-    """A reader of the kernel calls of ``kind`` (``tilting._kernel_calls``: row blocks, or "table"
-    calls of ``grid``, ``pair`` or ``law``) made since this call: each read is the count so far."""
+    """A reader of the kernel calls of ``kind`` (``tilting._kernel_calls``: row blocks, the "entries"
+    they tilted, or "table" calls of ``grid``, ``pair`` or ``law``) made since this call: each read
+    is the count so far."""
     start = _kernel_calls()[kind]
     return lambda: _kernel_calls()[kind] - start
 

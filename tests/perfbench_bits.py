@@ -5,8 +5,9 @@
 Runs every operation of the solve and sweep decks (``perfbench/workloads.py``) at seeds 201 and 202,
 passes 0 and 1, and prints one line: the number of results, a sha256 over each result's floats as
 ``float.hex`` and its arrays' bytes (or the name of the error it raised), and the kernel's calls as
-its own tally counts them (``tilting._kernel_calls()``): its row blocks, each one exponential, and
-its table calls (``_Table.grid``, ``.pair`` and ``.law``).  Run it before and after a change that
+its own tally counts them (``tilting._kernel_calls()``): its row blocks, each one exponential, the
+entries they tilted (forces x rows x columns), and its table calls (``_Table.grid``, ``.pair`` and
+``.law``).  Run it before and after a change that
 should keep every answer: the two lines are equal when it does.  After it, one line per operation
 family gives the same numbers for that family's operations alone, its sha256 cut to 16 digits, so a
 change that moves some answers names the families it moved.  pytest does not collect this file: its
@@ -18,9 +19,10 @@ also exports REV's ``src`` by ``git archive`` into a temporary directory, runs t
 a child process, and after its own lines prints ``same as REV`` where every line is equal.
 Otherwise it tells answers from kernel calls apart: ``same answers as REV`` where every sha256 is
 equal, or the families whose answers differ, and then the families whose kernel calls differ, with
-both counts, e.g. ``kernel calls differ in: quasistatic_work (488 blocks, 456 at REV)``.  It exits 0
-either way, unless REV cannot be exported or the decks cannot run on its ``src`` (one with no
-``_kernel_calls``, say): then it stops with a message that names REV.
+both counts, e.g. ``kernel calls differ in: quasistatic_work (488 blocks, 456 at REV)``.  Where REV's
+tally counts no entries, the lines are compared without them.  It exits 0 either way, unless REV
+cannot be exported or the decks cannot run on its ``src`` (one with no ``_kernel_calls``, say): then
+it stops with a message that names REV.
 """
 
 import argparse
@@ -31,6 +33,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -79,44 +82,57 @@ def answer_lines() -> list[str]:
                     line = op.label.encode() + b"=" + bits + b"\n"
                     digest.update(line)
                     results += 1
-                    family = families.setdefault(op.family, [0, hashlib.sha256(), 0, 0])
+                    family = families.setdefault(op.family, [0, hashlib.sha256(), Counter()])
                     family[0] += 1
                     family[1].update(line)
-                    after = tilting._kernel_calls()
-                    family[2] += after["block"] - before["block"]
-                    family[3] += after["table"] - before["table"]
-    end = tilting._kernel_calls()
-    total = f"{end['block'] - start['block']} kernel block calls {end['table'] - start['table']} table calls"
-    return [f"{results} results sha256 {digest.hexdigest()} {total}"] + [
-        f"  {name}: {count} results sha256 {family_digest.hexdigest()[:16]} {blocks} kernel block calls "
-        f"{tables} table calls"
-        for name, (count, family_digest, blocks, tables) in sorted(families.items())]
+                    family[2].update(since(before))
+    return [f"{results} results sha256 {digest.hexdigest()} {counts(since(start))}"] + [
+        f"  {name}: {count} results sha256 {family_digest.hexdigest()[:16]} {counts(calls)}"
+        for name, (count, family_digest, calls) in sorted(families.items())]
 
 
-# a family's line of ``answer_lines``: its name, its answers, its kernel calls
-LINE = re.compile(r"\s*(\S+): (\d+ results sha256 \w+) (\d+) kernel block calls (\d+) table calls$")
+def since(start: dict) -> dict:
+    """The kernel's calls of each kind that its tally counts, made since the tally read ``start``."""
+    now = tilting._kernel_calls()
+    return {kind: now[kind] - start[kind] for kind in now}
+
+
+def counts(calls: dict) -> str:
+    """A tally difference as ``5626 kernel block calls 38404352 entries 4628 table calls``, with no
+    entries where the tally has no such key (a revision older than it)."""
+    entries = f" {calls['entries']} entries" if "entries" in calls else ""
+    return f"{calls['block']} kernel block calls{entries} {calls['table']} table calls"
+
+
+# a family's line of ``answer_lines``: its name, its answers, its kernel calls (entries where counted)
+LINE = re.compile(r"\s*(\S+): (\d+ results sha256 \w+) (\d+) kernel block calls (?:(\d+) entries )?(\d+) "
+                  r"table calls$")
+ENTRIES = re.compile(r" \d+ entries")
 
 
 def by_family(lines: list[str]) -> dict:
     """Each family's line of ``answer_lines`` (the total line left out: it moves only where some
     family's does) by its name, as its answers (the count and sha256) and its kernel calls (blocks,
-    table calls)."""
+    entries or None, table calls)."""
     out = {}
     for line in lines[1:]:
-        name, answers, blocks, tables = LINE.match(line).groups()
-        out[name] = answers, (int(blocks), int(tables))
+        name, answers, *calls = LINE.match(line).groups()
+        out[name] = answers, tuple(None if n is None else int(n) for n in calls)
     return out
 
 
 def calls_moved(ours: tuple, theirs: tuple, rev: str) -> str:
     """The kernel counts that differ, as ``488 blocks, 456 at REV``."""
-    return "; ".join(f"{a} {what}, {b} at {rev}" for a, b, what in zip(ours, theirs, ("blocks", "table calls"))
-                     if a != b)
+    kinds = ("blocks", "entries", "table calls")
+    return "; ".join(f"{a} {what}, {b} at {rev}" for a, b, what in zip(ours, theirs, kinds) if a != b)
 
 
 def verdict(ours: list[str], theirs: list[str], rev: str) -> list[str]:
     """``same as REV`` where every line is equal.  Else ``same answers as REV`` or the families whose
-    answers differ, then the families whose kernel calls differ, each with both counts."""
+    answers differ, then the families whose kernel calls differ, each with both counts.  Where one
+    side counts no entries (a revision older than that key), both are compared without them."""
+    if not (ENTRIES.search(ours[0]) and ENTRIES.search(theirs[0])):
+        ours, theirs = [ENTRIES.sub("", line) for line in ours], [ENTRIES.sub("", line) for line in theirs]
     if ours == theirs:
         return [f"same as {rev}"]
     mine, other = by_family(ours), by_family(theirs)

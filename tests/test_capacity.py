@@ -111,6 +111,62 @@ class TestCapacityPoint:
             assert abs(pt.s_star) == pytest.approx(1.0, abs=1e-9)
 
 
+def entropy(q) -> float:
+    """H(q) in nats, with 0 ln 0 = 0."""
+    return -sum(x * math.log(x) for x in q if x > 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.3, 0.5, 0.9])
+@pytest.mark.parametrize("q0", [0.5, 0.2, 0.77, 1e-3])
+class TestClosedForms:
+    def test_binary_erasure_channel(self, eps, q0):
+        # outputs 0, erasure, 1: each output row is one value on its support, so the rate does not
+        # depend on the force and s_star is 0; H(X | Xhat) is h(eps) at every input law
+        q = [q0, 1.0 - q0]
+        pt = capacity_point(Channel([[1.0 - eps, eps, 0.0], [0.0, eps, 1.0 - eps]], q))
+        assert pt.rate == pytest.approx((1.0 - eps) * entropy(q), rel=1e-12, abs=0.0)
+        assert pt.delta == pytest.approx(h2(eps), rel=1e-15, abs=0.0)
+        assert pt.s_star == 0.0
+
+    def test_z_channel(self, eps, q0):
+        # W(0|0) = 1 and W(1|1) = 1 - eps: output 0's row spans 0 to -ln eps, so s_star is -1
+        q1 = 1.0 - q0
+        pt = capacity_point(Channel([[1.0, 0.0], [eps, 1.0 - eps]], [q0, q1]))
+        assert pt.rate == pytest.approx(h2(q1 * (1.0 - eps)) - q1 * h2(eps), rel=1e-12, abs=0.0)
+        assert pt.delta == pytest.approx(q1 * h2(eps), rel=1e-15, abs=0.0)
+        assert pt.s_star == -1.0
+
+
+def channels_with_zero_transitions(n: int = 300):
+    """``n`` channels with k and m in 2-6, Dirichlet rows with each entry zeroed with probability 0.3,
+    0.1 added to one entry per row and renormalised, and a Dirichlet input law; a draw with a dead
+    output letter is skipped."""
+    rng = np.random.default_rng(4)
+    while n:
+        k, m = rng.integers(2, 7, size=2)
+        w = rng.dirichlet(np.ones(m), size=k)
+        w[rng.random((k, m)) < 0.3] = 0.0
+        w[np.arange(k), rng.integers(m, size=k)] += 0.1
+        w /= w.sum(axis=1, keepdims=True)
+        q = rng.dirichlet(np.ones(k))
+        if np.all(q @ w > 0.0):
+            n -= 1
+            yield w, q
+
+
+def test_drawn_channels_with_zero_transitions():
+    # the budget and H(X | Xhat) are the kernel's tilted mean at force -1: each within 1e-15 of the
+    # direct sum -sum q W ln W, and the rate within 1e-13 of the direct mutual information
+    for w, q in channels_with_zero_transitions():
+        ch = Channel(w, q)
+        pt = capacity_point(ch)
+        logs = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+        direct = -float((q[:, None] * w * logs).sum())
+        assert abs(pt.delta - direct) <= 1e-15 * direct
+        info = mutual_information(ch)
+        assert abs(pt.rate - info) <= 1e-13 * info
+
+
 class TestMutualInformation:
     def test_bsc_closed_form(self):
         assert mutual_information(bsc()) == pytest.approx(LN2 - h2(0.1), abs=1e-14)

@@ -131,12 +131,13 @@ class TestEachForceOnce:
             assert rate == pytest.approx(point.rate, rel=1e-12)
 
     def test_one_kernel_call_per_capacity_point(self, monkeypatch):
-        # the rate's maximum sits at force -1 on every channel: one order-1 call there, no solve
+        # the rate's maximum sits at force -1 on every channel: one order-1 call there, no solve, and
+        # the budget H(X | Xhat) is that call's row-weighted tilted mean, moved back from origin
         seen, grid = [], tilting._Table.grid
 
         def counted(table, s, order=2):
-            seen.append((table, s, order))
-            return grid(table, s, order)
+            seen.append((table, s, order, grid(table, s, order)))
+            return seen[-1][3]
 
         def refused(*args, **kwargs):
             raise AssertionError("capacity_point ran a root solve")
@@ -151,9 +152,10 @@ class TestEachForceOnce:
             table_calls = kernel_calls("table")
             point = capacity_point(channel)
             assert table_calls() == 1 and len(seen) == 1
-            table, s, order = seen[0]
+            table, s, order, (_, means) = seen[0]
             assert s == table.force(-1.0) != 0.0 and order == 1
             assert point.s_star == -1.0
+            assert point.delta == float(np.dot(table.row_weights, table.means_from_origin(means)))
 
     def test_equilibrium_takes_no_rate(self, forces):
         # the chain reads only the force: its solve skips the kernel call that the rate takes at s

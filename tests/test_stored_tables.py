@@ -5,27 +5,48 @@ numpy's reductions then run along the other axis and round the answers' last bit
 ``_floats`` reads every array argument in C order, and each constructor stores it by ``_frozen`` as
 one C-contiguous, read-only copy: ``_frozen`` copies only an array that may share memory with the
 caller's, so ``_floats``' conversion and ``np.ix_``'s gather of a table that drops a letter are kept.
-Each route here answers a Fortran-ordered, transposed or column-sliced input with its C twin's bits.
+Each route here answers a Fortran-ordered, transposed or column-sliced input with its C twin's bits,
+and every public table route hands the kernel only C-ordered tables, whatever the input's layout.
 """
 
 import gc
+import importlib
 import tracemalloc
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tiltrate
 from tiltrate import (
     Channel,
     RdProblem,
+    RdProblem2,
     blahut_arimoto,
     capacity_point,
     distortion_at_force,
+    distortion_mmse_integral,
+    equal_force_allocation,
+    equilibrium_force,
+    expected_length,
+    force_at_distortion,
+    from_rd_problem,
+    gibbs_free_energy,
+    mmse,
     mutual_information,
     observable_expectation,
     observable_sweep,
+    protocol_work_bounds,
+    quasistatic_work,
+    rate_legendre,
+    rate_mmse_integral,
+    rate_two_distortions,
+    rd_curve,
+    sandwich_bounds,
+    tilted_conditional,
 )
-from tiltrate.multiconstraint import RdProblem2, rate_two_distortions
+from tiltrate.tilting import _at_origin
 
 K = 64
 
@@ -189,3 +210,63 @@ def test_building_a_k512_problem_peaks_near_its_stored_table(given):
     p, q, d = k512_table_as_given(given)
     RdProblem(p, q, d)  # the first build fills the interpreter's and numpy's own caches
     assert construction_peak(lambda: RdProblem(p, q, d)) <= 1.2 * RdProblem(p, q, d).distortion.nbytes
+
+
+def table_routes(layout):
+    """Every public route that lowers a table, each on a 5 x 4 problem, observable and channel whose
+    arrays are given in ``layout``, by name: the one-table solves, the curve, the quadratures, the
+    observable routes, the chain, rd2 and the channel."""
+    rng = np.random.default_rng(7)
+    p, q = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(4))
+    d1, d2, t = (rng.random((5, 4)) for _ in range(3))
+    w, q_in = rng.dirichlet(np.ones(4), size=5), rng.dirichlet(np.ones(5))
+    problem = RdProblem(p, q, layout(d1))
+    system = from_rd_problem(problem, 1.3)
+    delta1, delta2 = (0.5 * (p @ d.min(axis=1) + p @ d @ q) for d in (d1, d2))
+    return {
+        "distortion_at_force": lambda: distortion_at_force(problem, -1.5),
+        "force_at_distortion": lambda: force_at_distortion(problem, delta1),
+        "rate_legendre": lambda: rate_legendre(problem, delta1),
+        "equal_force_allocation": lambda: equal_force_allocation(problem, delta1),
+        "rd_curve": lambda: rd_curve(problem, [-2.0, -1.0, 0.0]),
+        "mmse": lambda: mmse(problem, -1.5),
+        "rate_mmse_integral": lambda: rate_mmse_integral(problem, -1.5),
+        "distortion_mmse_integral": lambda: distortion_mmse_integral(problem, -1.5),
+        "sandwich_bounds": lambda: sandwich_bounds(problem, np.linspace(0.0, -1.5, 5)),
+        "tilted_conditional": lambda: tilted_conditional(problem, -1.5),
+        "observable_expectation": lambda: observable_expectation(problem, layout(t), -1.5),
+        "observable_sweep": lambda: observable_sweep(problem, layout(t), -1.5),
+        "gibbs_free_energy": lambda: gibbs_free_energy(system, -0.7),
+        "equilibrium_force": lambda: equilibrium_force(system, expected_length(system, -0.7)),
+        "quasistatic_work": lambda: quasistatic_work(system, -0.7),
+        "protocol_work_bounds": lambda: protocol_work_bounds(system, [0.0, -0.5, -1.0]),
+        "rate_two_distortions": lambda: rate_two_distortions(RdProblem2(p, q, layout(d1), layout(d2)), delta1, delta2),
+        "capacity_point": lambda: capacity_point(Channel(layout(w), q_in)),
+    }
+
+
+@pytest.fixture
+def lowered(monkeypatch):
+    """Every table that ``tilting._at_origin`` lowers while the test runs, from each module that calls it."""
+    tables = []
+
+    def spy(*args):
+        tables.append(_at_origin(*args))
+        return tables[-1]
+
+    for path in Path(tiltrate.__file__).parent.glob("[!_]*.py"):
+        module = importlib.import_module(f"tiltrate.{path.stem}")
+        if getattr(module, "_at_origin", None) is _at_origin:
+            monkeypatch.setattr(module, "_at_origin", spy)
+    return tables
+
+
+@pytest.mark.parametrize("route", table_routes(np.asarray))
+@pytest.mark.parametrize("layout", ["c", *LAYOUTS])
+def test_the_kernel_sees_only_c_ordered_tables(route, layout, lowered):
+    # the kernel's reductions run along each row, so a table that reaches it in another order is read
+    # across its memory and rounds its sums otherwise: every lowered table is C-ordered
+    table_routes(LAYOUTS.get(layout, np.asarray))[route]()
+    assert lowered
+    for table in lowered:
+        assert table.values.flags.c_contiguous and table.log_weights.flags.c_contiguous
