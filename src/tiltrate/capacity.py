@@ -95,4 +95,4 @@ def capacity_point(channel: Channel) -> CapacityPoint:
     log_z, means = table.grid(s, 1)
     delta = _floored(np.dot(table.row_weights, table.means_from_origin(means)))
     rate = table.rate(s, float(np.dot(table.row_weights, means)), log_z)
-    return CapacityPoint(rate=rate, s_star=-1.0 if table.widest else 0.0, delta=delta)
+    return CapacityPoint(rate=rate, s_star=0.0 if table.one_valued else -1.0, delta=delta)

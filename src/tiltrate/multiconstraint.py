@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InfeasiblePairError, NumericalError, ValidationError
 from .ratedistortion import _clean_tables
-from .tilting import _HOLD, _at_origin, _check_number, _check_tol, _end_band, _floored, _legendre
+from .tilting import _at_origin, _check_number, _check_tol, _end_band, _floored, _legendre
 
 __all__ = ["RdProblem2", "rate_two_distortions"]
 
@@ -126,8 +126,8 @@ def rate_two_distortions(
             raise InfeasiblePairError(unsatisfiable) from None
         force = other.force_from_unit(force)
         return (rate, -math.inf, force) if i == 0 else (rate, force, -math.inf)
-    # a step stops at the kernel's hold (``_Table.forces``), where each product of a force and a value is finite
-    (extent1, hold1), (extent2, hold2) = ((table.extent, -_HOLD / max(table.widest, 1.0)) for table in tables)
+    # a step stops at its table's least force, where each product of a force and a value is finite
+    (extent1, hold1), (extent2, hold2) = ((table.extent, table.least_force) for table in tables)
     s1 = s2 = 0.0
     value, g1, g2, c11, c22, c12 = _evaluate(p, *tables, s1, s2, *budgets)
     eps = float(np.finfo(float).eps)

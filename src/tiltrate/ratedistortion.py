@@ -338,7 +338,7 @@ def rd_curve(problem: RdProblem, force_grid) -> list[RdPoint]:
     grid = _floats(force_grid, "force_grid").ravel()
     if grid.size == 0:
         raise ValidationError("force_grid must be nonempty")
-    if not np.all(np.isfinite(grid)) or np.any(grid > 0.0):
+    if not np.isfinite(grid).all() or (grid > 0.0).any():
         raise ValidationError("force_grid values must be finite and <= 0")
     forces = grid[np.argsort(-grid, kind="stable")]
     table = _table(problem)

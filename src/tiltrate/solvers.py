@@ -43,8 +43,8 @@ _MAX_DEPTH = 60
 _MAX_CALL = 1024
 _MAX_EVALS = 1_000_000
 # The least |end| the Simpson rule refuses: below it every sum of two of its nodes, a midpoint's or a
-# quarter point's, stays finite.  The kernel's held forces (``tilting._HOLD``, 2^1022, over a widest
-# row that rounding may leave a hair under 1) sit below it.
+# quarter point's, stays finite.  The kernel's held forces (``tilting._Table.forces``: 2^1022 over a
+# widest row that rounding may leave a hair under 1) sit below it.
 _END_LIMIT = 2.0**1023
 
 

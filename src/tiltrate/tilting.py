@@ -329,7 +329,7 @@ def _moments(log_weights: np.ndarray, values: np.ndarray, s, order: int):
     """``_Table.grid`` on one block."""
     # dividing the sums by z, not the weights by z, is the cheaper order
     w, shift = _tilted_weights(log_weights, values * s)
-    z = w.sum(axis=-1)
+    z = np.add.reduce(w, axis=-1)  # ndarray.sum without its Python-level wrapper: the same call, the same bits
     mean = c_einsum("...j,...j->...", w, values)
     mean /= z
     if order == 1:
@@ -368,7 +368,7 @@ def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
     _TALLY["block"] += 1
     _TALLY["entries"] += w.size
     w += log_weights
-    shift = w.max(axis=-1)
+    shift = np.maximum.reduce(w, axis=-1)
     w -= shift[..., None]
     np.exp(w, out=w)
     return w, shift
@@ -377,7 +377,7 @@ def _tilted_weights(log_weights: np.ndarray, w: np.ndarray):
 def _normalised(w: np.ndarray, shift: np.ndarray):
     """``_tilted_weights``' output as the per-row law, each row over its sum z, in place, and the
     per-row log-partition shift + ln z."""
-    z = w.sum(axis=-1)
+    z = np.add.reduce(w, axis=-1)
     w /= z[..., None]
     return w, np.log(z) + shift
 
@@ -403,10 +403,13 @@ class _Table(NamedTuple):
 
     The round trip lives here, and no other module reads ``starts``, ``ranges`` (both in the
     table's own scale), ``unit``, ``widest`` (the largest range in units) or ``far`` (the largest
-    |start|).  A force enters by ``force`` and leaves by ``force_from_unit``; a budget moves to
-    origin by ``floor``, is capped by ``span`` and enters by ``in_units``; means, variances and
-    log-partitions leave by ``means_from_origin``, ``variances`` and ``log_z_from_origin``, each
-    raising ``NumericalError`` for a value it cannot represent."""
+    |start|), or names ``_HOLD``: they read ``row_weights``, ``log_weights``, ``values`` and
+    ``span``, the properties and the methods.  A force enters by ``force`` and leaves by
+    ``force_from_unit``; a budget moves to origin by ``floor``, is capped by ``span`` and enters by
+    ``in_units``; means, variances and log-partitions leave by ``means_from_origin``, ``variances``
+    and ``log_z_from_origin``, each raising ``NumericalError`` for a value it cannot represent.
+    Two answers read ``widest`` so that no other module does: ``one_valued``, whether every row is
+    one value on its support, and ``least_force``, the least kernel force a step of a search may take."""
 
     row_weights: np.ndarray
     log_weights: np.ndarray
@@ -443,6 +446,18 @@ class _Table(NamedTuple):
         starts themselves, signed zeros kept."""
         return self.starts
 
+    @property
+    def one_valued(self) -> bool:
+        """Whether every row is one value on its support: then no force moves a tilted law, and every
+        variance, covariance and slope is 0."""
+        return not self.widest
+
+    @property
+    def least_force(self) -> float:
+        """The least kernel force a step of a search may take (rd2's ascent): -``_HOLD`` over the widest
+        row, or over 1 unit where every row is narrower, so its product with any value in units is finite."""
+        return -_HOLD / max(self.widest, 1.0)
+
     def force(self, s) -> float:
         """The kernel's force for one force s, checked by ``_check_force``: ``forces`` of it alone."""
         _check_force(s)
@@ -454,7 +469,10 @@ class _Table(NamedTuple):
         letter above its row's start weighs e^-1500 of its start or less, so 0, and the law, the
         log-partition at origin and the rate are the limit s -> -inf's bit for bit.  ``NumericalError``
         where that hold is not exact (a letter less than about 1e-305 of ``widest`` above its start),
-        and for a positive force past it, whose log-partition is near the largest float."""
+        and for a positive force past it, whose log-partition is near the largest float.  The hold is
+        not ``least_force``: it is taken only where an exponent passes 2^1022, so ``widest`` > 0 needs
+        no floor at 1, and on a widest row a hair under 1 unit it is a hair past 2^1022, an end the
+        quadrature rule still takes."""
         unit, widest = self.unit, self.widest
         if not s.size or _largest(s) * unit * widest <= _HOLD:
             return s * unit
@@ -779,7 +797,7 @@ def _pieces(f, table: _Table, s: float, tol: float, extent: float = 1.0) -> floa
     256, ... scales, each piece run to its share of ``tol`` and summed from 0 outward.  Within 64
     scales it is one piece, the rule's own call, bit for bit; where every row is one value, none."""
     _check_quadrature_tol(tol)
-    if not table.widest:  # every integrand is 0 at any force: the rule's signed 0 (nodes near 1e308 overflowed)
+    if table.one_valued:  # every integrand is 0 at any force: the rule's signed 0 (nodes near 1e308 overflowed)
         return -0.0 if s < 0.0 else 0.0
     ends, edge = [0.0], _CUT_SCALES / table.widest
     while edge < abs(s):
@@ -846,10 +864,10 @@ def _check_partition(points, name: str = "partition", error=PartitionInvalidErro
     pts = _floats(points, name, error).ravel()
     if pts.size == 0:
         raise error(f"{name} must be nonempty")
-    if not np.all(np.isfinite(pts)) or pts[0] != 0.0:
+    if not np.isfinite(pts).all() or pts[0] != 0.0:
         raise error(f"{name} must be finite and start at 0")
-    steps = np.diff(pts)
-    if not (np.all(steps >= 0.0) or np.all(steps <= 0.0)):
+    steps = pts[1:] - pts[:-1]
+    if not ((steps >= 0.0).all() or (steps <= 0.0).all()):
         raise error(f"{name} must be monotone")
     return pts[np.concatenate(([True], steps != 0.0))]
 
@@ -859,7 +877,8 @@ def _riemann_sums(table: _Table, points: np.ndarray, scale: float = 1.0) -> tupl
     the table's row-weighted mean at force scale * x, floored, or ``NumericalError`` for a sum past
     the largest float.  The means are taken at origin in units, where the starts cancel in every
     difference, and the sums leave the units once."""
-    dm = np.diff(table.averaged(table.forces(scale * points), 1))
+    means = table.averaged(table.forces(scale * points), 1)
+    dm = means[1:] - means[:-1]
     sums = float(np.dot(points[:-1], dm)) * table.unit, float(np.dot(points[1:], dm)) * table.unit
     if not (math.isfinite(sums[0]) and math.isfinite(sums[1])):
         raise NumericalError(f"the Riemann sums to force {float(points[-1])!r} are past the largest float")

@@ -458,14 +458,18 @@ def test_row_starts_and_ranges_are_summed_by_the_origin_table_alone():
 
 def test_only_tilting_reads_row_starts_and_ranges():
     # The way to origin and back lives on tilting._Table (floor, span, means_from_origin,
-    # log_z_from_origin, variances, least), so moving the origin edits one module.  oracles.py
-    # finds its own starts, independent of the table it checks.
+    # log_z_from_origin, variances, least), and so does every decision read off its unit, widest
+    # row or largest start (one_valued, least_force, the hold in forces), so moving the origin or
+    # the units edits one module.  oracles.py finds its own starts, independent of the table it checks.
+    lowering = {"starts", "ranges", "unit", "widest", "far", "_HOLD"}
     readers = set()
     for module in Path(tiltrate.__file__).parent.glob("*.py"):
         if module.name in ("tilting.py", "oracles.py"):
             continue
         for node in ast.walk(ast.parse(module.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr in ("starts", "ranges"):
+            if (isinstance(node, ast.Attribute) and node.attr in lowering
+                    or isinstance(node, ast.Name) and node.id == "_HOLD"
+                    or isinstance(node, ast.alias) and node.name == "_HOLD"):
                 readers.add((module.name, node.lineno))
     assert readers == set()
 

@@ -29,6 +29,7 @@ from tiltrate import (
     mean_via_integral,
     observable_expectation,
     observable_sweep,
+    protocol_work_bounds,
     quasistatic_work,
     rate_legendre,
     rate_mmse_integral,
@@ -37,7 +38,13 @@ from tiltrate import (
     rd_curve,
     sandwich_bounds,
 )
-from tiltrate.errors import ConfigError, NumericalError, ValidationError
+from tiltrate.errors import (
+    ConfigError,
+    NumericalError,
+    PartitionInvalidError,
+    ScheduleInvalidError,
+    ValidationError,
+)
 from tiltrate.oracles import BaResult
 from tiltrate.ratedistortion import distortion_mmse_integral
 
@@ -195,6 +202,24 @@ def test_an_array_that_numpy_cannot_read_is_refused_by_name(route, name, bad, ki
         route(bad)
 
 
+@pytest.mark.parametrize("route, name, error", [
+    (lambda bad: sandwich_bounds(BSS, bad), "partition", PartitionInvalidError),
+    (lambda bad: protocol_work_bounds(CHAIN, bad), "schedule", ScheduleInvalidError),
+])
+@pytest.mark.parametrize("bad, rule", [
+    ([], "must be nonempty"),
+    ([0.0, math.nan], "must be finite and start at 0"),
+    ([-0.5, -1.0], "must be finite and start at 0"),
+    ([0.0, -1.0, -0.5], "must be monotone"),
+])
+def test_a_partition_is_refused_before_any_kernel_call(route, name, error, bad, rule, exponentials):
+    # tilting._check_partition, the one check of Riemann partitions and protocol schedules
+    with raises(error, f"{name} {rule}") as refusal:
+        route(bad)
+    assert refusal.type is error
+    assert exponentials() == 0
+
+
 class TestRateDistortion:
     def test_allocation_at_the_minimum_distortion_is_the_row_minima(self, bss):
         allocation, rate = equal_force_allocation(bss, 0.0)
@@ -205,9 +230,14 @@ class TestRateDistortion:
         with raises(ValidationError, "observable entries must all be finite"):
             observable_expectation(bss, [[0.0, math.nan], [1.0, 0.0]], -1.0)
 
-    def test_force_grid_must_be_nonempty(self, bss):
-        with raises(ValidationError, "force_grid must be nonempty"):
-            rd_curve(bss, [])
+    @pytest.mark.parametrize("grid, message", [
+        ([], "force_grid must be nonempty"),
+        ([-1.0, math.nan], "force_grid values must be finite and <= 0"),
+        ([-1.0, 0.5], "force_grid values must be finite and <= 0")])
+    def test_force_grid_must_be_nonempty_finite_and_nonpositive(self, bss, grid, message, exponentials):
+        with raises(ValidationError, message):
+            rd_curve(bss, grid)
+        assert exponentials() == 0
 
 
 class TestOracles:
